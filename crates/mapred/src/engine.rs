@@ -1,85 +1,75 @@
-//! Job execution: real data processing plus simulated-time accounting.
+//! Job execution: execute for real, time by model.
 //!
-//! [`run_job`] executes one [`JobSpec`] against a [`Cluster`]:
+//! [`run_job`] executes one [`JobSpec`] against a [`Cluster`]. The work is
+//! cut along DESIGN.md's first design decision into two planes that share
+//! only plain counts; this module is the thin orchestrator between them.
 //!
-//! 1. **Split** — each input file is split into map tasks sized by the HDFS
-//!    block size (in *simulated* bytes, so `size_multiplier` controls task
-//!    counts the way real data volume would).
-//! 2. **Map** — each task runs a fresh mapper over its real records,
-//!    partitions output by [`crate::hash::partition`], sorts its run by
-//!    `(partition, key, value)`, applies the combiner, and is charged
-//!    read + CPU + sort + spill time. Failed attempts (seeded injection)
-//!    are re-executed.
-//! 3. **Schedule** — task times are packed onto the cluster's map slots by
-//!    list scheduling; the map phase lasts until the last task finishes.
-//! 4. **Shuffle + Reduce** — each map task's sorted run is split into
-//!    per-partition segments; a reduce task k-way-merges its segments
-//!    (Hadoop's merge-based shuffle — no global re-sort) and streams each
-//!    key group through a fresh reducer as a borrowed slice of the merged
-//!    value column. Output lines are written to HDFS with replication cost.
+//! * **`data`** — the data plane, the only code that touches rows, mappers,
+//!   reducers, HDFS bytes and checksums. It splits inputs into block-sized
+//!   tasks, runs each map task (verified read → mapper → `(partition, key,
+//!   value)` sort → combiner), hands the sorted per-partition segments to
+//!   the reduce tasks, k-way merges and reduces them, and writes the
+//!   output — on real OS threads
+//!   ([`crate::config::ClusterConfig::exec_threads`]). Besides the
+//!   runs/outputs it returns *physical counts* ([`MapCounts`],
+//!   [`SegmentCounts`], [`ReduceCounts`]): bytes, records, work units,
+//!   corrupt replicas, corrupt fetches — never a duration.
+//! * **`cost`** — the cost plane: counts in, seconds out. A deterministic
+//!   function of the counts, the [`ClusterConfig`] and the attempt's seeds
+//!   holding every bandwidth/CPU formula, the list scheduling of tasks onto
+//!   slot waves, straggler / task-failure / node-death injection, re-fetch
+//!   and re-execution charges, the blacklist, the disk and time limits, and
+//!   all trace spans. It sees no data and is unit-tested on hand-built counts.
 //!
-//! Both task phases run on real OS threads
-//! ([`crate::config::ClusterConfig::exec_threads`] caps them); all
-//! injected-fault randomness is seeded per task index, so results, metrics
-//! and simulated times are bit-identical for any thread count.
-//! 5. **Checks** — per-node spill volumes are checked against disk
-//!    capacity ([`MapRedError::DiskFull`]) and the job total against the
-//!    configured time limit.
+//! [`run_job_attempt`] runs map-execute → map-cost → shuffle-execute →
+//! shuffle-cost → reduce-execute → reduce-cost → commit. Each phase's cost
+//! is settled before the next phase executes, so an attempt the cost plane
+//! fails (a task out of retries, too many bad records, every node dead,
+//! disks full, time limit) does no further real work and writes nothing;
+//! its [`AttemptFailure`] carries the simulated time it burned, which
+//! [`crate::chain::run_chain`] charges when it retries the job.
 //!
-//! Fault tolerance: a [`crate::config::NodeFailureModel`] kills whole
-//! worker nodes during a job attempt. Map outputs live on local disks, so a
-//! dead node's tasks are re-executed on the survivors and reducers re-fetch
-//! that share of the shuffle — all charged in simulated time, never
-//! changing results. A job attempt that cannot finish (a task out of
-//! retries, disks full, every node dead) fails with an [`AttemptFailure`]
-//! carrying the simulated time it burned; [`crate::chain::run_chain`]
-//! retries it under the [`crate::config::RetryPolicy`].
+//! # Who draws which random stream
 //!
-//! Data integrity: a [`crate::config::CorruptionModel`] flips *bytes*, not
-//! clocks. HDFS blocks are read through per-block checksums with replica
-//! failover ([`crate::hdfs::read_block_verified`]); shuffle segments are
-//! checksummed on arrival, re-fetched on mismatch with capped retries, and
-//! a mapper whose stored output stays corrupt is re-executed; torn input
-//! records are skipped by robust mappers under the
-//! [`crate::config::ClusterConfig::skip_bad_records`] budget; and nodes
-//! that keep failing are blacklisted ([`crate::config::BlacklistPolicy`]),
-//! shrinking the slot pool. Detection is genuine — a bit is actually
-//! flipped and an actual checksum comparison catches it — and only
-//! canonical bytes ever reach mappers and reducers, so corruption can never
-//! change query results, only cost simulated time.
+//! Every injected fault is a fresh [`rand::rngs::StdRng`] seeded per `(job,
+//! attempt, task/partition/node)`, never one sequential stream, so results,
+//! metrics, simulated times and traces are bit-identical for any thread
+//! count. *Data-affecting* draws flip bytes, not clocks: they belong to the
+//! data plane, which runs the real checksum comparison, lets only canonical
+//! bytes reach mappers and reducers, and reports what happened as counts —
+//! corruption can never change results, only cost simulated time.
+//! *Time-affecting* draws belong to the cost plane.
+//!
+//! | stream | owner | seed |
+//! |---|---|---|
+//! | block/frame replica flips ([`crate::hdfs::read_block_verified`]) | `data` | `corruption.seed ^ checksum(path) ^ block ^ replica ^ attempt` |
+//! | torn input records | `data` | [`JobCtx::task_seed`]`(corruption.seed ^ 0x0BAD_5EED, task)` |
+//! | shuffle-segment flips and re-fetch outcomes | `data` | `task_seed(corruption.seed, task) ^ partition` |
+//! | map stragglers | `cost` | `task_seed(stragglers.seed, task)` |
+//! | map task failures | `cost` | `task_seed(failures.seed, task)` |
+//! | node deaths | `cost` | `node_failures.seed ^ job ^ attempt ^ node` |
+//! | reduce stragglers | `cost` | `stragglers.seed ^ job ^ partition` |
 
-use std::collections::BinaryHeap;
+mod cost;
+mod data;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use ysmart_rel::codec::encode_line;
-use ysmart_rel::colbatch::DEFAULT_FRAME_ROWS;
-
-use crate::norm::NormArena;
-use ysmart_rel::{ColumnBatch, Row, Value};
+use ysmart_rel::Row;
 
 use crate::config::{ClusterConfig, DataFormat};
 use crate::error::MapRedError;
-use crate::hash::{checksum_bytes, hash_row, partition};
+use crate::hash::hash_row;
 use crate::hdfs::Hdfs;
-use crate::job::{JobSpec, MapOutput, ReduceEmit, ReduceOutput};
+use crate::job::JobSpec;
 use crate::metrics::JobMetrics;
-use crate::trace::{ArgValue, Trace, TraceEvent, SPEC_LANE_BASE};
+use crate::trace::Trace;
 
-/// CPU microseconds charged per record comparison in the map-side sort.
-const SORT_CPU_US_PER_CMP: f64 = 0.05;
-/// Maximum attempts per task, as Hadoop's `mapred.map.max.attempts`.
-const MAX_ATTEMPTS: usize = 4;
 /// Re-fetches a reducer grants one shuffle segment before giving up on the
 /// mapper's output and re-executing the mapper (Hadoop's
 /// `mapreduce.reduce.shuffle.maxfetchfailures` spirit).
 const MAX_FETCH_RETRIES: usize = 3;
-/// Simulated backoff a reducer waits before re-fetching a corrupt segment.
-const FETCH_RETRY_BACKOFF_S: f64 = 1.0;
-/// CPU seconds charged per gigabyte checksummed (XXH64 runs at a few GB/s
-/// on one core). Only charged when a corruption model is configured, so
-/// integrity-off runs keep their exact historical timings.
-const CHECKSUM_CPU_S_PER_GB: f64 = 0.5;
+/// Odd multiplier spreading a task/partition/node index over the seed bits.
+const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The simulated cluster: a global file system plus the cost model.
 #[derive(Debug, Clone)]
@@ -141,13 +131,13 @@ impl Cluster {
 
     /// Loads a table at `data/<name>` in the cluster's configured
     /// [`DataFormat`]: text lines, or encoded columnar frames of
-    /// [`DEFAULT_FRAME_ROWS`] rows each. Rows the frame codec rejects
+    /// [`ysmart_rel::colbatch::DEFAULT_FRAME_ROWS`] rows each. Rows the frame codec rejects
     /// (non-uniform widths, non-finite floats) fall back to text so the
     /// load never fails.
     pub fn load_table_rows(&mut self, name: &str, rows: &[Row]) {
         let path = format!("data/{name}");
         if self.config.data_format == DataFormat::Columnar {
-            if let Some((frames, _, _)) = encode_rows_to_frames(rows) {
+            if let Some((frames, _, _)) = data::encode_rows_to_frames(rows) {
                 self.hdfs.put_frames(&path, frames);
                 return;
             }
@@ -188,56 +178,100 @@ impl From<MapRedError> for AttemptFailure {
     }
 }
 
-/// One map task's slice of its input file: contiguous text lines, or
-/// contiguous encoded columnar frames (`base` is the index of the first
-/// frame within the file, seeding per-frame replica corruption draws the
-/// way the task index seeds per-block draws in text mode).
-#[derive(Clone, Copy)]
-enum TaskInput<'a> {
-    Lines(&'a [String]),
-    Frames { frames: &'a [Vec<u8>], base: usize },
+/// What both planes know about the job attempt being run.
+struct JobCtx<'a> {
+    cfg: &'a ClusterConfig,
+    name: &'a str,
+    /// Stable hash of the job name, mixed into every seed.
+    hash: u64,
+    attempt: usize,
+    /// The trace cursor (simulated seconds) spans are laid out from;
+    /// `None` when tracing is off, and then no span is built at all.
+    cursor: Option<f64>,
 }
 
-/// Internal per-map-task result. The map output is a *sorted run* already
-/// cut into per-partition segments, in ascending partition order — each
-/// segment's parallel key/value columns are sorted by `(key, value)`.
-/// Map-only tasks carry their whole output as one pseudo-segment.
-struct MapTaskResult {
-    runs: Vec<(u32, PartitionRun)>,
-    /// 1 when this task straggled and was rescued by a backup task.
-    speculative: usize,
-    /// Slot-seconds the speculative backup duplicated.
-    spec_slot_s: f64,
-    /// Error that kills the whole job attempt — a task out of per-task
-    /// retries, or a block with no checksum-clean replica left. Surfaced
-    /// after every task's time has been accounted.
-    fatal: Option<MapRedError>,
-    /// Simulated records/bytes per real pair emitted by this task. Usually
-    /// the global `size_multiplier`; 1.0 when a combiner collapsed the task
-    /// to a handful of partial rows — such output is bounded by key
-    /// cardinality, not data volume, and must not scale with it (a map
-    /// task covering 2 000 000× more records of a *global* aggregation
-    /// still emits one partial row).
-    weight: f64,
-    time_s: f64,
-    spill_bytes: u64,
+impl JobCtx<'_> {
+    /// Seed of a per-map-task random stream: `base` mixed with the job, the
+    /// attempt and the task index, so streams are independent of how tasks
+    /// land on threads and a retried attempt sees fresh draws.
+    fn task_seed(&self, base: u64, task_idx: usize) -> u64 {
+        base ^ self.hash ^ attempt_mix(self.attempt) ^ (task_idx as u64 + 1).wrapping_mul(SPLITMIX)
+    }
+}
+
+/// Physical counts of one executed map task. Counts are *real* (measured
+/// on the data actually processed); the cost plane scales them by
+/// `size_multiplier`.
+#[derive(Debug, Clone, Default)]
+struct MapCounts {
+    in_bytes: u64,
     in_records: u64,
+    /// Work units the mapper reported ([`crate::job::MapOutput::add_work`]).
+    work: u64,
+    /// Pairs the mapper emitted, before the combiner.
     out_records: u64,
-    failed_attempts: usize,
+    /// Bytes of the pairs left after the combiner (all of them without one).
+    combined_bytes: u64,
+    /// A combiner collapsed the task to a handful of partial rows. Such
+    /// output is bounded by key cardinality, not data volume, and must not
+    /// scale with it (a map task covering 2 000 000× more records of a
+    /// *global* aggregation still emits one partial row): its pairs weigh
+    /// 1 simulated pair each instead of `size_multiplier`.
+    bounded: bool,
     /// Corrupt block replicas detected by checksum and failed over.
     corrupt_replicas: u64,
-    /// Checksum CPU seconds charged to this task (already in `time_s`).
-    verify_s: f64,
+    /// Injected flips the block checksum failed to detect.
+    collisions: u64,
     /// Malformed input records the mapper skipped.
     skipped_records: u64,
-    /// Injected flips the block checksum failed to detect (collisions).
-    collisions: u64,
-    /// Duration of one (successful) attempt of this task — `time_s` minus
-    /// the re-executed failed attempts. The trace draws failed attempts as
-    /// separate spans of half this length, matching the engine's charge.
-    attempt_s: f64,
     /// Per-stream dispatch counts reported by the mapper (CMF fan-out).
     dispatches: Vec<u64>,
+    /// What the data itself did to kill the attempt: a block with no
+    /// checksum-clean replica left ([`MapRedError::CorruptBlock`], nothing
+    /// was mapped) or a user evaluation error.
+    fatal: Option<MapRedError>,
+}
+
+/// Physical counts of one shuffle segment: map task `task`'s sorted pairs
+/// for reduce partition `partition`, in its wire form.
+#[derive(Debug, Clone, Default)]
+struct SegmentCounts {
+    task: usize,
+    partition: usize,
+    records: u64,
+    bytes: u64,
+    /// Dictionary entries of the segment's columnar frame; `None` when the
+    /// wire form is the text framing.
+    frame_dicts: Option<u64>,
+    /// Fetched copies that failed checksum verification (capped at
+    /// [`MAX_FETCH_RETRIES`]` + 1`, which means the mapper's stored output
+    /// itself is bad).
+    corrupt_fetches: usize,
+    /// Injected flips the segment checksum failed to detect.
+    collisions: u64,
+}
+
+/// What a task (or a map-only job) wrote.
+#[derive(Debug, Clone, Default)]
+struct OutputCounts {
+    records: u64,
+    bytes: u64,
+    /// Encoded columnar frame bytes (0 for text output).
+    encoded_bytes: u64,
+    dict_entries: u64,
+}
+
+/// Physical counts of one executed reduce task.
+#[derive(Debug, Clone, Default)]
+struct ReduceCounts {
+    /// Merged pairs streamed through the reducer.
+    in_records: u64,
+    work: u64,
+    out: OutputCounts,
+    /// Per-stream dispatch counts reported by the reducer (CMF fan-out).
+    dispatches: Vec<u64>,
+    /// Evaluation error reported by the reducer.
+    fatal: Option<MapRedError>,
 }
 
 /// Executes one job, mutating HDFS with its output and returning metrics.
@@ -269,2007 +303,83 @@ pub fn run_job_attempt(
     spec: &JobSpec,
     attempt: usize,
 ) -> Result<JobMetrics, AttemptFailure> {
-    let cfg = cluster.config.clone();
-    let mult = cfg.size_multiplier;
-    let slowdown = cfg.contention.map_or(1.0, |c| c.task_slowdown);
-    // Tracing: spans are buffered locally and committed to the cluster
-    // trace only if this attempt succeeds (a failed attempt is summarised
-    // by the chain as one `job_failed` span instead). All emission happens
-    // in the serial sections after thread joins, keyed by simulated time
-    // and task index — never wall clock — so traces are byte-identical
-    // across `exec_threads` settings.
-    let tracing = cluster.trace.is_some();
-    let cursor = cluster.trace.as_ref().map_or(0.0, Trace::cursor_s);
-    let mut tev: Vec<TraceEvent> = Vec::new();
-
-    // ---- split ----------------------------------------------------------
-    // Splits are contiguous line (or frame) ranges, so tasks borrow slices
-    // of the files already in HDFS — no copy of the input per job. The
-    // borrows end before the job's output is written back. Columnar files
-    // split on frame boundaries (a task reads whole frames), the way text
-    // splits on line boundaries; the format is detected per file, so a
-    // columnar-mode job reading a text fallback file still works.
-    let block_real_bytes = (cfg.hdfs_block_mb * 1e6 / mult).max(1.0);
-    let mut tasks: Vec<(usize, TaskInput)> = Vec::new(); // (input idx, records)
-    let mut hdfs_read_real: u64 = 0;
-    for (input_idx, input) in spec.inputs.iter().enumerate() {
-        let file = cluster.hdfs.get(&input.path)?;
-        hdfs_read_real += file.bytes();
-        if file.is_columnar() {
-            let frames = &file.frames;
-            let mut start = 0;
-            let mut chunk_bytes = 0.0;
-            for (i, frame) in frames.iter().enumerate() {
-                chunk_bytes += frame.len() as f64;
-                if chunk_bytes >= block_real_bytes {
-                    tasks.push((
-                        input_idx,
-                        TaskInput::Frames {
-                            frames: &frames[start..=i],
-                            base: start,
-                        },
-                    ));
-                    start = i + 1;
-                    chunk_bytes = 0.0;
-                }
-            }
-            if start < frames.len() {
-                tasks.push((
-                    input_idx,
-                    TaskInput::Frames {
-                        frames: &frames[start..],
-                        base: start,
-                    },
-                ));
-            }
-        } else {
-            let lines = &file.lines;
-            let mut start = 0;
-            let mut chunk_bytes = 0.0;
-            for (i, line) in lines.iter().enumerate() {
-                chunk_bytes += line.len() as f64 + 1.0;
-                if chunk_bytes >= block_real_bytes {
-                    tasks.push((input_idx, TaskInput::Lines(&lines[start..=i])));
-                    start = i + 1;
-                    chunk_bytes = 0.0;
-                }
-            }
-            if start < lines.len() || file_is_empty_input(&tasks, input_idx) {
-                tasks.push((input_idx, TaskInput::Lines(&lines[start..])));
-            }
-        }
-    }
-
-    // ---- map phase -------------------------------------------------------
-    // Tasks are independent, so the *real* work runs in parallel across OS
-    // threads (crossbeam scoped threads); determinism is preserved by
-    // seeding the failure/straggler RNGs per task index rather than
-    // drawing from one sequential stream.
-    let job_hash = hash_row(&ysmart_rel::row![spec.name.as_str()]);
-    let num_reducers = spec.reduce_tasks.unwrap_or_else(|| {
-        let default = cfg.default_reduce_tasks();
-        match spec.key_cardinality_hint {
-            // More reducers than distinct keys are pure startup overhead.
-            Some(keys) => default.min(usize::try_from(keys).unwrap_or(usize::MAX).max(1)),
-            None => default,
-        }
-    });
-    let map_only = spec.reducer.is_none();
-
-    let threads = exec_threads(&cfg).min(tasks.len().max(1));
-    let results: Vec<MapTaskResult> = if threads <= 1 || tasks.len() < 4 {
-        tasks
-            .iter()
-            .enumerate()
-            .map(|(idx, (input_idx, task_input))| {
-                run_map_task(
-                    &cfg,
-                    spec,
-                    job_hash,
-                    attempt,
-                    idx,
-                    *input_idx,
-                    *task_input,
-                    num_reducers,
-                    map_only,
-                    mult,
-                    slowdown,
-                )
-            })
-            .collect()
-    } else {
-        let chunk = tasks.len().div_ceil(threads);
-        type TaskSlice<'a> = (usize, &'a [(usize, TaskInput<'a>)]);
-        let task_slices: Vec<TaskSlice> = tasks
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| (i * chunk, c))
-            .collect();
-        let cfg_ref = &cfg;
-        // A panicking task thread (a user mapper that panics despite the
-        // record_fatal channel) surfaces as a typed User error, not a
-        // panic of the whole chain.
-        let chunk_results: Result<Vec<Vec<MapTaskResult>>, MapRedError> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = task_slices
-                    .into_iter()
-                    .map(|(base, slice)| {
-                        scope.spawn(move |_| {
-                            slice
-                                .iter()
-                                .enumerate()
-                                .map(|(off, (input_idx, task_input))| {
-                                    run_map_task(
-                                        cfg_ref,
-                                        spec,
-                                        job_hash,
-                                        attempt,
-                                        base + off,
-                                        *input_idx,
-                                        *task_input,
-                                        num_reducers,
-                                        map_only,
-                                        mult,
-                                        slowdown,
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().map_err(|_| {
-                            MapRedError::User(format!("map task panicked in job {}", spec.name))
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|_| {
-                Err(MapRedError::User(format!(
-                    "map phase thread panicked in job {}",
-                    spec.name
-                )))
-            });
-        chunk_results
-            .map_err(AttemptFailure::from)?
-            .into_iter()
-            .flatten()
-            .collect()
-    };
-    let speculative_tasks: usize = results.iter().map(|r| r.speculative).sum();
-
-    let mut map_makespan = makespan(results.iter().map(|r| r.time_s), cfg.total_map_slots());
-
-    // A task out of per-task retries — or a block with no checksum-clean
-    // replica left — kills the attempt; the whole map phase's work up to
-    // that point is lost.
-    if let Some(error) = results.iter().find_map(|r| r.fatal.clone()) {
-        return Err(AttemptFailure {
-            error,
-            wasted_s: map_makespan,
-        });
-    }
-
-    // ---- bad-record budget ----------------------------------------------
-    // Mappers skipped malformed records instead of aborting; more skips
-    // than the configured budget means the input is too damaged to trust.
-    let skipped_records: u64 = results.iter().map(|r| r.skipped_records).sum();
-    if skipped_records > cfg.skip_bad_records {
-        return Err(AttemptFailure {
-            error: MapRedError::TooManyBadRecords {
-                job: spec.name.clone(),
-                skipped: skipped_records,
-                budget: cfg.skip_bad_records,
-            },
-            wasted_s: map_makespan,
-        });
-    }
-
-    // ---- node-loss injection ---------------------------------------------
-    // Per (job, attempt, node) seeded deaths. A dead node's map outputs are
-    // on its local disk and unreachable, so its tasks re-execute on the
-    // surviving slots after the original wave; the original runs are
-    // wasted work. `lost_map_frac` later charges the reducers' re-fetch.
-    let nodes = cfg.nodes.max(1);
-    let mut dead = vec![false; nodes];
-    let mut nodes_lost = 0usize;
-    let mut reexecuted_tasks = 0usize;
-    let mut wasted_s = 0.0f64;
-    let mut lost_map_frac = 0.0f64;
-    // (task index, duration) of map tasks lost to dead nodes, and the
-    // simulated time their re-execution wave starts — kept for the trace.
-    let mut lost: Vec<(usize, f64)> = Vec::new();
-    let mut reexec_base_s = 0.0f64;
-    if let Some(model) = cfg.node_failures {
-        const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        for (n, d) in dead.iter_mut().enumerate() {
-            let mut rng = StdRng::seed_from_u64(
-                model.seed
-                    ^ job_hash
-                    ^ attempt_mix(attempt)
-                    ^ (n as u64 + 0x0DE5).wrapping_mul(SPLITMIX),
-            );
-            *d = rng.gen::<f64>() < model.probability;
-            nodes_lost += usize::from(*d);
-        }
-        if nodes_lost == nodes {
-            return Err(AttemptFailure {
-                error: MapRedError::ClusterLost {
-                    job: spec.name.clone(),
-                    nodes,
-                },
-                wasted_s: map_makespan,
-            });
-        }
-        lost = results
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| dead[idx % nodes])
-            .map(|(idx, r)| (idx, r.time_s))
-            .collect();
-        if !lost.is_empty() {
-            reexecuted_tasks += lost.len();
-            wasted_s += lost.iter().map(|&(_, t)| t).sum::<f64>();
-            lost_map_frac = lost.len() as f64 / results.len() as f64;
-            reexec_base_s = map_makespan;
-            map_makespan += makespan(
-                lost.iter().map(|&(_, t)| t),
-                cfg.surviving_map_slots(nodes - nodes_lost),
-            );
-        }
-    }
-
-    // ---- disk-capacity check on map spill --------------------------------
-    let total_spill: u64 = results.iter().map(|r| r.spill_bytes).sum();
-    check_disk(&cfg, total_spill).map_err(|error| AttemptFailure {
-        error,
-        wasted_s: map_makespan,
-    })?;
-
-    let mut map_dispatches: Vec<u64> = Vec::new();
-    for r in &results {
-        accumulate(&mut map_dispatches, &r.dispatches);
-    }
-    let mut metrics = JobMetrics {
-        name: spec.name.clone(),
-        map_time_s: map_makespan,
-        hdfs_read_bytes: scale_u64(hdfs_read_real, mult),
-        local_spill_bytes: total_spill,
-        map_in_records: scale_u64(results.iter().map(|r| r.in_records).sum::<u64>(), mult),
-        map_out_records: scale_u64(results.iter().map(|r| r.out_records).sum::<u64>(), mult),
-        map_tasks: results.len(),
-        failed_attempts: results.iter().map(|r| r.failed_attempts).sum(),
-        speculative_tasks,
-        speculative_slot_s: results.iter().map(|r| r.spec_slot_s).sum(),
-        nodes_lost,
-        reexecuted_tasks,
-        wasted_s,
+    let Cluster {
+        hdfs,
+        config,
+        trace,
+    } = cluster;
+    let job = JobCtx {
+        cfg: config,
+        name: &spec.name,
+        hash: hash_row(&ysmart_rel::row![spec.name.as_str()]),
         attempt,
-        corrupt_blocks_detected: results.iter().map(|r| r.corrupt_replicas).sum(),
-        skipped_records,
-        verify_s: results.iter().map(|r| r.verify_s).sum(),
-        checksum_collisions: results.iter().map(|r| r.collisions).sum(),
-        map_dispatches,
-        ..JobMetrics::default()
+        cursor: trace.as_ref().map(Trace::cursor_s),
     };
-
-    // ---- map-phase trace spans -------------------------------------------
-    // Re-derive the list schedule the makespan used (identical float ops,
-    // so span extents and `map_time_s` agree bit-for-bit) and lay each
-    // task's failed attempts, success run, speculative backup and integrity
-    // events on its slot's lane.
-    if tracing {
-        let times: Vec<f64> = results.iter().map(|r| r.time_s).collect();
-        let (placed, _) = schedule(&times, cfg.total_map_slots());
-        for (idx, r) in results.iter().enumerate() {
-            let tid = placed[idx].0 as u32;
-            let mut at = cursor + placed[idx].1;
-            for f in 0..r.failed_attempts {
-                let d = r.attempt_s * 0.5;
-                tev.push(TraceEvent::span(
-                    tid,
-                    "attempt_failed",
-                    format!("m{idx} attempt {} (failed)", f + 1),
-                    at,
-                    d,
-                ));
-                at += d;
-            }
-            let mut ev = TraceEvent::span(tid, "map", format!("m{idx}"), at, r.attempt_s)
-                .arg("in_records", ArgValue::U64(r.in_records))
-                .arg("out_records", ArgValue::U64(r.out_records));
-            if r.verify_s > 0.0 {
-                ev = ev.arg("verify_s", ArgValue::F64(r.verify_s));
-            }
-            if r.corrupt_replicas > 0 {
-                ev = ev.arg("corrupt_replicas", ArgValue::U64(r.corrupt_replicas));
-            }
-            tev.push(ev);
-            if r.verify_s > 0.0 {
-                tev.push(TraceEvent::span(
-                    tid,
-                    "verify",
-                    format!("m{idx} checksum verify"),
-                    at,
-                    r.verify_s,
-                ));
-            }
-            if r.speculative > 0 {
-                tev.push(TraceEvent::span(
-                    SPEC_LANE_BASE + tid,
-                    "speculative",
-                    format!("m{idx} backup"),
-                    at,
-                    r.spec_slot_s,
-                ));
-            }
-            if r.skipped_records > 0 {
-                tev.push(
-                    TraceEvent::instant(
-                        tid,
-                        "skip",
-                        format!("m{idx} skipped bad records"),
-                        at + r.attempt_s,
-                    )
-                    .arg("records", ArgValue::U64(r.skipped_records)),
-                );
-            }
-            if r.collisions > 0 {
-                tev.push(
-                    TraceEvent::instant(tid, "collision", format!("m{idx} checksum collision"), at)
-                        .arg("collisions", ArgValue::U64(r.collisions)),
-                );
-            }
-        }
-        if !lost.is_empty() {
-            let lost_times: Vec<f64> = lost.iter().map(|&(_, t)| t).collect();
-            let (placed, _) = schedule(&lost_times, cfg.surviving_map_slots(nodes - nodes_lost));
-            for (&(idx, t), &(slot, start)) in lost.iter().zip(&placed) {
-                tev.push(TraceEvent::span(
-                    slot as u32,
-                    "reexec",
-                    format!("m{idx} re-exec (node lost)"),
-                    cursor + reexec_base_s + start,
-                    t,
-                ));
-            }
-        }
-    }
-
-    // ---- map-only completion ---------------------------------------------
-    if map_only {
-        let mut rows: Vec<Row> = Vec::new();
-        for r in results {
-            for (_, seg) in r.runs {
-                rows.extend(seg.values);
-            }
-        }
-        let out_records = rows.len() as u64;
-        // Columnar mode writes the output as encoded frames; rows the
-        // frame codec rejects (non-uniform widths) fall back to text.
-        let encoded = (cfg.data_format == DataFormat::Columnar)
-            .then(|| encode_rows_to_frames(&rows))
-            .flatten();
-        let (out_bytes, lines, frames) = match encoded {
-            Some((frames, bytes, dicts)) => {
-                metrics.encoded_bytes += bytes;
-                metrics.dict_entries += dicts;
-                (bytes, Vec::new(), frames)
-            }
-            None => {
-                let mut lines = Vec::with_capacity(rows.len());
-                let mut bytes = 0u64;
-                for v in &rows {
-                    let line = encode_line(v);
-                    bytes += line.len() as u64 + 1;
-                    lines.push(line);
-                }
-                (bytes, lines, Vec::new())
-            }
-        };
-        let sim_out = out_bytes as f64 * mult;
-        // Map-only jobs still write output to HDFS with replication.
-        let write_s = cfg.net_seconds(sim_out * f64::from(cfg.replication))
-            / (cfg.total_map_slots() as f64).max(1.0);
-        if tracing {
-            tev.push(
-                TraceEvent::span(
-                    0,
-                    "write",
-                    format!("{} output write", spec.name),
-                    cursor + metrics.map_time_s,
-                    write_s,
-                )
-                .arg("bytes", ArgValue::U64(scale_u64(out_bytes, mult))),
-            );
-        }
-        metrics.map_time_s += write_s;
-        metrics.hdfs_write_bytes = scale_u64(out_bytes, mult);
-        metrics.out_records = scale_u64(out_records, mult);
-        check_time(&cfg, metrics.map_time_s).map_err(|error| AttemptFailure {
-            error,
-            wasted_s: metrics.map_time_s,
-        })?;
-        if frames.is_empty() {
-            cluster.hdfs.put(&spec.output, lines);
-        } else {
-            cluster.hdfs.put_frames(&spec.output, frames);
-        }
-        commit_job_trace(cluster, spec, attempt, &metrics, tev);
-        return Ok(metrics);
-    }
-
-    // ---- shuffle ----------------------------------------------------------
-    // Map tasks emitted per-partition sorted segments, so the shuffle is
-    // pure *distribution*: whole segments move (Vec pointer copies, no
-    // per-pair work) to the reduce tasks that k-way merge them. Tasks are
-    // consumed in task order, preserving the merge tie-break order.
-    //
-    // Under a corruption model each fetched segment is checksummed on
-    // arrival. A corrupt fetch (a genuinely bit-flipped copy, detected by
-    // checksum mismatch) is re-fetched after a backoff; a segment that
-    // stays corrupt past the retry cap means the *mapper's stored output*
-    // is bad, so the mapper re-executes and the fresh output is fetched.
-    // Only the canonical segment rows ever reach a reducer.
-    let compress_ratio = cfg.compression.map_or(1.0, |c| c.ratio);
-    let decompress_cpu = cfg.compression.map_or(0.0, |c| c.cpu_s_per_gb);
-    const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    const PARTMIX: u64 = 0xA076_1D64_78BD_642F;
-    let task_times: Vec<f64> = results.iter().map(|r| r.time_s).collect();
-    let task_failed: Vec<usize> = results.iter().map(|r| r.failed_attempts).collect();
-    let mut part_runs: Vec<Vec<PartitionRun>> = (0..num_reducers).map(|_| Vec::new()).collect();
-    let mut shuffle_sim_bytes = vec![0.0f64; num_reducers];
-    let mut shuffle_sim_records = vec![0.0f64; num_reducers];
-    let mut refetch_extra_s = vec![0.0f64; num_reducers];
-    let mut refetched_segments = 0u64;
-    let mut segment_verify_s = 0.0f64;
-    let mut fetch_failures = vec![0usize; nodes];
-    let mut seg_collisions = 0u64;
-    // Per-partition integrity detail for the trace's fetch/verify spans.
-    let mut part_verify = vec![0.0f64; num_reducers];
-    let mut part_refetches = vec![0u64; num_reducers];
-    let columnar = cfg.data_format == DataFormat::Columnar;
-    let mut seg_encoded_bytes = 0u64;
-    let mut seg_dict_entries = 0u64;
-    for (t, r) in results.into_iter().enumerate() {
-        let weight = r.weight;
-        for (p, seg) in r.runs {
-            let p = p as usize;
-            // Wire form of the segment: columnar mode encodes one frame of
-            // `key ⧺ value` rows (per-column-chunk checksums), falling back
-            // to the text framing when widths are non-uniform across the
-            // segment; text mode counts text framing bytes.
-            // Real wire bytes are built only when the corruption model
-            // will actually flip bits in them; otherwise the exact frame
-            // size comes from `segment_frame_stats` with no encoding pass.
-            let need_wire = cfg.corruption.is_some_and(|m| m.segment_rate > 0.0);
-            let seg_frame = if columnar && need_wire {
-                segment_frame(&seg)
-            } else {
-                None
-            };
-            let frame_stats = match &seg_frame {
-                Some((frame, dicts)) => Some((frame.len() as u64, *dicts)),
-                None if columnar && !need_wire => segment_frame_stats(&seg),
-                None => None,
-            };
-            let bytes = match frame_stats {
-                Some((len, dicts)) => {
-                    seg_encoded_bytes += len;
-                    seg_dict_entries += dicts;
-                    len as f64
-                }
-                None => seg
-                    .keys
-                    .iter()
-                    .zip(&seg.values)
-                    .map(|(k, v)| (k.size_bytes() + v.size_bytes() + 2) as f64)
-                    .sum(),
-            };
-            shuffle_sim_bytes[p] += bytes * weight;
-            shuffle_sim_records[p] += seg.keys.len() as f64 * weight;
-            if let Some(model) = cfg.corruption.filter(|m| m.segment_rate > 0.0) {
-                if !seg.keys.is_empty() {
-                    let sim_raw = bytes * weight;
-                    let sim_wire = sim_raw * compress_ratio;
-                    let mut rng = StdRng::seed_from_u64(
-                        model.seed
-                            ^ job_hash
-                            ^ attempt_mix(attempt)
-                            ^ (t as u64 + 1).wrapping_mul(SPLITMIX)
-                            ^ (p as u64 + 1).wrapping_mul(PARTMIX),
-                    );
-                    let mut corrupt_fetches = 0usize;
-                    if rng.gen::<f64>() < model.segment_rate {
-                        // In-flight corruption: flip a seeded bit in the
-                        // fetched copy of the segment's canonical bytes and
-                        // run the real detection path. The garbled copy is
-                        // discarded; `seg`'s rows are the mapper's stored
-                        // (canonical) output. In columnar mode the frame's
-                        // per-column-chunk checksums do the detecting (the
-                        // flip localises to one column's chunk); in text
-                        // mode it is the whole-segment XXH64.
-                        let (canon, is_frame) = match seg_frame {
-                            Some((ref frame, _)) => (frame.clone(), true),
-                            None => (segment_canon_bytes(&seg), false),
-                        };
-                        let stored = checksum_bytes(&canon);
-                        loop {
-                            let bit = rng.gen::<u64>() as usize % (canon.len() * 8);
-                            let mut garbled = canon.clone();
-                            garbled[bit / 8] ^= 1 << (bit % 8);
-                            let undetected = if is_frame {
-                                ColumnBatch::decode_frame(&garbled).is_ok()
-                            } else {
-                                checksum_bytes(&garbled) == stored
-                            };
-                            if undetected {
-                                // A checksum collision lets the flip through
-                                // undetected — excluded for single-bit flips
-                                // by the avalanche test in `hash` (and the
-                                // exhaustive flip test in `rel::colbatch`),
-                                // but when it happens it is *counted* in
-                                // every build profile
-                                // (JobMetrics::checksum_collisions), not
-                                // debug-asserted away.
-                                seg_collisions += 1;
-                                break;
-                            }
-                            corrupt_fetches += 1;
-                            if corrupt_fetches > MAX_FETCH_RETRIES
-                                || rng.gen::<f64>() >= model.segment_rate
-                            {
-                                break;
-                            }
-                        }
-                    }
-                    // Every fetched copy is checksummed on arrival.
-                    let verify =
-                        sim_raw / 1e9 * CHECKSUM_CPU_S_PER_GB * (1.0 + corrupt_fetches as f64);
-                    segment_verify_s += verify;
-                    refetch_extra_s[p] += verify;
-                    part_verify[p] += verify;
-                    if corrupt_fetches > MAX_FETCH_RETRIES {
-                        // The mapper's stored output itself is bad: its
-                        // failed fetches, a full mapper re-execution and
-                        // the final re-fetch are all charged to this
-                        // reducer's fetch phase, and the failure counts
-                        // against the mapper's node.
-                        refetched_segments += MAX_FETCH_RETRIES as u64;
-                        part_refetches[p] += MAX_FETCH_RETRIES as u64;
-                        refetch_extra_s[p] += MAX_FETCH_RETRIES as f64
-                            * (cfg.net_seconds(sim_wire) + FETCH_RETRY_BACKOFF_S)
-                            + task_times[t]
-                            + cfg.net_seconds(sim_wire);
-                        wasted_s += task_times[t];
-                        reexecuted_tasks += 1;
-                        fetch_failures[t % nodes] += 1;
-                    } else if corrupt_fetches > 0 {
-                        refetched_segments += corrupt_fetches as u64;
-                        part_refetches[p] += corrupt_fetches as u64;
-                        refetch_extra_s[p] += corrupt_fetches as f64
-                            * (cfg.net_seconds(sim_wire) + FETCH_RETRY_BACKOFF_S);
-                    }
-                }
-            }
-            part_runs[p].push(seg);
-        }
-    }
-
-    // ---- node blacklist ---------------------------------------------------
-    // Hadoop's TaskTracker blacklist: a (surviving) node whose tasks kept
-    // failing — injected task failures or shuffle outputs that failed
-    // verification — is excluded from further scheduling, shrinking the
-    // slot pool the reduce waves pack onto. Task-to-node attribution uses
-    // the same `index % nodes` placement as node-loss re-execution.
-    let mut blacklisted = 0usize;
-    if let Some(policy) = cfg.blacklist {
-        let mut per_node = fetch_failures;
-        for (t, &failed) in task_failed.iter().enumerate() {
-            per_node[t % nodes] += failed;
-        }
-        let threshold = policy.max_failures.max(1);
-        let candidates = (0..nodes)
-            .filter(|&n| !dead[n] && per_node[n] >= threshold)
-            .count();
-        // Never blacklist the cluster out of existence: at least one node
-        // stays schedulable.
-        blacklisted = candidates.min((nodes - nodes_lost).saturating_sub(1));
-    }
-
-    let total_shuffle_sim: f64 = shuffle_sim_bytes.iter().sum::<f64>() * compress_ratio;
-    check_disk(&cfg, total_shuffle_sim as u64).map_err(|error| AttemptFailure {
-        error,
-        wasted_s: metrics.map_time_s,
-    })?;
-
-    // ---- reduce phase ------------------------------------------------------
-    // Reduce tasks are independent given the split shuffle segments, so the
-    // real work runs on scoped threads like the map phase; the straggler /
-    // node-loss RNG is seeded per partition index, and all accumulation
-    // below happens in partition order after the join, so results, metrics
-    // and times are identical to the serial path.
-    // Invariant, not a reachable panic: `map_only` jobs returned above.
-    let reducer_factory = spec.reducer.as_ref().expect("non-map-only");
-    let reduce_ctx = ReduceCtx {
-        cfg: &cfg,
-        job_hash,
-        mult,
-        slowdown,
-        compress_ratio,
-        decompress_cpu,
-        nodes_lost,
-        lost_map_frac,
-        nodes,
-        dead: &dead,
-        shuffle_sim_bytes: &shuffle_sim_bytes,
-        shuffle_sim_records: &shuffle_sim_records,
-        refetch_extra_s: &refetch_extra_s,
-        columnar,
-    };
-    let reduce_threads = exec_threads(&cfg).min(num_reducers.max(1));
-    let reduce_results: Vec<ReduceTaskResult> = if reduce_threads <= 1 || num_reducers < 2 {
-        part_runs
-            .into_iter()
-            .enumerate()
-            .map(|(p, runs)| run_reduce_task(&reduce_ctx, reducer_factory, p, runs))
-            .collect()
-    } else {
-        let chunk = num_reducers.div_ceil(reduce_threads);
-        let task_slices: Vec<(usize, Vec<Vec<PartitionRun>>)> = {
-            let mut slices = Vec::new();
-            let mut base = 0;
-            let mut iter = part_runs.into_iter();
-            while base < num_reducers {
-                let take: Vec<Vec<PartitionRun>> = iter.by_ref().take(chunk).collect();
-                if take.is_empty() {
-                    break;
-                }
-                let len = take.len();
-                slices.push((base, take));
-                base += len;
-            }
-            slices
-        };
-        let ctx_ref = &reduce_ctx;
-        let chunk_results: Result<Vec<Vec<ReduceTaskResult>>, MapRedError> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = task_slices
-                    .into_iter()
-                    .map(|(base, slice)| {
-                        scope.spawn(move |_| {
-                            slice
-                                .into_iter()
-                                .enumerate()
-                                .map(|(off, runs)| {
-                                    run_reduce_task(ctx_ref, reducer_factory, base + off, runs)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().map_err(|_| {
-                            MapRedError::User(format!("reduce task panicked in job {}", spec.name))
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|_| {
-                Err(MapRedError::User(format!(
-                    "reduce phase thread panicked in job {}",
-                    spec.name
-                )))
-            });
-        let chunk_results = chunk_results.map_err(|error| AttemptFailure {
-            error,
-            wasted_s: metrics.map_time_s,
-        })?;
-        chunk_results.into_iter().flatten().collect()
-    };
-
-    let mut reduce_speculative = 0usize;
-    let mut reduce_spec_slot_s = 0.0f64;
-    let mut reduce_times: Vec<f64> = Vec::with_capacity(num_reducers);
-    // Per-task output, in partition order: each task produced either text
-    // lines or columnar frames (never both).
-    let mut outs: Vec<(Vec<String>, Vec<Vec<u8>>)> = Vec::with_capacity(num_reducers);
-    let mut out_records_total = 0u64;
-    let mut out_bytes = 0u64;
-    let mut reduce_fatal: Option<MapRedError> = None;
-    let mut rinfo: Vec<RSpanInfo> = Vec::with_capacity(if tracing { num_reducers } else { 0 });
-    for r in reduce_results {
-        reduce_speculative += r.speculative;
-        reduce_spec_slot_s += r.spec_slot_s;
-        wasted_s += r.wasted_s;
-        reexecuted_tasks += r.reexecuted;
-        out_bytes += r.out_bytes;
-        out_records_total += r.out_records;
-        metrics.encoded_bytes += r.encoded_bytes;
-        metrics.dict_entries += r.dict_entries;
-        reduce_times.push(r.time_s);
-        if reduce_fatal.is_none() {
-            reduce_fatal = r.fatal;
-        }
-        accumulate(&mut metrics.reduce_dispatches, &r.dispatches);
-        if tracing {
-            rinfo.push(RSpanInfo {
-                wasted_s: r.wasted_s,
-                reexecuted: r.reexecuted,
-                fetch_frac: r.fetch_frac,
-                speculative: r.speculative,
-                spec_slot_s: r.spec_slot_s,
-                out_records: r.out_records,
-            });
-        }
-        outs.push((r.lines, r.frames));
-    }
-    let reduce_slots = if nodes_lost > 0 || blacklisted > 0 {
-        cfg.surviving_reduce_slots((nodes - nodes_lost - blacklisted).max(1))
-    } else {
-        cfg.total_reduce_slots()
-    };
-    let reduce_makespan = makespan(reduce_times.iter().copied(), reduce_slots);
-    // A reducer that reported an evaluation error kills the attempt as a
-    // typed (non-retryable) failure after the phase's time is accounted.
-    if let Some(error) = reduce_fatal {
-        return Err(AttemptFailure {
-            error,
-            wasted_s: metrics.map_time_s + reduce_makespan,
-        });
-    }
-    metrics.reduce_time_s = reduce_makespan;
-    metrics.shuffle_bytes = total_shuffle_sim as u64;
-    metrics.hdfs_write_bytes = scale_u64(out_bytes, mult);
-    metrics.out_records = scale_u64(out_records_total, mult);
-    metrics.encoded_bytes += seg_encoded_bytes;
-    metrics.dict_entries += seg_dict_entries;
-    metrics.reduce_tasks = num_reducers;
-    metrics.speculative_tasks = speculative_tasks + reduce_speculative;
-    metrics.speculative_slot_s += reduce_spec_slot_s;
-    metrics.reexecuted_tasks = reexecuted_tasks;
-    metrics.wasted_s = wasted_s;
-    metrics.refetched_segments = refetched_segments;
-    metrics.blacklisted_nodes = blacklisted;
-    metrics.verify_s += segment_verify_s;
-    metrics.checksum_collisions += seg_collisions;
-
-    // ---- reduce-phase trace spans ----------------------------------------
-    // Same re-derived schedule as the makespan; each reduce task's lane
-    // shows its (possibly wasted-then-restarted) run, with the shuffle
-    // fetch and checksum verification as nested sub-spans.
-    if tracing {
-        let (placed, _) = schedule(&reduce_times, reduce_slots);
-        let rbase = cursor + metrics.map_time_s;
-        for (p, info) in rinfo.iter().enumerate() {
-            let tid = placed[p].0 as u32;
-            let mut at = rbase + placed[p].1;
-            if info.reexecuted > 0 {
-                tev.push(TraceEvent::span(
-                    tid,
-                    "reexec",
-                    format!("r{p} first run (node lost)"),
-                    at,
-                    info.wasted_s,
-                ));
-                at += info.wasted_s;
-            }
-            let run_dur = reduce_times[p] - info.wasted_s;
-            tev.push(
-                TraceEvent::span(tid, "reduce", format!("r{p}"), at, run_dur)
-                    .arg("out_records", ArgValue::U64(info.out_records)),
-            );
-            let fetch_dur = info.fetch_frac * run_dur;
-            if fetch_dur > 0.0 {
-                let mut ev =
-                    TraceEvent::span(tid, "fetch", format!("r{p} shuffle fetch"), at, fetch_dur);
-                if part_refetches[p] > 0 {
-                    ev = ev.arg("refetches", ArgValue::U64(part_refetches[p]));
-                }
-                tev.push(ev);
-                if part_verify[p] > 0.0 {
-                    tev.push(TraceEvent::span(
-                        tid,
-                        "verify",
-                        format!("r{p} segment verify"),
-                        at,
-                        part_verify[p].min(fetch_dur),
-                    ));
-                }
-            }
-            if info.speculative > 0 {
-                tev.push(TraceEvent::span(
-                    SPEC_LANE_BASE + tid,
-                    "speculative",
-                    format!("r{p} backup"),
-                    at,
-                    info.spec_slot_s,
-                ));
-            }
-        }
-        if seg_collisions > 0 {
-            tev.push(
-                TraceEvent::instant(
-                    0,
-                    "collision",
-                    "shuffle checksum collision".to_string(),
-                    rbase,
-                )
-                .arg("collisions", ArgValue::U64(seg_collisions)),
-            );
-        }
-    }
-
-    check_time(&cfg, metrics.map_time_s + metrics.reduce_time_s).map_err(|error| {
-        AttemptFailure {
-            error,
-            wasted_s: metrics.map_time_s + metrics.reduce_time_s,
-        }
-    })?;
-    let any_lines = outs.iter().any(|(l, _)| !l.is_empty());
-    let any_frames = outs.iter().any(|(_, f)| !f.is_empty());
-    if any_frames && !any_lines {
-        let frames: Vec<Vec<u8>> = outs.into_iter().flat_map(|(_, f)| f).collect();
-        cluster.hdfs.put_frames(&spec.output, frames);
-    } else {
-        // Text output — or the pathological mixed case where only some
-        // partitions' rows were frame-packable: render frames back to
-        // their (byte-identical) text lines so the file stays one format.
-        let mut all_lines: Vec<String> = Vec::new();
-        for (lines, frames) in outs {
-            for frame in frames {
-                if let Ok(batch) = ColumnBatch::decode_frame(&frame) {
-                    for i in 0..batch.num_rows() {
-                        all_lines.push(encode_line(&batch.row(i)));
-                    }
-                }
-            }
-            all_lines.extend(lines);
-        }
-        cluster.hdfs.put(&spec.output, all_lines);
-    }
-    commit_job_trace(cluster, spec, attempt, &metrics, tev);
-    Ok(metrics)
-}
-
-/// Per-reduce-task detail kept (only when tracing) for span emission.
-struct RSpanInfo {
-    wasted_s: f64,
-    reexecuted: usize,
-    fetch_frac: f64,
-    speculative: usize,
-    spec_slot_s: f64,
-    out_records: u64,
-}
-
-/// Scales a real (measured) count by the simulated size multiplier,
-/// rounding to nearest — truncation made per-job fields drift from chain
-/// totals at non-integer multipliers.
-fn scale_u64(real: u64, mult: f64) -> u64 {
-    (real as f64 * mult).round() as u64
-}
-
-/// Element-wise accumulation of per-stream dispatch counts (streams a task
-/// never touched stay at their implicit zero).
-fn accumulate(acc: &mut Vec<u64>, d: &[u64]) {
-    if acc.len() < d.len() {
-        acc.resize(d.len(), 0);
-    }
-    for (a, &x) in acc.iter_mut().zip(d) {
-        *a += x;
-    }
-}
-
-/// Commits one successful job attempt's buffered spans to the cluster
-/// trace, appending the CMF dispatch-count instant, under a process
-/// labelled with the job (and attempt, for retried jobs).
-fn commit_job_trace(
-    cluster: &mut Cluster,
-    spec: &JobSpec,
-    attempt: usize,
-    metrics: &JobMetrics,
-    mut tev: Vec<TraceEvent>,
-) {
-    let Some(tr) = cluster.trace.as_mut() else {
-        return;
-    };
-    let cursor = tr.cursor_s();
-    if !metrics.map_dispatches.is_empty() || !metrics.reduce_dispatches.is_empty() {
-        let mut ev = TraceEvent::instant(
-            0,
-            "dispatch",
-            format!("{} stream dispatches", spec.name),
-            cursor,
-        );
-        for (i, &d) in metrics.map_dispatches.iter().enumerate() {
-            ev = ev.arg(format!("map_s{i}"), ArgValue::U64(d));
-        }
-        for (i, &d) in metrics.reduce_dispatches.iter().enumerate() {
-            ev = ev.arg(format!("reduce_s{i}"), ArgValue::U64(d));
-        }
-        tev.push(ev);
-    }
-    if metrics.encoded_bytes > 0 {
-        tev.push(
-            TraceEvent::instant(
-                0,
-                "encoded",
-                format!("{} columnar encoding", spec.name),
-                cursor,
-            )
-            .arg("encoded_bytes", ArgValue::U64(metrics.encoded_bytes))
-            .arg("dict_entries", ArgValue::U64(metrics.dict_entries)),
-        );
-    }
-    let label = if attempt == 0 {
-        spec.name.clone()
-    } else {
-        format!("{} (attempt {})", spec.name, attempt + 1)
-    };
-    tr.commit_job(label, tev);
-}
-
-/// Runs one map task: real record processing plus its simulated cost.
-/// Failure and straggler randomness is seeded per `(job, attempt, task
-/// index)` so results and times are identical however tasks are scheduled
-/// onto threads, while retried job attempts see fresh draws.
-#[allow(clippy::too_many_arguments)]
-fn run_map_task(
-    cfg: &ClusterConfig,
-    spec: &JobSpec,
-    job_hash: u64,
-    attempt: usize,
-    task_idx: usize,
-    input_idx: usize,
-    task_input: TaskInput<'_>,
-    num_reducers: usize,
-    map_only: bool,
-    mult: f64,
-    slowdown: f64,
-) -> MapTaskResult {
-    const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    let task_seed = |base: u64| {
-        base ^ job_hash ^ attempt_mix(attempt) ^ (task_idx as u64 + 1).wrapping_mul(SPLITMIX)
-    };
-    let input = &spec.inputs[input_idx];
-    let real_in_bytes: u64 = match task_input {
-        TaskInput::Lines(lines) => lines.iter().map(|l| l.len() as u64 + 1).sum(),
-        TaskInput::Frames { frames, .. } => frames.iter().map(|f| f.len() as u64).sum(),
-    };
-
-    // ---- block integrity (checksummed HDFS read) ---------------------
-    // The block is read through its checksum — one whole-block XXH64 for
-    // text, per-column-chunk XXH64s per frame for columnar; corrupt
-    // replicas cost an extra read + verify pass each, and a block (or
-    // frame) with no clean replica left kills the whole job attempt after
-    // its burned time is charged.
-    let mut corrupt_replicas = 0u64;
-    let mut verify_s = 0.0f64;
-    let mut integrity_extra_s = 0.0f64;
-    let mut collisions = 0u64;
-    if let Some(model) = cfg.corruption {
-        let sim_bytes = real_in_bytes as f64 * mult;
-        let checksum_pass_s = sim_bytes / 1e9 * CHECKSUM_CPU_S_PER_GB;
-        let outcome = match task_input {
-            TaskInput::Lines(lines) => crate::hdfs::read_block_verified(
-                lines,
-                &input.path,
-                task_idx,
-                cfg.replication,
-                &model,
-                attempt,
-            )
-            .map(|read| (u64::from(read.corrupt_replicas), u64::from(read.collisions))),
-            TaskInput::Frames { frames, base } => {
-                let mut totals = Ok((0u64, 0u64));
-                for (i, frame) in frames.iter().enumerate() {
-                    match crate::hdfs::read_frame_verified(
-                        frame,
-                        &input.path,
-                        base + i,
-                        cfg.replication,
-                        &model,
-                        attempt,
-                    ) {
-                        Ok(read) => {
-                            if let Ok((cr, col)) = &mut totals {
-                                *cr += u64::from(read.corrupt_replicas);
-                                *col += u64::from(read.collisions);
-                            }
-                        }
-                        Err(error) => {
-                            totals = Err(error);
-                            break;
-                        }
-                    }
-                }
-                totals
-            }
-        };
-        match outcome {
-            Ok((cr, col)) => {
-                corrupt_replicas = cr;
-                collisions = col;
-                verify_s = checksum_pass_s * (1.0 + corrupt_replicas as f64);
-                // Each failed replica was fully read and verified before
-                // the failover re-read.
-                integrity_extra_s =
-                    corrupt_replicas as f64 * cfg.disk_seconds(sim_bytes) + verify_s;
-            }
-            Err(error) => {
-                let passes = f64::from(cfg.replication.max(1));
-                let burned = (cfg.task_startup_s
-                    + passes * (cfg.disk_seconds(sim_bytes) + checksum_pass_s))
-                    * slowdown;
-                return MapTaskResult {
-                    runs: Vec::new(),
-                    speculative: 0,
-                    spec_slot_s: 0.0,
-                    fatal: Some(error),
-                    weight: mult,
-                    time_s: burned,
-                    spill_bytes: 0,
-                    in_records: 0,
-                    out_records: 0,
-                    failed_attempts: 0,
-                    corrupt_replicas: u64::from(cfg.replication.max(1)),
-                    verify_s: passes * checksum_pass_s,
-                    skipped_records: 0,
-                    collisions: 0,
-                    attempt_s: burned,
-                    dispatches: Vec::new(),
-                };
-            }
-        }
-    }
-
-    let mut mapper = (input.mapper)();
-    let mut out = MapOutput::default();
-    // Torn-record injection: with `record_rate`, a garbled extra line —
-    // the real line plus one bogus field holding a control byte — follows
-    // a real one, like a partially-written append. The extra field makes
-    // it undecodable under *any* schema (field count always off by one),
-    // so a robust mapper skips it via `record_bad` and real records are
-    // untouched: results stay oracle-identical while skips are counted.
-    // Columnar frames are binary (a torn append is caught by the frame
-    // checksums before any row decodes), so the same per-row draws count
-    // the detected-and-skipped record directly.
-    let record_rate = cfg.corruption.map_or(0.0, |m| m.record_rate);
-    let mut record_rng = (record_rate > 0.0).then(|| {
-        let seed = cfg.corruption.map_or(0, |m| m.seed);
-        StdRng::seed_from_u64(task_seed(seed ^ 0x0BAD_5EED))
-    });
-    let in_bytes = real_in_bytes;
-    let in_records: u64;
-    match task_input {
-        TaskInput::Lines(lines) => {
-            // One pair per line at most — reserve once, never regrow
-            // mid-task.
-            out.reserve(lines.len());
-            in_records = lines.len() as u64;
-            for line in lines {
-                mapper.map(line, &mut out);
-                if let Some(rng) = record_rng.as_mut() {
-                    if rng.gen::<f64>() < record_rate {
-                        let garbage = format!("{line}|\u{1}");
-                        mapper.map(&garbage, &mut out);
-                    }
-                }
-            }
-        }
-        TaskInput::Frames { frames, .. } => {
-            let mut rows_total = 0u64;
-            for frame in frames {
-                match ColumnBatch::decode_frame(frame) {
-                    Ok(batch) => {
-                        out.reserve(batch.num_rows());
-                        rows_total += batch.num_rows() as u64;
-                        mapper.map_batch(&batch, &mut out);
-                        if let Some(rng) = record_rng.as_mut() {
-                            for _ in 0..batch.num_rows() {
-                                if rng.gen::<f64>() < record_rate {
-                                    out.record_bad();
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        // A stored frame that fails decoding outside the
-                        // injected-corruption path is a real integrity
-                        // violation — surface it as a typed job failure.
-                        out.record_fatal(format!(
-                            "undecodable columnar frame in {}: {e}",
-                            input.path
-                        ));
-                    }
-                }
-            }
-            in_records = rows_total;
-        }
-    }
-    let skipped_records = out.bad_records();
-    let map_work = out.work();
-    let mut user_fatal = out.take_fatal();
-    let dispatches = out.take_dispatches();
-    let (mut keys, mut values) = out.into_columns();
-    let out_records = keys.len() as u64;
-    // Sort the run by (partition, key, value) — Hadoop's sort-based
-    // shuffle — then cut it into per-partition segments straight off the
-    // sorted permutation. Each key is hashed to its partition once (not
-    // once per comparison) and each pair is moved exactly once; the
-    // shuffle later hands whole segments to reduce tasks without
-    // re-splitting anything.
-    let mut runs: Vec<(u32, PartitionRun)> = Vec::new();
-    if !map_only {
-        // Encode each normalized key once into one flat arena; the sort
-        // (and every later merge/group comparison) then compares key
-        // bytes, falling back to value `Row`s only on key ties.
-        let arena = NormArena::from_keys(&keys);
-        // Sort packed `(partition, key prefix, index)` entries: the two
-        // integers resolve almost every comparison from a flat array —
-        // equal prefixes fall back to the arena slices, and full key ties
-        // to the value rows. Unstable is safe: residual ties are fully
-        // equal (partition, key, value) triples, so any ordering of them
-        // yields the same run.
-        let mut entries: Vec<(u32, u64, u32)> = (0..keys.len())
-            .map(|i| {
-                (
-                    partition(&keys[i], num_reducers) as u32,
-                    arena.prefix8(i),
-                    i as u32,
-                )
-            })
-            .collect();
-        entries.sort_unstable_by(|a, b| {
-            (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| {
-                let (i, j) = (a.2 as usize, b.2 as usize);
-                arena
-                    .key(i)
-                    .cmp(arena.key(j))
-                    .then_with(|| values[i].cmp(&values[j]))
-            })
-        });
-        let mut start = 0usize;
-        while start < entries.len() {
-            let p = entries[start].0;
-            let mut end = start + 1;
-            while end < entries.len() && entries[end].0 == p {
-                end += 1;
-            }
-            let mut seg = PartitionRun {
-                keys: Vec::with_capacity(end - start),
-                values: Vec::with_capacity(end - start),
-                norms: NormArena::with_capacity(end - start),
-            };
-            for &(_, _, i) in &entries[start..end] {
-                let i = i as usize;
-                seg.keys.push(std::mem::take(&mut keys[i]));
-                seg.values.push(std::mem::take(&mut values[i]));
-                seg.norms.push_encoded(arena.key(i));
-            }
-            runs.push((p, seg));
-            start = end;
-        }
-    } else {
-        // Map-only output is written as-is; keep it as one pseudo-segment
-        // (no shuffle, so no normalized keys needed).
-        runs.push((
-            0,
-            PartitionRun {
-                keys,
-                values,
-                norms: NormArena::default(),
-            },
-        ));
-    }
-    let pair_bytes = |(k, v): (&Row, &Row)| -> u64 { (k.size_bytes() + v.size_bytes() + 2) as u64 };
-    let seg_bytes =
-        |seg: &PartitionRun| -> u64 { seg.keys.iter().zip(&seg.values).map(pair_bytes).sum() };
-    let raw_out_bytes: u64 = runs.iter().map(|(_, seg)| seg_bytes(seg)).sum();
-    // Combiner per key group — groups are contiguous borrowed slices of the
-    // sorted value column; only the combiner's (usually single) output rows
-    // are materialised, and the group key is moved, not cloned, into the
-    // last of them.
-    let mut combined_bytes = raw_out_bytes;
-    if let (Some(cf), false) = (&spec.combiner, map_only) {
-        let mut combiner = cf();
-        combined_bytes = 0;
-        for (_, seg) in &mut runs {
-            let mut new_keys: Vec<Row> = Vec::new();
-            let mut new_values: Vec<Row> = Vec::new();
-            let mut new_norms = NormArena::default();
-            let mut i = 0;
-            while i < seg.keys.len() {
-                let key_norm = seg.norms.key(i);
-                let mut j = i + 1;
-                while j < seg.keys.len() && seg.norms.key(j) == key_norm {
-                    j += 1;
-                }
-                let mut combined = combiner.combine(&seg.keys[i], &seg.values[i..j]);
-                // Keep the run sorted within the key group, as the shuffle
-                // merge requires of its inputs: the group's outputs share
-                // one key, so ordering by value orders the (key, value)
-                // pairs.
-                combined.sort_unstable();
-                let n = combined.len();
-                for (m, v) in combined.into_iter().enumerate() {
-                    new_norms.push_encoded(seg.norms.key(i));
-                    new_keys.push(if m + 1 == n {
-                        std::mem::take(&mut seg.keys[i])
-                    } else {
-                        seg.keys[i].clone()
-                    });
-                    new_values.push(v);
-                }
-                i = j;
-            }
-            seg.keys = new_keys;
-            seg.values = new_values;
-            seg.norms = new_norms;
-            combined_bytes += seg_bytes(seg);
-        }
-        if user_fatal.is_none() {
-            user_fatal = combiner.take_error();
-        }
-    }
-
-    // Cardinality-bounded combiner output does not scale with volume.
-    let total_pairs: usize = runs.iter().map(|(_, seg)| seg.keys.len()).sum();
-    let weight = if spec.combiner.is_some() && total_pairs <= 4 {
-        1.0
-    } else {
-        mult
-    };
-
-    // ---- cost model for this task ------------------------------------
-    let sim_in_bytes = in_bytes as f64 * mult;
-    let sim_records = in_records as f64 * mult;
-    let read_s = cfg.locality * cfg.disk_seconds(sim_in_bytes)
-        + (1.0 - cfg.locality) * cfg.net_seconds(sim_in_bytes);
-    let cpu_s =
-        (sim_records * cfg.map_cpu_us_per_record + map_work as f64 * mult * cfg.work_cpu_us) / 1e6;
-    let sim_out_records = out_records as f64 * mult;
-    let sort_s = if map_only || sim_out_records < 2.0 {
-        0.0
-    } else {
-        sim_out_records * sim_out_records.log2().max(1.0) * SORT_CPU_US_PER_CMP / 1e6
-    };
-    let sim_combined_bytes = combined_bytes as f64 * weight;
-    let (spill_sim_bytes, compress_s) = match (cfg.compression, map_only) {
-        (Some(c), false) => (
-            sim_combined_bytes * c.ratio,
-            sim_combined_bytes / 1e9 * c.cpu_s_per_gb,
-        ),
-        _ => (sim_combined_bytes, 0.0),
-    };
-    let spill_s = if map_only {
-        0.0
-    } else {
-        cfg.disk_seconds(spill_sim_bytes)
-    };
-    let mut base_time =
-        (cfg.task_startup_s + read_s + integrity_extra_s + cpu_s + sort_s + compress_s + spill_s)
-            * slowdown;
-
-    // Straggler model: a sampled straggler runs `slowdown`× slower; with
-    // speculative execution a backup task caps it near normal time, and the
-    // backup's duplicated run is charged as cluster slot-seconds.
-    let mut speculative = 0usize;
-    let mut spec_slot_s = 0.0f64;
-    if let Some(model) = cfg.stragglers {
-        let mut rng = StdRng::seed_from_u64(task_seed(model.seed));
-        if rng.gen::<f64>() < model.probability {
-            let slowed = base_time * model.slowdown.max(1.0);
-            base_time = if model.speculative {
-                speculative = 1;
-                let capped = slowed.min(base_time * 1.2);
-                spec_slot_s = capped;
-                capped
-            } else {
-                slowed
-            };
-        }
-    }
-
-    // Failure injection: failed attempts waste half their run then retry;
-    // a task out of retries poisons the whole job attempt (`fatal`).
-    let attempt_s = base_time;
-    let mut failed_attempts = 0;
-    let mut fatal = None;
-    let mut time_s = base_time;
-    if let Some(model) = cfg.failures {
-        let mut rng = StdRng::seed_from_u64(task_seed(model.seed));
-        while failed_attempts + 1 < MAX_ATTEMPTS && rng.gen::<f64>() < model.probability {
-            failed_attempts += 1;
-            time_s += base_time * 0.5;
-        }
-        if failed_attempts + 1 >= MAX_ATTEMPTS && rng.gen::<f64>() < model.probability {
-            time_s += base_time * 0.5;
-            fatal = Some(MapRedError::TooManyFailures {
-                task: format!("{}-m-{task_idx}", spec.name),
-            });
-        }
-    }
-
-    MapTaskResult {
-        runs,
-        speculative,
-        spec_slot_s,
-        // A user evaluation error (reported through the output buffer or
-        // the combiner) outranks injected-fault deaths: it is permanent.
-        fatal: user_fatal.map(MapRedError::User).or(fatal),
-        weight,
-        time_s,
-        spill_bytes: spill_sim_bytes as u64,
-        in_records,
-        out_records,
-        failed_attempts,
-        corrupt_replicas,
-        verify_s,
-        skipped_records,
-        collisions,
-        attempt_s,
-        dispatches,
-    }
-}
-
-/// One partition's contiguous segment of one map task's sorted run —
-/// parallel key/value columns, sorted by `(key, value)`. `norms` carries
-/// each key's [`crate::norm`] encoding so the shuffle merge and reducer
-/// grouping compare key bytes, touching value `Row`s only on key ties.
-struct PartitionRun {
-    keys: Vec<Row>,
-    values: Vec<Row>,
-    norms: NormArena,
-}
-
-/// Encodes rows into columnar frames of [`DEFAULT_FRAME_ROWS`] rows each,
-/// returning `(frames, total bytes, dictionary entries)`. `None` when any
-/// chunk is rejected by the frame codec (non-uniform widths, non-finite
-/// floats) — callers fall back to the text encoding.
-fn encode_rows_to_frames(rows: &[Row]) -> Option<(Vec<Vec<u8>>, u64, u64)> {
-    let mut frames = Vec::with_capacity(rows.len().div_ceil(DEFAULT_FRAME_ROWS.max(1)));
-    let mut bytes = 0u64;
-    let mut dicts = 0u64;
-    for chunk in rows.chunks(DEFAULT_FRAME_ROWS.max(1)) {
-        let batch = ColumnBatch::from_rows(chunk).ok()?;
-        dicts += batch.dict_entries();
-        let frame = batch.encode_frame();
-        bytes += frame.len() as u64;
-        frames.push(frame);
-    }
-    Some((frames, bytes, dicts))
-}
-
-/// Columnar wire form of one shuffle segment: a single encoded frame of
-/// `key ⧺ value` rows, plus its dictionary-entry count. `None` for empty
-/// segments or when pair widths are non-uniform across the segment (the
-/// mixed-width values of some merged mappers) — the caller falls back to
-/// the text framing of [`segment_canon_bytes`].
-fn segment_frame(seg: &PartitionRun) -> Option<(Vec<u8>, u64)> {
-    if seg.keys.is_empty() {
-        return None;
-    }
-    let rows: Vec<Row> = seg
-        .keys
-        .iter()
-        .zip(&seg.values)
-        .map(|(k, v)| {
-            let mut vals = Vec::with_capacity(k.values().len() + v.values().len());
-            vals.extend(k.values().iter().cloned());
-            vals.extend(v.values().iter().cloned());
-            Row::new(vals)
-        })
-        .collect();
-    let batch = ColumnBatch::from_rows(&rows).ok()?;
-    Some((batch.encode_frame(), batch.dict_entries()))
-}
-
-/// Exact encoded size and dictionary-entry count of [`segment_frame`]'s
-/// frame, computed without materializing rows, columns or bytes — the
-/// shuffle's byte accounting needs only the numbers unless a corruption
-/// model wants real wire bytes to flip. Agrees with `segment_frame`
-/// byte-for-byte (asserted by `segment_frame_stats_match_real_encoding`),
-/// including its `None` fallbacks (empty or width-mixed segments,
-/// non-finite floats).
-fn segment_frame_stats(seg: &PartitionRun) -> Option<(u64, u64)> {
-    let nrows = seg.keys.len();
-    if nrows == 0 {
-        return None;
-    }
-    let width = seg.keys[0].len() + seg.values[0].len();
-    for (k, v) in seg.keys.iter().zip(&seg.values) {
-        if k.len() + v.len() != width {
-            return None;
-        }
-    }
-    // Column chunk sizes under `ColumnBatch`'s type inference: a column
-    // is typed when every non-null value shares one type (all-null ⇒
-    // Int), otherwise Var. Rows almost always share one key width, which
-    // pins each column to the key side or the value side — resolved once
-    // per column instead of branching per cell on the hot path.
-    let kw = seg.keys[0].len();
-    let uniform_split = seg.keys.iter().all(|k| k.len() == kw);
-    let mut chunks = 0u64;
-    let mut dicts = 0u64;
-    for c in 0..width {
-        let (bytes, d) = if uniform_split {
-            let (src, cc) = if c < kw {
-                (&seg.keys, c)
-            } else {
-                (&seg.values, c - kw)
-            };
-            column_chunk_stats(nrows, |r| &src[r].values()[cc])?
-        } else {
-            column_chunk_stats(nrows, |r| {
-                let k = &seg.keys[r];
-                if c < k.len() {
-                    &k.values()[c]
-                } else {
-                    &seg.values[r].values()[c - k.len()]
-                }
-            })?
-        };
-        chunks += bytes;
-        dicts += d;
-    }
-    let header = 4 + 2 + 4 + width as u64 * 13 + 8;
-    Some((header + chunks, dicts))
-}
-
-/// Encoded chunk bytes and dictionary-entry count of one column under
-/// `ColumnBatch`'s inference, reading cells through `cell`. `None` when a
-/// non-finite float forces the frame codec's fallback.
-fn column_chunk_stats<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Option<(u64, u64)> {
-    #[derive(PartialEq, Clone, Copy)]
-    enum Ty {
-        None,
-        Int,
-        Float,
-        Bool,
-        Str,
-        Mixed,
-    }
-    let mut ty = Ty::None;
-    for r in 0..nrows {
-        let vt = match cell(r) {
-            Value::Null => continue,
-            Value::Int(_) => Ty::Int,
-            Value::Float(f) => {
-                if !f.is_finite() {
-                    return None;
-                }
-                Ty::Float
-            }
-            Value::Bool(_) => Ty::Bool,
-            Value::Str(_) => Ty::Str,
-        };
-        ty = match ty {
-            Ty::None => vt,
-            t if t == vt => t,
-            _ => Ty::Mixed,
-        };
-    }
-    let mut dicts = 0u64;
-    let bytes = match ty {
-        Ty::None | Ty::Int | Ty::Float => nrows as u64 * 9,
-        Ty::Bool => nrows as u64 * 2,
-        Ty::Str => {
-            let mut dict: std::collections::HashSet<&str, ysmart_rel::colbatch::FnvBuildHasher> =
-                std::collections::HashSet::default();
-            let mut dict_bytes = 0u64;
-            for r in 0..nrows {
-                if let Value::Str(v) = cell(r) {
-                    if dict.insert(v.as_str()) {
-                        dict_bytes += 4 + v.len() as u64;
-                    }
-                }
-            }
-            dicts = dict.len() as u64;
-            nrows as u64 * 5 + 4 + dict_bytes
-        }
-        Ty::Mixed => (0..nrows)
-            .map(|r| match cell(r) {
-                Value::Null => 1,
-                Value::Bool(_) => 2,
-                Value::Int(_) | Value::Float(_) => 9,
-                Value::Str(v) => 5 + v.len() as u64,
-            })
-            .sum(),
-    };
-    Some((bytes, dicts))
-}
-
-/// Packs a reduce task's emissions into columnar frames, with the stream
-/// tag of tagged rows folded in as a leading `Int` column (the text
-/// rendering's `tag|` prefix, typed). `None` when any emission is a
-/// pre-rendered line or a chunk is rejected by the frame codec.
-fn pack_emits(emits: &[ReduceEmit]) -> Option<(Vec<Vec<u8>>, u64, u64)> {
-    let mut rows = Vec::with_capacity(emits.len());
-    for e in emits {
-        match e {
-            ReduceEmit::Line(_) => return None,
-            ReduceEmit::Row { tag: None, row } => rows.push(row.clone()),
-            ReduceEmit::Row { tag: Some(t), row } => {
-                let mut vals = Vec::with_capacity(row.values().len() + 1);
-                vals.push(Value::Int(*t));
-                vals.extend(row.values().iter().cloned());
-                rows.push(Row::new(vals));
-            }
-        }
-    }
-    encode_rows_to_frames(&rows)
-}
-
-/// Canonical wire encoding of a shuffle segment — the byte stream its
-/// checksum covers. Key and value share a line, tab-separated, matching how
-/// Hadoop's IFile frames a pair per record.
-fn segment_canon_bytes(seg: &PartitionRun) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (k, v) in seg.keys.iter().zip(&seg.values) {
-        out.extend_from_slice(encode_line(k).as_bytes());
-        out.push(b'\t');
-        out.extend_from_slice(encode_line(v).as_bytes());
-        out.push(b'\n');
-    }
-    out
-}
-
-/// Read-only context shared by every reduce task of one job attempt.
-struct ReduceCtx<'a> {
-    cfg: &'a ClusterConfig,
-    job_hash: u64,
-    mult: f64,
-    slowdown: f64,
-    compress_ratio: f64,
-    decompress_cpu: f64,
-    nodes_lost: usize,
-    lost_map_frac: f64,
-    nodes: usize,
-    dead: &'a [bool],
-    shuffle_sim_bytes: &'a [f64],
-    shuffle_sim_records: &'a [f64],
-    /// Per-partition extra fetch-phase seconds from data integrity:
-    /// checksum verification of arriving segments, corrupt-fetch retries
-    /// with backoff, and re-executed mappers whose output stayed corrupt.
-    refetch_extra_s: &'a [f64],
-    /// Whether the job writes its output as columnar frames.
-    columnar: bool,
-}
-
-/// Internal per-reduce-task result. Output is either text `lines` or
-/// columnar `frames`, never both in one task.
-struct ReduceTaskResult {
-    time_s: f64,
-    lines: Vec<String>,
-    frames: Vec<Vec<u8>>,
-    out_records: u64,
-    /// Actual encoded frame bytes this task produced (0 in text mode).
-    encoded_bytes: u64,
-    /// Dictionary entries across this task's frames (0 in text mode).
-    dict_entries: u64,
-    out_bytes: u64,
-    speculative: usize,
-    spec_slot_s: f64,
-    /// Simulated seconds wasted because this reducer's node died.
-    wasted_s: f64,
-    /// 1 when this reducer re-executed after a node death.
-    reexecuted: usize,
-    /// Evaluation error reported by the reducer (kills the job attempt
-    /// with a typed error instead of a panic).
-    fatal: Option<MapRedError>,
-    /// Per-stream dispatch counts reported by the reducer (CMF fan-out).
-    dispatches: Vec<u64>,
-    /// Fraction of this task's run spent fetching shuffle segments — used
-    /// by the trace to draw the fetch sub-span.
-    fetch_frac: f64,
-}
-
-/// K-way merge of per-task sorted runs into one sorted pair of key/value
-/// columns. Equal `(key, value)` pairs are taken from the lowest run (task)
-/// index first — exactly the order the previous global stable sort
-/// produced — so key groups reach the reducer in an order independent of
-/// how the merge is scheduled.
-fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
-    let mut runs: Vec<PartitionRun> = runs.into_iter().filter(|r| !r.keys.is_empty()).collect();
-    let total: usize = runs.iter().map(|r| r.keys.len()).sum();
-    let mut out = MergedRun {
-        keys: Vec::with_capacity(total),
-        values: Vec::with_capacity(total),
-        group_starts: Vec::new(),
-    };
-    if runs.len() == 1 {
-        let r = runs.pop().expect("one run");
-        for i in 0..r.norms.len() {
-            if i == 0 || r.norms.key(i) != r.norms.key(i - 1) {
-                out.group_starts.push(i as u32);
-            }
-        }
-        out.keys = r.keys;
-        out.values = r.values;
-        return out;
-    }
-    if runs.is_empty() {
-        return out;
-    }
-    // Tournament merge over a min-heap of run heads: O(log k) comparisons
-    // per pop, each a key *byte* compare falling back to the value `Row`
-    // only on key ties — the run index breaks full ties toward the
-    // earliest task. Heads borrow key encodings from the runs' arenas and
-    // value rows from the runs themselves, so the merge first computes the
-    // order (and the group boundaries), then moves every pair exactly once.
-    struct Head<'a> {
-        /// First eight key bytes as an integer — resolves most
-        /// comparisons without touching the slices.
-        prefix: u64,
-        key: &'a [u8],
-        value: &'a Row,
-        run: u32,
-    }
-    impl PartialEq for Head<'_> {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == std::cmp::Ordering::Equal
-        }
-    }
-    impl Eq for Head<'_> {}
-    impl PartialOrd for Head<'_> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Head<'_> {
-        // Reversed: `BinaryHeap` is a max-heap, the smallest head must
-        // pop first.
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .prefix
-                .cmp(&self.prefix)
-                .then_with(|| other.key.cmp(self.key))
-                .then_with(|| other.value.cmp(self.value))
-                .then_with(|| other.run.cmp(&self.run))
-        }
-    }
-    let mut order: Vec<(u32, u32)> = Vec::with_capacity(total);
-    {
-        let mut pos = vec![0usize; runs.len()];
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        for (i, r) in runs.iter().enumerate() {
-            heap.push(Head {
-                prefix: r.norms.prefix8(0),
-                key: r.norms.key(0),
-                value: &r.values[0],
-                run: i as u32,
-            });
-            pos[i] = 1;
-        }
-        let mut prev_key: Option<&[u8]> = None;
-        while let Some(Head { key, run, .. }) = heap.pop() {
-            let r = run as usize;
-            if prev_key != Some(key) {
-                out.group_starts.push(order.len() as u32);
-                prev_key = Some(key);
-            }
-            order.push((run, (pos[r] - 1) as u32));
-            let p = pos[r];
-            if p < runs[r].keys.len() {
-                pos[r] = p + 1;
-                heap.push(Head {
-                    prefix: runs[r].norms.prefix8(p),
-                    key: runs[r].norms.key(p),
-                    value: &runs[r].values[p],
-                    run,
-                });
-            }
-        }
-    }
-    for (run, i) in order {
-        let (run, i) = (run as usize, i as usize);
-        out.keys.push(std::mem::take(&mut runs[run].keys[i]));
-        out.values.push(std::mem::take(&mut runs[run].values[i]));
-    }
-    out
-}
-
-/// The merged, fully sorted pair columns of one reduce task. Key groups
-/// are pre-delimited: group `g` spans
-/// `group_starts[g]..group_starts[g + 1]` (the last runs to the end).
-#[derive(Default)]
-struct MergedRun {
-    keys: Vec<Row>,
-    values: Vec<Row>,
-    group_starts: Vec<u32>,
-}
-
-/// Runs one reduce task: merges its shuffle segments, streams each key
-/// group through a fresh reducer as a borrowed slice of the merged value
-/// column, and charges the task's simulated cost. Straggler and node-loss
-/// randomness is seeded per partition index, so times are identical
-/// however tasks are scheduled onto threads.
-fn run_reduce_task(
-    ctx: &ReduceCtx<'_>,
-    reducer_factory: &crate::job::ReducerFactory,
-    p: usize,
-    runs: Vec<PartitionRun>,
-) -> ReduceTaskResult {
-    let cfg = ctx.cfg;
-    let merged = merge_runs(runs);
-    let MergedRun {
-        keys,
-        values,
-        group_starts,
-    } = merged;
-    let mut reducer = reducer_factory();
-    let mut out = ReduceOutput::default();
-    let real_records = keys.len() as f64;
-    for (g, &start) in group_starts.iter().enumerate() {
-        let i = start as usize;
-        let j = group_starts
-            .get(g + 1)
-            .map_or(keys.len(), |&next| next as usize);
-        reducer.reduce(&keys[i], &values[i..j], &mut out);
-    }
-    let reduce_work = out.work();
-    let fatal = out.take_fatal().map(MapRedError::User);
-    let dispatches = out.take_dispatches();
-    let emits = out.into_emits();
-    let out_records = emits.len() as u64;
-    // Columnar mode packs row emissions into binary frames; emissions the
-    // frame codec can't take (pre-rendered lines, non-uniform widths) fall
-    // back to text rendering, byte-identical to a self-formatting reducer.
-    let (lines, frames, out_bytes, encoded_bytes, dict_entries) =
-        match ctx.columnar.then(|| pack_emits(&emits)).flatten() {
-            Some((frames, bytes, dicts)) => (Vec::new(), frames, bytes, bytes, dicts),
-            None => {
-                let lines: Vec<String> = emits.iter().map(ReduceEmit::to_line).collect();
-                let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
-                (lines, Vec::new(), bytes, 0, 0)
-            }
-        };
-
-    let sim_in = ctx.shuffle_sim_bytes[p] * ctx.compress_ratio;
-    let sim_raw_in = ctx.shuffle_sim_bytes[p];
-    let sim_records = ctx.shuffle_sim_records[p];
-    // Reduce-side work units scale with the same per-pair weights.
-    let work_scale = if real_records > 0.0 {
-        sim_records / real_records
-    } else {
-        0.0
-    };
-    let fetch_s = cfg.net_seconds(sim_in) * (1.0 - cfg.shuffle_overlap) + ctx.refetch_extra_s[p];
-    let merge_s = cfg.disk_seconds(sim_in) + sim_raw_in / 1e9 * ctx.decompress_cpu;
-    let cpu_s = (sim_records * cfg.reduce_cpu_us_per_record
-        + reduce_work as f64 * work_scale * cfg.work_cpu_us)
-        / 1e6;
-    let sim_out = out_bytes as f64 * ctx.mult;
-    let write_s = cfg.net_seconds(sim_out * f64::from(cfg.replication));
-    let phases_s = cfg.task_startup_s + fetch_s + merge_s + cpu_s + write_s;
-    // Share of the run spent fetching — slowdown/straggler factors stretch
-    // every phase alike, so the fraction survives them (trace sub-span).
-    let fetch_frac = if phases_s > 0.0 {
-        fetch_s / phases_s
-    } else {
-        0.0
-    };
-    let mut time_s = phases_s * ctx.slowdown;
-    let mut speculative = 0usize;
-    let mut spec_slot_s = 0.0f64;
-    if let Some(model) = cfg.stragglers {
-        const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut rng = StdRng::seed_from_u64(
-            model.seed ^ ctx.job_hash ^ (p as u64 + 0x5151).wrapping_mul(SPLITMIX),
-        );
-        if rng.gen::<f64>() < model.probability {
-            let slowed = time_s * model.slowdown.max(1.0);
-            time_s = if model.speculative {
-                speculative = 1;
-                let capped = slowed.min(time_s * 1.2);
-                spec_slot_s = capped;
-                capped
-            } else {
-                slowed
-            };
-        }
-    }
-    let mut wasted_s = 0.0f64;
-    let mut reexecuted = 0usize;
-    if ctx.nodes_lost > 0 {
-        // Re-executed mappers' share of this partition is fetched again,
-        // after the map phase — no overlap discount.
-        time_s += cfg.net_seconds(sim_in * ctx.lost_map_frac);
-        if ctx.dead[p % ctx.nodes] {
-            // The reducer itself sat on a dead node: its first run is
-            // wasted and it restarts on a survivor.
-            wasted_s = time_s;
-            reexecuted = 1;
-            time_s *= 2.0;
-        }
-    }
-    ReduceTaskResult {
-        time_s,
-        lines,
-        frames,
-        out_records,
-        encoded_bytes,
-        dict_entries,
-        out_bytes,
-        speculative,
-        spec_slot_s,
-        wasted_s,
-        reexecuted,
-        fatal,
-        dispatches,
-        fetch_frac,
-    }
-}
-
-/// Real OS threads used for task execution: the
-/// [`ClusterConfig::exec_threads`] override, or every available core.
-fn exec_threads(cfg: &ClusterConfig) -> usize {
-    // `available_parallelism` reads /sys on Linux — cache it, this runs
-    // twice per job.
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    cfg.exec_threads
+    // At least one reducer: `reduce_tasks(0)` would otherwise partition
+    // keys modulo zero.
+    let num_reducers = spec
+        .reduce_tasks
         .unwrap_or_else(|| {
-            *CORES.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
+            let default = config.default_reduce_tasks();
+            match spec.key_cardinality_hint {
+                // More reducers than distinct keys are pure startup overhead.
+                Some(keys) => default.min(usize::try_from(keys).unwrap_or(usize::MAX)),
+                None => default,
+            }
         })
-        .max(1)
-}
+        .max(1);
 
-/// Whether input `idx` has produced no task yet (empty files still get one
-/// task so their output path exists).
-fn file_is_empty_input(tasks: &[(usize, TaskInput<'_>)], idx: usize) -> bool {
-    !tasks.iter().any(|(i, _)| *i == idx)
-}
+    // Splits borrow slices of the files already in HDFS — no copy of the
+    // input per job; the borrows end before the output is written back.
+    let (tasks, hdfs_read_bytes) = data::split(hdfs, spec, config)?;
+    let shuffle_to = spec.reducer.is_some().then_some(num_reducers);
+    let (map_counts, map_runs): (Vec<_>, Vec<_>) =
+        data::execute_maps(&job, spec, &tasks, shuffle_to)?
+            .into_iter()
+            .unzip();
+    let mut account = cost::map_phase(&job, &map_counts, hdfs_read_bytes, shuffle_to.is_none())?;
 
-/// List-scheduling makespan of task durations over `slots` parallel slots.
-/// `total_cmp` keeps the selection total even for NaN inputs (which the
-/// cost model never produces) — no panic path.
-fn makespan(tasks: impl Iterator<Item = f64>, slots: usize) -> f64 {
-    let slots = slots.max(1);
-    let mut finish = vec![0.0f64; slots];
-    for t in tasks {
-        // assign to the earliest-free slot
-        let idx = finish
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map_or(0, |(i, _)| i);
-        finish[idx] += t;
-    }
-    finish.into_iter().fold(0.0, f64::max)
-}
-
-/// The same list schedule as [`makespan`], additionally returning each
-/// task's `(slot, start)` placement — the trace's lane layout. The float
-/// operations are identical (`finish[idx] += t` in task order, earliest
-/// slot by `total_cmp`), so the returned makespan — and therefore every
-/// span extent derived from the placements — is bit-equal to what
-/// [`makespan`] charged the metrics.
-fn schedule(tasks: &[f64], slots: usize) -> (Vec<(usize, f64)>, f64) {
-    let slots = slots.max(1);
-    let mut finish = vec![0.0f64; slots];
-    let mut placed = Vec::with_capacity(tasks.len());
-    for &t in tasks {
-        let idx = finish
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map_or(0, |(i, _)| i);
-        placed.push((idx, finish[idx]));
-        finish[idx] += t;
-    }
-    (placed, finish.into_iter().fold(0.0, f64::max))
-}
-
-/// Intermediate data is modelled as spread evenly over the cluster, so the
-/// check (and the error it reports) is in per-node load, not a per-node
-/// breakdown the model doesn't have.
-fn check_disk(cfg: &ClusterConfig, total_bytes: u64) -> Result<(), MapRedError> {
-    let nodes = cfg.nodes.max(1);
-    let per_node = total_bytes as f64 / nodes as f64;
-    let capacity = cfg.disk_capacity_mb * 1e6;
-    if per_node > capacity {
-        return Err(MapRedError::DiskFull {
-            nodes,
-            per_node_bytes: per_node as u64,
-            capacity_bytes: capacity as u64,
-        });
-    }
-    Ok(())
-}
-
-fn check_time(cfg: &ClusterConfig, elapsed: f64) -> Result<(), MapRedError> {
-    if let Some(limit) = cfg.time_limit_s {
-        if elapsed > limit {
-            return Err(MapRedError::TimeLimitExceeded { limit_s: limit });
+    let (metrics, events, outputs) = match &spec.reducer {
+        None => {
+            let (written, output) = data::map_only_output(config, map_runs);
+            let (metrics, events) = account.map_only_write(&job, &written)?;
+            (metrics, events, vec![output])
         }
+        Some(reducer) => {
+            let (part_runs, segments) = data::shuffle(&job, map_runs, num_reducers);
+            account.shuffle_phase(&job, &map_counts, &segments, num_reducers)?;
+            let (reduce_counts, outputs): (Vec<_>, Vec<_>) =
+                data::execute_reduces(&job, reducer, part_runs)
+                    .map_err(|error| AttemptFailure {
+                        error,
+                        wasted_s: account.metrics.map_time_s,
+                    })?
+                    .into_iter()
+                    .unzip();
+            let (metrics, events) = account.reduce_phase(&job, &reduce_counts)?;
+            (metrics, events, outputs)
+        }
+    };
+    data::write_output(hdfs, &spec.output, outputs);
+    // A successful attempt's spans go to the cluster trace under a process
+    // labelled with the job (a failed attempt is summarised by the chain as
+    // one `job_failed` span instead).
+    if let Some(tr) = trace {
+        let label = if attempt == 0 {
+            spec.name.clone()
+        } else {
+            format!("{} (attempt {})", spec.name, attempt + 1)
+        };
+        tr.commit_job(label, events);
     }
-    Ok(())
+    Ok(metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Combiner, JobSpec, Mapper, Reducer};
+    use crate::job::{Combiner, JobSpec, MapOutput, Mapper, ReduceOutput, Reducer};
     use ysmart_rel::{row, Value};
-
-    /// `segment_frame_stats` must agree with the real encoder on every
-    /// segment shape it claims to size: typed columns, dictionaries with
-    /// repeats, nulls, Var fallbacks — and must return `None` exactly when
-    /// the encoder falls back to text.
-    #[test]
-    fn segment_frame_stats_match_real_encoding() {
-        let seg = |pairs: Vec<(Row, Row)>| {
-            let (keys, values): (Vec<Row>, Vec<Row>) = pairs.into_iter().unzip();
-            let norms = NormArena::from_keys(&keys);
-            PartitionRun {
-                keys,
-                values,
-                norms,
-            }
-        };
-        let cases = [
-            seg(vec![(row![1i64], row![2i64, "apple"])]),
-            seg(vec![
-                (row![1i64, "k"], row![1.5f64, true, "apple"]),
-                (row![2i64, "k"], row![2.5f64, false, "apple"]),
-                (row![3i64, "m"], row![-0.5f64, true, "banana"]),
-            ]),
-            // Nulls in every column, all-null column, empty strings.
-            seg(vec![
-                (
-                    Row::new(vec![Value::Null, Value::Null]),
-                    Row::new(vec![Value::Null, Value::Str(String::new())]),
-                ),
-                (
-                    Row::new(vec![Value::Int(4), Value::Null]),
-                    Row::new(vec![Value::Null, Value::Str("x".into())]),
-                ),
-            ]),
-            // Mixed-type column -> Var chunk.
-            seg(vec![
-                (row![1i64], row![Value::Int(1)]),
-                (row![2i64], row![Value::Str("s".into())]),
-                (row![3i64], row![Value::Bool(true)]),
-                (row![4i64], row![Value::Float(0.25)]),
-                (row![5i64], row![Value::Null]),
-            ]),
-            // Uniform total width with shifted key/value split.
-            seg(vec![
-                (row![1i64], row!["a", 2i64]),
-                (row![2i64, "b"], row![3i64]),
-            ]),
-        ];
-        for (i, seg) in cases.iter().enumerate() {
-            let real = segment_frame(seg);
-            let stats = segment_frame_stats(seg);
-            match (real, stats) {
-                (Some((frame, dicts)), Some((len, sdicts))) => {
-                    assert_eq!(frame.len() as u64, len, "case {i}: size");
-                    assert_eq!(dicts, sdicts, "case {i}: dict entries");
-                }
-                (None, None) => {}
-                (r, s) => panic!("case {i}: encoder {:?} vs stats {s:?}", r.map(|_| ())),
-            }
-        }
-        // Fallback cases: empty and width-mixed segments size as None on
-        // both paths.
-        let empty = seg(vec![]);
-        assert!(segment_frame(&empty).is_none() && segment_frame_stats(&empty).is_none());
-        let mixed = seg(vec![
-            (row![1i64], row![2i64]),
-            (row![1i64], row![2i64, 3i64]),
-        ]);
-        assert!(segment_frame(&mixed).is_none() && segment_frame_stats(&mixed).is_none());
-    }
 
     /// Word-count-style mapper: `<key>|<n>` lines.
     struct KvMapper;
@@ -2334,7 +444,9 @@ mod tests {
 
     #[test]
     fn sum_job_correct_across_reducer_counts() {
-        for reducers in [1, 3, 8] {
+        // `reduce_tasks(0)` runs as one reducer instead of partitioning
+        // keys modulo zero.
+        for reducers in [0, 1, 3, 8] {
             let mut c = cluster();
             load_pairs(&mut c);
             let m = run_job(&mut c, &sum_job(reducers, false)).unwrap();
@@ -2343,7 +455,7 @@ mod tests {
             for l in &lines {
                 assert!(l.ends_with("|100"), "line {l}");
             }
-            assert_eq!(m.reduce_tasks, reducers);
+            assert_eq!(m.reduce_tasks, reducers.max(1));
             assert_eq!(m.map_in_records, 1000);
         }
     }
@@ -2440,38 +552,6 @@ mod tests {
         assert_eq!(sorted_output(&c1, "out/sum"), sorted_output(&c2, "out/sum"));
         assert!(flaky.failed_attempts > 0);
         assert!(flaky.map_time_s > clean.map_time_s);
-    }
-
-    #[test]
-    fn compression_shrinks_shuffle_but_costs_cpu() {
-        let (mut c1, mut c2) = (cluster(), cluster());
-        c2.config.compression = Some(crate::config::Compression::default());
-        // Make network nearly free so compression cannot win (the paper's
-        // isolated-cluster finding).
-        for c in [&mut c1, &mut c2] {
-            c.config.net_mbps = 1e6;
-            c.config.size_multiplier = 1e5;
-        }
-        load_pairs(&mut c1);
-        load_pairs(&mut c2);
-        let plain = run_job(&mut c1, &sum_job(2, false)).unwrap();
-        let compressed = run_job(&mut c2, &sum_job(2, false)).unwrap();
-        assert!(compressed.shuffle_bytes < plain.shuffle_bytes);
-        assert!(
-            compressed.total_s() > plain.total_s(),
-            "compression CPU should dominate when network is free"
-        );
-        assert_eq!(sorted_output(&c1, "out/sum"), sorted_output(&c2, "out/sum"));
-    }
-
-    #[test]
-    fn makespan_schedules_waves() {
-        // 8 unit tasks on 4 slots = 2 waves.
-        let t = makespan((0..8).map(|_| 1.0), 4);
-        assert!((t - 2.0).abs() < 1e-9);
-        // uneven tasks
-        let t = makespan([3.0, 1.0, 1.0, 1.0].into_iter(), 2);
-        assert!((t - 3.0).abs() < 1e-9);
     }
 
     #[test]
