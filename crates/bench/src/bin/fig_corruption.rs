@@ -11,11 +11,11 @@
 //!
 //! Every run is verified against the relational oracle — corruption may
 //! change simulated time, never a result row, because only checksum-clean
-//! canonical bytes ever reach the computation. Results go to
+//! canonical bytes ever reach the computation. A full run writes
 //! `results/corruption.txt` (report) and `results/corruption.json`
-//! (machine-readable). Pass `--smoke` for a CI-sized sweep.
+//! (machine-readable). Pass `--smoke` for a CI-sized sweep that only prints.
 
-use ysmart_bench::{execute_verified, fmt_secs};
+use ysmart_bench::{execute_verified, fmt_secs, write_results};
 use ysmart_core::{FaultOptions, Strategy};
 use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_mapred::{ClusterConfig, DataFormat};
@@ -241,8 +241,5 @@ fn main() {
         json_formats.join(",")
     );
 
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/corruption.txt", &report).expect("write results/corruption.txt");
-    std::fs::write("results/corruption.json", json).expect("write results/corruption.json");
-    println!("\nwrote results/corruption.txt and results/corruption.json");
+    write_results("corruption", smoke, &report, Some(&json));
 }

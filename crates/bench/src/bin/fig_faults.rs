@@ -10,12 +10,12 @@
 //! more scheduler round-trips to crawl back.
 //!
 //! Every run is verified against the relational oracle: faults may change
-//! simulated time, never answers. Results are averaged over seeds and
-//! written to `results/faults.txt`. Pass `--smoke` for a reduced sweep
-//! (CI-sized: fewer rates/seeds, smaller scale) that still verifies every
-//! run against the oracle.
+//! simulated time, never answers. Results are averaged over seeds; a full
+//! run writes them to `results/faults.txt`. Pass `--smoke` for a reduced
+//! sweep (CI-sized: fewer rates/seeds, smaller scale) that still verifies
+//! every run against the oracle and only prints its report.
 
-use ysmart_bench::{execute_verified, fmt_secs};
+use ysmart_bench::{execute_verified, fmt_secs, write_results};
 use ysmart_core::{FaultOptions, Strategy, YSmart};
 use ysmart_datagen::ClicksSpec;
 use ysmart_mapred::{ClusterConfig, RetryPolicy};
@@ -137,7 +137,5 @@ fn main() {
     emit("All runs verified against the relational oracle: node failures");
     emit("changed simulated time only, never a single result row.");
 
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/faults.txt", &report).expect("write results/faults.txt");
-    println!("\nwrote results/faults.txt");
+    write_results("faults", smoke, &report, None);
 }

@@ -12,31 +12,24 @@
 //! agreement) and measures the recovery split: jobs fast-forwarded from
 //! journaled checkpoints vs. jobs re-executed.
 //!
-//! Results go to `results/recovery.txt` (report) and
+//! A full run writes `results/recovery.txt` (report) and
 //! `results/recovery.json` (machine-readable). Pass `--smoke` for the CI
 //! run: at least three seeded kill points, torn-tail cuts, and a
 //! journal-corruption recovery check; `--corruption-smoke` runs only the
-//! corruption check (for the fault-injection sweep).
+//! corruption check (for the fault-injection sweep). Neither writes files.
 
 use std::fmt::Write as _;
 
+use ysmart_bench::{mix, write_results};
 use ysmart_core::{Strategy, YSmart};
 use ysmart_datagen::ClicksSpec;
 use ysmart_mapred::journal::{recover, Journal, JournalRecord, JOURNAL_MAGIC};
-use ysmart_mapred::scheduler::{run_workload_journaled, run_workload_recovered};
+use ysmart_mapred::scheduler::{run_workload_with, WorkloadRun};
 use ysmart_mapred::{
     Cluster, ClusterConfig, Disposition, FailureModel, MapRedError, QueryRequest, RetryPolicy,
     SchedulerConfig, StragglerModel, TenantSpec, WorkloadReport,
 };
 use ysmart_queries::clicks_workloads;
-
-/// SplitMix64 — the bench's only randomness, fully determined by the seed.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn spec(smoke: bool) -> ClicksSpec {
     ClicksSpec {
@@ -162,13 +155,11 @@ fn kill_and_recover(baseline: &[String], bytes: &[u8], cut: usize, smoke: bool) 
     let recovered = recover(&bytes[..cut]).expect("prefix recovers");
     let (engine, requests) = build(smoke);
     let mut cluster = engine.cluster;
-    let (report, stats) = run_workload_recovered(
-        &mut cluster,
-        &sched_config(),
-        requests,
-        &recovered.records,
-        None,
-    );
+    let run = WorkloadRun {
+        recovered: &recovered.records,
+        ..WorkloadRun::default()
+    };
+    let (report, stats) = run_workload_with(&mut cluster, &sched_config(), requests, run);
     KillPoint {
         cut,
         records: recovered.records.len(),
@@ -248,8 +239,11 @@ fn main() {
     let n_queries = requests.len();
     let mut cluster = engine.cluster;
     let mut journal = Journal::in_memory();
-    let baseline_report =
-        run_workload_journaled(&mut cluster, &sched_config(), requests, &mut journal);
+    let run = WorkloadRun {
+        journal: Some(&mut journal),
+        ..WorkloadRun::default()
+    };
+    let (baseline_report, _) = run_workload_with(&mut cluster, &sched_config(), requests, run);
     let baseline = summarize(&cluster, &baseline_report);
     let bytes = journal.bytes().to_vec();
     let total_commits = recover(&bytes)
@@ -327,8 +321,5 @@ fn main() {
         "],\"queries\":{n_queries},\"job_commits\":{total_commits},\"journal_bytes\":{}}}",
         bytes.len()
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/recovery.txt", &report).expect("write results/recovery.txt");
-    std::fs::write("results/recovery.json", &json).expect("write results/recovery.json");
-    println!("\nwrote results/recovery.txt and results/recovery.json");
+    write_results("recovery", smoke, &report, Some(&json));
 }

@@ -17,26 +17,23 @@
 //! oracle, and the largest-capacity run is required to be bit-identical
 //! across `exec_threads` 1, 4 and auto.
 //!
-//! Results go to `results/reuse.txt` and `results/reuse.json`. Pass
+//! A full run writes `results/reuse.txt` and `results/reuse.json`. Pass
 //! `--smoke` for the CI-sized run; it asserts the same gates (hit rate
-//! positive, capacity-0 ≡ no-cache) on a smaller stream.
+//! positive, capacity-0 ≡ no-cache) on a smaller stream and only prints.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use ysmart_core::{Strategy, YSmart};
-use ysmart_datagen::{clicks_catalog, tpch_catalog, ClicksSpec, TpchSpec};
-use ysmart_mapred::scheduler::run_workload_reusing;
+use ysmart_bench::{mix, union_engine, write_results};
+use ysmart_core::Strategy;
+use ysmart_datagen::{ClicksSpec, TpchSpec};
+use ysmart_mapred::scheduler::{run_workload_with, WorkloadRun};
 use ysmart_mapred::{
-    run_workload, ClusterConfig, Disposition, QueryRequest, ReuseCache, ReuseConfig, ReuseStats,
-    SchedulerConfig, TenantSpec, WorkloadReport,
+    Disposition, QueryRequest, ReuseCache, ReuseConfig, ReuseStats, SchedulerConfig, TenantSpec,
 };
-use ysmart_plan::Catalog;
 use ysmart_queries::{
     clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads, Workload,
 };
 use ysmart_rel::codec::encode_line;
-use ysmart_rel::Row;
 
 /// Cache capacities swept, in bytes of materialized output. 0 is the
 /// disabled baseline the CI identity gate pins; the middle level is small
@@ -45,42 +42,6 @@ const CAPACITIES: [u64; 3] = [0, 4 * 1024, 64 * 1024 * 1024];
 const QUERIES: usize = 30;
 const SMOKE_QUERIES: usize = 12;
 const MAX_RUNNING: usize = 2;
-
-/// SplitMix64: the bench's only randomness, fully determined by the seed.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Builds one engine holding all base tables (TPC-H + clicks, disjoint
-/// names), scaled to `target_gb`.
-fn union_engine(
-    tpch: &[Workload],
-    clicks: &[Workload],
-    target_gb: f64,
-    threads: Option<usize>,
-) -> (YSmart, BTreeMap<String, Vec<Row>>) {
-    let mut catalog = Catalog::new();
-    for (name, schema) in tpch_catalog().iter() {
-        catalog.add_table(name, schema.clone());
-    }
-    for (name, schema) in clicks_catalog().iter() {
-        catalog.add_table(name, schema.clone());
-    }
-    let mut config = ClusterConfig::ec2(10);
-    config.exec_threads = threads;
-    let mut engine = YSmart::new(catalog, config);
-    let mut tables: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-    for (name, rows) in tpch[0].tables.iter().chain(clicks[0].tables.iter()) {
-        engine.load_table(name, rows).expect("load base table");
-        tables.insert((*name).to_string(), rows.clone());
-    }
-    let real_bytes = engine.cluster.hdfs.total_bytes().max(1);
-    engine.cluster.config.size_multiplier = (target_gb * 1e9) / real_bytes as f64;
-    (engine, tables)
-}
 
 /// One measured run of the repeated-query stream.
 struct RunResult {
@@ -150,16 +111,13 @@ fn run_once(
     };
 
     let started = Instant::now();
-    let (report, stats): (WorkloadReport, Option<ReuseStats>) = match capacity {
-        None => (run_workload(&mut engine.cluster, &sched, requests), None),
-        Some(bytes) => {
-            let mut cache = ReuseCache::new(ReuseConfig::with_capacity(bytes));
-            let (report, _) =
-                run_workload_reusing(&mut engine.cluster, &sched, requests, None, &[], &mut cache);
-            let stats = report.reuse;
-            (report, stats)
-        }
+    let mut cache = capacity.map(|bytes| ReuseCache::new(ReuseConfig::with_capacity(bytes)));
+    let run = WorkloadRun {
+        reuse: cache.as_mut(),
+        ..WorkloadRun::default()
     };
+    let (report, _) = run_workload_with(&mut engine.cluster, &sched, requests, run);
+    let stats = report.reuse;
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let mut digest = Vec::with_capacity(per);
@@ -366,8 +324,5 @@ fn main() {
         baseline.wall_ms,
         json_levels.join(",")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/reuse.txt", &report).expect("write results/reuse.txt");
-    std::fs::write("results/reuse.json", json).expect("write results/reuse.json");
-    println!("\nwrote results/reuse.txt and results/reuse.json");
+    write_results("reuse", smoke, &report, Some(&json));
 }

@@ -11,22 +11,19 @@
 //! completed, deadline-cancelled, shed or failed — and every *completed*
 //! chain's rows are verified against the relational oracle.
 //!
-//! Results go to `results/workload.txt` (report) and
+//! A full run writes `results/workload.txt` (report) and
 //! `results/workload.json` (machine-readable). Pass `--smoke` for a
-//! CI-sized run that also asserts the deadline hit-rate floor.
+//! CI-sized run that also asserts the deadline hit-rate floor and only
+//! prints its report.
 
-use std::collections::BTreeMap;
-
-use ysmart_core::{Strategy, YSmart};
-use ysmart_datagen::{clicks_catalog, tpch_catalog, ClicksSpec, TpchSpec};
+use ysmart_bench::{mix, union_engine, write_results};
+use ysmart_core::Strategy;
+use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_mapred::{
-    run_chain, run_workload, validate_chrome_trace, ClusterConfig, CorruptionModel, Disposition,
-    NodeFailureModel, QueryRequest, RetryPolicy, SchedulerConfig, StragglerModel, TenantSpec,
+    run_chain, run_workload, validate_chrome_trace, CorruptionModel, Disposition, NodeFailureModel,
+    QueryRequest, RetryPolicy, SchedulerConfig, StragglerModel, TenantSpec,
 };
-use ysmart_plan::Catalog;
-use ysmart_queries::{
-    clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads, Workload,
-};
+use ysmart_queries::{clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads};
 use ysmart_rel::Row;
 
 /// Offered load as a multiple of the cluster's solo throughput
@@ -42,14 +39,6 @@ const MAX_RUNNING: usize = 4;
 const DEADLINE_FACTOR: f64 = 12.0;
 /// Minimum deadline hit-rate at the lowest load level — the CI floor.
 const HIT_RATE_FLOOR: f64 = 0.5;
-
-/// SplitMix64: the bench's only randomness, fully determined by the seed.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Uniform in `[0, 1)` from a SplitMix64 draw.
 fn unit(z: u64) -> f64 {
@@ -71,31 +60,6 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     }
     let pos = (q * (sorted.len() - 1) as f64).round() as usize;
     sorted[pos.min(sorted.len() - 1)]
-}
-
-/// Builds one engine holding *all* base tables (TPC-H + clicks, disjoint
-/// names) so every tenant's chains share a single simulated cluster.
-fn union_engine(
-    tpch: &[Workload],
-    clicks: &[Workload],
-    target_gb: f64,
-) -> (YSmart, BTreeMap<String, Vec<Row>>) {
-    let mut catalog = Catalog::new();
-    for (name, schema) in tpch_catalog().iter() {
-        catalog.add_table(name, schema.clone());
-    }
-    for (name, schema) in clicks_catalog().iter() {
-        catalog.add_table(name, schema.clone());
-    }
-    let mut engine = YSmart::new(catalog, ClusterConfig::ec2(10));
-    let mut tables: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-    for (name, rows) in tpch[0].tables.iter().chain(clicks[0].tables.iter()) {
-        engine.load_table(name, rows).expect("load base table");
-        tables.insert((*name).to_string(), rows.clone());
-    }
-    let real_bytes = engine.cluster.hdfs.total_bytes().max(1);
-    engine.cluster.config.size_multiplier = (target_gb * 1e9) / real_bytes as f64;
-    (engine, tables)
 }
 
 fn main() {
@@ -169,7 +133,7 @@ fn main() {
     for (li, &load) in loads.iter().enumerate() {
         // Fresh engine per level so levels are independent and individually
         // reproducible.
-        let (mut engine, tables) = union_engine(&tpch, &clicks, target_gb);
+        let (mut engine, tables) = union_engine(&tpch, &clicks, target_gb, None);
 
         // Solo baselines: each shape once, alone, fault-free — the deadline
         // yardstick and the oracle expectation.
@@ -367,8 +331,5 @@ fn main() {
             .join(","),
         json_levels.join(",")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/workload.txt", &report).expect("write results/workload.txt");
-    std::fs::write("results/workload.json", json).expect("write results/workload.json");
-    println!("\nwrote results/workload.txt and results/workload.json");
+    write_results("workload", smoke, &report, Some(&json));
 }

@@ -20,9 +20,79 @@
 use std::collections::BTreeMap;
 
 use ysmart_core::{CoreError, QueryOutcome, Strategy, YSmart};
+use ysmart_datagen::{clicks_catalog, tpch_catalog};
 use ysmart_mapred::ClusterConfig;
+use ysmart_plan::Catalog;
 use ysmart_queries::{oracle_execute, rows_approx_equal, DbmsProfile, Workload};
 use ysmart_rel::Row;
+
+/// SplitMix64: the sweep bins' only randomness, fully determined by the
+/// seed.
+#[must_use]
+pub fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Builds one `ec2(10)` engine holding *all* base tables (TPC-H + clicks,
+/// disjoint names) scaled to `target_gb`, so every tenant's chains share a
+/// single simulated cluster. Also returns the tables, for the oracle.
+///
+/// # Panics
+///
+/// When a base table fails to load — a generator bug.
+#[must_use]
+pub fn union_engine(
+    tpch: &[Workload],
+    clicks: &[Workload],
+    target_gb: f64,
+    exec_threads: Option<usize>,
+) -> (YSmart, BTreeMap<String, Vec<Row>>) {
+    let mut catalog = Catalog::new();
+    for (name, schema) in tpch_catalog().iter().chain(clicks_catalog().iter()) {
+        catalog.add_table(name, schema.clone());
+    }
+    let config = ClusterConfig {
+        exec_threads,
+        ..ClusterConfig::ec2(10)
+    };
+    let mut engine = YSmart::new(catalog, config);
+    let mut tables: BTreeMap<String, Vec<Row>> = BTreeMap::new();
+    for (name, rows) in tpch[0].tables.iter().chain(clicks[0].tables.iter()) {
+        engine.load_table(name, rows).expect("load base table");
+        tables.insert((*name).to_string(), rows.clone());
+    }
+    let real_bytes = engine.cluster.hdfs.total_bytes().max(1);
+    engine.cluster.config.size_multiplier = (target_gb * 1e9) / real_bytes as f64;
+    (engine, tables)
+}
+
+/// Writes a sweep's report to `results/<name>.txt` (and `results/<name>.json`
+/// when it has a machine-readable form) — for full runs only. The committed
+/// `results/` files are full-run figures; a `--smoke` run has already
+/// printed its report to stdout and must leave them alone.
+///
+/// # Panics
+///
+/// When `results/` cannot be created or written.
+pub fn write_results(name: &str, smoke: bool, report: &str, json: Option<&str>) {
+    if smoke {
+        println!("\n--smoke: results/{name}.* not written");
+        return;
+    }
+    std::fs::create_dir_all("results").expect("results dir");
+    let mut written = Vec::new();
+    for (ext, body) in [("txt", Some(report)), ("json", json)] {
+        if let Some(body) = body {
+            let path = format!("results/{name}.{ext}");
+            std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            written.push(path);
+        }
+    }
+    println!("\nwrote {}", written.join(" and "));
+}
 
 /// Runs one workload under one strategy on a cluster config, scaling the
 /// simulated data volume to `target_gb`, and verifies the result against

@@ -10,8 +10,7 @@ use ysmart_mapred::metrics::ChainMetrics;
 use ysmart_mapred::{run_chain, Cluster, ClusterConfig, JobChain};
 use ysmart_plan::{analyze_with_stats, build_batch_plan, build_plan, Catalog, Plan, Statistics};
 use ysmart_rel::codec::decode_line;
-use ysmart_rel::colbatch::decode_frames;
-use ysmart_rel::{ColumnBatch, Row, Schema};
+use ysmart_rel::{Row, Schema};
 
 use crate::compile::{compile, compile_batch, BatchTranslation, Translation};
 use crate::error::CoreError;
@@ -255,17 +254,10 @@ impl YSmart {
     /// # Errors
     ///
     /// Missing output file (the chain did not complete) or undecodable
-    /// lines.
+    /// records.
     pub fn decode_output(&self, translation: &Translation) -> Result<Vec<Row>, CoreError> {
         let file = self.cluster.hdfs.get(&translation.output_path)?;
-        if file.is_columnar() {
-            return Ok(decode_frames(&file.frames)?);
-        }
-        let mut rows = Vec::with_capacity(file.lines.len());
-        for line in &file.lines {
-            rows.push(decode_line(line, &translation.output_schema)?);
-        }
-        Ok(rows)
+        Ok(file.rows(&translation.output_schema, None)?)
     }
 
     /// Translates and executes a query, returning rows and metrics.
@@ -316,43 +308,12 @@ impl YSmart {
         }
         let outcome =
             run_chain(&mut self.cluster, &chain).map_err(ysmart_mapred::MapRedError::from)?;
+        // A member sharing a tagged multi-output file reads only its own
+        // tag's rows.
         let mut queries_out = Vec::with_capacity(translation.outputs.len());
         for loc in &translation.outputs {
             let file = self.cluster.hdfs.get(&loc.path)?;
-            let mut rows = Vec::new();
-            if file.is_columnar() {
-                // A tagged multi-output file carries the stream tag as a
-                // leading Int column; keep this member's rows, drop the tag.
-                for frame in &file.frames {
-                    let batch = ColumnBatch::decode_frame(frame)?;
-                    match loc.tag {
-                        None => rows.extend(batch.to_rows()),
-                        Some(want) => {
-                            let mask: Vec<bool> = (0..batch.num_rows())
-                                .map(|r| {
-                                    batch
-                                        .columns()
-                                        .first()
-                                        .is_some_and(|c| c.value(r).as_int() == Some(want))
-                                })
-                                .collect();
-                            rows.extend(batch.filter(&mask).slice_cols(1).to_rows());
-                        }
-                    }
-                }
-            } else {
-                for line in &file.lines {
-                    let payload = match loc.tag {
-                        None => line.as_str(),
-                        Some(want) => match line.split_once('|') {
-                            Some((tag, rest)) if tag.parse::<i64>() == Ok(want) => rest,
-                            _ => continue,
-                        },
-                    };
-                    rows.push(decode_line(payload, &loc.schema)?);
-                }
-            }
-            queries_out.push((rows, loc.schema.clone()));
+            queries_out.push((file.rows(&loc.schema, loc.tag)?, loc.schema.clone()));
         }
         Ok(BatchOutcome {
             queries: queries_out,
@@ -373,7 +334,7 @@ impl YSmart {
         let chain = self.chain_for(translation)?;
         let outcome =
             run_chain(&mut self.cluster, &chain).map_err(ysmart_mapred::MapRedError::from)?;
-        // Decode straight off the in-HDFS lines — no clone of the output.
+        // Decode straight off the in-HDFS file — no clone of the output.
         let rows = self.decode_output(translation)?;
         Ok(QueryOutcome {
             rows,

@@ -25,10 +25,10 @@
 
 use std::sync::Arc;
 
-use ysmart_mapred::{MapOutput, Mapper};
+use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper};
 use ysmart_rel::codec::{decode_line, decode_line_projected};
-use ysmart_rel::colbatch::{Column, ColumnBatch};
-use ysmart_rel::{Expr, Row, Value};
+use ysmart_rel::colbatch::ColumnBatch;
+use ysmart_rel::{Expr, RelError, Row, Value};
 
 use crate::blueprint::JobBlueprint;
 use crate::colexpr::{eval_mask, Mask};
@@ -51,10 +51,12 @@ pub struct CommonMapper {
     /// Raw-row column indices of the emitted value when it is a plain,
     /// duplicate-free column list (tagged mode: `value_cols`; direct and
     /// map-only modes: stream 0's projection composed through
-    /// `value_cols`). The decoded row is dead once the value is built, so
-    /// these columns are *moved* out of it instead of cloned — `None`
-    /// falls back to the expression-evaluating path.
+    /// `value_cols`). The record is dead once the value is built, so a
+    /// decoded row's columns are *moved* out of it instead of cloned —
+    /// `None` falls back to the expression-evaluating path.
     value_move: Option<Vec<usize>>,
+    /// Width of the emitted value (tag, columns, pad) — its exact capacity.
+    value_width: usize,
 }
 
 fn plain_cols(exprs: &[Expr]) -> Option<Vec<usize>> {
@@ -74,13 +76,84 @@ fn duplicate_free(cols: &[usize]) -> bool {
     sorted.windows(2).all(|w| w[0] != w[1])
 }
 
-/// Builds a row by moving the given columns out of `row` (which must not
-/// repeat a column — the second take would see a NULL).
-fn take_cols(row: Row, cols: &[usize]) -> Row {
-    let mut vals = row.into_values();
-    cols.iter()
-        .map(|&c| std::mem::replace(&mut vals[c], Value::Null))
-        .collect()
+/// One input record as the mapper body reads it — the only part of the
+/// common mapper that knows whether records arrive as decoded text lines or
+/// as rows of a column batch. Statically dispatched: the body is compiled
+/// once per format, with no per-record indirection.
+trait Record {
+    /// Whether branch `branch`'s selection `predicate` keeps this record.
+    fn selected(&mut self, branch: usize, predicate: &Expr) -> Result<bool, RelError>;
+    /// Raw column `c`, owned.
+    fn col(&self, c: usize) -> Result<Value, RelError>;
+    /// The whole record as a row, for expression evaluation.
+    fn row(&mut self) -> &Row;
+    /// Appends the raw columns `cols` (duplicate-free) to `out`, consuming
+    /// the record.
+    fn take_cols(self, cols: &[usize], out: &mut Vec<Value>);
+}
+
+/// A decoded text line: the row is owned, so its columns move out.
+struct LineRecord(Row);
+
+impl Record for LineRecord {
+    fn selected(&mut self, _branch: usize, predicate: &Expr) -> Result<bool, RelError> {
+        predicate.eval_predicate(&self.0)
+    }
+
+    fn col(&self, c: usize) -> Result<Value, RelError> {
+        self.0.get(c).cloned()
+    }
+
+    fn row(&mut self) -> &Row {
+        &self.0
+    }
+
+    fn take_cols(self, cols: &[usize], out: &mut Vec<Value>) {
+        let mut raw = self.0.into_values();
+        out.extend(
+            cols.iter()
+                .map(|&c| std::mem::replace(&mut raw[c], Value::Null)),
+        );
+    }
+}
+
+/// Row `r` of a column batch: selections read the batch-at-a-time masks,
+/// values come straight off the column vectors, and a `Row` materializes
+/// (once) only when an expression has no kernel.
+struct BatchRecord<'a> {
+    batch: &'a ColumnBatch,
+    /// Per branch: its selection resolved for the whole batch, where a
+    /// vectorized kernel exists.
+    masks: &'a [Option<Mask>],
+    r: usize,
+    row: Option<Row>,
+}
+
+impl Record for BatchRecord<'_> {
+    fn selected(&mut self, branch: usize, predicate: &Expr) -> Result<bool, RelError> {
+        match &self.masks[branch] {
+            Some(mask) => Ok(mask[self.r] == Some(true)),
+            None => predicate.eval_predicate(self.row()),
+        }
+    }
+
+    fn col(&self, c: usize) -> Result<Value, RelError> {
+        let cols = self.batch.columns();
+        let col = cols.get(c).ok_or(RelError::ColumnOutOfBounds {
+            index: c,
+            width: cols.len(),
+        })?;
+        Ok(col.value(self.r))
+    }
+
+    fn row(&mut self) -> &Row {
+        self.row.get_or_insert_with(|| self.batch.row(self.r))
+    }
+
+    fn take_cols(self, cols: &[usize], out: &mut Vec<Value>) {
+        let raw = self.batch.columns();
+        out.extend(cols.iter().map(|&c| raw[c].value(self.r)));
+    }
 }
 
 impl CommonMapper {
@@ -133,67 +206,40 @@ impl CommonMapper {
                 })
                 .filter(|raw| duplicate_free(raw))
         };
+        let value_width = if tagged {
+            1 + input.value_cols.len()
+        } else {
+            blueprint.streams[0].projection.len()
+        } + usize::from(blueprint.pad_bytes > 0 && !blueprint.map_only);
         CommonMapper {
+            foreign_mask: all & !mine,
             blueprint,
             input_idx,
             tagged,
-            foreign_mask: all & !mine,
             plain_keys,
             needed_cols,
             value_move,
+            value_width,
         }
     }
-}
 
-impl Mapper for CommonMapper {
-    fn map(&mut self, line: &str, out: &mut MapOutput) {
+    /// The common-mapper body (§VI-A), once for both formats: evaluate every
+    /// branch's selection, then emit at most one pair. `Err` is a planner
+    /// bug's message for [`MapOutput::record_fatal`].
+    fn map_record<R: Record>(&self, mut rec: R, out: &mut MapOutput) -> Result<(), String> {
         let input = &self.blueprint.inputs[self.input_idx];
-        // Tagged multi-output files mix records of several merged ops; keep
-        // only this consumer's tag and decode the rest of the line.
-        let payload = match input.tag_filter {
-            None => line,
-            Some(want) => {
-                let Some((tag, rest)) = line.split_once('|') else {
-                    return;
-                };
-                if tag.parse::<i64>() != Ok(want) {
-                    return;
-                }
-                rest
-            }
-        };
-        let row = match &self.needed_cols {
-            Some(needed) => decode_line_projected(payload, &input.schema, needed),
-            None => decode_line(payload, &input.schema),
-        };
-        let row = match row {
-            Ok(r) => r,
-            // A record that won't decode is corrupt input, not a planner
-            // bug: count it and move on (the engine enforces the
-            // skip-budget and fails the job past it).
-            Err(_) => {
-                out.record_bad();
-                return;
-            }
-        };
-        // Evaluate each branch's selection; charge one work unit per
-        // branch beyond the first (the shared-scan overhead).
+        let name = &self.blueprint.name;
+        // Charge one work unit per branch beyond the first (the shared-scan
+        // overhead).
         out.add_work(input.branches.len() as u64 - 1);
         let mut forbidden = self.foreign_mask;
         let mut any = false;
-        for b in &input.branches {
+        for (i, b) in input.branches.iter().enumerate() {
             let visible = match &b.predicate {
                 None => true,
-                Some(p) => match p.eval_predicate(&row) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        out.record_fatal(format!(
-                            "predicate failed in {}: {e}",
-                            self.blueprint.name
-                        ));
-                        return;
-                    }
-                },
+                Some(p) => rec
+                    .selected(i, p)
+                    .map_err(|e| format!("predicate failed in {name}: {e}"))?,
             };
             if visible {
                 any = true;
@@ -203,280 +249,110 @@ impl Mapper for CommonMapper {
             }
         }
         if !any {
-            return;
+            return Ok(());
         }
-        let key: Result<Row, _> = match &self.plain_keys {
-            Some(cols) => cols.iter().map(|&c| row.get(c).cloned()).collect(),
-            None => input.key_exprs.iter().map(|e| e.eval(&row)).collect(),
-        };
-        let key = match key {
-            Ok(k) => k,
-            Err(err) => {
-                out.record_fatal(format!("key expr failed in {}: {err}", self.blueprint.name));
-                return;
-            }
-        };
-
-        if self.blueprint.map_only {
-            // Apply stream 0's projection map-side and emit the final row.
-            let projected: Row = match &self.value_move {
-                Some(cols) => take_cols(row, cols),
-                None => {
-                    let carried = row.project(&input.value_cols);
-                    let projected: Result<Row, _> = self.blueprint.streams[0]
-                        .projection
-                        .iter()
-                        .map(|e| e.eval(&carried))
-                        .collect();
-                    match projected {
-                        Ok(p) => p,
-                        Err(err) => {
-                            out.record_fatal(format!(
-                                "projection failed in {}: {err}",
-                                self.blueprint.name
-                            ));
-                            return;
-                        }
-                    }
-                }
+        // Pairs outlive the task's whole map phase: size the key exactly (a
+        // `Result` collect cannot pre-size and would round up).
+        let mut key = Vec::with_capacity(input.key_exprs.len());
+        for (i, e) in input.key_exprs.iter().enumerate() {
+            let v = match &self.plain_keys {
+                Some(cols) => rec.col(cols[i]),
+                None => e.eval(rec.row()),
             };
-            out.emit(key, projected);
-            return;
+            key.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
         }
 
-        let value = if self.tagged {
-            let mut vals = Vec::with_capacity(input.value_cols.len() + 1);
-            vals.push(Value::Int(forbidden as i64));
-            match &self.value_move {
-                Some(cols) => {
-                    let mut raw = row.into_values();
-                    vals.extend(
-                        cols.iter()
-                            .map(|&c| std::mem::replace(&mut raw[c], Value::Null)),
-                    );
-                }
-                None => vals.extend(row.project(&input.value_cols).into_values()),
-            }
-            Row::new(vals)
-        } else {
-            // Direct mode: project for the single stream map-side.
-            match &self.value_move {
-                Some(cols) => take_cols(row, cols),
-                None => {
-                    let carried = row.project(&input.value_cols);
-                    let projected: Result<Row, _> = self.blueprint.streams[0]
-                        .projection
-                        .iter()
-                        .map(|e| e.eval(&carried))
-                        .collect();
-                    match projected {
-                        Ok(p) => p,
-                        Err(err) => {
-                            out.record_fatal(format!(
-                                "projection failed in {}: {err}",
-                                self.blueprint.name
-                            ));
-                            return;
-                        }
+        // Tagged mode carries `[tag, union columns…]`; direct and map-only
+        // modes apply stream 0's projection map-side.
+        let mut value = Vec::with_capacity(self.value_width);
+        if self.tagged {
+            value.push(Value::Int(forbidden as i64));
+        }
+        match &self.value_move {
+            Some(cols) => rec.take_cols(cols, &mut value),
+            None => {
+                let carried = rec.row().project(&input.value_cols);
+                if self.tagged {
+                    value.extend(carried.into_values());
+                } else {
+                    for e in &self.blueprint.streams[0].projection {
+                        let v = e.eval(&carried);
+                        value.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
                     }
                 }
             }
+        }
+        // The Pig-style serialisation pad, if configured (a map-only job's
+        // value is the final row and is never padded).
+        if self.blueprint.pad_bytes > 0 && !self.blueprint.map_only {
+            value.push(Value::Str("x".repeat(self.blueprint.pad_bytes)));
+        }
+        out.emit(Row::new(key), Row::new(value));
+        Ok(())
+    }
+}
+
+impl Mapper for CommonMapper {
+    fn map(&mut self, line: &str, out: &mut MapOutput) {
+        let input = &self.blueprint.inputs[self.input_idx];
+        // Tagged multi-output files mix records of several merged ops; keep
+        // only this consumer's tag and decode the rest of the line.
+        let Some(payload) = untag_line(line, input.tag_filter) else {
+            return;
         };
-        out.emit(key, self.pad(value));
+        let row = match &self.needed_cols {
+            Some(needed) => decode_line_projected(payload, &input.schema, needed),
+            None => decode_line(payload, &input.schema),
+        };
+        match row {
+            Ok(row) => {
+                if let Err(msg) = self.map_record(LineRecord(row), out) {
+                    out.record_fatal(msg);
+                }
+            }
+            // A record that won't decode is corrupt input, not a planner
+            // bug: count it and move on (the engine enforces the
+            // skip-budget and fails the job past it).
+            Err(_) => out.record_bad(),
+        }
     }
 
     fn map_batch(&mut self, batch: &ColumnBatch, out: &mut MapOutput) {
-        // Per-branch visibility, resolved batch-at-a-time where a kernel
-        // exists; `RowEval` rows materialize lazily below.
-        enum Vis {
-            Always,
-            Mask(Mask),
-            RowEval,
-        }
         let input = &self.blueprint.inputs[self.input_idx];
-        // Tagged multi-output files carry the tag as a leading Int column
-        // (the columnar form of the `tag|rest` line prefix): keep matching
-        // rows, drop the tag column.
         let owned;
         let batch = match input.tag_filter {
             None => batch,
             Some(want) => {
-                if batch.num_rows() == 0 {
-                    return;
-                }
-                let mask: Vec<bool> = match batch.columns().first() {
-                    Some(Column::Int { data, nulls }) => data
-                        .iter()
-                        .zip(nulls)
-                        .map(|(&t, &n)| !n && t == want)
-                        .collect(),
-                    Some(col) => (0..batch.num_rows())
-                        .map(|r| col.value(r).as_int() == Some(want))
-                        .collect(),
-                    None => return,
-                };
-                owned = batch.filter(&mask).slice_cols(1);
+                owned = untag_batch(batch, want);
                 &owned
             }
         };
         let rows = batch.num_rows();
         // The text path surfaces a wrong-width record as a decode error;
         // a wrong-width batch is the same data problem, counted per row.
-        if rows > 0 && batch.columns().len() != input.schema.len() {
+        if rows > 0 && batch.num_cols() != input.schema.len() {
             for _ in 0..rows {
                 out.record_bad();
             }
             return;
         }
-        let viz: Vec<Vis> = input
+        let masks: Vec<Option<Mask>> = input
             .branches
             .iter()
-            .map(|b| match &b.predicate {
-                None => Vis::Always,
-                Some(p) => match eval_mask(p, batch) {
-                    Some(m) => Vis::Mask(m),
-                    None => Vis::RowEval,
-                },
-            })
+            .map(|b| b.predicate.as_ref().and_then(|p| eval_mask(p, batch)))
             .collect();
-        let cols = batch.columns();
         for r in 0..rows {
-            out.add_work(input.branches.len() as u64 - 1);
-            let mut forbidden = self.foreign_mask;
-            let mut any = false;
-            let mut cached: Option<Row> = None;
-            for (b, vis) in input.branches.iter().zip(&viz) {
-                let visible = match vis {
-                    Vis::Always => true,
-                    Vis::Mask(m) => m[r] == Some(true),
-                    Vis::RowEval => {
-                        let row = cached.get_or_insert_with(|| batch.row(r));
-                        let p = b.predicate.as_ref().expect("row-eval branch has predicate");
-                        match p.eval_predicate(row) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                out.record_fatal(format!(
-                                    "predicate failed in {}: {e}",
-                                    self.blueprint.name
-                                ));
-                                return;
-                            }
-                        }
-                    }
-                };
-                if visible {
-                    any = true;
-                    out.record_dispatch(b.stream);
-                } else {
-                    forbidden |= 1 << b.stream;
-                }
-            }
-            if !any {
-                continue;
-            }
-            let key = match &self.plain_keys {
-                Some(kcols) if kcols.iter().all(|&c| c < cols.len()) => {
-                    Row::new(kcols.iter().map(|&c| cols[c].value(r)).collect())
-                }
-                Some(_) => {
-                    out.record_fatal(format!(
-                        "key expr failed in {}: column out of range",
-                        self.blueprint.name
-                    ));
-                    return;
-                }
-                None => {
-                    let row = cached.get_or_insert_with(|| batch.row(r));
-                    let key: Result<Row, _> = input.key_exprs.iter().map(|e| e.eval(row)).collect();
-                    match key {
-                        Ok(k) => k,
-                        Err(err) => {
-                            out.record_fatal(format!(
-                                "key expr failed in {}: {err}",
-                                self.blueprint.name
-                            ));
-                            return;
-                        }
-                    }
-                }
+            let rec = BatchRecord {
+                batch,
+                masks: &masks,
+                r,
+                row: None,
             };
-
-            if self.blueprint.map_only {
-                let projected = match &self.value_move {
-                    Some(vcols) => Row::new(vcols.iter().map(|&c| cols[c].value(r)).collect()),
-                    None => {
-                        let row = cached.get_or_insert_with(|| batch.row(r));
-                        let carried = row.project(&input.value_cols);
-                        let projected: Result<Row, _> = self.blueprint.streams[0]
-                            .projection
-                            .iter()
-                            .map(|e| e.eval(&carried))
-                            .collect();
-                        match projected {
-                            Ok(p) => p,
-                            Err(err) => {
-                                out.record_fatal(format!(
-                                    "projection failed in {}: {err}",
-                                    self.blueprint.name
-                                ));
-                                return;
-                            }
-                        }
-                    }
-                };
-                out.emit(key, projected);
-                continue;
+            if let Err(msg) = self.map_record(rec, out) {
+                out.record_fatal(msg);
+                return;
             }
-
-            let value = if self.tagged {
-                let mut vals = Vec::with_capacity(input.value_cols.len() + 1);
-                vals.push(Value::Int(forbidden as i64));
-                match &self.value_move {
-                    Some(vcols) => vals.extend(vcols.iter().map(|&c| cols[c].value(r))),
-                    None => {
-                        let row = cached.get_or_insert_with(|| batch.row(r));
-                        vals.extend(row.project(&input.value_cols).into_values());
-                    }
-                }
-                Row::new(vals)
-            } else {
-                match &self.value_move {
-                    Some(vcols) => Row::new(vcols.iter().map(|&c| cols[c].value(r)).collect()),
-                    None => {
-                        let row = cached.get_or_insert_with(|| batch.row(r));
-                        let carried = row.project(&input.value_cols);
-                        let projected: Result<Row, _> = self.blueprint.streams[0]
-                            .projection
-                            .iter()
-                            .map(|e| e.eval(&carried))
-                            .collect();
-                        match projected {
-                            Ok(p) => p,
-                            Err(err) => {
-                                out.record_fatal(format!(
-                                    "projection failed in {}: {err}",
-                                    self.blueprint.name
-                                ));
-                                return;
-                            }
-                        }
-                    }
-                }
-            };
-            out.emit(key, self.pad(value));
         }
-    }
-}
-
-impl CommonMapper {
-    /// Appends the Pig-style serialisation pad, if configured.
-    fn pad(&self, value: Row) -> Row {
-        if self.blueprint.pad_bytes == 0 {
-            return value;
-        }
-        let mut vals = value.into_values();
-        vals.push(Value::Str("x".repeat(self.blueprint.pad_bytes)));
-        Row::new(vals)
     }
 }
 
@@ -731,19 +607,60 @@ mod tests {
     }
 
     #[test]
-    fn bad_record_is_counted_and_skipped() {
-        let bp = blueprint(
-            vec![MapBranch {
-                stream: 0,
-                predicate: None,
-            }],
-            1,
-        );
-        let mut m = CommonMapper::new(bp, 0);
-        let mut out = MapOutput::default();
-        m.map("not-a-number|x", &mut out);
-        m.map("7|42", &mut out);
-        assert_eq!(out.bad_records(), 1, "torn record counted, not fatal");
-        assert_eq!(out.len(), 1, "good record still processed");
+    fn bad_records_are_counted_and_skipped_on_both_sides() {
+        // A record that won't decode — unparsable, torn (the engine's
+        // injected extra field), too narrow, empty — is a data problem on
+        // either side of the format edge and behind a tag filter alike:
+        // counted, never fatal, never a panic; good records still map.
+        for tag_filter in [None, Some(1)] {
+            let direct = blueprint(
+                vec![MapBranch {
+                    stream: 0,
+                    predicate: None,
+                }],
+                1,
+            );
+            let bp = Arc::new(JobBlueprint {
+                inputs: vec![InputSpec {
+                    tag_filter,
+                    ..bp_input()
+                }],
+                ..(*direct).clone()
+            });
+            let prefix = if tag_filter.is_some() { "1|" } else { "" };
+            let mut m = CommonMapper::new(Arc::clone(&bp), 0);
+            let mut out = MapOutput::default();
+            for bad in ["not-a-number|x", "7|42|\u{1}", "7", ""] {
+                m.map(&format!("{prefix}{bad}"), &mut out);
+            }
+            m.map(&format!("{prefix}7|42"), &mut out);
+            assert_eq!(out.bad_records(), 4, "text, tag {tag_filter:?}");
+            assert_eq!(out.len(), 1, "good record still processed");
+            assert_eq!(out.take_fatal(), None);
+
+            let batch = |rows: &[&[i64]]| {
+                let rows: Vec<Row> = rows
+                    .iter()
+                    .map(|r| {
+                        let tag = tag_filter.map(Value::Int);
+                        Row::new(
+                            tag.into_iter()
+                                .chain(r.iter().map(|&v| Value::Int(v)))
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                ysmart_rel::ColumnBatch::from_rows(&rows).unwrap()
+            };
+            let mut m = CommonMapper::new(bp, 0);
+            let mut out = MapOutput::default();
+            m.map_batch(&batch(&[&[7, 42, 1], &[8, 43, 1]]), &mut out);
+            m.map_batch(&batch(&[&[7]]), &mut out);
+            m.map_batch(&batch(&[]), &mut out);
+            m.map_batch(&batch(&[&[7, 42]]), &mut out);
+            assert_eq!(out.bad_records(), 3, "columnar, tag {tag_filter:?}");
+            assert_eq!(out.keys(), [ysmart_rel::row![7i64]]);
+            assert_eq!(out.take_fatal(), None);
+        }
     }
 }

@@ -42,7 +42,7 @@
 //!
 //! | stream | owner | seed |
 //! |---|---|---|
-//! | block/frame replica flips ([`crate::hdfs::read_block_verified`]) | `data` | `corruption.seed ^ checksum(path) ^ block ^ replica ^ attempt` |
+//! | block/frame replica flips ([`crate::hdfs::read_verified`]) | `data` | `corruption.seed ^ checksum(path) ^ block ^ replica ^ attempt` |
 //! | torn input records | `data` | [`JobCtx::task_seed`]`(corruption.seed ^ 0x0BAD_5EED, task)` |
 //! | shuffle-segment flips and re-fetch outcomes | `data` | `task_seed(corruption.seed, task) ^ partition` |
 //! | map stragglers | `cost` | `task_seed(stragglers.seed, task)` |
@@ -137,7 +137,7 @@ impl Cluster {
     pub fn load_table_rows(&mut self, name: &str, rows: &[Row]) {
         let path = format!("data/{name}");
         if self.config.data_format == DataFormat::Columnar {
-            if let Some((frames, _, _)) = data::encode_rows_to_frames(rows) {
+            if let Some((frames, _)) = data::encode_rows_to_frames(rows) {
                 self.hdfs.put_frames(&path, frames);
                 return;
             }

@@ -17,7 +17,7 @@ use super::{JobCtx, MapCounts, OutputCounts, ReduceCounts, SegmentCounts, MAX_FE
 use crate::config::{ClusterConfig, CorruptionModel, DataFormat};
 use crate::error::MapRedError;
 use crate::hash::{checksum_bytes, partition};
-use crate::hdfs::{read_block_verified, read_frame_verified, BlockRead, DataFile, Hdfs};
+use crate::hdfs::{block_bytes, line_bytes, read_verified, DataFile, Hdfs};
 use crate::job::{JobSpec, MapOutput, ReduceEmit, ReduceOutput, ReducerFactory};
 use crate::norm::NormArena;
 
@@ -29,6 +29,16 @@ use crate::norm::NormArena;
 enum TaskInput<'a> {
     Lines(&'a [String]),
     Frames { frames: &'a [Vec<u8>], base: usize },
+}
+
+impl TaskInput<'_> {
+    /// Stored bytes of the slice.
+    fn bytes(&self) -> u64 {
+        match self {
+            TaskInput::Lines(lines) => lines.iter().map(|l| line_bytes(l)).sum(),
+            TaskInput::Frames { frames, .. } => frames.iter().map(|f| f.len() as u64).sum(),
+        }
+    }
 }
 
 /// One map task: which job input it reads, and its slice of that file.
@@ -147,7 +157,7 @@ pub(super) fn split<'a>(
             }));
         } else {
             let lines = &file.lines;
-            let sizes = lines.iter().map(|l| l.len() as f64 + 1.0);
+            let sizes = lines.iter().map(|l| line_bytes(l) as f64);
             let ranges = split_ranges(sizes, block).into_iter();
             tasks.extend(ranges.map(|r| task(TaskInput::Lines(&lines[r]))));
         }
@@ -180,33 +190,26 @@ fn verify_input(
     counts: &mut MapCounts,
 ) -> Result<(), MapRedError> {
     let (replication, attempt) = (job.cfg.replication, job.attempt);
-    let mut tally = |read: BlockRead| {
+    let mut read = |bytes: &[u8], block, detects: &dyn Fn(&[u8]) -> bool| {
+        let read = read_verified(bytes, detects, path, block, replication, model, attempt)?;
         counts.corrupt_replicas += u64::from(read.corrupt_replicas);
         counts.collisions += u64::from(read.collisions);
+        Ok(())
     };
     match input {
-        TaskInput::Lines(lines) => tally(read_block_verified(
-            lines,
-            path,
-            task_idx,
-            replication,
-            model,
-            attempt,
-        )?),
+        TaskInput::Lines(lines) => {
+            let bytes = block_bytes(lines);
+            let stored = checksum_bytes(&bytes);
+            read(&bytes, task_idx, &|garbled| {
+                checksum_bytes(garbled) != stored
+            })
+        }
         TaskInput::Frames { frames, base } => {
-            for (i, f) in frames.iter().enumerate() {
-                tally(read_frame_verified(
-                    f,
-                    path,
-                    base + i,
-                    replication,
-                    model,
-                    attempt,
-                )?);
-            }
+            let detects = |garbled: &[u8]| ColumnBatch::decode_frame(garbled).is_err();
+            let mut blocks = frames.iter().enumerate();
+            blocks.try_for_each(|(i, frame)| read(frame, base + i, &detects))
         }
     }
-    Ok(())
 }
 
 /// Feeds a task's records to a fresh mapper, returning the output buffer
@@ -384,10 +387,7 @@ fn run_map_task(
     shuffle_to: Option<usize>,
 ) -> (MapCounts, MapRuns) {
     let mut counts = MapCounts {
-        in_bytes: match task.input {
-            TaskInput::Lines(lines) => lines.iter().map(|l| l.len() as u64 + 1).sum(),
-            TaskInput::Frames { frames, .. } => frames.iter().map(|f| f.len() as u64).sum(),
-        },
+        in_bytes: task.input.bytes(),
         ..MapCounts::default()
     };
     if let Some(model) = job.cfg.corruption {
@@ -438,21 +438,18 @@ fn run_map_task(
 }
 
 /// Encodes rows into columnar frames of [`DEFAULT_FRAME_ROWS`] rows each,
-/// returning `(frames, total bytes, dictionary entries)`. `None` when any
-/// chunk is rejected by the frame codec (non-uniform widths, non-finite
-/// floats) — callers fall back to the text encoding.
-pub(super) fn encode_rows_to_frames(rows: &[Row]) -> Option<(Vec<Vec<u8>>, u64, u64)> {
+/// returning `(frames, dictionary entries)`. `None` when any chunk is
+/// rejected by the frame codec (non-uniform widths, non-finite floats) —
+/// callers fall back to the text encoding.
+pub(super) fn encode_rows_to_frames(rows: &[Row]) -> Option<(Vec<Vec<u8>>, u64)> {
     let mut frames = Vec::with_capacity(rows.len().div_ceil(DEFAULT_FRAME_ROWS.max(1)));
-    let mut bytes = 0u64;
     let mut dicts = 0u64;
     for chunk in rows.chunks(DEFAULT_FRAME_ROWS.max(1)) {
         let batch = ColumnBatch::from_rows(chunk).ok()?;
         dicts += batch.dict_entries();
-        let frame = batch.encode_frame();
-        bytes += frame.len() as u64;
-        frames.push(frame);
+        frames.push(batch.encode_frame());
     }
-    Some((frames, bytes, dicts))
+    Some((frames, dicts))
 }
 
 /// Columnar wire form of one shuffle segment: a single encoded frame of
@@ -829,7 +826,7 @@ fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
 /// tag of tagged rows folded in as a leading `Int` column (the text
 /// rendering's `tag|` prefix, typed). `None` when any emission is a
 /// pre-rendered line or a chunk is rejected by the frame codec.
-fn pack_emits(emits: &[ReduceEmit]) -> Option<(Vec<Vec<u8>>, u64, u64)> {
+fn pack_emits(emits: &[ReduceEmit]) -> Option<(Vec<Vec<u8>>, u64)> {
     let mut rows = Vec::with_capacity(emits.len());
     for e in emits {
         match e {
@@ -851,7 +848,7 @@ fn pack_emits(emits: &[ReduceEmit]) -> Option<(Vec<Vec<u8>>, u64, u64)> {
 /// task.
 fn pack_output(
     records: usize,
-    framed: Option<(Vec<Vec<u8>>, u64, u64)>,
+    framed: Option<(Vec<Vec<u8>>, u64)>,
     lines: impl FnOnce() -> Vec<String>,
 ) -> (OutputCounts, DataFile) {
     let mut counts = OutputCounts {
@@ -860,16 +857,15 @@ fn pack_output(
     };
     let mut output = DataFile::default();
     match framed {
-        Some((frames, bytes, dicts)) => {
-            counts.bytes = bytes;
-            counts.encoded_bytes = bytes;
+        Some((frames, dicts)) => {
             counts.dict_entries = dicts;
             output.frames = frames;
         }
-        None => {
-            output.lines = lines();
-            counts.bytes = output.lines.iter().map(|l| l.len() as u64 + 1).sum();
-        }
+        None => output.lines = lines(),
+    }
+    counts.bytes = output.bytes();
+    if output.is_columnar() {
+        counts.encoded_bytes = counts.bytes;
     }
     (counts, output)
 }

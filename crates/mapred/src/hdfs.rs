@@ -1,7 +1,12 @@
 //! The in-memory global file system (HDFS stand-in).
 //!
 //! Files are line-oriented, matching the raw-data-file model of the paper's
-//! common mapper (§VI-A): a record is a line of text.
+//! common mapper (§VI-A): a record is a line of text — or, under
+//! [`crate::config::DataFormat::Columnar`], sequences of encoded
+//! [`ColumnBatch`] frames. [`DataFile`] is the edge where that choice is
+//! known: its byte accounting, its tag filters ([`untag_line`],
+//! [`untag_batch`]) and its read-back ([`DataFile::rows`]) are the one place
+//! each exists, so code above this module is written against records.
 //!
 //! # Block integrity
 //!
@@ -9,20 +14,24 @@
 //! verifies it on every read; a mismatch fails the replica and the client
 //! transparently reads another one. This module reproduces that contract at
 //! block granularity (one block = one map split, which is exactly what a
-//! Hadoop map task reads): [`read_block_verified`] draws per-replica
+//! Hadoop map task reads): [`read_verified`] draws per-replica
 //! corruption from a seeded [`CorruptionModel`], *actually flips a bit* in
-//! the corrupted replica's bytes, detects the flip by comparing the XXH64
-//! checksum ([`crate::hash::checksum_bytes`]) against the stored one, and
-//! fails over to the next replica. Only a checksum-clean replica's bytes —
-//! which are the canonical ones — ever reach the mapper, so injected
-//! corruption can never change query results, only cost time. A block whose
-//! every replica is corrupt has no clean copy left and surfaces
+//! the corrupted replica's bytes, detects the flip with the format's real
+//! detector (the block's XXH64 checksum against the stored one, or a frame's
+//! embedded per-column-chunk checksums), and fails over to the next replica.
+//! Only a checksum-clean replica's bytes — which are the canonical ones —
+//! ever reach the mapper, so injected corruption can never change query
+//! results, only cost time. A block whose every replica is corrupt has no
+//! clean copy left and surfaces
 //! [`MapRedError::CorruptBlock`].
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ysmart_rel::codec::decode_line;
+use ysmart_rel::colbatch::Column;
+use ysmart_rel::{ColumnBatch, RelError, Row, Schema};
 
 use crate::config::CorruptionModel;
 use crate::error::MapRedError;
@@ -47,7 +56,7 @@ impl DataFile {
     /// actual encoded frame bytes.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.lines.iter().map(|l| l.len() as u64 + 1).sum::<u64>()
+        self.lines.iter().map(|l| line_bytes(l)).sum::<u64>()
             + self.frames.iter().map(|f| f.len() as u64).sum::<u64>()
     }
 
@@ -56,6 +65,68 @@ impl DataFile {
     pub fn is_columnar(&self) -> bool {
         !self.frames.is_empty()
     }
+
+    /// Decodes the file's records — the read-back of a job output. Text
+    /// lines are typed by `schema`; frames carry their own types. With
+    /// `tag`, the file is a tagged multi-output file: only that stream's
+    /// records are returned, tag stripped.
+    ///
+    /// # Errors
+    ///
+    /// An undecodable line or frame.
+    pub fn rows(&self, schema: &Schema, tag: Option<i64>) -> Result<Vec<Row>, RelError> {
+        let mut rows = Vec::with_capacity(self.lines.len());
+        for line in &self.lines {
+            if let Some(payload) = untag_line(line, tag) {
+                rows.push(decode_line(payload, schema)?);
+            }
+        }
+        for frame in &self.frames {
+            let batch = ColumnBatch::decode_frame(frame)?;
+            rows.extend(match tag {
+                None => batch.to_rows(),
+                Some(want) => untag_batch(&batch, want).to_rows(),
+            });
+        }
+        Ok(rows)
+    }
+}
+
+/// Stored bytes of one text record: the line plus its newline.
+pub(crate) fn line_bytes(line: &str) -> u64 {
+    line.len() as u64 + 1
+}
+
+/// The text tag filter. A tagged multi-output file mixes records of several
+/// merged ops as `tag|rest` lines: returns `rest` when the line carries
+/// `tag`, `None` when it belongs to another stream (or has no tag at all).
+/// With no `tag` wanted the whole line is the payload.
+#[must_use]
+pub fn untag_line(line: &str, tag: Option<i64>) -> Option<&str> {
+    let Some(want) = tag else {
+        return Some(line);
+    };
+    let (tag, rest) = line.split_once('|')?;
+    (tag.parse::<i64>() == Ok(want)).then_some(rest)
+}
+
+/// The columnar tag filter: the tag is a leading `Int` column (the typed
+/// form of the `tag|` line prefix). Returns the rows carrying `want`, tag
+/// column dropped.
+#[must_use]
+pub fn untag_batch(batch: &ColumnBatch, want: i64) -> ColumnBatch {
+    let mask: Vec<bool> = match batch.columns().first() {
+        Some(Column::Int { data, nulls }) => data
+            .iter()
+            .zip(nulls)
+            .map(|(&t, &n)| !n && t == want)
+            .collect(),
+        Some(col) => (0..batch.num_rows())
+            .map(|r| col.value(r).as_int() == Some(want))
+            .collect(),
+        None => vec![false; batch.num_rows()],
+    };
+    batch.filter(&mask).slice_cols(1)
 }
 
 /// The global file system of the simulated cluster.
@@ -290,19 +361,24 @@ pub struct BlockRead {
     pub collisions: u32,
 }
 
-/// Reads one block through its checksum, failing over across replicas.
+/// Reads one block — a text block's [`block_bytes`] or one encoded frame —
+/// through its checksums, failing over across replicas.
 ///
 /// Corruption is drawn per `(path, block, replica, attempt)` from the
 /// seeded model; a corrupted replica has a seeded bit of its byte stream
-/// genuinely flipped, and detection is the real checksum comparison, not a
-/// modelled coin — the returned data is always the canonical bytes of a
-/// clean replica.
+/// genuinely flipped, and detection is the real check, not a modelled coin:
+/// `detects` is handed the garbled bytes and runs the format's own detector
+/// (text: XXH64 against the block's stored checksum; columnar:
+/// [`ColumnBatch::decode_frame`]'s header and per-column-chunk checksums,
+/// which localize the flip to one column). The data a caller goes on to
+/// read is always the canonical bytes of a clean replica.
 ///
 /// # Errors
 ///
 /// [`MapRedError::CorruptBlock`] when every replica fails verification.
-pub fn read_block_verified(
-    lines: &[String],
+pub fn read_verified(
+    bytes: &[u8],
+    detects: impl Fn(&[u8]) -> bool,
     path: &str,
     block: usize,
     replication: u32,
@@ -310,7 +386,6 @@ pub fn read_block_verified(
     attempt: usize,
 ) -> Result<BlockRead, MapRedError> {
     const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    let bytes = block_bytes(lines);
     let read = |corrupt_replicas, collisions| BlockRead {
         corrupt_replicas,
         block_bytes: bytes.len() as u64,
@@ -320,7 +395,6 @@ pub fn read_block_verified(
     if model.block_rate <= 0.0 || bytes.is_empty() {
         return Ok(read(0, 0));
     }
-    let stored = checksum_bytes(&bytes);
     let base = model.seed
         ^ checksum_bytes(path.as_bytes())
         ^ (block as u64 + 0xB10C).wrapping_mul(SPLITMIX)
@@ -335,77 +409,18 @@ pub fn read_block_verified(
             // This replica took a hit at rest: flip a seeded bit and run
             // the actual detection path.
             let bit = rng.gen::<u64>() as usize % (bytes.len() * 8);
-            let mut garbled = bytes.clone();
+            let mut garbled = bytes.to_vec();
             garbled[bit / 8] ^= 1 << (bit % 8);
-            if checksum_bytes(&garbled) != stored {
+            if detects(&garbled) {
                 corrupt += 1;
                 continue;
             }
-            // A 64-bit checksum collision on a single-bit flip: practically
-            // unreachable (excluded by the avalanche test in `hash`), but
-            // when it happens the flip sails through undetected — count it
-            // in every build profile so it surfaces in JobMetrics instead
-            // of vanishing in release builds.
-            collisions += 1;
-        }
-        return Ok(read(corrupt, collisions));
-    }
-    Err(MapRedError::CorruptBlock {
-        path: path.to_string(),
-        block,
-        replicas: replication,
-    })
-}
-
-/// The columnar counterpart of [`read_block_verified`]: reads one encoded
-/// frame through its *embedded* per-column-chunk checksums, failing over
-/// across replicas. Detection is [`ysmart_rel::ColumnBatch::decode_frame`]
-/// itself — a corrupted replica has a seeded bit genuinely flipped, and
-/// the frame's header/chunk checksums reject it, localizing the flip to
-/// one column. Only a verifiably-clean replica's bytes reach the mapper.
-///
-/// # Errors
-///
-/// [`MapRedError::CorruptBlock`] when every replica fails verification.
-pub fn read_frame_verified(
-    frame: &[u8],
-    path: &str,
-    block: usize,
-    replication: u32,
-    model: &CorruptionModel,
-    attempt: usize,
-) -> Result<BlockRead, MapRedError> {
-    const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    let read = |corrupt_replicas, collisions| BlockRead {
-        corrupt_replicas,
-        block_bytes: frame.len() as u64,
-        collisions,
-    };
-    if model.block_rate <= 0.0 || frame.is_empty() {
-        return Ok(read(0, 0));
-    }
-    let base = model.seed
-        ^ checksum_bytes(path.as_bytes())
-        ^ (block as u64 + 0xB10C).wrapping_mul(SPLITMIX)
-        ^ crate::engine::attempt_mix(attempt);
-    let replication = replication.max(1);
-    let mut corrupt = 0u32;
-    let mut collisions = 0u32;
-    for replica in 0..replication {
-        let mut rng =
-            StdRng::seed_from_u64(base ^ (u64::from(replica) + 0x11).wrapping_mul(SPLITMIX));
-        if rng.gen::<f64>() < model.block_rate {
-            let bit = rng.gen::<u64>() as usize % (frame.len() * 8);
-            let mut garbled = frame.to_vec();
-            garbled[bit / 8] ^= 1 << (bit % 8);
-            // Real detection path: the frame decoder's own checksum
-            // verification, not a modelled coin.
-            if ysmart_rel::ColumnBatch::decode_frame(&garbled).is_err() {
-                corrupt += 1;
-                continue;
-            }
-            // The flipped frame still decoded — an undetected corruption.
-            // Counted like the block-checksum collision above.
+            // The flip sailed through undetected — a 64-bit checksum
+            // collision on a single-bit flip: practically unreachable
+            // (excluded by the avalanche test in `hash` and the exhaustive
+            // flip test in `rel::colbatch`), but counted in every build
+            // profile so it surfaces in JobMetrics instead of vanishing in
+            // release builds.
             collisions += 1;
         }
         return Ok(read(corrupt, collisions));
@@ -450,6 +465,34 @@ mod tests {
 
     fn lines() -> Vec<String> {
         (0..50).map(|i| format!("{i}|payload-{i}")).collect()
+    }
+
+    /// A verified read of a text block, detector as the engine wires it.
+    fn read_block_verified(
+        lines: &[String],
+        path: &str,
+        block: usize,
+        replication: u32,
+        model: &CorruptionModel,
+        attempt: usize,
+    ) -> Result<BlockRead, MapRedError> {
+        let bytes = block_bytes(lines);
+        let stored = checksum_bytes(&bytes);
+        let detects = |garbled: &[u8]| checksum_bytes(garbled) != stored;
+        read_verified(&bytes, detects, path, block, replication, model, attempt)
+    }
+
+    /// A verified read of one frame, detector as the engine wires it.
+    fn read_frame_verified(
+        frame: &[u8],
+        path: &str,
+        block: usize,
+        replication: u32,
+        model: &CorruptionModel,
+        attempt: usize,
+    ) -> Result<BlockRead, MapRedError> {
+        let detects = |garbled: &[u8]| ColumnBatch::decode_frame(garbled).is_err();
+        read_verified(frame, detects, path, block, replication, model, attempt)
     }
 
     #[test]
@@ -628,6 +671,62 @@ mod tests {
         };
         assert_ne!(file_checksum(&text), file_checksum(&col));
         assert_eq!(file_checksum(&col), file_checksum(&col.clone()));
+    }
+
+    #[test]
+    fn rows_reads_one_stream_of_a_tagged_file_from_either_rendering() {
+        use ysmart_rel::codec::encode_line;
+        use ysmart_rel::{row, DataType, Value};
+        // A tagged multi-output file: `[tag, k, s]` rows of two streams,
+        // NULLs included — as `tag|k|s` lines and as frames whose leading
+        // Int column is the tag.
+        let tagged: Vec<Row> = (0..40i64)
+            .map(|i| match i % 3 {
+                0 => Row::new(vec![Value::Int(i % 2), Value::Int(i), Value::Null]),
+                _ => row![i % 2, i, format!("s{i}")],
+            })
+            .collect();
+        let schema = Schema::of("o", &[("k", DataType::Int), ("s", DataType::Str)]);
+        let text = DataFile {
+            lines: tagged.iter().map(encode_line).collect(),
+            frames: Vec::new(),
+        };
+        let columnar = DataFile {
+            lines: Vec::new(),
+            frames: ysmart_rel::colbatch::encode_frames(&tagged, 16).unwrap(),
+        };
+        for tag in [0, 1] {
+            let want: Vec<Row> = tagged
+                .iter()
+                .filter(|r| r.values()[0] == Value::Int(tag))
+                .map(|r| Row::new(r.values()[1..].to_vec()))
+                .collect();
+            assert_eq!(want.len(), 20);
+            assert_eq!(text.rows(&schema, Some(tag)).unwrap(), want);
+            assert_eq!(columnar.rows(&schema, Some(tag)).unwrap(), want);
+        }
+        assert!(text.rows(&schema, Some(7)).unwrap().is_empty());
+        assert!(columnar.rows(&schema, Some(7)).unwrap().is_empty());
+        // Untagged read-back returns every record whole, in file order.
+        let whole = Schema::of(
+            "o",
+            &[
+                ("t", DataType::Int),
+                ("k", DataType::Int),
+                ("s", DataType::Str),
+            ],
+        );
+        assert_eq!(text.rows(&whole, None).unwrap(), tagged);
+        assert_eq!(columnar.rows(&whole, None).unwrap(), tagged);
+        // Damage is a typed error on both sides, not a panic.
+        let torn = DataFile {
+            lines: vec!["0|1|x|\u{1}".into()],
+            frames: Vec::new(),
+        };
+        assert!(torn.rows(&schema, Some(0)).is_err());
+        let mut cut = columnar.clone();
+        cut.frames[0].truncate(10);
+        assert!(cut.rows(&schema, Some(0)).is_err());
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! * the workload is crash-safe: a checksummed append-only [`journal`]
 //!   records admissions, per-job commits (with materialized outputs) and
 //!   terminal dispositions, so a restarted process replays the workload
-//!   deterministically ([`scheduler::run_workload_recovered`]),
+//!   deterministically ([`scheduler::WorkloadRun::recovered`]),
 //!   fast-forwarding journaled jobs and re-executing only work past the
 //!   last checkpoint — results and metrics bit-identical to an
 //!   uninterrupted run. A drain mode sheds new and queued work with typed
@@ -81,9 +81,7 @@ pub use config::{
 };
 pub use engine::{run_job, run_job_attempt, AttemptFailure, Cluster};
 pub use error::MapRedError;
-pub use hdfs::{
-    file_checksum, read_block_verified, read_frame_verified, BlockRead, DataFile, Hdfs,
-};
+pub use hdfs::{file_checksum, read_verified, untag_batch, untag_line, BlockRead, DataFile, Hdfs};
 pub use job::{
     Combiner, JobInput, JobSpec, MapOutput, Mapper, MapperFactory, ReduceEmit, ReduceOutput,
     Reducer, ReducerFactory,
@@ -92,9 +90,8 @@ pub use journal::{recover, DispositionKind, Journal, JournalRecord, Recovered, J
 pub use metrics::{ChainMetrics, JobMetrics};
 pub use reuse::{config_epoch, ReuseCache, ReuseConfig, ReuseStats};
 pub use scheduler::{
-    run_workload, run_workload_journaled, run_workload_recovered, run_workload_reusing,
-    Disposition, QueryReport, QueryRequest, RecoveryStats, SchedulerConfig, TenantSpec,
-    WorkloadReport,
+    run_workload, run_workload_with, Disposition, QueryReport, QueryRequest, RecoveryStats,
+    SchedulerConfig, TenantSpec, WorkloadReport, WorkloadRun,
 };
 pub use trace::{validate_chrome_trace, ArgValue, Trace, TraceEvent, TraceStats};
 

@@ -39,9 +39,9 @@
 //!   shed with typed [`MapRedError::Draining`], every queued-but-unstarted
 //!   query is shed at exactly the drain instant, and in-flight chains run
 //!   to completion.
-//! * **Crash recovery.** [`run_workload_journaled`] appends every job
+//! * **Crash recovery.** [`WorkloadRun::journal`] appends every job
 //!   commit and terminal disposition to a [`Journal`];
-//!   [`run_workload_recovered`] re-runs the *same* request list with the
+//!   [`WorkloadRun::recovered`] re-runs the *same* request list with the
 //!   journal's records, fast-forwarding journaled commits (restoring their
 //!   materialized outputs) and re-executing only work past the last
 //!   checkpoint. Because the whole simulation is deterministic, the
@@ -214,7 +214,7 @@ pub struct WorkloadReport {
     /// Merged workload trace ([`SchedulerConfig::trace`]).
     pub trace: Option<Trace>,
     /// Reuse-cache counters as of the end of the workload, when a cache
-    /// was in force ([`run_workload_reusing`]). The counters are the
+    /// was in force ([`WorkloadRun::reuse`]). The counters are the
     /// cache's *lifetime* totals — a service keeping one cache across many
     /// `!run` batches reports cumulative values.
     pub reuse: Option<ReuseStats>,
@@ -251,50 +251,54 @@ struct Waiting {
 }
 
 /// Runs a batch of requests through the multi-tenant scheduler on the
-/// shared cluster, to completion. Every request terminates in a typed
-/// [`Disposition`]; the function never hangs — queues are bounded, chains
-/// are finite, deadlines cancel.
-///
-/// The cluster's own `contention` model is treated as the *solo* share; a
-/// chain running alongside others gets `slot_share × (weight / Σ weights
-/// of running chains)` for each step it launches while they overlap. With
-/// no base model a synthetic one (share only, no gaps, no slowdown) is
-/// installed per step, so a chain running alone behaves exactly as under
-/// [`crate::chain::run_chain`].
+/// shared cluster, to completion — [`run_workload_with`] under the default
+/// [`WorkloadRun`]: no journal, no recovery, no reuse cache.
 ///
 /// # Panics
 ///
-/// If `config.max_running` is 0, a tenant weight is 0, or two tenants
-/// share a name — configuration bugs, not runtime conditions.
+/// As [`run_workload_with`].
 #[must_use]
 pub fn run_workload(
     cluster: &mut Cluster,
     config: &SchedulerConfig,
     requests: Vec<QueryRequest>,
 ) -> WorkloadReport {
-    run_workload_inner(cluster, config, requests, None, &[], None).0
+    run_workload_with(cluster, config, requests, WorkloadRun::default()).0
 }
 
-/// [`run_workload`] with a crash-safety [`Journal`]: every job commit
-/// (with its materialized output) and every terminal disposition is
-/// appended as it happens in simulated time, so the journal's byte stream
-/// at any instant is a recovery point for [`run_workload_recovered`].
-///
-/// The journal is only appended to, never flushed — callers own the flush
-/// cadence (the service flushes after every scheduler interaction;
-/// in-memory journals need none).
-///
-/// # Panics
-///
-/// As [`run_workload`].
-#[must_use]
-pub fn run_workload_journaled(
-    cluster: &mut Cluster,
-    config: &SchedulerConfig,
-    requests: Vec<QueryRequest>,
-    journal: &mut Journal,
-) -> WorkloadReport {
-    run_workload_inner(cluster, config, requests, Some(journal), &[], None).0
+/// What a workload run is wired to beyond the cluster: crash safety,
+/// recovery and cross-query reuse, each independently optional. The default
+/// is a plain run.
+#[derive(Debug, Default)]
+pub struct WorkloadRun<'a> {
+    /// Crash-safety journal: every job commit (with its materialized
+    /// output) and every terminal disposition is appended as it happens in
+    /// simulated time, so the journal's byte stream at any instant is a
+    /// recovery point. Only appended to, never flushed — callers own the
+    /// flush cadence (the service flushes after every scheduler
+    /// interaction; in-memory journals need none).
+    pub journal: Option<&'a mut Journal>,
+    /// Records [`crate::journal::recover`] salvaged from an interrupted run
+    /// of the *same* request list (chains hold closures, so the caller —
+    /// e.g. the service re-translating journaled SQL — reconstructs them).
+    /// Journaled job commits fast-forward instead of executing; everything
+    /// else (scheduling gaps, failed attempts, backoffs, admission
+    /// decisions) re-executes with its original seeded randomness, so the
+    /// report is bit-identical to the uninterrupted run's. Combined with a
+    /// fresh `journal`, the recovered run is itself crash-safe again (the
+    /// replay re-journals fast-forwarded commits into the new epoch).
+    pub recovered: &'a [JournalRecord],
+    /// Cross-query result cache. It outlives the call — a service passes
+    /// the same cache to every batch so later queries hit earlier batches'
+    /// results. On admission, the longest prefix of a chain whose job
+    /// fingerprints verify in the cache is fast-forwarded exactly like a
+    /// journal replay (recorded metrics, restored outputs —
+    /// bit-identical); every commit with a fingerprint is inserted back.
+    /// Cache decisions happen in the deterministic event loop, so the
+    /// report is bit-identical across `exec_threads` settings, and recovery
+    /// rebuilds the cache in the same event order without any dedicated
+    /// journal record.
+    pub reuse: Option<&'a mut ReuseCache>,
 }
 
 /// What crash recovery saved and redid.
@@ -312,68 +316,35 @@ pub struct RecoveryStats {
     pub already_done: usize,
 }
 
-/// Re-runs a workload from a recovered journal: pass the *same* request
-/// list as the interrupted run (chains hold closures, so the caller — e.g.
-/// the service re-translating journaled SQL — reconstructs them) plus the
-/// records [`crate::journal::recover`] salvaged. Journaled job commits
-/// fast-forward instead of executing; everything else (scheduling gaps,
-/// failed attempts, backoffs, admission decisions) re-executes with its
-/// original seeded randomness, so the returned report is bit-identical to
-/// the uninterrupted run's. Pass a fresh `journal` to make the recovered
-/// run itself crash-safe again (the replay re-journals fast-forwarded
-/// commits into the new epoch).
+/// The workload entry point: runs a batch of requests through the
+/// multi-tenant scheduler on the shared cluster, to completion, wired to
+/// whatever `run` names. Every request terminates in a typed
+/// [`Disposition`]; the function never hangs — queues are bounded, chains
+/// are finite, deadlines cancel.
+///
+/// The cluster's own `contention` model is treated as the *solo* share; a
+/// chain running alongside others gets `slot_share × (weight / Σ weights
+/// of running chains)` for each step it launches while they overlap. With
+/// no base model a synthetic one (share only, no gaps, no slowdown) is
+/// installed per step, so a chain running alone behaves exactly as under
+/// [`crate::chain::run_chain`].
 ///
 /// # Panics
 ///
-/// As [`run_workload`].
+/// If `config.max_running` is 0, a tenant weight is 0, or two tenants
+/// share a name — configuration bugs, not runtime conditions.
 #[must_use]
-pub fn run_workload_recovered(
+pub fn run_workload_with(
     cluster: &mut Cluster,
     config: &SchedulerConfig,
     requests: Vec<QueryRequest>,
-    recovered: &[JournalRecord],
-    journal: Option<&mut Journal>,
+    run: WorkloadRun,
 ) -> (WorkloadReport, RecoveryStats) {
-    run_workload_inner(cluster, config, requests, journal, recovered, None)
-}
-
-/// The full-featured entry point: journaling, crash recovery *and* a
-/// cross-query [`ReuseCache`]. The cache outlives the call — a service
-/// passes the same cache to every batch so later queries hit earlier
-/// batches' results. On admission, the longest prefix of a chain whose job
-/// fingerprints verify in the cache is fast-forwarded exactly like a
-/// journal replay (recorded metrics, restored outputs — bit-identical);
-/// every commit with a fingerprint is inserted back. Cache decisions
-/// happen in the deterministic event loop, so the report is bit-identical
-/// across `exec_threads` settings, and recovery rebuilds the cache in the
-/// same event order without any dedicated journal record.
-///
-/// Pass `&[]` as `recovered` (and `None` as `journal`) when neither crash
-/// safety nor recovery is wanted.
-///
-/// # Panics
-///
-/// As [`run_workload`].
-#[must_use]
-pub fn run_workload_reusing(
-    cluster: &mut Cluster,
-    config: &SchedulerConfig,
-    requests: Vec<QueryRequest>,
-    journal: Option<&mut Journal>,
-    recovered: &[JournalRecord],
-    cache: &mut ReuseCache,
-) -> (WorkloadReport, RecoveryStats) {
-    run_workload_inner(cluster, config, requests, journal, recovered, Some(cache))
-}
-
-fn run_workload_inner(
-    cluster: &mut Cluster,
-    config: &SchedulerConfig,
-    requests: Vec<QueryRequest>,
-    journal: Option<&mut Journal>,
-    recovered: &[JournalRecord],
-    reuse: Option<&mut ReuseCache>,
-) -> (WorkloadReport, RecoveryStats) {
+    let WorkloadRun {
+        journal,
+        recovered,
+        reuse,
+    } = run;
     assert!(config.max_running > 0, "scheduler needs at least one slot");
     assert!(
         config.tenants.iter().all(|t| t.weight > 0),

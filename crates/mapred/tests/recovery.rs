@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use ysmart_mapred::journal::{recover, Journal, JournalRecord, JOURNAL_MAGIC};
 use ysmart_mapred::scheduler::{
-    run_workload_journaled, run_workload_recovered, Disposition, QueryRequest, SchedulerConfig,
-    TenantSpec, WorkloadReport,
+    run_workload_with, Disposition, QueryRequest, SchedulerConfig, TenantSpec, WorkloadReport,
+    WorkloadRun,
 };
 use ysmart_mapred::{
     ChainSession, ChainStep, Cluster, ClusterConfig, CorruptionModel, FailureModel, JobChain,
@@ -173,7 +173,11 @@ fn journaled_baseline() -> (Vec<u8>, Vec<String>) {
     let mut cluster = Cluster::new(faulty_config(Some(2), 42));
     load(&mut cluster);
     let mut journal = Journal::in_memory();
-    let report = run_workload_journaled(&mut cluster, &sched_config(), requests(), &mut journal);
+    let run = WorkloadRun {
+        journal: Some(&mut journal),
+        ..WorkloadRun::default()
+    };
+    let (report, _) = run_workload_with(&mut cluster, &sched_config(), requests(), run);
     let summary = summarize(&cluster, &report);
     (journal.bytes().to_vec(), summary)
 }
@@ -219,13 +223,12 @@ fn every_journal_prefix_replays_bit_identically() {
         let mut cluster = Cluster::new(faulty_config(Some(2), 42));
         load(&mut cluster);
         let mut epoch = Journal::in_memory();
-        let (report, stats) = run_workload_recovered(
-            &mut cluster,
-            &sched_config(),
-            requests(),
-            &recovered.records,
-            Some(&mut epoch),
-        );
+        let run = WorkloadRun {
+            journal: Some(&mut epoch),
+            recovered: &recovered.records,
+            ..WorkloadRun::default()
+        };
+        let (report, stats) = run_workload_with(&mut cluster, &sched_config(), requests(), run);
         let summary = summarize(&cluster, &report);
         assert_eq!(summary, baseline, "divergence recovering at byte {cut}");
         // Replayed exactly the journaled commits; executed only the rest.

@@ -7,8 +7,8 @@
 
 use ysmart_mapred::reuse::reuse_path;
 use ysmart_mapred::scheduler::{
-    run_workload, run_workload_reusing, Disposition, QueryRequest, SchedulerConfig, TenantSpec,
-    WorkloadReport,
+    run_workload, run_workload_with, Disposition, QueryRequest, SchedulerConfig, TenantSpec,
+    WorkloadReport, WorkloadRun,
 };
 use ysmart_mapred::{
     file_checksum, Cluster, ClusterConfig, DataFormat, JobChain, JobSpec, MapOutput, Mapper,
@@ -94,6 +94,19 @@ fn serial() -> SchedulerConfig {
     }
 }
 
+/// A [`serial`] run wired to `cache` and nothing else.
+fn run_reusing(
+    cluster: &mut Cluster,
+    requests: Vec<QueryRequest>,
+    cache: &mut ReuseCache,
+) -> WorkloadReport {
+    let run = WorkloadRun {
+        reuse: Some(cache),
+        ..WorkloadRun::default()
+    };
+    run_workload_with(cluster, &serial(), requests, run).0
+}
+
 fn request(tag: &str, jobs: usize, logical: u64, seed: u64, submit_s: f64) -> QueryRequest {
     QueryRequest {
         tenant: "t".into(),
@@ -168,14 +181,7 @@ fn repeated_queries_fast_forward_from_the_cache() {
 
     let mut cached_cluster = cluster(Some(1), DataFormat::Text);
     let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-    let (report, _) = run_workload_reusing(
-        &mut cached_cluster,
-        &serial(),
-        repeated_batch(),
-        None,
-        &[],
-        &mut cache,
-    );
+    let report = run_reusing(&mut cached_cluster, repeated_batch(), &mut cache);
 
     // Results are what an uncached run produces, query for query.
     assert_eq!(
@@ -204,14 +210,7 @@ fn capacity_zero_cache_is_bit_identical_to_no_cache() {
 
     let mut zero_cluster = cluster(Some(1), DataFormat::Text);
     let mut cache = ReuseCache::new(ReuseConfig::with_capacity(0));
-    let (report, _) = run_workload_reusing(
-        &mut zero_cluster,
-        &serial(),
-        repeated_batch(),
-        None,
-        &[],
-        &mut cache,
-    );
+    let report = run_reusing(&mut zero_cluster, repeated_batch(), &mut cache);
 
     assert_eq!(
         digest(&report, &zero_cluster),
@@ -232,26 +231,12 @@ fn tampered_cache_entry_falls_back_to_reexecution() {
     // damaged entry and re-execute — same answer, one integrity failure.
     let mut c = cluster(Some(1), DataFormat::Text);
     let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-    let (first, _) = run_workload_reusing(
-        &mut c,
-        &serial(),
-        vec![request("q0", 2, 1, 10, 0.0)],
-        None,
-        &[],
-        &mut cache,
-    );
+    let first = run_reusing(&mut c, vec![request("q0", 2, 1, 10, 0.0)], &mut cache);
     let good = outputs(&first, &c);
 
     c.hdfs
         .put(&reuse_path(1000), vec!["tampered|garbage".to_string()]);
-    let (second, _) = run_workload_reusing(
-        &mut c,
-        &serial(),
-        vec![request("q9", 2, 1, 42, 0.0)],
-        None,
-        &[],
-        &mut cache,
-    );
+    let second = run_reusing(&mut c, vec![request("q9", 2, 1, 42, 0.0)], &mut cache);
 
     assert_eq!(
         outputs(&second, &c),
@@ -274,14 +259,7 @@ fn tiny_capacity_evicts_but_never_wrongs_results() {
     // Room for roughly one job output: constant eviction churn.
     let mut small_cluster = cluster(Some(1), DataFormat::Text);
     let mut cache = ReuseCache::new(ReuseConfig::with_capacity(200));
-    let (report, _) = run_workload_reusing(
-        &mut small_cluster,
-        &serial(),
-        repeated_batch(),
-        None,
-        &[],
-        &mut cache,
-    );
+    let report = run_reusing(&mut small_cluster, repeated_batch(), &mut cache);
 
     assert_eq!(
         outputs(&report, &small_cluster),
@@ -304,8 +282,7 @@ fn reuse_is_bit_identical_across_threads_and_formats() {
         let run = |threads: Option<usize>| {
             let mut c = cluster(threads, format);
             let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-            let (report, _) =
-                run_workload_reusing(&mut c, &serial(), repeated_batch(), None, &[], &mut cache);
+            let report = run_reusing(&mut c, repeated_batch(), &mut cache);
             assert!(
                 report.reports.iter().any(|r| r.jobs_reused > 0),
                 "{format:?}: the cache must actually be exercised"

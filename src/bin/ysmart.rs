@@ -53,7 +53,22 @@ struct Args {
     sql: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses a size flag's value. Sizes scale simulated volumes and cache
+/// capacities, so anything not finite and positive (`nan`, `inf`, `1e400`,
+/// `-1`) is a usage error, not a number to compute with; zero is meaningful
+/// only where `zero_ok` (a 0 MB cache caches nothing).
+fn size_arg(flag: &str, value: Option<String>, zero_ok: bool) -> Result<f64, String> {
+    let text = value.ok_or(format!("{flag} needs a number"))?;
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() && (v > 0.0 || (zero_ok && v == 0.0)) => Ok(v),
+        _ => Err(format!(
+            "bad {flag} value `{text}` (need a finite number {} 0)",
+            if zero_ok { ">=" } else { ">" }
+        )),
+    }
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         catalog: None,
         data: None,
@@ -70,21 +85,14 @@ fn parse_args() -> Result<Args, String> {
         reuse_mb: None,
         sql: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "serve" if !args.serve && args.sql.is_none() => args.serve = true,
             "--journal" => args.journal = Some(it.next().ok_or("--journal needs a file")?),
             "--requests" => args.requests = Some(it.next().ok_or("--requests needs a file")?),
             "--trace-dir" => args.trace_dir = Some(it.next().ok_or("--trace-dir needs a dir")?),
-            "--reuse-mb" => {
-                args.reuse_mb = Some(
-                    it.next()
-                        .ok_or("--reuse-mb needs a number")?
-                        .parse()
-                        .map_err(|_| "bad --reuse-mb value".to_string())?,
-                );
-            }
+            "--reuse-mb" => args.reuse_mb = Some(size_arg("--reuse-mb", it.next(), true)?),
             "--catalog" => args.catalog = Some(it.next().ok_or("--catalog needs a file")?),
             "--data" => args.data = Some(it.next().ok_or("--data needs a directory")?),
             "--demo" => args.demo = true,
@@ -111,14 +119,7 @@ fn parse_args() -> Result<Args, String> {
                     return Err(format!("unknown cluster `{s}`"));
                 };
             }
-            "--target-gb" => {
-                args.target_gb = Some(
-                    it.next()
-                        .ok_or("--target-gb needs a number")?
-                        .parse()
-                        .map_err(|_| "bad --target-gb value".to_string())?,
-                );
-            }
+            "--target-gb" => args.target_gb = Some(size_arg("--target-gb", it.next(), false)?),
             "--explain" => args.explain = true,
             "--plan" => args.plan = true,
             "--help" | "-h" => return Err(String::new()),
@@ -157,7 +158,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
 
     // ---- catalog + data -----------------------------------------------
     let (catalog, tables): (Catalog, Vec<(String, Vec<String>)>) = if args.demo {
@@ -291,4 +292,42 @@ fn run_serve(engine: YSmart, args: &Args) -> Result<(), String> {
         None => serve_loop(&mut service, std::io::stdin().lock(), &mut out),
     };
     result.map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn size_flags_reject_non_finite_and_negative_values() {
+        for bad in [
+            "nan", "NaN", "inf", "-inf", "-1", "1e400", "-1e400", "x", "",
+        ] {
+            for flag in ["--target-gb", "--reuse-mb"] {
+                let err = parse(&["--demo", flag, bad]).err();
+                let err = err.unwrap_or_else(|| panic!("{flag} {bad:?} must be rejected"));
+                assert!(err.starts_with(&format!("bad {flag} value")), "{err}");
+            }
+        }
+        assert!(parse(&["--demo", "--target-gb"]).is_err(), "missing value");
+    }
+
+    #[test]
+    fn zero_is_a_cache_size_but_not_a_data_volume() {
+        assert!(parse(&["--demo", "--target-gb", "0"]).is_err());
+        assert!(parse(&["--demo", "--target-gb", "-0"]).is_err());
+        let args = parse(&["serve", "--demo", "--reuse-mb", "0"]).unwrap();
+        assert_eq!(args.reuse_mb, Some(0.0));
+    }
+
+    #[test]
+    fn finite_positive_sizes_parse() {
+        let args = parse(&["--demo", "--target-gb", "2.5", "--reuse-mb", "64"]).unwrap();
+        assert_eq!((args.target_gb, args.reuse_mb), (Some(2.5), Some(64.0)));
+        assert!(parse(&["--demo", "--target-gb", "1e-9"]).is_ok());
+    }
 }

@@ -3,7 +3,7 @@
 //! The ROADMAP's "query service front-end over the multi-tenant scheduler":
 //! a long-running mode that accepts SQL over a line protocol (stdin or a
 //! request file), batches admitted queries through
-//! [`ysmart_mapred::scheduler::run_workload_journaled`], and returns result
+//! [`ysmart_mapred::scheduler::run_workload_with`], and returns result
 //! rows plus trace handles. Every admission and every scheduler-side commit
 //! is appended to a checksummed [`Journal`] and flushed, so a process that
 //! dies at *any* instant can be restarted against the same journal file and
@@ -36,7 +36,7 @@
 //! admission can interleave with a run). On open, each batch is re-created
 //! — the journaled SQL is re-translated under its original deterministic
 //! tag (`svc-q<id>`), so every HDFS path is identical — and replayed with
-//! [`run_workload_recovered`]. A trailing batch with no run records was
+//! [`WorkloadRun::recovered`]. A trailing batch with no run records was
 //! admitted but never started; it is restored to the pending queue, not
 //! executed. Because translation, scheduling and execution are all
 //! deterministic, a recovered service's results, dispositions and metrics
@@ -52,8 +52,8 @@ use ysmart_core::{Strategy, Translation, YSmart};
 use ysmart_mapred::journal::{Journal, JournalRecord};
 use ysmart_mapred::reuse::{ReuseCache, ReuseConfig};
 use ysmart_mapred::scheduler::{
-    run_workload_reusing, Disposition, QueryReport, QueryRequest, RecoveryStats, SchedulerConfig,
-    TenantSpec,
+    run_workload_with, Disposition, QueryReport, QueryRequest, RecoveryStats, SchedulerConfig,
+    TenantSpec, WorkloadRun,
 };
 use ysmart_mapred::MapRedError;
 use ysmart_rel::codec::encode_line;
@@ -421,14 +421,13 @@ impl Service {
             }
             let requests = self.build_requests(&batch, out);
             let config = self.run_config();
-            let (report, stats) = run_workload_reusing(
-                &mut self.engine.cluster,
-                &config,
-                requests,
-                Some(&mut self.journal),
-                &runrecs,
-                &mut self.cache,
-            );
+            let run = WorkloadRun {
+                journal: Some(&mut self.journal),
+                recovered: &runrecs,
+                reuse: Some(&mut self.cache),
+            };
+            let (report, stats) =
+                run_workload_with(&mut self.engine.cluster, &config, requests, run);
             self.recovery.jobs_replayed += stats.jobs_replayed;
             self.recovery.jobs_executed += stats.jobs_executed;
             self.recovery.already_done += stats.already_done;
@@ -696,14 +695,12 @@ impl Service {
         let mut out = Vec::new();
         let requests = self.build_requests(&batch, &mut out);
         let config = self.run_config();
-        let (report, _stats) = run_workload_reusing(
-            &mut self.engine.cluster,
-            &config,
-            requests,
-            Some(&mut self.journal),
-            &[],
-            &mut self.cache,
-        );
+        let run = WorkloadRun {
+            journal: Some(&mut self.journal),
+            reuse: Some(&mut self.cache),
+            ..WorkloadRun::default()
+        };
+        let (report, _stats) = run_workload_with(&mut self.engine.cluster, &config, requests, run);
         self.runs += 1;
         if let Err(e) = self.journal.flush() {
             out.push(Response::Info(format!(
