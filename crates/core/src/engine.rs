@@ -210,9 +210,14 @@ impl YSmart {
     pub fn chain_for(&self, translation: &Translation) -> Result<JobChain, CoreError> {
         let mut chain = JobChain::new();
         let mut produced: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+        // The data format is mixed into every fingerprint because it
+        // changes the output bytes a cache hit would restore.
+        let format = ysmart_mapred::hash::checksum_bytes(
+            format!("{:?}", self.cluster.config.data_format).as_bytes(),
+        );
         for bp in &translation.blueprints {
             let mut spec = bp.to_jobspec()?;
-            if let Some(fp) = self.job_fingerprint(bp, &produced) {
+            if let Some(fp) = self.job_fingerprint(bp, &produced, format) {
                 produced.insert(bp.output.as_str(), fp);
                 spec.fingerprint = Some(fp);
             }
@@ -223,22 +228,21 @@ impl YSmart {
 
     /// The full reuse fingerprint of one blueprint, or `None` when any
     /// input's identity cannot be established (see [`YSmart::chain_for`]).
-    /// The data format is mixed in because it changes the output bytes a
-    /// cache hit would restore.
+    /// A base table's content checksum is the one HDFS memoises per stored
+    /// file, so only the first query after a load hashes the table.
     fn job_fingerprint(
         &self,
         bp: &ysmart_exec::JobBlueprint,
         produced: &std::collections::BTreeMap<&str, u64>,
+        format: u64,
     ) -> Option<u64> {
         const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        let format = format!("{:?}", self.cluster.config.data_format);
-        let mut fp =
-            bp.structural_fingerprint() ^ ysmart_mapred::hash::checksum_bytes(format.as_bytes());
+        let mut fp = bp.structural_fingerprint() ^ format;
         for input in &bp.inputs {
             let id = if let Some(&producer) = produced.get(input.path.as_str()) {
                 producer
             } else if input.path.starts_with("data/") {
-                ysmart_mapred::file_checksum(self.cluster.hdfs.get(&input.path).ok()?)
+                self.cluster.hdfs.checksum(&input.path).ok()?
             } else {
                 return None;
             };

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ysmart_mapred::Combiner;
-use ysmart_rel::{AggFunc, AggState, Expr, Row, Value};
+use ysmart_rel::{AggFunc, AggState, Columns, Expr, RelError, Row, Value};
 
 use crate::blueprint::JobBlueprint;
 
@@ -27,48 +27,45 @@ pub fn encode_partial(state: &AggState) -> Vec<Value> {
     }
 }
 
-/// Decodes partial-row fields back into an accumulator for merging.
-#[must_use]
-pub fn decode_partial(func: AggFunc, fields: &[Value]) -> AggState {
-    match func {
-        AggFunc::Count => AggState::Count(fields[0].as_int().unwrap_or(0)),
-        AggFunc::Sum => AggState::Sum(if fields[0].is_null() {
-            None
-        } else {
-            Some(fields[0].clone())
-        }),
+/// Decodes the partial fields of `func` starting at column `at` of a
+/// partial row back into an accumulator for merging.
+///
+/// # Errors
+///
+/// A partial row too short to hold the fields.
+pub fn decode_partial<C: Columns + ?Sized>(
+    func: AggFunc,
+    row: &C,
+    at: usize,
+) -> Result<AggState, RelError> {
+    let first = row.column(at)?;
+    let non_null = || (!first.is_null()).then(|| first.clone());
+    Ok(match func {
+        AggFunc::Count => AggState::Count(first.as_int().unwrap_or(0)),
+        AggFunc::Sum => AggState::Sum(non_null()),
         AggFunc::Avg => AggState::Avg {
-            sum: fields[0].as_float().unwrap_or(0.0),
-            count: fields[1].as_int().unwrap_or(0),
+            sum: first.as_float().unwrap_or(0.0),
+            count: row.column(at + 1)?.as_int().unwrap_or(0),
         },
-        AggFunc::Min => AggState::Min(if fields[0].is_null() {
-            None
-        } else {
-            Some(fields[0].clone())
-        }),
-        AggFunc::Max => AggState::Max(if fields[0].is_null() {
-            None
-        } else {
-            Some(fields[0].clone())
-        }),
+        AggFunc::Min => AggState::Min(non_null()),
+        AggFunc::Max => AggState::Max(non_null()),
         AggFunc::CountDistinct => unreachable!("count(distinct) is not combinable"),
-    }
+    })
 }
 
 /// Feeds one raw row into a list of accumulators (shared by the combiner
 /// and the reduce-side raw aggregation). `count(*)`'s missing argument
 /// counts every row.
-pub fn update_states(
+pub fn update_states<C: Columns + ?Sized>(
     states: &mut [AggState],
     aggs: &[(AggFunc, Option<Expr>)],
-    row: &Row,
-) -> Result<(), ysmart_rel::RelError> {
+    row: &C,
+) -> Result<(), RelError> {
     for (state, (_, arg)) in states.iter_mut().zip(aggs) {
-        let v = match arg {
-            Some(e) => e.eval(row)?,
-            None => Value::Int(1), // count(*) counts rows
-        };
-        state.update(&v)?;
+        match arg {
+            Some(e) => state.update(e.eval_on(row)?.as_ref())?,
+            None => state.update(&Value::Int(1))?, // count(*) counts rows
+        }
     }
     Ok(())
 }
@@ -168,9 +165,9 @@ mod tests {
             for v in &xs[3..] {
                 b.update(v).unwrap();
             }
-            let mut merged = decode_partial(func, &encode_partial(&a));
+            let mut merged = decode_partial(func, &encode_partial(&a)[..], 0).unwrap();
             merged
-                .merge(&decode_partial(func, &encode_partial(&b)))
+                .merge(&decode_partial(func, &encode_partial(&b)[..], 0).unwrap())
                 .unwrap();
             assert_eq!(merged.finish(), direct.finish(), "{func}");
         }
@@ -181,7 +178,10 @@ mod tests {
         let s = AggFunc::Sum.new_state();
         let p = encode_partial(&s);
         assert!(p[0].is_null());
-        assert!(decode_partial(AggFunc::Sum, &p).finish().is_null());
+        assert!(decode_partial(AggFunc::Sum, &p[..], 0)
+            .unwrap()
+            .finish()
+            .is_null());
     }
 
     #[test]

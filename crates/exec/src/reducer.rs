@@ -11,9 +11,18 @@
 //! re-partitioning of intermediate tables inner and outer are actually
 //! avoided").
 //!
+//! A key group is never copied. Dispatch records, per stream, the
+//! *positions* of the values it may see; a stream row is a [`RowView`] into
+//! the value the engine handed over, and every operator reads its input —
+//! stream, direct-mode group or an earlier op's output — through [`Rows`].
+//! Rows are built only where something new exists: a computed stream
+//! projection, an aggregate, a join pair that survived its residual and the
+//! leading `Filter* [Project]` of the op's transform chain (fused into the
+//! op, see [`head_len`]), and whatever is finally emitted.
+//!
 //! Every value routed to a stream is counted via
-//! [`ReduceOutput::record_dispatch`], surfacing the post-shuffle fan-out of
-//! merged jobs in `JobMetrics::reduce_dispatches`. Evaluation errors —
+//! [`ReduceOutput::record_dispatches`], surfacing the post-shuffle fan-out
+//! of merged jobs in `JobMetrics::reduce_dispatches`. Evaluation errors —
 //! planner bugs, not data problems — abort the job via
 //! [`ReduceOutput::record_fatal`], which the engine turns into a typed
 //! `MapRedError::User` failure instead of a panic.
@@ -23,28 +32,234 @@ use std::sync::Arc;
 
 use ysmart_mapred::{ReduceOutput, Reducer};
 use ysmart_plan::JoinKind;
-use ysmart_rel::{AggState, Expr, Row, Value};
+use ysmart_rel::{AggFunc, AggState, Columns, Expr, RelError, Row, Value};
 
-use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, RSource};
+use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, PartialAgg, ROp, RSource};
 use crate::combiner::{decode_partial, update_states};
-use crate::rowop::apply_chain;
+use crate::error::ExecError;
+use crate::rowop::{apply_chain, project, RowOp};
 
 /// The CMF reducer for a job.
 #[derive(Debug)]
 pub struct CommonReducer {
     blueprint: Arc<JobBlueprint>,
     tagged: bool,
-    /// Per stream: the projection's column indices when every expression is
-    /// a plain column reference — the overwhelmingly common case, dispatched
-    /// without materialising a carried row or walking the expression tree.
-    plain_projections: Vec<Option<Vec<usize>>>,
-    /// Per-stream dispatch buffers, cleared and refilled for every key
-    /// group instead of reallocated — reduce tasks see thousands of groups.
-    streams: Vec<Vec<Row>>,
-    /// Retired dispatch rows, recycled across key groups: a projected row
-    /// reuses a spare row's allocation instead of hitting the allocator
-    /// once per dispatched value.
-    spare: Vec<Vec<Value>>,
+    /// Per stream: how its rows are read off the values dispatched to it.
+    plans: Vec<StreamPlan>,
+    /// Per op: the length of its transform chain's fused head.
+    head_lens: Vec<usize>,
+    /// Per stream: positions, in the key group's value slice, of the values
+    /// dispatched to it. Cleared and refilled for every key group instead
+    /// of reallocated — reduce tasks see thousands of groups.
+    picks: Vec<Vec<usize>>,
+    /// Per [`StreamPlan::Computed`] stream: its projected rows.
+    computed: Vec<Vec<Row>>,
+    /// The padded side of an outer join, as wide as the widest one.
+    nulls: Vec<Value>,
+}
+
+/// How a tagged stream's rows are obtained from the carried row
+/// (`value[1..]`, less the pad) of each value dispatched to it.
+#[derive(Debug)]
+enum StreamPlan {
+    /// Every projection is a plain column reference — the overwhelmingly
+    /// common case: a stream row is a view of the carried row's first
+    /// `need` columns, read through `map` unless the projection is the
+    /// identity.
+    View {
+        need: usize,
+        map: Option<Vec<usize>>,
+    },
+    /// Some projection computes: rows are materialised at dispatch.
+    Computed,
+}
+
+impl StreamPlan {
+    fn of(projection: &[Expr]) -> StreamPlan {
+        let plain: Option<Vec<usize>> = projection
+            .iter()
+            .map(|e| match e {
+                Expr::Column(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        match plain {
+            None => StreamPlan::Computed,
+            Some(cols) => StreamPlan::View {
+                need: cols.iter().map(|&c| c + 1).max().unwrap_or(0),
+                map: (!cols.iter().copied().eq(0..cols.len())).then_some(cols),
+            },
+        }
+    }
+}
+
+/// The columns of each base row that a [`Rows`] exposes.
+#[derive(Clone, Copy)]
+enum Window {
+    /// Columns `1..1 + n`: a tagged value's carried row, after the tag.
+    Carried(usize),
+    /// All but the last `n` columns: a direct-mode value less its pad;
+    /// `Trim(0)` is a whole row.
+    Trim(usize),
+}
+
+/// A borrowed run of rows — the one way operators, the fused transform head
+/// and the emit loop read an input, wherever it lives. Owns nothing.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    base: &'a [Row],
+    /// The positions in `base` that belong to the run; `None`: all of it.
+    pick: Option<&'a [usize]>,
+    window: Window,
+    /// Plain-column projection over the window; `None`: the window itself.
+    map: Option<&'a [usize]>,
+}
+
+impl<'a> Rows<'a> {
+    /// Whole rows, all of them: an op's owned output, a computed stream.
+    fn whole(base: &'a [Row]) -> Self {
+        Rows {
+            base,
+            pick: None,
+            window: Window::Trim(0),
+            map: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pick.map_or(self.base.len(), <[usize]>::len)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn get(&self, i: usize) -> RowView<'a> {
+        let vals = self.base[self.pick.map_or(i, |p| p[i])].values();
+        let vals = match self.window {
+            // Dispatch checked the carried row is at least this wide.
+            Window::Carried(n) => &vals[1..1 + n],
+            Window::Trim(n) => &vals[..vals.len().saturating_sub(n)],
+        };
+        RowView {
+            vals,
+            map: self.map,
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = RowView<'a>> {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+}
+
+/// One row of a [`Rows`]: a slice of someone else's values, optionally
+/// read through a column map.
+#[derive(Clone, Copy)]
+struct RowView<'a> {
+    vals: &'a [Value],
+    map: Option<&'a [usize]>,
+}
+
+impl Columns for RowView<'_> {
+    fn col(&self, i: usize) -> Option<&Value> {
+        match self.map {
+            None => self.vals.get(i),
+            Some(map) => self.vals.get(*map.get(i)?),
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.map.map_or(self.vals.len(), <[usize]>::len)
+    }
+}
+
+impl RowView<'_> {
+    /// Appends the row's values to `out` — the only place a view is copied.
+    fn extend_into(&self, out: &mut Vec<Value>) {
+        match self.map {
+            None => out.extend_from_slice(self.vals),
+            Some(map) => out.extend(map.iter().map(|&c| self.vals[c].clone())),
+        }
+    }
+
+    fn to_row(self) -> Row {
+        let mut vals = Vec::with_capacity(self.width());
+        self.extend_into(&mut vals);
+        Row::new(vals)
+    }
+}
+
+/// Length of the *fused head* of a transform chain: its leading `Filter`s
+/// and the `Project` right after them, if any. The head runs inside the op,
+/// on each candidate row while that is still a view, so a row is built once,
+/// at its final width, and only if it survives. Work accounting is that of
+/// [`RowOp::apply`] stage by stage: one unit per row *entering* a stage.
+/// `Sort` and `Limit` need the whole collection and end the head.
+fn head_len(transforms: &[RowOp]) -> usize {
+    let filters = transforms
+        .iter()
+        .take_while(|t| matches!(t, RowOp::Filter(_)))
+        .count();
+    filters + usize::from(matches!(transforms.get(filters), Some(RowOp::Project(_))))
+}
+
+/// Runs one candidate row through a fused head (see [`head_len`]) and
+/// pushes it to `out` if it survives — projected, or built by `whole` when
+/// the head has no `Project`.
+fn admit<C: Columns>(
+    head: &[RowOp],
+    cand: &C,
+    whole: impl FnOnce() -> Row,
+    out: &mut Vec<Row>,
+    work: &mut u64,
+) -> Result<(), RelError> {
+    for stage in head {
+        *work += 1;
+        match stage {
+            RowOp::Filter(pred) => {
+                if !pred.eval_predicate(cand)? {
+                    return Ok(());
+                }
+            }
+            RowOp::Project(exprs) => {
+                out.push(project(exprs, cand)?);
+                return Ok(());
+            }
+            RowOp::Sort(_) | RowOp::Limit(_) => unreachable!("not part of a fused head"),
+        }
+    }
+    out.push(whole());
+    Ok(())
+}
+
+/// Why a key group's evaluation aborted.
+enum Fatal {
+    /// An operator's own expression failed (message names which).
+    Op(String),
+    /// A transform of an op's chain failed.
+    Transform(ExecError),
+}
+
+impl From<ExecError> for Fatal {
+    fn from(e: ExecError) -> Self {
+        Fatal::Transform(e)
+    }
+}
+
+/// What [`admit`] fails with: an expression of the fused head.
+impl From<RelError> for Fatal {
+    fn from(e: RelError) -> Self {
+        Fatal::Transform(e.into())
+    }
+}
+
+impl Fatal {
+    fn message(&self, job: &str) -> String {
+        match self {
+            Fatal::Op(e) => format!("{e} (job {job})"),
+            Fatal::Transform(e) => format!("transform failed in {job}: {e}"),
+        }
+    }
 }
 
 /// One operator's output: owned rows, or an alias back to its input when
@@ -54,94 +269,247 @@ enum OpRows {
     Alias(RSource),
 }
 
+/// Follows alias chains: `Ok(op)` for an owned op output, `Err(stream)` for
+/// a stream-backed source.
+fn resolve(outputs: &[OpRows], mut src: RSource) -> Result<usize, usize> {
+    loop {
+        match src {
+            RSource::Stream(s) => return Err(s),
+            RSource::Op(o) => match &outputs[o] {
+                OpRows::Owned(_) => return Ok(o),
+                OpRows::Alias(a) => src = *a,
+            },
+        }
+    }
+}
+
+/// One key group after dispatch: everything the operator DAG reads.
+struct Group<'a> {
+    reducer: &'a CommonReducer,
+    values: &'a [Row],
+    pad_cols: usize,
+}
+
+impl<'a> Group<'a> {
+    fn stream(&self, s: usize) -> Rows<'a> {
+        let r = self.reducer;
+        if !r.tagged {
+            // Direct mode: the single stream's rows ARE the group slice.
+            return Rows {
+                base: if s == 0 { self.values } else { &[] },
+                pick: None,
+                window: Window::Trim(self.pad_cols),
+                map: None,
+            };
+        }
+        match &r.plans[s] {
+            StreamPlan::View { need, map } => Rows {
+                base: self.values,
+                pick: Some(&r.picks[s]),
+                window: Window::Carried(*need),
+                map: map.as_deref(),
+            },
+            StreamPlan::Computed => Rows::whole(&r.computed[s]),
+        }
+    }
+
+    fn source<'b>(&'b self, outputs: &'b [OpRows], src: RSource) -> Rows<'b> {
+        match resolve(outputs, src) {
+            Err(s) => self.stream(s),
+            Ok(o) => match &outputs[o] {
+                OpRows::Owned(rows) => Rows::whole(rows),
+                OpRows::Alias(_) => unreachable!("resolve returns owned ops"),
+            },
+        }
+    }
+
+    /// Evaluates the per-key operator DAG, in blueprint order.
+    fn eval_ops(&self, work: &mut u64) -> Result<Vec<OpRows>, Fatal> {
+        let ops = &self.reducer.blueprint.ops;
+        let mut outputs: Vec<OpRows> = Vec::with_capacity(ops.len());
+        for (op, &head_len) in ops.iter().zip(&self.reducer.head_lens) {
+            let evaluated = self.eval_op(op, head_len, &outputs, work)?;
+            outputs.push(evaluated);
+        }
+        Ok(outputs)
+    }
+
+    fn eval_op(
+        &self,
+        op: &ROp,
+        head_len: usize,
+        outputs: &[OpRows],
+        work: &mut u64,
+    ) -> Result<OpRows, Fatal> {
+        let (head, tail) = op.transforms.split_at(head_len);
+        let rows = match &op.kind {
+            OpKind::Pass => {
+                let input = self.source(outputs, op.inputs[0]);
+                *work += input.len() as u64;
+                if op.transforms.is_empty() {
+                    // Untransformed pass-through: alias the input rather
+                    // than copying every row of the group.
+                    return Ok(OpRows::Alias(op.inputs[0]));
+                }
+                let mut rows = Vec::new();
+                for row in input.iter() {
+                    admit(head, &row, || row.to_row(), &mut rows, work)?;
+                }
+                apply_chain(tail, rows, work)?
+            }
+            OpKind::Agg {
+                group_cols,
+                aggs,
+                having,
+                merge_partials,
+            } => {
+                let input = self.source(outputs, op.inputs[0]);
+                let rows = eval_agg(
+                    input,
+                    group_cols,
+                    aggs,
+                    having.as_ref(),
+                    *merge_partials,
+                    work,
+                )
+                .map_err(Fatal::Op)?;
+                // Already owned rows: nothing for a fused head to save.
+                apply_chain(&op.transforms, rows, work)?
+            }
+            OpKind::Join {
+                kind,
+                residual,
+                left_width,
+                right_width,
+            } => {
+                let join = Join {
+                    left: self.source(outputs, op.inputs[0]),
+                    right: self.source(outputs, op.inputs[1]),
+                    kind: *kind,
+                    residual: residual.as_ref(),
+                    left_pad: self.null_view(*left_width),
+                    right_pad: self.null_view(*right_width),
+                    head,
+                };
+                apply_chain(tail, join.eval(work)?, work)?
+            }
+        };
+        Ok(OpRows::Owned(rows))
+    }
+
+    fn null_view(&self, width: usize) -> RowView<'a> {
+        RowView {
+            vals: &self.reducer.nulls[..width],
+            map: None,
+        }
+    }
+}
+
 impl CommonReducer {
     /// Creates the reducer for a blueprint.
     #[must_use]
     pub fn new(blueprint: Arc<JobBlueprint>) -> Self {
-        let tagged = blueprint.tagged();
-        let plain_projections = blueprint
-            .streams
+        let streams = blueprint.streams.len();
+        let widest_pad = blueprint
+            .ops
             .iter()
-            .map(|spec| {
-                spec.projection
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Column(i) => Some(*i),
-                        _ => None,
-                    })
-                    .collect()
+            .map(|op| match op.kind {
+                OpKind::Join {
+                    left_width,
+                    right_width,
+                    ..
+                } => left_width.max(right_width),
+                _ => 0,
             })
-            .collect();
-        let streams = vec![Vec::new(); blueprint.streams.len()];
+            .max()
+            .unwrap_or(0);
         CommonReducer {
+            tagged: blueprint.tagged(),
+            plans: blueprint
+                .streams
+                .iter()
+                .map(|spec| StreamPlan::of(&spec.projection))
+                .collect(),
+            head_lens: blueprint
+                .ops
+                .iter()
+                .map(|op| head_len(&op.transforms))
+                .collect(),
+            picks: vec![Vec::new(); streams],
+            computed: vec![Vec::new(); streams],
+            nulls: vec![Value::Null; widest_pad],
             blueprint,
-            tagged,
-            plain_projections,
-            streams,
-            spare: Vec::new(),
         }
     }
 
-    fn source_rows<'a>(
-        streams: &'a [&'a [Row]],
-        op_outputs: &'a [OpRows],
-        mut src: RSource,
-    ) -> &'a [Row] {
-        loop {
-            match src {
-                RSource::Stream(s) => return streams[s],
-                RSource::Op(o) => match &op_outputs[o] {
-                    OpRows::Owned(rows) => return rows,
-                    OpRows::Alias(a) => src = *a,
-                },
+    /// Algorithm 1: one pass over the values, dispatch by (inverted) tag.
+    /// Records positions, not rows; only computed projections materialise.
+    fn dispatch(&mut self, values: &[Row], pad_cols: usize) -> Result<(), String> {
+        let CommonReducer {
+            blueprint: bp,
+            plans,
+            picks,
+            computed,
+            ..
+        } = self;
+        picks.iter_mut().for_each(Vec::clear);
+        computed.iter_mut().for_each(Vec::clear);
+        let failed = |err: String| format!("stream projection failed in {}: {err}", bp.name);
+        for (i, v) in values.iter().enumerate() {
+            let tag = v.get(0).ok().and_then(Value::as_int).unwrap_or(0) as u64;
+            let carried = v
+                .values()
+                .get(1..v.len().saturating_sub(pad_cols))
+                .unwrap_or(&[]);
+            for (s, plan) in plans.iter().enumerate() {
+                if tag & (1 << s) != 0 {
+                    continue; // inverted tag: this stream must not see it
+                }
+                match plan {
+                    StreamPlan::View { need, map } => {
+                        if carried.len() < *need {
+                            let missing = match map {
+                                None => carried.len(),
+                                Some(cols) => cols
+                                    .iter()
+                                    .copied()
+                                    .find(|&c| c >= carried.len())
+                                    .unwrap_or(carried.len()),
+                            };
+                            return Err(failed(format!("column {missing} out of range")));
+                        }
+                    }
+                    StreamPlan::Computed => computed[s].push(
+                        project(&bp.streams[s].projection, carried)
+                            .map_err(|e| failed(e.to_string()))?,
+                    ),
+                }
+                picks[s].push(i);
             }
         }
+        Ok(())
     }
 }
 
 impl Reducer for CommonReducer {
     fn reduce(&mut self, _key: &Row, values: &[Row], out: &mut ReduceOutput) {
-        let bp = &self.blueprint;
-        // ---- Algorithm 1: one pass over the values, dispatch by tag ------
-        // Retire the previous group's dispatch rows into the spare pool
-        // instead of freeing them.
-        for s in &mut self.streams {
-            self.spare.extend(s.drain(..).map(Row::into_values));
-        }
-        // Strip the Pig-style serialisation pad (one trailing column)
-        // before any processing. Tagged dispatch already re-slices every
-        // value, so there the pad is dropped by shortening that slice; only
-        // direct mode — where the group's rows feed the op DAG as-is — has
-        // to materialise unpadded rows.
-        let pad_cols = usize::from(bp.pad_bytes > 0);
-        let unpadded: Vec<Row>;
-        let values: &[Row] = if pad_cols > 0 && !self.tagged {
-            unpadded = values
-                .iter()
-                .map(|v| {
-                    let mut vals = v.values().to_vec();
-                    vals.pop();
-                    Row::new(vals)
-                })
-                .collect();
-            &unpadded
-        } else {
-            values
-        };
+        // The Pig-style serialisation pad (one trailing column) is never
+        // stripped, only left out of every window onto a value.
+        let pad_cols = usize::from(self.blueprint.pad_bytes > 0);
         // ---- hand-coded short-circuit (§VII-C case 4) ---------------------
         // The paper's hand-written reducer returns immediately when a
         // required input (e.g. the `orders` side with status 'F') has no
         // pairs for this key — *before* doing any per-value work. A cheap
         // tag-only pre-pass detects that; it costs roughly an eighth of a
         // full dispatch per value (an integer check vs. projection).
-        if !bp.short_circuit_streams.is_empty() && self.tagged {
+        if !self.blueprint.short_circuit_streams.is_empty() && self.tagged {
             let mut present = 0u64;
             for v in values {
                 let tag = v.get(0).ok().and_then(Value::as_int).unwrap_or(0) as u64;
                 present |= !tag;
             }
             out.add_work(values.len() as u64 / 8);
-            for &s in &bp.short_circuit_streams {
+            for &s in &self.blueprint.short_circuit_streams {
                 if present & (1 << s) == 0 {
                     return;
                 }
@@ -149,222 +517,79 @@ impl Reducer for CommonReducer {
         }
 
         if self.tagged {
-            for v in values {
-                let tag = v.get(0).ok().and_then(Value::as_int).unwrap_or(0) as u64;
-                let vals = &v.values()[1..v.len() - pad_cols];
-                // Materialised only for streams with computed projections.
-                let mut carried: Option<Row> = None;
-                for (s, spec) in bp.streams.iter().enumerate() {
-                    if tag & (1 << s) != 0 {
-                        continue; // inverted tag: this stream must not see it
-                    }
-                    out.add_work(1);
-                    out.record_dispatch(s);
-                    let projected: Result<Row, String> = match &self.plain_projections[s] {
-                        Some(cols) => {
-                            let mut buf = self.spare.pop().unwrap_or_default();
-                            buf.clear();
-                            buf.reserve(cols.len());
-                            let mut missing = None;
-                            for &c in cols {
-                                match vals.get(c) {
-                                    Some(v) => buf.push(v.clone()),
-                                    None => {
-                                        missing = Some(c);
-                                        break;
-                                    }
-                                }
-                            }
-                            match missing {
-                                None => Ok(Row::new(buf)),
-                                Some(c) => Err(format!("column {c} out of range")),
-                            }
-                        }
-                        None => {
-                            let carried = carried.get_or_insert_with(|| Row::new(vals.to_vec()));
-                            spec.projection
-                                .iter()
-                                .map(|e| e.eval(carried).map_err(|err| err.to_string()))
-                                .collect()
-                        }
-                    };
-                    let projected = match projected {
-                        Ok(p) => p,
-                        Err(err) => {
-                            out.record_fatal(format!(
-                                "stream projection failed in {}: {err}",
-                                bp.name
-                            ));
-                            return;
-                        }
-                    };
-                    self.streams[s].push(projected);
+            if let Err(msg) = self.dispatch(values, pad_cols) {
+                out.record_fatal(msg);
+                return;
+            }
+            for (s, pick) in self.picks.iter().enumerate() {
+                if !pick.is_empty() {
+                    out.record_dispatches(s, pick.len() as u64);
+                    out.add_work(pick.len() as u64);
                 }
             }
-        }
-        // Direct mode: the single stream's rows ARE the group slice — view
-        // it in place instead of copying every value row.
-        let stream_views: Vec<&[Row]> = if self.tagged {
-            self.streams.iter().map(Vec::as_slice).collect()
         } else {
             // Direct mode: every value of the group feeds the single stream.
             out.record_dispatches(0, values.len() as u64);
-            let mut views: Vec<&[Row]> = vec![&[]; bp.streams.len()];
-            views[0] = values;
-            views
+        }
+        let group = Group {
+            reducer: self,
+            values,
+            pad_cols,
         };
+        let bp = &group.reducer.blueprint;
 
         // Direct-mode short-circuit (single stream): empty groups never
         // reach the reducer, so only the tagged path above can skip keys;
         // this residual check keeps semantics for hand-built blueprints.
         for &s in &bp.short_circuit_streams {
-            if stream_views[s].is_empty() {
+            if group.stream(s).is_empty() {
                 return;
             }
         }
 
-        // ---- evaluate the per-key operator DAG ----------------------------
-        let mut op_outputs: Vec<OpRows> = Vec::with_capacity(bp.ops.len());
-        for op in &bp.ops {
-            let mut work = 0u64;
-            let rows = match &op.kind {
-                OpKind::Pass => {
-                    let input = Self::source_rows(&stream_views, &op_outputs, op.inputs[0]);
-                    work += input.len() as u64;
-                    if op.transforms.is_empty() {
-                        // Untransformed pass-through: alias the input rather
-                        // than copying every row of the group.
-                        out.add_work(work);
-                        op_outputs.push(OpRows::Alias(op.inputs[0]));
-                        continue;
-                    }
-                    input.to_vec()
-                }
-                OpKind::Agg {
-                    group_cols,
-                    aggs,
-                    having,
-                    merge_partials,
-                } => {
-                    let input = Self::source_rows(&stream_views, &op_outputs, op.inputs[0]);
-                    match eval_agg(
-                        input,
-                        group_cols,
-                        aggs,
-                        having.as_ref(),
-                        *merge_partials,
-                        &mut work,
-                    ) {
-                        Ok(rows) => rows,
-                        Err(e) => {
-                            out.add_work(work);
-                            out.record_fatal(format!("{e} (job {})", bp.name));
-                            return;
-                        }
-                    }
-                }
-                OpKind::Join {
-                    kind,
-                    residual,
-                    left_width,
-                    right_width,
-                } => {
-                    let left = Self::source_rows(&stream_views, &op_outputs, op.inputs[0]);
-                    let right = Self::source_rows(&stream_views, &op_outputs, op.inputs[1]);
-                    match eval_join(
-                        left,
-                        right,
-                        *kind,
-                        residual.as_ref(),
-                        *left_width,
-                        *right_width,
-                        &mut work,
-                    ) {
-                        Ok(rows) => rows,
-                        Err(e) => {
-                            out.add_work(work);
-                            out.record_fatal(format!("{e} (job {})", bp.name));
-                            return;
-                        }
-                    }
-                }
-            };
-            let rows = match apply_chain(&op.transforms, rows, &mut work) {
-                Ok(rows) => rows,
-                Err(e) => {
-                    out.add_work(work);
-                    out.record_fatal(format!("transform failed in {}: {e}", bp.name));
-                    return;
-                }
-            };
-            out.add_work(work);
-            op_outputs.push(OpRows::Owned(rows));
-        }
+        let mut work = 0u64;
+        let evaluated = group.eval_ops(&mut work);
+        out.add_work(work);
+        let mut outputs = match evaluated {
+            Ok(outputs) => outputs,
+            Err(fatal) => {
+                out.record_fatal(fatal.message(&bp.name));
+                return;
+            }
+        };
 
         // ---- emit only the final source(s) (§VI-B) -------------------------
         // Typed rows, not pre-rendered lines: the engine renders text or
         // packs columnar frames depending on the job's data format. An
         // emit source that resolves to an op's owned output is *moved*
         // out, not cloned — for intermediate jobs this is the entire next
-        // job's input; only stream-backed emits (borrowed from the value
-        // slice) still copy.
-        // Resolve alias chains up front: `Ok(op)` for an owned op output,
-        // `Err(stream)` for a stream-backed source.
-        let resolve = |op_outputs: &[OpRows], mut src: RSource| -> Result<usize, usize> {
-            loop {
-                match src {
-                    RSource::Stream(s) => return Err(s),
-                    RSource::Op(o) => match &op_outputs[o] {
-                        OpRows::Owned(_) => return Ok(o),
-                        OpRows::Alias(a) => src = *a,
-                    },
-                }
-            }
+        // job's input; stream-backed emits are where a view is finally
+        // copied.
+        let (sources, tagged_emit) = match &bp.emit {
+            EmitSpec::Single(src) => (std::slice::from_ref(src), false),
+            EmitSpec::Tagged(srcs) => (srcs.as_slice(), true),
         };
-        match &bp.emit {
-            EmitSpec::Single(src) => match resolve(&op_outputs, *src) {
+        for (i, &src) in sources.iter().enumerate() {
+            let tag = tagged_emit.then_some(i as i64);
+            let mut emit = |row: Row| match tag {
+                Some(tag) => out.emit_tagged_row(tag, row),
+                None => out.emit_row(row),
+            };
+            match resolve(&outputs, src) {
+                Err(s) => group.stream(s).iter().for_each(|v| emit(v.to_row())),
                 Ok(o) => {
-                    let OpRows::Owned(rows) = &mut op_outputs[o] else {
+                    // Move only the last emit backed by this op — an
+                    // earlier take would empty a repeated source.
+                    let again = sources[i + 1..]
+                        .iter()
+                        .any(|&later| resolve(&outputs, later) == Ok(o));
+                    let OpRows::Owned(rows) = &mut outputs[o] else {
                         unreachable!("resolve returns owned ops")
                     };
-                    for row in std::mem::take(rows) {
-                        out.emit_row(row);
-                    }
-                }
-                Err(s) => {
-                    for row in stream_views[s] {
-                        out.emit_row(row.clone());
-                    }
-                }
-            },
-            EmitSpec::Tagged(srcs) => {
-                let resolved: Vec<Result<usize, usize>> =
-                    srcs.iter().map(|&s| resolve(&op_outputs, s)).collect();
-                for (tag, res) in resolved.iter().enumerate() {
-                    match *res {
-                        // Move only the last emit backed by this op — an
-                        // earlier take would empty a repeated source.
-                        Ok(o) if !resolved[tag + 1..].contains(&Ok(o)) => {
-                            let OpRows::Owned(rows) = &mut op_outputs[o] else {
-                                unreachable!("resolve returns owned ops")
-                            };
-                            for row in std::mem::take(rows) {
-                                out.emit_tagged_row(tag as i64, row);
-                            }
-                        }
-                        Ok(o) => {
-                            let OpRows::Owned(rows) = &op_outputs[o] else {
-                                unreachable!("resolve returns owned ops")
-                            };
-                            for row in rows {
-                                out.emit_tagged_row(tag as i64, row.clone());
-                            }
-                        }
-                        Err(s) => {
-                            for row in stream_views[s] {
-                                out.emit_tagged_row(tag as i64, row.clone());
-                            }
-                        }
+                    if again {
+                        rows.iter().cloned().for_each(&mut emit);
+                    } else {
+                        std::mem::take(rows).into_iter().for_each(&mut emit);
                     }
                 }
             }
@@ -372,72 +597,73 @@ impl Reducer for CommonReducer {
     }
 }
 
-/// Grouped aggregation within one key group.
+/// Grouped aggregation within one key group. The group is almost always
+/// the reduce key itself, so rows accumulate into a single current group,
+/// recognised by comparing the row's group columns in place; the ordered
+/// map only comes into play when a second group key appears (Q-CSA's AGG1
+/// groups by `(uid, ts1)` inside a `uid` partition), and then holds every
+/// group but the current one.
 fn eval_agg(
-    input: &[Row],
+    input: Rows<'_>,
     group_cols: &[usize],
-    aggs: &[(ysmart_rel::AggFunc, Option<Expr>)],
+    aggs: &[(AggFunc, Option<Expr>)],
     having: Option<&Expr>,
     merge_partials: bool,
     work: &mut u64,
 ) -> Result<Vec<Row>, String> {
-    let update = |states: &mut [AggState], row: &Row| -> Result<(), String> {
+    let update = |states: &mut [AggState], row: &RowView<'_>| -> Result<(), String> {
         if merge_partials {
             // Partial fields follow the group columns in combiner layout.
             let mut offset = group_cols.len();
             for (state, (func, _)) in states.iter_mut().zip(aggs) {
-                let width = crate::blueprint::PartialAgg::partial_width(*func);
-                let fields = &row.values()[offset..offset + width];
-                let partial = decode_partial(*func, fields);
-                state
-                    .merge(&partial)
+                decode_partial(*func, row, offset)
+                    .and_then(|partial| state.merge(&partial))
                     .map_err(|e| format!("partial merge failed: {e}"))?;
-                offset += width;
+                offset += PartialAgg::partial_width(*func);
             }
+            Ok(())
         } else {
-            update_states(states, aggs, row).map_err(|e| format!("aggregation failed: {e}"))?;
+            update_states(states, aggs, row).map_err(|e| format!("aggregation failed: {e}"))
         }
-        Ok(())
     };
-    let finished: Vec<(Vec<Value>, Vec<AggState>)> = if group_cols.is_empty() && !input.is_empty() {
-        // Single group (the reduce key is the whole GROUP BY): no per-row
-        // group vector, no map. Empty input still yields no groups, as the
-        // map-based path does.
-        let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| f.new_state()).collect();
-        for row in input {
-            *work += 1;
-            update(&mut states, row)?;
+    let mut current: Option<(Vec<Value>, Vec<AggState>)> = None;
+    let mut others: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
+    for row in input.iter() {
+        *work += 1;
+        let group_val = |&c: &usize| row.col(c).unwrap_or(&Value::Null);
+        let same_group = current
+            .as_ref()
+            .is_some_and(|(key, _)| group_cols.iter().map(group_val).eq(key));
+        if !same_group {
+            // Sized for the output row it ends up as: group, then aggregates.
+            let mut key = Vec::with_capacity(group_cols.len() + aggs.len());
+            key.extend(group_cols.iter().map(group_val).cloned());
+            let next = others
+                .remove_entry(&key)
+                .unwrap_or_else(|| (key, aggs.iter().map(|(f, _)| f.new_state()).collect()));
+            if let Some((key, states)) = current.replace(next) {
+                others.insert(key, states);
+            }
         }
-        vec![(Vec::new(), states)]
-    } else {
-        let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-        for row in input {
-            *work += 1;
-            let group: Vec<Value> = group_cols
-                .iter()
-                .map(|&c| row.get(c).cloned().unwrap_or(Value::Null))
-                .collect();
-            let states = groups
-                .entry(group)
-                .or_insert_with(|| aggs.iter().map(|(f, _)| f.new_state()).collect());
-            update(states, row)?;
-        }
-        groups.into_iter().collect()
-    };
-    let mut out = Vec::with_capacity(finished.len());
-    for (group, states) in finished {
+        let (_, states) = current.as_mut().expect("set for this row's group");
+        update(states, &row)?;
+    }
+    // Groups leave in key order; a lone group never touches the map.
+    if !others.is_empty() {
+        others.extend(current.take());
+    }
+    let mut out = Vec::with_capacity(others.len() + 1);
+    for (group, states) in current.into_iter().chain(others) {
         let mut vals = group;
-        for s in &states {
-            vals.push(s.finish());
-        }
+        vals.extend(states.iter().map(AggState::finish));
         let row = Row::new(vals);
-        if let Some(h) = having {
-            match h.eval_predicate(&row) {
-                Ok(true) => out.push(row),
-                Ok(false) => {}
-                Err(e) => return Err(format!("HAVING failed: {e}")),
-            }
-        } else {
+        let keep = match having {
+            None => true,
+            Some(h) => h
+                .eval_predicate(&row)
+                .map_err(|e| format!("HAVING failed: {e}"))?,
+        };
+        if keep {
             out.push(row);
         }
     }
@@ -446,47 +672,65 @@ fn eval_agg(
 
 /// Equi-join within one key group: the partition key is the full equi-key,
 /// so every left row pairs with every right row; the residual predicate and
-/// outer-join padding do the rest.
-fn eval_join(
-    left: &[Row],
-    right: &[Row],
+/// outer-join padding do the rest. The residual and the fused head are
+/// evaluated on the pair as two views side by side, so a pair is only
+/// concatenated — or projected straight to its final width — once it has
+/// survived both.
+struct Join<'a> {
+    left: Rows<'a>,
+    right: Rows<'a>,
     kind: JoinKind,
-    residual: Option<&Expr>,
-    left_width: usize,
-    right_width: usize,
-    work: &mut u64,
-) -> Result<Vec<Row>, String> {
-    let mut out = Vec::new();
-    let mut right_matched = vec![false; right.len()];
-    for l in left {
-        let mut matched = false;
-        for (ri, r) in right.iter().enumerate() {
-            *work += 1;
-            let joined = l.concat(r);
-            let pass = match residual {
-                None => true,
-                Some(p) => p
-                    .eval_predicate(&joined)
-                    .map_err(|e| format!("join residual failed: {e}"))?,
+    residual: Option<&'a Expr>,
+    /// All-NULL stand-ins for the missing side of an outer-join row.
+    left_pad: RowView<'a>,
+    right_pad: RowView<'a>,
+    head: &'a [RowOp],
+}
+
+impl Join<'_> {
+    fn eval(&self, work: &mut u64) -> Result<Vec<Row>, Fatal> {
+        let mut out = Vec::new();
+        let mut emit = |l: RowView<'_>, r: RowView<'_>, work: &mut u64| {
+            let concat = || {
+                let mut vals = Vec::with_capacity(l.width() + r.width());
+                l.extend_into(&mut vals);
+                r.extend_into(&mut vals);
+                Row::new(vals)
             };
-            if pass {
-                matched = true;
-                right_matched[ri] = true;
-                out.push(joined);
+            admit(self.head, &(l, r), concat, &mut out, work)
+        };
+        let pads_left = matches!(self.kind, JoinKind::RightOuter | JoinKind::FullOuter);
+        let pads_right = matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter);
+        let mut right_matched = vec![false; if pads_left { self.right.len() } else { 0 }];
+        for l in self.left.iter() {
+            let mut matched = false;
+            for (ri, r) in self.right.iter().enumerate() {
+                *work += 1;
+                let pass = match self.residual {
+                    None => true,
+                    Some(p) => p
+                        .eval_predicate(&(l, r))
+                        .map_err(|e| Fatal::Op(format!("join residual failed: {e}")))?,
+                };
+                if pass {
+                    matched = true;
+                    if pads_left {
+                        right_matched[ri] = true;
+                    }
+                    emit(l, r, work)?;
+                }
+            }
+            if !matched && pads_right {
+                emit(l, self.right_pad, work)?;
             }
         }
-        if !matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-            out.push(l.concat(&Row::nulls(right_width)));
-        }
-    }
-    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-        for (ri, r) in right.iter().enumerate() {
-            if !right_matched[ri] {
-                out.push(Row::nulls(left_width).concat(r));
+        for (ri, r) in self.right.iter().enumerate() {
+            if pads_left && !right_matched[ri] {
+                emit(self.left_pad, r, work)?;
             }
         }
+        Ok(out)
     }
-    Ok(out)
 }
 
 #[cfg(test)]

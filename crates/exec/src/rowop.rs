@@ -5,8 +5,10 @@
 //! itself"); they run as cheap per-row transforms on the output of the
 //! operator they are attached to.
 
+use std::borrow::Cow;
 use ysmart_rel::sort::sort_rows;
-use ysmart_rel::{Expr, Row, SortKey};
+
+use ysmart_rel::{Columns, Expr, RelError, Row, SortKey};
 
 use crate::error::ExecError;
 
@@ -45,11 +47,7 @@ impl RowOp {
             RowOp::Project(exprs) => {
                 let mut out = Vec::with_capacity(rows.len());
                 for r in rows {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        vals.push(e.eval(&r)?);
-                    }
-                    out.push(Row::new(vals));
+                    out.push(project(exprs, &r)?);
                 }
                 Ok(out)
             }
@@ -63,6 +61,15 @@ impl RowOp {
             }
         }
     }
+}
+
+/// Computes one projected row from anything addressable by column.
+pub(crate) fn project<C: Columns + ?Sized>(exprs: &[Expr], row: &C) -> Result<Row, RelError> {
+    let mut vals = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        vals.push(e.eval_on(row).map(Cow::into_owned)?);
+    }
+    Ok(Row::new(vals))
 }
 
 /// Applies a transform chain in order.

@@ -26,6 +26,7 @@
 //! [`MapRedError::CorruptBlock`].
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,11 +142,22 @@ pub fn untag_batch(batch: &ColumnBatch, want: i64) -> ColumnBatch {
 /// invariant and the property suite exercises it.
 #[derive(Debug, Clone)]
 pub struct Hdfs {
-    files: BTreeMap<String, DataFile>,
+    files: BTreeMap<String, Stored>,
     /// Data-node count of the per-node disk model (≥ 1).
     nodes: usize,
     /// Bytes stored per node; `node_used.iter().sum() == total_bytes()`.
     node_used: Vec<u64>,
+}
+
+/// A stored file and the memo of its content checksum. The memo lives and
+/// dies with the entry, so overwriting or deleting a path drops it.
+#[derive(Debug, Clone)]
+struct Stored {
+    file: DataFile,
+    /// [`file_checksum`] of `file`, computed on the first
+    /// [`Hdfs::checksum`] call: loading a table, and a service that never
+    /// fingerprints, pay nothing for it.
+    checksum: OnceLock<u64>,
 }
 
 impl Default for Hdfs {
@@ -181,9 +193,9 @@ impl Hdfs {
     pub fn set_nodes(&mut self, nodes: usize) {
         self.nodes = nodes.max(1);
         self.node_used = vec![0; self.nodes];
-        for (path, file) in &self.files {
+        for (path, stored) in &self.files {
             let n = node_index(path, self.nodes);
-            self.node_used[n] += file.bytes();
+            self.node_used[n] += stored.file.bytes();
         }
     }
 
@@ -199,8 +211,12 @@ impl Hdfs {
     fn store(&mut self, path: &str, file: DataFile) {
         let n = node_index(path, self.nodes);
         let new_bytes = file.bytes();
-        if let Some(old) = self.files.insert(path.to_string(), file) {
-            self.node_used[n] -= old.bytes();
+        let stored = Stored {
+            file,
+            checksum: OnceLock::new(),
+        };
+        if let Some(old) = self.files.insert(path.to_string(), stored) {
+            self.node_used[n] -= old.file.bytes();
         }
         self.node_used[n] += new_bytes;
     }
@@ -239,9 +255,25 @@ impl Hdfs {
     ///
     /// [`MapRedError::NoSuchFile`] when absent.
     pub fn get(&self, path: &str) -> Result<&DataFile, MapRedError> {
+        self.stored(path).map(|s| &s.file)
+    }
+
+    fn stored(&self, path: &str) -> Result<&Stored, MapRedError> {
         self.files
             .get(path)
             .ok_or_else(|| MapRedError::NoSuchFile(path.to_string()))
+    }
+
+    /// [`file_checksum`] of the file at `path`, hashed once per stored file
+    /// however often it is asked for — a base table's identity in a reuse
+    /// fingerprint is requested by every job of every query that reads it.
+    ///
+    /// # Errors
+    ///
+    /// [`MapRedError::NoSuchFile`] when absent.
+    pub fn checksum(&self, path: &str) -> Result<u64, MapRedError> {
+        let stored = self.stored(path)?;
+        Ok(*stored.checksum.get_or_init(|| file_checksum(&stored.file)))
     }
 
     /// Whether a path exists.
@@ -255,7 +287,7 @@ impl Hdfs {
     pub fn delete(&mut self, path: &str) {
         if let Some(old) = self.files.remove(path) {
             let n = node_index(path, self.nodes);
-            self.node_used[n] -= old.bytes();
+            self.node_used[n] -= old.file.bytes();
         }
     }
 
@@ -267,7 +299,7 @@ impl Hdfs {
     /// Total bytes stored.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(DataFile::bytes).sum()
+        self.files.values().map(|s| s.file.bytes()).sum()
     }
 
     /// Per-node used bytes of the disk model, indexed by node.
@@ -289,8 +321,8 @@ impl Hdfs {
     #[must_use]
     pub fn accounting_reconciled(&self) -> bool {
         let mut recomputed = vec![0u64; self.nodes];
-        for (path, file) in &self.files {
-            recomputed[node_index(path, self.nodes)] += file.bytes();
+        for (path, stored) in &self.files {
+            recomputed[node_index(path, self.nodes)] += stored.file.bytes();
         }
         recomputed == self.node_used && self.node_used.iter().sum::<u64>() == self.total_bytes()
     }
@@ -671,6 +703,30 @@ mod tests {
         };
         assert_ne!(file_checksum(&text), file_checksum(&col));
         assert_eq!(file_checksum(&col), file_checksum(&col.clone()));
+    }
+
+    #[test]
+    fn memoised_checksum_tracks_overwrite_and_delete() {
+        let mut fs = Hdfs::new();
+        fs.put("data/t", lines());
+        let fresh = |fs: &Hdfs| file_checksum(fs.get("data/t").unwrap());
+        let first = fs.checksum("data/t").unwrap();
+        assert_eq!(first, fresh(&fs));
+        assert_eq!(fs.checksum("data/t").unwrap(), first, "memo is stable");
+        // A clone carries the memo with the file, and stays independent.
+        let snapshot = fs.clone();
+        fs.put("data/t", vec!["other".into()]);
+        assert_eq!(fs.checksum("data/t").unwrap(), fresh(&fs));
+        assert_ne!(fs.checksum("data/t").unwrap(), first);
+        assert_eq!(snapshot.checksum("data/t").unwrap(), first);
+        fs.delete("data/t");
+        assert!(matches!(
+            fs.checksum("data/t"),
+            Err(MapRedError::NoSuchFile(_))
+        ));
+        // Re-creating the path starts from nothing remembered.
+        fs.put_frames("data/t", vec![frame()]);
+        assert_eq!(fs.checksum("data/t").unwrap(), fresh(&fs));
     }
 
     #[test]

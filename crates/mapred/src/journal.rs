@@ -388,8 +388,7 @@ const TAG_ADMITTED: u8 = 1;
 const TAG_JOB_DONE: u8 = 2;
 const TAG_DONE: u8 = 3;
 
-fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
+fn encode_record(out: &mut Vec<u8>, rec: &JournalRecord) {
     match rec {
         JournalRecord::Admitted {
             id,
@@ -400,14 +399,14 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             submit_s,
             payload,
         } => {
-            put_u8(&mut out, TAG_ADMITTED);
-            put_u64(&mut out, *id);
-            put_str(&mut out, tenant);
-            put_str(&mut out, label);
-            put_u64(&mut out, *seed);
-            put_opt_f64(&mut out, *deadline_s);
-            put_f64(&mut out, *submit_s);
-            put_str(&mut out, payload);
+            put_u8(out, TAG_ADMITTED);
+            put_u64(out, *id);
+            put_str(out, tenant);
+            put_str(out, label);
+            put_u64(out, *seed);
+            put_opt_f64(out, *deadline_s);
+            put_f64(out, *submit_s);
+            put_str(out, payload);
         }
         JournalRecord::JobDone {
             id,
@@ -417,19 +416,19 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             file,
             metrics,
         } => {
-            put_u8(&mut out, TAG_JOB_DONE);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *job_index);
-            put_u32(&mut out, *attempt);
-            put_str(&mut out, output_path);
-            encode_data_file(&mut out, file);
-            encode_job_metrics(&mut out, metrics);
+            put_u8(out, TAG_JOB_DONE);
+            put_u64(out, *id);
+            put_u32(out, *job_index);
+            put_u32(out, *attempt);
+            put_str(out, output_path);
+            encode_data_file(out, file);
+            encode_job_metrics(out, metrics);
         }
         JournalRecord::Done { id, kind, done_s } => {
-            put_u8(&mut out, TAG_DONE);
-            put_u64(&mut out, *id);
+            put_u8(out, TAG_DONE);
+            put_u64(out, *id);
             put_u8(
-                &mut out,
+                out,
                 match kind {
                     DispositionKind::Completed => 0,
                     DispositionKind::DeadlineCancelled => 1,
@@ -437,10 +436,9 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
                     DispositionKind::Failed => 3,
                 },
             );
-            put_f64(&mut out, *done_s);
+            put_f64(out, *done_s);
         }
     }
-    out
 }
 
 fn decode_record(payload: &[u8]) -> Parsed<JournalRecord> {
@@ -480,14 +478,12 @@ fn decode_record(payload: &[u8]) -> Parsed<JournalRecord> {
     Ok(rec)
 }
 
-/// Checksum covering the frame: the length field and the payload, so a
-/// flipped length cannot mis-frame the stream undetected.
-fn frame_checksum(len: u32, payload: &[u8]) -> u64 {
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&len.to_le_bytes());
-    framed.extend_from_slice(payload);
-    checksum_bytes(&framed)
-}
+/// Bytes of a frame's header: the checksum (`u64`), then the payload
+/// length (`u32`). The checksum covers the length field *and* the payload —
+/// contiguous in the stream right after it — so a flipped length cannot
+/// mis-frame the stream undetected.
+const FRAME_HEADER: usize = 12;
+const FRAME_CHECKSUM: usize = 8;
 
 /// What [`recover`] salvaged from a journal byte stream.
 #[derive(Debug, Clone)]
@@ -532,20 +528,20 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, MapRedError> {
     let mut records = Vec::new();
     while pos < bytes.len() {
         let rem = bytes.len() - pos;
-        if rem < 12 {
+        if rem < FRAME_HEADER {
             return Ok(torn(records, pos));
         }
-        // `rem >= 12` guarantees these slices, but a torn tail is always
+        // `rem >= FRAME_HEADER` guarantees these slices, but a torn tail is always
         // the safe answer if the header cannot be read — never a panic.
         let (Ok(stored_b), Ok(len_b)) = (
-            <[u8; 8]>::try_from(&bytes[pos..pos + 8]),
-            <[u8; 4]>::try_from(&bytes[pos + 8..pos + 12]),
+            <[u8; 8]>::try_from(&bytes[pos..pos + FRAME_CHECKSUM]),
+            <[u8; 4]>::try_from(&bytes[pos + FRAME_CHECKSUM..pos + FRAME_HEADER]),
         ) else {
             return Ok(torn(records, pos));
         };
         let stored = u64::from_le_bytes(stored_b);
         let len = u32::from_le_bytes(len_b);
-        let Some(payload_end) = (pos + 12).checked_add(len as usize) else {
+        let Some(payload_end) = (pos + FRAME_HEADER).checked_add(len as usize) else {
             return Ok(torn(records, pos));
         };
         if payload_end > bytes.len() {
@@ -554,9 +550,9 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, MapRedError> {
             // from one, and handled the same safe way).
             return Ok(torn(records, pos));
         }
-        let payload = &bytes[pos + 12..payload_end];
+        let payload = &bytes[pos + FRAME_HEADER..payload_end];
         let last_frame = payload_end == bytes.len();
-        if frame_checksum(len, payload) != stored {
+        if checksum_bytes(&bytes[pos + FRAME_CHECKSUM..payload_end]) != stored {
             if last_frame {
                 return Ok(torn(records, pos));
             }
@@ -681,12 +677,17 @@ impl Journal {
     /// Appends one record to the in-memory buffer ([`Journal::flush`]
     /// persists it).
     pub fn append(&mut self, rec: &JournalRecord) {
-        let payload = encode_record(rec);
-        let len = payload.len() as u32;
-        self.bytes
-            .extend_from_slice(&frame_checksum(len, &payload).to_le_bytes());
-        self.bytes.extend_from_slice(&len.to_le_bytes());
-        self.bytes.extend_from_slice(&payload);
+        // Encode in place behind a reserved header, then fill the header
+        // in: a `JobDone` payload inlines a whole job output and is not
+        // worth copying to frame it.
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; FRAME_HEADER]);
+        encode_record(&mut self.bytes, rec);
+        let len = (self.bytes.len() - start - FRAME_HEADER) as u32;
+        self.bytes[start + FRAME_CHECKSUM..start + FRAME_HEADER]
+            .copy_from_slice(&len.to_le_bytes());
+        let checksum = checksum_bytes(&self.bytes[start + FRAME_CHECKSUM..]);
+        self.bytes[start..start + FRAME_CHECKSUM].copy_from_slice(&checksum.to_le_bytes());
         self.records += 1;
     }
 

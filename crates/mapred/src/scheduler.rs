@@ -576,6 +576,11 @@ impl Scheduler<'_> {
         let Some(fp) = job.fingerprint else {
             return;
         };
+        // `insert` would drop the entry anyway — on every cache hit and
+        // every recovery replay; don't deep-copy the output to find out.
+        if cache.capacity_bytes() == 0 || cache.contains(fp) {
+            return;
+        }
         // Normalize the committed attempt to 0: a consumer fast-forwarding
         // this entry is on its own first attempt, and the journal record
         // of that consumer's commit must replay against attempt 0 too.

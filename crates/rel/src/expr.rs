@@ -95,6 +95,76 @@ impl fmt::Display for UnOp {
     }
 }
 
+/// Anything an expression can read columns from: an owned [`Row`], a
+/// borrowed slice of values, or two of those side by side. The evaluator is
+/// written against this, so executors evaluate over views of rows they have
+/// not built (a join pair before it is concatenated, a window into a
+/// shuffled value) instead of materialising a `Row` first.
+pub trait Columns {
+    /// The value at column `i`, `None` past the end.
+    fn col(&self, i: usize) -> Option<&Value>;
+
+    /// Number of addressable columns.
+    fn width(&self) -> usize;
+
+    /// The value at column `i`.
+    ///
+    /// # Errors
+    ///
+    /// [`RelError::ColumnOutOfBounds`] past the end.
+    fn column(&self, i: usize) -> Result<&Value, RelError> {
+        self.col(i).ok_or_else(|| RelError::ColumnOutOfBounds {
+            index: i,
+            width: self.width(),
+        })
+    }
+}
+
+impl Columns for Row {
+    fn col(&self, i: usize) -> Option<&Value> {
+        self.values().get(i)
+    }
+
+    fn width(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Columns for [Value] {
+    fn col(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+
+    fn width(&self) -> usize {
+        self.len()
+    }
+}
+
+impl<C: Columns + ?Sized> Columns for &C {
+    fn col(&self, i: usize) -> Option<&Value> {
+        (**self).col(i)
+    }
+
+    fn width(&self) -> usize {
+        (**self).width()
+    }
+}
+
+/// Two column sources side by side: the right one's columns follow the
+/// left one's, as in the concatenated row of a join pair.
+impl<L: Columns, R: Columns> Columns for (L, R) {
+    fn col(&self, i: usize) -> Option<&Value> {
+        match i.checked_sub(self.0.width()) {
+            None => self.0.col(i),
+            Some(j) => self.1.col(j),
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.0.width() + self.1.width()
+    }
+}
+
 /// A resolved scalar expression.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
@@ -187,29 +257,37 @@ impl Expr {
     /// Propagates type mismatches, out-of-bounds columns and division by
     /// zero from the value layer.
     pub fn eval(&self, row: &Row) -> Result<Value, RelError> {
-        self.eval_cow(row).map(Cow::into_owned)
+        self.eval_on(row).map(Cow::into_owned)
     }
 
-    /// The borrowing evaluator behind [`Expr::eval`]: column references and
-    /// literals are returned as borrows, so a comparison like `#2 = 'F'`
-    /// never clones the operand strings. Only computed results are owned.
-    fn eval_cow<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>, RelError> {
+    /// The evaluator, over anything addressable by column. Column
+    /// references and literals are returned as borrows, so a comparison
+    /// like `#2 = 'F'` never clones the operand strings. Only computed
+    /// results are owned.
+    ///
+    /// # Errors
+    ///
+    /// As [`Expr::eval`].
+    pub fn eval_on<'a, C: Columns + ?Sized>(
+        &'a self,
+        row: &'a C,
+    ) -> Result<Cow<'a, Value>, RelError> {
         match self {
-            Expr::Column(i) => row.get(*i).map(Cow::Borrowed),
+            Expr::Column(i) => row.column(*i).map(Cow::Borrowed),
             Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+            Expr::Binary { op, .. } if op.is_predicate() => {
+                Ok(Cow::Owned(match self.truth(row)? {
+                    Some(b) => Value::Bool(b),
+                    None => Value::Null,
+                }))
+            }
             Expr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval_cow(row)?;
-                // Kleene AND/OR can short-circuit on a definite side.
-                match op {
-                    BinOp::And | BinOp::Or => eval_logic(*op, &l, || rhs.eval(row)).map(Cow::Owned),
-                    _ => {
-                        let r = rhs.eval_cow(row)?;
-                        eval_binary(*op, &l, &r).map(Cow::Owned)
-                    }
-                }
+                let l = lhs.eval_on(row)?;
+                let r = rhs.eval_on(row)?;
+                eval_arith(*op, &l, &r).map(Cow::Owned)
             }
             Expr::Unary { op, operand } => {
-                let v = operand.eval_cow(row)?;
+                let v = operand.eval_on(row)?;
                 eval_unary(*op, &v).map(Cow::Owned)
             }
         }
@@ -217,8 +295,43 @@ impl Expr {
 
     /// Evaluates the expression as a predicate: `true` only on definite SQL
     /// `TRUE` (NULL/unknown does not pass, per SQL semantics).
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool, RelError> {
-        Ok(self.eval_cow(row)?.as_bool().unwrap_or(false))
+    ///
+    /// # Errors
+    ///
+    /// As [`Expr::eval`].
+    pub fn eval_predicate<C: Columns + ?Sized>(&self, row: &C) -> Result<bool, RelError> {
+        Ok(self.truth(row)? == Some(true))
+    }
+
+    /// The expression's three-valued truth (`None` is SQL unknown; a
+    /// non-boolean value is unknown too). `AND`/`OR` recurse here so the
+    /// Kleene table never round-trips through a `Value`, and a comparison
+    /// whose operands are columns or literals compares them in place.
+    fn truth<C: Columns + ?Sized>(&self, row: &C) -> Result<Option<bool>, RelError> {
+        match self {
+            Expr::Binary { op, lhs, rhs } if matches!(op, BinOp::And | BinOp::Or) => {
+                kleene(*op, lhs.truth(row)?, || rhs.truth(row))
+            }
+            Expr::Binary { op, lhs, rhs } if op.is_predicate() => {
+                match (lhs.operand(row), rhs.operand(row)) {
+                    (Some(l), Some(r)) => Ok(compare(*op, l?, r?)),
+                    _ => Ok(compare(*op, &*lhs.eval_on(row)?, &*rhs.eval_on(row)?)),
+                }
+            }
+            _ => Ok(self.eval_on(row)?.as_bool()),
+        }
+    }
+
+    /// A column reference or literal, borrowed without evaluating anything.
+    fn operand<'a, C: Columns + ?Sized>(
+        &'a self,
+        row: &'a C,
+    ) -> Option<Result<&'a Value, RelError>> {
+        match self {
+            Expr::Column(i) => Some(row.column(*i)),
+            Expr::Literal(v) => Some(Ok(v)),
+            _ => None,
+        }
     }
 
     /// Calls `f` with every column index the expression references — how
@@ -298,52 +411,50 @@ impl Expr {
     }
 }
 
-fn eval_logic(
+/// Kleene `AND`/`OR`; the right side is only evaluated when the left one
+/// does not already decide the result.
+fn kleene(
     op: BinOp,
-    lhs: &Value,
-    rhs: impl FnOnce() -> Result<Value, RelError>,
-) -> Result<Value, RelError> {
-    let l = lhs.as_bool();
-    match (op, l) {
-        (BinOp::And, Some(false)) => Ok(Value::Bool(false)),
-        (BinOp::Or, Some(true)) => Ok(Value::Bool(true)),
-        _ => {
-            let r = rhs()?.as_bool();
-            Ok(match (op, l, r) {
-                (BinOp::And, Some(true), Some(b)) => Value::Bool(b),
-                (BinOp::And, Some(b), Some(true)) => Value::Bool(b),
-                (BinOp::And, _, Some(false)) => Value::Bool(false),
-                (BinOp::Or, Some(false), Some(b)) => Value::Bool(b),
-                (BinOp::Or, Some(b), Some(false)) => Value::Bool(b),
-                (BinOp::Or, _, Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            })
-        }
+    l: Option<bool>,
+    rhs: impl FnOnce() -> Result<Option<bool>, RelError>,
+) -> Result<Option<bool>, RelError> {
+    let decided = op == BinOp::Or;
+    if l == Some(decided) {
+        return Ok(l);
     }
+    let r = rhs()?;
+    Ok(if r == Some(decided) {
+        r
+    } else if l.is_some() && r.is_some() {
+        Some(!decided)
+    } else {
+        None
+    })
 }
 
-fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, RelError> {
+/// SQL comparison: unknown when either side is NULL (or the types do not
+/// compare).
+fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
     use std::cmp::Ordering;
+    let ord = l.sql_cmp(r)?;
+    Some(match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::NotEq => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::LtEq => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::GtEq => ord != Ordering::Less,
+        _ => unreachable!("comparison op"),
+    })
+}
+
+fn eval_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value, RelError> {
     match op {
         BinOp::Add => l.add(r),
         BinOp::Sub => l.sub(r),
         BinOp::Mul => l.mul(r),
         BinOp::Div => l.div(r),
-        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            Ok(match l.sql_cmp(r) {
-                None => Value::Null,
-                Some(ord) => Value::Bool(match op {
-                    BinOp::Eq => ord == Ordering::Equal,
-                    BinOp::NotEq => ord != Ordering::Equal,
-                    BinOp::Lt => ord == Ordering::Less,
-                    BinOp::LtEq => ord != Ordering::Greater,
-                    BinOp::Gt => ord == Ordering::Greater,
-                    BinOp::GtEq => ord != Ordering::Less,
-                    _ => unreachable!("comparison op"),
-                }),
-            })
-        }
-        BinOp::And | BinOp::Or => eval_logic(op, l, || Ok(r.clone())),
+        _ => unreachable!("arithmetic op"),
     }
 }
 
@@ -427,6 +538,81 @@ mod tests {
         assert!(n.clone().or(n.clone()).eval(&r).unwrap().is_null());
         // TRUE AND NULL = NULL
         assert!(t.and(n).eval(&r).unwrap().is_null());
+    }
+
+    #[test]
+    fn kleene_table_is_the_same_for_values_and_predicates() {
+        // Operands as columns (compared in place), as literals, and as
+        // computed sub-expressions (`NOT NOT x`), against the SQL table.
+        let tfn = [Some(true), Some(false), None];
+        let val = |t: Option<bool>| t.map_or(Value::Null, Value::Bool);
+        let not = |e: Expr| Expr::Unary {
+            op: UnOp::Not,
+            operand: Box::new(e),
+        };
+        for (li, &l) in tfn.iter().enumerate() {
+            for (ri, &r) in tfn.iter().enumerate() {
+                let row = Row::new(vec![val(l), val(r)]);
+                let and = match (l, r) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                };
+                let or = match (l, r) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                };
+                let shapes = [
+                    (Expr::col(0), Expr::col(1)),
+                    (Expr::lit(val(l)), Expr::lit(val(r))),
+                    (not(not(Expr::col(0))), not(not(Expr::col(1)))),
+                ];
+                for (lhs, rhs) in shapes {
+                    for (e, want) in [(lhs.clone().and(rhs.clone()), and), (lhs.or(rhs), or)] {
+                        assert_eq!(e.eval(&row).unwrap(), val(want), "{e} on {li},{ri}");
+                        assert_eq!(e.eval_predicate(&row).unwrap(), want == Some(true));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pair_of_slices_evaluates_like_the_concatenated_row() {
+        let (l, r) = (row![1i64, "x"], row![2.5f64, Value::Null, "x"]);
+        let joined = l.concat(&r);
+        let pair = (l.values(), r.values());
+        assert_eq!(pair.width(), 5);
+        let exprs = [
+            Expr::binary(BinOp::Add, Expr::col(0), Expr::col(2)),
+            Expr::col(1).eq(Expr::col(4)),
+            Expr::col(0).eq(Expr::col(3)), // NULL: unknown
+            Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(2))
+                .and(Expr::col(1).eq(Expr::lit("x"))),
+            Expr::col(4),
+        ];
+        for e in exprs {
+            assert_eq!(
+                e.eval_on(&pair).unwrap().into_owned(),
+                e.eval(&joined).unwrap(),
+                "{e}"
+            );
+            assert_eq!(
+                e.eval_predicate(&pair).unwrap(),
+                e.eval_predicate(&joined).unwrap(),
+                "{e}"
+            );
+        }
+        // Past the end: the same error the built row gives.
+        assert_eq!(
+            Expr::col(5).eval_on(&pair).unwrap_err(),
+            Expr::col(5).eval(&joined).unwrap_err()
+        );
+        assert_eq!(
+            Expr::col(5).eq(Expr::lit(1i64)).eval_predicate(&pair),
+            Err(RelError::ColumnOutOfBounds { index: 5, width: 5 })
+        );
     }
 
     #[test]

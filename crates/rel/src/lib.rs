@@ -33,7 +33,7 @@ pub mod value;
 pub use agg::{AggFunc, AggState};
 pub use colbatch::{Column, ColumnBatch};
 pub use error::RelError;
-pub use expr::{BinOp, Expr, UnOp};
+pub use expr::{BinOp, Columns, Expr, UnOp};
 pub use row::Row;
 pub use schema::{Field, Schema};
 pub use sort::{SortKey, SortOrder};
