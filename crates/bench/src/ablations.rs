@@ -12,45 +12,26 @@
 //! Each configuration is verified against the oracle before its time is
 //! reported.
 
-use std::collections::BTreeMap;
-
-use ysmart_core::{compile, CoreError, TranslateOptions, YSmart};
-use ysmart_datagen::{ClicksSpec, TpchSpec};
+use ysmart_core::{compile, CoreError, TranslateOptions};
 use ysmart_mapred::ClusterConfig;
 use ysmart_plan::analyze;
-use ysmart_queries::{
-    clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads, Workload,
-};
-use ysmart_rel::Row;
+
+use crate::{clicks, tpch, Flags, Report, Verified};
 
 fn run_with_options(
-    w: &Workload,
+    v: &Verified,
     opts: &TranslateOptions,
     target_gb: f64,
 ) -> Result<(usize, f64), CoreError> {
-    let mut engine = YSmart::new(w.catalog.clone(), ClusterConfig::small_local());
-    w.load_into(&mut engine)?;
-    let real = engine.cluster.hdfs.total_bytes().max(1);
-    engine.cluster.config.size_multiplier = (target_gb * 1e9) / real as f64;
-    let plan = engine.plan(&w.sql)?;
-    let report = analyze(&plan);
-    let translation = compile(&plan, &report, opts, &format!("abl-{}", w.name))?;
+    let mut engine = v.engine(ClusterConfig::small_local(), target_gb)?;
+    let plan = engine.plan(&v.w.sql)?;
+    let translation = compile(&plan, &analyze(&plan), opts, &format!("abl-{}", v.w.name))?;
     let out = engine.execute_translation(&translation)?;
-    let tables: BTreeMap<String, Vec<Row>> = w
-        .tables
-        .iter()
-        .map(|(n, r)| ((*n).to_string(), r.clone()))
-        .collect();
-    let expected = oracle_execute(&plan, &tables)?.rows;
-    assert!(
-        rows_approx_equal(&out.rows, &expected, w.ordered),
-        "{}: ablation produced wrong results",
-        w.name
-    );
+    v.check(&out.rows, &"ablation");
     Ok((out.jobs, out.total_s()))
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags, r: &mut Report) {
     let base = TranslateOptions {
         merge_ic_tc: true,
         merge_jfc: true,
@@ -108,39 +89,19 @@ fn main() {
         ),
     ];
 
-    let tpch = tpch_workloads(&TpchSpec {
-        scale: 1.0,
-        seed: 2024,
-    });
-    let clicks = clicks_workloads(&ClicksSpec {
-        users: 120,
-        clicks_per_user: 40,
-        seed: 2024,
-        ..ClicksSpec::default()
-    });
-    let targets: Vec<(&Workload, f64)> = vec![
-        (
-            tpch.iter()
-                .find(|w| w.name == "q21-subtree")
-                .expect("q21-subtree workload"),
-            10.0,
-        ),
-        (
-            clicks
-                .iter()
-                .find(|w| w.name == "q-csa")
-                .expect("q-csa workload"),
-            20.0,
-        ),
+    let (tpch, clicks) = (tpch(1.0), clicks(120, 40));
+    let targets = [
+        (Verified::find(&tpch, "q21-subtree"), 10.0),
+        (Verified::find(&clicks, "q-csa"), 20.0),
     ];
 
-    println!("=== Ablations (simulated seconds, small local cluster) ===");
-    for (w, gb) in targets {
-        println!("-- {} ({gb} GB) --", w.name);
+    r.line("=== Ablations (simulated seconds, small local cluster) ===");
+    for (v, gb) in &targets {
+        r.line(&format!("-- {} ({gb} GB) --", v.w.name));
         for (label, opts) in &cases {
-            match run_with_options(w, opts, gb) {
-                Ok((jobs, secs)) => println!("  {label:<20} {jobs:>2} jobs {secs:>9.1}s"),
-                Err(e) => println!("  {label:<20} DNF ({e})"),
+            match run_with_options(v, opts, *gb) {
+                Ok((jobs, secs)) => r.line(&format!("  {label:<20} {jobs:>2} jobs {secs:>9.1}s")),
+                Err(e) => r.line(&format!("  {label:<20} DNF ({e})")),
             }
         }
     }

@@ -11,15 +11,13 @@
 //!
 //! Every run is verified against the relational oracle — corruption may
 //! change simulated time, never a result row, because only checksum-clean
-//! canonical bytes ever reach the computation. A full run writes
-//! `results/corruption.txt` (report) and `results/corruption.json`
-//! (machine-readable). Pass `--smoke` for a CI-sized sweep that only prints.
+//! canonical bytes ever reach the computation. The report has a JSON form.
+//! Pass `--smoke` for a CI-sized sweep.
 
-use ysmart_bench::{execute_verified, fmt_secs, write_results};
 use ysmart_core::{FaultOptions, Strategy};
-use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_mapred::{ClusterConfig, DataFormat};
-use ysmart_queries::{clicks_workloads, tpch_workloads, Workload};
+
+use crate::{clicks, fmt_secs, format_name, tpch, Flags, Report, Verified};
 
 const RATES: [f64; 3] = [0.0, 1e-4, 1e-3];
 const SMOKE_RATES: [f64; 2] = [0.0, 1e-3];
@@ -56,13 +54,6 @@ fn cluster(format: DataFormat) -> ClusterConfig {
     }
 }
 
-fn format_name(format: DataFormat) -> &'static str {
-    match format {
-        DataFormat::Text => "text",
-        DataFormat::Columnar => "columnar",
-    }
-}
-
 fn json_cell(rate: f64, c: &Cell) -> String {
     let n = c.runs.max(1) as f64;
     format!(
@@ -83,45 +74,27 @@ fn json_cell(rate: f64, c: &Cell) -> String {
     )
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (rates, seeds, target_gb): (&[f64], u64, f64) = if smoke {
+pub(crate) fn run(flags: &Flags, r: &mut Report) {
+    let (rates, seeds, target_gb): (&[f64], u64, f64) = if flags.smoke {
         (&SMOKE_RATES, 1, 1.0)
     } else {
         (&RATES, SEEDS, TARGET_GB)
     };
 
-    let mut report = String::new();
-    let mut emit = |line: &str| {
-        println!("{line}");
-        report.push_str(line);
-        report.push('\n');
-    };
-
-    emit("=== Integrity tax and corruption recovery (not in the paper) ===");
-    emit(&format!(
+    r.line("=== Integrity tax and corruption recovery (not in the paper) ===");
+    r.line(&format!(
         "fig-10 queries, {target_gb} GB each, 11-node EC2 cluster; {seeds} seeds per rate"
     ));
-    emit("overhead = avg total vs the same system with integrity checking off");
+    r.line("overhead = avg total vs the same system with integrity checking off");
 
-    let tpch = tpch_workloads(&TpchSpec {
-        scale: 1.0,
-        seed: 2024,
-    });
-    let clicks = clicks_workloads(&ClicksSpec {
-        users: 60,
-        clicks_per_user: 30,
-        seed: 2024,
-        ..ClicksSpec::default()
-    });
-    let mut workloads: Vec<&Workload> = ["q17", "q18", "q21"]
-        .iter()
-        .map(|n| tpch.iter().find(|w| &w.name == n).expect("tpch workload"))
-        .collect();
-    workloads.push(clicks.iter().find(|w| w.name == "q-csa").expect("q-csa"));
-    if smoke {
-        workloads.truncate(2);
-    }
+    let mut all = tpch(1.0);
+    all.extend(clicks(60, 30));
+    let names: &[&str] = if flags.smoke {
+        &["q17", "q18"]
+    } else {
+        &["q17", "q18", "q21", "q-csa"]
+    };
+    let workloads: Vec<Verified> = names.iter().map(|n| Verified::find(&all, n)).collect();
 
     let systems = [("ysmart", Strategy::YSmart), ("hive", Strategy::Hive)];
     let mut json_formats = Vec::new();
@@ -130,21 +103,22 @@ fn main() {
     // format-independent (every run is oracle-verified either way), and the
     // YSmart-vs-Hive integrity-overhead ordering must hold in both.
     for format in [DataFormat::Text, DataFormat::Columnar] {
-        emit(&format!("=== storage format: {} ===", format_name(format)));
+        r.line(&format!("=== storage format: {} ===", format_name(format)));
         let mut json_systems = Vec::new();
         // Max-rate average overhead per system, for the headline comparison.
         let mut max_rate_overhead = Vec::new();
 
         for (sys, strategy) in systems {
-            emit(&format!("--- {sys} ---"));
-            emit("  rate        total    overhead   verify   blocks  segs  records  blisted  retries");
+            r.line(&format!("--- {sys} ---"));
+            r.line("  rate        total    overhead   verify   blocks  segs  records  blisted  retries");
 
             // Healthy baseline: no corruption model at all, so no checksum pass
             // is charged. The delta against it prices the whole integrity
             // layer: verification plus recovery.
             let mut healthy = Vec::new();
-            for w in &workloads {
-                let out = execute_verified(w, strategy, &cluster(format), target_gb)
+            for v in &workloads {
+                let out = v
+                    .run(strategy, &cluster(format), target_gb)
                     .expect("healthy run");
                 healthy.push(out.total_s());
             }
@@ -152,11 +126,12 @@ fn main() {
             let mut cells = Vec::new();
             for &rate in rates {
                 let mut cell = Cell::default();
-                for (wi, w) in workloads.iter().enumerate() {
+                for (wi, v) in workloads.iter().enumerate() {
                     for seed in 0..seeds {
                         let mut config = cluster(format);
                         FaultOptions::corrupted(rate, seed ^ (wi as u64) << 8).apply(&mut config);
-                        let out = execute_verified(w, strategy, &config, target_gb)
+                        let out = v
+                            .run(strategy, &config, target_gb)
                             .expect("oracle-verified corrupted run");
                         cell.runs += 1;
                         cell.total_s += out.total_s();
@@ -172,7 +147,7 @@ fn main() {
                     }
                 }
                 let n = cell.runs as f64;
-                emit(&format!(
+                r.line(&format!(
                     "  {:<9}{}  {}  {}  {:>6}  {:>4}  {:>7}  {:>7}  {:>7}",
                     rate,
                     fmt_secs(cell.total_s / n),
@@ -182,7 +157,7 @@ fn main() {
                     cell.refetched_segments,
                     cell.skipped_records,
                     cell.blacklisted_nodes,
-                    cell.retries,
+                    cell.retries
                 ));
                 if rate > 0.0 {
                     assert!(
@@ -195,7 +170,7 @@ fn main() {
 
             let last = cells.last().expect("at least one rate");
             max_rate_overhead.push((sys, last.1.overhead_s / last.1.runs as f64));
-            let rows: Vec<String> = cells.iter().map(|(r, c)| json_cell(*r, c)).collect();
+            let rows: Vec<String> = cells.iter().map(|(rate, c)| json_cell(*rate, c)).collect();
             json_systems.push(format!(
                 "{{\"system\":\"{sys}\",\"rates\":[{}]}}",
                 rows.join(",")
@@ -203,13 +178,13 @@ fn main() {
         }
 
         let (ys, hv) = (max_rate_overhead[0].1, max_rate_overhead[1].1);
-        emit("");
-        emit(&format!(
+        r.line("");
+        r.line(&format!(
             "At the highest rate, integrity overhead: YSmart {} vs Hive {} — fewer",
             fmt_secs(ys),
             fmt_secs(hv)
         ));
-        emit("jobs mean fewer bytes checksummed and fewer corruption exposures.");
+        r.line("jobs mean fewer bytes checksummed and fewer corruption exposures.");
         assert!(
             ys < hv,
             "{}: YSmart must pay less integrity overhead than Hive ({ys:.1}s vs {hv:.1}s)",
@@ -222,13 +197,13 @@ fn main() {
         ));
     } // format sweep
 
-    emit("");
-    emit("All runs verified against the relational oracle, in both storage");
-    emit("formats: corruption changed simulated time only, never a result row.");
+    r.line("");
+    r.line("All runs verified against the relational oracle, in both storage");
+    r.line("formats: corruption changed simulated time only, never a result row.");
 
     let query_names: Vec<String> = workloads
         .iter()
-        .map(|w| format!("\"{}\"", w.name))
+        .map(|v| format!("\"{}\"", v.w.name))
         .collect();
     let json = format!(
         concat!(
@@ -240,6 +215,5 @@ fn main() {
         query_names.join(","),
         json_formats.join(",")
     );
-
-    write_results("corruption", smoke, &report, Some(&json));
+    r.set_json(json);
 }

@@ -10,22 +10,21 @@
 //! more scheduler round-trips to crawl back.
 //!
 //! Every run is verified against the relational oracle: faults may change
-//! simulated time, never answers. Results are averaged over seeds; a full
-//! run writes them to `results/faults.txt`. Pass `--smoke` for a reduced
-//! sweep (CI-sized: fewer rates/seeds, smaller scale) that still verifies
-//! every run against the oracle and only prints its report.
+//! simulated time, never answers. Results are averaged over seeds. Pass
+//! `--smoke` for a reduced sweep (CI-sized: fewer rates/seeds, smaller
+//! scale) that still verifies every run against the oracle.
 
-use ysmart_bench::{execute_verified, fmt_secs, write_results};
-use ysmart_core::{FaultOptions, Strategy, YSmart};
-use ysmart_datagen::ClicksSpec;
+use ysmart_core::{FaultOptions, Strategy};
 use ysmart_mapred::{ClusterConfig, RetryPolicy};
-use ysmart_queries::clicks_workloads;
+
+use crate::{clicks, fmt_secs, Flags, Report, Verified};
 
 const RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
 const SMOKE_RATES: [f64; 2] = [0.0, 0.25];
 const SEEDS: u64 = 5;
 const TARGET_GB: f64 = 10.0;
 
+#[derive(Default)]
 struct Cell {
     total_s: f64,
     recovery_s: f64,
@@ -34,53 +33,29 @@ struct Cell {
     nodes_lost: usize,
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (rates, seeds, target_gb): (&[f64], u64, f64) = if smoke {
+pub(crate) fn run(flags: &Flags, r: &mut Report) {
+    let (rates, seeds, target_gb): (&[f64], u64, f64) = if flags.smoke {
         (&SMOKE_RATES, 2, 1.0)
     } else {
         (&RATES, SEEDS, TARGET_GB)
     };
-    let mut report = String::new();
-    let mut emit = |line: &str| {
-        println!("{line}");
-        report.push_str(line);
-        report.push('\n');
-    };
-
-    emit("=== Recovery cost under node failures (not in the paper) ===");
-    emit(&format!(
+    r.line("=== Recovery cost under node failures (not in the paper) ===");
+    r.line(&format!(
         "q-csa, {target_gb} GB, 11-node EC2 cluster; averages over {seeds} seeds"
     ));
 
-    let clicks = clicks_workloads(&ClicksSpec {
-        users: 60,
-        clicks_per_user: 30,
-        seed: 2024,
-        ..ClicksSpec::default()
-    });
-    let w = clicks.iter().find(|w| w.name == "q-csa").expect("workload");
+    let workloads = clicks(60, 30);
+    let v = Verified::find(&workloads, "q-csa");
 
     for (sys, strategy) in [("YSmart", Strategy::YSmart), ("Hive", Strategy::Hive)] {
-        let jobs = {
-            let engine = YSmart::new(w.catalog.clone(), ClusterConfig::ec2(10));
-            engine
-                .plan(&w.sql)
-                .and_then(|p| ysmart_core::translate_plan(&p, strategy, w.name))
-                .map(|t| t.job_count())
-                .expect("translation")
-        };
-        emit(&format!("--- {sys} ({jobs} jobs) ---"));
-        emit("  p(node dies)      total   recovery  retries  re-exec  nodes lost");
+        let jobs = ysmart_core::translate(&v.w.catalog, &v.w.sql, strategy, v.w.name)
+            .expect("translation")
+            .job_count();
+        r.line(&format!("--- {sys} ({jobs} jobs) ---"));
+        r.line("  p(node dies)      total   recovery  retries  re-exec  nodes lost");
         let mut baseline = None;
         for rate in rates.iter().copied() {
-            let mut acc = Cell {
-                total_s: 0.0,
-                recovery_s: 0.0,
-                retries: 0,
-                reexecuted: 0,
-                nodes_lost: 0,
-            };
+            let mut acc = Cell::default();
             for seed in 0..seeds {
                 let mut config = ClusterConfig::ec2(10);
                 let mut faults = if rate > 0.0 {
@@ -100,8 +75,9 @@ fn main() {
                     });
                 }
                 faults.apply(&mut config);
-                let out =
-                    execute_verified(w, strategy, &config, target_gb).expect("verified execution");
+                let out = v
+                    .run(strategy, &config, target_gb)
+                    .expect("verified execution");
                 acc.total_s += out.total_s();
                 acc.recovery_s += out.metrics.recovery_s();
                 acc.retries += out.metrics.retries;
@@ -120,7 +96,7 @@ fn main() {
             if rate == 0.0 {
                 baseline = Some(acc.total_s / n);
             }
-            emit(&format!(
+            r.line(&format!(
                 "  p={:<12.2}{}  {}  {:>7.1}  {:>7.1}  {:>10.1}{}",
                 rate,
                 fmt_secs(acc.total_s / n),
@@ -128,14 +104,12 @@ fn main() {
                 acc.retries as f64 / n,
                 acc.reexecuted as f64 / n,
                 acc.nodes_lost as f64 / n,
-                overhead,
+                overhead
             ));
         }
     }
 
-    emit("");
-    emit("All runs verified against the relational oracle: node failures");
-    emit("changed simulated time only, never a single result row.");
-
-    write_results("faults", smoke, &report, None);
+    r.line("");
+    r.line("All runs verified against the relational oracle: node failures");
+    r.line("changed simulated time only, never a single result row.");
 }

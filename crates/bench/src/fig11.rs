@@ -10,27 +10,23 @@
 //! * Hive-with-compression exceeds one hour on Q21 @ 101 nodes (DNF);
 //! * Q-CSA: YSmart ≈ 487% over Hive, ≈ 840% over Pig.
 
-use ysmart_bench::{execute_verified, FigRow};
 use ysmart_core::Strategy;
-use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_mapred::{ClusterConfig, Compression};
-use ysmart_queries::{clicks_workloads, tpch_workloads};
 
-fn main() {
-    println!("=== Fig. 11: Amazon EC2 clusters ===");
-    let tpch = tpch_workloads(&TpchSpec {
-        scale: 1.0,
-        seed: 2024,
-    });
+use crate::{clicks, print_summary, tpch, FigRow, Flags, Report, Verified};
+
+pub(crate) fn run(_: &Flags, r: &mut Report) {
+    r.line("=== Fig. 11: Amazon EC2 clusters ===");
+    let workloads = tpch(1.0);
+    let queries = ["q17", "q18", "q21"].map(|name| Verified::find(&workloads, name));
 
     for (workers, target_gb) in [(10, 10.0), (100, 100.0)] {
-        println!(
+        r.line(&format!(
             "--- {}-node cluster, {} GB TPC-H ---",
             workers + 1,
             target_gb
-        );
-        for name in ["q17", "q18", "q21"] {
-            let w = tpch.iter().find(|w| w.name == name).expect("workload");
+        ));
+        for v in &queries {
             let mut rows = Vec::new();
             for (sys, strategy) in [("YSmart", Strategy::YSmart), ("Hive", Strategy::Hive)] {
                 // Compression CPU calibrated to the paper's own Q17
@@ -44,47 +40,23 @@ fn main() {
                     let mut config = ClusterConfig::ec2(workers);
                     config.compression = compression;
                     config.time_limit_s = Some(3600.0); // the paper's 1-hour cap
-                    let result = execute_verified(w, strategy, &config, target_gb)
-                        .map(|o| o.total_s())
-                        .map_err(|e| {
-                            if e.is_time_limit() {
-                                "exceeded one hour".to_string()
-                            } else {
-                                e.to_string()
-                            }
-                        });
-                    rows.push(FigRow {
-                        label: format!("{sys} {mode}"),
-                        result,
-                    });
+                    let run = v.run(strategy, &config, target_gb);
+                    rows.push(FigRow::of(format!("{sys} {mode}"), run));
                 }
             }
-            ysmart_bench::print_summary(&format!("{name}:"), &rows);
+            print_summary(r, &format!("{}:", v.w.name), &rows);
         }
     }
 
-    println!("--- Fig. 11(d): Q-CSA, 11-node cluster, 20 GB, no compression ---");
-    let clicks = clicks_workloads(&ClicksSpec {
-        users: 120,
-        clicks_per_user: 40,
-        seed: 2024,
-        ..ClicksSpec::default()
-    });
-    let w = clicks.iter().find(|w| w.name == "q-csa").expect("workload");
+    r.line("--- Fig. 11(d): Q-CSA, 11-node cluster, 20 GB, no compression ---");
+    let workloads = clicks(120, 40);
+    let v = Verified::find(&workloads, "q-csa");
     let config = ClusterConfig::ec2(10);
-    let mut rows = Vec::new();
-    for (sys, strategy) in [
+    let rows = [
         ("YSmart", Strategy::YSmart),
         ("Hive", Strategy::Hive),
         ("Pig", Strategy::Pig),
-    ] {
-        let result = execute_verified(w, strategy, &config, 20.0)
-            .map(|o| o.total_s())
-            .map_err(|e| e.to_string());
-        rows.push(FigRow {
-            label: sys.to_string(),
-            result,
-        });
-    }
-    ysmart_bench::print_summary("q-csa:", &rows);
+    ]
+    .map(|(sys, strategy)| FigRow::of(sys, v.run(strategy, &config, 20.0)));
+    print_summary(r, "q-csa:", &rows);
 }

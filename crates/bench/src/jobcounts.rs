@@ -9,27 +9,29 @@ use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_mapred::ClusterConfig;
 use ysmart_queries::{clicks_workloads, tpch_workloads, Workload};
 
-fn counts(w: &Workload) {
-    print!("{:<12}", w.name);
+use crate::{Flags, Report};
+
+fn counts(r: &mut Report, w: &Workload) {
+    let mut line = format!("{:<12}", w.name);
+    let mut engine = YSmart::new(w.catalog.clone(), ClusterConfig::default());
+    w.load_into(&mut engine)
+        .unwrap_or_else(|e| panic!("{}: loading tables failed: {e}", w.name));
     for strategy in Strategy::all() {
-        let mut engine = YSmart::new(w.catalog.clone(), ClusterConfig::default());
-        w.load_into(&mut engine)
-            .unwrap_or_else(|e| panic!("{}: loading tables failed: {e}", w.name));
         let t = engine
             .translate(&w.sql, strategy)
             .unwrap_or_else(|e| panic!("{}: {strategy} translation failed: {e}", w.name));
-        print!(" {:>14}", format!("{strategy}: {}", t.job_count()));
+        line += &format!(" {:>14}", format!("{strategy}: {}", t.job_count()));
     }
-    println!();
+    r.line(&line);
 }
 
-fn main() {
-    println!("=== Job counts per translation strategy (§VII-A) ===");
+pub(crate) fn run(_: &Flags, r: &mut Report) {
+    r.line("=== Job counts per translation strategy (§VII-A) ===");
     for w in tpch_workloads(&TpchSpec {
         scale: 0.05,
         seed: 1,
     }) {
-        counts(&w);
+        counts(r, &w);
     }
     for w in clicks_workloads(&ClicksSpec {
         users: 8,
@@ -37,6 +39,6 @@ fn main() {
         seed: 1,
         ..ClicksSpec::default()
     }) {
-        counts(&w);
+        counts(r, &w);
     }
 }

@@ -12,15 +12,12 @@
 //! agreement) and measures the recovery split: jobs fast-forwarded from
 //! journaled checkpoints vs. jobs re-executed.
 //!
-//! A full run writes `results/recovery.txt` (report) and
-//! `results/recovery.json` (machine-readable). Pass `--smoke` for the CI
-//! run: at least three seeded kill points, torn-tail cuts, and a
-//! journal-corruption recovery check; `--corruption-smoke` runs only the
-//! corruption check (for the fault-injection sweep). Neither writes files.
+//! The report has a JSON form. Pass `--smoke` for the CI run: at least
+//! three seeded kill points, torn-tail cuts, and the journal-corruption
+//! recovery check.
 
 use std::fmt::Write as _;
 
-use ysmart_bench::{mix, write_results};
 use ysmart_core::{Strategy, YSmart};
 use ysmart_datagen::ClicksSpec;
 use ysmart_mapred::journal::{recover, Journal, JournalRecord, JOURNAL_MAGIC};
@@ -30,6 +27,8 @@ use ysmart_mapred::{
     SchedulerConfig, StragglerModel, TenantSpec, WorkloadReport,
 };
 use ysmart_queries::clicks_workloads;
+
+use crate::{mix, Flags, Report};
 
 fn spec(smoke: bool) -> ClicksSpec {
     ClicksSpec {
@@ -173,7 +172,7 @@ fn kill_and_recover(baseline: &[String], bytes: &[u8], cut: usize, smoke: bool) 
 /// Journal-corruption recovery: a flipped byte mid-stream must surface as
 /// the typed `JournalCorrupt` error (never a panic, never silent wrong
 /// records), while a torn tail truncates to a clean record prefix.
-fn corruption_check(bytes: &[u8], emit: &mut dyn FnMut(&str)) {
+fn corruption_check(r: &mut Report, bytes: &[u8]) {
     let boundaries = frame_boundaries(bytes);
     let n_records = recover(bytes).expect("full journal").records.len();
     // Flip a byte inside each of three early frames (past the last frame a
@@ -185,21 +184,21 @@ fn corruption_check(bytes: &[u8], emit: &mut dyn FnMut(&str)) {
         match recover(&mutated) {
             Err(MapRedError::JournalCorrupt { offset, .. }) => {
                 corrupt_seen += 1;
-                emit(&format!(
+                r.line(&format!(
                     "corruption: flip at byte {} -> typed JournalCorrupt at offset {offset}",
                     b + 14
                 ));
             }
             Err(e) => panic!("corruption must be JournalCorrupt, got {e}"),
-            Ok(r) => {
+            Ok(cut) => {
                 assert!(
-                    r.records.len() < n_records,
+                    cut.records.len() < n_records,
                     "a flipped byte must never be accepted as-is"
                 );
-                emit(&format!(
+                r.line(&format!(
                     "corruption: flip at byte {} -> clean truncation to {} record(s)",
                     b + 14,
-                    r.records.len()
+                    cut.records.len()
                 ));
             }
         }
@@ -213,7 +212,7 @@ fn corruption_check(bytes: &[u8], emit: &mut dyn FnMut(&str)) {
     let prev = boundaries[boundaries.len() - 2];
     let torn = recover(&bytes[..last - 3]).expect("torn tail recovers");
     assert_eq!(torn.valid_len, prev, "torn tail truncates to a boundary");
-    emit(&format!(
+    r.line(&format!(
         "torn tail: cut at byte {} -> truncated to {} (clean prefix of {} record(s))",
         last - 3,
         prev,
@@ -221,18 +220,9 @@ fn corruption_check(bytes: &[u8], emit: &mut dyn FnMut(&str)) {
     ));
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke" || a == "--corruption-smoke");
-    let corruption_only = std::env::args().any(|a| a == "--corruption-smoke");
-
-    let mut report = String::new();
-    let mut emit = |line: &str| {
-        println!("{line}");
-        report.push_str(line);
-        report.push('\n');
-    };
-
-    emit("=== Crash recovery: replay cost and equivalence vs. kill point ===");
+pub(crate) fn run(flags: &Flags, r: &mut Report) {
+    let smoke = flags.smoke;
+    r.line("=== Crash recovery: replay cost and equivalence vs. kill point ===");
 
     // Uninterrupted baseline, journaled.
     let (engine, requests) = build(smoke);
@@ -252,16 +242,10 @@ fn main() {
         .iter()
         .filter(|r| matches!(r, JournalRecord::JobDone { .. }))
         .count();
-    emit(&format!(
+    r.line(&format!(
         "workload: {n_queries} queries, {total_commits} job commits, journal {} bytes",
         bytes.len()
     ));
-
-    if corruption_only {
-        corruption_check(&bytes, &mut emit);
-        println!("corruption-smoke passed");
-        return;
-    }
 
     // Kill points: every record boundary in the full run; in smoke, a
     // seeded sample of at least three plus first/last, and torn variants.
@@ -280,14 +264,14 @@ fn main() {
         boundaries.clone()
     };
 
-    emit(&format!(
+    r.line(&format!(
         "{:>10} {:>8} {:>6} {:>9} {:>9} {:>10}",
         "kill@byte", "records", "torn", "replayed", "executed", "identical"
     ));
     let mut rows_json = Vec::new();
     for &cut in &cuts {
         let kp = kill_and_recover(&baseline, &bytes, cut, smoke);
-        emit(&format!(
+        r.line(&format!(
             "{:>10} {:>8} {:>6} {:>9} {:>9} {:>10}",
             kp.cut, kp.records, kp.torn_bytes, kp.jobs_replayed, kp.jobs_executed, kp.identical
         ));
@@ -306,13 +290,13 @@ fn main() {
         ));
     }
     assert!(cuts.len() >= 3, "sweep needs at least three kill points");
-    emit(&format!(
+    r.line(&format!(
         "all {} kill points recovered bit-identically; replay split covers all {} commits",
         cuts.len(),
         total_commits
     ));
 
-    corruption_check(&bytes, &mut emit);
+    corruption_check(r, &bytes);
 
     let mut json = String::from("{\"kill_points\":[");
     json.push_str(&rows_json.join(","));
@@ -321,5 +305,5 @@ fn main() {
         "],\"queries\":{n_queries},\"job_commits\":{total_commits},\"journal_bytes\":{}}}",
         bytes.len()
     );
-    write_results("recovery", smoke, &report, Some(&json));
+    r.set_json(json);
 }

@@ -11,20 +11,16 @@
 //! completed, deadline-cancelled, shed or failed — and every *completed*
 //! chain's rows are verified against the relational oracle.
 //!
-//! A full run writes `results/workload.txt` (report) and
-//! `results/workload.json` (machine-readable). Pass `--smoke` for a
-//! CI-sized run that also asserts the deadline hit-rate floor and only
-//! prints its report.
+//! The report has a JSON form. Pass `--smoke` for a CI-sized run; both
+//! sizes assert the deadline hit-rate floor.
 
-use ysmart_bench::{mix, union_engine, write_results};
 use ysmart_core::Strategy;
-use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_mapred::{
     run_chain, run_workload, validate_chrome_trace, CorruptionModel, Disposition, NodeFailureModel,
     QueryRequest, RetryPolicy, SchedulerConfig, StragglerModel, TenantSpec,
 };
-use ysmart_queries::{clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads};
-use ysmart_rel::Row;
+
+use crate::{mix, Flags, Mix, Report};
 
 /// Offered load as a multiple of the cluster's solo throughput
 /// (`max_running / mean_solo_s` chains per second saturates the slots).
@@ -45,15 +41,6 @@ fn unit(z: u64) -> f64 {
     (mix(z) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One query shape in the mix, with its oracle expectation and solo time.
-struct Shape {
-    name: &'static str,
-    sql: String,
-    ordered: bool,
-    expected: Vec<Row>,
-    solo_s: f64,
-}
-
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -62,69 +49,27 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[pos.min(sorted.len() - 1)]
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (loads, per_load, target_gb): (&[f64], usize, f64) = if smoke {
-        (&SMOKE_LOADS, SMOKE_QUERIES_PER_LOAD, 0.5)
+pub(crate) fn run(flags: &Flags, r: &mut Report) {
+    let (loads, per_load): (&[f64], usize) = if flags.smoke {
+        (&SMOKE_LOADS, SMOKE_QUERIES_PER_LOAD)
     } else {
-        (&LOADS, QUERIES_PER_LOAD, 2.0)
+        (&LOADS, QUERIES_PER_LOAD)
     };
-    let (tpch_spec, clicks_spec) = if smoke {
-        (
-            TpchSpec {
-                scale: 0.05,
-                seed: 2026,
-            },
-            ClicksSpec {
-                users: 15,
-                clicks_per_user: 10,
-                seed: 2026,
-                ..ClicksSpec::default()
-            },
-        )
-    } else {
-        (
-            TpchSpec {
-                scale: 0.2,
-                seed: 2026,
-            },
-            ClicksSpec {
-                users: 40,
-                clicks_per_user: 20,
-                seed: 2026,
-                ..ClicksSpec::default()
-            },
-        )
-    };
+    let data = Mix::new(flags.smoke);
+    let target_gb = data.target_gb;
+    // The oracle's answers do not depend on the load level: once.
+    let shapes = data.shapes();
 
-    let mut report = String::new();
-    let mut emit = |line: &str| {
-        println!("{line}");
-        report.push_str(line);
-        report.push('\n');
-    };
-
-    emit("=== Multi-tenant workload: latency, deadline hit-rate, shed rate vs load ===");
-    emit(&format!(
-        "{} queries per load level across 4 weighted tenants, {MAX_RUNNING} chain slots,",
-        per_load
+    r.line("=== Multi-tenant workload: latency, deadline hit-rate, shed rate vs load ===");
+    r.line(&format!(
+        "{per_load} queries per load level across 4 weighted tenants, {MAX_RUNNING} chain slots,"
     ));
-    emit(&format!(
+    r.line(&format!(
         "{target_gb} GB scaled data, stragglers + node loss + corruption injected,"
     ));
-    emit(&format!(
+    r.line(&format!(
         "deadline = {DEADLINE_FACTOR}x each query's solo time"
     ));
-
-    let tpch = tpch_workloads(&tpch_spec);
-    let clicks = clicks_workloads(&clicks_spec);
-    let mix_names = ["q17", "q18", "q21-subtree", "q-agg", "q-csa"];
-    let source = |n: &str| {
-        tpch.iter()
-            .chain(clicks.iter())
-            .find(|w| w.name == n)
-            .unwrap_or_else(|| panic!("workload {n} not found"))
-    };
 
     let mut json_levels = Vec::new();
     let mut hit_rates = Vec::new();
@@ -133,34 +78,23 @@ fn main() {
     for (li, &load) in loads.iter().enumerate() {
         // Fresh engine per level so levels are independent and individually
         // reproducible.
-        let (mut engine, tables) = union_engine(&tpch, &clicks, target_gb, None);
+        let mut engine = data.engine(None);
 
         // Solo baselines: each shape once, alone, fault-free — the deadline
-        // yardstick and the oracle expectation.
-        let mut shapes = Vec::new();
-        for name in mix_names {
-            let w = source(name);
-            let plan = engine.plan(&w.sql).expect("plan");
-            let expected = oracle_execute(&plan, &tables).expect("oracle").rows;
+        // yardstick.
+        let mut solo_s = Vec::new();
+        for v in &shapes {
+            let tag = format!("solo{li}-{}", v.w.name);
             let translation = engine
-                .translate_tagged(&w.sql, Strategy::YSmart, &format!("solo{li}-{name}"))
+                .translate_tagged(&v.w.sql, Strategy::YSmart, &tag)
                 .expect("translate solo");
             let chain = engine.chain_for(&translation).expect("chain solo");
             let outcome = run_chain(&mut engine.cluster, &chain).expect("solo run");
             let rows = engine.decode_output(&translation).expect("solo decode");
-            assert!(
-                rows_approx_equal(&rows, &expected, w.ordered),
-                "{name}: solo run disagrees with the oracle"
-            );
-            shapes.push(Shape {
-                name,
-                sql: w.sql.clone(),
-                ordered: w.ordered,
-                expected,
-                solo_s: outcome.metrics.total_s(),
-            });
+            v.check(&rows, &"solo run");
+            solo_s.push(outcome.metrics.total_s());
         }
-        let mean_solo: f64 = shapes.iter().map(|s| s.solo_s).sum::<f64>() / shapes.len() as f64;
+        let mean_solo: f64 = solo_s.iter().sum::<f64>() / solo_s.len() as f64;
 
         // Now the faults: stragglers, node loss and corruption, recovered
         // by a jittered retry policy so co-failing chains don't retry in
@@ -194,7 +128,8 @@ fn main() {
         for i in 0..per_load {
             let rseed = mix(level_seed ^ (i as u64) << 16);
             submit_s += -(1.0 - unit(rseed ^ 1)).ln() / rate;
-            let shape = &shapes[(mix(rseed ^ 2) as usize) % shapes.len()];
+            let si = (mix(rseed ^ 2) as usize) % shapes.len();
+            let shape = shapes[si].w;
             let tenant = (mix(rseed ^ 3) as usize) % 4;
             let label = format!("t{tenant}/{}#{i}", shape.name);
             let translation = engine
@@ -206,15 +141,15 @@ fn main() {
                 label,
                 chain,
                 seed: rseed,
-                deadline_s: Some(DEADLINE_FACTOR * shape.solo_s),
+                deadline_s: Some(DEADLINE_FACTOR * solo_s[si]),
                 submit_s,
             });
-            translations.push((translation, shape));
+            translations.push((translation, &shapes[si]));
         }
 
         let tenants_hit = requests
             .iter()
-            .map(|r| r.tenant.clone())
+            .map(|req| req.tenant.clone())
             .collect::<std::collections::BTreeSet<_>>();
         assert_eq!(tenants_hit.len(), 4, "the mix must span all four tenants");
 
@@ -246,18 +181,14 @@ fn main() {
         // Tally dispositions; verify every completed chain's rows.
         let (mut completed, mut cancelled, mut shed, mut failed) = (0usize, 0, 0, 0);
         let mut latencies = Vec::new();
-        for r in &outcome.reports {
-            match &r.disposition {
+        for q in &outcome.reports {
+            match &q.disposition {
                 Disposition::Completed(_) => {
                     completed += 1;
-                    latencies.push(r.latency_s());
-                    let (translation, shape) = &translations[r.index];
+                    latencies.push(q.latency_s());
+                    let (translation, shape) = &translations[q.index];
                     let rows = engine.decode_output(translation).expect("decode completed");
-                    assert!(
-                        rows_approx_equal(&rows, &shape.expected, shape.ordered),
-                        "{}: completed chain disagrees with the oracle",
-                        r.label
-                    );
+                    shape.check(&rows, &format_args!("as {}", q.label));
                 }
                 Disposition::DeadlineCancelled(_) => cancelled += 1,
                 Disposition::Shed(_) => shed += 1,
@@ -266,7 +197,7 @@ fn main() {
                     assert!(
                         !f.metrics.jobs.is_empty() || f.metrics.failed_attempt_s > 0.0,
                         "{}: a failed chain must report partial metrics",
-                        r.label
+                        q.label
                     );
                 }
             }
@@ -280,14 +211,14 @@ fn main() {
         hit_rates.push(hit_rate);
         shed_rates.push(shed_rate);
 
-        emit("");
-        emit(&format!(
+        r.line("");
+        r.line(&format!(
             "--- load {load:.1}x ({per_load} queries, mean solo {mean_solo:.0}s) ---"
         ));
-        emit(&format!(
+        r.line(&format!(
             "  completed {completed}  deadline-cancelled {cancelled}  shed {shed}  failed {failed}"
         ));
-        emit(&format!(
+        r.line(&format!(
             "  latency p50 {p50:.0}s  p99 {p99:.0}s  hit-rate {:.0}%  shed-rate {:.0}%",
             hit_rate * 100.0,
             shed_rate * 100.0
@@ -303,9 +234,9 @@ fn main() {
         ));
     }
 
-    emit("");
-    emit("Load up, service down: overload degrades to typed sheds and deadline");
-    emit("cancellations — never to a hang, and never to an unverified result.");
+    r.line("");
+    r.line("Load up, service down: overload degrades to typed sheds and deadline");
+    r.line("cancellations — never to a hang, and never to an unverified result.");
     assert!(
         hit_rates[0] >= HIT_RATE_FLOOR,
         "hit-rate at the lowest load ({:.2}) must clear the floor ({HIT_RATE_FLOOR})",
@@ -324,12 +255,12 @@ fn main() {
         target_gb,
         MAX_RUNNING,
         DEADLINE_FACTOR,
-        mix_names
+        Mix::NAMES
             .iter()
             .map(|n| format!("\"{n}\""))
             .collect::<Vec<_>>()
             .join(","),
         json_levels.join(",")
     );
-    write_results("workload", smoke, &report, Some(&json));
+    r.set_json(json);
 }

@@ -124,7 +124,16 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--plan" => args.plan = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
-            sql => args.sql = Some(sql.to_string()),
+            _ if args.serve => {
+                return Err(format!(
+                    "`ysmart serve` takes no query argument (got `{a}`); \
+                     queries arrive on the protocol stream"
+                ))
+            }
+            _ if args.sql.is_some() => {
+                return Err(format!("more than one query given (second: `{a}`)"))
+            }
+            _ => args.sql = Some(a),
         }
     }
     Ok(args)
@@ -322,6 +331,25 @@ mod tests {
         assert!(parse(&["--demo", "--target-gb", "-0"]).is_err());
         let args = parse(&["serve", "--demo", "--reuse-mb", "0"]).unwrap();
         assert_eq!(args.reuse_mb, Some(0.0));
+    }
+
+    #[test]
+    fn a_query_is_one_positional_and_serve_takes_none() {
+        let args = parse(&["--demo", "SELECT a FROM t"]).unwrap();
+        assert_eq!(args.sql.as_deref(), Some("SELECT a FROM t"));
+        let err = parse(&["--demo", "SELECT a FROM t", "SELECT b FROM t"]).err();
+        assert!(err.unwrap().starts_with("more than one query"));
+        // `serve` after a query is a second positional, not the subcommand.
+        assert!(parse(&["--demo", "SELECT a FROM t", "serve"]).is_err());
+        for argv in [
+            &["serve", "--demo", "SELECT a FROM t"][..],
+            &["serve", "SELECT a FROM t", "--demo"],
+            &["serve", "serve"],
+        ] {
+            let err = parse(argv).err().unwrap_or_else(|| panic!("{argv:?}"));
+            assert!(err.starts_with("`ysmart serve` takes no query"), "{err}");
+        }
+        assert!(parse(&["serve", "--demo"]).unwrap().serve);
     }
 
     #[test]
