@@ -36,8 +36,7 @@ pub struct Draft {
     pub deps: BTreeSet<usize>,
 }
 
-struct Builder<'a> {
-    plan: &'a Plan,
+struct Builder {
     /// union-find parent per original draft index.
     parent: Vec<usize>,
     nodes: Vec<Vec<NodeId>>,
@@ -46,7 +45,7 @@ struct Builder<'a> {
     post_pos: HashMap<NodeId, usize>,
 }
 
-impl<'a> Builder<'a> {
+impl Builder {
     fn find(&mut self, mut i: usize) -> usize {
         while self.parent[i] != i {
             self.parent[i] = self.parent[self.parent[i]];
@@ -131,7 +130,6 @@ pub fn build_drafts(
     let post_pos: HashMap<NodeId, usize> = post.iter().enumerate().map(|(i, &n)| (n, i)).collect();
 
     let mut b = Builder {
-        plan,
         parent: (0..shuffle_nodes.len()).collect(),
         nodes: shuffle_nodes.iter().map(|&n| vec![n]).collect(),
         deps: vec![BTreeSet::new(); shuffle_nodes.len()],
@@ -142,7 +140,6 @@ pub fn build_drafts(
             .collect(),
         post_pos,
     };
-    let _ = b.plan;
 
     // Initial dependencies: each node's job reads its shuffle children's
     // outputs.

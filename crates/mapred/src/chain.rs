@@ -571,7 +571,7 @@ mod tests {
             let k = key
                 .get(0)
                 .unwrap_or_else(|_| panic!("CountReducer: empty key row {key:?}"));
-            out.emit_line(format!("{}|{}", k, values.len()));
+            out.emit_row(row![k.clone(), values.len() as i64]);
         }
     }
 
@@ -605,7 +605,7 @@ mod tests {
                         })
                 })
                 .sum();
-            out.emit_line(format!("{s}"));
+            out.emit_row(row![s]);
         }
     }
 

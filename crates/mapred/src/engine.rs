@@ -54,6 +54,7 @@ mod cost;
 mod data;
 
 use ysmart_rel::codec::encode_line;
+use ysmart_rel::colbatch::{encode_frames, DEFAULT_FRAME_ROWS};
 use ysmart_rel::Row;
 
 use crate::config::{ClusterConfig, DataFormat};
@@ -137,7 +138,7 @@ impl Cluster {
     pub fn load_table_rows(&mut self, name: &str, rows: &[Row]) {
         let path = format!("data/{name}");
         if self.config.data_format == DataFormat::Columnar {
-            if let Some((frames, _)) = data::encode_rows_to_frames(rows) {
+            if let Ok((frames, _)) = encode_frames(rows, DEFAULT_FRAME_ROWS) {
                 self.hdfs.put_frames(&path, frames);
                 return;
             }
@@ -400,7 +401,9 @@ mod tests {
                 .iter()
                 .map(|v| v.get(0).unwrap().as_int().unwrap())
                 .sum();
-            out.emit_line(format!("{}|{}", key.get(0).unwrap(), s));
+            // The key by its `Display`: a NULL key reads `NULL`, where the
+            // codec would write the empty field.
+            out.emit_row(row![key.get(0).unwrap().to_string(), s]);
         }
     }
 

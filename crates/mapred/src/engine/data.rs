@@ -6,11 +6,12 @@
 
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ysmart_rel::codec::encode_line;
-use ysmart_rel::colbatch::DEFAULT_FRAME_ROWS;
+use ysmart_rel::colbatch::{frame_stats, FrameStats, DEFAULT_FRAME_ROWS};
 use ysmart_rel::{ColumnBatch, Row, Value};
 
 use super::{JobCtx, MapCounts, OutputCounts, ReduceCounts, SegmentCounts, MAX_FETCH_RETRIES};
@@ -18,7 +19,7 @@ use crate::config::{ClusterConfig, CorruptionModel, DataFormat};
 use crate::error::MapRedError;
 use crate::hash::{checksum_bytes, partition};
 use crate::hdfs::{block_bytes, line_bytes, read_verified, DataFile, Hdfs};
-use crate::job::{JobSpec, MapOutput, ReduceEmit, ReduceOutput, ReducerFactory};
+use crate::job::{record_line, JobSpec, MapOutput, ReduceOutput, ReducerFactory};
 use crate::norm::NormArena;
 
 /// One map task's slice of its input file: contiguous text lines, or
@@ -51,6 +52,7 @@ pub(super) struct MapTask<'a> {
 /// parallel key/value columns, sorted by `(key, value)`. `norms` carries
 /// each key's [`crate::norm`] encoding so the shuffle merge and reducer
 /// grouping compare key bytes, touching value `Row`s only on key ties.
+#[derive(Default)]
 pub(super) struct PartitionRun {
     keys: Vec<Row>,
     values: Vec<Row>,
@@ -67,8 +69,9 @@ pub(super) type MapRuns = Vec<(u32, PartitionRun)>;
 /// threads over contiguous chunks — serially below `min_parallel` items,
 /// where spawning costs more than it buys. A panicking task (a user mapper
 /// that panics despite the `record_fatal` channel) surfaces as a typed
-/// `User` error, not a panic of the whole chain. Threads: the
-/// [`ClusterConfig::exec_threads`] override, or every available core.
+/// `User` error on either path, however many tasks panic — never as a
+/// panic of the whole chain. Threads: the [`ClusterConfig::exec_threads`]
+/// override, or every available core.
 fn par_map<T: Send, R: Send>(
     job: &JobCtx,
     phase: &str,
@@ -84,8 +87,12 @@ fn par_map<T: Send, R: Send>(
     let wanted = job.cfg.exec_threads.unwrap_or_else(cores);
     let threads = wanted.clamp(1, items.len().max(1));
     let mut indexed = items.into_iter().enumerate();
+    let panicked = || MapRedError::User(format!("{phase} task panicked in job {}", job.name));
     if threads <= 1 || indexed.len() < min_parallel {
-        return Ok(indexed.map(|(i, t)| f(i, t)).collect());
+        // Unwind-safe: on `Err` the job fails and nothing `f` touched is
+        // looked at again.
+        let serial = AssertUnwindSafe(|| indexed.map(|(i, t)| f(i, t)).collect());
+        return catch_unwind(serial).map_err(|_| panicked());
     }
     let chunk = indexed.len().div_ceil(threads);
     let f = &f;
@@ -97,15 +104,20 @@ fn par_map<T: Send, R: Send>(
                 scope.spawn(move |_| slice.into_iter().map(|(i, t)| f(i, t)).collect::<Vec<R>>()),
             );
         }
-        let mut out = Vec::new();
+        // Join every handle before deciding: a panicked thread left to the
+        // scope's implicit join re-raises its panic there.
+        let mut out = Some(Vec::new());
         for h in handles {
-            out.extend(h.join().ok()?);
+            match (h.join(), &mut out) {
+                (Ok(part), Some(out)) => out.extend(part),
+                _ => out = None,
+            }
         }
-        Some(out)
+        out
     })
     .ok()
     .flatten()
-    .ok_or_else(|| MapRedError::User(format!("{phase} task panicked in job {}", job.name)))
+    .ok_or_else(panicked)
 }
 
 /// Cuts items of the given sizes into contiguous ranges of at least `block`
@@ -345,26 +357,17 @@ fn seg_bytes(seg: &PartitionRun) -> u64 {
 /// combiner's (usually single) output rows are materialised, and the group
 /// key is moved, not cloned, into the last of them.
 fn combine_segment(combiner: &mut dyn crate::job::Combiner, seg: &mut PartitionRun) {
-    let mut combined = PartitionRun {
-        keys: Vec::new(),
-        values: Vec::new(),
-        norms: NormArena::default(),
-    };
-    let mut i = 0;
-    while i < seg.keys.len() {
-        let key_norm = seg.norms.key(i);
-        let mut j = i + 1;
-        while j < seg.keys.len() && seg.norms.key(j) == key_norm {
-            j += 1;
-        }
-        let mut outputs = combiner.combine(&seg.keys[i], &seg.values[i..j]);
+    let mut combined = PartitionRun::default();
+    for group in seg.norms.groups() {
+        let i = group.start;
+        let mut outputs = combiner.combine(&seg.keys[i], &seg.values[group]);
         // Keep the run sorted within the key group, as the shuffle merge
         // requires of its inputs: the group's outputs share one key, so
         // ordering by value orders the (key, value) pairs.
         outputs.sort_unstable();
         let n = outputs.len();
         for (m, v) in outputs.into_iter().enumerate() {
-            combined.norms.push_encoded(key_norm);
+            combined.norms.push_encoded(seg.norms.key(i));
             combined.keys.push(if m + 1 == n {
                 std::mem::take(&mut seg.keys[i])
             } else {
@@ -372,7 +375,6 @@ fn combine_segment(combiner: &mut dyn crate::job::Combiner, seg: &mut PartitionR
             });
             combined.values.push(v);
         }
-        i = j;
     }
     *seg = combined;
 }
@@ -437,158 +439,46 @@ fn run_map_task(
     (counts, runs)
 }
 
-/// Encodes rows into columnar frames of [`DEFAULT_FRAME_ROWS`] rows each,
-/// returning `(frames, dictionary entries)`. `None` when any chunk is
-/// rejected by the frame codec (non-uniform widths, non-finite floats) —
-/// callers fall back to the text encoding.
-pub(super) fn encode_rows_to_frames(rows: &[Row]) -> Option<(Vec<Vec<u8>>, u64)> {
-    let mut frames = Vec::with_capacity(rows.len().div_ceil(DEFAULT_FRAME_ROWS.max(1)));
-    let mut dicts = 0u64;
-    for chunk in rows.chunks(DEFAULT_FRAME_ROWS.max(1)) {
-        let batch = ColumnBatch::from_rows(chunk).ok()?;
-        dicts += batch.dict_entries();
-        frames.push(batch.encode_frame());
-    }
-    Some((frames, dicts))
+/// The uniform width of a segment's `key ⧺ value` pairs. `None` for empty
+/// segments or when pair widths differ across the segment (the mixed-width
+/// values of some merged mappers) — no frame; the caller falls back to the
+/// text framing of [`segment_canon_bytes`].
+fn segment_width(seg: &PartitionRun) -> Option<usize> {
+    let width = seg.keys.first()?.len() + seg.values[0].len();
+    let mut pairs = seg.keys.iter().zip(&seg.values);
+    pairs
+        .all(|(k, v)| k.len() + v.len() == width)
+        .then_some(width)
+}
+
+/// Cell `c` of pair `r` read as one `key ⧺ value` row, in place.
+fn pair_cell(seg: &PartitionRun, r: usize, c: usize) -> &Value {
+    let key = seg.keys[r].values();
+    key.get(c)
+        .unwrap_or_else(|| &seg.values[r].values()[c - key.len()])
 }
 
 /// Columnar wire form of one shuffle segment: a single encoded frame of
-/// `key ⧺ value` rows, plus its dictionary-entry count. `None` for empty
-/// segments or when pair widths are non-uniform across the segment (the
-/// mixed-width values of some merged mappers) — the caller falls back to
-/// the text framing of [`segment_canon_bytes`].
-fn segment_frame(seg: &PartitionRun) -> Option<(Vec<u8>, u64)> {
-    if seg.keys.is_empty() {
-        return None;
-    }
-    let rows: Vec<Row> = seg
-        .keys
-        .iter()
-        .zip(&seg.values)
-        .map(|(k, v)| {
-            let mut vals = Vec::with_capacity(k.values().len() + v.values().len());
-            vals.extend(k.values().iter().cloned());
-            vals.extend(v.values().iter().cloned());
-            Row::new(vals)
-        })
-        .collect();
-    let batch = ColumnBatch::from_rows(&rows).ok()?;
-    Some((batch.encode_frame(), batch.dict_entries()))
-}
-
-/// Exact encoded size and dictionary-entry count of [`segment_frame`]'s
-/// frame, computed without materializing rows, columns or bytes — the
-/// shuffle's byte accounting needs only the numbers unless a corruption
-/// model wants real wire bytes to flip. Agrees with `segment_frame`
-/// byte-for-byte (asserted by `segment_frame_stats_match_real_encoding`),
-/// including its `None` fallbacks (empty or width-mixed segments,
-/// non-finite floats).
-fn segment_frame_stats(seg: &PartitionRun) -> Option<(u64, u64)> {
-    let nrows = seg.keys.len();
-    if nrows == 0 {
-        return None;
-    }
-    let width = seg.keys[0].len() + seg.values[0].len();
-    for (k, v) in seg.keys.iter().zip(&seg.values) {
-        if k.len() + v.len() != width {
-            return None;
-        }
-    }
-    // Column chunk sizes under `ColumnBatch`'s type inference: a column
-    // is typed when every non-null value shares one type (all-null ⇒
-    // Int), otherwise Var. Rows almost always share one key width, which
-    // pins each column to the key side or the value side — resolved once
-    // per column instead of branching per cell on the hot path.
-    let kw = seg.keys[0].len();
-    let uniform_split = seg.keys.iter().all(|k| k.len() == kw);
-    let mut chunks = 0u64;
-    let mut dicts = 0u64;
-    for c in 0..width {
-        let (bytes, d) = if uniform_split {
-            let (src, cc) = if c < kw {
-                (&seg.keys, c)
-            } else {
-                (&seg.values, c - kw)
-            };
-            column_chunk_stats(nrows, |r| &src[r].values()[cc])?
-        } else {
-            column_chunk_stats(nrows, |r| {
-                let k = &seg.keys[r];
-                if c < k.len() {
-                    &k.values()[c]
-                } else {
-                    &seg.values[r].values()[c - k.len()]
-                }
-            })?
-        };
-        chunks += bytes;
-        dicts += d;
-    }
-    let header = 4 + 2 + 4 + width as u64 * 13 + 8;
-    Some((header + chunks, dicts))
-}
-
-/// Encoded chunk bytes and dictionary-entry count of one column under
-/// `ColumnBatch`'s inference, reading cells through `cell`. `None` when a
-/// non-finite float forces the frame codec's fallback.
-fn column_chunk_stats<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Option<(u64, u64)> {
-    #[derive(PartialEq, Clone, Copy)]
-    enum Ty {
-        None,
-        Int,
-        Float,
-        Bool,
-        Str,
-        Mixed,
-    }
-    let mut ty = Ty::None;
-    for r in 0..nrows {
-        let vt = match cell(r) {
-            Value::Null => continue,
-            Value::Int(_) => Ty::Int,
-            Value::Float(f) => {
-                if !f.is_finite() {
-                    return None;
-                }
-                Ty::Float
-            }
-            Value::Bool(_) => Ty::Bool,
-            Value::Str(_) => Ty::Str,
-        };
-        ty = match ty {
-            Ty::None => vt,
-            t if t == vt => t,
-            _ => Ty::Mixed,
-        };
-    }
-    let mut dicts = 0u64;
-    let bytes = match ty {
-        Ty::None | Ty::Int | Ty::Float => nrows as u64 * 9,
-        Ty::Bool => nrows as u64 * 2,
-        Ty::Str => {
-            let mut dict: std::collections::HashSet<&str, ysmart_rel::colbatch::FnvBuildHasher> =
-                std::collections::HashSet::default();
-            let mut dict_bytes = 0u64;
-            for r in 0..nrows {
-                if let Value::Str(v) = cell(r) {
-                    if dict.insert(v.as_str()) {
-                        dict_bytes += 4 + v.len() as u64;
-                    }
-                }
-            }
-            dicts = dict.len() as u64;
-            nrows as u64 * 5 + 4 + dict_bytes
-        }
-        Ty::Mixed => (0..nrows)
-            .map(|r| match cell(r) {
-                Value::Null => 1,
-                Value::Bool(_) => 2,
-                Value::Int(_) | Value::Float(_) => 9,
-                Value::Str(v) => 5 + v.len() as u64,
-            })
-            .sum(),
+/// `key ⧺ value` rows, with its stats. `None` when [`segment_width`] is, or
+/// on a non-finite float.
+fn segment_frame(seg: &PartitionRun) -> Option<(Vec<u8>, FrameStats)> {
+    let cell = |r, c| pair_cell(seg, r, c);
+    let batch = ColumnBatch::from_cells(seg.keys.len(), segment_width(seg)?, cell).ok()?;
+    let frame = batch.encode_frame();
+    let stats = FrameStats {
+        bytes: frame.len() as u64,
+        dict_entries: batch.dict_entries(),
     };
-    Some((bytes, dicts))
+    Some((frame, stats))
+}
+
+/// Exact size and dictionary-entry count of [`segment_frame`]'s frame
+/// without building it — the shuffle's byte accounting needs only the
+/// numbers unless a corruption model wants real wire bytes to flip. `None`
+/// exactly when `segment_frame` is.
+fn segment_frame_stats(seg: &PartitionRun) -> Option<FrameStats> {
+    let cell = |r, c| pair_cell(seg, r, c);
+    frame_stats(seg.keys.len(), segment_width(seg)?, cell)
 }
 
 /// Canonical wire encoding of a shuffle segment — the byte stream its
@@ -678,8 +568,8 @@ pub(super) fn shuffle(
                 Some(_) if columnar => segment_frame(&seg),
                 _ => None,
             };
-            let frame_stats = match &frame {
-                Some((bytes, dicts)) => Some((bytes.len() as u64, *dicts)),
+            let stats = match &frame {
+                Some((_, stats)) => Some(*stats),
                 None if columnar && flips.is_none() => segment_frame_stats(&seg),
                 None => None,
             };
@@ -696,8 +586,8 @@ pub(super) fn shuffle(
                 task,
                 partition,
                 records: seg.keys.len() as u64,
-                bytes: frame_stats.map_or_else(|| seg_bytes(&seg), |(len, _)| len),
-                frame_dicts: frame_stats.map(|(_, dicts)| dicts),
+                bytes: stats.map_or_else(|| seg_bytes(&seg), |stats| stats.bytes),
+                frame_dicts: stats.map(|stats| stats.dict_entries),
                 corrupt_fetches,
                 collisions,
             });
@@ -732,11 +622,7 @@ fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
     };
     if runs.len() == 1 {
         let r = runs.pop().expect("one run");
-        for i in 0..r.norms.len() {
-            if i == 0 || r.norms.key(i) != r.norms.key(i - 1) {
-                out.group_starts.push(i as u32);
-            }
-        }
+        out.group_starts = r.norms.groups().map(|g| g.start as u32).collect();
         out.keys = r.keys;
         out.values = r.values;
         return out;
@@ -822,46 +708,33 @@ fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
     out
 }
 
-/// Packs a reduce task's emissions into columnar frames, with the stream
-/// tag of tagged rows folded in as a leading `Int` column (the text
-/// rendering's `tag|` prefix, typed). `None` when any emission is a
-/// pre-rendered line or a chunk is rejected by the frame codec.
-fn pack_emits(emits: &[ReduceEmit]) -> Option<(Vec<Vec<u8>>, u64)> {
-    let mut rows = Vec::with_capacity(emits.len());
-    for e in emits {
-        match e {
-            ReduceEmit::Line(_) => return None,
-            ReduceEmit::Row { tag: None, row } => rows.push(row.clone()),
-            ReduceEmit::Row { tag: Some(t), row } => {
-                let mut vals = Vec::with_capacity(row.values().len() + 1);
-                vals.push(Value::Int(*t));
-                vals.extend(row.values().iter().cloned());
-                rows.push(Row::new(vals));
-            }
-        }
-    }
-    encode_rows_to_frames(&rows)
-}
-
-/// Packs `records` rows as columnar frames when `framed` succeeds, else as
-/// the text lines `lines` renders — byte-identical to a self-formatting
-/// task.
-fn pack_output(
-    records: usize,
-    framed: Option<(Vec<Vec<u8>>, u64)>,
-    lines: impl FnOnce() -> Vec<String>,
+/// Packs one task's `n` output records — `record(i)` is its `(stream tag,
+/// row)` — and is the one place their stored format is decided. Columnar
+/// mode writes frames of [`DEFAULT_FRAME_ROWS`] records; text mode, or any
+/// record the frame codec cannot take, writes every record as its text
+/// line — byte-identical to a self-formatting task.
+fn pack_output<'a>(
+    columnar: bool,
+    n: usize,
+    record: impl Fn(usize) -> (Option<i64>, &'a Row),
 ) -> (OutputCounts, DataFile) {
     let mut counts = OutputCounts {
-        records: records as u64,
+        records: n as u64,
         ..OutputCounts::default()
     };
     let mut output = DataFile::default();
-    match framed {
+    match columnar.then(|| frame_records(n, &record)).flatten() {
         Some((frames, dicts)) => {
             counts.dict_entries = dicts;
             output.frames = frames;
         }
-        None => output.lines = lines(),
+        None => {
+            let line = |i| {
+                let (tag, row) = record(i);
+                record_line(tag, row)
+            };
+            output.lines = (0..n).map(line).collect();
+        }
     }
     counts.bytes = output.bytes();
     if output.is_columnar() {
@@ -870,9 +743,39 @@ fn pack_output(
     (counts, output)
 }
 
+/// [`pack_output`]'s frames and their dictionary-entry count, each record
+/// encoded in place with its stream tag folded in as a leading `Int` column
+/// (the text rendering's `tag|` prefix, typed). `None` when a frame's
+/// records differ in width or hold a non-finite float.
+fn frame_records<'a>(
+    n: usize,
+    record: &impl Fn(usize) -> (Option<i64>, &'a Row),
+) -> Option<(Vec<Vec<u8>>, u64)> {
+    let mut frames = Vec::with_capacity(n.div_ceil(DEFAULT_FRAME_ROWS));
+    let mut dicts = 0u64;
+    for start in (0..n).step_by(DEFAULT_FRAME_ROWS) {
+        let len = DEFAULT_FRAME_ROWS.min(n - start);
+        let row = |r: usize| record(start + r).1;
+        let tags: Vec<Option<Value>> = (0..len)
+            .map(|r| record(start + r).0.map(Value::Int))
+            .collect();
+        let width = |r: usize| usize::from(tags[r].is_some()) + row(r).len();
+        if (1..len).any(|r| width(r) != width(0)) {
+            return None;
+        }
+        let cell = |r: usize, c: usize| match &tags[r] {
+            Some(tag) if c == 0 => tag,
+            Some(_) => &row(r).values()[c - 1],
+            None => &row(r).values()[c],
+        };
+        let batch = ColumnBatch::from_cells(len, width(0), cell).ok()?;
+        dicts += batch.dict_entries();
+        frames.push(batch.encode_frame());
+    }
+    Some((frames, dicts))
+}
+
 /// Collects a map-only job's output: the map tasks' values, in task order.
-/// Columnar mode writes encoded frames; rows the frame codec rejects
-/// (non-uniform widths) fall back to text.
 pub(super) fn map_only_output(
     cfg: &ClusterConfig,
     map_runs: Vec<MapRuns>,
@@ -882,12 +785,8 @@ pub(super) fn map_only_output(
         .flatten()
         .flat_map(|(_, seg)| seg.values)
         .collect();
-    let framed = (cfg.data_format == DataFormat::Columnar)
-        .then(|| encode_rows_to_frames(&rows))
-        .flatten();
-    pack_output(rows.len(), framed, || {
-        rows.iter().map(encode_line).collect()
-    })
+    let columnar = cfg.data_format == DataFormat::Columnar;
+    pack_output(columnar, rows.len(), |i| (None, &rows[i]))
 }
 
 /// Runs every reduce task on its partition's segments.
@@ -928,13 +827,7 @@ fn run_reduce_task(
     let fatal = out.take_fatal().map(MapRedError::User);
     let dispatches = out.take_dispatches();
     let emits = out.into_emits();
-    // Columnar mode packs row emissions into binary frames; emissions the
-    // frame codec can't take (pre-rendered lines, non-uniform widths) fall
-    // back to text rendering.
-    let framed = columnar.then(|| pack_emits(&emits)).flatten();
-    let (written, output) = pack_output(emits.len(), framed, || {
-        emits.iter().map(ReduceEmit::to_line).collect()
-    });
+    let (written, output) = pack_output(columnar, emits.len(), |i| (emits[i].tag, &emits[i].row));
     let counts = ReduceCounts {
         in_records: keys.len() as u64,
         work,
@@ -974,10 +867,11 @@ mod tests {
     use super::*;
     use ysmart_rel::row;
 
-    /// `segment_frame_stats` must agree with the real encoder on every
-    /// segment shape it claims to size: typed columns, dictionaries with
-    /// repeats, nulls, Var fallbacks — and must return `None` exactly when
-    /// the encoder falls back to text.
+    /// The segment-level half of the sizing contract (the per-cell half is
+    /// `rel`'s `frame_stats_match_real_encoding` property): a segment is
+    /// read as `key ⧺ value` rows wherever each pair splits, the sizer
+    /// agrees with the real frame, and empty or width-mixed segments have
+    /// neither.
     #[test]
     fn segment_frame_stats_match_real_encoding() {
         let seg = |pairs: Vec<(Row, Row)>| {
@@ -990,30 +884,9 @@ mod tests {
             }
         };
         let cases = [
-            seg(vec![(row![1i64], row![2i64, "apple"])]),
             seg(vec![
                 (row![1i64, "k"], row![1.5f64, true, "apple"]),
                 (row![2i64, "k"], row![2.5f64, false, "apple"]),
-                (row![3i64, "m"], row![-0.5f64, true, "banana"]),
-            ]),
-            // Nulls in every column, all-null column, empty strings.
-            seg(vec![
-                (
-                    Row::new(vec![Value::Null, Value::Null]),
-                    Row::new(vec![Value::Null, Value::Str(String::new())]),
-                ),
-                (
-                    Row::new(vec![Value::Int(4), Value::Null]),
-                    Row::new(vec![Value::Null, Value::Str("x".into())]),
-                ),
-            ]),
-            // Mixed-type column -> Var chunk.
-            seg(vec![
-                (row![1i64], row![Value::Int(1)]),
-                (row![2i64], row![Value::Str("s".into())]),
-                (row![3i64], row![Value::Bool(true)]),
-                (row![4i64], row![Value::Float(0.25)]),
-                (row![5i64], row![Value::Null]),
             ]),
             // Uniform total width with shifted key/value split.
             seg(vec![
@@ -1022,19 +895,15 @@ mod tests {
             ]),
         ];
         for (i, seg) in cases.iter().enumerate() {
-            let real = segment_frame(seg);
-            let stats = segment_frame_stats(seg);
-            match (real, stats) {
-                (Some((frame, dicts)), Some((len, sdicts))) => {
-                    assert_eq!(frame.len() as u64, len, "case {i}: size");
-                    assert_eq!(dicts, sdicts, "case {i}: dict entries");
-                }
-                (None, None) => {}
-                (r, s) => panic!("case {i}: encoder {:?} vs stats {s:?}", r.map(|_| ())),
-            }
+            let (frame, stats) = segment_frame(seg).expect("uniform width");
+            assert_eq!(segment_frame_stats(seg), Some(stats), "case {i}");
+            let pairs = seg.keys.iter().zip(&seg.values);
+            let joined: Vec<Row> = pairs
+                .map(|(k, v)| Row::new([k.values(), v.values()].concat()))
+                .collect();
+            let framed = ColumnBatch::decode_frame(&frame).unwrap().to_rows();
+            assert_eq!(framed, joined, "case {i}: key ⧺ value");
         }
-        // Fallback cases: empty and width-mixed segments size as None on
-        // both paths.
         let empty = seg(vec![]);
         assert!(segment_frame(&empty).is_none() && segment_frame_stats(&empty).is_none());
         let mixed = seg(vec![

@@ -749,7 +749,7 @@ mod tests {
         };
         let columnar = DataFile {
             lines: Vec::new(),
-            frames: ysmart_rel::colbatch::encode_frames(&tagged, 16).unwrap(),
+            frames: ysmart_rel::colbatch::encode_frames(&tagged, 16).unwrap().0,
         };
         for tag in [0, 1] {
             let want: Vec<Row> = tagged

@@ -8,6 +8,11 @@
 //!
 //! Mappers and reducers are built per task from factories, mirroring how
 //! Hadoop instantiates a fresh object per task attempt.
+//!
+//! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
+//! with an optional merged-stream tag. Whether a task's records are stored
+//! as columnar frames or as text lines is the engine's decision, made in
+//! one place after the task ran — a reducer never formats its own output.
 
 use ysmart_rel::{codec::encode_line, ColumnBatch, Row};
 
@@ -130,37 +135,36 @@ impl MapOutput {
     }
 }
 
-/// One record emitted by a reducer: either a pre-rendered text line or a
-/// typed row (optionally tagged with the merged-output stream it belongs
-/// to, the way merged CMR jobs prefix intermediate lines with `tag|`).
+/// One record emitted by a reducer: a typed row, optionally tagged with the
+/// merged-output stream it belongs to (the way merged CMR jobs prefix
+/// intermediate lines with `tag|`).
 ///
-/// Row emissions let the engine keep records *typed* end to end: in
-/// columnar mode they are packed into binary frames without a text
-/// round-trip; in text mode they render to exactly the line the reducer
-/// would have formatted itself.
+/// Records stay *typed* end to end: in columnar mode they are packed into
+/// binary frames without a text round-trip; in text mode they render to
+/// exactly the line a self-formatting reducer would have written.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReduceEmit {
-    /// A pre-rendered output line (legacy text path).
-    Line(String),
-    /// A typed output row, with an optional merged-stream tag.
-    Row {
-        /// Merged-output stream tag (`Some` renders as a `tag|` prefix in
-        /// text mode and a leading `Int` column in columnar mode).
-        tag: Option<i64>,
-        /// The record itself.
-        row: Row,
-    },
+pub struct ReduceEmit {
+    /// Merged-output stream tag (`Some` renders as a `tag|` prefix in text
+    /// mode and a leading `Int` column in columnar mode).
+    pub tag: Option<i64>,
+    /// The record itself.
+    pub row: Row,
 }
 
 impl ReduceEmit {
     /// Renders this emission to its text-mode line.
     #[must_use]
     pub fn to_line(&self) -> String {
-        match self {
-            ReduceEmit::Line(line) => line.clone(),
-            ReduceEmit::Row { tag: None, row } => encode_line(row),
-            ReduceEmit::Row { tag: Some(t), row } => format!("{t}|{}", encode_line(row)),
-        }
+        record_line(self.tag, &self.row)
+    }
+}
+
+/// The text-mode line of one output record: `field|field|…`, behind a
+/// `tag|` prefix when tagged.
+pub(crate) fn record_line(tag: Option<i64>, row: &Row) -> String {
+    match tag {
+        None => encode_line(row),
+        Some(t) => format!("{t}|{}", encode_line(row)),
     }
 }
 
@@ -175,24 +179,16 @@ pub struct ReduceOutput {
 }
 
 impl ReduceOutput {
-    /// Emits one pre-rendered output line.
-    pub fn emit_line(&mut self, line: String) {
-        self.emits.push(ReduceEmit::Line(line));
-    }
-
-    /// Emits one typed output row. Prefer this over [`emit_line`]
-    /// (self-formatting): typed rows stay binary in columnar mode.
-    ///
-    /// [`emit_line`]: ReduceOutput::emit_line
+    /// Emits one typed output row.
     pub fn emit_row(&mut self, row: Row) {
-        self.emits.push(ReduceEmit::Row { tag: None, row });
+        self.emits.push(ReduceEmit { tag: None, row });
     }
 
     /// Emits one typed output row tagged with merged-output stream `tag` —
     /// the intermediate format of merged (CMR) jobs, whose text rendering
     /// is `tag|field|field|…`.
     pub fn emit_tagged_row(&mut self, tag: i64, row: Row) {
-        self.emits.push(ReduceEmit::Row {
+        self.emits.push(ReduceEmit {
             tag: Some(tag),
             row,
         });
@@ -273,7 +269,7 @@ impl ReduceOutput {
     }
 
     /// Consumes the buffer into raw emissions, preserving emit order (the
-    /// columnar output path packs `Row` emissions into binary frames).
+    /// columnar output path packs them into binary frames).
     #[must_use]
     pub fn into_emits(self) -> Vec<ReduceEmit> {
         self.emits
@@ -542,7 +538,7 @@ mod tests {
     #[test]
     fn reduce_output_accumulates() {
         let mut out = ReduceOutput::default();
-        out.emit_line("x|y".into());
+        out.emit_row(row!["x", "y"]);
         assert_eq!(out.lines(), vec!["x|y".to_string()]);
     }
 
@@ -551,7 +547,7 @@ mod tests {
         let mut out = ReduceOutput::default();
         out.emit_row(row![7i64, "a"]);
         out.emit_tagged_row(2, row![7i64, "a"]);
-        out.emit_line("7|a".into());
+        out.emit_row(row![7i64, "a"]);
         assert_eq!(
             out.into_lines(),
             vec!["7|a".to_string(), "2|7|a".to_string(), "7|a".to_string()]

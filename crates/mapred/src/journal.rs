@@ -702,9 +702,14 @@ impl Journal {
             return Ok(());
         };
         if self.synced == 0 {
-            // First flush of this epoch rewrites the whole file, which also
-            // truncates any torn tail or stale previous epoch.
-            std::fs::write(path, &self.bytes)?;
+            // First flush of this epoch replaces the whole file, which also
+            // drops any torn tail or stale previous epoch — written aside
+            // and renamed over it, so a process killed mid-write leaves the
+            // previous epoch's file (its only copy) intact.
+            let mut tmp = path.clone().into_os_string();
+            tmp.push(".tmp");
+            std::fs::write(&tmp, &self.bytes)?;
+            std::fs::rename(&tmp, path)?;
         } else if self.synced < self.bytes.len() {
             let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
             f.write_all(&self.bytes[self.synced..])?;
@@ -937,6 +942,8 @@ mod tests {
         let j = Journal::open(&path).unwrap();
         let rec = recover(j.bytes()).unwrap();
         assert_eq!(rec.records, records);
+        let left_behind: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left_behind.len(), 1, "only the journal: {left_behind:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -170,6 +170,21 @@ impl NormArena {
         u64::from_be_bytes(buf)
     }
 
+    /// The key groups of a sorted run: each maximal range of consecutive
+    /// equal keys, in order.
+    pub fn groups(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            let start = next;
+            let key = (start < self.len()).then(|| self.key(start))?;
+            next += 1;
+            while next < self.len() && self.key(next) == key {
+                next += 1;
+            }
+            Some(start..next)
+        })
+    }
+
     /// Encodes every key of a run. The buffer is sized from the first
     /// key's encoded length — runs are overwhelmingly uniform-width, and
     /// growth-doubling a multi-megabyte buffer from a blind guess costs

@@ -18,7 +18,7 @@ impl Mapper for KvMapper {
 struct CountReducer;
 impl Reducer for CountReducer {
     fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput) {
-        out.emit_line(format!("{}|{}", key.get(0).unwrap(), values.len()));
+        out.emit_row(row![key.get(0).unwrap().clone(), values.len() as i64]);
     }
 }
 

@@ -26,7 +26,7 @@ impl Reducer for SumReducer {
             .iter()
             .map(|v| v.get(0).unwrap().as_int().unwrap())
             .sum();
-        out.emit_line(format!("{}|{}", key.get(0).unwrap(), s));
+        out.emit_row(row![key.get(0).unwrap().clone(), s]);
     }
 }
 
@@ -475,4 +475,39 @@ fn chain_failure_without_tracing_has_no_trace() {
     chain.push(sum_job("doomed", "data/nonexistent", "out/never"));
     let failure = run_chain(&mut c, &chain).unwrap_err();
     assert!(failure.trace.is_none());
+}
+
+#[test]
+fn panicking_tasks_fail_the_job_with_a_typed_error() {
+    // A mapper that panics (instead of `record_fatal`) must fail its job,
+    // not unwind through `run_job`: on the serial path, and on the threaded
+    // one however many chunks panic. 64 one-line tasks; at four threads
+    // lines 5 and 40 fall in different 16-task chunks.
+    struct PanickyMapper;
+    impl Mapper for PanickyMapper {
+        fn map(&mut self, line: &str, out: &mut MapOutput) {
+            assert!(!line.starts_with('!'), "marked line {line}");
+            KvMapper.map(line, out);
+        }
+    }
+    for (threads, marked) in [(4, &[5][..]), (4, &[5, 40]), (1, &[5])] {
+        let mut c = Cluster::new(ClusterConfig {
+            hdfs_block_mb: 1e-6,
+            exec_threads: Some(threads),
+            ..ClusterConfig::default()
+        });
+        let mark = |i| if marked.contains(&i) { "!" } else { "" };
+        c.load_table("t", (0..64).map(|i| format!("{}{i}|1", mark(i))).collect());
+        let spec = JobSpec::builder("panicky")
+            .input("data/t", || Box::new(PanickyMapper))
+            .reducer(|| Box::new(SumReducer))
+            .output("out/never")
+            .build();
+        let run = std::panic::AssertUnwindSafe(|| run_job(&mut c, &spec));
+        let outcome = std::panic::catch_unwind(run);
+        match outcome.unwrap_or_else(|_| panic!("{threads} threads, {marked:?}: unwound")) {
+            Err(MapRedError::User(msg)) => assert_eq!(msg, "map task panicked in job panicky"),
+            other => panic!("{threads} threads, {marked:?}: {other:?}"),
+        }
+    }
 }

@@ -36,7 +36,7 @@ impl Reducer for SumReducer {
             .iter()
             .map(|v| v.get(0).unwrap().as_int().unwrap())
             .sum();
-        out.emit_line(format!("{}|{s}", key.get(0).unwrap()));
+        out.emit_row(row![key.get(0).unwrap().clone(), s]);
     }
 }
 

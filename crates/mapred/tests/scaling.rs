@@ -31,7 +31,7 @@ impl Reducer for SumReducer {
             .iter()
             .map(|v| v.get(0).unwrap().as_int().unwrap())
             .sum();
-        out.emit_line(format!("{}|{}", key.get(0).unwrap(), s));
+        out.emit_row(row![key.get(0).unwrap().clone(), s]);
     }
 }
 

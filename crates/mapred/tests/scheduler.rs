@@ -40,7 +40,7 @@ impl Reducer for SumReducer {
         let k = key
             .get(0)
             .unwrap_or_else(|_| panic!("SumReducer: empty key row {key:?}"));
-        out.emit_line(format!("{k}|{s}"));
+        out.emit_row(row![k.clone(), s]);
     }
 }
 

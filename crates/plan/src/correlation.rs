@@ -135,7 +135,6 @@ pub fn analyze_with_stats(plan: &Plan, stats: Option<&Statistics>) -> Correlatio
         chosen.insert(id, pk);
     }
 
-    let parents = plan.parents();
     let mut nodes = Vec::new();
     for &id in &shuffle_ids {
         nodes.push(NodeInfo {
@@ -147,7 +146,6 @@ pub fn analyze_with_stats(plan: &Plan, stats: Option<&Statistics>) -> Correlatio
             shuffle_children: effective_children(plan, id),
         });
     }
-    let _ = parents; // parent lookup not needed beyond effective children
 
     let mut input_correlated = Vec::new();
     let mut transit_correlated = Vec::new();

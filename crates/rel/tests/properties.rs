@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use ysmart_rel::codec::{decode_line, encode_line};
+use ysmart_rel::colbatch::{frame_stats, FrameStats};
 use ysmart_rel::sort::{compare, sort_rows};
 use ysmart_rel::{AggFunc, ColumnBatch, DataType, Field, Row, Schema, SortKey, Value};
 
@@ -27,6 +28,29 @@ fn arb_wide_value() -> impl Strategy<Value = Value> {
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
         (-1000.0f64..1000.0).prop_map(Value::Float),
         "[ -~]{0,12}".prop_map(Value::Str),
+    ]
+}
+
+/// One column's cell pool: one type with nulls mixed in (a typed column),
+/// nothing but nulls, every type (the `Var` escape hatch), or floats around
+/// one non-finite value (no frame).
+fn arb_column_pool() -> impl Strategy<Value = Vec<Value>> {
+    fn nullable(of: impl Strategy<Value = Value> + 'static) -> BoxedStrategy<Vec<Value>> {
+        prop::collection::vec(prop_oneof![Just(Value::Null), of], 1..24).boxed()
+    }
+    let float = || (-1000.0f64..1000.0).prop_map(Value::Float);
+    let non_finite = prop::sample::select(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+    prop_oneof![
+        nullable((-1_000_000i64..1_000_000).prop_map(Value::Int)),
+        nullable(float()),
+        nullable(any::<bool>().prop_map(Value::Bool)),
+        nullable("[ -~]{0,12}".prop_map(Value::Str)),
+        Just(vec![Value::Null]),
+        prop::collection::vec(arb_wide_value(), 1..24),
+        (nullable(float()), non_finite).prop_map(|(mut pool, bad)| {
+            pool.push(Value::Float(bad));
+            pool
+        }),
     ]
 }
 
@@ -217,6 +241,33 @@ proptest! {
         }
         let back = ColumnBatch::decode_frame(&batch.encode_frame()).unwrap();
         prop_assert_eq!(back.to_rows(), rows);
+    }
+
+    /// The analytic sizer is the encoder without the bytes: over any grid of
+    /// cells, `frame_stats` is exactly the length and dictionary count of
+    /// the frame `from_cells` (which reads the same cells back) encodes,
+    /// and `None` exactly when `from_cells` has no batch.
+    #[test]
+    fn frame_stats_match_real_encoding(
+        nrows in 0usize..300,
+        pools in prop::collection::vec(arb_column_pool(), 0..6),
+    ) {
+        let width = pools.len();
+        let cell = |r: usize, c: usize| {
+            let pool: &Vec<Value> = &pools[c];
+            &pool[(r.wrapping_mul(0x9E37_79B9) >> 8) % pool.len()]
+        };
+        let stats = frame_stats(nrows, width, cell);
+        match ColumnBatch::from_cells(nrows, width, cell) {
+            Ok(batch) => {
+                let read_back = |r, c: usize| batch.columns()[c].value(r) == *cell(r, c);
+                prop_assert!((0..nrows).all(|r| (0..width).all(|c| read_back(r, c))));
+                let bytes = batch.encode_frame().len() as u64;
+                let dict_entries = batch.dict_entries();
+                prop_assert_eq!(stats, Some(FrameStats { bytes, dict_entries }));
+            }
+            Err(_) => prop_assert_eq!(stats, None),
+        }
     }
 
     /// The columnar path agrees with the text codec wherever both apply:
