@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ysmart_mapred::Combiner;
+use ysmart_mapred::{Combiner, GroupView};
 use ysmart_rel::{AggFunc, AggState, Columns, Expr, RelError, Row, Value};
 
 use crate::blueprint::JobBlueprint;
@@ -93,7 +93,11 @@ impl PartialAggCombiner {
 }
 
 impl Combiner for PartialAggCombiner {
-    fn combine(&mut self, _key: &Row, values: &[Row]) -> Vec<Row> {
+    fn combine(&mut self, key: &Row, values: &[Row]) -> Vec<Row> {
+        self.combine_group(key.values(), GroupView::rows(values))
+    }
+
+    fn combine_group(&mut self, _key: &[Value], values: GroupView<'_>) -> Vec<Row> {
         let bp = Arc::clone(&self.blueprint);
         let Some(spec) = bp.combiner.as_ref() else {
             // A blueprint without a PartialAgg never builds this combiner;
@@ -101,10 +105,10 @@ impl Combiner for PartialAggCombiner {
             // correctness never depends on combining.
             self.error
                 .get_or_insert_with(|| format!("combiner blueprint missing in {}", bp.name));
-            return values.to_vec();
+            return values.to_rows();
         };
         let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-        for row in values {
+        for row in values.iter() {
             let group: Vec<Value> = spec
                 .group_cols
                 .iter()
@@ -116,7 +120,7 @@ impl Combiner for PartialAggCombiner {
             if let Err(e) = update_states(states, &spec.aggs, row) {
                 self.error
                     .get_or_insert_with(|| format!("combiner aggregation failed: {e}"));
-                return values.to_vec();
+                return values.to_rows();
             }
         }
         groups

@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper};
+use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper, ValueWriter};
 use ysmart_rel::codec::{decode_line, decode_line_projected};
 use ysmart_rel::colbatch::ColumnBatch;
 use ysmart_rel::{Expr, RelError, Row, Value};
@@ -55,8 +55,6 @@ pub struct CommonMapper {
     /// decoded row's columns are *moved* out of it instead of cloned —
     /// `None` falls back to the expression-evaluating path.
     value_move: Option<Vec<usize>>,
-    /// Width of the emitted value (tag, columns, pad) — its exact capacity.
-    value_width: usize,
 }
 
 fn plain_cols(exprs: &[Expr]) -> Option<Vec<usize>> {
@@ -87,9 +85,9 @@ trait Record {
     fn col(&self, c: usize) -> Result<Value, RelError>;
     /// The whole record as a row, for expression evaluation.
     fn row(&mut self) -> &Row;
-    /// Appends the raw columns `cols` (duplicate-free) to `out`, consuming
-    /// the record.
-    fn take_cols(self, cols: &[usize], out: &mut Vec<Value>);
+    /// Appends the raw columns `cols` (duplicate-free) to the pair being
+    /// written, consuming the record.
+    fn take_cols(self, cols: &[usize], out: &mut ValueWriter<'_>);
 }
 
 /// A decoded text line: the row is owned, so its columns move out.
@@ -108,7 +106,7 @@ impl Record for LineRecord {
         &self.0
     }
 
-    fn take_cols(self, cols: &[usize], out: &mut Vec<Value>) {
+    fn take_cols(self, cols: &[usize], out: &mut ValueWriter<'_>) {
         let mut raw = self.0.into_values();
         out.extend(
             cols.iter()
@@ -150,7 +148,7 @@ impl Record for BatchRecord<'_> {
         self.row.get_or_insert_with(|| self.batch.row(self.r))
     }
 
-    fn take_cols(self, cols: &[usize], out: &mut Vec<Value>) {
+    fn take_cols(self, cols: &[usize], out: &mut ValueWriter<'_>) {
         let raw = self.batch.columns();
         out.extend(cols.iter().map(|&c| raw[c].value(self.r)));
     }
@@ -206,11 +204,6 @@ impl CommonMapper {
                 })
                 .filter(|raw| duplicate_free(raw))
         };
-        let value_width = if tagged {
-            1 + input.value_cols.len()
-        } else {
-            blueprint.streams[0].projection.len()
-        } + usize::from(blueprint.pad_bytes > 0 && !blueprint.map_only);
         CommonMapper {
             foreign_mask: all & !mine,
             blueprint,
@@ -219,7 +212,6 @@ impl CommonMapper {
             plain_keys,
             needed_cols,
             value_move,
-            value_width,
         }
     }
 
@@ -251,33 +243,33 @@ impl CommonMapper {
         if !any {
             return Ok(());
         }
-        // Pairs outlive the task's whole map phase: size the key exactly (a
-        // `Result` collect cannot pre-size and would round up).
-        let mut key = Vec::with_capacity(input.key_exprs.len());
+        // The pair's cells go straight into the output's arena — no `Vec`
+        // per key or value; on `Err` the writer drops and rolls them back.
+        let mut pair = out.begin();
         for (i, e) in input.key_exprs.iter().enumerate() {
             let v = match &self.plain_keys {
                 Some(cols) => rec.col(cols[i]),
                 None => e.eval(rec.row()),
             };
-            key.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
+            pair.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
         }
 
         // Tagged mode carries `[tag, union columns…]`; direct and map-only
         // modes apply stream 0's projection map-side.
-        let mut value = Vec::with_capacity(self.value_width);
+        let mut pair = pair.value();
         if self.tagged {
-            value.push(Value::Int(forbidden as i64));
+            pair.push(Value::Int(forbidden as i64));
         }
         match &self.value_move {
-            Some(cols) => rec.take_cols(cols, &mut value),
+            Some(cols) => rec.take_cols(cols, &mut pair),
             None => {
                 let carried = rec.row().project(&input.value_cols);
                 if self.tagged {
-                    value.extend(carried.into_values());
+                    pair.extend(carried.into_values());
                 } else {
                     for e in &self.blueprint.streams[0].projection {
                         let v = e.eval(&carried);
-                        value.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
+                        pair.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
                     }
                 }
             }
@@ -285,9 +277,9 @@ impl CommonMapper {
         // The Pig-style serialisation pad, if configured (a map-only job's
         // value is the final row and is never padded).
         if self.blueprint.pad_bytes > 0 && !self.blueprint.map_only {
-            value.push(Value::Str("x".repeat(self.blueprint.pad_bytes)));
+            pair.push(Value::Str("x".repeat(self.blueprint.pad_bytes)));
         }
-        out.emit(Row::new(key), Row::new(value));
+        pair.finish();
         Ok(())
     }
 }
@@ -411,8 +403,9 @@ mod tests {
         let mut out = MapOutput::default();
         m.map("7|42", &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out.keys()[0], ysmart_rel::row![7i64]);
-        assert_eq!(out.values()[0], ysmart_rel::row![7i64, 42i64]);
+        let (keys, values) = out.into_columns();
+        assert_eq!(keys[0], ysmart_rel::row![7i64]);
+        assert_eq!(values[0], ysmart_rel::row![7i64, 42i64]);
     }
 
     #[test]
@@ -452,15 +445,16 @@ mod tests {
         m.map("1|42", &mut out);
         m.map("1|5", &mut out);
         m.map("1|1000", &mut out); // only stream 0
+                                   // The shared scan emitted one pair per record, not one per branch.
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.work(), 3, "one extra branch evaluation per record");
         let tags: Vec<i64> = out
-            .values()
+            .into_columns()
+            .1
             .iter()
             .map(|v| v.get(0).unwrap().as_int().unwrap())
             .collect();
         assert_eq!(tags, vec![0b00, 0b01, 0b10]);
-        // The shared scan emitted one pair per record, not one per branch.
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.work(), 3, "one extra branch evaluation per record");
     }
 
     #[test]
@@ -518,7 +512,7 @@ mod tests {
         let mut m0 = CommonMapper::new(Arc::clone(&bp), 0);
         let mut out = MapOutput::default();
         m0.map("1|2", &mut out);
-        let tag = out.values()[0].get(0).unwrap().as_int().unwrap();
+        let tag = out.into_columns().1[0].get(0).unwrap().as_int().unwrap();
         assert_eq!(tag, 0b10, "stream 1 must not see input 0's pairs");
     }
 
@@ -554,10 +548,12 @@ mod tests {
         let mut m = CommonMapper::new(bp, 0);
         let batch = ysmart_rel::ColumnBatch::from_rows(&rows).unwrap();
         m.map_batch(&batch, &mut col_out);
-        assert_eq!(text_out.keys(), col_out.keys());
-        assert_eq!(text_out.values(), col_out.values());
         assert_eq!(text_out.work(), col_out.work());
         assert_eq!(text_out.take_dispatches(), col_out.take_dispatches());
+        let (text_keys, text_values) = text_out.into_columns();
+        let (col_keys, col_values) = col_out.into_columns();
+        assert_eq!(text_keys, col_keys);
+        assert_eq!(text_values, col_values);
     }
 
     #[test]
@@ -588,8 +584,9 @@ mod tests {
         let mut out = MapOutput::default();
         m.map_batch(&batch, &mut out);
         assert_eq!(out.len(), 2, "tag-0 row dropped");
-        assert_eq!(out.keys()[0], ysmart_rel::row![8i64]);
-        assert_eq!(out.values()[1], ysmart_rel::row![9i64, 3i64]);
+        let (keys, values) = out.into_columns();
+        assert_eq!(keys[0], ysmart_rel::row![8i64]);
+        assert_eq!(values[1], ysmart_rel::row![9i64, 3i64]);
     }
 
     fn bp_input() -> InputSpec {
@@ -659,8 +656,65 @@ mod tests {
             m.map_batch(&batch(&[]), &mut out);
             m.map_batch(&batch(&[&[7, 42]]), &mut out);
             assert_eq!(out.bad_records(), 3, "columnar, tag {tag_filter:?}");
-            assert_eq!(out.keys(), [ysmart_rel::row![7i64]]);
             assert_eq!(out.take_fatal(), None);
+            assert_eq!(out.into_columns().0, [ysmart_rel::row![7i64]]);
+        }
+    }
+
+    #[test]
+    fn failing_expression_rolls_the_pair_back() {
+        // `k / v` fails on `v = 0`: as the second key expression it fails
+        // with a key cell already staged, as the second projection with the
+        // key and a value cell already in the arena. Either way the pair
+        // leaves nothing behind — the pairs around it read back intact —
+        // and the first error is the one reported.
+        let div = || Expr::binary(BinOp::Div, Expr::col(0), Expr::col(1));
+        let direct = blueprint(
+            vec![MapBranch {
+                stream: 0,
+                predicate: None,
+            }],
+            1,
+        );
+        let failing_key = JobBlueprint {
+            inputs: vec![InputSpec {
+                key_exprs: vec![Expr::col(0), div()],
+                ..bp_input()
+            }],
+            ..(*direct).clone()
+        };
+        let failing_projection = JobBlueprint {
+            streams: vec![StreamSpec {
+                projection: vec![Expr::col(1), div()],
+            }],
+            ..(*direct).clone()
+        };
+        use ysmart_rel::row;
+        let cases = [
+            (
+                failing_key,
+                "key expr",
+                [row![8i64, 4i64], row![6i64, 2i64]],
+                [row![8i64, 2i64], row![6i64, 3i64]],
+            ),
+            (
+                failing_projection,
+                "projection",
+                [row![8i64], row![6i64]],
+                [row![2i64, 4i64], row![3i64, 2i64]],
+            ),
+        ];
+        for (bp, what, keys, values) in cases {
+            let mut m = CommonMapper::new(Arc::new(bp), 0);
+            let mut out = MapOutput::default();
+            m.map("8|2", &mut out);
+            m.map("7|0", &mut out);
+            assert_eq!(out.len(), 1, "{what}");
+            m.map("9|0", &mut out);
+            m.map("6|3", &mut out);
+            let fatal = out.take_fatal().expect("reported");
+            assert!(fatal.starts_with(&format!("{what} failed in j")), "{fatal}");
+            assert_eq!(out.into_columns(), (keys.to_vec(), values.to_vec()));
         }
     }
 }

@@ -11,9 +11,11 @@
 //! re-partitioning of intermediate tables inner and outer are actually
 //! avoided").
 //!
-//! A key group is never copied. Dispatch records, per stream, the
-//! *positions* of the values it may see; a stream row is a [`RowView`] into
-//! the value the engine handed over, and every operator reads its input —
+//! A key group is never copied, nor gathered: the engine hands it over as a
+//! [`GroupView`] of cell slices lying wherever the shuffle left them.
+//! Dispatch records, per stream, the *positions* of the values it may see; a
+//! stream row is a [`RowView`] into such a slice, and every operator reads
+//! its input —
 //! stream, direct-mode group or an earlier op's output — through [`Rows`].
 //! Rows are built only where something new exists: a computed stream
 //! projection, an aggregate, a join pair that survived its residual and the
@@ -30,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ysmart_mapred::{ReduceOutput, Reducer};
+use ysmart_mapred::{GroupView, ReduceOutput, Reducer};
 use ysmart_plan::JoinKind;
 use ysmart_rel::{AggFunc, AggState, Columns, Expr, RelError, Row, Value};
 
@@ -107,7 +109,7 @@ enum Window {
 /// and the emit loop read an input, wherever it lives. Owns nothing.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
-    base: &'a [Row],
+    base: GroupView<'a>,
     /// The positions in `base` that belong to the run; `None`: all of it.
     pick: Option<&'a [usize]>,
     window: Window,
@@ -119,7 +121,7 @@ impl<'a> Rows<'a> {
     /// Whole rows, all of them: an op's owned output, a computed stream.
     fn whole(base: &'a [Row]) -> Self {
         Rows {
-            base,
+            base: GroupView::rows(base),
             pick: None,
             window: Window::Trim(0),
             map: None,
@@ -135,7 +137,7 @@ impl<'a> Rows<'a> {
     }
 
     fn get(&self, i: usize) -> RowView<'a> {
-        let vals = self.base[self.pick.map_or(i, |p| p[i])].values();
+        let vals = self.base.get(self.pick.map_or(i, |p| p[i]));
         let vals = match self.window {
             // Dispatch checked the carried row is at least this wide.
             Window::Carried(n) => &vals[1..1 + n],
@@ -286,7 +288,7 @@ fn resolve(outputs: &[OpRows], mut src: RSource) -> Result<usize, usize> {
 /// One key group after dispatch: everything the operator DAG reads.
 struct Group<'a> {
     reducer: &'a CommonReducer,
-    values: &'a [Row],
+    values: GroupView<'a>,
     pad_cols: usize,
 }
 
@@ -296,7 +298,11 @@ impl<'a> Group<'a> {
         if !r.tagged {
             // Direct mode: the single stream's rows ARE the group slice.
             return Rows {
-                base: if s == 0 { self.values } else { &[] },
+                base: if s == 0 {
+                    self.values
+                } else {
+                    GroupView::rows(&[])
+                },
                 pick: None,
                 window: Window::Trim(self.pad_cols),
                 map: None,
@@ -444,7 +450,7 @@ impl CommonReducer {
 
     /// Algorithm 1: one pass over the values, dispatch by (inverted) tag.
     /// Records positions, not rows; only computed projections materialise.
-    fn dispatch(&mut self, values: &[Row], pad_cols: usize) -> Result<(), String> {
+    fn dispatch(&mut self, values: GroupView<'_>, pad_cols: usize) -> Result<(), String> {
         let CommonReducer {
             blueprint: bp,
             plans,
@@ -456,11 +462,8 @@ impl CommonReducer {
         computed.iter_mut().for_each(Vec::clear);
         let failed = |err: String| format!("stream projection failed in {}: {err}", bp.name);
         for (i, v) in values.iter().enumerate() {
-            let tag = v.get(0).ok().and_then(Value::as_int).unwrap_or(0) as u64;
-            let carried = v
-                .values()
-                .get(1..v.len().saturating_sub(pad_cols))
-                .unwrap_or(&[]);
+            let tag = v.first().and_then(Value::as_int).unwrap_or(0) as u64;
+            let carried = v.get(1..v.len().saturating_sub(pad_cols)).unwrap_or(&[]);
             for (s, plan) in plans.iter().enumerate() {
                 if tag & (1 << s) != 0 {
                     continue; // inverted tag: this stream must not see it
@@ -492,7 +495,11 @@ impl CommonReducer {
 }
 
 impl Reducer for CommonReducer {
-    fn reduce(&mut self, _key: &Row, values: &[Row], out: &mut ReduceOutput) {
+    fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput) {
+        self.reduce_group(key.values(), GroupView::rows(values), out);
+    }
+
+    fn reduce_group(&mut self, _key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
         // The Pig-style serialisation pad (one trailing column) is never
         // stripped, only left out of every window onto a value.
         let pad_cols = usize::from(self.blueprint.pad_bytes > 0);
@@ -504,8 +511,8 @@ impl Reducer for CommonReducer {
         // full dispatch per value (an integer check vs. projection).
         if !self.blueprint.short_circuit_streams.is_empty() && self.tagged {
             let mut present = 0u64;
-            for v in values {
-                let tag = v.get(0).ok().and_then(Value::as_int).unwrap_or(0) as u64;
+            for v in values.iter() {
+                let tag = v.first().and_then(Value::as_int).unwrap_or(0) as u64;
                 present |= !tag;
             }
             out.add_work(values.len() as u64 / 8);

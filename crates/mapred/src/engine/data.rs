@@ -3,23 +3,33 @@
 //! never a duration; the only random streams drawn here are the
 //! data-affecting ones (which bytes get flipped, which records get torn).
 //! See the [module map](super).
+//!
+//! Between map and reduce no pair is ever moved. A map task's output is one
+//! cell arena per reduce partition (`job::Pairs`, filled by the mapper at
+//! emit); the task sorts *indices* into each arena and sizes the segment
+//! while it is cache-resident; the shuffle hands whole segments over; a
+//! reduce task merges them into `(run, pair)` positions and shows its
+//! reducer each key group as a [`GroupView`] over those positions; and only
+//! after its output is packed does it free its segments, arena by arena.
 
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ysmart_rel::codec::encode_line;
+use ysmart_rel::codec::{encode_cells_into, encode_line};
 use ysmart_rel::colbatch::{frame_stats, FrameStats, DEFAULT_FRAME_ROWS};
-use ysmart_rel::{ColumnBatch, Row, Value};
+use ysmart_rel::{ColumnBatch, Value};
 
 use super::{JobCtx, MapCounts, OutputCounts, ReduceCounts, SegmentCounts, MAX_FETCH_RETRIES};
 use crate::config::{ClusterConfig, CorruptionModel, DataFormat};
 use crate::error::MapRedError;
-use crate::hash::{checksum_bytes, partition};
+use crate::hash::checksum_bytes;
 use crate::hdfs::{block_bytes, line_bytes, read_verified, DataFile, Hdfs};
-use crate::job::{record_line, JobSpec, MapOutput, ReduceOutput, ReducerFactory};
+use crate::job::{
+    record_line, Combiner, GroupView, JobSpec, MapOutput, Pairs, ReduceOutput, ReducerFactory,
+};
 use crate::norm::NormArena;
 
 /// One map task's slice of its input file: contiguous text lines, or
@@ -48,15 +58,41 @@ pub(super) struct MapTask<'a> {
     input: TaskInput<'a>,
 }
 
-/// One partition's contiguous segment of one map task's sorted run —
-/// parallel key/value columns, sorted by `(key, value)`. `norms` carries
-/// each key's [`crate::norm`] encoding so the shuffle merge and reducer
-/// grouping compare key bytes, touching value `Row`s only on key ties.
+/// One map task's pairs for one reduce partition — a shuffle segment. The
+/// pairs stay where the mapper wrote them (`pairs`, emit order); `order` is
+/// the permutation that reads them sorted by `(key, value)`, and `norms`
+/// carries each key's [`crate::norm`] encoding (indexed like `pairs`) so the
+/// sort, the shuffle merge and key grouping compare key bytes, touching
+/// value cells only on key ties. A map-only task's pseudo-segment has
+/// neither: it is written out in emit order. The map task also sizes the
+/// segment, while its arena is still cache-resident: `text_bytes` in the
+/// text framing (key, tab, value, newline) and, in columnar mode, `frame` as
+/// one frame (`None` when there is none — see [`segment_frame_stats`]).
 #[derive(Default)]
 pub(super) struct PartitionRun {
-    keys: Vec<Row>,
-    values: Vec<Row>,
+    pairs: Pairs,
     norms: NormArena,
+    order: Vec<u32>,
+    text_bytes: u64,
+    frame: Option<FrameStats>,
+}
+
+impl PartitionRun {
+    /// The key groups of the sorted run: each maximal range of `order`
+    /// whose pairs share a key, in order.
+    fn groups(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let key = |at: usize| self.norms.key(self.order[at] as usize);
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            let start = next;
+            let first = (start < self.order.len()).then(|| key(start))?;
+            next += 1;
+            while next < self.order.len() && key(next) == first {
+                next += 1;
+            }
+            Some(start..next)
+        })
+    }
 }
 
 /// A map task's output: a *sorted run* already cut into per-partition
@@ -224,8 +260,9 @@ fn verify_input(
     }
 }
 
-/// Feeds a task's records to a fresh mapper, returning the output buffer
-/// and the number of records read.
+/// Feeds a task's records to a fresh mapper writing into a buffer of
+/// `partitions` reduce partitions, returning the buffer and the number of
+/// records read.
 ///
 /// Torn-record injection: with `record_rate`, a garbled extra line — the
 /// real line plus one bogus field holding a control byte — follows a real
@@ -236,10 +273,16 @@ fn verify_input(
 /// are binary (a torn append is caught by the frame checksums before any
 /// row decodes), so the same per-row draws count the detected-and-skipped
 /// record directly.
-fn apply_mapper(job: &JobCtx, spec: &JobSpec, task_idx: usize, task: &MapTask) -> (MapOutput, u64) {
+fn apply_mapper(
+    job: &JobCtx,
+    spec: &JobSpec,
+    task_idx: usize,
+    task: &MapTask,
+    partitions: usize,
+) -> (MapOutput, u64) {
     let input = &spec.inputs[task.input_idx];
     let mut mapper = (input.mapper)();
-    let mut out = MapOutput::default();
+    let mut out = MapOutput::partitioned(partitions);
     let record_rate = job.cfg.corruption.map_or(0.0, |m| m.record_rate);
     let mut record_rng = (record_rate > 0.0).then(|| {
         let seed = job.cfg.corruption.map_or(0, |m| m.seed);
@@ -289,93 +332,68 @@ fn apply_mapper(job: &JobCtx, spec: &JobSpec, task_idx: usize, task: &MapTask) -
     }
 }
 
-/// Sorts a map task's pairs by `(partition, key, value)` — Hadoop's
-/// sort-based shuffle — and cuts the run into per-partition segments
-/// straight off the sorted permutation. Each key is hashed to its partition
-/// once (not once per comparison) and each pair is moved exactly once; the
-/// shuffle later hands whole segments to reduce tasks without re-splitting
-/// anything.
-fn sort_into_runs(mut keys: Vec<Row>, mut values: Vec<Row>, num_reducers: usize) -> MapRuns {
+/// Sorts one partition's pairs by `(key, value)` — Hadoop's sort-based
+/// shuffle. The mapper already routed every pair to its partition, so this
+/// permutes *indices* of one arena: no pair moves, and the shuffle later
+/// hands the whole segment to its reduce task.
+fn sort_run(pairs: Pairs) -> PartitionRun {
     // Encode each normalized key once into one flat arena; the sort (and
     // every later merge/group comparison) then compares key bytes, falling
-    // back to value `Row`s only on key ties.
-    let arena = NormArena::from_keys(&keys);
-    // Sort packed `(partition, key prefix, index)` entries: the two
-    // integers resolve almost every comparison from a flat array — equal
-    // prefixes fall back to the arena slices, and full key ties to the
-    // value rows. Unstable is safe: residual ties are fully equal
-    // (partition, key, value) triples, so any ordering of them yields the
-    // same run.
-    let mut entries: Vec<(u32, u64, u32)> = (0..keys.len())
-        .map(|i| {
-            (
-                partition(&keys[i], num_reducers) as u32,
-                arena.prefix8(i),
-                i as u32,
-            )
-        })
+    // back to value cells only on key ties.
+    let norms = NormArena::from_key_cells((0..pairs.len()).map(|i| pairs.key(i)));
+    // Sort packed `(key prefix, index)` entries: the integer resolves almost
+    // every comparison from a flat array — equal prefixes fall back to the
+    // arena slices, full key ties to the value cells, and fully equal pairs
+    // to emit order, so the run is the *stable* sort of the task's pairs.
+    let mut entries: Vec<(u64, u32)> = (0..pairs.len())
+        .map(|i| (norms.prefix8(i), i as u32))
         .collect();
     entries.sort_unstable_by(|a, b| {
-        (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| {
-            let (i, j) = (a.2 as usize, b.2 as usize);
-            arena
+        a.0.cmp(&b.0).then_with(|| {
+            let (i, j) = (a.1 as usize, b.1 as usize);
+            norms
                 .key(i)
-                .cmp(arena.key(j))
-                .then_with(|| values[i].cmp(&values[j]))
+                .cmp(norms.key(j))
+                .then_with(|| pairs.value(i).cmp(pairs.value(j)))
+                .then_with(|| i.cmp(&j))
         })
     });
-    let mut runs = MapRuns::new();
-    for segment in entries.chunk_by(|a, b| a.0 == b.0) {
-        let mut seg = PartitionRun {
-            keys: Vec::with_capacity(segment.len()),
-            values: Vec::with_capacity(segment.len()),
-            norms: NormArena::with_capacity(segment.len()),
-        };
-        for &(_, _, i) in segment {
-            let i = i as usize;
-            seg.keys.push(std::mem::take(&mut keys[i]));
-            seg.values.push(std::mem::take(&mut values[i]));
-            seg.norms.push_encoded(arena.key(i));
-        }
-        runs.push((segment[0].0, seg));
+    PartitionRun {
+        order: entries.into_iter().map(|(_, i)| i).collect(),
+        pairs,
+        norms,
+        ..PartitionRun::default()
     }
-    runs
 }
 
 /// Bytes of a segment's pairs in the text framing (key, tab, value,
-/// newline).
+/// newline): one pass over the flat cells.
 fn seg_bytes(seg: &PartitionRun) -> u64 {
-    seg.keys
-        .iter()
-        .zip(&seg.values)
-        .map(|(k, v)| (k.size_bytes() + v.size_bytes() + 2) as u64)
-        .sum()
+    let cells = seg.pairs.cells().iter();
+    cells.map(|v| v.size_bytes() as u64).sum::<u64>() + 2 * seg.pairs.len() as u64
 }
 
-/// Runs the combiner over every key group of one segment. Groups are
-/// contiguous borrowed slices of the sorted value column; only the
-/// combiner's (usually single) output rows are materialised, and the group
-/// key is moved, not cloned, into the last of them.
-fn combine_segment(combiner: &mut dyn crate::job::Combiner, seg: &mut PartitionRun) {
+/// Runs the combiner over every key group of one segment, each read in
+/// place through a [`GroupView`]; only the combiner's (usually single)
+/// output rows are materialised, into a fresh arena that replaces the
+/// segment.
+fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
     let mut combined = PartitionRun::default();
-    for group in seg.norms.groups() {
-        let i = group.start;
-        let mut outputs = combiner.combine(&seg.keys[i], &seg.values[group]);
+    for group in seg.groups() {
+        let first = seg.order[group.start] as usize;
+        let key = seg.pairs.key(first);
+        let mut outputs =
+            combiner.combine_group(key, GroupView::run(&seg.pairs, &seg.order[group]));
         // Keep the run sorted within the key group, as the shuffle merge
         // requires of its inputs: the group's outputs share one key, so
         // ordering by value orders the (key, value) pairs.
         outputs.sort_unstable();
-        let n = outputs.len();
-        for (m, v) in outputs.into_iter().enumerate() {
-            combined.norms.push_encoded(seg.norms.key(i));
-            combined.keys.push(if m + 1 == n {
-                std::mem::take(&mut seg.keys[i])
-            } else {
-                seg.keys[i].clone()
-            });
-            combined.values.push(v);
+        for value in outputs {
+            combined.norms.push_encoded(seg.norms.key(first));
+            combined.pairs.push(key, value);
         }
     }
+    combined.order = (0..combined.pairs.len() as u32).collect();
     *seg = combined;
 }
 
@@ -401,27 +419,32 @@ fn run_map_task(
         }
     }
 
-    let (mut out, in_records) = apply_mapper(job, spec, task_idx, task);
+    let (mut out, in_records) = apply_mapper(job, spec, task_idx, task, shuffle_to.unwrap_or(1));
     counts.in_records = in_records;
     counts.skipped_records = out.bad_records();
     counts.work = out.work();
     let mut user_fatal = out.take_fatal();
     counts.dispatches = out.take_dispatches();
-    let (keys, values) = out.into_columns();
-    counts.out_records = keys.len() as u64;
+    counts.out_records = out.len() as u64;
 
-    let mut runs = match shuffle_to {
-        Some(num_reducers) => sort_into_runs(keys, values, num_reducers),
+    let parts = out.into_parts().into_iter().zip(0u32..);
+    let mut runs: MapRuns = match shuffle_to {
+        // One sorted segment per partition the task emitted anything to.
+        Some(_) => parts
+            .filter(|(pairs, _)| !pairs.is_empty())
+            .map(|(pairs, p)| (p, sort_run(pairs)))
+            .collect(),
         // Map-only output is written as-is; keep it as one pseudo-segment
-        // (no shuffle, so no normalized keys needed).
-        None => vec![(
-            0,
-            PartitionRun {
-                keys,
-                values,
-                norms: NormArena::default(),
-            },
-        )],
+        // (no shuffle, so no order and no normalized keys needed).
+        None => parts
+            .map(|(pairs, p)| {
+                let unsorted = PartitionRun {
+                    pairs,
+                    ..PartitionRun::default()
+                };
+                (p, unsorted)
+            })
+            .collect(),
     };
     if let (Some(factory), Some(_)) = (&spec.combiner, shuffle_to) {
         let mut combiner = factory();
@@ -432,67 +455,53 @@ fn run_map_task(
             user_fatal = combiner.take_error();
         }
     }
-    counts.combined_bytes = runs.iter().map(|(_, seg)| seg_bytes(seg)).sum();
-    let total_pairs: usize = runs.iter().map(|(_, seg)| seg.keys.len()).sum();
+    let framed = shuffle_to.is_some() && job.cfg.data_format == DataFormat::Columnar;
+    for (_, seg) in &mut runs {
+        seg.text_bytes = seg_bytes(seg);
+        seg.frame = framed.then(|| segment_frame_stats(seg)).flatten();
+    }
+    counts.combined_bytes = runs.iter().map(|(_, seg)| seg.text_bytes).sum();
+    let total_pairs: usize = runs.iter().map(|(_, seg)| seg.pairs.len()).sum();
     counts.bounded = spec.combiner.is_some() && total_pairs <= 4;
     counts.fatal = user_fatal.map(MapRedError::User);
     (counts, runs)
 }
 
-/// The uniform width of a segment's `key ⧺ value` pairs. `None` for empty
-/// segments or when pair widths differ across the segment (the mixed-width
-/// values of some merged mappers) — no frame; the caller falls back to the
-/// text framing of [`segment_canon_bytes`].
-fn segment_width(seg: &PartitionRun) -> Option<usize> {
-    let width = seg.keys.first()?.len() + seg.values[0].len();
-    let mut pairs = seg.keys.iter().zip(&seg.values);
-    pairs
-        .all(|(k, v)| k.len() + v.len() == width)
-        .then_some(width)
-}
-
-/// Cell `c` of pair `r` read as one `key ⧺ value` row, in place.
-fn pair_cell(seg: &PartitionRun, r: usize, c: usize) -> &Value {
-    let key = seg.keys[r].values();
-    key.get(c)
-        .unwrap_or_else(|| &seg.values[r].values()[c - key.len()])
-}
-
-/// Columnar wire form of one shuffle segment: a single encoded frame of
-/// `key ⧺ value` rows, with its stats. `None` when [`segment_width`] is, or
-/// on a non-finite float.
-fn segment_frame(seg: &PartitionRun) -> Option<(Vec<u8>, FrameStats)> {
-    let cell = |r, c| pair_cell(seg, r, c);
-    let batch = ColumnBatch::from_cells(seg.keys.len(), segment_width(seg)?, cell).ok()?;
-    let frame = batch.encode_frame();
-    let stats = FrameStats {
-        bytes: frame.len() as u64,
-        dict_entries: batch.dict_entries(),
-    };
-    Some((frame, stats))
+/// Columnar wire form of one shuffle segment: a single encoded frame of its
+/// sorted `key ⧺ value` rows. `None` for empty segments, when pair widths
+/// differ across the segment (the mixed-width values of some merged
+/// mappers) or on a non-finite float — no frame; the caller falls back to
+/// the text framing of [`segment_canon_bytes`].
+fn segment_frame(seg: &PartitionRun) -> Option<Vec<u8>> {
+    let cell = |r: usize, c: usize| &seg.pairs.pair(seg.order[r] as usize)[c];
+    let batch = ColumnBatch::from_cells(seg.order.len(), seg.pairs.uniform_width()?, cell).ok()?;
+    Some(batch.encode_frame())
 }
 
 /// Exact size and dictionary-entry count of [`segment_frame`]'s frame
 /// without building it — the shuffle's byte accounting needs only the
-/// numbers unless a corruption model wants real wire bytes to flip. `None`
-/// exactly when `segment_frame` is.
+/// numbers; real wire bytes are built only for a corruption model to flip.
+/// A frame's size does not depend on the order of its rows, so the cells are
+/// read at stride where they lie, in emit order. `None` exactly when
+/// `segment_frame` is.
 fn segment_frame_stats(seg: &PartitionRun) -> Option<FrameStats> {
-    let cell = |r, c| pair_cell(seg, r, c);
-    frame_stats(seg.keys.len(), segment_width(seg)?, cell)
+    let width = seg.pairs.uniform_width()?;
+    let cells = seg.pairs.cells();
+    frame_stats(seg.pairs.len(), width, |r, c| &cells[r * width + c])
 }
 
 /// Canonical wire encoding of a shuffle segment — the byte stream its
 /// checksum covers. Key and value share a line, tab-separated, matching how
 /// Hadoop's IFile frames a pair per record.
 fn segment_canon_bytes(seg: &PartitionRun) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (k, v) in seg.keys.iter().zip(&seg.values) {
-        out.extend_from_slice(encode_line(k).as_bytes());
-        out.push(b'\t');
-        out.extend_from_slice(encode_line(v).as_bytes());
-        out.push(b'\n');
+    let mut out = String::new();
+    for &i in &seg.order {
+        encode_cells_into(seg.pairs.key(i as usize), &mut out);
+        out.push('\t');
+        encode_cells_into(seg.pairs.value(i as usize), &mut out);
+        out.push('\n');
     }
-    out
+    out.into_bytes()
 }
 
 /// Fetches one non-empty segment under in-flight corruption, returning
@@ -541,12 +550,13 @@ fn fetch_corrupted(
 }
 
 /// The shuffle. Map tasks emitted per-partition sorted segments, so it is
-/// pure *distribution*: whole segments move (Vec pointer copies, no
-/// per-pair work) to the reduce tasks that k-way merge them, in task order,
-/// preserving the merge tie-break order. Each segment is sized in its wire
-/// form — columnar mode encodes one frame of `key ⧺ value` rows, falling
-/// back to the text framing when widths are non-uniform across the segment
-/// — and, under a corruption model, fetched through its checksum. Only the
+/// pure *distribution*: whole segments — arena and all — move (pointer
+/// copies, no per-pair work) to the reduce tasks that k-way merge them, in
+/// task order, preserving the merge tie-break order. Each segment is
+/// accounted in its wire form — in columnar mode one frame of `key ⧺ value`
+/// rows, falling back to the text framing when widths are non-uniform
+/// across the segment; the map task that wrote it took both sizes — and,
+/// under a corruption model, fetched through its checksum. Only the
 /// canonical segment rows ever reach a reducer.
 pub(super) fn shuffle(
     job: &JobCtx,
@@ -561,33 +571,24 @@ pub(super) fn shuffle(
     for (task, runs) in map_runs.into_iter().enumerate() {
         for (p, seg) in runs {
             let partition = p as usize;
-            // Real wire bytes are built only when the corruption model will
-            // actually flip bits in them; otherwise the exact frame size
-            // comes from `segment_frame_stats` with no encoding pass.
-            let frame = match flips {
-                Some(_) if columnar => segment_frame(&seg),
-                _ => None,
-            };
-            let stats = match &frame {
-                Some((_, stats)) => Some(*stats),
-                None if columnar && flips.is_none() => segment_frame_stats(&seg),
-                None => None,
-            };
             let (corrupt_fetches, collisions) = match flips {
-                Some(model) if !seg.keys.is_empty() => fetch_corrupted(
+                // Real wire bytes are built only for the corruption model
+                // to flip bits in; the accounting uses the size the map
+                // task took.
+                Some(model) if !seg.pairs.is_empty() => fetch_corrupted(
                     &model,
                     job.task_seed(model.seed, task) ^ (p as u64 + 1).wrapping_mul(PARTMIX),
                     &seg,
-                    frame.map(|(bytes, _)| bytes),
+                    columnar.then(|| segment_frame(&seg)).flatten(),
                 ),
                 _ => (0, 0),
             };
             segments.push(SegmentCounts {
                 task,
                 partition,
-                records: seg.keys.len() as u64,
-                bytes: stats.map_or_else(|| seg_bytes(&seg), |stats| stats.bytes),
-                frame_dicts: stats.map(|stats| stats.dict_entries),
+                records: seg.pairs.len() as u64,
+                bytes: seg.frame.map_or(seg.text_bytes, |frame| frame.bytes),
+                frame_dicts: seg.frame.map(|frame| frame.dict_entries),
                 corrupt_fetches,
                 collisions,
             });
@@ -597,52 +598,37 @@ pub(super) fn shuffle(
     (part_runs, segments)
 }
 
-/// The merged, fully sorted pair columns of one reduce task. Key groups
-/// are pre-delimited: group `g` spans
-/// `group_starts[g]..group_starts[g + 1]` (the last runs to the end).
-#[derive(Default)]
-struct MergedRun {
-    keys: Vec<Row>,
-    values: Vec<Row>,
+/// One reduce task's pairs in merged order: `(run, pair)` positions into
+/// its segments' arenas — no pair is moved. Key groups are pre-delimited:
+/// group `g` spans `group_starts[g]..group_starts[g + 1]` (the last runs to
+/// the end).
+struct Merged {
+    at: Vec<(u32, u32)>,
     group_starts: Vec<u32>,
 }
 
-/// K-way merge of per-task sorted runs into one sorted pair of key/value
-/// columns. Equal `(key, value)` pairs are taken from the lowest run (task)
-/// index first — exactly the order the previous global stable sort
-/// produced — so key groups reach the reducer in an order independent of
-/// how the merge is scheduled.
-fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
-    let mut runs: Vec<PartitionRun> = runs.into_iter().filter(|r| !r.keys.is_empty()).collect();
-    let total: usize = runs.iter().map(|r| r.keys.len()).sum();
-    let mut out = MergedRun {
-        keys: Vec::with_capacity(total),
-        values: Vec::with_capacity(total),
-        group_starts: Vec::new(),
-    };
-    if runs.len() == 1 {
-        let r = runs.pop().expect("one run");
-        out.group_starts = r.norms.groups().map(|g| g.start as u32).collect();
-        out.keys = r.keys;
-        out.values = r.values;
-        return out;
-    }
-    if runs.is_empty() {
-        return out;
-    }
+/// K-way merge of per-task sorted runs into one sorted sequence of pair
+/// positions. Equal `(key, value)` pairs are taken from the lowest run
+/// (task) index first — exactly the order a global stable sort of the
+/// tasks' concatenated output produces — so key groups reach the reducer in
+/// an order independent of how the input was split and the merge scheduled.
+fn merge_runs(runs: &[PartitionRun]) -> Merged {
     // Tournament merge over a min-heap of run heads: O(log k) comparisons
-    // per pop, each a key *byte* compare falling back to the value `Row`
-    // only on key ties — the run index breaks full ties toward the
-    // earliest task. Heads borrow key encodings from the runs' arenas and
-    // value rows from the runs themselves, so the merge first computes the
-    // order (and the group boundaries), then moves every pair exactly once.
+    // per pair, each a key *byte* compare falling back to the value cells
+    // only on key ties — the run index breaks full ties toward the earliest
+    // task. Heads borrow key encodings and value cells from the runs; the
+    // winner is replaced in place by its run's next pair (one sift, not a
+    // pop and a push).
     struct Head<'a> {
         /// First eight key bytes as an integer — resolves most
         /// comparisons without touching the slices.
         prefix: u64,
         key: &'a [u8],
-        value: &'a Row,
+        value: &'a [Value],
         run: u32,
+        pair: u32,
+        /// Where `pair` stands in its run's `order`.
+        at: usize,
     }
     impl PartialEq for Head<'_> {
         fn eq(&self, other: &Self) -> bool {
@@ -657,7 +643,7 @@ fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
     }
     impl Ord for Head<'_> {
         // Reversed: `BinaryHeap` is a max-heap, the smallest head must
-        // pop first.
+        // surface first.
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             other
                 .prefix
@@ -667,45 +653,39 @@ fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
                 .then_with(|| other.run.cmp(&self.run))
         }
     }
-    let mut order: Vec<(u32, u32)> = Vec::with_capacity(total);
-    {
-        let mut pos = vec![0usize; runs.len()];
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        for (i, r) in runs.iter().enumerate() {
-            heap.push(Head {
-                prefix: r.norms.prefix8(0),
-                key: r.norms.key(0),
-                value: &r.values[0],
-                run: i as u32,
-            });
-            pos[i] = 1;
+    let head = |run: usize, at: usize| {
+        let r = &runs[run];
+        let &pair = r.order.get(at)?;
+        Some(Head {
+            prefix: r.norms.prefix8(pair as usize),
+            key: r.norms.key(pair as usize),
+            value: r.pairs.value(pair as usize),
+            run: run as u32,
+            pair,
+            at,
+        })
+    };
+    let total = runs.iter().map(|r| r.order.len()).sum();
+    let mut merged = Merged {
+        at: Vec::with_capacity(total),
+        group_starts: Vec::new(),
+    };
+    let mut heap: BinaryHeap<Head> = (0..runs.len()).filter_map(|run| head(run, 0)).collect();
+    let mut prev_key: Option<&[u8]> = None;
+    while let Some(mut top) = heap.peek_mut() {
+        if prev_key != Some(top.key) {
+            merged.group_starts.push(merged.at.len() as u32);
+            prev_key = Some(top.key);
         }
-        let mut prev_key: Option<&[u8]> = None;
-        while let Some(Head { key, run, .. }) = heap.pop() {
-            let r = run as usize;
-            if prev_key != Some(key) {
-                out.group_starts.push(order.len() as u32);
-                prev_key = Some(key);
-            }
-            order.push((run, (pos[r] - 1) as u32));
-            let p = pos[r];
-            if p < runs[r].keys.len() {
-                pos[r] = p + 1;
-                heap.push(Head {
-                    prefix: runs[r].norms.prefix8(p),
-                    key: runs[r].norms.key(p),
-                    value: &runs[r].values[p],
-                    run,
-                });
+        merged.at.push((top.run, top.pair));
+        match head(top.run as usize, top.at + 1) {
+            Some(following) => *top = following,
+            None => {
+                PeekMut::pop(top);
             }
         }
     }
-    for (run, i) in order {
-        let (run, i) = (run as usize, i as usize);
-        out.keys.push(std::mem::take(&mut runs[run].keys[i]));
-        out.values.push(std::mem::take(&mut runs[run].values[i]));
-    }
-    out
+    merged
 }
 
 /// Packs one task's `n` output records — `record(i)` is its `(stream tag,
@@ -716,7 +696,7 @@ fn merge_runs(runs: Vec<PartitionRun>) -> MergedRun {
 fn pack_output<'a>(
     columnar: bool,
     n: usize,
-    record: impl Fn(usize) -> (Option<i64>, &'a Row),
+    record: impl Fn(usize) -> (Option<i64>, &'a [Value]),
 ) -> (OutputCounts, DataFile) {
     let mut counts = OutputCounts {
         records: n as u64,
@@ -749,7 +729,7 @@ fn pack_output<'a>(
 /// records differ in width or hold a non-finite float.
 fn frame_records<'a>(
     n: usize,
-    record: &impl Fn(usize) -> (Option<i64>, &'a Row),
+    record: &impl Fn(usize) -> (Option<i64>, &'a [Value]),
 ) -> Option<(Vec<Vec<u8>>, u64)> {
     let mut frames = Vec::with_capacity(n.div_ceil(DEFAULT_FRAME_ROWS));
     let mut dicts = 0u64;
@@ -765,8 +745,8 @@ fn frame_records<'a>(
         }
         let cell = |r: usize, c: usize| match &tags[r] {
             Some(tag) if c == 0 => tag,
-            Some(_) => &row(r).values()[c - 1],
-            None => &row(r).values()[c],
+            Some(_) => &row(r)[c - 1],
+            None => &row(r)[c],
         };
         let batch = ColumnBatch::from_cells(len, width(0), cell).ok()?;
         dicts += batch.dict_entries();
@@ -775,18 +755,19 @@ fn frame_records<'a>(
     Some((frames, dicts))
 }
 
-/// Collects a map-only job's output: the map tasks' values, in task order.
+/// Collects a map-only job's output: the map tasks' values, in task order
+/// and in emit order within a task, read where the mappers wrote them.
 pub(super) fn map_only_output(
     cfg: &ClusterConfig,
     map_runs: Vec<MapRuns>,
 ) -> (OutputCounts, DataFile) {
-    let rows: Vec<Row> = map_runs
-        .into_iter()
-        .flatten()
-        .flat_map(|(_, seg)| seg.values)
-        .collect();
+    let tasks: Vec<PartitionRun> = map_runs.into_iter().flatten().map(|(_, seg)| seg).collect();
+    let arenas: Vec<&Pairs> = tasks.iter().map(|seg| &seg.pairs).collect();
+    let pairs = |t: usize| (0..arenas[t].len()).map(move |i| (t as u32, i as u32));
+    let at: Vec<(u32, u32)> = (0..arenas.len()).flat_map(pairs).collect();
+    let values = GroupView::merged(&arenas, &at);
     let columnar = cfg.data_format == DataFormat::Columnar;
-    pack_output(columnar, rows.len(), |i| (None, &rows[i]))
+    pack_output(columnar, values.len(), |i| (None, values.get(i)))
 }
 
 /// Runs every reduce task on its partition's segments.
@@ -803,33 +784,35 @@ pub(super) fn execute_reduces(
 
 /// Runs one reduce task for real: merges its shuffle segments (Hadoop's
 /// merge-based shuffle — no global re-sort) and streams each key group
-/// through a fresh reducer as a borrowed slice of the merged value column.
+/// through a fresh reducer as a view of the merged positions. The segments'
+/// arenas are freed only after the task's output is packed, so the
+/// long-lived output is never allocated into holes they left.
 fn run_reduce_task(
     columnar: bool,
     reducer: &ReducerFactory,
     runs: Vec<PartitionRun>,
 ) -> (ReduceCounts, DataFile) {
-    let MergedRun {
-        keys,
-        values,
-        group_starts,
-    } = merge_runs(runs);
+    let Merged { at, group_starts } = merge_runs(&runs);
+    let arenas: Vec<&Pairs> = runs.iter().map(|r| &r.pairs).collect();
     let mut reducer = reducer();
     let mut out = ReduceOutput::default();
     for (g, &start) in group_starts.iter().enumerate() {
-        let i = start as usize;
-        let j = group_starts
+        let end = group_starts
             .get(g + 1)
-            .map_or(keys.len(), |&next| next as usize);
-        reducer.reduce(&keys[i], &values[i..j], &mut out);
+            .map_or(at.len(), |&next| next as usize);
+        let group = &at[start as usize..end];
+        let (run, pair) = group[0];
+        let key = arenas[run as usize].key(pair as usize);
+        reducer.reduce_group(key, GroupView::merged(&arenas, group), &mut out);
     }
     let work = out.work();
     let fatal = out.take_fatal().map(MapRedError::User);
     let dispatches = out.take_dispatches();
     let emits = out.into_emits();
-    let (written, output) = pack_output(columnar, emits.len(), |i| (emits[i].tag, &emits[i].row));
+    let record = |i: usize| (emits[i].tag, emits[i].row.values());
+    let (written, output) = pack_output(columnar, emits.len(), record);
     let counts = ReduceCounts {
-        in_records: keys.len() as u64,
+        in_records: at.len() as u64,
         work,
         out: written,
         dispatches,
@@ -865,44 +848,47 @@ pub(super) fn write_output(hdfs: &mut Hdfs, path: &str, outputs: Vec<DataFile>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ysmart_rel::row;
+    use ysmart_rel::{row, Row};
 
-    /// The segment-level half of the sizing contract (the per-cell half is
-    /// `rel`'s `frame_stats_match_real_encoding` property): a segment is
-    /// read as `key ⧺ value` rows wherever each pair splits, the sizer
-    /// agrees with the real frame, and empty or width-mixed segments have
-    /// neither.
+    /// The segment-level half of the sizing contract (the per-cell halves
+    /// are `rel`'s `frame_stats_match_real_encoding` and
+    /// `frame_stats_ignore_row_order` properties): a segment is read as
+    /// `key ⧺ value` rows wherever each pair splits, the sizer — reading
+    /// emit order — agrees with the real frame — carrying sorted order —,
+    /// and empty or width-mixed segments have neither.
     #[test]
     fn segment_frame_stats_match_real_encoding() {
         let seg = |pairs: Vec<(Row, Row)>| {
-            let (keys, values): (Vec<Row>, Vec<Row>) = pairs.into_iter().unzip();
-            let norms = NormArena::from_keys(&keys);
-            PartitionRun {
-                keys,
-                values,
-                norms,
-            }
+            let mut out = MapOutput::default();
+            pairs.into_iter().for_each(|(k, v)| out.emit(k, v));
+            sort_run(out.into_parts().pop().unwrap())
         };
         let cases = [
             seg(vec![
-                (row![1i64, "k"], row![1.5f64, true, "apple"]),
                 (row![2i64, "k"], row![2.5f64, false, "apple"]),
+                (row![1i64, "k"], row![1.5f64, true, "apple"]),
             ]),
             // Uniform total width with shifted key/value split.
             seg(vec![
-                (row![1i64], row!["a", 2i64]),
                 (row![2i64, "b"], row![3i64]),
+                (row![1i64], row!["a", 2i64]),
             ]),
         ];
         for (i, seg) in cases.iter().enumerate() {
-            let (frame, stats) = segment_frame(seg).expect("uniform width");
+            let frame = segment_frame(seg).expect("uniform width");
+            let batch = ColumnBatch::decode_frame(&frame).unwrap();
+            let stats = FrameStats {
+                bytes: frame.len() as u64,
+                dict_entries: batch.dict_entries(),
+            };
             assert_eq!(segment_frame_stats(seg), Some(stats), "case {i}");
-            let pairs = seg.keys.iter().zip(&seg.values);
-            let joined: Vec<Row> = pairs
-                .map(|(k, v)| Row::new([k.values(), v.values()].concat()))
+            assert_eq!(seg.order, [1, 0], "case {i}: sorted by key");
+            let joined: Vec<Row> = seg
+                .order
+                .iter()
+                .map(|&p| Row::new(seg.pairs.pair(p as usize).to_vec()))
                 .collect();
-            let framed = ColumnBatch::decode_frame(&frame).unwrap().to_rows();
-            assert_eq!(framed, joined, "case {i}: key ⧺ value");
+            assert_eq!(batch.to_rows(), joined, "case {i}: sorted key ⧺ value");
         }
         let empty = seg(vec![]);
         assert!(segment_frame(&empty).is_none() && segment_frame_stats(&empty).is_none());

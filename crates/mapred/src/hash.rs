@@ -38,17 +38,29 @@ pub fn hash_value(state: u64, v: &Value) -> u64 {
     }
 }
 
+/// Stable hash of a key's cells.
+fn hash_cells(cells: &[Value]) -> u64 {
+    cells.iter().fold(FNV_OFFSET, hash_value)
+}
+
 /// Stable hash of a key row.
 #[must_use]
 pub fn hash_row(row: &Row) -> u64 {
-    row.values().iter().fold(FNV_OFFSET, hash_value)
+    hash_cells(row.values())
 }
 
 /// The reducer a key is routed to.
 #[must_use]
 pub fn partition(key: &Row, num_reducers: usize) -> usize {
+    partition_cells(key.values(), num_reducers)
+}
+
+/// [`partition`] over a key's cells wherever they lie — how
+/// [`crate::MapOutput`] routes a pair as it is emitted.
+#[must_use]
+pub fn partition_cells(key: &[Value], num_reducers: usize) -> usize {
     debug_assert!(num_reducers > 0);
-    (hash_row(key) % num_reducers as u64) as usize
+    (hash_cells(key) % num_reducers as u64) as usize
 }
 
 /// XXH64 checksum of a byte slice — the per-block checksum of the

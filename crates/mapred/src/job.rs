@@ -9,42 +9,349 @@
 //! Mappers and reducers are built per task from factories, mirroring how
 //! Hadoop instantiates a fresh object per task attempt.
 //!
+//! A shuffle pair is a span of cells, not a pair of rows: [`MapOutput`]
+//! routes each pair to its reduce partition as it is emitted and appends its
+//! `key ⧺ value` cells to that partition's flat arena, where they stay until
+//! the reduce task that consumed them is done. Everything downstream
+//! addresses pairs by index, and a [`Reducer`] or [`Combiner`] is handed a
+//! key group as a [`GroupView`] of borrowed cell slices. The row-shaped
+//! entry points — [`MapOutput::emit`], [`Reducer::reduce`],
+//! [`Combiner::combine`] — remain what hand-written jobs implement; the
+//! cell-shaped ones default to them.
+//!
 //! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
 //! with an optional merged-stream tag. Whether a task's records are stored
 //! as columnar frames or as text lines is the engine's decision, made in
 //! one place after the task ran — a reducer never formats its own output.
 
-use ysmart_rel::{codec::encode_line, ColumnBatch, Row};
+use ysmart_rel::codec::encode_cells_into;
+use ysmart_rel::{ColumnBatch, Row, Value};
+
+use crate::hash::partition_cells;
+
+/// The pairs one map task routed to one reduce partition — a shuffle
+/// *arena*. Every pair's `key ⧺ value` cells lie back to back in one flat
+/// vector, in emit order, with one `(key start, value start)` bound per
+/// pair. A pair is written here once and is never moved or allocated on its
+/// own: sort, merge and reduce address it by index, and the whole arena is
+/// freed at once by the reduce task that consumed it.
+#[derive(Debug, Default)]
+pub(crate) struct Pairs {
+    cells: Vec<Value>,
+    /// Pair `i` spans `cells[bounds[i].0..bounds[i + 1].0]` (the last one to
+    /// the end) and its value starts at `bounds[i].1`.
+    bounds: Vec<(u32, u32)>,
+}
+
+/// A cell offset as stored in [`Pairs::bounds`].
+fn offset(cells: usize) -> u32 {
+    u32::try_from(cells).expect("a shuffle arena holds fewer than 2^32 cells")
+}
+
+impl Pairs {
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bounds.is_empty()
+    }
+
+    /// Every cell of every pair, in emit order.
+    pub(crate) fn cells(&self) -> &[Value] {
+        &self.cells
+    }
+
+    fn end(&self, i: usize) -> usize {
+        self.bounds
+            .get(i + 1)
+            .map_or(self.cells.len(), |next| next.0 as usize)
+    }
+
+    /// The key cells of pair `i`.
+    pub(crate) fn key(&self, i: usize) -> &[Value] {
+        let (key, value) = self.bounds[i];
+        &self.cells[key as usize..value as usize]
+    }
+
+    /// The value cells of pair `i`.
+    pub(crate) fn value(&self, i: usize) -> &[Value] {
+        &self.cells[self.bounds[i].1 as usize..self.end(i)]
+    }
+
+    /// Pair `i` read as one `key ⧺ value` row — its shuffle wire form.
+    pub(crate) fn pair(&self, i: usize) -> &[Value] {
+        &self.cells[self.bounds[i].0 as usize..self.end(i)]
+    }
+
+    /// The width every pair shares; `None` when empty or when widths differ.
+    pub(crate) fn uniform_width(&self) -> Option<usize> {
+        if self.is_empty() {
+            return None;
+        }
+        // The first pair starts at cell 0, so its end is its width.
+        let width = self.end(0);
+        let mut starts = self.bounds.iter().map(|b| b.0 as usize).zip(0..);
+        let uniform = self.cells.len() == self.len() * width
+            && starts.all(|(start, i): (usize, usize)| start == i * width);
+        uniform.then_some(width)
+    }
+
+    /// Appends a pair by copying its key and moving its value in — how a
+    /// combiner's output rows re-enter an arena.
+    pub(crate) fn push(&mut self, key: &[Value], value: Row) {
+        let key_start = offset(self.cells.len());
+        self.cells.extend_from_slice(key);
+        self.bounds.push((key_start, offset(self.cells.len())));
+        self.cells.extend(value.into_values());
+    }
+
+    /// Gives the unused part of a mostly empty arena — the mapper dropped
+    /// most records — back to the allocator; the arena lives until the
+    /// reduce side is done with it. An arena filled to within its headroom
+    /// keeps its size on purpose: same-sized blocks are what the allocator
+    /// hands straight to the next job's arenas, while shrinking every arena
+    /// by its few per cent of slack leaves holes nothing fits (measured:
+    /// `serve_hot` `peak_rss_mb` +12 % after 15 cycles).
+    fn trim(&mut self) {
+        if self.cells.len() < self.cells.capacity() / 4 * 3 {
+            self.cells.shrink_to_fit();
+            self.bounds.shrink_to_fit();
+        }
+    }
+}
+
+/// A key group's values as the engine hands them to a [`Reducer`] or
+/// [`Combiner`]: an indexable run of borrowed cell slices. The values lie
+/// wherever the shuffle left them — consecutive `Row`s, or pairs scattered
+/// over the arenas a merge drew them from — and are read in place; nothing
+/// is gathered per group.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupView<'a>(Group<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Group<'a> {
+    Rows(&'a [Row]),
+    /// Pairs `order[..]` of one arena: a group of a sorted map-side run.
+    Run {
+        pairs: &'a Pairs,
+        order: &'a [u32],
+    },
+    /// `(run, pair)` positions over several arenas: a group of a shuffle
+    /// merge.
+    Merged {
+        runs: &'a [&'a Pairs],
+        at: &'a [(u32, u32)],
+    },
+}
+
+impl<'a> GroupView<'a> {
+    /// A view of whole rows.
+    #[must_use]
+    pub fn rows(rows: &'a [Row]) -> Self {
+        GroupView(Group::Rows(rows))
+    }
+
+    pub(crate) fn run(pairs: &'a Pairs, order: &'a [u32]) -> Self {
+        GroupView(Group::Run { pairs, order })
+    }
+
+    pub(crate) fn merged(runs: &'a [&'a Pairs], at: &'a [(u32, u32)]) -> Self {
+        GroupView(Group::Merged { runs, at })
+    }
+
+    /// Number of values in the group.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Group::Rows(rows) => rows.len(),
+            Group::Run { order, .. } => order.len(),
+            Group::Merged { at, .. } => at.len(),
+        }
+    }
+
+    /// Whether the group holds no value.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cells of value `i`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    #[must_use]
+    pub fn get(&self, i: usize) -> &'a [Value] {
+        match self.0 {
+            Group::Rows(rows) => rows[i].values(),
+            Group::Run { pairs, order } => pairs.value(order[i] as usize),
+            Group::Merged { runs, at } => {
+                let (run, pair) = at[i];
+                runs[run as usize].value(pair as usize)
+            }
+        }
+    }
+
+    /// The values in order.
+    pub fn iter(self) -> impl Iterator<Item = &'a [Value]> {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The values copied out as rows — the adaptor behind the default
+    /// [`Reducer::reduce_group`] and [`Combiner::combine_group`].
+    #[must_use]
+    pub fn to_rows(self) -> Vec<Row> {
+        self.iter().map(|v| Row::new(v.to_vec())).collect()
+    }
+}
 
 /// Key/value pairs emitted by a mapper, with byte and work accounting.
 ///
-/// Keys and values live in *parallel vectors* rather than a `Vec<(Row,
-/// Row)>`: after the map-side sort a key group's values are a contiguous
-/// `&[Row]` slice, so [`Reducer::reduce`] and [`Combiner::combine`] receive
-/// borrowed group slices without any per-group cloning.
-#[derive(Debug, Default)]
+/// A pair is routed to its reduce partition *as it is emitted* and its cells
+/// are appended to that partition's arena; nothing is allocated per pair and
+/// nothing is re-partitioned later. The engine builds the buffer with the
+/// job's reducer count; [`MapOutput::default`] is a single partition, which
+/// keeps pairs in emit order.
+#[derive(Debug)]
 pub struct MapOutput {
-    keys: Vec<Row>,
-    values: Vec<Row>,
+    parts: Vec<Pairs>,
+    /// Key cells of the pair being written, until its partition is known.
+    stage: Vec<Value>,
     work: u64,
     bad_records: u64,
     dispatches: Vec<u64>,
     fatal: Option<String>,
 }
 
-impl MapOutput {
-    /// Pre-reserves room for `additional` more pairs. The engine calls
-    /// this with the task's line count (a mapper emits at most one pair
-    /// per input line), so the parallel vectors never regrow mid-task.
-    pub fn reserve(&mut self, additional: usize) {
-        self.keys.reserve(additional);
-        self.values.reserve(additional);
+impl Default for MapOutput {
+    fn default() -> Self {
+        MapOutput::partitioned(1)
+    }
+}
+
+/// Writes the key cells of one pair; see [`MapOutput::begin`].
+#[derive(Debug)]
+pub struct KeyWriter<'a>(&'a mut MapOutput);
+
+impl<'a> KeyWriter<'a> {
+    /// Appends one key cell.
+    pub fn push(&mut self, cell: Value) {
+        self.0.stage.push(cell);
     }
 
-    /// Emits one key/value pair.
+    /// Ends the key: hashes it to its partition and continues with the
+    /// pair's value cells in that partition's arena.
+    #[must_use]
+    pub fn value(self) -> ValueWriter<'a> {
+        let MapOutput { parts, stage, .. } = self.0;
+        let partition = match parts.len() {
+            1 => 0,
+            n => partition_cells(stage, n),
+        };
+        let part = &mut parts[partition];
+        let key_start = offset(part.cells.len());
+        part.cells.append(stage);
+        ValueWriter {
+            bound: (key_start, offset(part.cells.len())),
+            part,
+            finished: false,
+        }
+    }
+}
+
+/// Writes the value cells of one pair straight into its partition's arena.
+/// Dropped without [`ValueWriter::finish`], the pair's cells are rolled back.
+#[derive(Debug)]
+pub struct ValueWriter<'a> {
+    part: &'a mut Pairs,
+    bound: (u32, u32),
+    finished: bool,
+}
+
+impl ValueWriter<'_> {
+    /// Appends one value cell.
+    pub fn push(&mut self, cell: Value) {
+        self.part.cells.push(cell);
+    }
+
+    /// Appends value cells.
+    pub fn extend(&mut self, cells: impl IntoIterator<Item = Value>) {
+        self.part.cells.extend(cells);
+    }
+
+    /// Commits the pair.
+    pub fn finish(mut self) {
+        let Pairs { cells, bounds } = &mut *self.part;
+        bounds.push(self.bound);
+        if bounds.len() == 1 {
+            // The first pair fixes the width: room for pairs (see
+            // `MapOutput::reserve`) is now room for their cells.
+            cells.reserve(cells.len() * (bounds.capacity() - 1));
+        }
+        self.finished = true;
+    }
+}
+
+impl Drop for ValueWriter<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.part.cells.truncate(self.bound.0 as usize);
+        }
+    }
+}
+
+impl MapOutput {
+    /// A buffer routing pairs to `partitions` reduce partitions (at least
+    /// one) by [`crate::hash::partition`] of their keys.
+    pub(crate) fn partitioned(partitions: usize) -> Self {
+        MapOutput {
+            parts: (0..partitions.max(1)).map(|_| Pairs::default()).collect(),
+            stage: Vec::new(),
+            work: 0,
+            bad_records: 0,
+            dispatches: Vec::new(),
+            fatal: None,
+        }
+    }
+
+    /// Pre-reserves room for `additional` more pairs. The engine calls this
+    /// with the task's line count (a mapper emits at most one pair per input
+    /// line), so an arena does not regrow mid-task: once a partition's first
+    /// pair has fixed the width, room for pairs is room for their cells. The
+    /// key hash spreads the pairs over `n` partitions binomially; each gets
+    /// its share plus three deviations (a deviation is below the square root
+    /// of the share), because an arena that outgrows its share doubles.
+    pub fn reserve(&mut self, additional: usize) {
+        let share = match self.parts.len() {
+            1 => additional,
+            n => additional / n + 3 * ((additional / n) as f64).sqrt() as usize,
+        };
+        for part in &mut self.parts {
+            part.bounds.reserve(share);
+            if !part.is_empty() {
+                part.cells.reserve(share * part.end(0));
+            }
+        }
+    }
+
+    /// Starts writing one pair cell by cell, with no allocation of its own:
+    /// key cells first, then [`KeyWriter::value`] and the value cells, then
+    /// [`ValueWriter::finish`]. A pair abandoned part-way — an expression
+    /// failed mid-record — leaves nothing behind.
+    pub fn begin(&mut self) -> KeyWriter<'_> {
+        self.stage.clear();
+        KeyWriter(self)
+    }
+
+    /// Emits one key/value pair — [`MapOutput::begin`] for mappers that
+    /// build rows.
     pub fn emit(&mut self, key: Row, value: Row) {
-        self.keys.push(key);
-        self.values.push(value);
+        let mut pair = self.begin();
+        key.into_values().into_iter().for_each(|c| pair.push(c));
+        let mut pair = pair.value();
+        pair.extend(value.into_values());
+        pair.finish();
     }
 
     /// Charges extra CPU work units (≈ one record operation each) beyond
@@ -107,31 +414,40 @@ impl MapOutput {
     /// Number of pairs emitted so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.parts.iter().map(Pairs::len).sum()
     }
 
     /// Whether nothing has been emitted.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.parts.iter().all(Pairs::is_empty)
     }
 
-    /// The keys emitted so far, parallel to [`MapOutput::values`].
-    #[must_use]
-    pub fn keys(&self) -> &[Row] {
-        &self.keys
+    /// Consumes the buffer into its per-partition arenas, growth slack
+    /// returned.
+    pub(crate) fn into_parts(mut self) -> Vec<Pairs> {
+        self.parts.iter_mut().for_each(Pairs::trim);
+        self.parts
     }
 
-    /// The values emitted so far, parallel to [`MapOutput::keys`].
-    #[must_use]
-    pub fn values(&self) -> &[Row] {
-        &self.values
-    }
-
-    /// Consumes the buffer into its parallel key/value columns.
+    /// Consumes the buffer into parallel key and value rows, partition by
+    /// partition and in emit order within each — the boundary back to
+    /// row-at-a-time code.
     #[must_use]
     pub fn into_columns(self) -> (Vec<Row>, Vec<Row>) {
-        (self.keys, self.values)
+        let mut keys = Vec::with_capacity(self.len());
+        let mut values = Vec::with_capacity(self.len());
+        for part in self.parts {
+            let widths: Vec<(usize, usize)> = (0..part.len())
+                .map(|i| (part.key(i).len(), part.value(i).len()))
+                .collect();
+            let mut cells = part.cells.into_iter();
+            for (key, value) in widths {
+                keys.push(cells.by_ref().take(key).collect());
+                values.push(cells.by_ref().take(value).collect());
+            }
+        }
+        (keys, values)
     }
 }
 
@@ -155,17 +471,16 @@ impl ReduceEmit {
     /// Renders this emission to its text-mode line.
     #[must_use]
     pub fn to_line(&self) -> String {
-        record_line(self.tag, &self.row)
+        record_line(self.tag, self.row.values())
     }
 }
 
 /// The text-mode line of one output record: `field|field|…`, behind a
 /// `tag|` prefix when tagged.
-pub(crate) fn record_line(tag: Option<i64>, row: &Row) -> String {
-    match tag {
-        None => encode_line(row),
-        Some(t) => format!("{t}|{}", encode_line(row)),
-    }
+pub(crate) fn record_line(tag: Option<i64>, cells: &[Value]) -> String {
+    let mut line = tag.map_or_else(String::new, |t| format!("{t}|"));
+    encode_cells_into(cells, &mut line);
+    line
 }
 
 /// Records emitted by a reducer (its output file content), with work
@@ -301,6 +616,14 @@ pub trait Mapper {
 pub trait Reducer {
     /// Processes one key group.
     fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput);
+
+    /// Processes one key group where it lies in the shuffle — the entry
+    /// point the engine calls. The default copies the group into rows and
+    /// feeds [`Reducer::reduce`], so every row-oriented reducer works
+    /// unchanged; reducers that read cells in place override it.
+    fn reduce_group(&mut self, key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
+        self.reduce(&Row::new(key.to_vec()), &values.to_rows(), out);
+    }
 }
 
 /// A map-side combiner: pre-aggregates one key group of map output,
@@ -309,6 +632,13 @@ pub trait Reducer {
 pub trait Combiner {
     /// Combines the values of one key into (usually fewer) values.
     fn combine(&mut self, key: &Row, values: &[Row]) -> Vec<Row>;
+
+    /// Combines one key group where it lies in the map task's sorted run —
+    /// the entry point the engine calls; defaults to [`Combiner::combine`]
+    /// over a copy, like [`Reducer::reduce_group`].
+    fn combine_group(&mut self, key: &[Value], values: GroupView<'_>) -> Vec<Row> {
+        self.combine(&Row::new(key.to_vec()), &values.to_rows())
+    }
 
     /// An unrecoverable error the combiner hit (combiners return values,
     /// not an output buffer, so they report errors through this hook after
@@ -525,14 +855,71 @@ mod tests {
         out.emit(row![1i64], row!["a"]);
         out.emit(row![2i64], row!["b"]);
         assert_eq!(out.len(), 2);
-        assert_eq!(out.keys(), &[row![1i64], row![2i64]]);
-        assert_eq!(out.values(), &[row!["a"], row!["b"]]);
         out.record_bad();
         assert_eq!(out.bad_records(), 1);
         assert_eq!(out.len(), 2, "a skipped record emits nothing");
         let (keys, values) = out.into_columns();
-        assert_eq!(keys.len(), 2);
-        assert_eq!(values.len(), 2);
+        assert_eq!(keys, [row![1i64], row![2i64]]);
+        assert_eq!(values, [row!["a"], row!["b"]]);
+    }
+
+    #[test]
+    fn pairs_are_routed_at_emit_and_abandoned_pairs_roll_back() {
+        let mut out = MapOutput::partitioned(3);
+        out.reserve(40);
+        for k in 0..40i64 {
+            // Mixed widths: empty keys and values included.
+            let width = (k % 3) as usize;
+            out.emit(vec![Value::Int(k); width].into(), row![k, "v"]);
+            // A pair given up after its key, and one given up mid-value.
+            out.begin().push(Value::Int(k));
+            let mut key = out.begin();
+            key.push(Value::Int(k));
+            let mut value = key.value();
+            value.push(Value::Null);
+            drop(value);
+        }
+        assert_eq!(out.len(), 40);
+        let parts = out.into_parts();
+        assert_eq!(parts.iter().map(Pairs::len).sum::<usize>(), 40);
+        for (p, part) in parts.iter().enumerate() {
+            assert_eq!(part.uniform_width(), None, "widths differ");
+            let mut cells = 0;
+            for i in 0..part.len() {
+                assert_eq!(crate::hash::partition_cells(part.key(i), 3), p);
+                let k = part.value(i)[0].as_int().unwrap();
+                assert_eq!(part.key(i), vec![Value::Int(k); (k % 3) as usize]);
+                assert_eq!(part.value(i), row![k, "v"].values());
+                assert_eq!(part.pair(i), [part.key(i), part.value(i)].concat());
+                cells += part.pair(i).len();
+            }
+            assert_eq!(part.cells().len(), cells, "no orphan cells");
+        }
+    }
+
+    #[test]
+    fn group_views_read_values_in_place() {
+        let mut a = Pairs::default();
+        a.push(row![1i64].values(), row!["a0"]);
+        a.push(row![1i64].values(), row!["a1", 2i64]);
+        let mut b = Pairs::default();
+        b.push(row![1i64].values(), Row::default());
+        assert_eq!(a.uniform_width(), None);
+        assert_eq!(b.uniform_width(), Some(1));
+        let rows = [row!["a1", 2i64], Row::default(), row!["a0"]];
+        let arenas = [&a, &b];
+        let views = [
+            GroupView::rows(&rows),
+            GroupView::merged(&arenas, &[(0, 1), (1, 0), (0, 0)]),
+        ];
+        for view in views {
+            assert_eq!(view.len(), 3);
+            assert_eq!(view.get(0), rows[0].values());
+            assert_eq!(view.to_rows(), rows);
+        }
+        let run = GroupView::run(&a, &[1, 0]);
+        assert_eq!(run.to_rows(), [row!["a1", 2i64], row!["a0"]]);
+        assert!(GroupView::rows(&[]).is_empty());
     }
 
     #[test]
@@ -565,6 +952,6 @@ mod tests {
         let batch = ColumnBatch::from_rows(&[row![1i64, "x"], row![2i64, "y"]]).unwrap();
         let mut out = MapOutput::default();
         Echo.map_batch(&batch, &mut out);
-        assert_eq!(out.keys(), &[row!["1|x"], row!["2|y"]]);
+        assert_eq!(out.into_columns().0, [row!["1|x"], row!["2|y"]]);
     }
 }

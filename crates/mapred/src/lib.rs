@@ -83,8 +83,8 @@ pub use engine::{run_job, run_job_attempt, AttemptFailure, Cluster};
 pub use error::MapRedError;
 pub use hdfs::{file_checksum, read_verified, untag_batch, untag_line, BlockRead, DataFile, Hdfs};
 pub use job::{
-    Combiner, JobInput, JobSpec, MapOutput, Mapper, MapperFactory, ReduceEmit, ReduceOutput,
-    Reducer, ReducerFactory,
+    Combiner, GroupView, JobInput, JobSpec, KeyWriter, MapOutput, Mapper, MapperFactory,
+    ReduceEmit, ReduceOutput, Reducer, ReducerFactory, ValueWriter,
 };
 pub use journal::{recover, DispositionKind, Journal, JournalRecord, Recovered, JOURNAL_MAGIC};
 pub use metrics::{ChainMetrics, JobMetrics};

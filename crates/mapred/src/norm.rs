@@ -2,14 +2,14 @@
 //!
 //! The map-side sort, the shuffle's k-way merge and the reducer's key
 //! grouping all order pairs by `(key, value)` under [`Value`]'s total
-//! order. Comparing `Row`s directly walks two `Vec<Value>`s with an enum
+//! order. Comparing keys directly walks two cell slices with an enum
 //! dispatch per element — the single hottest comparison in the engine.
 //! This module encodes each **key** once into a byte string whose `memcmp`
 //! order equals the key order, so the dominant comparison — keys are
 //! almost always distinct — is a plain slice compare (Hadoop does the same
 //! with `WritableComparator` raw-byte comparisons), and key-group
 //! boundaries are byte-equality scans. Only pairs whose keys tie fall back
-//! to comparing value `Row`s. Values are deliberately *not* encoded: they
+//! to comparing value cells. Values are deliberately *not* encoded: they
 //! are several times wider than keys, and measuring showed encoding them
 //! costs more than the byte compares save.
 //!
@@ -100,7 +100,11 @@ fn push_numeric(out: &mut Vec<u8>, f: f64, exact: i64) {
 
 /// Appends the encoding of every value in a row.
 pub fn push_row(out: &mut Vec<u8>, row: &Row) {
-    for v in row.values() {
+    push_cells(out, row.values());
+}
+
+fn push_cells(out: &mut Vec<u8>, cells: &[Value]) {
+    for v in cells {
         push_value(out, v);
     }
 }
@@ -170,41 +174,31 @@ impl NormArena {
         u64::from_be_bytes(buf)
     }
 
-    /// The key groups of a sorted run: each maximal range of consecutive
-    /// equal keys, in order.
-    pub fn groups(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let mut next = 0;
-        std::iter::from_fn(move || {
-            let start = next;
-            let key = (start < self.len()).then(|| self.key(start))?;
-            next += 1;
-            while next < self.len() && self.key(next) == key {
-                next += 1;
-            }
-            Some(start..next)
-        })
-    }
-
     /// Encodes every key of a run. The buffer is sized from the first
     /// key's encoded length — runs are overwhelmingly uniform-width, and
     /// growth-doubling a multi-megabyte buffer from a blind guess costs
     /// more memcpy than the encoding itself.
     #[must_use]
     pub fn from_keys(keys: &[Row]) -> NormArena {
+        NormArena::from_key_cells(keys.iter().map(Row::values))
+    }
+
+    /// [`NormArena::from_keys`] over keys that are spans of cells.
+    pub(crate) fn from_key_cells<'a>(
+        mut keys: impl ExactSizeIterator<Item = &'a [Value]>,
+    ) -> NormArena {
         let mut arena = NormArena::with_capacity(keys.len());
-        if let Some(k) = keys.first() {
+        if let Some(k) = keys.next() {
             arena.push_key(k);
-            arena.bytes.reserve(arena.bytes.len() * (keys.len() - 1));
-            for k in &keys[1..] {
-                arena.push_key(k);
-            }
+            arena.bytes.reserve(arena.bytes.len() * keys.len());
+            keys.for_each(|k| arena.push_key(k));
         }
         arena
     }
 
     /// Encodes and appends one key.
-    pub fn push_key(&mut self, key: &Row) {
-        push_row(&mut self.bytes, key);
+    fn push_key(&mut self, key: &[Value]) {
+        push_cells(&mut self.bytes, key);
         self.ends.push(self.bytes.len() as u32);
     }
 

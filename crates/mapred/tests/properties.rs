@@ -210,3 +210,187 @@ proptest! {
         }
     }
 }
+
+// ---- the order a reducer sees ----------------------------------------------
+//
+// Pins, against a kept reference, exactly which key and which values in which
+// order reach `reduce` — independent of how the input is split into map
+// tasks, how many reducers or threads run, whether a combiner sits in
+// between, and of the data format. The reference is the definition: every
+// input's records concatenated in file order, stably sorted by
+// `(key, value)` under `Value`'s order, grouped by key; a group is shown the
+// key of its first pair.
+
+/// A mapper over record indices: line `i` emits `records[i]`, so a pair's
+/// representation (`Int(7)` vs `Float(7.0)`) survives either input format.
+struct IndexMapper(std::sync::Arc<Vec<(Row, Row)>>);
+impl Mapper for IndexMapper {
+    fn map(&mut self, line: &str, out: &mut MapOutput) {
+        let (k, v) = &self.0[line.parse::<usize>().unwrap()];
+        out.emit(k.clone(), v.clone());
+    }
+}
+
+/// What the echo reducer writes per value: key, value and position in the
+/// group, rendered with `Debug` so equal-comparing representations differ.
+fn echo_row(key: &Row, value: &Row, pos: usize) -> Row {
+    row![
+        format!("{:?}", key.values()),
+        format!("{:?}", value.values()),
+        pos as i64
+    ]
+}
+
+struct EchoReducer;
+impl Reducer for EchoReducer {
+    fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput) {
+        for (pos, v) in values.iter().enumerate() {
+            out.emit_row(echo_row(key, v, pos));
+        }
+    }
+}
+
+/// Hands a group back reversed: the engine must restore `(key, value)` order
+/// before the shuffle merge, so the reducer sees no difference.
+struct ReversingCombiner;
+impl Combiner for ReversingCombiner {
+    fn combine(&mut self, _key: &Row, values: &[Row]) -> Vec<Row> {
+        values.iter().rev().cloned().collect()
+    }
+}
+
+fn reference_order(inputs: &[Vec<(Row, Row)>], reducers: usize) -> Vec<String> {
+    let mut all: Vec<&(Row, Row)> = inputs.iter().flatten().collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let groups: Vec<&[&(Row, Row)]> = all.chunk_by(|a, b| a.0.cmp(&b.0).is_eq()).collect();
+    let mut lines = Vec::new();
+    for p in 0..reducers {
+        for group in groups.iter().filter(|g| partition(&g[0].0, reducers) == p) {
+            for (pos, pair) in group.iter().enumerate() {
+                lines.push(ysmart_rel::codec::encode_line(&echo_row(
+                    &group[0].0,
+                    &pair.1,
+                    pos,
+                )));
+            }
+        }
+    }
+    lines
+}
+
+/// Tie-heavy records for one input. Cells come from a small pool, so
+/// duplicate pairs, shared keys and prefix-related values of different
+/// widths are the norm; NULL and empty keys occur. Within one input equal
+/// cells are identical — the second input spells the pool's `7` as
+/// `Float(7.0)`, so cross-input ties are equal under `Value`'s order yet
+/// distinguishable, and only the merge's task-order tie-break places them.
+fn tie_heavy_records(rng: &mut rand::rngs::StdRng, second: bool, n: usize) -> Vec<(Row, Row)> {
+    use rand::Rng;
+    use ysmart_rel::Value;
+    let seven = if second {
+        Value::Float(7.0)
+    } else {
+        Value::Int(7)
+    };
+    let pool = [
+        Value::Null,
+        seven,
+        Value::Int(-1),
+        Value::Float(7.5),
+        Value::Str(String::new()),
+        Value::Str("a".into()),
+        Value::Str("ab".into()),
+        Value::Bool(true),
+    ];
+    let mut cells = |max: usize| -> Row {
+        let width = rng.gen::<u64>() as usize % (max + 1);
+        (0..width)
+            .map(|_| pool[rng.gen::<u64>() as usize % pool.len()].clone())
+            .collect()
+    };
+    (0..n).map(|_| (cells(2), cells(3))).collect()
+}
+
+/// Runs the echo job over `inputs` under one configuration and returns the
+/// output file's records as text lines.
+fn run_echo(
+    inputs: &[Vec<(Row, Row)>],
+    config: ClusterConfig,
+    reducers: usize,
+    combiner: bool,
+) -> Vec<String> {
+    use ysmart_mapred::DataFormat;
+    use ysmart_rel::colbatch::{decode_frames, encode_frames};
+    let columnar = config.data_format == DataFormat::Columnar;
+    let one_task_per_record = config.hdfs_block_mb < 1e-6;
+    let mut c = Cluster::new(config);
+    let mut job = JobSpec::builder("echo")
+        .reducer(|| Box::new(EchoReducer))
+        .output("out/echo")
+        .reduce_tasks(reducers);
+    for (i, records) in inputs.iter().enumerate() {
+        let path = format!("data/in{i}");
+        let ids = 0..records.len() as i64;
+        if columnar {
+            let rows: Vec<Row> = ids.map(|i| row![i]).collect();
+            c.hdfs.put_frames(&path, encode_frames(&rows, 3).unwrap().0);
+        } else {
+            c.hdfs.put(&path, ids.map(|i| i.to_string()).collect());
+        }
+        let records = std::sync::Arc::new(records.clone());
+        job = job.input(&path, move || {
+            Box::new(IndexMapper(std::sync::Arc::clone(&records)))
+        });
+    }
+    if combiner {
+        job = job.combiner(|| Box::new(ReversingCombiner));
+    }
+    let metrics = run_job(&mut c, &job.build()).unwrap();
+    if one_task_per_record {
+        assert!(metrics.map_tasks >= 40, "one task per line / frame");
+    }
+    let file = c.hdfs.get("out/echo").unwrap();
+    if file.is_columnar() {
+        let rows = decode_frames(&file.frames).unwrap();
+        rows.iter().map(ysmart_rel::codec::encode_line).collect()
+    } else {
+        file.lines.clone()
+    }
+}
+
+#[test]
+fn reducer_sees_reference_order_under_every_split() {
+    use rand::SeedableRng;
+    use ysmart_mapred::DataFormat;
+    for seed in 0..4u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let inputs = [
+            tie_heavy_records(&mut rng, false, 70),
+            tie_heavy_records(&mut rng, true, 50),
+        ];
+        // One map task per input, a handful, one per line / frame.
+        for block_mb in [64.0, 4e-5, 1e-9] {
+            for reducers in 1..=5usize {
+                let expected = reference_order(&inputs, reducers);
+                for threads in [1, 4] {
+                    for combiner in [false, true] {
+                        for format in [DataFormat::Text, DataFormat::Columnar] {
+                            let config = ClusterConfig {
+                                hdfs_block_mb: block_mb,
+                                exec_threads: Some(threads),
+                                data_format: format,
+                                ..ClusterConfig::default()
+                            };
+                            assert_eq!(
+                                run_echo(&inputs, config, reducers, combiner),
+                                expected,
+                                "seed {seed}, block {block_mb} MB, {reducers} reducers, \
+                                 {threads} threads, combiner {combiner}, {format:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

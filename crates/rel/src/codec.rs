@@ -31,8 +31,14 @@ pub fn encode_line(row: &Row) -> String {
 /// Appends a row's `|`-separated encoding to an existing buffer — lets
 /// callers prefix a tag (or reuse an allocation) without a second pass.
 pub fn encode_line_into(row: &Row, out: &mut String) {
+    encode_cells_into(row.values(), out);
+}
+
+/// [`encode_line_into`] over a record's cells wherever they lie — a shuffle
+/// pair's cells are a span of a flat arena, not a `Row`.
+pub fn encode_cells_into(cells: &[Value], out: &mut String) {
     use std::fmt::Write as _;
-    for (i, v) in row.values().iter().enumerate() {
+    for (i, v) in cells.iter().enumerate() {
         if i > 0 {
             out.push(SEPARATOR);
         }

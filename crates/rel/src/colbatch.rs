@@ -287,27 +287,34 @@ fn non_finite(v: &Value) -> bool {
     matches!(v, Value::Float(f) if !f.is_finite())
 }
 
-/// One pass over a column deciding its type — the single inference the
-/// encoder ([`ColumnBatch::from_cells`]) and the sizer ([`frame_stats`])
-/// share, including the rejection of non-finite floats.
-fn column_type<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Result<Ty, RelError> {
-    let mut ty = Ty::None;
-    for r in 0..nrows {
-        let vt = match cell(r) {
-            Value::Null => continue,
+impl Ty {
+    /// The type of one cell (`Ty::None` for NULL) — the single inference the
+    /// encoder ([`ColumnBatch::from_cells`]) and the sizer ([`frame_stats`])
+    /// share, including the rejection of non-finite floats.
+    fn of(v: &Value) -> Result<Ty, RelError> {
+        Ok(match v {
+            Value::Null => Ty::None,
             Value::Int(_) => Ty::Int,
             v if non_finite(v) => return Err(frame_err("non-finite float in batch")),
             Value::Float(_) => Ty::Float,
             Value::Bool(_) => Ty::Bool,
             Value::Str(_) => Ty::Str,
-        };
-        ty = match ty {
-            Ty::None => vt,
-            t if t == vt => t,
-            _ => Ty::Mixed,
-        };
+        })
     }
-    Ok(ty)
+
+    /// A column of type `self` after one more cell of type `cell`.
+    fn with(self, cell: Ty) -> Ty {
+        match (self, cell) {
+            (t, Ty::None) | (Ty::None, t) => t,
+            (t, vt) if t == vt => t,
+            _ => Ty::Mixed,
+        }
+    }
+}
+
+/// One pass over a column deciding its type.
+fn column_type<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Result<Ty, RelError> {
+    (0..nrows).try_fold(Ty::None, |ty, r| Ok(ty.with(Ty::of(cell(r))?)))
 }
 
 /// Payload vector and null mask of a typed column: `payload` reads a cell
@@ -585,43 +592,62 @@ pub struct FrameStats {
 /// encode to, computed without materializing columns or bytes — byte
 /// accounting that needs only the numbers. `None` exactly when `from_cells`
 /// fails. Chunk sizes follow `encode_chunk`.
+///
+/// One row-major pass: each cell is read once, in the order a row run
+/// stores them, and folded into its column's type, its size were the column
+/// to end up [`Column::Var`], and its dictionary. Nothing depends on the
+/// order rows are visited in, so a caller may size rows where they lie.
 #[must_use]
 pub fn frame_stats<'a>(
     nrows: usize,
     width: usize,
     cell: impl Fn(usize, usize) -> &'a Value,
 ) -> Option<FrameStats> {
+    struct Col<'a> {
+        ty: Ty,
+        var_bytes: u64,
+        dict: HashSet<&'a str, FnvBuildHasher>,
+        dict_bytes: u64,
+    }
+    let mut cols: Vec<Col> = (0..width)
+        .map(|_| Col {
+            ty: Ty::None,
+            var_bytes: 0,
+            dict: HashSet::default(),
+            dict_bytes: 0,
+        })
+        .collect();
+    for r in 0..nrows {
+        for (c, col) in cols.iter_mut().enumerate() {
+            let v = cell(r, c);
+            col.ty = col.ty.with(Ty::of(v).ok()?);
+            col.var_bytes += match v {
+                Value::Null => 1,
+                Value::Bool(_) => 2,
+                Value::Int(_) | Value::Float(_) => 9,
+                Value::Str(s) => {
+                    if col.ty == Ty::Str && col.dict.insert(s) {
+                        col.dict_bytes += 4 + s.len() as u64;
+                    }
+                    5 + s.len() as u64
+                }
+            };
+        }
+    }
     let n = nrows as u64;
     let mut stats = FrameStats {
         bytes: header_len(width) as u64,
         dict_entries: 0,
     };
-    for c in 0..width {
-        let cell = |r| cell(r, c);
-        stats.bytes += match column_type(nrows, cell).ok()? {
+    for col in cols {
+        stats.bytes += match col.ty {
             Ty::None | Ty::Int | Ty::Float => n * 9,
             Ty::Bool => n * 2,
             Ty::Str => {
-                let mut dict: HashSet<&str, FnvBuildHasher> = HashSet::default();
-                let mut dict_bytes = 0u64;
-                for r in 0..nrows {
-                    if let Value::Str(v) = cell(r) {
-                        if dict.insert(v.as_str()) {
-                            dict_bytes += 4 + v.len() as u64;
-                        }
-                    }
-                }
-                stats.dict_entries += dict.len() as u64;
-                n * 5 + 4 + dict_bytes
+                stats.dict_entries += col.dict.len() as u64;
+                n * 5 + 4 + col.dict_bytes
             }
-            Ty::Mixed => (0..nrows)
-                .map(|r| match cell(r) {
-                    Value::Null => 1,
-                    Value::Bool(_) => 2,
-                    Value::Int(_) | Value::Float(_) => 9,
-                    Value::Str(v) => 5 + v.len() as u64,
-                })
-                .sum(),
+            Ty::Mixed => col.var_bytes,
         };
     }
     Some(stats)

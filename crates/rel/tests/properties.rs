@@ -270,6 +270,32 @@ proptest! {
         }
     }
 
+    /// A frame's size and dictionary count do not depend on the order of its
+    /// rows — what lets the shuffle size a segment where its pairs lie, in
+    /// emit order, although the frame on the wire carries them sorted.
+    #[test]
+    fn frame_stats_ignore_row_order(
+        nrows in 0usize..120,
+        pools in prop::collection::vec(arb_column_pool(), 1..5),
+        shuffle_seed in any::<u64>(),
+    ) {
+        let cell = |r: usize, c: usize| {
+            let pool: &Vec<Value> = &pools[c];
+            &pool[(r.wrapping_mul(0x9E37_79B9) >> 8) % pool.len()]
+        };
+        // A seeded Fisher–Yates permutation of the rows.
+        let mut perm: Vec<usize> = (0..nrows).collect();
+        let mut state = shuffle_seed;
+        for i in (1..nrows).rev() {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            perm.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        prop_assert_eq!(
+            frame_stats(nrows, pools.len(), cell),
+            frame_stats(nrows, pools.len(), |r, c| cell(perm[r], c))
+        );
+    }
+
     /// The columnar path agrees with the text codec wherever both apply:
     /// for codec-safe values, decoding a batch row equals decoding the
     /// text-encoded line of the same row.
