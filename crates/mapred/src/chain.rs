@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use crate::engine::{run_job_attempt, Cluster};
 use crate::error::MapRedError;
 use crate::hash::hash_row;
-use crate::hdfs::DataFile;
+use crate::hdfs::FileRef;
 use crate::job::JobSpec;
 use crate::metrics::{ChainMetrics, JobMetrics};
 use crate::trace::Trace;
@@ -159,8 +159,9 @@ pub fn chain_seed(chain: &JobChain) -> u64 {
 
 /// A journaled job completion handed back to a [`ChainSession`] on crash
 /// recovery: when the session reaches job `job_index` on attempt `attempt`,
-/// it *fast-forwards* — restores `file` to the job's output path and applies
-/// the recorded bit-exact metrics instead of re-executing. Failed attempts
+/// it *fast-forwards* — restores `file` to the job's output path (sharing
+/// the handle: [`crate::hdfs::Hdfs::put_shared`]) and applies the recorded
+/// bit-exact metrics instead of re-executing. Failed attempts
 /// before `attempt` were never journaled (only commits are checkpoints), so
 /// they re-execute live with their original seeded randomness, reproducing
 /// identical burned time and backoffs — the measured wasted work of a crash.
@@ -172,8 +173,9 @@ pub struct ReplayedJob {
     pub attempt: usize,
     /// HDFS path the job wrote (must match the chain's job output).
     pub output_path: String,
-    /// The materialized output, restored verbatim.
-    pub file: DataFile,
+    /// The materialized output, restored verbatim — the journal record's
+    /// or the cache entry's own handle, never a copy of it.
+    pub file: FileRef,
     /// The committed attempt's metrics, applied bit-identically.
     pub metrics: JobMetrics,
     /// `true` when the fast-forward comes from the cross-query reuse cache
@@ -437,7 +439,7 @@ impl ChainSession {
             .map(|at| self.replay.remove(at));
         let attempt_result = match replayed {
             Some(rj) => {
-                cluster.hdfs.put_data(&job.output, rj.file);
+                cluster.hdfs.put_shared(&job.output, rj.file);
                 // Cache hits and journal replays share the fast-forward
                 // mechanics but are accounted (and traced) separately:
                 // reuse is saved cross-query work, replay is recovery.

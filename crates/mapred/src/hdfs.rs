@@ -8,6 +8,16 @@
 //! [`untag_batch`]) and its read-back ([`DataFile::rows`]) are the one place
 //! each exists, so code above this module is written against records.
 //!
+//! # Ownership
+//!
+//! A stored file is immutable and shared: [`Hdfs`] maps a path to a
+//! [`FileRef`] (`Arc<`[`SharedFile`]`>`, the file plus the memo of its
+//! content checksum), [`Hdfs::share`] hands the handle out and
+//! [`Hdfs::put_shared`] stores one under another path. The commit path —
+//! reuse cache, fast-forward restore, replay plan, journal record — moves
+//! handles, never copies, so a job output exists once however many of them
+//! hold it, and is freed when the last one lets go.
+//!
 //! # Block integrity
 //!
 //! Real HDFS stores a CRC per 512-byte chunk in a `.crc` sidecar and
@@ -26,12 +36,12 @@
 //! [`MapRedError::CorruptBlock`].
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ysmart_rel::codec::decode_line;
-use ysmart_rel::colbatch::Column;
+use ysmart_rel::colbatch::{Column, Xxh64};
 use ysmart_rel::{ColumnBatch, RelError, Row, Schema};
 
 use crate::config::CorruptionModel;
@@ -98,6 +108,72 @@ pub(crate) fn line_bytes(line: &str) -> u64 {
     line.len() as u64 + 1
 }
 
+/// A stored file as every holder sees it: immutable, shared, and carrying
+/// the memo of its content checksum with the bytes.
+///
+/// [`Hdfs`] keeps one [`FileRef`] per path and never copies a file it is
+/// handed: the reuse cache's `reuse/<fp>` entry, the restore of a hit under
+/// a chain's `tmp/` path, the replay plan and the journal record of the
+/// commit all hold the *same* allocation. Identity (`Arc::ptr_eq`) is
+/// therefore a free proof of byte equality; the converse does not hold, so
+/// anything deciding "same content" falls back to comparing the files.
+#[derive(Debug, Default)]
+pub struct SharedFile {
+    file: DataFile,
+    /// [`file_checksum`] of `file`, computed on first request — loading a
+    /// table, and a service that never fingerprints, pay nothing for it.
+    /// It names the content (fingerprints, the journal's content keys); it
+    /// is never a substitute for re-hashing bytes at rest.
+    checksum: OnceLock<u64>,
+}
+
+/// The shared handle to a stored file.
+pub type FileRef = Arc<SharedFile>;
+
+impl SharedFile {
+    /// [`file_checksum`] of the file, hashed once however often it is asked
+    /// for and whichever path or record the handle travels through.
+    #[must_use]
+    pub fn checksum(&self) -> u64 {
+        *self.checksum.get_or_init(|| file_checksum(&self.file))
+    }
+
+    /// A file whose checksum the caller already knows — journal recovery,
+    /// which reads it from a record its frame checksum just covered.
+    pub(crate) fn with_checksum(file: DataFile, checksum: u64) -> FileRef {
+        Arc::new(SharedFile {
+            file,
+            checksum: OnceLock::from(checksum),
+        })
+    }
+}
+
+impl std::ops::Deref for SharedFile {
+    type Target = DataFile;
+
+    fn deref(&self) -> &DataFile {
+        &self.file
+    }
+}
+
+/// Files are equal when their content is; the memo is not part of it.
+impl PartialEq for SharedFile {
+    fn eq(&self, other: &Self) -> bool {
+        self.file == other.file
+    }
+}
+
+impl Eq for SharedFile {}
+
+impl From<DataFile> for FileRef {
+    fn from(file: DataFile) -> Self {
+        Arc::new(SharedFile {
+            file,
+            checksum: OnceLock::new(),
+        })
+    }
+}
+
 /// The text tag filter. A tagged multi-output file mixes records of several
 /// merged ops as `tag|rest` lines: returns `rest` when the line carries
 /// `tag`, `None` when it belongs to another stream (or has no tag at all).
@@ -142,22 +218,11 @@ pub fn untag_batch(batch: &ColumnBatch, want: i64) -> ColumnBatch {
 /// invariant and the property suite exercises it.
 #[derive(Debug, Clone)]
 pub struct Hdfs {
-    files: BTreeMap<String, Stored>,
+    files: BTreeMap<String, FileRef>,
     /// Data-node count of the per-node disk model (≥ 1).
     nodes: usize,
     /// Bytes stored per node; `node_used.iter().sum() == total_bytes()`.
     node_used: Vec<u64>,
-}
-
-/// A stored file and the memo of its content checksum. The memo lives and
-/// dies with the entry, so overwriting or deleting a path drops it.
-#[derive(Debug, Clone)]
-struct Stored {
-    file: DataFile,
-    /// [`file_checksum`] of `file`, computed on the first
-    /// [`Hdfs::checksum`] call: loading a table, and a service that never
-    /// fingerprints, pay nothing for it.
-    checksum: OnceLock<u64>,
 }
 
 impl Default for Hdfs {
@@ -193,9 +258,9 @@ impl Hdfs {
     pub fn set_nodes(&mut self, nodes: usize) {
         self.nodes = nodes.max(1);
         self.node_used = vec![0; self.nodes];
-        for (path, stored) in &self.files {
+        for (path, file) in &self.files {
             let n = node_index(path, self.nodes);
-            self.node_used[n] += stored.file.bytes();
+            self.node_used[n] += file.bytes();
         }
     }
 
@@ -207,45 +272,39 @@ impl Hdfs {
 
     /// Stores `file` at `path`, keeping the per-node accounting exact: a
     /// replacement releases the old file's bytes before charging the new
-    /// ones. All puts funnel through here.
-    fn store(&mut self, path: &str, file: DataFile) {
+    /// ones. All puts funnel through here; a shared file is charged at
+    /// every path that holds it, as a copy would be.
+    fn store(&mut self, path: &str, file: FileRef) {
         let n = node_index(path, self.nodes);
         let new_bytes = file.bytes();
-        let stored = Stored {
-            file,
-            checksum: OnceLock::new(),
-        };
-        if let Some(old) = self.files.insert(path.to_string(), stored) {
-            self.node_used[n] -= old.file.bytes();
+        if let Some(old) = self.files.insert(path.to_string(), file) {
+            self.node_used[n] -= old.bytes();
         }
         self.node_used[n] += new_bytes;
     }
 
     /// Creates or replaces a text file from lines.
     pub fn put(&mut self, path: &str, lines: Vec<String>) {
-        self.store(
-            path,
-            DataFile {
-                lines,
-                frames: Vec::new(),
-            },
-        );
+        let frames = Vec::new();
+        self.put_data(path, DataFile { lines, frames });
     }
 
     /// Creates or replaces a columnar file from encoded frames.
     pub fn put_frames(&mut self, path: &str, frames: Vec<Vec<u8>>) {
-        self.store(
-            path,
-            DataFile {
-                lines: Vec::new(),
-                frames,
-            },
-        );
+        let lines = Vec::new();
+        self.put_data(path, DataFile { lines, frames });
     }
 
-    /// Stores a pre-built [`DataFile`] — crash recovery restoring a
-    /// journaled job output, in whichever format the job wrote it.
+    /// Stores a pre-built [`DataFile`], in whichever format it holds.
     pub fn put_data(&mut self, path: &str, file: DataFile) {
+        self.store(path, file.into());
+    }
+
+    /// Stores a file some other holder already has — a cached or journaled
+    /// job output restored under a chain's path, a committed output entering
+    /// the reuse cache — without copying it: the path shares the handle's
+    /// allocation and its checksum memo.
+    pub fn put_shared(&mut self, path: &str, file: FileRef) {
         self.store(path, file);
     }
 
@@ -255,10 +314,21 @@ impl Hdfs {
     ///
     /// [`MapRedError::NoSuchFile`] when absent.
     pub fn get(&self, path: &str) -> Result<&DataFile, MapRedError> {
-        self.stored(path).map(|s| &s.file)
+        self.stored(path).map(|f| &f.file)
     }
 
-    fn stored(&self, path: &str) -> Result<&Stored, MapRedError> {
+    /// The shared handle of the file at `path` — what a holder that outlives
+    /// the path (journal record, cache entry, replay plan) takes instead of
+    /// a copy.
+    ///
+    /// # Errors
+    ///
+    /// [`MapRedError::NoSuchFile`] when absent.
+    pub fn share(&self, path: &str) -> Result<FileRef, MapRedError> {
+        self.stored(path).cloned()
+    }
+
+    fn stored(&self, path: &str) -> Result<&FileRef, MapRedError> {
         self.files
             .get(path)
             .ok_or_else(|| MapRedError::NoSuchFile(path.to_string()))
@@ -272,8 +342,7 @@ impl Hdfs {
     ///
     /// [`MapRedError::NoSuchFile`] when absent.
     pub fn checksum(&self, path: &str) -> Result<u64, MapRedError> {
-        let stored = self.stored(path)?;
-        Ok(*stored.checksum.get_or_init(|| file_checksum(&stored.file)))
+        Ok(self.stored(path)?.checksum())
     }
 
     /// Whether a path exists.
@@ -287,7 +356,7 @@ impl Hdfs {
     pub fn delete(&mut self, path: &str) {
         if let Some(old) = self.files.remove(path) {
             let n = node_index(path, self.nodes);
-            self.node_used[n] -= old.file.bytes();
+            self.node_used[n] -= old.bytes();
         }
     }
 
@@ -299,7 +368,7 @@ impl Hdfs {
     /// Total bytes stored.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|s| s.file.bytes()).sum()
+        self.files.values().map(|f| f.bytes()).sum()
     }
 
     /// Per-node used bytes of the disk model, indexed by node.
@@ -321,8 +390,8 @@ impl Hdfs {
     #[must_use]
     pub fn accounting_reconciled(&self) -> bool {
         let mut recomputed = vec![0u64; self.nodes];
-        for (path, stored) in &self.files {
-            recomputed[node_index(path, self.nodes)] += stored.file.bytes();
+        for (path, file) in &self.files {
+            recomputed[node_index(path, self.nodes)] += file.bytes();
         }
         recomputed == self.node_used && self.node_used.iter().sum::<u64>() == self.total_bytes()
     }
@@ -334,29 +403,53 @@ fn node_index(path: &str, nodes: usize) -> usize {
     (checksum_bytes(path.as_bytes()) % nodes.max(1) as u64) as usize
 }
 
-/// Canonical byte encoding of a whole file — the stream its content
-/// checksum covers: newline-terminated lines for text, length-prefixed
-/// frames for columnar (the prefix keeps frame boundaries part of the
-/// identity).
-#[must_use]
-pub fn file_bytes(f: &DataFile) -> Vec<u8> {
+/// Hands `sink` the canonical byte encoding of a whole file piece by piece,
+/// where the pieces lie — the stream its content checksum covers:
+/// newline-terminated lines for text, length-prefixed frames for columnar
+/// (the prefix keeps frame boundaries part of the identity).
+fn for_each_piece(f: &DataFile, mut sink: impl FnMut(&[u8])) {
     if f.is_columnar() {
-        let mut out = Vec::with_capacity(f.frames.iter().map(|fr| fr.len() + 8).sum());
         for fr in &f.frames {
-            out.extend_from_slice(&(fr.len() as u64).to_le_bytes());
-            out.extend_from_slice(fr);
+            sink(&(fr.len() as u64).to_le_bytes());
+            sink(fr);
         }
-        out
     } else {
-        block_bytes(&f.lines)
+        for_each_line_piece(&f.lines, sink);
     }
 }
 
-/// XXH64 checksum of a whole file's canonical bytes — the integrity stamp
-/// the result-reuse cache stores at insert time and verifies on every hit.
+fn for_each_line_piece(lines: &[String], mut sink: impl FnMut(&[u8])) {
+    for l in lines {
+        sink(l.as_bytes());
+        sink(b"\n");
+    }
+}
+
+/// Length of [`file_bytes`] without building it.
+pub(crate) fn file_bytes_len(f: &DataFile) -> usize {
+    let mut len = 0;
+    for_each_piece(f, |piece| len += piece.len());
+    len
+}
+
+/// The canonical bytes of a whole file as one buffer — for a reader that
+/// needs somewhere to land a bit flip; hashing goes through
+/// [`file_checksum`], which reads the file in place.
+#[must_use]
+pub fn file_bytes(f: &DataFile) -> Vec<u8> {
+    let mut out = Vec::with_capacity(file_bytes_len(f));
+    for_each_piece(f, |piece| out.extend_from_slice(piece));
+    out
+}
+
+/// XXH64 checksum of a whole file's canonical bytes, hashed where they lie
+/// — the integrity stamp the result-reuse cache stores at insert time and
+/// verifies on every hit, and the content half of the journal's keys.
 #[must_use]
 pub fn file_checksum(f: &DataFile) -> u64 {
-    checksum_bytes(&file_bytes(f))
+    let mut hash = Xxh64::new(0);
+    for_each_piece(f, |piece| hash.update(piece));
+    hash.finish()
 }
 
 /// Canonical on-disk encoding of a block's lines (newline-terminated), the
@@ -364,10 +457,7 @@ pub fn file_checksum(f: &DataFile) -> u64 {
 #[must_use]
 pub fn block_bytes(lines: &[String]) -> Vec<u8> {
     let mut out = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-    for l in lines {
-        out.extend_from_slice(l.as_bytes());
-        out.push(b'\n');
-    }
+    for_each_line_piece(lines, |piece| out.extend_from_slice(piece));
     out
 }
 
@@ -375,7 +465,9 @@ pub fn block_bytes(lines: &[String]) -> Vec<u8> {
 /// here derived from the canonical lines, which are the written bytes.
 #[must_use]
 pub fn block_checksum(lines: &[String]) -> u64 {
-    checksum_bytes(&block_bytes(lines))
+    let mut hash = Xxh64::new(0);
+    for_each_line_piece(lines, |piece| hash.update(piece));
+    hash.finish()
 }
 
 /// Outcome of one verified block read.
@@ -666,6 +758,58 @@ mod tests {
         fs.delete("b");
         assert_eq!(fs.total_bytes(), 0);
         assert_eq!(fs.node_used_bytes().iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn shared_files_are_charged_per_path_and_never_copied() {
+        let mut fs = Hdfs::with_nodes(4);
+        fs.put("tmp/a", lines());
+        let shared = fs.share("tmp/a").unwrap();
+        let sum = shared.checksum();
+        // The same handle under more paths: one allocation, its memo with
+        // it, and each path charged to its own node as a copy would be.
+        fs.put_shared("reuse/0001", Arc::clone(&shared));
+        fs.put_shared("tmp/b", Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&fs.share("tmp/b").unwrap(), &shared));
+        assert!(std::ptr::eq(fs.get("reuse/0001").unwrap(), &**shared));
+        assert_eq!(fs.checksum("tmp/b").unwrap(), sum);
+        assert_eq!(fs.total_bytes(), 3 * shared.bytes());
+        assert!(fs.accounting_reconciled());
+        // Overwriting one path — by a fresh file, then by the shared one
+        // again — and deleting another touch only their own charges.
+        fs.put("tmp/b", vec!["short".into()]);
+        assert!(fs.accounting_reconciled());
+        fs.put_shared("tmp/b", Arc::clone(&shared));
+        fs.delete("tmp/a");
+        assert!(fs.accounting_reconciled());
+        assert_eq!(fs.total_bytes(), 2 * shared.bytes());
+        // A holder outlives every path; the bytes go with the last handle.
+        fs.delete("tmp/b");
+        fs.delete("reuse/0001");
+        assert_eq!(fs.total_bytes(), 0);
+        assert!(fs.accounting_reconciled());
+        assert_eq!((shared.lines.len(), Arc::strong_count(&shared)), (50, 1));
+    }
+
+    #[test]
+    fn in_place_checksums_equal_the_buffered_ones() {
+        let text = DataFile {
+            lines: lines(),
+            frames: Vec::new(),
+        };
+        let columnar = DataFile {
+            lines: Vec::new(),
+            frames: vec![frame(), Vec::new(), frame()],
+        };
+        for f in [&text, &columnar, &DataFile::default()] {
+            assert_eq!(file_checksum(f), checksum_bytes(&file_bytes(f)));
+            assert_eq!(file_bytes_len(f), file_bytes(f).len());
+        }
+        assert_eq!(
+            block_checksum(&lines()),
+            checksum_bytes(&block_bytes(&lines()))
+        );
+        assert_eq!(block_checksum(&[]), checksum_bytes(&[]));
     }
 
     #[test]

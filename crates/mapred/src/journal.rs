@@ -7,14 +7,16 @@
 //! are lost with the in-memory cluster. ReStore (PAPERS.md) observes that
 //! per-job outputs materialized in HDFS are exactly the reuse primitive;
 //! this module uses that primitive for *restart safety*: every admitted
-//! query, every committed job (with its materialized output bytes), and
-//! every terminal disposition is appended to the journal, so a restarted
-//! process can replay the workload deterministically, fast-forwarding
-//! already-journaled jobs instead of re-executing them.
+//! query, every committed job (with its materialized output, stored once
+//! per epoch however many jobs commit it), and every terminal disposition
+//! is appended to the journal, so a restarted process can replay the
+//! workload deterministically, fast-forwarding already-journaled jobs
+//! instead of re-executing them.
 //!
 //! # Record framing
 //!
-//! The journal is a byte stream: an 8-byte magic, then records framed as
+//! The journal is a byte stream: an 8-byte magic ([`JOURNAL_MAGIC`],
+//! version `02`), then records framed as
 //!
 //! ```text
 //! [u64 checksum][u32 len][payload: len bytes]
@@ -25,6 +27,37 @@
 //! stream. All integers are little-endian; `f64`s are stored as their IEEE
 //! bit patterns so metrics survive a round trip *bit-identically*.
 //!
+//! | tag | record | payload after the tag |
+//! |---|---|---|
+//! | 1 | `Admitted` | id, tenant, label, seed, deadline, submit time, caller payload |
+//! | 2 | `JobDone`, inline | id, job index, attempt, output path, **content key**, the output's lines or frames, metrics |
+//! | 3 | `Done` | id, disposition kind, time |
+//! | 4 | `JobDone`, by reference | id, job index, attempt, output path, **content key**, metrics |
+//!
+//! # Outputs are stored once per epoch
+//!
+//! A service re-commits the same bytes constantly: a reuse-cache hit
+//! journals the cached output again, and a chain re-executed past a
+//! prefix-only hit writes byte-identical files. The epoch itself is the
+//! content-addressed store for them. A `JobDone`'s output is keyed by its
+//! *content key* — `(XXH64 of the canonical bytes, byte length)`, 16 bytes —
+//! and the journal remembers the first file each key was written inline
+//! with. A later `JobDone` is written by reference (tag 4: the key, no
+//! bytes) **only after its file compared equal to that held one** — the
+//! same allocation (`Arc::ptr_eq`, which is what a hit, a replay and a
+//! restore share; see [`crate::hdfs::SharedFile`]) or, failing that, the
+//! same bytes. A key shared by different bytes — a checksum collision — is
+//! written inline again and never displaces the first holder, on the
+//! writing and on the reading side alike, so a collision costs a copy and
+//! can never restore wrong bytes. A reference is written after the content
+//! it names, so any byte prefix of an epoch that contains a reference
+//! contains its content: the torn-tail rule below needs no change, and a
+//! reference with no earlier content can only be damage — it is refused as
+//! corruption, not resolved to a guess. [`recover`] hands equal outputs
+//! back as one shared [`FileRef`], and replay re-journals through the same
+//! [`Journal::append`], so the epoch a recovery rebuilds is deduplicated
+//! the same way.
+//!
 //! # Recovery
 //!
 //! [`recover`] walks the frames front to back:
@@ -33,20 +66,25 @@
 //!   frame fails its checksum, is a **torn tail** — the interrupted last
 //!   append of a crashed process. It is truncated away and everything
 //!   before it is recovered;
-//! * a checksum mismatch or undecodable payload *followed by more data* is
-//!   at-rest corruption, surfaced as the typed
+//! * a checksum mismatch or undecodable payload *followed by more data* —
+//!   or a well-framed record that references content no earlier record
+//!   holds — is at-rest corruption, surfaced as the typed
 //!   [`MapRedError::JournalCorrupt`] instead of a panic or a guess.
 
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use crate::error::MapRedError;
 use crate::hash::checksum_bytes;
-use crate::hdfs::DataFile;
+use crate::hdfs::{DataFile, FileRef, SharedFile};
 use crate::metrics::JobMetrics;
 
-/// Leading magic of every journal file (version suffix `01`).
-pub const JOURNAL_MAGIC: &[u8; 8] = b"YSJRNL01";
+/// Leading magic of every journal file (version suffix `02`: `JobDone`
+/// records carry a content key and may reference earlier content). A file
+/// of another version is refused as [`MapRedError::JournalCorrupt`].
+pub const JOURNAL_MAGIC: &[u8; 8] = b"YSJRNL02";
 
 /// How a journaled query's life ended — the slim, replayable projection of
 /// [`crate::scheduler::Disposition`]. Recovery does not reconstruct reports
@@ -88,9 +126,10 @@ pub enum JournalRecord {
         payload: String,
     },
     /// A job of an admitted chain committed: its checkpoint. Carries the
-    /// materialized output bytes so a restarted process can restore the
-    /// file into the (rebuilt, in-memory) HDFS and resume the chain from
-    /// here instead of re-running the job.
+    /// materialized output so a restarted process can restore the file
+    /// into the (rebuilt, in-memory) HDFS and resume the chain from here
+    /// instead of re-running the job. The handle is the one HDFS holds;
+    /// on disk the bytes are written once per epoch (module docs).
     JobDone {
         /// Request id.
         id: u64,
@@ -101,7 +140,7 @@ pub enum JournalRecord {
         /// HDFS path of the job's output.
         output_path: String,
         /// The materialized output.
-        file: DataFile,
+        file: FileRef,
         /// The committed job's metrics, bit-exact (boxed: this variant
         /// would otherwise dwarf the others).
         metrics: Box<JobMetrics>,
@@ -276,6 +315,37 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// What a job output *is*, as far as one journal epoch is concerned: the
+/// XXH64 of its canonical bytes ([`crate::hdfs::file_checksum`]) and their
+/// length. A key only nominates a held file for sharing — a reference is
+/// written after the two files compared equal, never on the key alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ContentKey {
+    checksum: u64,
+    bytes: u64,
+}
+
+impl ContentKey {
+    fn of(file: &SharedFile) -> Self {
+        ContentKey {
+            checksum: file.checksum(),
+            bytes: file.bytes(),
+        }
+    }
+
+    fn encode(self, out: &mut Vec<u8>) {
+        put_u64(out, self.checksum);
+        put_u64(out, self.bytes);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Parsed<Self> {
+        Ok(ContentKey {
+            checksum: r.u64()?,
+            bytes: r.u64()?,
+        })
+    }
+}
+
 fn encode_data_file(out: &mut Vec<u8>, f: &DataFile) {
     put_u8(out, u8::from(f.is_columnar()));
     if f.is_columnar() {
@@ -291,7 +361,10 @@ fn encode_data_file(out: &mut Vec<u8>, f: &DataFile) {
     }
 }
 
-fn decode_data_file(r: &mut Reader<'_>) -> Parsed<DataFile> {
+/// Decodes an inline output written under `key`. The handle's checksum memo
+/// is seeded from the key — the record's frame checksum just covered both —
+/// so neither recovery nor the replay's re-journaling hashes the file again.
+fn decode_data_file(r: &mut Reader<'_>, key: ContentKey) -> Parsed<FileRef> {
     let columnar = match r.u8()? {
         0 => false,
         1 => true,
@@ -310,7 +383,14 @@ fn decode_data_file(r: &mut Reader<'_>) -> Parsed<DataFile> {
             file.lines.push(r.str()?);
         }
     }
-    Ok(file)
+    if file.bytes() != key.bytes {
+        return Err(format!(
+            "output of {} byte(s) stored under a content key of {}",
+            file.bytes(),
+            key.bytes
+        ));
+    }
+    Ok(SharedFile::with_checksum(file, key.checksum))
 }
 
 /// Every [`JobMetrics`] field, in declaration order. A new field must be
@@ -387,8 +467,18 @@ fn decode_job_metrics(r: &mut Reader<'_>) -> Parsed<JobMetrics> {
 const TAG_ADMITTED: u8 = 1;
 const TAG_JOB_DONE: u8 = 2;
 const TAG_DONE: u8 = 3;
+const TAG_JOB_DONE_REF: u8 = 4;
 
-fn encode_record(out: &mut Vec<u8>, rec: &JournalRecord) {
+/// How a `JobDone`'s output goes to disk: under its key, with its bytes or
+/// as a reference to an equal output the epoch already holds.
+struct Placed {
+    key: ContentKey,
+    by_reference: bool,
+}
+
+/// Encodes `rec`; `place` decides how a `JobDone`'s file is written (the
+/// other variants carry none and never call it).
+fn encode_record(out: &mut Vec<u8>, rec: &JournalRecord, place: impl FnOnce(&FileRef) -> Placed) {
     match rec {
         JournalRecord::Admitted {
             id,
@@ -416,12 +506,23 @@ fn encode_record(out: &mut Vec<u8>, rec: &JournalRecord) {
             file,
             metrics,
         } => {
-            put_u8(out, TAG_JOB_DONE);
+            let Placed { key, by_reference } = place(file);
+            put_u8(
+                out,
+                if by_reference {
+                    TAG_JOB_DONE_REF
+                } else {
+                    TAG_JOB_DONE
+                },
+            );
             put_u64(out, *id);
             put_u32(out, *job_index);
             put_u32(out, *attempt);
             put_str(out, output_path);
-            encode_data_file(out, file);
+            key.encode(out);
+            if !by_reference {
+                encode_data_file(out, file);
+            }
             encode_job_metrics(out, metrics);
         }
         JournalRecord::Done { id, kind, done_s } => {
@@ -441,7 +542,51 @@ fn encode_record(out: &mut Vec<u8>, rec: &JournalRecord) {
     }
 }
 
-fn decode_record(payload: &[u8]) -> Parsed<JournalRecord> {
+/// The outputs one epoch holds, by content key, and what holding them
+/// saved. The *first* file written under a key keeps it — on the encode
+/// side ([`Journal::append`]) and on the decode side ([`parse`]) alike, so a
+/// reference always resolves to the file it was compared with.
+#[derive(Debug, Default)]
+struct Held {
+    files: HashMap<ContentKey, FileRef>,
+    /// `JobDone` records written with their bytes.
+    stored: u64,
+    /// `JobDone` records written as references.
+    by_reference: u64,
+    /// Output bytes those references did not write again.
+    bytes_by_reference: u64,
+}
+
+impl Held {
+    /// Registers an output written with its bytes; an earlier holder of
+    /// the key stays.
+    fn store(&mut self, key: ContentKey, file: &FileRef) {
+        self.files.entry(key).or_insert_with(|| Arc::clone(file));
+        self.stored += 1;
+    }
+
+    fn refer(&mut self, key: ContentKey) {
+        self.by_reference += 1;
+        self.bytes_by_reference += key.bytes;
+    }
+
+    /// Decides how `file` goes to disk under `key`. A reference is written
+    /// only for a held file that *compared equal* — the same allocation, or
+    /// the same bytes; a key shared by different bytes (a checksum
+    /// collision) costs an inline copy and leaves the first holder in place.
+    fn place(&mut self, key: ContentKey, file: &FileRef) -> Placed {
+        let equal = |first: &FileRef| Arc::ptr_eq(first, file) || **first == **file;
+        let by_reference = self.files.get(&key).is_some_and(equal);
+        if by_reference {
+            self.refer(key);
+        } else {
+            self.store(key, file);
+        }
+        Placed { key, by_reference }
+    }
+}
+
+fn decode_record(payload: &[u8], held: &mut Held) -> Parsed<JournalRecord> {
     let mut r = Reader::new(payload);
     let rec = match r.u8()? {
         TAG_ADMITTED => JournalRecord::Admitted {
@@ -453,14 +598,33 @@ fn decode_record(payload: &[u8]) -> Parsed<JournalRecord> {
             submit_s: r.f64()?,
             payload: r.str()?,
         },
-        TAG_JOB_DONE => JournalRecord::JobDone {
-            id: r.u64()?,
-            job_index: r.u32()?,
-            attempt: r.u32()?,
-            output_path: r.str()?,
-            file: decode_data_file(&mut r)?,
-            metrics: Box::new(decode_job_metrics(&mut r)?),
-        },
+        tag @ (TAG_JOB_DONE | TAG_JOB_DONE_REF) => {
+            let (id, job_index, attempt) = (r.u64()?, r.u32()?, r.u32()?);
+            let output_path = r.str()?;
+            let key = ContentKey::decode(&mut r)?;
+            let file = if tag == TAG_JOB_DONE {
+                let file = decode_data_file(&mut r, key)?;
+                held.store(key, &file);
+                file
+            } else {
+                let file = held.files.get(&key).cloned().ok_or_else(|| {
+                    format!(
+                        "JobDone references content {:016x}/{} that no earlier record holds",
+                        key.checksum, key.bytes
+                    )
+                })?;
+                held.refer(key);
+                file
+            };
+            JournalRecord::JobDone {
+                id,
+                job_index,
+                attempt,
+                output_path,
+                file,
+                metrics: Box::new(decode_job_metrics(&mut r)?),
+            }
+        }
         TAG_DONE => JournalRecord::Done {
             id: r.u64()?,
             kind: match r.u8()? {
@@ -506,17 +670,35 @@ pub struct Recovered {
 /// undecodable record that is *not* the final frame (a final bad frame is a
 /// torn tail and is truncated instead).
 pub fn recover(bytes: &[u8]) -> Result<Recovered, MapRedError> {
-    let torn = |records, valid_len: usize| Recovered {
+    parse(bytes).map(|(recovered, _)| recovered)
+}
+
+/// [`recover`], also returning what the valid prefix holds — the one walk
+/// that feeds both a reopened journal's records and its dedup state.
+fn parse(bytes: &[u8]) -> Result<(Recovered, Held), MapRedError> {
+    let mut held = Held::default();
+    let mut records = Vec::new();
+    let valid_len = walk(bytes, &mut records, &mut held)?;
+    let recovered = Recovered {
         records,
         valid_len,
         truncated_bytes: bytes.len() - valid_len,
     };
-    if bytes.is_empty() {
-        return Ok(torn(Vec::new(), 0));
-    }
+    Ok((recovered, held))
+}
+
+/// Walks the frames of `bytes` into `records`, resolving references
+/// against `held` as it fills; returns the length of the valid prefix
+/// (whatever follows is a torn tail).
+fn walk(
+    bytes: &[u8],
+    records: &mut Vec<JournalRecord>,
+    held: &mut Held,
+) -> Result<usize, MapRedError> {
     if bytes.len() < JOURNAL_MAGIC.len() {
-        // A crash during the very first append can tear even the magic.
-        return Ok(torn(Vec::new(), 0));
+        // Empty — or a crash during the very first append tore even the
+        // magic.
+        return Ok(0);
     }
     if &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
         return Err(MapRedError::JournalCorrupt {
@@ -525,11 +707,10 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, MapRedError> {
         });
     }
     let mut pos = JOURNAL_MAGIC.len();
-    let mut records = Vec::new();
     while pos < bytes.len() {
         let rem = bytes.len() - pos;
         if rem < FRAME_HEADER {
-            return Ok(torn(records, pos));
+            return Ok(pos);
         }
         // `rem >= FRAME_HEADER` guarantees these slices, but a torn tail is always
         // the safe answer if the header cannot be read — never a panic.
@@ -537,31 +718,31 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, MapRedError> {
             <[u8; 8]>::try_from(&bytes[pos..pos + FRAME_CHECKSUM]),
             <[u8; 4]>::try_from(&bytes[pos + FRAME_CHECKSUM..pos + FRAME_HEADER]),
         ) else {
-            return Ok(torn(records, pos));
+            return Ok(pos);
         };
         let stored = u64::from_le_bytes(stored_b);
         let len = u32::from_le_bytes(len_b);
         let Some(payload_end) = (pos + FRAME_HEADER).checked_add(len as usize) else {
-            return Ok(torn(records, pos));
+            return Ok(pos);
         };
         if payload_end > bytes.len() {
             // The frame claims more bytes than exist: an interrupted append
             // (or a flipped length that points past EOF — indistinguishable
             // from one, and handled the same safe way).
-            return Ok(torn(records, pos));
+            return Ok(pos);
         }
         let payload = &bytes[pos + FRAME_HEADER..payload_end];
         let last_frame = payload_end == bytes.len();
         if checksum_bytes(&bytes[pos + FRAME_CHECKSUM..payload_end]) != stored {
             if last_frame {
-                return Ok(torn(records, pos));
+                return Ok(pos);
             }
             return Err(MapRedError::JournalCorrupt {
                 offset: pos,
                 reason: "record checksum mismatch".into(),
             });
         }
-        match decode_record(payload) {
+        match decode_record(payload, held) {
             Ok(rec) => records.push(rec),
             Err(reason) => {
                 return Err(MapRedError::JournalCorrupt {
@@ -572,11 +753,7 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, MapRedError> {
         }
         pos = payload_end;
     }
-    Ok(Recovered {
-        records,
-        valid_len: pos,
-        truncated_bytes: 0,
-    })
+    Ok(pos)
 }
 
 /// The append-only workload journal: an in-memory byte buffer, optionally
@@ -593,6 +770,13 @@ pub struct Journal {
     /// Length already persisted to `path`.
     synced: usize,
     records: usize,
+    /// The outputs the current epoch's bytes hold — what a later equal
+    /// `JobDone` is written as a reference to.
+    held: Held,
+    /// What opening over existing (sound) bytes parsed, kept until the
+    /// first [`Journal::recover_and_reset`] takes it or an append outdates
+    /// it.
+    loaded: Option<Recovered>,
 }
 
 impl Journal {
@@ -605,26 +789,33 @@ impl Journal {
             path: None,
             synced: 0,
             records: 0,
+            held: Held::default(),
+            loaded: None,
         }
     }
 
     /// A journal re-opened over previously-written bytes (e.g. a snapshot
-    /// taken before a simulated crash). Call [`recover`] on
-    /// [`Journal::bytes`] — or use [`Journal::recover_and_reset`] — before
-    /// appending.
+    /// taken before a simulated crash). The bytes are parsed once, here:
+    /// [`Journal::recover_and_reset`] hands that parse out, and appending
+    /// without a reset goes on deduplicating against what the bytes hold.
     #[must_use]
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let records = recover(&bytes).map_or(0, |r| r.records.len());
+        // Corrupt bytes open as an empty state; `recover_and_reset` (or
+        // `recover`) is where the typed error surfaces.
+        let (loaded, held) =
+            parse(&bytes).map_or_else(|_| (None, Held::default()), |(r, h)| (Some(r), h));
         Journal {
+            records: loaded.as_ref().map_or(0, |r| r.records.len()),
             bytes,
             path: None,
             synced: 0,
-            records,
+            held,
+            loaded,
         }
     }
 
     /// Opens (or creates) a file-backed journal, loading any existing
-    /// bytes.
+    /// bytes as [`Journal::from_bytes`] does.
     ///
     /// # Errors
     ///
@@ -637,12 +828,9 @@ impl Journal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => JOURNAL_MAGIC.to_vec(),
             Err(e) => return Err(e),
         };
-        let records = recover(&bytes).map_or(0, |r| r.records.len());
         Ok(Journal {
-            bytes,
             path: Some(path),
-            synced: 0,
-            records,
+            ..Journal::from_bytes(bytes)
         })
     }
 
@@ -658,31 +846,57 @@ impl Journal {
         self.records
     }
 
+    /// `JobDone` outputs this epoch wrote with their bytes.
+    #[must_use]
+    pub fn outputs_stored(&self) -> u64 {
+        self.held.stored
+    }
+
+    /// `JobDone` outputs this epoch wrote as references to equal content it
+    /// already held, and the output bytes that saved writing again.
+    #[must_use]
+    pub fn outputs_by_reference(&self) -> (u64, u64) {
+        (self.held.by_reference, self.held.bytes_by_reference)
+    }
+
     /// Recovers the journal's current bytes and resets it to a fresh epoch
-    /// (magic only): the service calls this on restart, replays the
-    /// returned records, and the replay re-journals them into the new
-    /// epoch — so a second crash recovers just as well.
+    /// (magic only, nothing held): the service calls this on restart,
+    /// replays the returned records, and the replay re-journals them into
+    /// the new epoch — so a second crash recovers just as well.
     ///
     /// # Errors
     ///
     /// [`MapRedError::JournalCorrupt`] as from [`recover`].
     pub fn recover_and_reset(&mut self) -> Result<Recovered, MapRedError> {
-        let recovered = recover(&self.bytes)?;
+        let recovered = match self.loaded.take() {
+            Some(loaded) => loaded,
+            None => recover(&self.bytes)?,
+        };
         self.bytes = JOURNAL_MAGIC.to_vec();
         self.synced = 0;
         self.records = 0;
+        self.held = Held::default();
         Ok(recovered)
     }
 
     /// Appends one record to the in-memory buffer ([`Journal::flush`]
-    /// persists it).
+    /// persists it). A `JobDone` whose output equals one the epoch already
+    /// holds is written as a reference to it.
     pub fn append(&mut self, rec: &JournalRecord) {
+        self.append_keyed(rec, ContentKey::of);
+    }
+
+    /// [`Journal::append`] with the function that keys a `JobDone`'s output
+    /// — tests force a key collision through here.
+    fn append_keyed(&mut self, rec: &JournalRecord, key: impl FnOnce(&SharedFile) -> ContentKey) {
+        self.loaded = None;
         // Encode in place behind a reserved header, then fill the header
-        // in: a `JobDone` payload inlines a whole job output and is not
-        // worth copying to frame it.
+        // in: an inline `JobDone` payload holds a whole job output and is
+        // not worth copying to frame it.
         let start = self.bytes.len();
         self.bytes.extend_from_slice(&[0; FRAME_HEADER]);
-        encode_record(&mut self.bytes, rec);
+        let held = &mut self.held;
+        encode_record(&mut self.bytes, rec, |file| held.place(key(file), file));
         let len = (self.bytes.len() - start - FRAME_HEADER) as u32;
         self.bytes[start + FRAME_CHECKSUM..start + FRAME_HEADER]
             .copy_from_slice(&len.to_le_bytes());
@@ -742,7 +956,8 @@ mod tests {
                 file: DataFile {
                     lines: vec!["1|2".into(), "3|4".into()],
                     frames: Vec::new(),
-                },
+                }
+                .into(),
                 metrics: Box::new(JobMetrics {
                     name: "j0".into(),
                     map_time_s: 1.5,
@@ -760,7 +975,8 @@ mod tests {
                 file: DataFile {
                     lines: Vec::new(),
                     frames: vec![vec![1, 2, 3], vec![4, 5]],
-                },
+                }
+                .into(),
                 metrics: Box::default(),
             },
             JournalRecord::Done {
@@ -885,6 +1101,13 @@ mod tests {
             recover(&bytes),
             Err(MapRedError::JournalCorrupt { offset: 0, .. })
         ));
+        // The previous layout's files are refused the same way, not
+        // misread: their `JobDone` records carry no content key.
+        bytes[..8].copy_from_slice(b"YSJRNL01");
+        assert!(matches!(
+            recover(&bytes),
+            Err(MapRedError::JournalCorrupt { offset: 0, .. })
+        ));
     }
 
     #[test]
@@ -906,7 +1129,7 @@ mod tests {
             job_index: 3,
             attempt: 1,
             output_path: "x".into(),
-            file: DataFile::default(),
+            file: DataFile::default().into(),
             metrics: Box::new(m.clone()),
         };
         let j = journal_of(std::slice::from_ref(&rec));
@@ -954,5 +1177,286 @@ mod tests {
         assert_eq!(rec.records.len(), 5);
         assert_eq!(j.bytes(), JOURNAL_MAGIC);
         assert_eq!(j.record_count(), 0);
+    }
+
+    // ---- outputs stored once per epoch ----------------------------------
+
+    fn text(lines: &[&str]) -> DataFile {
+        DataFile {
+            lines: lines.iter().map(|l| (*l).to_string()).collect(),
+            frames: Vec::new(),
+        }
+    }
+
+    fn job_done(id: u64, file: FileRef) -> JournalRecord {
+        JournalRecord::JobDone {
+            id,
+            job_index: id as u32 % 3,
+            attempt: 0,
+            output_path: format!("tmp/svc-q{id}-0"),
+            file,
+            metrics: Box::new(JobMetrics {
+                name: format!("j{id}"),
+                ..JobMetrics::default()
+            }),
+        }
+    }
+
+    fn file_of(rec: &JournalRecord) -> Option<&FileRef> {
+        match rec {
+            JournalRecord::JobDone { file, .. } => Some(file),
+            _ => None,
+        }
+    }
+
+    /// Every pair of `JobDone`s with equal content holds one allocation,
+    /// and no two with different content do.
+    fn assert_shared_iff_equal(records: &[JournalRecord], what: &str) {
+        let files: Vec<&FileRef> = records.iter().filter_map(file_of).collect();
+        for (i, a) in files.iter().enumerate() {
+            for b in &files[..i] {
+                assert_eq!(Arc::ptr_eq(a, b), ***a == ***b, "{what}");
+            }
+        }
+    }
+
+    /// Byte offsets of the frames in a journal image, magic excluded.
+    fn frames_of(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut at = JOURNAL_MAGIC.len();
+        let mut out = Vec::new();
+        while at < bytes.len() {
+            let len_at = at + FRAME_CHECKSUM;
+            let len = u32::from_le_bytes(bytes[len_at..len_at + 4].try_into().unwrap()) as usize;
+            out.push(at..at + FRAME_HEADER + len);
+            at += FRAME_HEADER + len;
+        }
+        out
+    }
+
+    /// A frame's bytes with `edit` applied to its payload and the frame
+    /// checksum recomputed — damage a frame check cannot see.
+    fn reframed(frame: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = frame.to_vec();
+        edit(&mut out[FRAME_HEADER..]);
+        let sum = checksum_bytes(&out[FRAME_CHECKSUM..]);
+        out[..FRAME_CHECKSUM].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Offset of the content key inside a `JobDone` payload.
+    fn key_offset(rec: &JournalRecord) -> usize {
+        let JournalRecord::JobDone { output_path, .. } = rec else {
+            panic!("not a JobDone");
+        };
+        1 + 8 + 4 + 4 + 4 + output_path.len()
+    }
+
+    #[test]
+    fn seeded_streams_store_each_output_once_and_recover_at_every_cut() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Repeated, near-equal (same length, one byte changed) and empty
+        // outputs, text and columnar (frames are opaque bytes here).
+        let pool = [
+            DataFile::default(),
+            text(&["1|alpha", "2|beta", "3|gamma"]),
+            text(&["1|alpha", "2|bexa", "3|gamma"]),
+            text(&["9|z"]),
+            DataFile {
+                lines: Vec::new(),
+                frames: vec![vec![7; 40], vec![1, 2, 3]],
+            },
+            DataFile {
+                lines: Vec::new(),
+                frames: vec![vec![7; 40], vec![1, 2, 4]],
+            },
+        ];
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A repeat arrives as the handle seen before (what a cache hit
+            // or a replay commits) or as an equal copy (a re-execution).
+            let mut handles: Vec<Option<FileRef>> = vec![None; pool.len()];
+            let mut records = Vec::new();
+            let mut distinct = std::collections::BTreeSet::new();
+            let mut repeats = 0u64;
+            for id in 0..30u64 {
+                match rng.gen_range(0..4) {
+                    0 => records.push(sample_records()[0].clone()),
+                    1 => records.push(JournalRecord::Done {
+                        id,
+                        kind: DispositionKind::Completed,
+                        done_s: id as f64,
+                    }),
+                    _ => {
+                        let pick = rng.gen_range(0..pool.len());
+                        let file = match &handles[pick] {
+                            Some(seen) if rng.gen() => Arc::clone(seen),
+                            _ => FileRef::from(pool[pick].clone()),
+                        };
+                        repeats += u64::from(!distinct.insert(pick));
+                        handles[pick] = Some(Arc::clone(&file));
+                        records.push(job_done(id, file));
+                    }
+                }
+            }
+            let mut journal = Journal::in_memory();
+            let mut boundaries = vec![journal.bytes().len()];
+            for r in &records {
+                journal.append(r);
+                boundaries.push(journal.bytes().len());
+            }
+            assert_eq!(journal.outputs_stored(), distinct.len() as u64);
+            assert_eq!(journal.outputs_by_reference().0, repeats, "seed {seed}");
+
+            let whole = recover(journal.bytes()).unwrap();
+            assert_eq!(whole.records, records, "seed {seed}");
+            assert_shared_iff_equal(&whole.records, "whole stream");
+
+            // Any byte prefix that contains a reference contains its
+            // content: every cut recovers exactly its whole records, with
+            // every reference among them resolved.
+            let bytes = journal.bytes();
+            for cut in JOURNAL_MAGIC.len()..=bytes.len() {
+                let got =
+                    recover(&bytes[..cut]).unwrap_or_else(|e| panic!("seed {seed} cut {cut}: {e}"));
+                let n = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+                assert_eq!(got.records[..], records[..n], "seed {seed} cut {cut}");
+                assert_eq!(got.valid_len, boundaries[n]);
+                assert_shared_iff_equal(&got.records, "prefix");
+            }
+        }
+    }
+
+    #[test]
+    fn reference_without_earlier_content_is_corrupt() {
+        let shared = FileRef::from(text(&["1|2", "3|4"]));
+        let records = [
+            job_done(0, Arc::clone(&shared)),
+            job_done(1, Arc::clone(&shared)),
+            job_done(2, Arc::clone(&shared)),
+        ];
+        let journal = journal_of(&records);
+        assert_eq!(journal.outputs_by_reference(), (2, 2 * shared.bytes()));
+        let bytes = journal.bytes();
+        let frames = frames_of(bytes);
+        let image = |parts: &[&[u8]]| [&JOURNAL_MAGIC[..], &parts.concat()].concat();
+        let corrupt_at = |image: &[u8], offset: usize| match recover(image) {
+            Err(MapRedError::JournalCorrupt { offset: at, reason }) => {
+                assert_eq!(at, offset, "{reason}");
+                assert!(reason.contains("no earlier record holds"), "{reason}");
+            }
+            other => panic!("expected JournalCorrupt, got {other:?}"),
+        };
+        let (content, reference) = (&bytes[frames[0].clone()], &bytes[frames[1].clone()]);
+
+        // A forged stream: the reference ahead of its content — also as the
+        // final frame, where a failed checksum would have been a torn tail.
+        corrupt_at(&image(&[reference, content]), JOURNAL_MAGIC.len());
+        corrupt_at(&image(&[reference]), JOURNAL_MAGIC.len());
+
+        // A reference whose key was flipped and the frame re-checksummed
+        // names content nobody holds.
+        let flipped = reframed(reference, |p| p[key_offset(&records[1])] ^= 1);
+        corrupt_at(&image(&[content, &flipped]), frames[1].start);
+
+        // The same flip in the content's own key: the next reference to
+        // the true key finds nothing; a flipped length is caught at once.
+        let flipped = reframed(content, |p| p[key_offset(&records[0])] ^= 1);
+        corrupt_at(&image(&[&flipped, reference]), frames[1].start);
+        let flipped = reframed(content, |p| p[key_offset(&records[0]) + 8] ^= 1);
+        assert!(matches!(
+            recover(&image(&[&flipped, reference])),
+            Err(MapRedError::JournalCorrupt { offset: 8, .. })
+        ));
+    }
+
+    #[test]
+    fn colliding_keys_are_written_inline_and_restore_their_own_bytes() {
+        // Two different outputs forced under one key (same length, as a
+        // real collision would have): never a reference between them.
+        let a = FileRef::from(text(&["1|alpha"]));
+        let b = FileRef::from(text(&["1|alpha".replace('l', "L").as_str()]));
+        let key = ContentKey::of(&a);
+        assert_eq!(key.bytes, b.bytes());
+        let records = [
+            job_done(0, Arc::clone(&a)),
+            job_done(1, Arc::clone(&b)),
+            job_done(2, FileRef::from((**b).clone())),
+            job_done(3, FileRef::from((**a).clone())),
+        ];
+        let mut journal = Journal::in_memory();
+        for r in &records {
+            journal.append_keyed(r, |_| key);
+        }
+        // `a` holds the key from first to last: both `b`s cost an inline
+        // copy, the second `a` is a reference.
+        assert_eq!(journal.outputs_stored(), 3);
+        assert_eq!(journal.outputs_by_reference(), (1, a.bytes()));
+        let back = recover(journal.bytes()).unwrap().records;
+        assert_eq!(back[..], records[..]);
+        let files: Vec<&FileRef> = back.iter().filter_map(file_of).collect();
+        assert!(Arc::ptr_eq(files[0], files[3]));
+        assert!(
+            !Arc::ptr_eq(files[1], files[2]),
+            "never shared on a key alone"
+        );
+    }
+
+    #[test]
+    fn reopened_journal_parses_once_and_keeps_deduplicating() {
+        let dir = std::env::temp_dir().join(format!("ysmart-journal-dedup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.bin");
+        let big: Vec<String> = (0..200).map(|i| format!("{i}|payload-{i}")).collect();
+        let output = || {
+            FileRef::from(DataFile {
+                lines: big.clone(),
+                frames: Vec::new(),
+            })
+        };
+        let one_inline = {
+            let mut j = Journal::open(&path).unwrap();
+            j.append(&job_done(0, output()));
+            j.flush().unwrap();
+            j.bytes().len()
+        };
+        // Reopen and go on appending *without* a reset: what the file holds
+        // is still what an equal output is referenced to.
+        let mut j = Journal::open(&path).unwrap();
+        assert_eq!((j.record_count(), j.outputs_stored()), (1, 1));
+        j.append(&job_done(1, output()));
+        j.flush().unwrap();
+        assert_eq!(j.outputs_by_reference(), (1, output().bytes()));
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(on_disk, j.bytes());
+        assert!(
+            on_disk.len() < one_inline * 3 / 2,
+            "{} bytes",
+            on_disk.len()
+        );
+        let back = recover(&on_disk).unwrap().records;
+        assert_eq!(back.len(), 2);
+        assert!(Arc::ptr_eq(
+            file_of(&back[0]).unwrap(),
+            file_of(&back[1]).unwrap()
+        ));
+
+        // The reset hands out the parse `from_bytes` did, or — once an
+        // append has outdated it — a fresh one; either way everything
+        // written so far, and the new epoch holds nothing.
+        let mut reopened = Journal::from_bytes(on_disk.clone());
+        assert_eq!(reopened.recover_and_reset().unwrap().records, back);
+        let mut appended = Journal::from_bytes(on_disk);
+        appended.append(&job_done(2, output()));
+        assert_eq!(appended.outputs_by_reference().0, 2);
+        assert_eq!(appended.recover_and_reset().unwrap().records.len(), 3);
+        assert_eq!((appended.outputs_stored(), appended.record_count()), (0, 0));
+        appended.append(&job_done(3, output()));
+        assert_eq!(
+            appended.outputs_stored(),
+            1,
+            "a fresh epoch stores it again"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

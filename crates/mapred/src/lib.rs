@@ -81,7 +81,10 @@ pub use config::{
 };
 pub use engine::{run_job, run_job_attempt, AttemptFailure, Cluster};
 pub use error::MapRedError;
-pub use hdfs::{file_checksum, read_verified, untag_batch, untag_line, BlockRead, DataFile, Hdfs};
+pub use hdfs::{
+    file_checksum, read_verified, untag_batch, untag_line, BlockRead, DataFile, FileRef, Hdfs,
+    SharedFile,
+};
 pub use job::{
     Combiner, GroupView, JobInput, JobSpec, KeyWriter, MapOutput, Mapper, MapperFactory,
     ReduceEmit, ReduceOutput, Reducer, ReducerFactory, ValueWriter,

@@ -22,10 +22,18 @@
 //!   cost-model and format knobs change the bytes and metrics a hit would
 //!   replay.
 //! * **Integrity**: every hit re-verifies the cached file's XXH64 content
-//!   checksum, with at-rest corruption drawn from the cluster's seeded
-//!   [`CorruptionModel`] genuinely flipping a bit first. A mismatch evicts
-//!   the entry and reports a miss — the chain re-executes, so corruption
-//!   costs time, never answers.
+//!   checksum — re-hashed from the bytes each time, in place; the file
+//!   handle's memoised checksum names the content and is never taken as
+//!   proof of it — with at-rest corruption drawn from the cluster's seeded
+//!   [`CorruptionModel`] genuinely flipping a bit (of a copy: the flip
+//!   needs somewhere to land) first. A mismatch evicts the entry and
+//!   reports a miss — the chain re-executes, so corruption costs time,
+//!   never answers.
+//!
+//! The cache stores and serves [`FileRef`] handles: `reuse/<fp>` shares the
+//! committed output's allocation with the chain path it was committed from,
+//! and a hit hands the same allocation to the consuming chain and, through
+//! it, to the journal — which therefore writes the bytes once per epoch.
 //!
 //! Capacity pressure is relieved by LRU eviction over the *last-hit
 //! simulated instant* (insertion instant until first hit), skipping entries
@@ -40,7 +48,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{ClusterConfig, CorruptionModel};
 use crate::hash::checksum_bytes;
-use crate::hdfs::{file_bytes, file_checksum, DataFile, Hdfs};
+use crate::hdfs::{file_bytes, file_bytes_len, file_checksum, FileRef, Hdfs};
 use crate::metrics::JobMetrics;
 
 /// Configuration of the result-reuse cache.
@@ -209,12 +217,12 @@ impl ReuseCache {
         fingerprint: u64,
         corruption: Option<&CorruptionModel>,
         now_s: f64,
-    ) -> Option<(DataFile, JobMetrics)> {
+    ) -> Option<(FileRef, JobMetrics)> {
         let Some(entry) = self.entries.get_mut(&fingerprint) else {
             self.stats.misses += 1;
             return None;
         };
-        let Ok(file) = hdfs.get(&entry.path) else {
+        let Ok(file) = hdfs.share(&entry.path) else {
             // The materialized file vanished out from under the entry
             // (defensive: nothing in-tree deletes reuse/ paths directly).
             let dead = self.entries.remove(&fingerprint).expect("entry exists");
@@ -222,22 +230,28 @@ impl ReuseCache {
             self.stats.misses += 1;
             return None;
         };
-        let mut candidate = file_bytes(file);
-        if let Some(model) = corruption {
+        let flipped_bit = corruption.and_then(|model| {
             const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
+            let len = file_bytes_len(&file);
             let seed = model.seed
                 ^ fingerprint.wrapping_mul(SPLITMIX)
                 ^ (entry.seq + 0xCAC4E).wrapping_mul(SPLITMIX);
             let mut rng = StdRng::seed_from_u64(seed);
-            if model.block_rate > 0.0
-                && !candidate.is_empty()
-                && rng.gen::<f64>() < model.block_rate
-            {
-                let bit = rng.gen::<u64>() as usize % (candidate.len() * 8);
+            (model.block_rate > 0.0 && len > 0 && rng.gen::<f64>() < model.block_rate)
+                .then(|| rng.gen::<u64>() as usize % (len * 8))
+        });
+        // Every hit re-hashes the bytes at rest — the handle's checksum
+        // memo names the content, it does not vouch for it. Clean bytes are
+        // hashed where they lie; a drawn flip needs a copy to land in.
+        let at_rest = match flipped_bit {
+            None => file_checksum(&file),
+            Some(bit) => {
+                let mut candidate = file_bytes(&file);
                 candidate[bit / 8] ^= 1 << (bit % 8);
+                checksum_bytes(&candidate)
             }
-        }
-        if checksum_bytes(&candidate) != entry.checksum {
+        };
+        if at_rest != entry.checksum {
             let dead = self.entries.remove(&fingerprint).expect("entry exists");
             hdfs.delete(&dead.path);
             self.stats.bytes_cached -= dead.bytes;
@@ -248,14 +262,14 @@ impl ReuseCache {
         // Only the LRU instant advances; the entry keeps its insertion seq
         // (it salts the at-rest corruption draw).
         entry.last_hit_s = now_s;
-        let result = (file.clone(), entry.metrics.clone());
         self.stats.hits += 1;
         self.stats.reused_work_s += entry.metrics.total_s() - entry.metrics.startup_delay_s;
-        Some(result)
+        Some((file, entry.metrics.clone()))
     }
 
     /// Inserts a committed job output at simulated instant `now_s`,
-    /// materializing it in `hdfs` under [`reuse_path`]. No-ops when the
+    /// materializing it in `hdfs` under [`reuse_path`] — the path shares
+    /// `file`'s allocation with whoever else holds it. No-ops when the
     /// capacity is 0, the fingerprint is already cached (recovery replays
     /// re-commit the same jobs), or the file cannot fit even after
     /// evicting every unpinned entry.
@@ -263,7 +277,7 @@ impl ReuseCache {
         &mut self,
         hdfs: &mut Hdfs,
         fingerprint: u64,
-        file: DataFile,
+        file: FileRef,
         metrics: JobMetrics,
         now_s: f64,
     ) {
@@ -281,8 +295,8 @@ impl ReuseCache {
             }
         }
         let path = reuse_path(fingerprint);
-        let checksum = file_checksum(&file);
-        hdfs.put_data(&path, file);
+        let checksum = file.checksum();
+        hdfs.put_shared(&path, file);
         self.seq += 1;
         self.entries.insert(
             fingerprint,
@@ -334,7 +348,7 @@ impl ReuseCache {
 
     /// Releases one pin (saturating; unknown fingerprints are ignored —
     /// the entry may have been integrity-evicted while pinned readers were
-    /// already holding its cloned bytes).
+    /// already holding its file).
     pub fn unpin(&mut self, fingerprint: u64) {
         if let Some(e) = self.entries.get_mut(&fingerprint) {
             e.pins = e.pins.saturating_sub(1);
@@ -345,12 +359,14 @@ impl ReuseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hdfs::DataFile;
 
-    fn text(lines: &[&str]) -> DataFile {
+    fn text(lines: &[&str]) -> FileRef {
         DataFile {
             lines: lines.iter().map(|s| (*s).to_string()).collect(),
             frames: Vec::new(),
         }
+        .into()
     }
 
     fn metrics(total: f64) -> JobMetrics {

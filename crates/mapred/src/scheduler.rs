@@ -545,7 +545,7 @@ impl Scheduler<'_> {
         // The output must exist — the committed job just wrote it. An
         // empty-file default would only arise from a job spec writing
         // nowhere, in which case replaying an empty file is still exact.
-        let file = cluster.hdfs.get(&job.output).cloned().unwrap_or_default();
+        let file = cluster.hdfs.share(&job.output).unwrap_or_default();
         let rec = JournalRecord::JobDone {
             id: run.idx as u64,
             job_index: (done - 1) as u32,
@@ -577,7 +577,7 @@ impl Scheduler<'_> {
             return;
         };
         // `insert` would drop the entry anyway — on every cache hit and
-        // every recovery replay; don't deep-copy the output to find out.
+        // every recovery replay; don't copy the metrics to find out.
         if cache.capacity_bytes() == 0 || cache.contains(fp) {
             return;
         }
@@ -586,7 +586,7 @@ impl Scheduler<'_> {
         // of that consumer's commit must replay against attempt 0 too.
         let mut metrics = run.session.metrics().jobs[done - 1].clone();
         metrics.attempt = 0;
-        let file = cluster.hdfs.get(&job.output).cloned().unwrap_or_default();
+        let file = cluster.hdfs.share(&job.output).unwrap_or_default();
         cache.insert(&mut cluster.hdfs, fp, file, metrics, now);
     }
 

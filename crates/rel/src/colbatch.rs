@@ -71,35 +71,47 @@ fn read_u64_raw(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-/// XXH64 of a byte slice with an explicit seed — full-avalanche, so any
-/// single flipped bit changes the result.
-#[must_use]
-pub fn xxh64(data: &[u8], seed: u64) -> u64 {
-    let len = data.len() as u64;
-    let mut rest = data;
-    let mut h = if rest.len() >= 32 {
-        let mut v1 = seed.wrapping_add(XXP1).wrapping_add(XXP2);
-        let mut v2 = seed.wrapping_add(XXP2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(XXP1);
-        while rest.len() >= 32 {
-            v1 = xx_round(v1, read_u64_raw(&rest[0..]));
-            v2 = xx_round(v2, read_u64_raw(&rest[8..]));
-            v3 = xx_round(v3, read_u64_raw(&rest[16..]));
-            v4 = xx_round(v4, read_u64_raw(&rest[24..]));
-            rest = &rest[32..];
+/// The four lane accumulators of a stream of 32-byte stripes.
+#[inline]
+fn xx_lanes(seed: u64) -> [u64; 4] {
+    [
+        seed.wrapping_add(XXP1).wrapping_add(XXP2),
+        seed.wrapping_add(XXP2),
+        seed,
+        seed.wrapping_sub(XXP1),
+    ]
+}
+
+/// Consumes every whole 32-byte stripe of `data`, returning what is left.
+#[inline]
+fn xx_stripes<'a>(v: &mut [u64; 4], mut data: &'a [u8]) -> &'a [u8] {
+    while data.len() >= 32 {
+        v[0] = xx_round(v[0], read_u64_raw(&data[0..]));
+        v[1] = xx_round(v[1], read_u64_raw(&data[8..]));
+        v[2] = xx_round(v[2], read_u64_raw(&data[16..]));
+        v[3] = xx_round(v[3], read_u64_raw(&data[24..]));
+        data = &data[32..];
+    }
+    data
+}
+
+/// Folds the lanes (when at least one stripe was consumed), the total
+/// length and the sub-stripe tail into the final hash.
+#[inline]
+fn xx_finish(lanes: Option<&[u64; 4]>, seed: u64, len: u64, mut rest: &[u8]) -> u64 {
+    let mut h = match lanes {
+        Some(&[v1, v2, v3, v4]) => {
+            let mut h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            h = xx_merge(h, v1);
+            h = xx_merge(h, v2);
+            h = xx_merge(h, v3);
+            xx_merge(h, v4)
         }
-        let mut h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = xx_merge(h, v1);
-        h = xx_merge(h, v2);
-        h = xx_merge(h, v3);
-        xx_merge(h, v4)
-    } else {
-        seed.wrapping_add(XXP5)
+        None => seed.wrapping_add(XXP5),
     };
     h = h.wrapping_add(len);
     while rest.len() >= 8 {
@@ -127,6 +139,69 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(XXP3);
     h ^ (h >> 32)
+}
+
+/// XXH64 of a byte slice with an explicit seed — full-avalanche, so any
+/// single flipped bit changes the result.
+#[must_use]
+pub fn xxh64(data: &[u8], seed: u64) -> u64 {
+    let mut lanes = xx_lanes(seed);
+    let rest = xx_stripes(&mut lanes, data);
+    let striped = (data.len() >= 32).then_some(&lanes);
+    xx_finish(striped, seed, data.len() as u64, rest)
+}
+
+/// Streaming [`xxh64`]: hashes a byte stream handed over in pieces —
+/// a file's lines or frames where they lie — to the value the one-shot
+/// function gives for their concatenation, however the pieces are cut.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    seed: u64,
+    lanes: [u64; 4],
+    /// Bytes of an incomplete stripe carried to the next `update`.
+    carry: [u8; 32],
+    carried: usize,
+    len: u64,
+}
+
+impl Xxh64 {
+    /// An empty stream under `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        Xxh64 {
+            seed,
+            lanes: xx_lanes(seed),
+            carry: [0; 32],
+            carried: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `data` to the stream.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.carried > 0 {
+            let take = data.len().min(32 - self.carried);
+            self.carry[self.carried..self.carried + take].copy_from_slice(&data[..take]);
+            self.carried += take;
+            data = &data[take..];
+            if self.carried < 32 {
+                return;
+            }
+            xx_stripes(&mut self.lanes, &self.carry);
+            self.carried = 0;
+        }
+        let rest = xx_stripes(&mut self.lanes, data);
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.carried = rest.len();
+    }
+
+    /// The hash of everything appended so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        let striped = (self.len >= 32).then_some(&self.lanes);
+        xx_finish(striped, self.seed, self.len, &self.carry[..self.carried])
+    }
 }
 
 /// FNV-1a [`std::hash::Hasher`] for the codec's internal hash maps —
@@ -1043,5 +1118,56 @@ mod tests {
         assert_eq!(xxh64(b"", 0), 0xEF46_DB37_51D8_E999);
         assert_eq!(xxh64(b"a", 0), 0xD24E_C4F1_A98C_6E5B);
         assert_eq!(xxh64(b"abc", 0), 0x44BC_2CF5_AD77_0999);
+    }
+
+    #[test]
+    fn streaming_xxh64_equals_one_shot_under_any_chunking() {
+        // A splitmix stream stands in for `rand` (no dependency here): it
+        // fills the data and draws the cut points.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let data: Vec<u8> = (0..1000).map(|_| next() as u8).collect();
+        // Piece sizes around every boundary the carry has — a byte, one
+        // short of a stripe, a stripe, one over — each also with an empty
+        // piece in between, then random ones.
+        let fixed = [1usize, 31, 32, 33];
+        for len in [0usize, 1, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65, 200, 1000] {
+            let data = &data[..len];
+            for seed in [0u64, 7] {
+                let want = xxh64(data, seed);
+                for round in 0..40 {
+                    let mut h = Xxh64::new(seed);
+                    let mut at = 0;
+                    while at < data.len() {
+                        let piece = if round < 2 * fixed.len() {
+                            if round >= fixed.len() {
+                                h.update(&[]);
+                            }
+                            fixed[round % fixed.len()]
+                        } else {
+                            (next() % 70) as usize
+                        };
+                        let end = (at + piece).min(data.len());
+                        h.update(&data[at..end]);
+                        at = end;
+                    }
+                    assert_eq!(h.finish(), want, "len {len} seed {seed} round {round}");
+                    // `finish` does not consume: more data may follow.
+                    assert_eq!(h.finish(), want);
+                }
+            }
+        }
+        let mut h = Xxh64::new(0);
+        h.update(b"a");
+        assert_eq!(h.finish(), 0xD24E_C4F1_A98C_6E5B);
+        h.update(b"bc");
+        assert_eq!(h.finish(), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(Xxh64::new(0).finish(), 0xEF46_DB37_51D8_E999);
     }
 }

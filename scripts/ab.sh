@@ -6,6 +6,10 @@
 #
 #   scripts/ab.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED SECONDS PAIRS
 #
+# WORKLOAD is one benchmark workload, a comma list of them, or `all` (the
+# five `BENCHMARK.json` declares) — one block of output per workload, so the
+# no-regression half of a perf PR is one invocation.
+#
 # A DIR is where a side's binary was built: a cargo target dir
 # (DIR/release/ysmart-perfbench), a checkout (DIR/perfbench/target/release/…)
 # or the directory holding the binary itself. Build both sides first, e.g.
@@ -18,10 +22,13 @@
 set -euo pipefail
 
 if [ "$#" -ne 6 ]; then
-    sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
-workload=$3 seed=$4 seconds=$5 pairs=$6
+workloads=$3 seed=$4 seconds=$5 pairs=$6
+if [ "$workloads" = all ]; then
+    workloads=dss_merged,dss_chained,translate,serve_hot,serve_cold
+fi
 
 binary() {
     local candidate
@@ -48,47 +55,50 @@ run() {
             '$1 == w && index(want, " " $2 " ") { print side, pair, $2, $3 }'
 }
 
-echo "# $workload seed $seed, $seconds s, $pairs pairs; parent $parent; change $change"
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run parent "$parent" "$pair"
-        run change "$change" "$pair"
-    else
-        run change "$change" "$pair"
-        run parent "$parent" "$pair"
-    fi
-done | awk -v metrics="$metrics" -v pairs="$pairs" '
-    { v[$1, $2, $3] = $4 }
-    # Quantile q of n sorted values a[1..n], linear interpolation.
-    function quantile(a, n, q,    h, lo) {
-        h = (n - 1) * q + 1; lo = int(h)
-        return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
-    }
-    function summary(side, m,    a, n, i, j, t) {
-        n = 0
-        for (i = 1; i <= pairs; i++) if ((side, i, m) in v) a[++n] = v[side, i, m] + 0
-        for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
-            t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+for workload in ${workloads//,/ }; do
+    echo "# $workload seed $seed, $seconds s, $pairs pairs; parent $parent; change $change"
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run parent "$parent" "$pair"
+            run change "$change" "$pair"
+        else
+            run change "$change" "$pair"
+            run parent "$parent" "$pair"
+        fi
+    done | awk -v metrics="$metrics" -v pairs="$pairs" '
+        { v[$1, $2, $3] = $4 }
+        # Quantile q of n sorted values a[1..n], linear interpolation.
+        function quantile(a, n, q,    h, lo) {
+            h = (n - 1) * q + 1; lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
         }
-        med[side] = quantile(a, n, 0.5)
-        return sprintf("%.4g [%.4g, %.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
-    }
-    END {
-        nm = split(metrics, name, " ")
-        for (k = 1; k <= nm; k++) {
-            m = name[k]
-            printf "\n%s (pair: parent -> change)\n", m
-            wins = ties = 0
-            for (i = 1; i <= pairs; i++) {
-                p = v["parent", i, m]; c = v["change", i, m]
-                printf "  %2d: %s -> %s%s\n", i, p, c, i % 2 ? "" : "  (change ran first)"
-                better = (m == "queries_per_s") ? (c + 0 > p + 0) : (c + 0 < p + 0)
-                if (c + 0 == p + 0) ties++; else if (better) wins++
+        function summary(side, m,    a, n, i, j, t) {
+            n = 0
+            for (i = 1; i <= pairs; i++) if ((side, i, m) in v) a[++n] = v[side, i, m] + 0
+            for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
+                t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
             }
-            ps = summary("parent", m); cs = summary("change", m)
-            printf "  parent median [q1, q3]: %s\n  change median [q1, q3]: %s\n", ps, cs
-            if (med["parent"] != 0)
-                printf "  median change: %+.1f %%\n", (med["change"] / med["parent"] - 1) * 100
-            printf "  change better in %d of %d pairs, %d ties\n", wins, pairs, ties
+            med[side] = quantile(a, n, 0.5)
+            return sprintf("%.4g [%.4g, %.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
         }
-    }'
+        END {
+            nm = split(metrics, name, " ")
+            for (k = 1; k <= nm; k++) {
+                m = name[k]
+                printf "\n%s (pair: parent -> change)\n", m
+                wins = ties = 0
+                for (i = 1; i <= pairs; i++) {
+                    p = v["parent", i, m]; c = v["change", i, m]
+                    printf "  %2d: %s -> %s%s\n", i, p, c, i % 2 ? "" : "  (change ran first)"
+                    better = (m == "queries_per_s") ? (c + 0 > p + 0) : (c + 0 < p + 0)
+                    if (c + 0 == p + 0) ties++; else if (better) wins++
+                }
+                ps = summary("parent", m); cs = summary("change", m)
+                printf "  parent median [q1, q3]: %s\n  change median [q1, q3]: %s\n", ps, cs
+                if (med["parent"] != 0)
+                    printf "  median change: %+.1f %%\n", (med["change"] / med["parent"] - 1) * 100
+                printf "  change better in %d of %d pairs, %d ties\n", wins, pairs, ties
+            }
+        }'
+    echo
+done

@@ -442,8 +442,20 @@ impl Service {
                 out.push(self.report_response(p, rep, true));
             }
             self.export_trace(report.trace, out);
+            self.release_outputs(&batch);
         }
         Ok(())
+    }
+
+    /// Deletes the files a served batch's chains wrote. Its responses are
+    /// built, and nothing reads a chain's `tmp/` or result path again:
+    /// reuse entries live under `reuse/<fp>` and the journal holds its own
+    /// handles (both share the bytes where they are still wanted), and a
+    /// restart restores outputs from the journal, not from here.
+    fn release_outputs(&mut self, batch: &[Pending]) {
+        for bp in batch.iter().flat_map(|p| &p.translation.blueprints) {
+            self.engine.cluster.hdfs.delete(&bp.output);
+        }
     }
 
     /// The per-run scheduler config: the configured scheduler with tracing
@@ -715,12 +727,14 @@ impl Service {
             out.push(resp);
         }
         self.export_trace(report.trace, &mut out);
+        self.release_outputs(&batch);
         out
     }
 
     /// Health/readiness lines for `!status`.
     #[must_use]
     pub fn status_lines(&self) -> Vec<String> {
+        let (by_reference, bytes_not_rewritten) = self.journal.outputs_by_reference();
         let mut lines = vec![
             format!(
                 "state: {} ({})",
@@ -737,7 +751,8 @@ impl Service {
                 self.runs, self.recovered_runs, self.answered, self.suppressed,
             ),
             format!(
-                "journal: {} record(s), {} byte(s){}",
+                "journal: {} record(s), {} byte(s){}; {} output(s) stored, \
+                 {} by reference ({} byte(s) not rewritten)",
                 self.journal.record_count(),
                 self.journal.bytes().len(),
                 self.options
@@ -745,6 +760,9 @@ impl Service {
                     .as_ref()
                     .map(|p| format!(", {}", p.display()))
                     .unwrap_or_else(|| ", in-memory".into()),
+                self.journal.outputs_stored(),
+                by_reference,
+                bytes_not_rewritten,
             ),
         ];
         if self.options.reuse.is_some() {

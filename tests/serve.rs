@@ -398,13 +398,58 @@ fn reuse_cache_persists_across_run_batches() {
         (b, hb),
         "cached answer must equal the executed one"
     );
+    let status = service.status_lines();
     assert!(
-        service
-            .status_lines()
-            .iter()
-            .any(|l| l.contains("reuse cache")),
+        status.iter().any(|l| l.contains("reuse cache")),
         "!status reports the cache"
     );
+    // The repeat's commits re-journal outputs the epoch already holds:
+    // written by reference, and `!status` says how much that saved.
+    let jobs = match &second[0] {
+        Response::Result { jobs, .. } => *jobs,
+        _ => unreachable!("results_of returns only Result"),
+    };
+    let journal = status
+        .iter()
+        .find(|l| l.starts_with("journal: "))
+        .expect("!status reports the journal");
+    assert!(
+        journal.contains(&format!("{jobs} output(s) stored, {jobs} by reference (")),
+        "{journal}"
+    );
+    assert!(!journal.contains("(0 byte(s) not rewritten)"), "{journal}");
+    // A served batch keeps nothing but what the cache holds on to.
+    let hdfs = &service.engine_mut().cluster.hdfs;
+    let left: Vec<&str> = hdfs.paths().filter(|p| !p.starts_with("data/")).collect();
+    assert!(!left.is_empty(), "the cache keeps its entries");
+    assert!(left.iter().all(|p| p.starts_with("reuse/")), "{left:?}");
+    assert!(hdfs.accounting_reconciled());
+}
+
+/// Without a cache, a served batch leaves only the loaded tables behind —
+/// after a live `!run` and after the replay of a restart alike — and the
+/// journal alone still restores every answer.
+#[test]
+fn served_batches_release_their_outputs() {
+    let journal = temp_path("release.wal");
+    let _ = std::fs::remove_file(&journal);
+    let only_tables = |service: &mut Service| {
+        let hdfs = &service.engine_mut().cluster.hdfs;
+        let left: Vec<String> = hdfs.paths().map(String::from).collect();
+        assert_eq!(left, ["data/clicks"]);
+        assert!(hdfs.accounting_reconciled());
+    };
+    let (live, _) = uninterrupted_session(&journal);
+    let (mut service, recovery) =
+        Service::open(demo_engine(), options(journal.clone())).expect("reopen");
+    assert!(results_of(&recovery).is_empty(), "all three were answered");
+    only_tables(&mut service);
+    for line in SCRIPT {
+        service.handle_line(line);
+    }
+    only_tables(&mut service);
+    assert_eq!(results_of(&live).len(), 3);
+    let _ = std::fs::remove_file(&journal);
 }
 
 /// The reuse cache survives a crash: recovery replays the journaled runs
