@@ -20,8 +20,15 @@
 //! the `ClusterConfig::skip_bad_records` budget.
 //!
 //! Each record visible to a branch is also counted via
-//! [`MapOutput::record_dispatch`], giving merged (CMF) jobs per-stream
+//! [`MapOutput::record_dispatch`] (a batch on the column path counts in bulk,
+//! [`MapOutput::record_dispatches`]), giving merged (CMF) jobs per-stream
 //! fan-out visibility in `JobMetrics::map_dispatches`.
+//!
+//! The body exists at two granularities that emit identical pairs:
+//! `map_record`, one record at a time, serves text lines and any batch whose
+//! mapper has a computed key or projection, a predicate without a mask
+//! kernel, or a pad; every other batch is mapped whole by `map_columns`
+//! ([`CommonMapper::column_path`]).
 
 use std::sync::Arc;
 
@@ -55,6 +62,8 @@ pub struct CommonMapper {
     /// decoded row's columns are *moved* out of it instead of cloned —
     /// `None` falls back to the expression-evaluating path.
     value_move: Option<Vec<usize>>,
+    /// Whether batches take the column path ([`CommonMapper::column_path`]).
+    column_path: bool,
 }
 
 fn plain_cols(exprs: &[Expr]) -> Option<Vec<usize>> {
@@ -204,6 +213,20 @@ impl CommonMapper {
                 })
                 .filter(|raw| duplicate_free(raw))
         };
+        // A predicate has a mask kernel over every batch of the input's width
+        // exactly when it has one over an empty batch of that width.
+        let width = input.schema.len();
+        let probe = ColumnBatch::from_cells(0, width, |_, _| unreachable!("no rows"))
+            .expect("an empty batch encodes");
+        let masked = |p: &Expr| eval_mask(p, &probe).is_some();
+        let in_bounds = |cols: &[usize]| cols.iter().all(|&c| c < width);
+        let column_path = plain_keys.as_deref().is_some_and(in_bounds)
+            && value_move.as_deref().is_some_and(in_bounds)
+            && (blueprint.pad_bytes == 0 || blueprint.map_only)
+            && input
+                .branches
+                .iter()
+                .all(|b| b.predicate.as_ref().is_none_or(masked));
         CommonMapper {
             foreign_mask: all & !mine,
             blueprint,
@@ -212,7 +235,19 @@ impl CommonMapper {
             plain_keys,
             needed_cols,
             value_move,
+            column_path,
         }
+    }
+
+    /// Whether this mapper's batches take the column path: its keys and
+    /// emitted value are plain columns of the input, every branch's
+    /// selection has a mask kernel, and it adds no pad. Such a batch is
+    /// mapped whole — visibility, tags, work and dispatch counts in one pass
+    /// over the masks, then one [`MapOutput::emit_columns`] — instead of row
+    /// by row through `map_record`; the pairs are the same.
+    #[must_use]
+    pub fn column_path(&self) -> bool {
+        self.column_path
     }
 
     /// The common-mapper body (§VI-A), once for both formats: evaluate every
@@ -282,6 +317,57 @@ impl CommonMapper {
         pair.finish();
         Ok(())
     }
+
+    /// The same body a batch at a time, for mappers on the column path:
+    /// every row's visibility, tag, work and dispatch counts in one pass over
+    /// the branch masks, then one [`MapOutput::emit_columns`] writing the
+    /// key columns `keys` and the value columns `values` of the rows any
+    /// branch keeps. Nothing here can fail: plain columns are in bounds and
+    /// mask kernels are total.
+    fn map_columns(
+        &self,
+        batch: &ColumnBatch,
+        masks: &[Option<Mask>],
+        keys: &[usize],
+        values: &[usize],
+        out: &mut MapOutput,
+    ) {
+        let input = &self.blueprint.inputs[self.input_idx];
+        let n = batch.num_rows();
+        out.add_work(n as u64 * (input.branches.len() as u64 - 1));
+        let streams = input.branches.iter().map(|b| b.stream + 1).max();
+        let mut dispatched = vec![0u64; streams.unwrap_or(0)];
+        let mut rows = Vec::with_capacity(n);
+        let mut tags = Vec::with_capacity(if self.tagged { n } else { 0 });
+        for r in 0..n {
+            let mut forbidden = self.foreign_mask;
+            let mut any = false;
+            for (b, mask) in input.branches.iter().zip(masks) {
+                if mask.as_ref().is_none_or(|m| m[r] == Some(true)) {
+                    any = true;
+                    dispatched[b.stream] += 1;
+                } else {
+                    forbidden |= 1 << b.stream;
+                }
+            }
+            if any {
+                rows.push(r);
+                if self.tagged {
+                    tags.push(forbidden as i64);
+                }
+            }
+        }
+        // A row-by-row count never extends the counts for a stream it did
+        // not dispatch to.
+        for (stream, &count) in dispatched.iter().enumerate() {
+            if count > 0 {
+                out.record_dispatches(stream, count);
+            }
+        }
+        let cols = |idx: &[usize]| idx.iter().map(|&c| &batch.columns()[c]).collect::<Vec<_>>();
+        let tags = self.tagged.then_some(&tags[..]);
+        out.emit_columns(&rows, &cols(keys), tags, &cols(values));
+    }
 }
 
 impl Mapper for CommonMapper {
@@ -320,9 +406,12 @@ impl Mapper for CommonMapper {
             }
         };
         let rows = batch.num_rows();
+        if rows == 0 {
+            return;
+        }
         // The text path surfaces a wrong-width record as a decode error;
         // a wrong-width batch is the same data problem, counted per row.
-        if rows > 0 && batch.num_cols() != input.schema.len() {
+        if batch.num_cols() != input.schema.len() {
             for _ in 0..rows {
                 out.record_bad();
             }
@@ -333,6 +422,16 @@ impl Mapper for CommonMapper {
             .iter()
             .map(|b| b.predicate.as_ref().and_then(|p| eval_mask(p, batch)))
             .collect();
+        // `column_path` was probed for masks of this width; a branch without
+        // one must never read as "visible" on the column path.
+        let mut masked = masks.iter().zip(&input.branches);
+        let column_path =
+            self.column_path && masked.all(|(m, b)| m.is_some() || b.predicate.is_none());
+        if let (true, Some(keys), Some(values)) = (column_path, &self.plain_keys, &self.value_move)
+        {
+            self.map_columns(batch, &masks, keys, values, out);
+            return;
+        }
         for r in 0..rows {
             let rec = BatchRecord {
                 batch,

@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ysmart_rel::codec::{encode_cells_into, encode_line};
-use ysmart_rel::colbatch::{frame_stats, FrameStats, DEFAULT_FRAME_ROWS};
+use ysmart_rel::colbatch::{FrameStats, DEFAULT_FRAME_ROWS};
 use ysmart_rel::{ColumnBatch, Value};
 
 use super::{JobCtx, MapCounts, OutputCounts, ReduceCounts, SegmentCounts, MAX_FETCH_RETRIES};
@@ -64,10 +64,11 @@ pub(super) struct MapTask<'a> {
 /// carries each key's [`crate::norm`] encoding (indexed like `pairs`) so the
 /// sort, the shuffle merge and key grouping compare key bytes, touching
 /// value cells only on key ties. A map-only task's pseudo-segment has
-/// neither: it is written out in emit order. The map task also sizes the
-/// segment, while its arena is still cache-resident: `text_bytes` in the
-/// text framing (key, tab, value, newline) and, in columnar mode, `frame` as
-/// one frame (`None` when there is none — see [`segment_frame_stats`]).
+/// neither: it is written out in emit order. The map task also records the
+/// segment's sizes — taken as the arena was written, or read while it is
+/// still cache-resident: `text_bytes` in the text framing (key, tab, value,
+/// newline) and, in columnar mode, `frame` as one frame (`None` when there is
+/// none — see `Pairs::frame_stats`).
 #[derive(Default)]
 pub(super) struct PartitionRun {
     pairs: Pairs,
@@ -366,13 +367,6 @@ fn sort_run(pairs: Pairs) -> PartitionRun {
     }
 }
 
-/// Bytes of a segment's pairs in the text framing (key, tab, value,
-/// newline): one pass over the flat cells.
-fn seg_bytes(seg: &PartitionRun) -> u64 {
-    let cells = seg.pairs.cells().iter();
-    cells.map(|v| v.size_bytes() as u64).sum::<u64>() + 2 * seg.pairs.len() as u64
-}
-
 /// Runs the combiner over every key group of one segment, each read in
 /// place through a [`GroupView`]; only the combiner's (usually single)
 /// output rows are materialised, into a fresh arena that replaces the
@@ -455,10 +449,12 @@ fn run_map_task(
             user_fatal = combiner.take_error();
         }
     }
+    // Arenas the column path wrote were sized as they were written; the rest
+    // (the row path's, a combiner's) are read once here, still in cache.
     let framed = shuffle_to.is_some() && job.cfg.data_format == DataFormat::Columnar;
     for (_, seg) in &mut runs {
-        seg.text_bytes = seg_bytes(seg);
-        seg.frame = framed.then(|| segment_frame_stats(seg)).flatten();
+        seg.text_bytes = seg.pairs.text_bytes();
+        seg.frame = framed.then(|| seg.pairs.frame_stats()).flatten();
     }
     counts.combined_bytes = runs.iter().map(|(_, seg)| seg.text_bytes).sum();
     let total_pairs: usize = runs.iter().map(|(_, seg)| seg.pairs.len()).sum();
@@ -468,26 +464,14 @@ fn run_map_task(
 }
 
 /// Columnar wire form of one shuffle segment: a single encoded frame of its
-/// sorted `key ⧺ value` rows. `None` for empty segments, when pair widths
-/// differ across the segment (the mixed-width values of some merged
-/// mappers) or on a non-finite float — no frame; the caller falls back to
-/// the text framing of [`segment_canon_bytes`].
+/// sorted `key ⧺ value` rows — the frame `Pairs::frame_stats` sizes, built
+/// only for a corruption model to flip bits in. `None` exactly when there is
+/// no such frame; the caller falls back to the text framing of
+/// [`segment_canon_bytes`].
 fn segment_frame(seg: &PartitionRun) -> Option<Vec<u8>> {
     let cell = |r: usize, c: usize| &seg.pairs.pair(seg.order[r] as usize)[c];
     let batch = ColumnBatch::from_cells(seg.order.len(), seg.pairs.uniform_width()?, cell).ok()?;
     Some(batch.encode_frame())
-}
-
-/// Exact size and dictionary-entry count of [`segment_frame`]'s frame
-/// without building it — the shuffle's byte accounting needs only the
-/// numbers; real wire bytes are built only for a corruption model to flip.
-/// A frame's size does not depend on the order of its rows, so the cells are
-/// read at stride where they lie, in emit order. `None` exactly when
-/// `segment_frame` is.
-fn segment_frame_stats(seg: &PartitionRun) -> Option<FrameStats> {
-    let width = seg.pairs.uniform_width()?;
-    let cells = seg.pairs.cells();
-    frame_stats(seg.pairs.len(), width, |r, c| &cells[r * width + c])
 }
 
 /// Canonical wire encoding of a shuffle segment — the byte stream its
@@ -854,8 +838,9 @@ mod tests {
     /// are `rel`'s `frame_stats_match_real_encoding` and
     /// `frame_stats_ignore_row_order` properties): a segment is read as
     /// `key ⧺ value` rows wherever each pair splits, the sizer — reading
-    /// emit order — agrees with the real frame — carrying sorted order —,
-    /// and empty or width-mixed segments have neither.
+    /// emit order, or sizing as the column path wrote — agrees with the real
+    /// frame — carrying sorted order —, and empty or width-mixed segments
+    /// have neither.
     #[test]
     fn segment_frame_stats_match_real_encoding() {
         let seg = |pairs: Vec<(Row, Row)>| {
@@ -863,6 +848,14 @@ mod tests {
             pairs.into_iter().for_each(|(k, v)| out.emit(k, v));
             sort_run(out.into_parts().pop().unwrap())
         };
+        let batch = ColumnBatch::from_rows(&[
+            row![1i64, "k", 1.5f64, "apple"],
+            row![2i64, "k", 2.5f64, "apple"],
+        ])
+        .unwrap();
+        let cols: Vec<&ysmart_rel::Column> = batch.columns().iter().collect();
+        let mut by_columns = MapOutput::default();
+        by_columns.emit_columns(&[1, 0], &cols[..2], Some(&[5, 6]), &cols[2..]);
         let cases = [
             seg(vec![
                 (row![2i64, "k"], row![2.5f64, false, "apple"]),
@@ -873,6 +866,7 @@ mod tests {
                 (row![2i64, "b"], row![3i64]),
                 (row![1i64], row!["a", 2i64]),
             ]),
+            sort_run(by_columns.into_parts().pop().unwrap()),
         ];
         for (i, seg) in cases.iter().enumerate() {
             let frame = segment_frame(seg).expect("uniform width");
@@ -881,7 +875,7 @@ mod tests {
                 bytes: frame.len() as u64,
                 dict_entries: batch.dict_entries(),
             };
-            assert_eq!(segment_frame_stats(seg), Some(stats), "case {i}");
+            assert_eq!(seg.pairs.frame_stats(), Some(stats), "case {i}");
             assert_eq!(seg.order, [1, 0], "case {i}: sorted by key");
             let joined: Vec<Row> = seg
                 .order
@@ -891,11 +885,11 @@ mod tests {
             assert_eq!(batch.to_rows(), joined, "case {i}: sorted key ⧺ value");
         }
         let empty = seg(vec![]);
-        assert!(segment_frame(&empty).is_none() && segment_frame_stats(&empty).is_none());
+        assert!(segment_frame(&empty).is_none() && empty.pairs.frame_stats().is_none());
         let mixed = seg(vec![
             (row![1i64], row![2i64]),
             (row![1i64], row![2i64, 3i64]),
         ]);
-        assert!(segment_frame(&mixed).is_none() && segment_frame_stats(&mixed).is_none());
+        assert!(segment_frame(&mixed).is_none() && mixed.pairs.frame_stats().is_none());
     }
 }

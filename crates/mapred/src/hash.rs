@@ -10,6 +10,7 @@
 //! keeps in `.crc` sidecar files. It must make any single bit flip visible,
 //! so it uses the full avalanche finalizer rather than plain FNV.
 
+use ysmart_rel::colbatch::{CellRef, Column};
 use ysmart_rel::{Row, Value};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -25,17 +26,36 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
+/// Stable hash of one cell, continuing from `state` — the one body behind
+/// [`hash_value`] and the column-at-a-time [`partition_columns`], so a key
+/// routes to the same partition however its cells are held. `Int` hashes
+/// its `f64` image: numerically equal `Int` and `Float` cells agree, as
+/// `Value`'s equality has them.
+fn hash_cell(state: u64, cell: CellRef<'_>) -> u64 {
+    match cell {
+        CellRef::Null => fnv1a(state, &[0]),
+        CellRef::Bool(b) => fnv1a(fnv1a(state, &[1]), &[u8::from(b)]),
+        CellRef::Int(i) => fnv1a(fnv1a(state, &[2]), &(i as f64).to_bits().to_le_bytes()),
+        CellRef::Float(f) => fnv1a(fnv1a(state, &[2]), &f.to_bits().to_le_bytes()),
+        CellRef::Str(s) => fnv1a(fnv1a(state, &[3]), s.as_bytes()),
+    }
+}
+
 /// Stable hash of a single value. `Int` and `Float` hash identically when
 /// numerically equal, matching `Value`'s equality.
 #[must_use]
 pub fn hash_value(state: u64, v: &Value) -> u64 {
-    match v {
-        Value::Null => fnv1a(state, &[0]),
-        Value::Bool(b) => fnv1a(fnv1a(state, &[1]), &[u8::from(*b)]),
-        Value::Int(i) => fnv1a(fnv1a(state, &[2]), &(*i as f64).to_bits().to_le_bytes()),
-        Value::Float(f) => fnv1a(fnv1a(state, &[2]), &f.to_bits().to_le_bytes()),
-        Value::Str(s) => fnv1a(fnv1a(state, &[3]), s.as_bytes()),
-    }
+    hash_cell(state, v.into())
+}
+
+/// Folds the cells of `rows` of one key column into `states`, one state per
+/// row in order.
+fn hash_column(states: &mut [u64], col: &Column, rows: &[usize]) {
+    let mut states = states.iter_mut();
+    col.for_each_cell(rows, |cell| {
+        let state = states.next().expect("one state per row");
+        *state = hash_cell(*state, cell);
+    });
 }
 
 /// Stable hash of a key's cells.
@@ -61,6 +81,20 @@ pub fn partition(key: &Row, num_reducers: usize) -> usize {
 pub fn partition_cells(key: &[Value], num_reducers: usize) -> usize {
     debug_assert!(num_reducers > 0);
     (hash_cells(key) % num_reducers as u64) as usize
+}
+
+/// [`partition_cells`] of the key of each of `rows` of a column batch, the
+/// key's cells being those rows of `key_cols` — hashed a column at a time,
+/// how [`crate::MapOutput::emit_columns`] routes a batch.
+#[must_use]
+pub fn partition_columns(key_cols: &[&Column], rows: &[usize], num_reducers: usize) -> Vec<usize> {
+    debug_assert!(num_reducers > 0);
+    let mut states = vec![FNV_OFFSET; rows.len()];
+    for col in key_cols {
+        hash_column(&mut states, col, rows);
+    }
+    let partition = |state: u64| (state % num_reducers as u64) as usize;
+    states.into_iter().map(partition).collect()
 }
 
 /// XXH64 checksum of a byte slice — the per-block checksum of the
@@ -115,6 +149,65 @@ mod tests {
             seen.insert(partition(&row![i], 10));
         }
         assert!(seen.len() >= 8, "hash should use most partitions");
+    }
+
+    /// The column-at-a-time hash is `hash_value` of each cell as
+    /// `Column::value` materialises it, over every column type (nulls, a
+    /// string column's dictionary, the mixed `Var` column whose `Int(7)`
+    /// and `Float(7.0)` must collide), any row order, repeats included — and
+    /// so `partition_columns` routes every row as `partition_cells` routes
+    /// its key row.
+    #[test]
+    fn column_hash_equals_value_hash() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use ysmart_rel::ColumnBatch;
+        let mut rng = StdRng::seed_from_u64(0x4A54);
+        for case in 0..300 {
+            let nrows = rng.gen_range(1..40);
+            let width = rng.gen_range(1..4);
+            let kinds: Vec<u8> = (0..width).map(|_| rng.gen_range(0..5)).collect();
+            let mut cell = |kind: u8| match (rng.gen_range(0..6), kind) {
+                (0, _) => Value::Null,
+                (_, 0) => Value::Int(rng.gen_range(-9..9)),
+                (_, 1) => Value::Float(f64::from(rng.gen_range(-9..9)) / 2.0),
+                (_, 2) => Value::Bool(rng.gen()),
+                (_, 3) => Value::Str(["", "a", "ab", "7"][rng.gen_range(0..4)].into()),
+                // Numerically equal `Int` and `Float`: a `Var` column.
+                _ if rng.gen() => Value::Int(7),
+                _ => Value::Float(7.0),
+            };
+            let rows: Vec<Row> = (0..nrows)
+                .map(|_| kinds.iter().map(|&k| cell(k)).collect())
+                .collect();
+            let batch = ColumnBatch::from_rows(&rows).unwrap();
+            let picked: Vec<usize> = (0..rng.gen_range(0..50))
+                .map(|_| rng.gen_range(0..nrows))
+                .collect();
+            let start: u64 = rng.gen();
+            for col in batch.columns() {
+                let mut states = vec![start; picked.len()];
+                hash_column(&mut states, col, &picked);
+                let want: Vec<u64> = picked
+                    .iter()
+                    .map(|&r| hash_value(start, &col.value(r)))
+                    .collect();
+                assert_eq!(states, want, "case {case}: {col:?}");
+            }
+            let keys: Vec<&Column> = batch.columns().iter().collect();
+            let n = rng.gen_range(1..9);
+            let want: Vec<usize> = picked
+                .iter()
+                .map(|&r| partition(&batch.row(r), n))
+                .collect();
+            assert_eq!(partition_columns(&keys, &picked, n), want, "case {case}");
+        }
+        // Typed `Int` and `Float` key columns route equal numbers together.
+        let ints = ColumnBatch::from_rows(&[row![7i64], row![-3i64]]).unwrap();
+        let floats = ColumnBatch::from_rows(&[row![-3.0f64], row![7.0f64]]).unwrap();
+        let route =
+            |b: &ColumnBatch, rows: &[usize]| partition_columns(&[&b.columns()[0]], rows, 1 << 20);
+        assert_eq!(route(&ints, &[0, 1]), route(&floats, &[1, 0]));
     }
 
     #[test]

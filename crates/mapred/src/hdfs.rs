@@ -203,7 +203,7 @@ pub fn untag_batch(batch: &ColumnBatch, want: i64) -> ColumnBatch {
             .collect(),
         None => vec![false; batch.num_rows()],
     };
-    batch.filter(&mask).slice_cols(1)
+    batch.filter_from(1, &mask)
 }
 
 /// The global file system of the simulated cluster.

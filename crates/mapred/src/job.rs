@@ -17,7 +17,9 @@
 //! key group as a [`GroupView`] of borrowed cell slices. The row-shaped
 //! entry points — [`MapOutput::emit`], [`Reducer::reduce`],
 //! [`Combiner::combine`] — remain what hand-written jobs implement; the
-//! cell-shaped ones default to them.
+//! cell-shaped ones default to them. A mapper holding a column batch emits
+//! it whole through [`MapOutput::emit_columns`], which writes the same
+//! pairs a column at a time and sizes their segments as it goes.
 //!
 //! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
 //! with an optional merged-stream tag. Whether a task's records are stored
@@ -25,9 +27,10 @@
 //! one place after the task ran — a reducer never formats its own output.
 
 use ysmart_rel::codec::encode_cells_into;
+use ysmart_rel::colbatch::{frame_stats, Column, FrameSizer, FrameStats};
 use ysmart_rel::{ColumnBatch, Row, Value};
 
-use crate::hash::partition_cells;
+use crate::hash::{partition_cells, partition_columns};
 
 /// The pairs one map task routed to one reduce partition — a shuffle
 /// *arena*. Every pair's `key ⧺ value` cells lie back to back in one flat
@@ -41,11 +44,36 @@ pub(crate) struct Pairs {
     /// Pair `i` spans `cells[bounds[i].0..bounds[i + 1].0]` (the last one to
     /// the end) and its value starts at `bounds[i].1`.
     bounds: Vec<(u32, u32)>,
+    /// The segment's sizes, taken while [`Pairs::append_columns`] wrote its
+    /// cells from typed columns; `None` before the first pair and once any
+    /// pair arrived another way, when they are read off the cells instead.
+    sizes: Option<Sizes>,
+}
+
+/// What a segment is charged for, accumulated as its pairs are written.
+#[derive(Debug)]
+struct Sizes {
+    /// [`Pairs::text_bytes`].
+    text_bytes: u64,
+    /// The frame of the pairs so far; `None` once two writes differed in
+    /// width (no single frame).
+    frame: Option<FrameSizer>,
 }
 
 /// A cell offset as stored in [`Pairs::bounds`].
 fn offset(cells: usize) -> u32 {
     u32::try_from(cells).expect("a shuffle arena holds fewer than 2^32 cells")
+}
+
+/// Writes cell `c` of consecutive `width`-cell pairs, one pair per call,
+/// returning the cell's text bytes.
+fn at_stride(pairs: &mut [Value], width: usize, c: usize) -> impl FnMut(Value) -> u64 + '_ {
+    let mut slots = pairs.chunks_exact_mut(width).map(move |pair| &mut pair[c]);
+    move |v| {
+        let bytes = v.size_bytes() as u64;
+        *slots.next().expect("one pair per row") = v;
+        bytes
+    }
 }
 
 impl Pairs {
@@ -55,11 +83,6 @@ impl Pairs {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.bounds.is_empty()
-    }
-
-    /// Every cell of every pair, in emit order.
-    pub(crate) fn cells(&self) -> &[Value] {
-        &self.cells
     }
 
     fn end(&self, i: usize) -> usize {
@@ -104,6 +127,108 @@ impl Pairs {
         self.cells.extend_from_slice(key);
         self.bounds.push((key_start, offset(self.cells.len())));
         self.cells.extend(value.into_values());
+        self.sizes = None;
+    }
+
+    /// The first pair fixes the width: room for pairs (see
+    /// [`MapOutput::reserve`]) is now room for their cells.
+    fn reserve_cells(&mut self, width: usize) {
+        let cells = self.bounds.capacity() * width;
+        self.cells.reserve(cells.saturating_sub(self.cells.len()));
+    }
+
+    /// Appends one pair per row of `rows`, its cells read from typed
+    /// columns: `keys`, then the row's tag when there are `tags` (one per
+    /// row), then `values`. The pairs' cells are written a column at a time,
+    /// at stride, and the segment is sized as they go.
+    fn append_columns(
+        &mut self,
+        rows: &[usize],
+        keys: &[&Column],
+        tags: Option<&[i64]>,
+        values: &[&Column],
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let width = keys.len() + usize::from(tags.is_some()) + values.len();
+        if self.is_empty() {
+            self.bounds.reserve(rows.len());
+            self.reserve_cells(width);
+            self.sizes = Some(Sizes {
+                text_bytes: 0,
+                frame: Some(FrameSizer::new(width)),
+            });
+        }
+        let base = self.cells.len();
+        let bound = |j: usize| {
+            let start = base + j * width;
+            (offset(start), offset(start + keys.len()))
+        };
+        self.bounds.extend((0..rows.len()).map(bound));
+        self.cells.resize(base + rows.len() * width, Value::Null);
+        // Key and value bytes; the text framing adds a tab and a newline.
+        let mut text_bytes = 2 * rows.len() as u64;
+        if let Some(sizes) = &mut self.sizes {
+            if sizes.frame.as_ref().is_some_and(|f| f.width() != width) {
+                sizes.frame = None;
+            }
+        }
+        let mut frame = self.sizes.as_mut().and_then(|s| s.frame.as_mut());
+        let pairs = &mut self.cells[base..];
+        let mut column = |c: usize, col: &Column, frame: Option<&mut FrameSizer>| {
+            let mut put = at_stride(pairs, width, c);
+            col.for_each_cell(rows, |cell| text_bytes += put(cell.to_value()));
+            if let Some(frame) = frame {
+                frame.add_column(c, col, rows);
+            }
+        };
+        for (c, col) in keys.iter().enumerate() {
+            column(c, col, frame.as_deref_mut());
+        }
+        let c = keys.len() + usize::from(tags.is_some());
+        for (c, col) in (c..).zip(values) {
+            column(c, col, frame.as_deref_mut());
+        }
+        if let Some(tags) = tags {
+            let mut put = at_stride(pairs, width, keys.len());
+            for &tag in tags {
+                let v = Value::Int(tag);
+                if let Some(frame) = frame.as_deref_mut() {
+                    frame.add_cell(keys.len(), &v);
+                }
+                text_bytes += put(v);
+            }
+        }
+        if let Some(sizes) = &mut self.sizes {
+            sizes.text_bytes += text_bytes;
+        }
+    }
+
+    /// Bytes of the pairs in the text framing (key, tab, value, newline).
+    pub(crate) fn text_bytes(&self) -> u64 {
+        match &self.sizes {
+            Some(sizes) => sizes.text_bytes,
+            None => {
+                let cells = self.cells.iter().map(|v| v.size_bytes() as u64);
+                cells.sum::<u64>() + 2 * self.len() as u64
+            }
+        }
+    }
+
+    /// Exact size and dictionary-entry count of the pairs as one frame of
+    /// `key ⧺ value` rows. `None` for an empty arena, when pair widths differ
+    /// (the mixed-width values of some merged mappers) or on a non-finite
+    /// float: there is no such frame. A frame's size does not depend on the
+    /// order of its rows, so this holds for the sorted segment too.
+    pub(crate) fn frame_stats(&self) -> Option<FrameStats> {
+        match &self.sizes {
+            Some(sizes) => sizes.frame.as_ref()?.finish(),
+            None => {
+                let width = self.uniform_width()?;
+                frame_stats(self.len(), width, |r, c| &self.cells[r * width + c])
+            }
+        }
     }
 
     /// Gives the unused part of a mostly empty arena — the mapper dropped
@@ -282,13 +407,12 @@ impl ValueWriter<'_> {
 
     /// Commits the pair.
     pub fn finish(mut self) {
-        let Pairs { cells, bounds } = &mut *self.part;
-        bounds.push(self.bound);
-        if bounds.len() == 1 {
-            // The first pair fixes the width: room for pairs (see
-            // `MapOutput::reserve`) is now room for their cells.
-            cells.reserve(cells.len() * (bounds.capacity() - 1));
+        let part = &mut *self.part;
+        part.bounds.push(self.bound);
+        if part.bounds.len() == 1 {
+            part.reserve_cells(part.cells.len());
         }
+        part.sizes = None;
         self.finished = true;
     }
 }
@@ -303,8 +427,10 @@ impl Drop for ValueWriter<'_> {
 
 impl MapOutput {
     /// A buffer routing pairs to `partitions` reduce partitions (at least
-    /// one) by [`crate::hash::partition`] of their keys.
-    pub(crate) fn partitioned(partitions: usize) -> Self {
+    /// one) by [`crate::hash::partition`] of their keys — what the engine
+    /// builds for a job with that many reducers.
+    #[must_use]
+    pub fn partitioned(partitions: usize) -> Self {
         MapOutput {
             parts: (0..partitions.max(1)).map(|_| Pairs::default()).collect(),
             stage: Vec::new(),
@@ -354,6 +480,60 @@ impl MapOutput {
         pair.finish();
     }
 
+    /// Emits one pair per row of `rows` of a column batch, a column at a
+    /// time: the key is those rows of `key_cols`, the value the row's tag
+    /// (when `tags` is given, one per row) followed by those rows of
+    /// `value_cols` — the pairs [`MapOutput::emit`] of each row in order
+    /// would write, to the same partitions and arenas. Every row's partition
+    /// is hashed straight from the typed key columns; a stable counting sort
+    /// then groups the rows by partition, and each partition's cells are
+    /// written column by column at stride into its arena, which sizes its
+    /// segment as they go.
+    ///
+    /// # Panics
+    ///
+    /// When `tags` and `rows` differ in length, or a row is out of range of
+    /// a column.
+    pub fn emit_columns(
+        &mut self,
+        rows: &[usize],
+        key_cols: &[&Column],
+        tags: Option<&[i64]>,
+        value_cols: &[&Column],
+    ) {
+        assert!(
+            tags.is_none_or(|t| t.len() == rows.len()),
+            "one tag per row"
+        );
+        if let [part] = &mut self.parts[..] {
+            part.append_columns(rows, key_cols, tags, value_cols);
+            return;
+        }
+        let partitions = partition_columns(key_cols, rows, self.parts.len());
+        let mut starts = vec![0; self.parts.len() + 1];
+        for &p in &partitions {
+            starts[p + 1] += 1;
+        }
+        for p in 1..starts.len() {
+            starts[p] += starts[p - 1];
+        }
+        let mut next = starts.clone();
+        let mut sorted_rows = vec![0; rows.len()];
+        let mut sorted_tags = vec![0; tags.map_or(0, <[i64]>::len)];
+        for (i, &p) in partitions.iter().enumerate() {
+            sorted_rows[next[p]] = rows[i];
+            if let Some(tags) = tags {
+                sorted_tags[next[p]] = tags[i];
+            }
+            next[p] += 1;
+        }
+        for (p, part) in self.parts.iter_mut().enumerate() {
+            let run = starts[p]..starts[p + 1];
+            let tags = tags.map(|_| &sorted_tags[run.clone()]);
+            part.append_columns(&sorted_rows[run], key_cols, tags, value_cols);
+        }
+    }
+
     /// Charges extra CPU work units (≈ one record operation each) beyond
     /// the per-record baseline — how a multi-branch common mapper reports
     /// its dispatch overhead to the cost model.
@@ -386,10 +566,18 @@ impl MapOutput {
     /// a common mapper (CMF) reports its per-branch fan-out, surfaced in
     /// [`crate::JobMetrics::map_dispatches`] and the execution trace.
     pub fn record_dispatch(&mut self, stream: usize) {
+        self.record_dispatches(stream, 1);
+    }
+
+    /// Counts `n` records dispatched to `stream` at once — a batch's count.
+    /// Like `n` calls of [`MapOutput::record_dispatch`], except that `n = 0`
+    /// still extends the counts to `stream`: report only streams that saw a
+    /// record.
+    pub fn record_dispatches(&mut self, stream: usize, n: u64) {
         if self.dispatches.len() <= stream {
             self.dispatches.resize(stream + 1, 0);
         }
-        self.dispatches[stream] += 1;
+        self.dispatches[stream] += n;
     }
 
     /// Takes the per-stream dispatch counts (empty when the mapper never
@@ -421,6 +609,31 @@ impl MapOutput {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.parts.iter().all(Pairs::is_empty)
+    }
+
+    /// The pairs routed to partition `p` so far, in emit order, as `(key,
+    /// value)` cells where its arena holds them.
+    ///
+    /// # Panics
+    ///
+    /// When `p` is not a partition.
+    pub fn pairs(&self, p: usize) -> impl Iterator<Item = (&[Value], &[Value])> + '_ {
+        let part = &self.parts[p];
+        (0..part.len()).map(move |i| (part.key(i), part.value(i)))
+    }
+
+    /// What partition `p`'s shuffle segment is charged for: its bytes in the
+    /// text framing (key, tab, value, newline) and, when its pairs form one
+    /// frame of `key ⧺ value` rows, that frame's size and dictionary count.
+    /// Taken as the pairs were written when [`MapOutput::emit_columns`]
+    /// wrote all of them, read off the cells otherwise.
+    ///
+    /// # Panics
+    ///
+    /// When `p` is not a partition.
+    #[must_use]
+    pub fn segment_size(&self, p: usize) -> (u64, Option<FrameStats>) {
+        (self.parts[p].text_bytes(), self.parts[p].frame_stats())
     }
 
     /// Consumes the buffer into its per-partition arenas, growth slack
@@ -893,8 +1106,62 @@ mod tests {
                 assert_eq!(part.pair(i), [part.key(i), part.value(i)].concat());
                 cells += part.pair(i).len();
             }
-            assert_eq!(part.cells().len(), cells, "no orphan cells");
+            assert_eq!(part.cells.len(), cells, "no orphan cells");
         }
+    }
+
+    /// A batch emitted a column at a time lands exactly where emitting its
+    /// rows one by one puts them — cells, key/value split, partition, emit
+    /// order within a partition — and its segments are sized as written to
+    /// what reading the cells gives.
+    #[test]
+    fn column_emits_match_row_emits_and_size_as_they_write() {
+        let batch = ColumnBatch::from_rows(&[
+            row![1i64, "a", 1.5f64],
+            Row::new(vec![Value::Null, Value::Str("b".into()), Value::Null]),
+            row![7i64, "a", 2.5f64],
+            row![3i64, "c", 0.5f64],
+            row![7i64, "d", 0.5f64],
+        ])
+        .unwrap();
+        let cols: Vec<&Column> = batch.columns().iter().collect();
+        let (rows, tags) = ([3, 0, 2, 1, 4, 2], [4, 5, 6, 7, 8, 9]);
+        for n in [1, 2, 3, 8] {
+            let mut by_columns = MapOutput::partitioned(n);
+            by_columns.reserve(rows.len());
+            by_columns.emit_columns(&rows[..2], &cols[..1], Some(&tags[..2]), &cols[1..]);
+            by_columns.emit_columns(&[], &cols[..1], Some(&[]), &cols[1..]);
+            by_columns.emit_columns(&rows[2..], &cols[..1], Some(&tags[2..]), &cols[1..]);
+            let mut by_rows = MapOutput::partitioned(n);
+            by_rows.reserve(rows.len());
+            for (&r, &tag) in rows.iter().zip(&tags) {
+                let row = batch.row(r).into_values();
+                let value = std::iter::once(Value::Int(tag)).chain(row[1..].iter().cloned());
+                by_rows.emit(Row::new(row[..1].to_vec()), value.collect());
+            }
+            assert_eq!(by_columns.len(), rows.len());
+            for p in 0..n {
+                let pairs = |out: &MapOutput| format!("{:?}", out.pairs(p).collect::<Vec<_>>());
+                assert_eq!(pairs(&by_columns), pairs(&by_rows), "{n} partitions, {p}");
+                let sized = by_columns.parts[p].sizes.is_some();
+                assert_eq!(sized, !by_columns.parts[p].is_empty(), "sized as written");
+                assert!(by_rows.parts[p].sizes.is_none());
+                assert_eq!(by_columns.segment_size(p), by_rows.segment_size(p));
+            }
+        }
+        // A write of another width ends the frame, not the text size; a
+        // pair from the row path ends the sizing.
+        let mut out = MapOutput::default();
+        out.emit_columns(&[0, 1], &cols[..1], None, &cols[1..]);
+        out.emit_columns(&[2], &cols[..1], None, &cols[1..2]);
+        let sized = out.segment_size(0);
+        assert_eq!(sized.1, None);
+        let part = &mut out.parts[0];
+        let sizes = part.sizes.take();
+        assert_eq!(sized.0, part.text_bytes());
+        part.sizes = sizes;
+        out.emit(row![1i64], row![2i64]);
+        assert!(out.parts[0].sizes.is_none());
     }
 
     #[test]

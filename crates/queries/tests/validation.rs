@@ -126,6 +126,53 @@ fn job_counts(w: &Workload) -> BTreeMap<Strategy, usize> {
     out
 }
 
+/// The benchmark's query suite — Q17, Q18, Q21, Q-CSA, Q-AGG as merged
+/// (YSmart) and as one-op-one-job (Hive) jobs — maps every batch on the
+/// column path (`CommonMapper::column_path`): plain key and value columns,
+/// mask kernels for every selection, no pad. A planner change that leaves a
+/// computed key or a kernel-less predicate in one of these jobs fails here,
+/// rather than silently sending its rows back through `map_record`.
+#[test]
+fn dss_suite_maps_on_the_column_path() {
+    let mut workloads = tpch_workloads(&TpchSpec {
+        scale: 0.05,
+        seed: 4,
+    });
+    workloads.extend(clicks_workloads(&ClicksSpec {
+        users: 8,
+        clicks_per_user: 12,
+        seed: 4,
+        ..ClicksSpec::default()
+    }));
+    let suite = ["q17", "q18", "q21", "q-csa", "q-agg"];
+    workloads.retain(|w| suite.contains(&w.name));
+    assert_eq!(workloads.len(), suite.len());
+    let config = ClusterConfig {
+        data_format: DataFormat::Columnar,
+        ..ClusterConfig::default()
+    };
+    for w in &workloads {
+        for strategy in [Strategy::YSmart, Strategy::Hive] {
+            let mut engine = YSmart::new(w.catalog.clone(), config.clone());
+            w.load_into(&mut engine).unwrap();
+            let t = engine.translate_tagged(&w.sql, strategy, "cov").unwrap();
+            for bp in t.blueprints {
+                let bp = Arc::new(bp);
+                for idx in 0..bp.inputs.len() {
+                    let mapper = CommonMapper::new(Arc::clone(&bp), idx);
+                    assert!(
+                        mapper.column_path(),
+                        "{} under {strategy}: job {} input {idx} maps row by row\n{:#?}",
+                        w.name,
+                        bp.name,
+                        bp.inputs[idx]
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Everything observable about one mapper run.
 fn observed(mut out: MapOutput) -> (Vec<Row>, Vec<Row>, u64, Vec<u64>, u64, Option<String>) {
     let (work, bad) = (out.work(), out.bad_records());

@@ -236,6 +236,50 @@ impl std::hash::BuildHasher for FnvBuildHasher {
     }
 }
 
+/// One cell read where it lies: a [`Value`] without its ownership, as a
+/// typed column ([`Column::for_each_cell`]) or a `Value` hands it out. Code
+/// that only looks at cells — the shuffle's partition hash, the frame sizer
+/// — takes this, so no string is cloned to be looked at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+}
+
+impl CellRef<'_> {
+    /// The cell as an owned value.
+    #[must_use]
+    pub fn to_value(self) -> Value {
+        match self {
+            CellRef::Null => Value::Null,
+            CellRef::Bool(b) => Value::Bool(b),
+            CellRef::Int(i) => Value::Int(i),
+            CellRef::Float(f) => Value::Float(f),
+            CellRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for CellRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => CellRef::Null,
+            Value::Bool(b) => CellRef::Bool(*b),
+            Value::Int(i) => CellRef::Int(*i),
+            Value::Float(f) => CellRef::Float(*f),
+            Value::Str(s) => CellRef::Str(s),
+        }
+    }
+}
+
 /// One typed column vector of a batch. Every variant's vectors are
 /// `nrows` long; null slots hold a zero/default payload so the encoding
 /// is canonical (two batches with equal rows encode to equal bytes).
@@ -314,6 +358,39 @@ impl Column {
         }
     }
 
+    /// Calls `f` with the cell of each of `rows`, in order — a column read
+    /// a column at a time: the type is matched once for the run, not once
+    /// per row.
+    pub fn for_each_cell<'a>(&'a self, rows: &[usize], mut f: impl FnMut(CellRef<'a>)) {
+        /// A typed column's rows: `cell` of the payload, NULL in null slots
+        /// (whose payload is not read: a string index there may point past
+        /// the dictionary).
+        fn typed<'a, T: Copy>(
+            rows: &[usize],
+            (data, nulls): (&[T], &[bool]),
+            cell: impl Fn(T) -> CellRef<'a>,
+            f: &mut impl FnMut(CellRef<'a>),
+        ) {
+            for &r in rows {
+                f(if nulls[r] {
+                    CellRef::Null
+                } else {
+                    cell(data[r])
+                });
+            }
+        }
+        match self {
+            Column::Int { data, nulls } => typed(rows, (data, nulls), CellRef::Int, &mut f),
+            Column::Float { data, nulls } => typed(rows, (data, nulls), CellRef::Float, &mut f),
+            Column::Bool { data, nulls } => typed(rows, (data, nulls), CellRef::Bool, &mut f),
+            Column::Str { dict, idx, nulls } => {
+                let cell = |i: u32| CellRef::Str(&dict[i as usize]);
+                typed(rows, (idx, nulls), cell, &mut f);
+            }
+            Column::Var(vals) => rows.iter().for_each(|&r| f(CellRef::from(&vals[r]))),
+        }
+    }
+
     fn wire_tag(&self) -> u8 {
         match self {
             Column::Int { .. } => 0,
@@ -345,9 +422,10 @@ const fn header_len(ncols: usize) -> usize {
 }
 
 /// What one column's non-null cells have in common.
-#[derive(PartialEq, Clone, Copy)]
+#[derive(Debug, Default, PartialEq, Clone, Copy)]
 enum Ty {
     /// No non-null cell (encoded as `Int`).
+    #[default]
     None,
     Int,
     Float,
@@ -364,16 +442,18 @@ fn non_finite(v: &Value) -> bool {
 
 impl Ty {
     /// The type of one cell (`Ty::None` for NULL) — the single inference the
-    /// encoder ([`ColumnBatch::from_cells`]) and the sizer ([`frame_stats`])
+    /// encoder ([`ColumnBatch::from_cells`]) and the sizer ([`FrameSizer`])
     /// share, including the rejection of non-finite floats.
-    fn of(v: &Value) -> Result<Ty, RelError> {
-        Ok(match v {
-            Value::Null => Ty::None,
-            Value::Int(_) => Ty::Int,
-            v if non_finite(v) => return Err(frame_err("non-finite float in batch")),
-            Value::Float(_) => Ty::Float,
-            Value::Bool(_) => Ty::Bool,
-            Value::Str(_) => Ty::Str,
+    fn of(cell: CellRef<'_>) -> Result<Ty, RelError> {
+        Ok(match cell {
+            CellRef::Null => Ty::None,
+            CellRef::Int(_) => Ty::Int,
+            CellRef::Float(f) if !f.is_finite() => {
+                return Err(frame_err("non-finite float in batch"))
+            }
+            CellRef::Float(_) => Ty::Float,
+            CellRef::Bool(_) => Ty::Bool,
+            CellRef::Str(_) => Ty::Str,
         })
     }
 
@@ -389,7 +469,7 @@ impl Ty {
 
 /// One pass over a column deciding its type.
 fn column_type<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Result<Ty, RelError> {
-    (0..nrows).try_fold(Ty::None, |ty, r| Ok(ty.with(Ty::of(cell(r))?)))
+    (0..nrows).try_fold(Ty::None, |ty, r| Ok(ty.with(Ty::of(cell(r).into())?)))
 }
 
 /// Payload vector and null mask of a typed column: `payload` reads a cell
@@ -533,19 +613,21 @@ impl ColumnBatch {
         (0..self.rows).map(|r| self.row(r)).collect()
     }
 
-    /// Rows for which `mask` is `true`, as a new batch (column-at-a-time
-    /// selection; used by tag filters and vectorized predicates).
+    /// The rows for which `mask` is `true` of the columns `[first_col..]`,
+    /// as a new batch — a column-at-a-time selection that copies each kept
+    /// column once (a tag filter drops the leading tag column with it).
     ///
     /// # Panics
     ///
     /// When `mask.len() != num_rows()`.
     #[must_use]
-    pub fn filter(&self, mask: &[bool]) -> ColumnBatch {
+    pub fn filter_from(&self, first_col: usize, mask: &[bool]) -> ColumnBatch {
         assert_eq!(mask.len(), self.rows, "mask length");
         let keep: Vec<usize> = (0..self.rows).filter(|&i| mask[i]).collect();
         let cols = self
             .cols
             .iter()
+            .skip(first_col)
             .map(|c| match c {
                 Column::Int { data, nulls } => Column::Int {
                     data: keep.iter().map(|&i| data[i]).collect(),
@@ -570,16 +652,6 @@ impl ColumnBatch {
         ColumnBatch {
             cols,
             rows: keep.len(),
-        }
-    }
-
-    /// A batch of the columns `[from..]` — used to strip a leading tag
-    /// column off tagged intermediate files.
-    #[must_use]
-    pub fn slice_cols(&self, from: usize) -> ColumnBatch {
-        ColumnBatch {
-            cols: self.cols.iter().skip(from).cloned().collect(),
-            rows: self.rows,
         }
     }
 
@@ -663,69 +735,187 @@ pub struct FrameStats {
     pub dict_entries: u64,
 }
 
-/// Exactly what [`ColumnBatch::from_cells`] over the same cells would
-/// encode to, computed without materializing columns or bytes — byte
-/// accounting that needs only the numbers. `None` exactly when `from_cells`
-/// fails. Chunk sizes follow `encode_chunk`.
+/// Exactly what [`ColumnBatch::from_cells`] over the cells fed to it would
+/// encode to — [`FrameStats`] — computed without materializing columns or
+/// bytes: byte accounting that needs only the numbers. Chunk sizes follow
+/// `encode_chunk`.
 ///
-/// One row-major pass: each cell is read once, in the order a row run
-/// stores them, and folded into its column's type, its size were the column
-/// to end up [`Column::Var`], and its dictionary. Nothing depends on the
-/// order rows are visited in, so a caller may size rows where they lie.
+/// Cells are fed per column, one at a time ([`FrameSizer::add_cell`]) or a
+/// typed column's rows at once ([`FrameSizer::add_column`]), and each is
+/// folded into its column's type, its size were the column to end up
+/// [`Column::Var`], and its dictionary. None of these depends on the order
+/// or the grouping of the feeds, so a caller may size rows where they lie,
+/// or while it writes them.
+#[derive(Debug)]
+pub struct FrameSizer {
+    cols: Vec<ColumnSizer>,
+    /// Cleared by a non-finite float: `from_cells` has no batch then.
+    finite: bool,
+}
+
+#[derive(Debug, Default)]
+struct ColumnSizer {
+    ty: Ty,
+    cells: u64,
+    var_bytes: u64,
+    /// The distinct strings fed while the column was `Str`, owned: the
+    /// cells they came from need not outlive the sizer.
+    dict: HashSet<Box<str>, FnvBuildHasher>,
+    dict_bytes: u64,
+}
+
+impl ColumnSizer {
+    fn add_string(&mut self, s: &str) {
+        if !self.dict.contains(s) {
+            self.dict_bytes += 4 + s.len() as u64;
+            self.dict.insert(s.into());
+        }
+    }
+
+    /// Folds `rows` of a fixed-width typed column: null slots as NULL
+    /// (one `Var` byte), the rest as `ty` (`var_width` `Var` bytes each).
+    fn add_fixed(&mut self, ty: Ty, var_width: u64, rows: &[usize], nulls: &[bool]) {
+        let n = rows.len() as u64;
+        let null = rows.iter().filter(|&&r| nulls[r]).count() as u64;
+        if null < n {
+            self.ty = self.ty.with(ty);
+        }
+        self.cells += n;
+        self.var_bytes += null + (n - null) * var_width;
+    }
+}
+
+impl FrameSizer {
+    /// A sizer of an empty frame of `width` columns.
+    #[must_use]
+    pub fn new(width: usize) -> Self {
+        FrameSizer {
+            cols: (0..width).map(|_| ColumnSizer::default()).collect(),
+            finite: true,
+        }
+    }
+
+    /// Number of columns.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Adds one cell to column `c`.
+    pub fn add_cell(&mut self, c: usize, v: &Value) {
+        self.add(c, v.into());
+    }
+
+    fn add(&mut self, c: usize, cell: CellRef<'_>) {
+        let Ok(ty) = Ty::of(cell) else {
+            self.finite = false;
+            return;
+        };
+        let col = &mut self.cols[c];
+        col.ty = col.ty.with(ty);
+        col.cells += 1;
+        col.var_bytes += match cell {
+            CellRef::Null => 1,
+            CellRef::Bool(_) => 2,
+            CellRef::Int(_) | CellRef::Float(_) => 9,
+            CellRef::Str(s) => {
+                if col.ty == Ty::Str {
+                    col.add_string(s);
+                }
+                5 + s.len() as u64
+            }
+        };
+    }
+
+    /// Adds the cells of `rows` of `column` to column `c` — what
+    /// [`FrameSizer::add_cell`] of each would, read a column at a time: a
+    /// typed column's cells all have its type or are NULL, so they fold in
+    /// bulk, and a string column hashes each dictionary entry once per call
+    /// rather than once per row.
+    pub fn add_column(&mut self, c: usize, column: &Column, rows: &[usize]) {
+        match column {
+            Column::Int { nulls, .. } => self.cols[c].add_fixed(Ty::Int, 9, rows, nulls),
+            Column::Float { data, nulls } => {
+                if rows.iter().any(|&r| !nulls[r] && !data[r].is_finite()) {
+                    self.finite = false;
+                    return;
+                }
+                self.cols[c].add_fixed(Ty::Float, 9, rows, nulls);
+            }
+            Column::Bool { nulls, .. } => self.cols[c].add_fixed(Ty::Bool, 2, rows, nulls),
+            Column::Str { dict, idx, nulls } => {
+                let col = &mut self.cols[c];
+                let mut used = vec![false; dict.len()];
+                let (mut null, mut var_bytes) = (0, 0);
+                for &r in rows {
+                    if nulls[r] {
+                        null += 1;
+                    } else {
+                        let i = idx[r] as usize;
+                        var_bytes += 5 + dict[i].len() as u64;
+                        used[i] = true;
+                    }
+                }
+                let n = rows.len() as u64;
+                if null < n {
+                    col.ty = col.ty.with(Ty::Str);
+                }
+                col.cells += n;
+                col.var_bytes += null + var_bytes;
+                // Per cell, a string joins the dictionary while the column is
+                // `Str`; once it is not, the dictionary no longer counts.
+                if col.ty == Ty::Str {
+                    let strings = used.iter().zip(dict).filter(|(used, _)| **used);
+                    strings.for_each(|(_, s)| col.add_string(s));
+                }
+            }
+            Column::Var(vals) => rows.iter().for_each(|&r| self.add(c, (&vals[r]).into())),
+        }
+    }
+
+    /// The frame's size and dictionary count; `None` exactly when
+    /// `from_cells` over the same cells fails (a non-finite float).
+    #[must_use]
+    pub fn finish(&self) -> Option<FrameStats> {
+        if !self.finite {
+            return None;
+        }
+        let mut stats = FrameStats {
+            bytes: header_len(self.cols.len()) as u64,
+            dict_entries: 0,
+        };
+        for col in &self.cols {
+            let n = col.cells;
+            stats.bytes += match col.ty {
+                Ty::None | Ty::Int | Ty::Float => n * 9,
+                Ty::Bool => n * 2,
+                Ty::Str => {
+                    stats.dict_entries += col.dict.len() as u64;
+                    n * 5 + 4 + col.dict_bytes
+                }
+                Ty::Mixed => col.var_bytes,
+            };
+        }
+        Some(stats)
+    }
+}
+
+/// [`FrameSizer`] fed the `nrows` × `width` cells `cell(row, col)` one by
+/// one, row-major: exactly what [`ColumnBatch::from_cells`] over the same
+/// cells would encode to, `None` exactly when `from_cells` fails.
 #[must_use]
 pub fn frame_stats<'a>(
     nrows: usize,
     width: usize,
     cell: impl Fn(usize, usize) -> &'a Value,
 ) -> Option<FrameStats> {
-    struct Col<'a> {
-        ty: Ty,
-        var_bytes: u64,
-        dict: HashSet<&'a str, FnvBuildHasher>,
-        dict_bytes: u64,
-    }
-    let mut cols: Vec<Col> = (0..width)
-        .map(|_| Col {
-            ty: Ty::None,
-            var_bytes: 0,
-            dict: HashSet::default(),
-            dict_bytes: 0,
-        })
-        .collect();
+    let mut sizer = FrameSizer::new(width);
     for r in 0..nrows {
-        for (c, col) in cols.iter_mut().enumerate() {
-            let v = cell(r, c);
-            col.ty = col.ty.with(Ty::of(v).ok()?);
-            col.var_bytes += match v {
-                Value::Null => 1,
-                Value::Bool(_) => 2,
-                Value::Int(_) | Value::Float(_) => 9,
-                Value::Str(s) => {
-                    if col.ty == Ty::Str && col.dict.insert(s) {
-                        col.dict_bytes += 4 + s.len() as u64;
-                    }
-                    5 + s.len() as u64
-                }
-            };
+        for c in 0..width {
+            sizer.add_cell(c, cell(r, c));
         }
     }
-    let n = nrows as u64;
-    let mut stats = FrameStats {
-        bytes: header_len(width) as u64,
-        dict_entries: 0,
-    };
-    for col in cols {
-        stats.bytes += match col.ty {
-            Ty::None | Ty::Int | Ty::Float => n * 9,
-            Ty::Bool => n * 2,
-            Ty::Str => {
-                stats.dict_entries += col.dict.len() as u64;
-                n * 5 + 4 + col.dict_bytes
-            }
-            Ty::Mixed => col.var_bytes,
-        };
-    }
-    Some(stats)
+    sizer.finish()
 }
 
 /// Encodes rows as a sequence of frames of at most `rows_per_frame` rows
@@ -861,53 +1051,64 @@ fn encode_chunk(col: &Column) -> Vec<u8> {
     out
 }
 
+/// `n` flag bytes — null masks, booleans — each of which must be 0 or 1,
+/// checked in the same pass that reads them: the bytes' OR is at most 1
+/// exactly when every byte is.
+fn read_flags(rd: &mut Reader, n: usize, col: usize, what: &str) -> Result<Vec<bool>, RelError> {
+    let mut any = 0u8;
+    let flags = rd.take(n)?.iter().map(|&b| {
+        any |= b;
+        b != 0
+    });
+    let flags = flags.collect();
+    if any > 1 {
+        return Err(frame_err(format!("column {col}: bad {what} byte")));
+    }
+    Ok(flags)
+}
+
+/// `n` little-endian `W`-byte words, read as one bounds-checked slice.
+fn read_words<'a, const W: usize>(
+    rd: &mut Reader<'a>,
+    n: usize,
+) -> Result<impl Iterator<Item = [u8; W]> + 'a, RelError> {
+    let bytes = rd.take(n.saturating_mul(W))?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|w| w.try_into().expect("W bytes")))
+}
+
 fn decode_chunk(tag: u8, chunk: &[u8], nrows: usize, col: usize) -> Result<Column, RelError> {
     let mut rd = Reader::new(chunk);
-    let read_nulls = |rd: &mut Reader| -> Result<Vec<bool>, RelError> {
-        rd.take(nrows)?
-            .iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                _ => Err(frame_err(format!("column {col}: bad null byte"))),
-            })
-            .collect()
-    };
     let parsed = match tag {
         0 => {
-            let nulls = read_nulls(&mut rd)?;
-            let mut data = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                data.push(rd.read_u64()? as i64);
-            }
+            let nulls = read_flags(&mut rd, nrows, col, "null")?;
+            let data = read_words(&mut rd, nrows)?
+                .map(i64::from_le_bytes)
+                .collect();
             Column::Int { data, nulls }
         }
         1 => {
-            let nulls = read_nulls(&mut rd)?;
-            let mut data = Vec::with_capacity(nrows);
-            for &null in &nulls {
-                let f = f64::from_bits(rd.read_u64()?);
-                if !null && !f.is_finite() {
-                    return Err(frame_err(format!("column {col}: non-finite float")));
-                }
-                data.push(f);
+            let nulls = read_flags(&mut rd, nrows, col, "null")?;
+            let data: Vec<f64> = read_words(&mut rd, nrows)?
+                .map(f64::from_le_bytes)
+                .collect();
+            if data
+                .iter()
+                .zip(&nulls)
+                .any(|(f, &null)| !null && !f.is_finite())
+            {
+                return Err(frame_err(format!("column {col}: non-finite float")));
             }
             Column::Float { data, nulls }
         }
         2 => {
-            let nulls = read_nulls(&mut rd)?;
-            let mut data = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                data.push(match rd.read_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(frame_err(format!("column {col}: bad bool byte"))),
-                });
-            }
+            let nulls = read_flags(&mut rd, nrows, col, "null")?;
+            let data = read_flags(&mut rd, nrows, col, "bool")?;
             Column::Bool { data, nulls }
         }
         3 => {
-            let nulls = read_nulls(&mut rd)?;
+            let nulls = read_flags(&mut rd, nrows, col, "null")?;
             let dict_len = rd.read_u32()? as usize;
             let mut dict = Vec::with_capacity(dict_len.min(chunk.len()));
             for _ in 0..dict_len {
@@ -916,13 +1117,12 @@ fn decode_chunk(tag: u8, chunk: &[u8], nrows: usize, col: usize) -> Result<Colum
                     .map_err(|_| frame_err(format!("column {col}: dictionary not UTF-8")))?;
                 dict.push(s.to_string());
             }
-            let mut idx = Vec::with_capacity(nrows);
-            for &null in &nulls {
-                let v = rd.read_u32()?;
-                if !null && v as usize >= dict.len() {
-                    return Err(frame_err(format!("column {col}: dictionary index {v}")));
-                }
-                idx.push(v);
+            let idx: Vec<u32> = read_words(&mut rd, nrows)?
+                .map(u32::from_le_bytes)
+                .collect();
+            let mut slots = idx.iter().zip(&nulls);
+            if let Some((v, _)) = slots.find(|&(&v, &null)| !null && v as usize >= dict.len()) {
+                return Err(frame_err(format!("column {col}: dictionary index {v}")));
             }
             Column::Str { dict, idx, nulls }
         }
@@ -1034,23 +1234,69 @@ mod tests {
 
         // Hand-build a frame whose float chunk carries NaN bits with a
         // *correct* checksum: the type check itself must reject it.
-        let chunk: Vec<u8> = {
-            let mut c = vec![0u8]; // one non-null row
-            c.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
-            c
-        };
+        let mut chunk = vec![0u8]; // one non-null row
+        chunk.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let err = ColumnBatch::decode_frame(&checksummed_frame(1, 1, &chunk)).unwrap_err();
+        assert!(err.to_string().contains("non-finite"));
+    }
+
+    /// A one-column frame of `nrows` rows around `chunk`, every checksum
+    /// correct: what is left to reject it are the decoder's own checks.
+    fn checksummed_frame(tag: u8, nrows: u32, chunk: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&FRAME_MAGIC);
         frame.extend_from_slice(&1u16.to_le_bytes());
-        frame.extend_from_slice(&1u32.to_le_bytes());
-        frame.push(1); // Float tag
+        frame.extend_from_slice(&nrows.to_le_bytes());
+        frame.push(tag);
         frame.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&xxh64(&chunk, 0).to_le_bytes());
+        frame.extend_from_slice(&xxh64(chunk, 0).to_le_bytes());
         let header_sum = xxh64(&frame, 0);
         frame.extend_from_slice(&header_sum.to_le_bytes());
-        frame.extend_from_slice(&chunk);
-        let err = ColumnBatch::decode_frame(&frame).unwrap_err();
-        assert!(err.to_string().contains("non-finite"));
+        frame.extend_from_slice(chunk);
+        frame
+    }
+
+    /// Every check the chunk decoder makes past the checksums — flag bytes
+    /// 0 or 1, payloads of exactly `nrows` words, dictionary indices in
+    /// range for non-null rows — holds for a chunk whose checksums are
+    /// right, where the bit-flip test cannot reach it.
+    #[test]
+    fn chunk_checks_reject_well_checksummed_garbage() {
+        let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        let int_chunk = |nulls: &[u8], ws: &[u64]| [nulls, &words(ws)].concat();
+        let str_chunk = |nulls: &[u8], idx: &[u32]| {
+            let dict = [1u32.to_le_bytes(), 1u32.to_le_bytes()].concat();
+            let idx: Vec<u8> = idx.iter().flat_map(|i| i.to_le_bytes()).collect();
+            [nulls, &dict, b"a", &idx].concat()
+        };
+        let decode = |tag, nrows, chunk: &[u8]| {
+            ColumnBatch::decode_frame(&checksummed_frame(tag, nrows, chunk))
+                .map_err(|e| e.to_string())
+        };
+        let ok = decode(0, 2, &int_chunk(&[0, 1], &[7, 0])).unwrap();
+        assert_eq!(ok.to_rows(), [row![7i64], Row::nulls(1)]);
+        let rejected = [
+            (decode(0, 2, &int_chunk(&[0, 2], &[7, 0])), "bad null byte"),
+            (decode(1, 1, &int_chunk(&[3], &[0])), "bad null byte"),
+            (decode(2, 2, &[0, 0, 1, 2]), "bad bool byte"),
+            (decode(0, 2, &int_chunk(&[0, 0], &[7])), "truncated"),
+            (
+                decode(0, 1, &int_chunk(&[0], &[7, 8])),
+                "trailing chunk bytes",
+            ),
+            (
+                decode(3, 2, &str_chunk(&[0, 0], &[0, 1])),
+                "dictionary index 1",
+            ),
+            (decode(3, 2, &str_chunk(&[0, 9], &[0, 0])), "bad null byte"),
+        ];
+        for (i, (got, want)) in rejected.into_iter().enumerate() {
+            let err = got.expect_err("rejected");
+            assert!(err.contains(want), "case {i}: {err}");
+        }
+        // A null slot's index is not checked: it is never read.
+        let null_idx = decode(3, 2, &str_chunk(&[0, 1], &[0, 5])).unwrap();
+        assert_eq!(null_idx.to_rows(), [row!["a"], Row::nulls(1)]);
     }
 
     #[test]
@@ -1084,11 +1330,21 @@ mod tests {
     fn filter_and_slice_cols() {
         let rows = sample_rows();
         let batch = ColumnBatch::from_rows(&rows).unwrap();
-        let filtered = batch.filter(&[true, false, true]);
+        let mask = [true, false, true];
+        let filtered = batch.filter_from(0, &mask);
         assert_eq!(filtered.to_rows(), vec![rows[0].clone(), rows[2].clone()]);
-        let sliced = batch.slice_cols(1);
+        // Filtering columns `1..` directly is filtering every column, then
+        // copying all but the first out again — the tag filter's old two
+        // steps — typed columns and whole dictionaries included.
+        let two_steps = ColumnBatch {
+            cols: filtered.cols[1..].to_vec(),
+            rows: filtered.rows,
+        };
+        let sliced = batch.filter_from(1, &mask);
+        assert_eq!(sliced, two_steps);
         assert_eq!(sliced.num_cols(), 3);
         assert_eq!(sliced.row(0), rows[0].project(&[1, 2, 3]));
+        assert_eq!(batch.filter_from(4, &mask).num_rows(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use ysmart_rel::codec::{decode_line, encode_line};
-use ysmart_rel::colbatch::{frame_stats, FrameStats};
+use ysmart_rel::colbatch::{frame_stats, Column, FrameSizer, FrameStats};
 use ysmart_rel::sort::{compare, sort_rows};
 use ysmart_rel::{AggFunc, ColumnBatch, DataType, Field, Row, Schema, SortKey, Value};
 
@@ -294,6 +294,73 @@ proptest! {
             frame_stats(nrows, pools.len(), cell),
             frame_stats(nrows, pools.len(), |r, c| cell(perm[r], c))
         );
+    }
+
+    /// The incremental sizer, fed any rows (repeats included) in any order
+    /// and any number of feeds — each feed a batch of its own, whose column
+    /// types its rows alone decide, read a column at a time over a subset of
+    /// its rows or a cell at a time — is `frame_stats` over those rows, and
+    /// so the length and dictionary count of their real frame.
+    #[test]
+    fn frame_sizer_matches_frame_stats_over_any_feed(
+        nrows in 1usize..120,
+        pools in prop::collection::vec(arb_column_pool(), 0..5),
+        picks in prop::collection::vec(0usize..1000, 0..150),
+        cuts in prop::collection::vec((0usize..1000, any::<bool>()), 0..6),
+    ) {
+        let width = pools.len();
+        let cell = |r: usize, c: usize| {
+            let pool: &Vec<Value> = &pools[c];
+            &pool[(r.wrapping_mul(0x9E37_79B9) >> 8) % pool.len()]
+        };
+        // Column `c` of a batch holding rows `held`: typed when their cells
+        // share a type, `Var` when they do not — or, for floats around a
+        // non-finite value (which no batch holds), a float column the sizer
+        // must refuse.
+        let column = |held: &[usize], c: usize| {
+            let cells: Vec<Value> = held.iter().map(|&r| cell(r, c).clone()).collect();
+            let floats = cells.iter().all(|v| matches!(v, Value::Null | Value::Float(_)));
+            match ColumnBatch::from_cells(cells.len(), 1, |r, _| &cells[r]) {
+                Ok(batch) => batch.columns()[0].clone(),
+                Err(_) if floats => Column::Float {
+                    data: cells.iter().map(|v| v.as_float().unwrap_or(0.0)).collect(),
+                    nulls: cells.iter().map(Value::is_null).collect(),
+                },
+                Err(_) => Column::Var(cells),
+            }
+        };
+        let rows: Vec<usize> = picks.iter().map(|i| i % nrows).collect();
+        let mut ends: Vec<usize> = cuts.iter().map(|(i, _)| i % (rows.len() + 1)).collect();
+        ends.extend([0, rows.len()]);
+        ends.sort_unstable();
+        let mut sizer = FrameSizer::new(width);
+        for (k, feed) in ends.windows(2).enumerate() {
+            let feed = &rows[feed[0]..feed[1]];
+            // The feed's batch holds its rows in reverse behind one row that
+            // is not fed; `at` reads the fed ones back in feed order.
+            let held: Vec<usize> = std::iter::once(k % nrows).chain(feed.iter().rev().copied()).collect();
+            let at: Vec<usize> = (1..held.len()).rev().collect();
+            let by_cell = cuts.get(k).is_some_and(|&(_, by_cell)| by_cell);
+            for c in 0..width {
+                let col = column(&held, c);
+                if by_cell {
+                    at.iter().for_each(|&i| sizer.add_cell(c, &col.value(i)));
+                } else {
+                    sizer.add_column(c, &col, &at);
+                }
+            }
+        }
+        let picked = |r: usize, c: usize| cell(rows[r], c);
+        let stats = sizer.finish();
+        prop_assert_eq!(stats, frame_stats(rows.len(), width, picked));
+        match ColumnBatch::from_cells(rows.len(), width, picked) {
+            Ok(batch) => {
+                let bytes = batch.encode_frame().len() as u64;
+                let dict_entries = batch.dict_entries();
+                prop_assert_eq!(stats, Some(FrameStats { bytes, dict_entries }));
+            }
+            Err(_) => prop_assert_eq!(stats, None),
+        }
     }
 
     /// The columnar path agrees with the text codec wherever both apply:
