@@ -1,29 +1,59 @@
-//! Vectorized predicate evaluation over [`ColumnBatch`]es.
+//! Vectorized expression evaluation over column batches — the one kernel
+//! library of both sides of a job: the common mapper's selections and the
+//! common reducer's residuals, transforms, aggregate arguments and `HAVING`.
 //!
 //! [`eval_mask`] evaluates a predicate [`Expr`] against a whole batch at
 //! once, returning one Kleene truth value per row (`Some(true)` /
 //! `Some(false)` / `None` = SQL unknown) — the columnar counterpart of
 //! [`Expr::eval_predicate`] called row by row, with identical semantics:
 //! a row passes the predicate iff its mask slot is `Some(true)`.
+//! [`eval_column`] is the same for a value: one column holding what
+//! [`Expr::eval`] gives on each row.
 //!
 //! Only the shapes the translated plans actually produce get fast paths:
 //! comparisons of a column against a literal (typed per-column kernels; a
 //! dictionary-encoded string column is compared once per *dictionary
 //! entry*, not once per row) or against another column (Q21's
-//! `l_receiptdate > l_commitdate`), `AND`/`OR`/`NOT` in Kleene logic, and
-//! `IS [NOT] NULL` of a column. Anything else returns `None` and the
-//! caller falls back to materializing rows — correctness never depends on
-//! a fast path existing. Every supported shape is total (comparisons
-//! yield unknown, never an error), so the mask path cannot diverge from
-//! the row evaluator on error behaviour.
+//! `l_receiptdate > l_commitdate`), `AND`/`OR`/`NOT` in Kleene logic,
+//! `IS [NOT] NULL` of a column, and — as values — columns, literals and
+//! arithmetic over them (Q17's `0.2 * avg`, Q-CSA's `count(*) - 2`).
+//! Anything else returns `None` and the caller falls back to evaluating
+//! rows one by one — correctness never depends on a fast path existing.
+//! Every mask shape is total (comparisons yield unknown, never an error),
+//! so a Kleene connective never evaluates a side the row evaluator would
+//! have skipped into an error: arithmetic, which can fail, has a value
+//! kernel but no mask kernel. An arithmetic kernel fails exactly when the
+//! row evaluator fails on some row.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use ysmart_rel::colbatch::{Column, ColumnBatch};
-use ysmart_rel::{BinOp, Expr, UnOp, Value};
+use ysmart_rel::{BinOp, Expr, RelError, UnOp, Value};
 
 /// One Kleene truth value per batch row.
 pub type Mask = Vec<Option<bool>>;
+
+/// What the kernels read: a batch's row count and its typed columns — a
+/// decoded [`ColumnBatch`] on the map side, a run of key groups' gathered
+/// columns on the reduce side.
+pub trait Columnar {
+    /// Number of rows.
+    fn num_rows(&self) -> usize;
+
+    /// Column `i`; `None` past the batch's width.
+    fn column(&self, i: usize) -> Option<&Column>;
+}
+
+impl Columnar for ColumnBatch {
+    fn num_rows(&self) -> usize {
+        ColumnBatch::num_rows(self)
+    }
+
+    fn column(&self, i: usize) -> Option<&Column> {
+        self.columns().get(i)
+    }
+}
 
 /// Does `ord` satisfy the comparison `op`? Mirrors the row evaluator's
 /// ordering-to-bool mapping exactly.
@@ -252,7 +282,7 @@ fn cmp_col_col(a: &Column, b: &Column, op: BinOp, rows: usize) -> Mask {
 /// kernel (arithmetic, out-of-bounds column references) — the caller must
 /// then fall back to the row evaluator.
 #[must_use]
-pub fn eval_mask(expr: &Expr, batch: &ColumnBatch) -> Option<Mask> {
+pub fn eval_mask<B: Columnar + ?Sized>(expr: &Expr, batch: &B) -> Option<Mask> {
     let rows = batch.num_rows();
     match expr {
         Expr::Literal(v) => Some(vec![v.as_bool(); rows]),
@@ -265,22 +295,19 @@ pub fn eval_mask(expr: &Expr, batch: &ColumnBatch) -> Option<Mask> {
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
                 match (&**lhs, &**rhs) {
                     (Expr::Column(i), Expr::Literal(v)) => {
-                        Some(cmp_col_lit(batch.columns().get(*i)?, v, *op, false, rows))
+                        Some(cmp_col_lit(batch.column(*i)?, v, *op, false, rows))
                     }
                     (Expr::Literal(v), Expr::Column(i)) => {
-                        Some(cmp_col_lit(batch.columns().get(*i)?, v, *op, true, rows))
+                        Some(cmp_col_lit(batch.column(*i)?, v, *op, true, rows))
                     }
-                    (Expr::Column(i), Expr::Column(j)) => Some(cmp_col_col(
-                        batch.columns().get(*i)?,
-                        batch.columns().get(*j)?,
-                        *op,
-                        rows,
-                    )),
+                    (Expr::Column(i), Expr::Column(j)) => {
+                        Some(cmp_col_col(batch.column(*i)?, batch.column(*j)?, *op, rows))
+                    }
                     _ => None,
                 }
             }
-            // Arithmetic doesn't yield a truth value; let the row path
-            // handle (and reject) it.
+            // Arithmetic doesn't yield a truth value, and can fail; let the
+            // row path handle (and reject) it.
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => None,
         },
         Expr::Unary { op, operand } => match op {
@@ -292,19 +319,15 @@ pub fn eval_mask(expr: &Expr, batch: &ColumnBatch) -> Option<Mask> {
                 let Expr::Column(i) = &**operand else {
                     return None;
                 };
-                let col = batch.columns().get(*i)?;
+                let col = batch.column(*i)?;
                 let want = *op == UnOp::IsNull;
-                Some(
-                    (0..rows)
-                        .map(|r| Some(col.value(r).is_null() == want))
-                        .collect(),
-                )
+                Some((0..rows).map(|r| Some(col.is_null(r) == want)).collect())
             }
             UnOp::Neg => None,
         },
         // A bare column as a predicate: only boolean columns make sense,
         // everything else evaluates to unknown like the row path.
-        Expr::Column(i) => match batch.columns().get(*i)? {
+        Expr::Column(i) => match batch.column(*i)? {
             Column::Bool { data, nulls } => Some(
                 data.iter()
                     .zip(nulls)
@@ -314,6 +337,119 @@ pub fn eval_mask(expr: &Expr, batch: &ColumnBatch) -> Option<Mask> {
             Column::Var(vals) => Some(vals.iter().map(Value::as_bool).collect()),
             _ => Some(vec![None; rows]),
         },
+    }
+}
+
+/// Evaluates `expr` as a value over every row of `batch` at once: the column
+/// of what [`Expr::eval`] gives on each row — a column reference is that
+/// column, borrowed.
+///
+/// Returns `None` when the expression has a shape without a kernel (see
+/// [`eval_mask`] for predicates) — the caller must then fall back to the row
+/// evaluator — and `Some(Err)` exactly when the row evaluator fails on some
+/// row.
+pub fn eval_column<'b, B: Columnar + ?Sized>(
+    expr: &Expr,
+    batch: &'b B,
+) -> Option<Result<Cow<'b, Column>, RelError>> {
+    let rows = batch.num_rows();
+    Some(Ok(match expr {
+        Expr::Column(i) => Cow::Borrowed(batch.column(*i)?),
+        Expr::Literal(v) => Cow::Owned(Column::from_cells(rows, |_| v)),
+        Expr::Binary { op, lhs, rhs } if !op.is_predicate() => {
+            let (l, r) = (eval_column(lhs, batch)?, eval_column(rhs, batch)?);
+            // The row evaluator fails on the left operand before the right.
+            return Some(
+                l.and_then(|l| r.and_then(|r| arith(*op, &l, &r)))
+                    .map(Cow::Owned),
+            );
+        }
+        Expr::Unary {
+            op: UnOp::Neg,
+            operand,
+        } => {
+            // `-x` is `0 - x`, as the row evaluator computes it.
+            let x = eval_column(operand, batch)?;
+            let zero = Column::from_cells(rows, |_| &Value::Int(0));
+            return Some(x.and_then(|x| arith(BinOp::Sub, &zero, &x)).map(Cow::Owned));
+        }
+        // A truth value: `Bool`, NULL for unknown.
+        _ => {
+            let mask = eval_mask(expr, batch)?;
+            Cow::Owned(Column::Bool {
+                data: mask.iter().map(|t| *t == Some(true)).collect(),
+                nulls: mask.iter().map(Option::is_none).collect(),
+            })
+        }
+    }))
+}
+
+/// `a op b` row by row under `Value`'s arithmetic: NULL propagates before
+/// anything is checked, two `Int`s stay integral (checked, division
+/// truncating), any `Float` widens, division by zero and a non-numeric
+/// operand fail. Numeric columns take typed loops; the rest, and a result
+/// that is not a finite float, go through `Value` cell by cell.
+fn arith(op: BinOp, a: &Column, b: &Column) -> Result<Column, RelError> {
+    let rows = a.len();
+    let by_value = || {
+        let apply = |r: usize| {
+            let (x, y) = (a.value(r), b.value(r));
+            match op {
+                BinOp::Add => x.add(&y),
+                BinOp::Sub => x.sub(&y),
+                BinOp::Mul => x.mul(&y),
+                BinOp::Div => x.div(&y),
+                _ => unreachable!("arithmetic op"),
+            }
+        };
+        let vals = (0..rows).map(apply).collect::<Result<Vec<_>, _>>()?;
+        Ok(Column::from_cells(rows, |r| &vals[r]))
+    };
+    let nulls = || -> Vec<bool> { (0..rows).map(|r| a.is_null(r) || b.is_null(r)).collect() };
+    match (a, b) {
+        (Column::Int { data: x, .. }, Column::Int { data: y, .. }) => {
+            let int_op = |l: i64, r: i64| match op {
+                BinOp::Add => l.checked_add(r),
+                BinOp::Sub => l.checked_sub(r),
+                BinOp::Mul => l.checked_mul(r),
+                BinOp::Div => (r != 0).then(|| l / r),
+                _ => unreachable!("arithmetic op"),
+            };
+            let (nulls, mut data) = (nulls(), vec![0; rows]);
+            for r in (0..rows).filter(|&r| !nulls[r]) {
+                match int_op(x[r], y[r]) {
+                    Some(v) => data[r] = v,
+                    // Overflow or a zero divisor: the row evaluator's error.
+                    None => return by_value(),
+                }
+            }
+            Ok(Column::Int { data, nulls })
+        }
+        (Column::Int { .. } | Column::Float { .. }, Column::Int { .. } | Column::Float { .. }) => {
+            let float = |c: &Column, r: usize| match c {
+                Column::Int { data, .. } => data[r] as f64,
+                Column::Float { data, .. } => data[r],
+                _ => unreachable!("numeric column"),
+            };
+            let (nulls, mut data) = (nulls(), vec![0.0; rows]);
+            for r in (0..rows).filter(|&r| !nulls[r]) {
+                let (x, y) = (float(a, r), float(b, r));
+                let v = match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div if y == 0.0 => return Err(RelError::DivideByZero),
+                    BinOp::Div => x / y,
+                    _ => unreachable!("arithmetic op"),
+                };
+                if !v.is_finite() {
+                    return by_value();
+                }
+                data[r] = v;
+            }
+            Ok(Column::Float { data, nulls })
+        }
+        _ => by_value(),
     }
 }
 
@@ -468,6 +604,83 @@ mod tests {
         assert_eq!(
             eval_mask(&notnull, &b).unwrap(),
             vec![Some(false), Some(true)]
+        );
+    }
+
+    /// Value kernels give what `Expr::eval` gives on each row — `Int` vs
+    /// `Float` included — and fail exactly when the row evaluator fails, with
+    /// its error: `Int` overflow, division by zero, a non-numeric operand,
+    /// NULL propagating before any of these. Every window of the rows is its
+    /// own batch, so each column is typed `Int`, `Float` or `Var` by what the
+    /// window holds.
+    #[test]
+    fn value_kernels_match_row_eval() {
+        let cells = [
+            [Value::Int(7), Value::Float(0.5), Value::Int(2)],
+            [Value::Int(-3), Value::Float(-0.0), Value::Float(2.0)],
+            [Value::Null, Value::Null, Value::Null],
+            [
+                Value::Int(i64::MAX),
+                Value::Float(1e308),
+                Value::Str("x".into()),
+            ],
+            [Value::Int(0), Value::Float(0.0), Value::Int(0)],
+            [
+                Value::Int(i64::MIN + 1),
+                Value::Float(2.5),
+                Value::Bool(true),
+            ],
+        ];
+        let rows: Vec<Row> = cells.iter().map(|r| Row::new(r.to_vec())).collect();
+        let operands = [
+            Expr::col(0),
+            Expr::col(1),
+            Expr::col(2),
+            Expr::lit(3i64),
+            Expr::lit(-0.0f64),
+            Expr::lit(0i64),
+            Expr::Literal(Value::Null),
+        ];
+        let mut exprs = Vec::new();
+        for l in &operands {
+            exprs.push(Expr::Unary {
+                op: UnOp::Neg,
+                operand: Box::new(l.clone()),
+            });
+            for r in &operands {
+                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+                    exprs.push(Expr::binary(op, l.clone(), r.clone()));
+                }
+            }
+        }
+        let (mut failed, mut passed) = (0, 0);
+        for start in 0..rows.len() {
+            for end in start + 1..=rows.len() {
+                let window = &rows[start..end];
+                let b = batch(window);
+                for e in &exprs {
+                    let by_row: Result<Vec<Value>, RelError> =
+                        window.iter().map(|r| e.eval(r)).collect();
+                    let kernel = eval_column(e, &b).expect("a value kernel exists");
+                    let kernel =
+                        kernel.map(|col| (0..col.len()).map(|r| col.value(r)).collect::<Vec<_>>());
+                    // `{:?}` tells `Int(1)` from `Float(1.0)` and `-0.0` from `0.0`.
+                    assert_eq!(
+                        format!("{kernel:?}"),
+                        format!("{by_row:?}"),
+                        "{e} over rows {start}..{end}"
+                    );
+                    if by_row.is_err() {
+                        failed += 1;
+                    } else {
+                        passed += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            failed > 100 && passed > 1000,
+            "{failed} failed, {passed} passed"
         );
     }
 

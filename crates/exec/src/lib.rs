@@ -22,6 +22,8 @@
 //! (expressions, schemas, operator specs) that is cheap to clone into the
 //! per-task mapper/reducer factories the simulator requires.
 
+mod aggregate;
+mod batch;
 pub mod blueprint;
 pub mod colexpr;
 pub mod combiner;

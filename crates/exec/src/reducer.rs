@@ -11,16 +11,13 @@
 //! re-partitioning of intermediate tables inner and outer are actually
 //! avoided").
 //!
-//! A key group is never copied, nor gathered: the engine hands it over as a
-//! [`GroupView`] of cell slices lying wherever the shuffle left them.
-//! Dispatch records, per stream, the *positions* of the values it may see; a
-//! stream row is a [`RowView`] into such a slice, and every operator reads
-//! its input —
-//! stream, direct-mode group or an earlier op's output — through [`Rows`].
-//! Rows are built only where something new exists: a computed stream
-//! projection, an aggregate, a join pair that survived its residual and the
-//! leading `Filter* [Project]` of the op's transform chain (fused into the
-//! op, see [`head_len`]), and whatever is finally emitted.
+//! It does so a reduce task at a time ([`Reducer::reduce_run`]), over runs
+//! of whole key groups: each stream's rows and each op's output are one
+//! [`Batch`] per run, a segment per key group, and every operator runs once
+//! per run on `colexpr` kernels (DESIGN.md, "The common reducer runs a task
+//! at a time"). The key group stays the unit of every semantic: the rows
+//! emitted, their order, and the work units charged are those of reducing
+//! the groups one by one.
 //!
 //! Every value routed to a stream is counted via
 //! [`ReduceOutput::record_dispatches`], surfacing the post-shuffle fan-out
@@ -29,212 +26,55 @@
 //! [`ReduceOutput::record_fatal`], which the engine turns into a typed
 //! `MapRedError::User` failure instead of a panic.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use ysmart_mapred::{GroupView, ReduceOutput, Reducer};
+use ysmart_mapred::{GroupView, KeyGroups, ReduceOutput, Reducer};
 use ysmart_plan::JoinKind;
-use ysmart_rel::{AggFunc, AggState, Columns, Expr, RelError, Row, Value};
+use ysmart_rel::colbatch::{Column, ColumnBatch, NULL_ROW};
+use ysmart_rel::{Expr, RelError, Row, Value};
 
-use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, PartialAgg, ROp, RSource};
-use crate::combiner::{decode_partial, update_states};
+use crate::aggregate::aggregate;
+use crate::batch::{Batch, Col, Selection};
+use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, RSource};
+use crate::colexpr::{eval_column, eval_mask};
 use crate::error::ExecError;
-use crate::rowop::{apply_chain, project, RowOp};
+use crate::rowop::{project, RowOp};
+
+/// Values per run of key groups evaluated at once: a run takes whole groups
+/// until it holds this many values. Groups are independent, so where a task
+/// is cut changes no result; the cut bounds what a run's batches hold and
+/// keeps them cache-resident (256 measured slower, 4 096 no faster).
+const CHUNK_VALUES: usize = 1024;
 
 /// The CMF reducer for a job.
 #[derive(Debug)]
 pub struct CommonReducer {
     blueprint: Arc<JobBlueprint>,
     tagged: bool,
-    /// Per stream: how its rows are read off the values dispatched to it.
-    plans: Vec<StreamPlan>,
-    /// Per op: the length of its transform chain's fused head.
-    head_lens: Vec<usize>,
-    /// Per stream: positions, in the key group's value slice, of the values
-    /// dispatched to it. Cleared and refilled for every key group instead
-    /// of reallocated — reduce tasks see thousands of groups.
-    picks: Vec<Vec<usize>>,
-    /// Per [`StreamPlan::Computed`] stream: its projected rows.
-    computed: Vec<Vec<Row>>,
-    /// The padded side of an outer join, as wide as the widest one.
-    nulls: Vec<Value>,
+    /// The Pig-style serialisation pad: trailing cells of every value that
+    /// no stream reads (never stripped, only left out).
+    pad_cols: usize,
+    /// Per tagged stream: its carried columns, when its projection is plain
+    /// column references; `None` when it computes (row by row at dispatch).
+    plain: Vec<Option<Plain>>,
 }
 
-/// How a tagged stream's rows are obtained from the carried row
-/// (`value[1..]`, less the pad) of each value dispatched to it.
+/// A tagged stream whose rows are carried rows read at `cols`.
 #[derive(Debug)]
-enum StreamPlan {
-    /// Every projection is a plain column reference — the overwhelmingly
-    /// common case: a stream row is a view of the carried row's first
-    /// `need` columns, read through `map` unless the projection is the
-    /// identity.
-    View {
-        need: usize,
-        map: Option<Vec<usize>>,
-    },
-    /// Some projection computes: rows are materialised at dispatch.
-    Computed,
+struct Plain {
+    cols: Vec<usize>,
+    /// One past the largest of `cols`: what a carried row must reach.
+    need: usize,
 }
 
-impl StreamPlan {
-    fn of(projection: &[Expr]) -> StreamPlan {
-        let plain: Option<Vec<usize>> = projection
-            .iter()
-            .map(|e| match e {
-                Expr::Column(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        match plain {
-            None => StreamPlan::Computed,
-            Some(cols) => StreamPlan::View {
-                need: cols.iter().map(|&c| c + 1).max().unwrap_or(0),
-                map: (!cols.iter().copied().eq(0..cols.len())).then_some(cols),
-            },
-        }
-    }
+/// The visibility tag of a tagged value: the streams that must not see it.
+fn tag(value: &[Value]) -> u64 {
+    value.first().and_then(Value::as_int).unwrap_or(0) as u64
 }
 
-/// The columns of each base row that a [`Rows`] exposes.
-#[derive(Clone, Copy)]
-enum Window {
-    /// Columns `1..1 + n`: a tagged value's carried row, after the tag.
-    Carried(usize),
-    /// All but the last `n` columns: a direct-mode value less its pad;
-    /// `Trim(0)` is a whole row.
-    Trim(usize),
-}
-
-/// A borrowed run of rows — the one way operators, the fused transform head
-/// and the emit loop read an input, wherever it lives. Owns nothing.
-#[derive(Clone, Copy)]
-struct Rows<'a> {
-    base: GroupView<'a>,
-    /// The positions in `base` that belong to the run; `None`: all of it.
-    pick: Option<&'a [usize]>,
-    window: Window,
-    /// Plain-column projection over the window; `None`: the window itself.
-    map: Option<&'a [usize]>,
-}
-
-impl<'a> Rows<'a> {
-    /// Whole rows, all of them: an op's owned output, a computed stream.
-    fn whole(base: &'a [Row]) -> Self {
-        Rows {
-            base: GroupView::rows(base),
-            pick: None,
-            window: Window::Trim(0),
-            map: None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.pick.map_or(self.base.len(), <[usize]>::len)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn get(&self, i: usize) -> RowView<'a> {
-        let vals = self.base.get(self.pick.map_or(i, |p| p[i]));
-        let vals = match self.window {
-            // Dispatch checked the carried row is at least this wide.
-            Window::Carried(n) => &vals[1..1 + n],
-            Window::Trim(n) => &vals[..vals.len().saturating_sub(n)],
-        };
-        RowView {
-            vals,
-            map: self.map,
-        }
-    }
-
-    fn iter(self) -> impl Iterator<Item = RowView<'a>> {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-}
-
-/// One row of a [`Rows`]: a slice of someone else's values, optionally
-/// read through a column map.
-#[derive(Clone, Copy)]
-struct RowView<'a> {
-    vals: &'a [Value],
-    map: Option<&'a [usize]>,
-}
-
-impl Columns for RowView<'_> {
-    fn col(&self, i: usize) -> Option<&Value> {
-        match self.map {
-            None => self.vals.get(i),
-            Some(map) => self.vals.get(*map.get(i)?),
-        }
-    }
-
-    fn width(&self) -> usize {
-        self.map.map_or(self.vals.len(), <[usize]>::len)
-    }
-}
-
-impl RowView<'_> {
-    /// Appends the row's values to `out` — the only place a view is copied.
-    fn extend_into(&self, out: &mut Vec<Value>) {
-        match self.map {
-            None => out.extend_from_slice(self.vals),
-            Some(map) => out.extend(map.iter().map(|&c| self.vals[c].clone())),
-        }
-    }
-
-    fn to_row(self) -> Row {
-        let mut vals = Vec::with_capacity(self.width());
-        self.extend_into(&mut vals);
-        Row::new(vals)
-    }
-}
-
-/// Length of the *fused head* of a transform chain: its leading `Filter`s
-/// and the `Project` right after them, if any. The head runs inside the op,
-/// on each candidate row while that is still a view, so a row is built once,
-/// at its final width, and only if it survives. Work accounting is that of
-/// [`RowOp::apply`] stage by stage: one unit per row *entering* a stage.
-/// `Sort` and `Limit` need the whole collection and end the head.
-fn head_len(transforms: &[RowOp]) -> usize {
-    let filters = transforms
-        .iter()
-        .take_while(|t| matches!(t, RowOp::Filter(_)))
-        .count();
-    filters + usize::from(matches!(transforms.get(filters), Some(RowOp::Project(_))))
-}
-
-/// Runs one candidate row through a fused head (see [`head_len`]) and
-/// pushes it to `out` if it survives — projected, or built by `whole` when
-/// the head has no `Project`.
-fn admit<C: Columns>(
-    head: &[RowOp],
-    cand: &C,
-    whole: impl FnOnce() -> Row,
-    out: &mut Vec<Row>,
-    work: &mut u64,
-) -> Result<(), RelError> {
-    for stage in head {
-        *work += 1;
-        match stage {
-            RowOp::Filter(pred) => {
-                if !pred.eval_predicate(cand)? {
-                    return Ok(());
-                }
-            }
-            RowOp::Project(exprs) => {
-                out.push(project(exprs, cand)?);
-                return Ok(());
-            }
-            RowOp::Sort(_) | RowOp::Limit(_) => unreachable!("not part of a fused head"),
-        }
-    }
-    out.push(whole());
-    Ok(())
-}
-
-/// Why a key group's evaluation aborted.
+/// Why a run's evaluation aborted.
 enum Fatal {
     /// An operator's own expression failed (message names which).
     Op(String),
@@ -242,13 +82,6 @@ enum Fatal {
     Transform(ExecError),
 }
 
-impl From<ExecError> for Fatal {
-    fn from(e: ExecError) -> Self {
-        Fatal::Transform(e)
-    }
-}
-
-/// What [`admit`] fails with: an expression of the fused head.
 impl From<RelError> for Fatal {
     fn from(e: RelError) -> Self {
         Fatal::Transform(e.into())
@@ -264,233 +97,317 @@ impl Fatal {
     }
 }
 
-/// One operator's output: owned rows, or an alias back to its input when
-/// the op passed rows through untouched (no copy per key group).
-enum OpRows {
-    Owned(Vec<Row>),
-    Alias(RSource),
-}
-
-/// Follows alias chains: `Ok(op)` for an owned op output, `Err(stream)` for
-/// a stream-backed source.
-fn resolve(outputs: &[OpRows], mut src: RSource) -> Result<usize, usize> {
-    loop {
-        match src {
-            RSource::Stream(s) => return Err(s),
-            RSource::Op(o) => match &outputs[o] {
-                OpRows::Owned(_) => return Ok(o),
-                OpRows::Alias(a) => src = *a,
-            },
-        }
-    }
-}
-
-/// One key group after dispatch: everything the operator DAG reads.
-struct Group<'a> {
-    reducer: &'a CommonReducer,
-    values: GroupView<'a>,
-    pad_cols: usize,
-}
-
-impl<'a> Group<'a> {
-    fn stream(&self, s: usize) -> Rows<'a> {
-        let r = self.reducer;
-        if !r.tagged {
-            // Direct mode: the single stream's rows ARE the group slice.
-            return Rows {
-                base: if s == 0 {
-                    self.values
-                } else {
-                    GroupView::rows(&[])
-                },
-                pick: None,
-                window: Window::Trim(self.pad_cols),
-                map: None,
-            };
-        }
-        match &r.plans[s] {
-            StreamPlan::View { need, map } => Rows {
-                base: self.values,
-                pick: Some(&r.picks[s]),
-                window: Window::Carried(*need),
-                map: map.as_deref(),
-            },
-            StreamPlan::Computed => Rows::whole(&r.computed[s]),
-        }
-    }
-
-    fn source<'b>(&'b self, outputs: &'b [OpRows], src: RSource) -> Rows<'b> {
-        match resolve(outputs, src) {
-            Err(s) => self.stream(s),
-            Ok(o) => match &outputs[o] {
-                OpRows::Owned(rows) => Rows::whole(rows),
-                OpRows::Alias(_) => unreachable!("resolve returns owned ops"),
-            },
-        }
-    }
-
-    /// Evaluates the per-key operator DAG, in blueprint order.
-    fn eval_ops(&self, work: &mut u64) -> Result<Vec<OpRows>, Fatal> {
-        let ops = &self.reducer.blueprint.ops;
-        let mut outputs: Vec<OpRows> = Vec::with_capacity(ops.len());
-        for (op, &head_len) in ops.iter().zip(&self.reducer.head_lens) {
-            let evaluated = self.eval_op(op, head_len, &outputs, work)?;
-            outputs.push(evaluated);
-        }
-        Ok(outputs)
-    }
-
-    fn eval_op(
-        &self,
-        op: &ROp,
-        head_len: usize,
-        outputs: &[OpRows],
-        work: &mut u64,
-    ) -> Result<OpRows, Fatal> {
-        let (head, tail) = op.transforms.split_at(head_len);
-        let rows = match &op.kind {
-            OpKind::Pass => {
-                let input = self.source(outputs, op.inputs[0]);
-                *work += input.len() as u64;
-                if op.transforms.is_empty() {
-                    // Untransformed pass-through: alias the input rather
-                    // than copying every row of the group.
-                    return Ok(OpRows::Alias(op.inputs[0]));
-                }
-                let mut rows = Vec::new();
-                for row in input.iter() {
-                    admit(head, &row, || row.to_row(), &mut rows, work)?;
-                }
-                apply_chain(tail, rows, work)?
-            }
-            OpKind::Agg {
-                group_cols,
-                aggs,
-                having,
-                merge_partials,
-            } => {
-                let input = self.source(outputs, op.inputs[0]);
-                let rows = eval_agg(
-                    input,
-                    group_cols,
-                    aggs,
-                    having.as_ref(),
-                    *merge_partials,
-                    work,
-                )
-                .map_err(Fatal::Op)?;
-                // Already owned rows: nothing for a fused head to save.
-                apply_chain(&op.transforms, rows, work)?
-            }
-            OpKind::Join {
-                kind,
-                residual,
-                left_width,
-                right_width,
-            } => {
-                let join = Join {
-                    left: self.source(outputs, op.inputs[0]),
-                    right: self.source(outputs, op.inputs[1]),
-                    kind: *kind,
-                    residual: residual.as_ref(),
-                    left_pad: self.null_view(*left_width),
-                    right_pad: self.null_view(*right_width),
-                    head,
-                };
-                apply_chain(tail, join.eval(work)?, work)?
-            }
-        };
-        Ok(OpRows::Owned(rows))
-    }
-
-    fn null_view(&self, width: usize) -> RowView<'a> {
-        RowView {
-            vals: &self.reducer.nulls[..width],
-            map: None,
-        }
-    }
-}
-
 impl CommonReducer {
     /// Creates the reducer for a blueprint.
     #[must_use]
     pub fn new(blueprint: Arc<JobBlueprint>) -> Self {
-        let streams = blueprint.streams.len();
-        let widest_pad = blueprint
-            .ops
+        let plain = blueprint
+            .streams
             .iter()
-            .map(|op| match op.kind {
-                OpKind::Join {
-                    left_width,
-                    right_width,
-                    ..
-                } => left_width.max(right_width),
-                _ => 0,
+            .map(|spec| {
+                let cols = spec
+                    .projection
+                    .iter()
+                    .map(|e| match e {
+                        Expr::Column(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<usize>>>()?;
+                let need = cols.iter().map(|&c| c + 1).max().unwrap_or(0);
+                Some(Plain { cols, need })
             })
-            .max()
-            .unwrap_or(0);
+            .collect();
         CommonReducer {
             tagged: blueprint.tagged(),
-            plans: blueprint
-                .streams
-                .iter()
-                .map(|spec| StreamPlan::of(&spec.projection))
-                .collect(),
-            head_lens: blueprint
-                .ops
-                .iter()
-                .map(|op| head_len(&op.transforms))
-                .collect(),
-            picks: vec![Vec::new(); streams],
-            computed: vec![Vec::new(); streams],
-            nulls: vec![Value::Null; widest_pad],
+            pad_cols: usize::from(blueprint.pad_bytes > 0),
+            plain,
             blueprint,
         }
     }
 
-    /// Algorithm 1: one pass over the values, dispatch by (inverted) tag.
-    /// Records positions, not rows; only computed projections materialise.
-    fn dispatch(&mut self, values: GroupView<'_>, pad_cols: usize) -> Result<(), String> {
-        let CommonReducer {
-            blueprint: bp,
-            plans,
-            picks,
-            computed,
-            ..
-        } = self;
-        picks.iter_mut().for_each(Vec::clear);
-        computed.iter_mut().for_each(Vec::clear);
-        let failed = |err: String| format!("stream projection failed in {}: {err}", bp.name);
-        for (i, v) in values.iter().enumerate() {
-            let tag = v.first().and_then(Value::as_int).unwrap_or(0) as u64;
-            let carried = v.get(1..v.len().saturating_sub(pad_cols)).unwrap_or(&[]);
-            for (s, plan) in plans.iter().enumerate() {
-                if tag & (1 << s) != 0 {
-                    continue; // inverted tag: this stream must not see it
+    /// The expressions of this reducer that have no `colexpr` kernel at the
+    /// widths the plan declares, and so are evaluated row by row: each join
+    /// residual, transform, aggregate argument and `HAVING` is probed
+    /// against an empty batch of its input's width, as
+    /// [`crate::CommonMapper::column_path`] probes selections; a computed
+    /// stream projection is always row by row. Empty when the whole reduce
+    /// side runs on kernels.
+    #[must_use]
+    pub fn row_fallbacks(&self) -> Vec<String> {
+        let bp = &self.blueprint;
+        let probe = |width| {
+            ColumnBatch::from_cells(0, width, |_, _| unreachable!("no rows"))
+                .expect("an empty batch encodes")
+        };
+        let mut gaps: Vec<String> = (0..bp.streams.len())
+            .filter(|&s| self.tagged && self.plain[s].is_none())
+            .map(|s| format!("stream {s} projection (computed at dispatch)"))
+            .collect();
+        let mut check = |what: String, e: &Expr, width: usize, mask: bool| {
+            let batch = probe(width);
+            let kernel = if mask {
+                eval_mask(e, &batch).is_some()
+            } else {
+                eval_column(e, &batch).is_some()
+            };
+            if !kernel {
+                gaps.push(format!("{what} {e}"));
+            }
+        };
+        let mut widths: Vec<usize> = Vec::with_capacity(bp.ops.len());
+        for (o, op) in bp.ops.iter().enumerate() {
+            let width_of = |src: RSource| match src {
+                RSource::Stream(s) => bp.streams[s].projection.len(),
+                RSource::Op(o) => widths[o],
+            };
+            let input = width_of(op.inputs[0]);
+            let mut width = match &op.kind {
+                OpKind::Pass => input,
+                OpKind::Join { residual, .. } => {
+                    let width = input + width_of(op.inputs[1]);
+                    if let Some(r) = residual {
+                        check(format!("op {o} residual"), r, width, true);
+                    }
+                    width
                 }
-                match plan {
-                    StreamPlan::View { need, map } => {
-                        if carried.len() < *need {
-                            let missing = match map {
-                                None => carried.len(),
-                                Some(cols) => cols
-                                    .iter()
-                                    .copied()
-                                    .find(|&c| c >= carried.len())
-                                    .unwrap_or(carried.len()),
-                            };
-                            return Err(failed(format!("column {missing} out of range")));
+                OpKind::Agg {
+                    group_cols,
+                    aggs,
+                    having,
+                    merge_partials,
+                } => {
+                    for (func, arg) in aggs.iter().filter(|_| !merge_partials) {
+                        if let Some(arg) = arg {
+                            check(format!("op {o} {func} argument"), arg, input, false);
                         }
                     }
-                    StreamPlan::Computed => computed[s].push(
-                        project(&bp.streams[s].projection, carried)
-                            .map_err(|e| failed(e.to_string()))?,
-                    ),
+                    let width = group_cols.len() + aggs.len();
+                    if let Some(h) = having {
+                        check(format!("op {o} HAVING"), h, width, true);
+                    }
+                    width
                 }
-                picks[s].push(i);
+            };
+            for t in &op.transforms {
+                match t {
+                    RowOp::Filter(p) => check(format!("op {o} filter"), p, width, true),
+                    RowOp::Project(exprs) => {
+                        for e in exprs {
+                            check(format!("op {o} projection"), e, width, false);
+                        }
+                        width = exprs.len();
+                    }
+                    RowOp::Sort(keys) => {
+                        for k in keys {
+                            check(format!("op {o} sort key"), &k.expr, width, false);
+                        }
+                    }
+                    RowOp::Limit(_) => {}
+                }
+            }
+            widths.push(width);
+        }
+        gaps
+    }
+
+    /// Evaluates groups `range` of `groups` as one run: dispatch, the
+    /// operator DAG, emit. `Err` is the job's fatal message.
+    fn run(
+        &self,
+        groups: &KeyGroups<'_>,
+        range: Range<usize>,
+        out: &mut ReduceOutput,
+    ) -> Result<(), String> {
+        let bp = &self.blueprint;
+        let mut work = 0;
+        let streams = self.dispatch(groups, range, &mut work, out)?;
+        let evaluated = self.eval_ops(&streams, &mut work);
+        out.add_work(work);
+        let outputs = evaluated.map_err(|fatal| fatal.message(&bp.name))?;
+
+        // ---- emit only the final source(s) (§VI-B) -------------------------
+        // Typed rows, not pre-rendered lines: the engine renders text or
+        // packs columnar frames depending on the job's data format. Group
+        // by group, source by source — the order of reducing one group at a
+        // time.
+        let (sources, tagged_emit) = match &bp.emit {
+            EmitSpec::Single(src) => (std::slice::from_ref(src), false),
+            EmitSpec::Tagged(srcs) => (srcs.as_slice(), true),
+        };
+        let emits: Vec<(&Batch<'_>, Option<i64>)> = (0i64..)
+            .zip(sources)
+            .map(|(i, &src)| {
+                let batch = match src {
+                    RSource::Stream(s) => &streams[s],
+                    RSource::Op(o) => &outputs[o],
+                };
+                (&**batch, tagged_emit.then_some(i))
+            })
+            .collect();
+        for g in 0..streams[0].groups() {
+            for &(batch, tag) in &emits {
+                for r in batch.seg(g) {
+                    let row = batch.row(r);
+                    match tag {
+                        Some(tag) => out.emit_tagged_row(tag, row),
+                        None => out.emit_row(row),
+                    }
+                }
             }
         }
         Ok(())
+    }
+
+    /// Algorithm 1 over a run of groups: one pass over the values, each
+    /// dispatched by its (inverted) tag to the streams it may reach, after
+    /// the short-circuit pre-pass of its group. Returns each stream's rows,
+    /// a segment per group; dispatch counts and their work units are
+    /// recorded in bulk.
+    fn dispatch<'v>(
+        &self,
+        groups: &KeyGroups<'v>,
+        range: Range<usize>,
+        work: &mut u64,
+        out: &mut ReduceOutput,
+    ) -> Result<Vec<Rc<Batch<'v>>>, String> {
+        let bp = &self.blueprint;
+        let n = bp.streams.len();
+        let failed = |err: String| format!("stream projection failed in {}: {err}", bp.name);
+        let mut cells: Vec<Vec<&'v [Value]>> = vec![Vec::new(); n];
+        let mut computed: Vec<Vec<Row>> = vec![Vec::new(); n];
+        let mut segs: Vec<Vec<u32>> = vec![vec![0]; n];
+        for g in range {
+            let values = groups.group(g);
+            if !self.tagged {
+                // Direct mode: every value of the group feeds the single
+                // stream, its pad left out.
+                let window = |v: &'v [Value]| &v[..v.len().saturating_sub(self.pad_cols)];
+                cells[0].extend(values.iter().map(window));
+            } else if !self.short_circuits(values, work) {
+                for v in values.iter() {
+                    let hidden = tag(v);
+                    let carried = v.get(1..v.len().saturating_sub(self.pad_cols));
+                    let carried = carried.unwrap_or(&[]);
+                    for (s, plain) in self.plain.iter().enumerate() {
+                        if hidden & (1 << s) != 0 {
+                            continue; // inverted tag: this stream must not see it
+                        }
+                        match plain {
+                            Some(p) if carried.len() >= p.need => cells[s].push(carried),
+                            Some(p) => {
+                                let mut cols = p.cols.iter().copied();
+                                let missing = cols.find(|&c| c >= carried.len());
+                                let missing = missing.unwrap_or(carried.len());
+                                return Err(failed(format!("column {missing} out of range")));
+                            }
+                            None => computed[s].push(
+                                project(&bp.streams[s].projection, carried)
+                                    .map_err(|e| failed(e.to_string()))?,
+                            ),
+                        }
+                    }
+                }
+            }
+            for s in 0..n {
+                segs[s].push((cells[s].len() + computed[s].len()) as u32);
+            }
+        }
+        if self.tagged {
+            for (s, segs) in segs.iter().enumerate() {
+                let dispatched = u64::from(*segs.last().expect("segment bounds"));
+                if dispatched > 0 {
+                    out.record_dispatches(s, dispatched);
+                    *work += dispatched;
+                }
+            }
+        } else {
+            out.record_dispatches(0, cells[0].len() as u64);
+        }
+        let mut streams = Vec::with_capacity(n);
+        let parts = cells.into_iter().zip(computed).zip(segs);
+        for (s, ((cells, computed), segs)) in parts.enumerate() {
+            let rows: Rc<[&'v [Value]]> = cells.into();
+            let cols = if !self.tagged {
+                // A direct job's values are one projection's rows, or one
+                // combiner's partial rows: all one width.
+                let width = rows.first().map_or(0, |r| r.len());
+                if rows.iter().any(|r| r.len() != width) {
+                    return Err(format!("values of differing widths in {}", bp.name));
+                }
+                (0..width).map(|c| Col::cells(&rows, c)).collect()
+            } else if let Some(p) = &self.plain[s] {
+                p.cols.iter().map(|&c| Col::cells(&rows, c)).collect()
+            } else {
+                let column = |c: usize| {
+                    Col::typed(Column::from_cells(computed.len(), |r| {
+                        &computed[r].values()[c]
+                    }))
+                };
+                (0..bp.streams[s].projection.len()).map(column).collect()
+            };
+            streams.push(Rc::new(Batch::new(segs, cols)));
+        }
+        Ok(streams)
+    }
+
+    /// The hand-coded short-circuit (§VII-C case 4): the paper's hand-written
+    /// reducer returns immediately when a required input (e.g. the `orders`
+    /// side with status 'F') has no pairs for this key — *before* doing any
+    /// per-value work. A cheap tag-only pre-pass detects that; it costs
+    /// roughly an eighth of a full dispatch per value (an integer check vs.
+    /// projection), charged per group. Whether the group is skipped.
+    fn short_circuits(&self, values: GroupView<'_>, work: &mut u64) -> bool {
+        let required = &self.blueprint.short_circuit_streams;
+        if required.is_empty() {
+            return false;
+        }
+        let present = values.iter().fold(0u64, |present, v| present | !tag(v));
+        *work += values.len() as u64 / 8;
+        required.iter().any(|&s| present & (1 << s) == 0)
+    }
+
+    /// Evaluates the operator DAG over a run, in blueprint order: each op's
+    /// kind, then its transform chain. An untransformed pass aliases its
+    /// input.
+    fn eval_ops<'v>(
+        &self,
+        streams: &[Rc<Batch<'v>>],
+        work: &mut u64,
+    ) -> Result<Vec<Rc<Batch<'v>>>, Fatal> {
+        let ops = &self.blueprint.ops;
+        let mut outputs: Vec<Rc<Batch<'v>>> = Vec::with_capacity(ops.len());
+        for op in ops {
+            let input = |i: usize| match op.inputs[i] {
+                RSource::Stream(s) => Rc::clone(&streams[s]),
+                RSource::Op(o) => Rc::clone(&outputs[o]),
+            };
+            let mut batch = match &op.kind {
+                OpKind::Pass => {
+                    let input = input(0);
+                    *work += input.len() as u64;
+                    input
+                }
+                OpKind::Agg {
+                    group_cols,
+                    aggs,
+                    having,
+                    merge_partials,
+                } => {
+                    let (input, having) = (input(0), having.as_ref());
+                    let agg = aggregate(&input, group_cols, aggs, having, *merge_partials, work);
+                    Rc::new(agg.map_err(Fatal::Op)?)
+                }
+                OpKind::Join { kind, residual, .. } => {
+                    let joined = join(&input(0), &input(1), *kind, residual.as_ref(), work);
+                    Rc::new(joined.map_err(Fatal::Op)?)
+                }
+            };
+            for t in &op.transforms {
+                batch = Rc::new(batch.transform(t, work)?);
+            }
+            outputs.push(batch);
+        }
+        Ok(outputs)
     }
 }
 
@@ -499,245 +416,96 @@ impl Reducer for CommonReducer {
         self.reduce_group(key.values(), GroupView::rows(values), out);
     }
 
-    fn reduce_group(&mut self, _key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
-        // The Pig-style serialisation pad (one trailing column) is never
-        // stripped, only left out of every window onto a value.
-        let pad_cols = usize::from(self.blueprint.pad_bytes > 0);
-        // ---- hand-coded short-circuit (§VII-C case 4) ---------------------
-        // The paper's hand-written reducer returns immediately when a
-        // required input (e.g. the `orders` side with status 'F') has no
-        // pairs for this key — *before* doing any per-value work. A cheap
-        // tag-only pre-pass detects that; it costs roughly an eighth of a
-        // full dispatch per value (an integer check vs. projection).
-        if !self.blueprint.short_circuit_streams.is_empty() && self.tagged {
-            let mut present = 0u64;
-            for v in values.iter() {
-                let tag = v.first().and_then(Value::as_int).unwrap_or(0) as u64;
-                present |= !tag;
-            }
-            out.add_work(values.len() as u64 / 8);
-            for &s in &self.blueprint.short_circuit_streams {
-                if present & (1 << s) == 0 {
-                    return;
-                }
-            }
-        }
+    /// A run of one group.
+    fn reduce_group(&mut self, key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
+        self.reduce_run(KeyGroups::one(key, values), out);
+    }
 
-        if self.tagged {
-            if let Err(msg) = self.dispatch(values, pad_cols) {
+    fn reduce_run(&mut self, groups: KeyGroups<'_>, out: &mut ReduceOutput) {
+        let mut next = 0;
+        while next < groups.len() {
+            let (start, mut values) = (next, 0);
+            while next < groups.len() && values < CHUNK_VALUES {
+                values += groups.bounds(next).len();
+                next += 1;
+            }
+            if let Err(msg) = self.run(&groups, start..next, out) {
                 out.record_fatal(msg);
                 return;
             }
-            for (s, pick) in self.picks.iter().enumerate() {
-                if !pick.is_empty() {
-                    out.record_dispatches(s, pick.len() as u64);
-                    out.add_work(pick.len() as u64);
-                }
-            }
-        } else {
-            // Direct mode: every value of the group feeds the single stream.
-            out.record_dispatches(0, values.len() as u64);
-        }
-        let group = Group {
-            reducer: self,
-            values,
-            pad_cols,
-        };
-        let bp = &group.reducer.blueprint;
-
-        // Direct-mode short-circuit (single stream): empty groups never
-        // reach the reducer, so only the tagged path above can skip keys;
-        // this residual check keeps semantics for hand-built blueprints.
-        for &s in &bp.short_circuit_streams {
-            if group.stream(s).is_empty() {
-                return;
-            }
-        }
-
-        let mut work = 0u64;
-        let evaluated = group.eval_ops(&mut work);
-        out.add_work(work);
-        let mut outputs = match evaluated {
-            Ok(outputs) => outputs,
-            Err(fatal) => {
-                out.record_fatal(fatal.message(&bp.name));
-                return;
-            }
-        };
-
-        // ---- emit only the final source(s) (§VI-B) -------------------------
-        // Typed rows, not pre-rendered lines: the engine renders text or
-        // packs columnar frames depending on the job's data format. An
-        // emit source that resolves to an op's owned output is *moved*
-        // out, not cloned — for intermediate jobs this is the entire next
-        // job's input; stream-backed emits are where a view is finally
-        // copied.
-        let (sources, tagged_emit) = match &bp.emit {
-            EmitSpec::Single(src) => (std::slice::from_ref(src), false),
-            EmitSpec::Tagged(srcs) => (srcs.as_slice(), true),
-        };
-        for (i, &src) in sources.iter().enumerate() {
-            let tag = tagged_emit.then_some(i as i64);
-            let mut emit = |row: Row| match tag {
-                Some(tag) => out.emit_tagged_row(tag, row),
-                None => out.emit_row(row),
-            };
-            match resolve(&outputs, src) {
-                Err(s) => group.stream(s).iter().for_each(|v| emit(v.to_row())),
-                Ok(o) => {
-                    // Move only the last emit backed by this op — an
-                    // earlier take would empty a repeated source.
-                    let again = sources[i + 1..]
-                        .iter()
-                        .any(|&later| resolve(&outputs, later) == Ok(o));
-                    let OpRows::Owned(rows) = &mut outputs[o] else {
-                        unreachable!("resolve returns owned ops")
-                    };
-                    if again {
-                        rows.iter().cloned().for_each(&mut emit);
-                    } else {
-                        std::mem::take(rows).into_iter().for_each(&mut emit);
-                    }
-                }
-            }
         }
     }
 }
 
-/// Grouped aggregation within one key group. The group is almost always
-/// the reduce key itself, so rows accumulate into a single current group,
-/// recognised by comparing the row's group columns in place; the ordered
-/// map only comes into play when a second group key appears (Q-CSA's AGG1
-/// groups by `(uid, ts1)` inside a `uid` partition), and then holds every
-/// group but the current one.
-fn eval_agg(
-    input: Rows<'_>,
-    group_cols: &[usize],
-    aggs: &[(AggFunc, Option<Expr>)],
-    having: Option<&Expr>,
-    merge_partials: bool,
-    work: &mut u64,
-) -> Result<Vec<Row>, String> {
-    let update = |states: &mut [AggState], row: &RowView<'_>| -> Result<(), String> {
-        if merge_partials {
-            // Partial fields follow the group columns in combiner layout.
-            let mut offset = group_cols.len();
-            for (state, (func, _)) in states.iter_mut().zip(aggs) {
-                decode_partial(*func, row, offset)
-                    .and_then(|partial| state.merge(&partial))
-                    .map_err(|e| format!("partial merge failed: {e}"))?;
-                offset += PartialAgg::partial_width(*func);
-            }
-            Ok(())
-        } else {
-            update_states(states, aggs, row).map_err(|e| format!("aggregation failed: {e}"))
-        }
-    };
-    let mut current: Option<(Vec<Value>, Vec<AggState>)> = None;
-    let mut others: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-    for row in input.iter() {
-        *work += 1;
-        let group_val = |&c: &usize| row.col(c).unwrap_or(&Value::Null);
-        let same_group = current
-            .as_ref()
-            .is_some_and(|(key, _)| group_cols.iter().map(group_val).eq(key));
-        if !same_group {
-            // Sized for the output row it ends up as: group, then aggregates.
-            let mut key = Vec::with_capacity(group_cols.len() + aggs.len());
-            key.extend(group_cols.iter().map(group_val).cloned());
-            let next = others
-                .remove_entry(&key)
-                .unwrap_or_else(|| (key, aggs.iter().map(|(f, _)| f.new_state()).collect()));
-            if let Some((key, states)) = current.replace(next) {
-                others.insert(key, states);
-            }
-        }
-        let (_, states) = current.as_mut().expect("set for this row's group");
-        update(states, &row)?;
-    }
-    // Groups leave in key order; a lone group never touches the map.
-    if !others.is_empty() {
-        others.extend(current.take());
-    }
-    let mut out = Vec::with_capacity(others.len() + 1);
-    for (group, states) in current.into_iter().chain(others) {
-        let mut vals = group;
-        vals.extend(states.iter().map(AggState::finish));
-        let row = Row::new(vals);
-        let keep = match having {
-            None => true,
-            Some(h) => h
-                .eval_predicate(&row)
-                .map_err(|e| format!("HAVING failed: {e}"))?,
-        };
-        if keep {
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-/// Equi-join within one key group: the partition key is the full equi-key,
-/// so every left row pairs with every right row; the residual predicate and
-/// outer-join padding do the rest. The residual and the fused head are
-/// evaluated on the pair as two views side by side, so a pair is only
-/// concatenated — or projected straight to its final width — once it has
-/// survived both.
-struct Join<'a> {
-    left: Rows<'a>,
-    right: Rows<'a>,
+/// Equi-join within each key group: the partition key is the full equi-key,
+/// so every left row of a segment pairs with every right row of it (a work
+/// unit per pair); the residual — a mask over the candidate pairs — and
+/// outer-join padding — NULLs as wide as the side they stand for — do the
+/// rest. Pairs leave in the order of joining one group at a time: per left
+/// row its matches, then its pad; a segment's right pads last.
+fn join<'v>(
+    l: &Batch<'v>,
+    r: &Batch<'v>,
     kind: JoinKind,
-    residual: Option<&'a Expr>,
-    /// All-NULL stand-ins for the missing side of an outer-join row.
-    left_pad: RowView<'a>,
-    right_pad: RowView<'a>,
-    head: &'a [RowOp],
-}
-
-impl Join<'_> {
-    fn eval(&self, work: &mut u64) -> Result<Vec<Row>, Fatal> {
-        let mut out = Vec::new();
-        let mut emit = |l: RowView<'_>, r: RowView<'_>, work: &mut u64| {
-            let concat = || {
-                let mut vals = Vec::with_capacity(l.width() + r.width());
-                l.extend_into(&mut vals);
-                r.extend_into(&mut vals);
-                Row::new(vals)
-            };
-            admit(self.head, &(l, r), concat, &mut out, work)
-        };
-        let pads_left = matches!(self.kind, JoinKind::RightOuter | JoinKind::FullOuter);
-        let pads_right = matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter);
-        let mut right_matched = vec![false; if pads_left { self.right.len() } else { 0 }];
-        for l in self.left.iter() {
-            let mut matched = false;
-            for (ri, r) in self.right.iter().enumerate() {
-                *work += 1;
-                let pass = match self.residual {
-                    None => true,
-                    Some(p) => p
-                        .eval_predicate(&(l, r))
-                        .map_err(|e| Fatal::Op(format!("join residual failed: {e}")))?,
-                };
-                if pass {
-                    matched = true;
-                    if pads_left {
-                        right_matched[ri] = true;
-                    }
-                    emit(l, r, work)?;
-                }
-            }
-            if !matched && pads_right {
-                emit(l, self.right_pad, work)?;
-            }
+    residual: Option<&Expr>,
+    work: &mut u64,
+) -> Result<Batch<'v>, String> {
+    let (mut li, mut ri, mut segs) = (Vec::new(), Vec::new(), vec![0]);
+    for g in 0..l.groups() {
+        for a in l.seg(g) {
+            li.extend(std::iter::repeat_n(a as u32, r.seg(g).len()));
+            ri.extend(r.seg(g).map(|b| b as u32));
         }
-        for (ri, r) in self.right.iter().enumerate() {
-            if pads_left && !right_matched[ri] {
-                emit(self.left_pad, r, work)?;
-            }
-        }
-        Ok(out)
+        segs.push(li.len() as u32);
     }
+    *work += li.len() as u64;
+    let (li, ri): (Selection, Selection) = (li.into(), ri.into());
+    let concat = |lk: &Selection, rk: &Selection, segs| {
+        let mut cols = l.cols_at(0..l.width(), lk);
+        cols.extend(r.cols_at(0..r.width(), rk));
+        Batch::new(segs, cols)
+    };
+    let pairs = concat(&li, &ri, segs);
+    let mask = match residual {
+        None => None,
+        Some(p) => Some(
+            pairs
+                .mask(p)
+                .map_err(|e| format!("join residual failed: {e}"))?,
+        ),
+    };
+    let pass = |p: usize| mask.as_ref().is_none_or(|m| m[p] == Some(true));
+    let pads_left = matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter);
+    let pads_right = matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter);
+    if !pads_left && !pads_right {
+        return Ok(pairs.filter(|p, _| pass(p)));
+    }
+    let (mut lo, mut ro, mut segs) = (Vec::new(), Vec::new(), vec![0]);
+    let mut matched = vec![false; r.len()];
+    let mut p = 0;
+    for g in 0..l.groups() {
+        for a in l.seg(g) {
+            let mut any = false;
+            for b in r.seg(g) {
+                if pass(p) {
+                    (any, matched[b]) = (true, true);
+                    lo.push(a as u32);
+                    ro.push(b as u32);
+                }
+                p += 1;
+            }
+            if !any && pads_right {
+                lo.push(a as u32);
+                ro.push(NULL_ROW);
+            }
+        }
+        for b in r.seg(g).filter(|&b| pads_left && !matched[b]) {
+            lo.push(NULL_ROW);
+            ro.push(b as u32);
+        }
+        segs.push(lo.len() as u32);
+    }
+    Ok(concat(&lo.into(), &ro.into(), segs))
 }
 
 #[cfg(test)]
@@ -993,6 +761,49 @@ mod tests {
         assert!(out.lines().is_empty());
         // The tag-only pre-pass skips the key before any dispatch work.
         assert_eq!(out.work(), 0);
+    }
+
+    #[test]
+    fn short_circuit_prepass_charges_each_group() {
+        // Two 12-value groups without a stream-0 value: each is skipped after
+        // its own pre-pass, charged 12 / 8 = 1 unit apiece — not 24 / 8.
+        let mut bp = (*join_bp(JoinKind::Inner, None)).clone();
+        bp.short_circuit_streams = vec![0];
+        let mut r = CommonReducer::new(Arc::new(bp));
+        let values = vec![tagged(0b01, 1, 20); 24];
+        let keys = [row![1i64], row![2i64]];
+        let mut out = ReduceOutput::default();
+        r.reduce_run(KeyGroups::rows(&keys, &values, &[0, 12]), &mut out);
+        assert!(out.lines().is_empty());
+        assert_eq!(out.work(), 2);
+    }
+
+    #[test]
+    fn a_run_reduces_as_its_groups_one_by_one() {
+        // Enough groups that the run is cut more than once: rows, order,
+        // work and dispatch counts are those of reducing group by group.
+        let residual = Expr::binary(BinOp::Lt, Expr::col(1), Expr::col(3));
+        let bp = join_bp(JoinKind::FullOuter, Some(residual));
+        let (mut keys, mut values, mut starts) = (Vec::new(), Vec::new(), Vec::new());
+        for k in 0..1500i64 {
+            keys.push(row![k]);
+            starts.push(values.len() as u32);
+            for v in 0..k % 5 {
+                values.push(tagged(1 + (k + v) % 3, k, (k * 7 + v) % 11));
+            }
+        }
+        assert!(values.len() > 2 * CHUNK_VALUES);
+        let (mut by_group, mut by_run) = (ReduceOutput::default(), ReduceOutput::default());
+        let mut r = CommonReducer::new(Arc::clone(&bp));
+        let groups = KeyGroups::rows(&keys, &values, &starts);
+        for g in 0..groups.len() {
+            r.reduce_group(groups.key(g), groups.group(g), &mut by_group);
+        }
+        r.reduce_run(groups, &mut by_run);
+        assert_eq!(by_run.take_fatal(), None);
+        assert_eq!(by_run.work(), by_group.work());
+        assert_eq!(by_run.take_dispatches(), by_group.take_dispatches());
+        assert_eq!(by_run.into_lines(), by_group.into_lines());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! `Filter`, `Project`, `Sort` and `Limit` never get a MapReduce job of
 //! their own (§V-A: selections/projections "are executed by the job
-//! itself"); they run as cheap per-row transforms on the output of the
-//! operator they are attached to.
+//! itself"); they run as cheap transforms on the output of the operator
+//! they are attached to. The common reducer applies them to a run's
+//! batches; [`RowOp::apply`] and [`apply_chain`] are their row-at-a-time
+//! definition, which the reducer's equivalence reference runs.
 
 use std::borrow::Cow;
 use ysmart_rel::sort::sort_rows;

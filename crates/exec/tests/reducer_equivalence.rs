@@ -1,14 +1,16 @@
-//! Equivalence of the zero-copy common reducer with a materialising
-//! reference.
+//! Equivalence of the common reducer with a materialising reference.
 //!
 //! [`reference_reduce`] is the reducer as it was before key groups became
-//! views: every dispatched value cloned into its streams, every join pair
-//! `concat`-ed before its residual is evaluated, the whole transform chain
-//! run afterwards through [`apply_chain`], a `BTreeMap` entry per aggregated
-//! row. Over generated blueprints and key groups the two must agree on
-//! everything a job's result and its simulated time are derived from:
-//! emitted rows and their order, [`ReduceOutput::work`], and the per-stream
-//! dispatch counts.
+//! views: one key group at a time, every dispatched value cloned into its
+//! streams, every join pair `concat`-ed before its residual is evaluated,
+//! the whole transform chain run afterwards through [`apply_chain`], a
+//! `BTreeMap` entry per aggregated row, `AggState` per aggregate. Over
+//! generated blueprints and runs of key groups the common reducer — fed the
+//! groups one `reduce` call at a time, and all at once through one
+//! `reduce_run` call, as the engine feeds a reduce task — must agree with it
+//! on everything a job's result and its simulated time are derived from:
+//! emitted rows and their order, [`ReduceOutput::work`], the per-stream
+//! dispatch counts, and whether the job fails.
 //!
 //! `cargo test` runs a few hundred cases; CI runs the `#[ignore]`d soak in
 //! release mode (`--include-ignored`).
@@ -24,7 +26,9 @@ use ysmart_exec::{
     CommonReducer, EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, PartialAgg, ROp, RSource,
     RowOp, StreamSpec,
 };
-use ysmart_mapred::{run_job, Cluster, ClusterConfig, MapRedError, ReduceOutput, Reducer};
+use ysmart_mapred::{
+    run_job, Cluster, ClusterConfig, KeyGroups, MapRedError, ReduceOutput, Reducer,
+};
 use ysmart_plan::JoinKind;
 use ysmart_rel::{
     AggFunc, AggState, BinOp, DataType, Expr, Row, Schema, SortKey, SortOrder, UnOp, Value,
@@ -270,18 +274,30 @@ fn reference_join(
 
 // ---- generators ------------------------------------------------------------
 
-/// What a generated column holds, so generated expressions never fail:
-/// arithmetic and `sum`/`avg` only touch `Num` columns. (Comparisons never
+/// What a generated column holds, so generated expressions seldom fail:
+/// arithmetic and `sum`/`avg` only touch numeric columns. (Comparisons never
 /// error — incomparable types are SQL unknown.)
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Ty {
     /// NULL, or an `Int`/`Float` drawn from a handful of numerically
-    /// colliding values (`Int(1)`, `Float(1.0)`, …).
+    /// colliding values (`Int(1)`, `Float(1.0)`, …): a mixed column.
     Num,
+    /// NULL or an `Int` — now and then one near `i64::MAX`, so a sum can
+    /// overflow.
+    Int,
+    /// NULL or a `Float`: `-0.0` beside `0.0` (equal, but rendered apart),
+    /// and values whose sum depends on the order of the additions.
+    Float,
     /// NULL or a short string.
     Str,
     /// NULL or a boolean.
     Bool,
+}
+
+impl Ty {
+    fn numeric(self) -> bool {
+        matches!(self, Ty::Num | Ty::Int | Ty::Float)
+    }
 }
 
 struct Gen(StdRng);
@@ -309,35 +325,52 @@ impl Gen {
                 1 => Value::Float(self.below(3) as f64 + 0.5),
                 _ => Value::Int(self.below(4) as i64),
             },
-            Ty::Str => Value::Str(self.pick(&["a", "b", "F"]).to_string()),
+            Ty::Int if self.chance(0.01) => Value::Int(i64::MAX - self.below(3) as i64),
+            Ty::Int => Value::Int(self.below(7) as i64 - 3),
+            Ty::Float => Value::Float(self.pick(&[-0.0, 0.0, 0.1, 0.2, 0.3, 1.5, -2.5, 1e16])),
+            Ty::Str => Value::Str(self.pick(&["a", "b", "F", "", "ab"]).to_string()),
             Ty::Bool => Value::Bool(self.chance(0.5)),
         }
     }
 
     fn types(&mut self, n: usize) -> Vec<Ty> {
         (0..n)
-            .map(|_| self.pick(&[Ty::Num, Ty::Num, Ty::Num, Ty::Str, Ty::Bool]))
+            .map(|_| self.pick(&[Ty::Num, Ty::Num, Ty::Int, Ty::Float, Ty::Str, Ty::Bool]))
             .collect()
     }
 
-    fn col_of(&mut self, types: &[Ty], ty: Ty) -> Option<usize> {
-        let cols: Vec<usize> = (0..types.len()).filter(|&c| types[c] == ty).collect();
+    /// A numeric column of `types`, if there is one.
+    fn numeric_col(&mut self, types: &[Ty]) -> Option<usize> {
+        let cols: Vec<usize> = (0..types.len()).filter(|&c| types[c].numeric()).collect();
         (!cols.is_empty()).then(|| self.pick(&cols))
     }
 
-    /// A scalar over `types` with its type; never fails to evaluate.
+    /// A scalar over `types` with its type; seldom fails to evaluate.
     fn scalar(&mut self, types: &[Ty]) -> (Expr, Ty) {
         let c = self.below(types.len());
         match self.below(6) {
-            0 => match self.col_of(types, Ty::Num) {
+            0 => match self.numeric_col(types) {
                 Some(n) => {
-                    let op = self.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul]);
-                    let rhs = if self.chance(0.5) {
-                        Expr::lit(self.below(3) as i64)
-                    } else {
-                        Expr::col(self.col_of(types, Ty::Num).expect("has one"))
+                    let op = self.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div]);
+                    let rhs = match op {
+                        // Truncating, widening and NULL divisors; never zero.
+                        BinOp::Div => Expr::lit(self.pick(&[
+                            Value::Int(2),
+                            Value::Int(-3),
+                            Value::Float(0.5),
+                            Value::Null,
+                        ])),
+                        _ if self.chance(0.5) => Expr::lit(self.below(3) as i64),
+                        _ => Expr::col(self.numeric_col(types).expect("has one")),
                     };
-                    (Expr::binary(op, Expr::col(n), rhs), Ty::Num)
+                    let e = Expr::binary(op, Expr::col(n), rhs);
+                    if self.chance(0.2) {
+                        let neg = UnOp::Neg;
+                        let operand = Box::new(e);
+                        (Expr::Unary { op: neg, operand }, Ty::Num)
+                    } else {
+                        (e, Ty::Num)
+                    }
                 }
                 None => (Expr::col(c), types[c]),
             },
@@ -418,7 +451,7 @@ impl Gen {
         (0..1 + self.below(2))
             .map(|_| {
                 let any = self.below(types.len());
-                match (self.below(6), self.col_of(types, Ty::Num)) {
+                match (self.below(6), self.numeric_col(types)) {
                     (0, Some(c)) => ((AggFunc::Sum, Some(Expr::col(c))), Ty::Num),
                     (1, Some(c)) => ((AggFunc::Avg, Some(Expr::col(c))), Ty::Num),
                     (2, _) => ((AggFunc::Min, Some(Expr::col(any))), types[any]),
@@ -481,7 +514,7 @@ fn gen_case(g: &mut Gen) -> Case {
                 // decode from numeric fields; count(distinct) never merges.
                 let g_cols = g.below(2).min(in_types.len() - 1);
                 let fields = &in_types[g_cols..];
-                if g.chance(0.3) && fields.iter().all(|&t| t == Ty::Num) {
+                if g.chance(0.3) && fields.iter().all(|t| t.numeric()) {
                     // `fields` is never empty, so the first draw fits.
                     let mut aggs = Vec::new();
                     let mut used = 0;
@@ -610,17 +643,21 @@ fn gen_case(g: &mut Gen) -> Case {
     Case { bp, carried }
 }
 
-/// One reduce key's values, in the mapper's layout: `[tag,] carried…[, pad]`.
+/// One reduce key's values, in the mapper's layout: `[tag,] carried…[, pad]`;
+/// now and then hidden from one stream throughout. (Few values: chained
+/// joins multiply them.)
 fn gen_group(g: &mut Gen, case: &Case) -> Vec<Row> {
     let nstreams = case.bp.streams.len();
+    let starved = g.chance(0.3).then(|| 1 << g.below(nstreams));
     (0..g.below(7))
         .map(|_| {
             let mut vals = Vec::new();
             if case.bp.tagged() {
                 // Inverted visibility: a set bit hides the value. All-ones
                 // (seen by nobody) and a NULL tag (seen by all) included.
-                vals.push(match g.below(8) {
-                    0 => Value::Null,
+                vals.push(match (g.below(8), starved) {
+                    (_, Some(bit)) => Value::Int((g.below(1 << nstreams) | bit) as i64),
+                    (0, None) => Value::Null,
                     _ => Value::Int(g.below(1 << nstreams) as i64),
                 });
             }
@@ -647,31 +684,42 @@ fn check_equivalence(cases: u64) {
     for seed in 0..cases {
         let mut g = Gen(StdRng::seed_from_u64(0x5EED_0000 + seed));
         let case = gen_case(&mut g);
-        // Several key groups through one reducer: its dispatch buffers are
-        // reused from group to group.
-        let groups: Vec<Vec<Row>> = (0..1 + g.below(3))
+        // One reduce task's groups: the reference and `reduce` take them
+        // one by one, `reduce_run` all at once.
+        let groups: Vec<Vec<Row>> = (0..1 + g.below(6))
             .map(|_| gen_group(&mut g, &case))
             .collect();
-        let mut reducer = CommonReducer::new(Arc::new(case.bp.clone()));
-        let (mut got, mut want) = (ReduceOutput::default(), ReduceOutput::default());
+        let bp = Arc::new(case.bp.clone());
+        let (mut by_group, mut by_run) = (ReduceOutput::default(), ReduceOutput::default());
+        let mut want = ReduceOutput::default();
         let key = Row::new(vec![Value::Int(1)]);
+        let mut reducer = CommonReducer::new(Arc::clone(&bp));
         for values in &groups {
-            reducer.reduce(&key, values, &mut got);
+            reducer.reduce(&key, values, &mut by_group);
             reference_reduce(&case.bp, values, &mut want);
         }
-        let (got, want) = (observed(got), observed(want));
-        assert_eq!(
-            got.0, want.0,
-            "seed {seed}: fatal differs\n{:#?}\n{groups:?}",
-            case.bp
-        );
-        if got.0 {
-            // Work up to a failure is not part of the contract: the job is
-            // gone either way.
-            fatal_cases += 1;
-            continue;
+        let keys = vec![key; groups.len()];
+        let starts: Vec<u32> = (0..groups.len())
+            .map(|i| groups[..i].iter().map(Vec::len).sum::<usize>() as u32)
+            .collect();
+        let values = groups.concat();
+        let run = KeyGroups::rows(&keys, &values, &starts);
+        CommonReducer::new(bp).reduce_run(run, &mut by_run);
+        let want = observed(want);
+        for (how, got) in [("by group", by_group), ("by run", by_run)] {
+            let got = observed(got);
+            assert_eq!(
+                got.0, want.0,
+                "seed {seed} {how}: fatal differs\n{:#?}\n{groups:?}",
+                case.bp
+            );
+            if !got.0 {
+                assert_eq!(got, want, "seed {seed} {how}\n{:#?}\n{groups:?}", case.bp);
+            }
         }
-        assert_eq!(got, want, "seed {seed}\n{:#?}\n{groups:?}", case.bp);
+        // Work up to a failure is not part of the contract: the job is gone
+        // either way.
+        fatal_cases += u64::from(want.0);
     }
     // The generators build only well-typed expressions; a rare overflow is
     // tolerated, a generator that mostly fails is not testing anything.

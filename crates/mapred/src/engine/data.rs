@@ -9,8 +9,9 @@
 //! emit); the task sorts *indices* into each arena and sizes the segment
 //! while it is cache-resident; the shuffle hands whole segments over; a
 //! reduce task merges them into `(run, pair)` positions and shows its
-//! reducer each key group as a [`GroupView`] over those positions; and only
-//! after its output is packed does it free its segments, arena by arena.
+//! reducer all its key groups at once, as [`KeyGroups`] over those
+//! positions; and only after its output is packed does it free its
+//! segments, arena by arena.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
@@ -28,7 +29,8 @@ use crate::error::MapRedError;
 use crate::hash::checksum_bytes;
 use crate::hdfs::{block_bytes, line_bytes, read_verified, DataFile, Hdfs};
 use crate::job::{
-    record_line, Combiner, GroupView, JobSpec, MapOutput, Pairs, ReduceOutput, ReducerFactory,
+    record_line, Combiner, GroupView, JobSpec, KeyGroups, MapOutput, Pairs, ReduceOutput,
+    ReducerFactory,
 };
 use crate::norm::NormArena;
 
@@ -767,10 +769,10 @@ pub(super) fn execute_reduces(
 }
 
 /// Runs one reduce task for real: merges its shuffle segments (Hadoop's
-/// merge-based shuffle — no global re-sort) and streams each key group
-/// through a fresh reducer as a view of the merged positions. The segments'
-/// arenas are freed only after the task's output is packed, so the
-/// long-lived output is never allocated into holes they left.
+/// merge-based shuffle — no global re-sort) and hands every key group to a
+/// fresh reducer in one call, as views of the merged positions. The
+/// segments' arenas are freed only after the task's output is packed, so
+/// the long-lived output is never allocated into holes they left.
 fn run_reduce_task(
     columnar: bool,
     reducer: &ReducerFactory,
@@ -780,15 +782,7 @@ fn run_reduce_task(
     let arenas: Vec<&Pairs> = runs.iter().map(|r| &r.pairs).collect();
     let mut reducer = reducer();
     let mut out = ReduceOutput::default();
-    for (g, &start) in group_starts.iter().enumerate() {
-        let end = group_starts
-            .get(g + 1)
-            .map_or(at.len(), |&next| next as usize);
-        let group = &at[start as usize..end];
-        let (run, pair) = group[0];
-        let key = arenas[run as usize].key(pair as usize);
-        reducer.reduce_group(key, GroupView::merged(&arenas, group), &mut out);
-    }
+    reducer.reduce_run(KeyGroups::merged(&arenas, &at, &group_starts), &mut out);
     let work = out.work();
     let fatal = out.take_fatal().map(MapRedError::User);
     let dispatches = out.take_dispatches();

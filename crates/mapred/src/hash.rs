@@ -29,14 +29,15 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 /// Stable hash of one cell, continuing from `state` — the one body behind
 /// [`hash_value`] and the column-at-a-time [`partition_columns`], so a key
 /// routes to the same partition however its cells are held. `Int` hashes
-/// its `f64` image: numerically equal `Int` and `Float` cells agree, as
-/// `Value`'s equality has them.
+/// its `f64` image and `-0.0` that of `0.0`: numerically equal `Int` and
+/// `Float` cells agree, as `Value`'s equality (and SQL `=`) has them.
 fn hash_cell(state: u64, cell: CellRef<'_>) -> u64 {
+    let numeric = |f: f64| fnv1a(fnv1a(state, &[2]), &f.to_bits().to_le_bytes());
     match cell {
         CellRef::Null => fnv1a(state, &[0]),
         CellRef::Bool(b) => fnv1a(fnv1a(state, &[1]), &[u8::from(b)]),
-        CellRef::Int(i) => fnv1a(fnv1a(state, &[2]), &(i as f64).to_bits().to_le_bytes()),
-        CellRef::Float(f) => fnv1a(fnv1a(state, &[2]), &f.to_bits().to_le_bytes()),
+        CellRef::Int(i) => numeric(i as f64),
+        CellRef::Float(f) => numeric(if f == 0.0 { 0.0 } else { f }),
         CellRef::Str(s) => fnv1a(fnv1a(state, &[3]), s.as_bytes()),
     }
 }
@@ -130,6 +131,13 @@ mod tests {
     #[test]
     fn int_float_equal_keys_agree() {
         assert_eq!(hash_row(&row![7i64]), hash_row(&row![7.0f64]));
+    }
+
+    /// `-0.0 = 0 = 0.0` in SQL and under `Value`'s order: one reducer.
+    #[test]
+    fn negative_zero_routes_with_zero() {
+        assert_eq!(hash_row(&row![-0.0f64]), hash_row(&row![0i64]));
+        assert_eq!(hash_row(&row![-0.0f64]), hash_row(&row![0.0f64]));
     }
 
     #[test]

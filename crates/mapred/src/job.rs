@@ -13,18 +13,22 @@
 //! routes each pair to its reduce partition as it is emitted and appends its
 //! `key ⧺ value` cells to that partition's flat arena, where they stay until
 //! the reduce task that consumed them is done. Everything downstream
-//! addresses pairs by index, and a [`Reducer`] or [`Combiner`] is handed a
-//! key group as a [`GroupView`] of borrowed cell slices. The row-shaped
-//! entry points — [`MapOutput::emit`], [`Reducer::reduce`],
-//! [`Combiner::combine`] — remain what hand-written jobs implement; the
-//! cell-shaped ones default to them. A mapper holding a column batch emits
-//! it whole through [`MapOutput::emit_columns`], which writes the same
-//! pairs a column at a time and sizes their segments as it goes.
+//! addresses pairs by index, and a [`Combiner`] is handed a key group as a
+//! [`GroupView`] of borrowed cell slices, a [`Reducer`] its whole task's
+//! groups at once as [`KeyGroups`]. The row-shaped entry points —
+//! [`MapOutput::emit`], [`Reducer::reduce`], [`Combiner::combine`] — remain
+//! what hand-written jobs implement; the cell-shaped ones default to them
+//! (`reduce_run` to `reduce_group`, group by group). A mapper holding a
+//! column batch emits it whole through [`MapOutput::emit_columns`], which
+//! writes the same pairs a column at a time and sizes their segments as it
+//! goes.
 //!
 //! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
 //! with an optional merged-stream tag. Whether a task's records are stored
 //! as columnar frames or as text lines is the engine's decision, made in
 //! one place after the task ran — a reducer never formats its own output.
+
+use std::ops::Range;
 
 use ysmart_rel::codec::encode_cells_into;
 use ysmart_rel::colbatch::{frame_stats, Column, FrameSizer, FrameStats};
@@ -323,11 +327,163 @@ impl<'a> GroupView<'a> {
         (0..self.len()).map(move |i| self.get(i))
     }
 
+    /// Values `range` of the group, as a group of their own.
+    fn slice(self, range: Range<usize>) -> Self {
+        GroupView(match self.0 {
+            Group::Rows(rows) => Group::Rows(&rows[range]),
+            Group::Run { pairs, order } => Group::Run {
+                pairs,
+                order: &order[range],
+            },
+            Group::Merged { runs, at } => Group::Merged {
+                runs,
+                at: &at[range],
+            },
+        })
+    }
+
+    /// The key cells of the pair behind value `i`; `None` for a view of
+    /// rows, which carry no key.
+    fn pair_key(&self, i: usize) -> Option<&'a [Value]> {
+        match self.0 {
+            Group::Rows(_) => None,
+            Group::Run { pairs, order } => Some(pairs.key(order[i] as usize)),
+            Group::Merged { runs, at } => {
+                let (run, pair) = at[i];
+                Some(runs[run as usize].key(pair as usize))
+            }
+        }
+    }
+
     /// The values copied out as rows — the adaptor behind the default
     /// [`Reducer::reduce_group`] and [`Combiner::combine_group`].
     #[must_use]
     pub fn to_rows(self) -> Vec<Row> {
         self.iter().map(|v| Row::new(v.to_vec())).collect()
+    }
+}
+
+/// One reduce task's key groups, in order — what the engine hands
+/// [`Reducer::reduce_run`]. The values of every group lie back to back in
+/// one [`GroupView`]: group `g` is the range [`KeyGroups::bounds`]`(g)` of
+/// it ([`KeyGroups::group`]), shown the key [`KeyGroups::key`]`(g)`.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyGroups<'a> {
+    values: GroupView<'a>,
+    /// Group `g` starts at value `starts[g]` and runs to the next start
+    /// (the last one to the end).
+    starts: &'a [u32],
+    keys: Keys<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Keys<'a> {
+    /// The single group's key.
+    One(&'a [Value]),
+    /// One key row per group.
+    Rows(&'a [Row]),
+    /// A group's key is that of the pair behind its first value.
+    Pairs,
+}
+
+impl<'a> KeyGroups<'a> {
+    /// A run of one group.
+    #[must_use]
+    pub fn one(key: &'a [Value], values: GroupView<'a>) -> Self {
+        KeyGroups {
+            values,
+            starts: &[0],
+            keys: Keys::One(key),
+        }
+    }
+
+    /// Groups of whole rows: group `g` has key `keys[g]` and the values
+    /// `values[starts[g]..starts[g + 1]]` (the last to the end). A group may
+    /// be empty.
+    ///
+    /// # Panics
+    ///
+    /// When there is not one key per start, or the starts do not rise from
+    /// 0 within `values`.
+    #[must_use]
+    pub fn rows(keys: &'a [Row], values: &'a [Row], starts: &'a [u32]) -> Self {
+        assert_eq!(keys.len(), starts.len(), "one key per group");
+        assert!(starts.first().is_none_or(|&s| s == 0), "first group at 0");
+        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "rising starts");
+        assert!(starts.last().is_none_or(|&s| s as usize <= values.len()));
+        KeyGroups {
+            values: GroupView::rows(values),
+            starts,
+            keys: Keys::Rows(keys),
+        }
+    }
+
+    /// The groups of a shuffle merge: `(run, pair)` positions over the
+    /// arenas, each group starting at one of `starts`.
+    pub(crate) fn merged(runs: &'a [&'a Pairs], at: &'a [(u32, u32)], starts: &'a [u32]) -> Self {
+        KeyGroups {
+            values: GroupView::merged(runs, at),
+            starts,
+            keys: Keys::Pairs,
+        }
+    }
+
+    /// Number of groups.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether there is no group.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Where group `g`'s values lie among all the groups' values.
+    ///
+    /// # Panics
+    ///
+    /// When `g` is out of range.
+    #[must_use]
+    pub fn bounds(&self, g: usize) -> Range<usize> {
+        let end = self
+            .starts
+            .get(g + 1)
+            .map_or(self.values.len(), |&next| next as usize);
+        self.starts[g] as usize..end
+    }
+
+    /// Group `g`'s values.
+    ///
+    /// # Panics
+    ///
+    /// When `g` is out of range.
+    #[must_use]
+    pub fn group(&self, g: usize) -> GroupView<'a> {
+        self.values.slice(self.bounds(g))
+    }
+
+    /// Group `g`'s key.
+    ///
+    /// # Panics
+    ///
+    /// When `g` is out of range.
+    #[must_use]
+    pub fn key(&self, g: usize) -> &'a [Value] {
+        match self.keys {
+            Keys::One(key) => {
+                assert_eq!(g, 0, "a run of one group");
+                key
+            }
+            Keys::Rows(keys) => keys[g].values(),
+            Keys::Pairs => {
+                let first = self.starts[g] as usize;
+                self.values
+                    .pair_key(first)
+                    .expect("merged groups are pairs")
+            }
+        }
     }
 }
 
@@ -836,6 +992,16 @@ pub trait Reducer {
     /// unchanged; reducers that read cells in place override it.
     fn reduce_group(&mut self, key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
         self.reduce(&Row::new(key.to_vec()), &values.to_rows(), out);
+    }
+
+    /// Processes every key group of one reduce task, in order — the entry
+    /// point the engine calls, once per task. The default feeds each group
+    /// to [`Reducer::reduce_group`]; a reducer that works a task at a time
+    /// overrides it, and must emit what that would.
+    fn reduce_run(&mut self, groups: KeyGroups<'_>, out: &mut ReduceOutput) {
+        for g in 0..groups.len() {
+            self.reduce_group(groups.key(g), groups.group(g), out);
+        }
     }
 }
 

@@ -86,7 +86,7 @@ pub use hdfs::{
     SharedFile,
 };
 pub use job::{
-    Combiner, GroupView, JobInput, JobSpec, KeyWriter, MapOutput, Mapper, MapperFactory,
+    Combiner, GroupView, JobInput, JobSpec, KeyGroups, KeyWriter, MapOutput, Mapper, MapperFactory,
     ReduceEmit, ReduceOutput, Reducer, ReducerFactory, ValueWriter,
 };
 pub use journal::{recover, DispositionKind, Journal, JournalRecord, Recovered, JOURNAL_MAGIC};

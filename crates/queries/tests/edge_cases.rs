@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use ysmart_core::{Strategy, YSmart};
-use ysmart_mapred::ClusterConfig;
+use ysmart_mapred::{ClusterConfig, DataFormat};
 use ysmart_plan::Catalog;
 use ysmart_queries::{oracle_execute, rows_approx_equal};
 use ysmart_rel::{row, DataType, Row, Schema, Value};
@@ -270,6 +270,64 @@ fn anti_join_pattern_like_q21() {
          ON t.k = uu.k WHERE uu.n IS NULL",
         t_rows(),
         u_rows(),
+    );
+}
+
+/// `-0.0 = 0.0` in SQL and under `Value`'s order, so the shuffle must route
+/// the two zeros to one reducer and `count(distinct)` must count them once:
+/// otherwise GROUP BY splits the zeros into two groups and a self-join loses
+/// the pairs between them. Seven reducers, so the two would land apart.
+#[test]
+fn negative_zero_keys_are_zero() {
+    let mut catalog = Catalog::new();
+    let schema = Schema::of("z", &[("k", DataType::Int), ("f", DataType::Float)]);
+    catalog.add_table("z", schema);
+    let mut rows: Vec<Row> = (0..399i64).map(|i| row![i, 1.0 + i as f64 / 2.0]).collect();
+    for (i, zero) in [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0]
+        .into_iter()
+        .enumerate()
+    {
+        rows.push(row![399 + i as i64, zero]);
+    }
+    let tables = BTreeMap::from([("z".to_string(), rows.clone())]);
+    let config = ClusterConfig {
+        reduce_tasks: Some(7),
+        data_format: DataFormat::Columnar,
+        ..ClusterConfig::default()
+    };
+    let zero_group = |rows: &[Row]| {
+        rows.iter()
+            .filter(|r| r.values()[0] == Value::Int(0))
+            .map(|r| r.values()[1].clone())
+            .collect::<Vec<_>>()
+    };
+    let check = |sql: &str, expect: &dyn Fn(&[Row])| {
+        let plan = ysmart_plan::build_plan(&catalog, &ysmart_sql::parse(sql).unwrap()).unwrap();
+        let oracle = oracle_execute(&plan, &tables).unwrap().rows;
+        expect(&oracle);
+        for strategy in Strategy::all() {
+            let mut engine = YSmart::new(catalog.clone(), config.clone());
+            engine.load_table("z", &rows).unwrap();
+            let out = engine.execute_sql(sql, strategy).unwrap();
+            expect(&out.rows);
+            assert!(
+                rows_approx_equal(&out.rows, &oracle, false),
+                "{strategy}: `{sql}`"
+            );
+        }
+    };
+    check("SELECT f, count(*) FROM z GROUP BY f", &|rows| {
+        assert_eq!(rows.len(), 400);
+        assert_eq!(zero_group(rows), [Value::Int(8)]);
+    });
+    check("SELECT count(distinct f) FROM z WHERE f = 0", &|rows| {
+        assert_eq!(rows, [row![1i64]]);
+    });
+    check(
+        "SELECT a.k, b.k FROM z AS a, z AS b WHERE a.f = b.f",
+        &|rows| {
+            assert_eq!(rows.len(), 399 + 8 * 8);
+        },
     );
 }
 

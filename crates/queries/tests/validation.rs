@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use ysmart_core::{Strategy, YSmart};
 use ysmart_datagen::{ClicksSpec, TpchSpec};
-use ysmart_exec::CommonMapper;
+use ysmart_exec::{CommonMapper, CommonReducer};
 use ysmart_mapred::{ClusterConfig, DataFormat, MapOutput, Mapper};
 use ysmart_queries::{
     clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads, Workload,
@@ -171,6 +171,46 @@ fn dss_suite_maps_on_the_column_path() {
             }
         }
     }
+}
+
+/// The reduce side of the same suite, plus Q3 (the serve stream's fourth
+/// shape), evaluates on `colexpr` kernels (`CommonReducer::row_fallbacks`):
+/// every join residual, transform, aggregate argument and `HAVING` of every
+/// job has one, so no row of these queries is reduced by the row fallback.
+#[test]
+fn dss_suite_reduces_on_kernels() {
+    let mut workloads = tpch_workloads(&TpchSpec {
+        scale: 0.05,
+        seed: 4,
+    });
+    workloads.extend(clicks_workloads(&ClicksSpec {
+        users: 8,
+        clicks_per_user: 12,
+        seed: 4,
+        ..ClicksSpec::default()
+    }));
+    let suite = ["q17", "q18", "q21", "q-csa", "q-agg", "q3"];
+    workloads.retain(|w| suite.contains(&w.name));
+    assert_eq!(workloads.len(), suite.len());
+    let mut reducers = 0;
+    for w in &workloads {
+        for strategy in [Strategy::YSmart, Strategy::Hive] {
+            let mut engine = YSmart::new(w.catalog.clone(), ClusterConfig::default());
+            w.load_into(&mut engine).unwrap();
+            let t = engine.translate_tagged(&w.sql, strategy, "cov").unwrap();
+            for bp in t.blueprints.into_iter().filter(|bp| !bp.map_only) {
+                let gaps = CommonReducer::new(Arc::new(bp.clone())).row_fallbacks();
+                assert!(
+                    gaps.is_empty(),
+                    "{} under {strategy}: job {} reduces row by row: {gaps:?}",
+                    w.name,
+                    bp.name
+                );
+                reducers += 1;
+            }
+        }
+    }
+    assert!(reducers >= 40, "only {reducers} reducers probed");
 }
 
 /// Everything observable about one mapper run.

@@ -27,6 +27,7 @@
 //! codec's `decode_field` enforces, so corrupted bytes can never smuggle a
 //! NaN into the computation.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::error::RelError;
@@ -321,7 +322,155 @@ pub enum Column {
     Var(Vec<Value>),
 }
 
+/// The row index [`Column::take`] reads as NULL — how an outer join's missing
+/// side is taken.
+pub const NULL_ROW: u32 = u32::MAX;
+
+/// Rows `rows` of a typed column's payload and null mask ([`NULL_ROW`]: a
+/// null slot with the default payload).
+fn take_typed<T: Copy + Default>(data: &[T], nulls: &[bool], rows: &[u32]) -> (Vec<T>, Vec<bool>) {
+    rows.iter()
+        .map(|&r| match r {
+            NULL_ROW => (T::default(), true),
+            r => (data[r as usize], nulls[r as usize]),
+        })
+        .unzip()
+}
+
 impl Column {
+    /// A column of the `nrows` cells `cell(r)`, typed as
+    /// [`ColumnBatch::from_cells`] types each column — except that a
+    /// non-finite float makes it [`Column::Var`] rather than an error: how
+    /// computed values and values gathered off a shuffle become a column.
+    pub fn from_cells<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Column {
+        let of = |r| Ty::of(cell(r).into()).unwrap_or(Ty::Mixed);
+        let ty = (0..nrows).fold(Ty::None, |ty, r| ty.with(of(r)));
+        Column::typed(ty, nrows, cell)
+    }
+
+    /// The column of type `ty` (as [`column_type`] found it) over the cells.
+    fn typed<'a>(ty: Ty, nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Column {
+        match ty {
+            Ty::None | Ty::Int => {
+                let (data, nulls) = typed_cells(nrows, cell, Value::as_int);
+                Column::Int { data, nulls }
+            }
+            Ty::Float => {
+                let (data, nulls) = typed_cells(nrows, cell, Value::as_float);
+                Column::Float { data, nulls }
+            }
+            Ty::Bool => {
+                let (data, nulls) = typed_cells(nrows, cell, Value::as_bool);
+                Column::Bool { data, nulls }
+            }
+            Ty::Str => {
+                let mut dict: Vec<String> = Vec::new();
+                let mut lookup: HashMap<&str, u32, FnvBuildHasher> = HashMap::default();
+                let (idx, nulls) = typed_cells(nrows, cell, |v| {
+                    let s = v.as_str()?;
+                    Some(*lookup.entry(s).or_insert_with(|| {
+                        dict.push(s.to_string());
+                        (dict.len() - 1) as u32
+                    }))
+                });
+                Column::Str { dict, idx, nulls }
+            }
+            Ty::Mixed => Column::Var((0..nrows).map(|r| cell(r).clone()).collect()),
+        }
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            Column::Int { nulls, .. }
+            | Column::Float { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Str { nulls, .. } => nulls.len(),
+            Column::Var(vals) => vals.len(),
+        }
+    }
+
+    /// Whether the column has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the value at `row` is NULL — read off the null mask, nothing
+    /// built.
+    #[must_use]
+    pub fn is_null(&self, row: usize) -> bool {
+        match self {
+            Column::Int { nulls, .. }
+            | Column::Float { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Str { nulls, .. } => nulls[row],
+            Column::Var(vals) => vals[row].is_null(),
+        }
+    }
+
+    /// [`Value`]'s total order between rows `a` and `b`, read in place:
+    /// NULL first, then the payloads as their values compare.
+    #[must_use]
+    #[inline]
+    pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        // Two non-null payloads compare as their values; otherwise NULL
+        // first: `true.cmp(false)` puts the non-null one after.
+        match self {
+            Column::Int { data, nulls } => match (nulls[a], nulls[b]) {
+                (false, false) => data[a].cmp(&data[b]),
+                (x, y) => y.cmp(&x),
+            },
+            Column::Float { data, nulls } => match (nulls[a], nulls[b]) {
+                (false, false) => data[a].partial_cmp(&data[b]).unwrap_or(Ordering::Equal),
+                (x, y) => y.cmp(&x),
+            },
+            Column::Bool { data, nulls } => match (nulls[a], nulls[b]) {
+                (false, false) => data[a].cmp(&data[b]),
+                (x, y) => y.cmp(&x),
+            },
+            Column::Str { dict, idx, nulls } => match (nulls[a], nulls[b]) {
+                (false, false) => dict[idx[a] as usize].cmp(&dict[idx[b] as usize]),
+                (x, y) => y.cmp(&x),
+            },
+            Column::Var(vals) => vals[a].cmp(&vals[b]),
+        }
+    }
+
+    /// Rows `rows` of the column, in that order, as a column of the same
+    /// type — a typed gather; [`NULL_ROW`] takes a NULL.
+    #[must_use]
+    pub fn take(&self, rows: &[u32]) -> Column {
+        match self {
+            Column::Int { data, nulls } => {
+                let (data, nulls) = take_typed(data, nulls, rows);
+                Column::Int { data, nulls }
+            }
+            Column::Float { data, nulls } => {
+                let (data, nulls) = take_typed(data, nulls, rows);
+                Column::Float { data, nulls }
+            }
+            Column::Bool { data, nulls } => {
+                let (data, nulls) = take_typed(data, nulls, rows);
+                Column::Bool { data, nulls }
+            }
+            Column::Str { dict, idx, nulls } => {
+                let (idx, nulls) = take_typed(idx, nulls, rows);
+                let dict = dict.clone();
+                Column::Str { dict, idx, nulls }
+            }
+            Column::Var(vals) => Column::Var(
+                rows.iter()
+                    .map(|&r| match r {
+                        NULL_ROW => Value::Null,
+                        r => vals[r as usize].clone(),
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
     /// The value at `row`, owned.
     #[must_use]
     pub fn value(&self, row: usize) -> Value {
@@ -538,34 +687,7 @@ impl ColumnBatch {
         let mut cols = Vec::with_capacity(width);
         for c in 0..width {
             let cell = |r| cell(r, c);
-            let col = match column_type(nrows, cell)? {
-                Ty::None | Ty::Int => {
-                    let (data, nulls) = typed_cells(nrows, cell, Value::as_int);
-                    Column::Int { data, nulls }
-                }
-                Ty::Float => {
-                    let (data, nulls) = typed_cells(nrows, cell, Value::as_float);
-                    Column::Float { data, nulls }
-                }
-                Ty::Bool => {
-                    let (data, nulls) = typed_cells(nrows, cell, Value::as_bool);
-                    Column::Bool { data, nulls }
-                }
-                Ty::Str => {
-                    let mut dict: Vec<String> = Vec::new();
-                    let mut lookup: HashMap<&str, u32, FnvBuildHasher> = HashMap::default();
-                    let (idx, nulls) = typed_cells(nrows, cell, |v| {
-                        let s = v.as_str()?;
-                        Some(*lookup.entry(s).or_insert_with(|| {
-                            dict.push(s.to_string());
-                            (dict.len() - 1) as u32
-                        }))
-                    });
-                    Column::Str { dict, idx, nulls }
-                }
-                Ty::Mixed => Column::Var((0..nrows).map(|r| cell(r).clone()).collect()),
-            };
-            cols.push(col);
+            cols.push(Column::typed(column_type(nrows, cell)?, nrows, cell));
         }
         Ok(ColumnBatch { cols, rows: nrows })
     }
@@ -623,34 +745,12 @@ impl ColumnBatch {
     #[must_use]
     pub fn filter_from(&self, first_col: usize, mask: &[bool]) -> ColumnBatch {
         assert_eq!(mask.len(), self.rows, "mask length");
-        let keep: Vec<usize> = (0..self.rows).filter(|&i| mask[i]).collect();
-        let cols = self
-            .cols
-            .iter()
-            .skip(first_col)
-            .map(|c| match c {
-                Column::Int { data, nulls } => Column::Int {
-                    data: keep.iter().map(|&i| data[i]).collect(),
-                    nulls: keep.iter().map(|&i| nulls[i]).collect(),
-                },
-                Column::Float { data, nulls } => Column::Float {
-                    data: keep.iter().map(|&i| data[i]).collect(),
-                    nulls: keep.iter().map(|&i| nulls[i]).collect(),
-                },
-                Column::Bool { data, nulls } => Column::Bool {
-                    data: keep.iter().map(|&i| data[i]).collect(),
-                    nulls: keep.iter().map(|&i| nulls[i]).collect(),
-                },
-                Column::Str { dict, idx, nulls } => Column::Str {
-                    dict: dict.clone(),
-                    idx: keep.iter().map(|&i| idx[i]).collect(),
-                    nulls: keep.iter().map(|&i| nulls[i]).collect(),
-                },
-                Column::Var(vals) => Column::Var(keep.iter().map(|&i| vals[i].clone()).collect()),
-            })
+        let keep: Vec<u32> = (0..self.rows as u32)
+            .filter(|&i| mask[i as usize])
             .collect();
+        let cols = self.cols.iter().skip(first_col).map(|c| c.take(&keep));
         ColumnBatch {
-            cols,
+            cols: cols.collect(),
             rows: keep.len(),
         }
     }

@@ -265,14 +265,15 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Int and Float hash identically when numerically equal so that
-            // `Value` equality and hashing agree (Eq ⇒ same hash).
+            // `Value` equality and hashing agree (Eq ⇒ same hash); `-0.0`
+            // equals `0.0` and `Int(0)`, so it hashes as `0.0`.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                (if *f == 0.0 { 0.0 } else { *f }).to_bits().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -381,6 +382,10 @@ mod tests {
         let b = Value::Float(7.0);
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+        for zero in [Value::Float(0.0), Value::Int(0)] {
+            assert_eq!(Value::Float(-0.0), zero);
+            assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&zero));
+        }
     }
 
     #[test]
