@@ -9,8 +9,9 @@
 //! Flags:
 //!
 //! * `--trace [path]` — record structured execution traces for every run
-//!   and write one merged Chrome-trace JSON (default
-//!   `results/fig10_trace.json`), loadable in Perfetto / `chrome://tracing`.
+//!   and write one merged Chrome-trace JSON (default `<DIR>/fig10_trace.json`
+//!   under `--out DIR`, else `results/fig10_trace.json`), loadable in
+//!   Perfetto / `chrome://tracing`.
 //! * `--smoke` — a seconds-long subset (Q17 only, tiny scale) for CI.
 //! * `--format text|columnar` — storage/shuffle format (default text).
 

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ysmart_core::{CoreError, QueryOutcome, Strategy, YSmart};
 use ysmart_datagen::{clicks_catalog, tpch_catalog, ClicksSpec, TpchSpec};
@@ -170,6 +170,9 @@ pub fn parse(
         .find(|f| f.name == name)
         .ok_or_else(|| UsageError(format!("unknown figure `{name}`")))?;
     let mut flags = Flags::default();
+    // `--trace` without a PATH defaults next to the report, and `--out` may
+    // come after it: resolved once every flag is read.
+    let mut trace = None;
     while let Some(flag) = args.next() {
         let takes = |f: &str| figure.accepts.contains(&f);
         match flag.as_str() {
@@ -192,13 +195,16 @@ pub fn parse(
                     }
                 };
             }
-            "--trace" if takes("--trace") => {
-                let path = args.next_if(|a| !a.starts_with("--"));
-                flags.trace = Some(path.unwrap_or_else(|| format!("results/{name}_trace.json")));
-            }
+            "--trace" if takes("--trace") => trace = Some(args.next_if(|a| !a.starts_with("--"))),
             _ => return Err(UsageError(format!("`{name}` takes no `{flag}`"))),
         }
     }
+    flags.trace = trace.map(|path| {
+        path.unwrap_or_else(|| {
+            let dir = flags.out.as_deref().unwrap_or(Path::new("results"));
+            dir.join(format!("{name}_trace.json")).display().to_string()
+        })
+    });
     Ok((figure, flags))
 }
 

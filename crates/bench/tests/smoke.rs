@@ -141,7 +141,7 @@ fn flags_parse_once_for_every_figure() {
     let (fig, flags) = parse(argv(&["fig10", "--trace", "--smoke", "--out", "d"])).unwrap();
     assert_eq!(fig.name, "fig10");
     assert!(flags.smoke);
-    assert_eq!(flags.trace.as_deref(), Some("results/fig10_trace.json"));
+    assert_eq!(flags.trace.as_deref(), Some("d/fig10_trace.json"));
     assert_eq!(flags.out.as_deref(), Some(std::path::Path::new("d")));
     let (_, flags) = parse(argv(&[
         "fig10", "--trace", "t.json", "--format", "columnar",
@@ -153,4 +153,28 @@ fn flags_parse_once_for_every_figure() {
         parse(argv(&["fig13"])).unwrap().1,
         ysmart_bench::Flags::default()
     );
+}
+
+#[test]
+fn a_default_trace_goes_where_the_report_goes() {
+    let trace = |args: &[&str]| parse(argv(args)).unwrap().1.trace;
+    // `--out` before or after `--trace`, or none.
+    for args in [
+        &["fig10", "--out", "o", "--trace"][..],
+        &["fig10", "--trace", "--out", "o"],
+    ] {
+        assert_eq!(
+            trace(args).as_deref(),
+            Some("o/fig10_trace.json"),
+            "{args:?}"
+        );
+    }
+    assert_eq!(
+        trace(&["fig10", "--trace"]).as_deref(),
+        Some("results/fig10_trace.json")
+    );
+    // A given PATH wins, and no `--trace` writes no trace.
+    let given = trace(&["fig10", "--out", "o", "--trace", "t.json"]);
+    assert_eq!(given.as_deref(), Some("t.json"));
+    assert_eq!(trace(&["fig10", "--out", "o"]), None);
 }

@@ -9,7 +9,7 @@ use ysmart_rel::{AggFunc, Expr, RelError, Value};
 
 use crate::batch::{Batch, Col, Selection};
 use crate::blueprint::PartialAgg;
-use crate::colexpr::Columnar;
+use crate::colexpr::{predicate_mask, value_column, Columnar};
 use crate::combiner::decode_partial;
 
 /// A batch's rows in sub-group order: sub-group `k` is rows
@@ -83,7 +83,7 @@ pub(crate) fn aggregate<'v>(
         } else {
             let failed = |e: RelError| format!("aggregation failed: {e}");
             let col = match arg {
-                Some(e) => input.values(e).map_err(failed)?,
+                Some(e) => value_column(e, input, None).map_err(failed)?,
                 // `count(*)` counts rows: each row feeds 1.
                 None => Cow::Owned(Column::from_cells(input.len(), |_| &Value::Int(1))),
             };
@@ -95,9 +95,7 @@ pub(crate) fn aggregate<'v>(
     let Some(having) = having else {
         return Ok(out);
     };
-    let mask = out
-        .mask(having)
-        .map_err(|e| format!("HAVING failed: {e}"))?;
+    let mask = predicate_mask(having, &out).map_err(|e| format!("HAVING failed: {e}"))?;
     Ok(out.filter(|r, _| mask[r] == Some(true)))
 }
 

@@ -8,8 +8,9 @@
 //! column or cells still lying where the shuffle left them. Selecting rows —
 //! a filter, a join's pairs, an aggregate's groups — composes row indices
 //! and copies no cell; a kernel reading a column gathers it into a typed
-//! `Column` once ([`Columnar::column`]), and only emitted rows ever become
-//! `Row`s ([`Batch::row`]).
+//! `Column` once ([`Columnar::column`]), and only emitted rows — and rows an
+//! expression without a kernel reads — ever become `Row`s
+//! ([`Columnar::row`]).
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -20,7 +21,7 @@ use std::rc::Rc;
 use ysmart_rel::colbatch::{Column, NULL_ROW};
 use ysmart_rel::{Expr, RelError, Row, SortKey, SortOrder, Value};
 
-use crate::colexpr::{eval_column, eval_mask, Columnar, Mask};
+use crate::colexpr::{eval_column, predicate_mask, value_column, Columnar};
 use crate::rowop::RowOp;
 
 /// Row indices into a base or a batch, in order ([`NULL_ROW`]: a NULL).
@@ -119,6 +120,12 @@ impl Columnar for Batch<'_> {
                 .typed(),
         })
     }
+
+    /// Row `r`, built — for emitting, and for an expression without a
+    /// kernel.
+    fn row(&self, r: usize) -> Row {
+        Row::new(self.cols.iter().map(|c| c.value(r)).collect())
+    }
 }
 
 impl<'v> Batch<'v> {
@@ -149,12 +156,6 @@ impl<'v> Batch<'v> {
     /// Segment `g`'s rows.
     pub(crate) fn seg(&self, g: usize) -> Range<usize> {
         self.segs[g] as usize..self.segs[g + 1] as usize
-    }
-
-    /// Row `r`, built — for emitting, and for an expression without a
-    /// kernel.
-    pub(crate) fn row(&self, r: usize) -> Row {
-        Row::new(self.cols.iter().map(|c| c.value(r)).collect())
     }
 
     /// Columns `which`, at rows `keep` of this batch ([`NULL_ROW`]: NULL):
@@ -215,28 +216,6 @@ impl<'v> Batch<'v> {
         self.select(keep, segs)
     }
 
-    /// `expr` as a predicate over every row: its mask kernel, or else the
-    /// row evaluator row by row.
-    pub(crate) fn mask(&self, expr: &Expr) -> Result<Mask, RelError> {
-        match eval_mask(expr, self) {
-            Some(mask) => Ok(mask),
-            None => (0..self.len())
-                .map(|r| expr.eval_predicate(&self.row(r)).map(Some))
-                .collect(),
-        }
-    }
-
-    /// `expr` as a value over every row: its kernel, or else the row
-    /// evaluator row by row.
-    pub(crate) fn values(&self, expr: &Expr) -> Result<Cow<'_, Column>, RelError> {
-        if let Some(col) = eval_column(expr, self) {
-            return col;
-        }
-        let vals = (0..self.len()).map(|r| expr.eval(&self.row(r)));
-        let vals = vals.collect::<Result<Vec<_>, _>>()?;
-        Ok(Cow::Owned(Column::from_cells(vals.len(), |r| &vals[r])))
-    }
-
     /// One transform of an op's chain over every segment, charging one work
     /// unit per row entering it ([`RowOp::apply`]'s accounting, group by
     /// group).
@@ -244,7 +223,7 @@ impl<'v> Batch<'v> {
         *work += self.len() as u64;
         Ok(match op {
             RowOp::Filter(pred) => {
-                let mask = self.mask(pred)?;
+                let mask = predicate_mask(pred, self)?;
                 self.filter(|r, _| mask[r] == Some(true))
             }
             RowOp::Project(exprs) => {
@@ -256,7 +235,7 @@ impl<'v> Batch<'v> {
                         },
                         None => self.cols[*i].clone(),
                     }),
-                    _ => Ok(Col::typed(self.values(e)?.into_owned())),
+                    _ => Ok(Col::typed(value_column(e, self, None)?.into_owned())),
                 };
                 let cols = exprs.iter().map(col).collect::<Result<_, RelError>>()?;
                 Batch::new(self.segs.clone(), cols)

@@ -17,8 +17,9 @@
 //! `l_receiptdate > l_commitdate`), `AND`/`OR`/`NOT` in Kleene logic,
 //! `IS [NOT] NULL` of a column, and — as values — columns, literals and
 //! arithmetic over them (Q17's `0.2 * avg`, Q-CSA's `count(*) - 2`).
-//! Anything else returns `None` and the caller falls back to evaluating
-//! rows one by one — correctness never depends on a fast path existing.
+//! Anything else returns `None`, and `predicate_mask` / `value_column`
+//! — what both sides call — fall back to the row evaluator for that
+//! expression alone: correctness never depends on a fast path existing.
 //! Every mask shape is total (comparisons yield unknown, never an error),
 //! so a Kleene connective never evaluates a side the row evaluator would
 //! have skipped into an error: arithmetic, which can fail, has a value
@@ -29,7 +30,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use ysmart_rel::colbatch::{Column, ColumnBatch};
-use ysmart_rel::{BinOp, Expr, RelError, UnOp, Value};
+use ysmart_rel::{BinOp, Expr, RelError, Row, UnOp, Value};
 
 /// One Kleene truth value per batch row.
 pub type Mask = Vec<Option<bool>>;
@@ -43,6 +44,9 @@ pub trait Columnar {
 
     /// Column `i`; `None` past the batch's width.
     fn column(&self, i: usize) -> Option<&Column>;
+
+    /// Row `r`, built — for an expression without a kernel.
+    fn row(&self, r: usize) -> Row;
 }
 
 impl Columnar for ColumnBatch {
@@ -52,6 +56,76 @@ impl Columnar for ColumnBatch {
 
     fn column(&self, i: usize) -> Option<&Column> {
         self.columns().get(i)
+    }
+
+    fn row(&self, r: usize) -> Row {
+        ColumnBatch::row(self, r)
+    }
+}
+
+/// `expr` as a predicate over every row of `batch`: its mask kernel, or else
+/// the row evaluator row by row.
+///
+/// # Errors
+///
+/// The row evaluator's first error (a mask kernel never fails).
+pub(crate) fn predicate_mask<B: Columnar + ?Sized>(
+    expr: &Expr,
+    batch: &B,
+) -> Result<Mask, RelError> {
+    match eval_mask(expr, batch) {
+        Some(mask) => Ok(mask),
+        None => (0..batch.num_rows())
+            .map(|r| expr.eval_predicate(&batch.row(r)).map(Some))
+            .collect(),
+    }
+}
+
+/// `expr` as a value at rows `rows` of `batch` (`None`: every row): a column
+/// of the batch's length holding what [`Expr::eval`] gives at each of those
+/// rows. It is the kernel's column where the kernel exists and succeeds;
+/// otherwise the row evaluator runs over `rows` alone and the other rows
+/// hold NULL, so an expression that fails only outside `rows` does not
+/// fail.
+///
+/// # Errors
+///
+/// When `expr` fails on one of `rows`: over every row the kernel's error,
+/// else the row evaluator's first.
+pub(crate) fn value_column<'b, B: Columnar + ?Sized>(
+    expr: &Expr,
+    batch: &'b B,
+    rows: Option<&[usize]>,
+) -> Result<Cow<'b, Column>, RelError> {
+    match eval_column(expr, batch) {
+        Some(Ok(col)) => return Ok(col),
+        Some(Err(e)) if rows.is_none() => return Err(e),
+        _ => {}
+    }
+    let n = batch.num_rows();
+    let mut vals = vec![Value::Null; n];
+    let mut eval = |r: usize| -> Result<(), RelError> {
+        vals[r] = expr.eval(&batch.row(r))?;
+        Ok(())
+    };
+    match rows {
+        Some(rows) => rows.iter().try_for_each(|&r| eval(r))?,
+        None => (0..n).try_for_each(eval)?,
+    }
+    Ok(Cow::Owned(Column::from_cells(n, |r| &vals[r])))
+}
+
+/// Whether `expr` has a kernel over batches `width` columns wide — a mask
+/// kernel as a `predicate`, a value kernel otherwise. Kernels depend only on
+/// an expression's shape and the width, so this probes an empty batch.
+#[must_use]
+pub(crate) fn has_kernel(expr: &Expr, width: usize, predicate: bool) -> bool {
+    let probe = ColumnBatch::from_cells(0, width, |_, _| unreachable!("no rows"))
+        .expect("an empty batch encodes");
+    if predicate {
+        eval_mask(expr, &probe).is_some()
+    } else {
+        eval_column(expr, &probe).is_some()
     }
 }
 

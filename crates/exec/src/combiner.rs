@@ -53,9 +53,8 @@ pub fn decode_partial<C: Columns + ?Sized>(
     })
 }
 
-/// Feeds one raw row into a list of accumulators (shared by the combiner
-/// and the reduce-side raw aggregation). `count(*)`'s missing argument
-/// counts every row.
+/// Feeds one raw row into the combiner's accumulators. `count(*)`'s missing
+/// argument counts every row.
 pub fn update_states<C: Columns + ?Sized>(
     states: &mut [AggState],
     aggs: &[(AggFunc, Option<Expr>)],

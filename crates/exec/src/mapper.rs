@@ -20,25 +20,31 @@
 //! the `ClusterConfig::skip_bad_records` budget.
 //!
 //! Each record visible to a branch is also counted via
-//! [`MapOutput::record_dispatch`] (a batch on the column path counts in bulk,
+//! [`MapOutput::record_dispatch`] (a batch counts in bulk,
 //! [`MapOutput::record_dispatches`]), giving merged (CMF) jobs per-stream
 //! fan-out visibility in `JobMetrics::map_dispatches`.
 //!
-//! The body exists at two granularities that emit identical pairs:
-//! `map_record`, one record at a time, serves text lines and any batch whose
-//! mapper has a computed key or projection, a predicate without a mask
-//! kernel, or a pad; every other batch is mapped whole by `map_columns`
-//! ([`CommonMapper::column_path`]).
+//! The body exists once per input form, and both emit the same pairs. A
+//! column batch is mapped whole by `map_columns`: each branch's selection
+//! becomes a mask, the keys, the value and the pad become columns — a plain
+//! column borrowed from the batch, anything else its `colexpr` kernel or,
+//! for that expression alone, the row evaluator
+//! (`colexpr::value_column`) — and one [`MapOutput::emit_columns`]
+//! writes them. Keys and values are evaluated only on rows some branch
+//! keeps; a batch holding a row on which an expression fails emits nothing
+//! (the job fails either way). A text line is decoded into a `Row` and
+//! mapped by `map_record`, one record at a time.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper, ValueWriter};
+use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper};
 use ysmart_rel::codec::{decode_line, decode_line_projected};
-use ysmart_rel::colbatch::ColumnBatch;
+use ysmart_rel::colbatch::{Column, ColumnBatch};
 use ysmart_rel::{Expr, RelError, Row, Value};
 
 use crate::blueprint::JobBlueprint;
-use crate::colexpr::{eval_mask, Mask};
+use crate::colexpr::{predicate_mask, value_column, Mask};
 
 /// The CMF mapper for one input of a job.
 #[derive(Debug)]
@@ -48,119 +54,20 @@ pub struct CommonMapper {
     tagged: bool,
     /// Bits of streams not fed by this input — always forbidden.
     foreign_mask: u64,
-    /// Key expressions as column indices when all are plain references —
-    /// evaluated by direct indexing instead of walking expression trees.
-    plain_keys: Option<Vec<usize>>,
     /// Per input column: whether any predicate, key expression or carried
     /// value reads it. `None` when every column is needed. Unneeded fields
     /// are skipped at decode time (left NULL) — a scan-side projection.
     needed_cols: Option<Vec<bool>>,
-    /// Raw-row column indices of the emitted value when it is a plain,
-    /// duplicate-free column list (tagged mode: `value_cols`; direct and
-    /// map-only modes: stream 0's projection composed through
-    /// `value_cols`). The record is dead once the value is built, so a
-    /// decoded row's columns are *moved* out of it instead of cloned —
-    /// `None` falls back to the expression-evaluating path.
+    /// The value after the tag, over the input's columns (tagged mode: its
+    /// carried columns; direct and map-only modes: stream 0's projection).
+    values: Vec<Expr>,
+    /// `values` as column indices when they are plain, in-bounds and
+    /// duplicate-free. A decoded line is dead once the value is built, so
+    /// its columns are then *moved* out of it instead of cloned.
     value_move: Option<Vec<usize>>,
-    /// Whether batches take the column path ([`CommonMapper::column_path`]).
-    column_path: bool,
-}
-
-fn plain_cols(exprs: &[Expr]) -> Option<Vec<usize>> {
-    exprs
-        .iter()
-        .map(|e| match e {
-            Expr::Column(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
-
-/// `cols` usable as a move source: each raw column taken at most once.
-fn duplicate_free(cols: &[usize]) -> bool {
-    let mut sorted = cols.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).all(|w| w[0] != w[1])
-}
-
-/// One input record as the mapper body reads it — the only part of the
-/// common mapper that knows whether records arrive as decoded text lines or
-/// as rows of a column batch. Statically dispatched: the body is compiled
-/// once per format, with no per-record indirection.
-trait Record {
-    /// Whether branch `branch`'s selection `predicate` keeps this record.
-    fn selected(&mut self, branch: usize, predicate: &Expr) -> Result<bool, RelError>;
-    /// Raw column `c`, owned.
-    fn col(&self, c: usize) -> Result<Value, RelError>;
-    /// The whole record as a row, for expression evaluation.
-    fn row(&mut self) -> &Row;
-    /// Appends the raw columns `cols` (duplicate-free) to the pair being
-    /// written, consuming the record.
-    fn take_cols(self, cols: &[usize], out: &mut ValueWriter<'_>);
-}
-
-/// A decoded text line: the row is owned, so its columns move out.
-struct LineRecord(Row);
-
-impl Record for LineRecord {
-    fn selected(&mut self, _branch: usize, predicate: &Expr) -> Result<bool, RelError> {
-        predicate.eval_predicate(&self.0)
-    }
-
-    fn col(&self, c: usize) -> Result<Value, RelError> {
-        self.0.get(c).cloned()
-    }
-
-    fn row(&mut self) -> &Row {
-        &self.0
-    }
-
-    fn take_cols(self, cols: &[usize], out: &mut ValueWriter<'_>) {
-        let mut raw = self.0.into_values();
-        out.extend(
-            cols.iter()
-                .map(|&c| std::mem::replace(&mut raw[c], Value::Null)),
-        );
-    }
-}
-
-/// Row `r` of a column batch: selections read the batch-at-a-time masks,
-/// values come straight off the column vectors, and a `Row` materializes
-/// (once) only when an expression has no kernel.
-struct BatchRecord<'a> {
-    batch: &'a ColumnBatch,
-    /// Per branch: its selection resolved for the whole batch, where a
-    /// vectorized kernel exists.
-    masks: &'a [Option<Mask>],
-    r: usize,
-    row: Option<Row>,
-}
-
-impl Record for BatchRecord<'_> {
-    fn selected(&mut self, branch: usize, predicate: &Expr) -> Result<bool, RelError> {
-        match &self.masks[branch] {
-            Some(mask) => Ok(mask[self.r] == Some(true)),
-            None => predicate.eval_predicate(self.row()),
-        }
-    }
-
-    fn col(&self, c: usize) -> Result<Value, RelError> {
-        let cols = self.batch.columns();
-        let col = cols.get(c).ok_or(RelError::ColumnOutOfBounds {
-            index: c,
-            width: cols.len(),
-        })?;
-        Ok(col.value(self.r))
-    }
-
-    fn row(&mut self) -> &Row {
-        self.row.get_or_insert_with(|| self.batch.row(self.r))
-    }
-
-    fn take_cols(self, cols: &[usize], out: &mut ValueWriter<'_>) {
-        let raw = self.batch.columns();
-        out.extend(cols.iter().map(|&c| raw[c].value(self.r)));
-    }
+    /// The Pig-style serialisation pad ending every value, if configured (a
+    /// map-only job's value is the final row and is never padded).
+    pad: Option<Value>,
 }
 
 impl CommonMapper {
@@ -175,8 +82,8 @@ impl CommonMapper {
         } else {
             (1 << blueprint.streams.len()) - 1
         };
-        let plain_keys = plain_cols(&input.key_exprs);
-        let mut needed = vec![false; input.schema.len()];
+        let width = input.schema.len();
+        let mut needed = vec![false; width];
         let mut mark = |c: usize| {
             if let Some(slot) = needed.get_mut(c) {
                 *slot = true;
@@ -190,8 +97,8 @@ impl CommonMapper {
         for e in &input.key_exprs {
             e.for_each_column(&mut mark);
         }
-        // Stream projections and the pad read the *carried* row, whose
-        // columns are exactly `value_cols` of the raw row.
+        // The value reads the *carried* columns `value_cols` (when direct,
+        // through stream 0's projection).
         for &c in &input.value_cols {
             mark(c);
         }
@@ -200,60 +107,37 @@ impl CommonMapper {
         } else {
             Some(needed)
         };
-        let value_move = if tagged {
-            duplicate_free(&input.value_cols).then(|| input.value_cols.clone())
-        } else {
-            // Stream 0's projection runs map-side: compose it through
-            // `value_cols` back to raw column indices.
-            plain_cols(&blueprint.streams[0].projection)
-                .and_then(|p| {
-                    p.iter()
-                        .map(|&i| input.value_cols.get(i).copied())
-                        .collect::<Option<Vec<usize>>>()
-                })
-                .filter(|raw| duplicate_free(raw))
-        };
-        // A predicate has a mask kernel over every batch of the input's width
-        // exactly when it has one over an empty batch of that width.
-        let width = input.schema.len();
-        let probe = ColumnBatch::from_cells(0, width, |_, _| unreachable!("no rows"))
-            .expect("an empty batch encodes");
-        let masked = |p: &Expr| eval_mask(p, &probe).is_some();
-        let in_bounds = |cols: &[usize]| cols.iter().all(|&c| c < width);
-        let column_path = plain_keys.as_deref().is_some_and(in_bounds)
-            && value_move.as_deref().is_some_and(in_bounds)
-            && (blueprint.pad_bytes == 0 || blueprint.map_only)
-            && input
-                .branches
-                .iter()
-                .all(|b| b.predicate.as_ref().is_none_or(masked));
+        let values = blueprint.map_values(input_idx);
+        let value_move = values
+            .iter()
+            .map(|e| match e {
+                Expr::Column(c) if *c < width => Some(*c),
+                _ => None,
+            })
+            .collect::<Option<Vec<usize>>>()
+            .filter(|cols| {
+                let mut sorted = cols.clone();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|w| w[0] != w[1])
+            });
+        let pad = (blueprint.pad_bytes > 0 && !blueprint.map_only)
+            .then(|| Value::Str("x".repeat(blueprint.pad_bytes)));
         CommonMapper {
             foreign_mask: all & !mine,
             blueprint,
             input_idx,
             tagged,
-            plain_keys,
             needed_cols,
+            values,
             value_move,
-            column_path,
+            pad,
         }
     }
 
-    /// Whether this mapper's batches take the column path: its keys and
-    /// emitted value are plain columns of the input, every branch's
-    /// selection has a mask kernel, and it adds no pad. Such a batch is
-    /// mapped whole — visibility, tags, work and dispatch counts in one pass
-    /// over the masks, then one [`MapOutput::emit_columns`] — instead of row
-    /// by row through `map_record`; the pairs are the same.
-    #[must_use]
-    pub fn column_path(&self) -> bool {
-        self.column_path
-    }
-
-    /// The common-mapper body (§VI-A), once for both formats: evaluate every
-    /// branch's selection, then emit at most one pair. `Err` is a planner
-    /// bug's message for [`MapOutput::record_fatal`].
-    fn map_record<R: Record>(&self, mut rec: R, out: &mut MapOutput) -> Result<(), String> {
+    /// The common-mapper body (§VI-A) over one decoded text line: evaluate
+    /// every branch's selection, then emit at most one pair. `Err` is a
+    /// planner bug's message for [`MapOutput::record_fatal`].
+    fn map_record(&self, row: Row, out: &mut MapOutput) -> Result<(), String> {
         let input = &self.blueprint.inputs[self.input_idx];
         let name = &self.blueprint.name;
         // Charge one work unit per branch beyond the first (the shared-scan
@@ -261,11 +145,11 @@ impl CommonMapper {
         out.add_work(input.branches.len() as u64 - 1);
         let mut forbidden = self.foreign_mask;
         let mut any = false;
-        for (i, b) in input.branches.iter().enumerate() {
+        for b in &input.branches {
             let visible = match &b.predicate {
                 None => true,
-                Some(p) => rec
-                    .selected(i, p)
+                Some(p) => p
+                    .eval_predicate(&row)
                     .map_err(|e| format!("predicate failed in {name}: {e}"))?,
             };
             if visible {
@@ -281,60 +165,53 @@ impl CommonMapper {
         // The pair's cells go straight into the output's arena — no `Vec`
         // per key or value; on `Err` the writer drops and rolls them back.
         let mut pair = out.begin();
-        for (i, e) in input.key_exprs.iter().enumerate() {
-            let v = match &self.plain_keys {
-                Some(cols) => rec.col(cols[i]),
-                None => e.eval(rec.row()),
-            };
+        for e in &input.key_exprs {
+            let v = e.eval(&row);
             pair.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
         }
-
-        // Tagged mode carries `[tag, union columns…]`; direct and map-only
-        // modes apply stream 0's projection map-side.
         let mut pair = pair.value();
         if self.tagged {
             pair.push(Value::Int(forbidden as i64));
         }
         match &self.value_move {
-            Some(cols) => rec.take_cols(cols, &mut pair),
+            Some(cols) => {
+                let mut raw = row.into_values();
+                pair.extend(
+                    cols.iter()
+                        .map(|&c| std::mem::replace(&mut raw[c], Value::Null)),
+                );
+            }
             None => {
-                let carried = rec.row().project(&input.value_cols);
-                if self.tagged {
-                    pair.extend(carried.into_values());
-                } else {
-                    for e in &self.blueprint.streams[0].projection {
-                        let v = e.eval(&carried);
-                        pair.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
-                    }
+                for e in &self.values {
+                    let v = e.eval(&row);
+                    pair.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
                 }
             }
         }
-        // The Pig-style serialisation pad, if configured (a map-only job's
-        // value is the final row and is never padded).
-        if self.blueprint.pad_bytes > 0 && !self.blueprint.map_only {
-            pair.push(Value::Str("x".repeat(self.blueprint.pad_bytes)));
+        if let Some(pad) = &self.pad {
+            pair.push(pad.clone());
         }
         pair.finish();
         Ok(())
     }
 
-    /// The same body a batch at a time, for mappers on the column path:
-    /// every row's visibility, tag, work and dispatch counts in one pass over
-    /// the branch masks, then one [`MapOutput::emit_columns`] writing the
-    /// key columns `keys` and the value columns `values` of the rows any
-    /// branch keeps. Nothing here can fail: plain columns are in bounds and
-    /// mask kernels are total.
-    fn map_columns(
-        &self,
-        batch: &ColumnBatch,
-        masks: &[Option<Mask>],
-        keys: &[usize],
-        values: &[usize],
-        out: &mut MapOutput,
-    ) {
+    /// The same body a batch at a time: each selection a mask, then every
+    /// row's visibility, tag, work and dispatch counts in one pass over the
+    /// masks, then the key, value and pad columns of the rows some branch
+    /// keeps, written by one [`MapOutput::emit_columns`]. Counts and pairs
+    /// are recorded only once nothing can fail, so a failing batch leaves
+    /// nothing behind.
+    fn map_columns(&self, batch: &ColumnBatch, out: &mut MapOutput) -> Result<(), String> {
         let input = &self.blueprint.inputs[self.input_idx];
+        let name = &self.blueprint.name;
+        let failed =
+            |what: &'static str| move |e: RelError| format!("{what} failed in {name}: {e}");
+        let masks = input.branches.iter().map(|b| {
+            let mask = b.predicate.as_ref().map(|p| predicate_mask(p, batch));
+            mask.transpose().map_err(failed("predicate"))
+        });
+        let masks: Vec<Option<Mask>> = masks.collect::<Result<_, _>>()?;
         let n = batch.num_rows();
-        out.add_work(n as u64 * (input.branches.len() as u64 - 1));
         let streams = input.branches.iter().map(|b| b.stream + 1).max();
         let mut dispatched = vec![0u64; streams.unwrap_or(0)];
         let mut rows = Vec::with_capacity(n);
@@ -342,7 +219,7 @@ impl CommonMapper {
         for r in 0..n {
             let mut forbidden = self.foreign_mask;
             let mut any = false;
-            for (b, mask) in input.branches.iter().zip(masks) {
+            for (b, mask) in input.branches.iter().zip(&masks) {
                 if mask.as_ref().is_none_or(|m| m[r] == Some(true)) {
                     any = true;
                     dispatched[b.stream] += 1;
@@ -357,6 +234,16 @@ impl CommonMapper {
                 }
             }
         }
+        let columns = |exprs: &[Expr], what| {
+            let col = |e| value_column(e, batch, Some(&rows)).map_err(failed(what));
+            exprs.iter().map(col).collect::<Result<Vec<_>, _>>()
+        };
+        let keys = columns(&input.key_exprs, "key expr")?;
+        let mut values = columns(&self.values, "projection")?;
+        if let Some(pad) = &self.pad {
+            values.push(Cow::Owned(Column::from_cells(n, |_| pad)));
+        }
+        out.add_work(n as u64 * (input.branches.len() as u64 - 1));
         // A row-by-row count never extends the counts for a stream it did
         // not dispatch to.
         for (stream, &count) in dispatched.iter().enumerate() {
@@ -364,9 +251,11 @@ impl CommonMapper {
                 out.record_dispatches(stream, count);
             }
         }
-        let cols = |idx: &[usize]| idx.iter().map(|&c| &batch.columns()[c]).collect::<Vec<_>>();
+        let keys: Vec<&Column> = keys.iter().map(AsRef::as_ref).collect();
+        let values: Vec<&Column> = values.iter().map(AsRef::as_ref).collect();
         let tags = self.tagged.then_some(&tags[..]);
-        out.emit_columns(&rows, &cols(keys), tags, &cols(values));
+        out.emit_columns(&rows, &keys, tags, &values);
+        Ok(())
     }
 }
 
@@ -384,7 +273,7 @@ impl Mapper for CommonMapper {
         };
         match row {
             Ok(row) => {
-                if let Err(msg) = self.map_record(LineRecord(row), out) {
+                if let Err(msg) = self.map_record(row, out) {
                     out.record_fatal(msg);
                 }
             }
@@ -417,32 +306,8 @@ impl Mapper for CommonMapper {
             }
             return;
         }
-        let masks: Vec<Option<Mask>> = input
-            .branches
-            .iter()
-            .map(|b| b.predicate.as_ref().and_then(|p| eval_mask(p, batch)))
-            .collect();
-        // `column_path` was probed for masks of this width; a branch without
-        // one must never read as "visible" on the column path.
-        let mut masked = masks.iter().zip(&input.branches);
-        let column_path =
-            self.column_path && masked.all(|(m, b)| m.is_some() || b.predicate.is_none());
-        if let (true, Some(keys), Some(values)) = (column_path, &self.plain_keys, &self.value_move)
-        {
-            self.map_columns(batch, &masks, keys, values, out);
-            return;
-        }
-        for r in 0..rows {
-            let rec = BatchRecord {
-                batch,
-                masks: &masks,
-                r,
-                row: None,
-            };
-            if let Err(msg) = self.map_record(rec, out) {
-                out.record_fatal(msg);
-                return;
-            }
+        if let Err(msg) = self.map_columns(batch, out) {
+            out.record_fatal(msg);
         }
     }
 }

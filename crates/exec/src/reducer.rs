@@ -13,7 +13,7 @@
 //!
 //! It does so a reduce task at a time ([`Reducer::reduce_run`]), over runs
 //! of whole key groups: each stream's rows and each op's output are one
-//! [`Batch`] per run, a segment per key group, and every operator runs once
+//! `Batch` per run, a segment per key group, and every operator runs once
 //! per run on `colexpr` kernels (DESIGN.md, "The common reducer runs a task
 //! at a time"). The key group stays the unit of every semantic: the rows
 //! emitted, their order, and the work units charged are those of reducing
@@ -32,15 +32,15 @@ use std::sync::Arc;
 
 use ysmart_mapred::{GroupView, KeyGroups, ReduceOutput, Reducer};
 use ysmart_plan::JoinKind;
-use ysmart_rel::colbatch::{Column, ColumnBatch, NULL_ROW};
+use ysmart_rel::colbatch::{Column, NULL_ROW};
 use ysmart_rel::{Expr, RelError, Row, Value};
 
 use crate::aggregate::aggregate;
 use crate::batch::{Batch, Col, Selection};
 use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, RSource};
-use crate::colexpr::{eval_column, eval_mask};
+use crate::colexpr::{predicate_mask, Columnar};
 use crate::error::ExecError;
-use crate::rowop::{project, RowOp};
+use crate::rowop::project;
 
 /// Values per run of key groups evaluated at once: a run takes whole groups
 /// until it holds this many values. Groups are independent, so where a task
@@ -123,91 +123,6 @@ impl CommonReducer {
             plain,
             blueprint,
         }
-    }
-
-    /// The expressions of this reducer that have no `colexpr` kernel at the
-    /// widths the plan declares, and so are evaluated row by row: each join
-    /// residual, transform, aggregate argument and `HAVING` is probed
-    /// against an empty batch of its input's width, as
-    /// [`crate::CommonMapper::column_path`] probes selections; a computed
-    /// stream projection is always row by row. Empty when the whole reduce
-    /// side runs on kernels.
-    #[must_use]
-    pub fn row_fallbacks(&self) -> Vec<String> {
-        let bp = &self.blueprint;
-        let probe = |width| {
-            ColumnBatch::from_cells(0, width, |_, _| unreachable!("no rows"))
-                .expect("an empty batch encodes")
-        };
-        let mut gaps: Vec<String> = (0..bp.streams.len())
-            .filter(|&s| self.tagged && self.plain[s].is_none())
-            .map(|s| format!("stream {s} projection (computed at dispatch)"))
-            .collect();
-        let mut check = |what: String, e: &Expr, width: usize, mask: bool| {
-            let batch = probe(width);
-            let kernel = if mask {
-                eval_mask(e, &batch).is_some()
-            } else {
-                eval_column(e, &batch).is_some()
-            };
-            if !kernel {
-                gaps.push(format!("{what} {e}"));
-            }
-        };
-        let mut widths: Vec<usize> = Vec::with_capacity(bp.ops.len());
-        for (o, op) in bp.ops.iter().enumerate() {
-            let width_of = |src: RSource| match src {
-                RSource::Stream(s) => bp.streams[s].projection.len(),
-                RSource::Op(o) => widths[o],
-            };
-            let input = width_of(op.inputs[0]);
-            let mut width = match &op.kind {
-                OpKind::Pass => input,
-                OpKind::Join { residual, .. } => {
-                    let width = input + width_of(op.inputs[1]);
-                    if let Some(r) = residual {
-                        check(format!("op {o} residual"), r, width, true);
-                    }
-                    width
-                }
-                OpKind::Agg {
-                    group_cols,
-                    aggs,
-                    having,
-                    merge_partials,
-                } => {
-                    for (func, arg) in aggs.iter().filter(|_| !merge_partials) {
-                        if let Some(arg) = arg {
-                            check(format!("op {o} {func} argument"), arg, input, false);
-                        }
-                    }
-                    let width = group_cols.len() + aggs.len();
-                    if let Some(h) = having {
-                        check(format!("op {o} HAVING"), h, width, true);
-                    }
-                    width
-                }
-            };
-            for t in &op.transforms {
-                match t {
-                    RowOp::Filter(p) => check(format!("op {o} filter"), p, width, true),
-                    RowOp::Project(exprs) => {
-                        for e in exprs {
-                            check(format!("op {o} projection"), e, width, false);
-                        }
-                        width = exprs.len();
-                    }
-                    RowOp::Sort(keys) => {
-                        for k in keys {
-                            check(format!("op {o} sort key"), &k.expr, width, false);
-                        }
-                    }
-                    RowOp::Limit(_) => {}
-                }
-            }
-            widths.push(width);
-        }
-        gaps
     }
 
     /// Evaluates groups `range` of `groups` as one run: dispatch, the
@@ -412,13 +327,10 @@ impl CommonReducer {
 }
 
 impl Reducer for CommonReducer {
-    fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput) {
-        self.reduce_group(key.values(), GroupView::rows(values), out);
-    }
-
     /// A run of one group.
-    fn reduce_group(&mut self, key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
-        self.reduce_run(KeyGroups::one(key, values), out);
+    fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput) {
+        let key = std::slice::from_ref(key);
+        self.reduce_run(KeyGroups::rows(key, values, &[0]), out);
     }
 
     fn reduce_run(&mut self, groups: KeyGroups<'_>, out: &mut ReduceOutput) {
@@ -468,11 +380,9 @@ fn join<'v>(
     let pairs = concat(&li, &ri, segs);
     let mask = match residual {
         None => None,
-        Some(p) => Some(
-            pairs
-                .mask(p)
-                .map_err(|e| format!("join residual failed: {e}"))?,
-        ),
+        Some(p) => {
+            Some(predicate_mask(p, &pairs).map_err(|e| format!("join residual failed: {e}"))?)
+        }
     };
     let pass = |p: usize| mask.as_ref().is_none_or(|m| m[p] == Some(true));
     let pads_left = matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter);
@@ -796,8 +706,8 @@ mod tests {
         let (mut by_group, mut by_run) = (ReduceOutput::default(), ReduceOutput::default());
         let mut r = CommonReducer::new(Arc::clone(&bp));
         let groups = KeyGroups::rows(&keys, &values, &starts);
-        for g in 0..groups.len() {
-            r.reduce_group(groups.key(g), groups.group(g), &mut by_group);
+        for (g, key) in keys.iter().enumerate() {
+            r.reduce(key, &groups.group(g).to_rows(), &mut by_group);
         }
         r.reduce_run(groups, &mut by_run);
         assert_eq!(by_run.take_fatal(), None);

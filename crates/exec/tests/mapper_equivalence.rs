@@ -1,16 +1,19 @@
-//! Equivalence of the common mapper's column path with its row path.
+//! Equivalence of the common mapper's batch body with a row-at-a-time
+//! reference.
 //!
-//! A batch whose mapper takes the column path ([`CommonMapper::column_path`])
-//! is mapped whole: visibility, tags, work and dispatch counts from the
-//! branch masks, then one `MapOutput::emit_columns` that hashes partitions
-//! from the typed key columns, writes cells a column at a time and sizes
-//! the segments as it goes. The row path is forced on the same blueprint by
-//! conjoining every selection with an always-true predicate that has no mask
-//! kernel. Over generated blueprints and batches the two must agree on
-//! everything a job's result and its simulated time are derived from: every
-//! partition's pairs (cells, key/value split, emit order), each segment's
-//! text bytes and frame size, work, per-stream dispatch counts, bad-record
-//! counts.
+//! [`reference_map`] is the common mapper one record at a time: every
+//! branch's selection by `eval_predicate`, the key by `eval`, the value
+//! carried (`Row::project` of `value_cols`) then, in direct mode, stream 0's
+//! projection evaluated over it, the Pig pad, one `MapOutput::emit` per
+//! pair. `CommonMapper::map_batch` maps a batch whole — each selection a
+//! mask, each key and value a column (a borrowed column, a kernel, or the
+//! row evaluator over the kept rows for that expression alone), one
+//! `MapOutput::emit_columns`. Over generated blueprints and batches the two
+//! must agree on everything a job's result and its simulated time are
+//! derived from: every partition's pairs (cells, key/value split, emit
+//! order), each segment's text bytes and frame size, work, per-stream
+//! dispatch counts, bad-record counts — and whether the job fails. A batch
+//! holding a row on which an expression fails emits nothing either way.
 //!
 //! `cargo test` runs a few hundred cases; CI runs the `#[ignore]`d soak in
 //! release mode (`--include-ignored`).
@@ -22,9 +25,87 @@ use rand::{Rng, SeedableRng};
 use ysmart_exec::{
     CommonMapper, EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, StreamSpec,
 };
-use ysmart_mapred::{MapOutput, Mapper};
+use ysmart_mapred::{untag_batch, MapOutput, Mapper};
 use ysmart_rel::colbatch::FrameStats;
 use ysmart_rel::{BinOp, ColumnBatch, DataType, Expr, Row, Schema, UnOp, Value};
+
+// ---- the reference ---------------------------------------------------------
+
+/// The pair one row maps to, and the streams that see it; `None` when no
+/// branch keeps the row.
+type RowPair = (Vec<usize>, Option<(Row, Row)>);
+
+/// The common-mapper body over one row.
+fn reference_row(bp: &JobBlueprint, input: &InputSpec, row: &Row) -> Result<RowPair, String> {
+    let name = &bp.name;
+    let mut forbidden: u64 = (0..bp.streams.len()).fold(0, |m, s| m | (1 << s));
+    let mut seen = Vec::new();
+    for b in &input.branches {
+        forbidden &= !(1 << b.stream);
+        let visible = match &b.predicate {
+            None => true,
+            Some(p) => p
+                .eval_predicate(row)
+                .map_err(|e| format!("predicate failed in {name}: {e}"))?,
+        };
+        if visible {
+            seen.push(b.stream);
+        } else {
+            forbidden |= 1 << b.stream;
+        }
+    }
+    if seen.is_empty() {
+        return Ok((seen, None));
+    }
+    let key = input.key_exprs.iter().map(|e| e.eval(row));
+    let key: Row = key
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("key expr failed in {name}: {e}"))?;
+    let carried = row.project(&input.value_cols);
+    let mut value: Vec<Value> = Vec::new();
+    if bp.tagged() {
+        value.push(Value::Int(forbidden as i64));
+        value.extend(carried.into_values());
+    } else {
+        for e in &bp.streams[0].projection {
+            let v = e.eval(&carried);
+            value.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
+        }
+    }
+    if bp.pad_bytes > 0 && !bp.map_only {
+        value.push(Value::Str("x".repeat(bp.pad_bytes)));
+    }
+    Ok((seen, Some((key, Row::new(value)))))
+}
+
+/// The row-at-a-time common mapper over one batch of input `input`.
+fn reference_map(bp: &JobBlueprint, input: usize, batch: &ColumnBatch, out: &mut MapOutput) {
+    let spec = &bp.inputs[input];
+    let batch = match spec.tag_filter {
+        None => batch.clone(),
+        Some(want) => untag_batch(batch, want),
+    };
+    let n = batch.num_rows();
+    if batch.num_cols() != spec.schema.len() {
+        (0..n).for_each(|_| out.record_bad());
+        return;
+    }
+    let pairs = (0..n).map(|r| reference_row(bp, spec, &batch.row(r)));
+    match pairs.collect::<Result<Vec<_>, _>>() {
+        Err(msg) => out.record_fatal(msg),
+        Ok(pairs) => {
+            out.add_work(n as u64 * (spec.branches.len() as u64 - 1));
+            for (seen, pair) in pairs {
+                seen.into_iter().for_each(|s| out.record_dispatch(s));
+                if let Some((key, value)) = pair {
+                    out.emit(key, value);
+                }
+            }
+        }
+    }
+}
+
+// ---- the generator ---------------------------------------------------------
 
 /// What a generated input column holds.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -37,6 +118,12 @@ enum Ty {
     Num,
     Str,
     Bool,
+}
+
+impl Ty {
+    fn numeric(self) -> bool {
+        matches!(self, Ty::Int | Ty::Float | Ty::Num)
+    }
 }
 
 struct Gen(StdRng);
@@ -107,30 +194,69 @@ impl Gen {
         }
     }
 
-    /// A duplicate-free selection of `0..n`, in random order.
-    fn distinct(&mut self, n: usize, len: usize) -> Vec<usize> {
-        let mut all: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            all.swap(i, self.below(i + 1));
+    /// A column of `types` for arithmetic: a numeric one where there is one
+    /// (a non-numeric operand fails on every non-NULL row).
+    fn operand(&mut self, types: &[Ty]) -> Expr {
+        let numeric: Vec<usize> = (0..types.len()).filter(|&c| types[c].numeric()).collect();
+        if numeric.is_empty() || self.chance(0.05) {
+            Expr::col(self.below(types.len()))
+        } else {
+            Expr::col(self.pick(&numeric))
         }
-        all.truncate(len);
-        all
     }
-}
 
-/// Always true, and without a mask kernel (arithmetic): conjoined with a
-/// selection it changes nothing but the path a batch takes.
-fn no_kernel_true() -> Expr {
-    let one = Expr::binary(BinOp::Add, Expr::lit(1i64), Expr::lit(0i64));
-    Expr::binary(BinOp::Eq, one, Expr::lit(1i64))
+    /// A value over columns of `types`: mostly a plain column, else a
+    /// literal, arithmetic (a kernel), a comparison (a mask kernel, read as
+    /// a `Bool` column), or a comparison or null test over arithmetic (no
+    /// kernel: the row evaluator). `risky` is a divisor column — `7 / #risky`
+    /// fails where it is zero.
+    fn value_expr(&mut self, types: &[Ty], risky: Option<usize>) -> Expr {
+        if types.is_empty() {
+            return Expr::lit(self.value(Ty::Int));
+        }
+        if let Some(d) = risky.filter(|_| self.chance(0.3)) {
+            return Expr::binary(BinOp::Div, Expr::lit(7i64), Expr::col(d));
+        }
+        let arith = |g: &mut Gen| {
+            let op = g.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul]);
+            let rhs = if g.chance(0.5) {
+                g.operand(types)
+            } else {
+                Expr::lit(g.pick(&[Value::Int(3), Value::Float(0.5), Value::Null]))
+            };
+            Expr::binary(op, g.operand(types), rhs)
+        };
+        match self.below(11) {
+            0 => Expr::lit(self.value(Ty::Int)),
+            1 => arith(self),
+            2 => Expr::Unary {
+                op: UnOp::Neg,
+                operand: Box::new(self.operand(types)),
+            },
+            3 => self.predicate(types, 1),
+            4 => Expr::binary(BinOp::Gt, arith(self), Expr::lit(1i64)),
+            5 => Expr::Unary {
+                op: self.pick(&[UnOp::IsNull, UnOp::IsNotNull]),
+                operand: Box::new(arith(self)),
+            },
+            _ => Expr::col(self.below(types.len())),
+        }
+    }
+
+    /// A predicate without a mask kernel: arithmetic under a comparison.
+    fn kernel_less_predicate(&mut self, types: &[Ty]) -> Expr {
+        let sum = Expr::binary(BinOp::Add, self.operand(types), Expr::lit(1i64));
+        Expr::binary(BinOp::Gt, sum, Expr::lit(1i64))
+    }
 }
 
 struct Case {
     bp: JobBlueprint,
     /// Types of input 0's columns.
     types: Vec<Ty>,
-    /// Whether input 0's mapper should take the column path.
-    columnar: bool,
+    /// The column every branch requires non-zero, when a key or the
+    /// projection divides by it: the division never fails on a kept row.
+    guard: Option<usize>,
 }
 
 fn gen_case(g: &mut Gen) -> Case {
@@ -145,49 +271,62 @@ fn gen_case(g: &mut Gen) -> Case {
         vec![0]
     } else {
         let n = 1 + g.below(nstreams.min(3));
-        g.distinct(nstreams, n)
+        let mut all: Vec<usize> = (0..nstreams).collect();
+        for i in (1..nstreams).rev() {
+            all.swap(i, g.below(i + 1));
+        }
+        all.truncate(n);
+        all
     };
-    let mut columnar = true;
+    // A guarded case divides by a numeric column every branch requires
+    // non-zero; an unguarded one now and then divides by any numeric
+    // column, and then fails where a kept row holds a zero.
+    let numeric: Vec<usize> = (0..width).filter(|&c| types[c].numeric()).collect();
+    let guard = (!numeric.is_empty() && g.chance(0.3)).then(|| g.pick(&numeric));
+    let divisor = match guard {
+        Some(d) => Some(d),
+        None if !numeric.is_empty() && g.chance(0.1) => Some(g.pick(&numeric)),
+        None => None,
+    };
     let branches = mine
         .iter()
-        .map(|&stream| MapBranch {
-            stream,
-            predicate: match g.below(10) {
+        .map(|&stream| {
+            let predicate = match g.below(10) {
                 0..=2 => None,
-                3 => {
-                    columnar = false;
-                    Some(Expr::binary(
-                        BinOp::Gt,
-                        Expr::binary(BinOp::Add, Expr::col(g.below(width)), Expr::lit(1i64)),
-                        Expr::lit(1i64),
-                    ))
-                }
+                3 => Some(g.kernel_less_predicate(&types)),
                 _ => Some(g.predicate(&types, 2)),
-            },
+            };
+            let predicate = match guard {
+                None => predicate,
+                Some(d) => {
+                    let nonzero = Expr::binary(BinOp::NotEq, Expr::col(d), Expr::lit(0i64));
+                    Some(predicate.map_or(nonzero.clone(), |p| nonzero.and(p)))
+                }
+            };
+            MapBranch { stream, predicate }
         })
         .collect();
-    let key_exprs = (0..g.below(3)).map(|_| Expr::col(g.below(width))).collect();
-    let value_cols = {
-        let n = g.below(width + 1);
-        g.distinct(width, n)
-    };
+    let key_exprs: Vec<Expr> = (0..g.below(3))
+        .map(|_| g.value_expr(&types, divisor))
+        .collect();
+    // Carried columns, duplicates now and then (tagged mode carries them as
+    // they are; direct mode projects from them).
+    let value_cols: Vec<usize> = (0..g.below(width + 2)).map(|_| g.below(width)).collect();
     let map_only = direct && g.chance(0.3);
-    // Direct mode carries stream 0's projection: plain columns of the
-    // carried row, or now and then a computed one (the row path's).
-    let projection: Vec<Expr> = if direct && !value_cols.is_empty() && g.chance(0.1) {
-        columnar = false;
-        vec![Expr::binary(BinOp::Mul, Expr::col(0), Expr::lit(1i64))]
-    } else {
-        let n = g.below(value_cols.len() + 1);
-        g.distinct(value_cols.len(), n)
-            .into_iter()
-            .map(Expr::col)
+    // Direct mode applies stream 0's projection map-side, over the carried
+    // row: its divisor is the guard's position there, if it is carried.
+    let projection: Vec<Expr> = if direct {
+        let carried: Vec<Ty> = value_cols.iter().map(|&c| types[c]).collect();
+        let divisor = divisor.and_then(|d| value_cols.iter().position(|&c| c == d));
+        (0..g.below(4))
+            .map(|_| g.value_expr(&carried, divisor))
             .collect()
+    } else {
+        vec![]
     };
-    let pad_bytes = if g.chance(0.1) { 3 } else { 0 };
-    if pad_bytes > 0 && !map_only {
-        columnar = false;
-    }
+    let divides = |e: &Expr| matches!(e, Expr::Binary { op: BinOp::Div, .. });
+    let guard = guard.filter(|_| key_exprs.iter().chain(&projection).any(divides));
+    let pad_bytes = if g.chance(0.15) { 3 } else { 0 };
     let schema = |name: &str, n: usize| {
         let cols: Vec<String> = (0..n).map(|c| format!("c{c}")).collect();
         let fields: Vec<(&str, DataType)> =
@@ -251,24 +390,7 @@ fn gen_case(g: &mut Gen) -> Case {
         key_cardinality: None,
     };
     bp.validate().expect("generated blueprints are consistent");
-    Case {
-        bp,
-        types,
-        columnar,
-    }
-}
-
-/// The blueprint with every selection of input 0 conjoined with
-/// [`no_kernel_true`]: the same pairs, through `map_record` row by row.
-fn forced_row_path(bp: &JobBlueprint) -> JobBlueprint {
-    let mut bp = bp.clone();
-    for b in &mut bp.inputs[0].branches {
-        b.predicate = Some(match b.predicate.take() {
-            Some(p) => p.and(no_kernel_true()),
-            None => no_kernel_true(),
-        });
-    }
-    bp
+    Case { bp, types, guard }
 }
 
 /// One batch of input 0: 0–40 rows of its column types behind a leading tag
@@ -293,28 +415,26 @@ fn gen_batch(g: &mut Gen, case: &Case) -> ColumnBatch {
 
 /// Everything the contract covers, rendered so that `Int(7)` and
 /// `Float(7.0)` (equal as `Value`s) still differ: per partition its pairs
-/// and its segment's sizes, then work, dispatch counts, bad records, fatal.
-type Observed = (
-    Vec<(String, (u64, Option<FrameStats>))>,
-    u64,
-    Vec<u64>,
-    u64,
-    Option<String>,
-);
+/// and its segment's sizes, then work, dispatch counts, bad records.
+type Observed = (Vec<(String, (u64, Option<FrameStats>))>, u64, Vec<u64>, u64);
 
-fn observed(mut out: MapOutput, partitions: usize) -> Observed {
+/// What a mapper run observed, or the job's failure.
+fn observed(mut out: MapOutput, partitions: usize) -> Result<Observed, String> {
+    if let Some(fatal) = out.take_fatal() {
+        return Err(fatal);
+    }
     let parts = (0..partitions)
         .map(|p| {
             let pairs: Vec<(&[Value], &[Value])> = out.pairs(p).collect();
             (format!("{pairs:?}"), out.segment_size(p))
         })
         .collect();
-    let (dispatches, fatal) = (out.take_dispatches(), out.take_fatal());
-    (parts, out.work(), dispatches, out.bad_records(), fatal)
+    let dispatches = out.take_dispatches();
+    Ok((parts, out.work(), dispatches, out.bad_records()))
 }
 
 fn check_equivalence(cases: u64) {
-    let mut column_cases = 0;
+    let (mut emitted, mut failed, mut dodged, mut fallbacks) = (0, 0, 0, 0);
     for seed in 0..cases {
         let mut g = Gen(StdRng::seed_from_u64(0x3A99_0000 + seed));
         let case = gen_case(&mut g);
@@ -323,42 +443,56 @@ fn check_equivalence(cases: u64) {
             .collect();
         let partitions = 1 + g.below(8);
         let reserve = g.chance(0.5);
-        let run = |bp: JobBlueprint| {
-            let mut mapper = CommonMapper::new(Arc::new(bp), 0);
+        let run = |map: &mut dyn FnMut(&ColumnBatch, &mut MapOutput)| {
             let mut out = MapOutput::partitioned(partitions);
             for batch in &batches {
                 if reserve {
                     out.reserve(batch.num_rows());
                 }
-                mapper.map_batch(batch, &mut out);
+                map(batch, &mut out);
             }
-            (mapper.column_path(), observed(out, partitions))
+            observed(out, partitions)
         };
-        let (columnar, by_columns) = run(case.bp.clone());
-        let (forced, by_rows) = run(forced_row_path(&case.bp));
-        assert_eq!(
-            columnar, case.columnar,
-            "seed {seed}: which path\n{:#?}",
-            case.bp
-        );
-        assert!(!forced, "seed {seed}: the row path is forced");
-        assert_eq!(
-            by_columns, by_rows,
-            "seed {seed}, {partitions} partitions\n{:#?}\n{batches:?}",
-            case.bp
-        );
-        column_cases += u64::from(columnar);
+        let mut mapper = CommonMapper::new(Arc::new(case.bp.clone()), 0);
+        let by_batch = run(&mut |b, out| mapper.map_batch(b, out));
+        let by_row = run(&mut |b, out| reference_map(&case.bp, 0, b, out));
+        let context = || format!("seed {seed}, {partitions} partitions\n{:#?}", case.bp);
+        match (&by_batch, &by_row) {
+            (Err(fatal), Err(_)) => {
+                let class = ["predicate", "key expr", "projection"];
+                let class = class.map(|c| format!("{c} failed in eq: "));
+                assert!(class.iter().any(|c| fatal.starts_with(c)), "{fatal}");
+                failed += 1;
+            }
+            _ => assert_eq!(by_batch, by_row, "{}\n{batches:?}", context()),
+        }
+        if let Ok((parts, ..)) = &by_batch {
+            emitted += u64::from(parts.iter().any(|(pairs, _)| pairs != "[]"));
+            fallbacks += u64::from(!case.bp.row_fallbacks().is_empty());
+            // A zero divisor on a row no branch keeps: evaluated over every
+            // row, the division would have failed the job.
+            let zero = |v: Value| v.as_float() == Some(0.0);
+            let tag = usize::from(case.bp.inputs[0].tag_filter.is_some());
+            let dropped_zero = case.guard.is_some_and(|d| {
+                let rows = batches.iter().flat_map(ColumnBatch::to_rows);
+                rows.filter(|r| r.len() == case.types.len() + tag)
+                    .any(|r| zero(r.values()[tag + d].clone()))
+            });
+            dodged += u64::from(dropped_zero);
+        }
     }
-    // The generator mostly draws column-path mappers; a sweep that mostly
-    // compares the row path with itself is not testing anything.
+    // A sweep that compares nothing, or never reaches a shape, is not
+    // testing it.
+    let share = |n: u64| n * 100 / cases;
     assert!(
-        column_cases * 2 >= cases,
-        "{column_cases} of {cases} on the column path"
+        share(emitted) >= 50 && share(failed) >= 3 && share(dodged) >= 5 && share(fallbacks) >= 20,
+        "of {cases}: {emitted} emitted, {failed} failed, {dodged} dodged a zero divisor, \
+         {fallbacks} with a row fallback"
     );
 }
 
 #[test]
-fn column_path_matches_row_path() {
+fn batch_body_matches_row_reference() {
     check_equivalence(400);
 }
 
@@ -366,6 +500,6 @@ fn column_path_matches_row_path() {
 /// mapper_equivalence -- --include-ignored`.
 #[test]
 #[ignore = "raised case count; run in release"]
-fn column_path_matches_row_path_soak() {
+fn batch_body_matches_row_reference_soak() {
     check_equivalence(50_000);
 }

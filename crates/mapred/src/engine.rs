@@ -11,8 +11,8 @@
 //!   the reduce tasks, k-way merges and reduces them, and writes the
 //!   output — on real OS threads
 //!   ([`crate::config::ClusterConfig::exec_threads`]). Besides the
-//!   runs/outputs it returns *physical counts* ([`MapCounts`],
-//!   [`SegmentCounts`], [`ReduceCounts`]): bytes, records, work units,
+//!   runs/outputs it returns *physical counts* (`MapCounts`,
+//!   `SegmentCounts`, `ReduceCounts`): bytes, records, work units,
 //!   corrupt replicas, corrupt fetches — never a duration.
 //! * **`cost`** — the cost plane: counts in, seconds out. A deterministic
 //!   function of the counts, the [`ClusterConfig`] and the attempt's seeds
@@ -43,7 +43,7 @@
 //! | stream | owner | seed |
 //! |---|---|---|
 //! | block/frame replica flips ([`crate::hdfs::read_verified`]) | `data` | `corruption.seed ^ checksum(path) ^ block ^ replica ^ attempt` |
-//! | torn input records | `data` | [`JobCtx::task_seed`]`(corruption.seed ^ 0x0BAD_5EED, task)` |
+//! | torn input records | `data` | `JobCtx::task_seed(corruption.seed ^ 0x0BAD_5EED, task)` |
 //! | shuffle-segment flips and re-fetch outcomes | `data` | `task_seed(corruption.seed, task) ^ partition` |
 //! | map stragglers | `cost` | `task_seed(stragglers.seed, task)` |
 //! | map task failures | `cost` | `task_seed(failures.seed, task)` |

@@ -451,8 +451,9 @@ fn run_map_task(
             user_fatal = combiner.take_error();
         }
     }
-    // Arenas the column path wrote were sized as they were written; the rest
-    // (the row path's, a combiner's) are read once here, still in cache.
+    // Arenas `emit_columns` wrote were sized as they were written; the rest
+    // (written a pair at a time, or by a combiner) are read once here, still
+    // in cache.
     let framed = shuffle_to.is_some() && job.cfg.data_format == DataFormat::Columnar;
     for (_, seg) in &mut runs {
         seg.text_bytes = seg.pairs.text_bytes();
@@ -832,7 +833,7 @@ mod tests {
     /// are `rel`'s `frame_stats_match_real_encoding` and
     /// `frame_stats_ignore_row_order` properties): a segment is read as
     /// `key ⧺ value` rows wherever each pair splits, the sizer — reading
-    /// emit order, or sizing as the column path wrote — agrees with the real
+    /// emit order, or sizing as `emit_columns` wrote — agrees with the real
     /// frame — carrying sorted order —, and empty or width-mixed segments
     /// have neither.
     #[test]

@@ -18,7 +18,7 @@
 //! groups at once as [`KeyGroups`]. The row-shaped entry points —
 //! [`MapOutput::emit`], [`Reducer::reduce`], [`Combiner::combine`] — remain
 //! what hand-written jobs implement; the cell-shaped ones default to them
-//! (`reduce_run` to `reduce_group`, group by group). A mapper holding a
+//! (`reduce_run` to `reduce`, group by group). A mapper holding a
 //! column batch emits it whole through [`MapOutput::emit_columns`], which
 //! writes the same pairs a column at a time and sizes their segments as it
 //! goes.
@@ -356,7 +356,7 @@ impl<'a> GroupView<'a> {
     }
 
     /// The values copied out as rows — the adaptor behind the default
-    /// [`Reducer::reduce_group`] and [`Combiner::combine_group`].
+    /// [`Reducer::reduce_run`] and [`Combiner::combine_group`].
     #[must_use]
     pub fn to_rows(self) -> Vec<Row> {
         self.iter().map(|v| Row::new(v.to_vec())).collect()
@@ -378,8 +378,6 @@ pub struct KeyGroups<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum Keys<'a> {
-    /// The single group's key.
-    One(&'a [Value]),
     /// One key row per group.
     Rows(&'a [Row]),
     /// A group's key is that of the pair behind its first value.
@@ -387,16 +385,6 @@ enum Keys<'a> {
 }
 
 impl<'a> KeyGroups<'a> {
-    /// A run of one group.
-    #[must_use]
-    pub fn one(key: &'a [Value], values: GroupView<'a>) -> Self {
-        KeyGroups {
-            values,
-            starts: &[0],
-            keys: Keys::One(key),
-        }
-    }
-
     /// Groups of whole rows: group `g` has key `keys[g]` and the values
     /// `values[starts[g]..starts[g + 1]]` (the last to the end). A group may
     /// be empty.
@@ -472,10 +460,6 @@ impl<'a> KeyGroups<'a> {
     #[must_use]
     pub fn key(&self, g: usize) -> &'a [Value] {
         match self.keys {
-            Keys::One(key) => {
-                assert_eq!(g, 0, "a run of one group");
-                key
-            }
             Keys::Rows(keys) => keys[g].values(),
             Keys::Pairs => {
                 let first = self.starts[g] as usize;
@@ -986,21 +970,16 @@ pub trait Reducer {
     /// Processes one key group.
     fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput);
 
-    /// Processes one key group where it lies in the shuffle — the entry
-    /// point the engine calls. The default copies the group into rows and
-    /// feeds [`Reducer::reduce`], so every row-oriented reducer works
-    /// unchanged; reducers that read cells in place override it.
-    fn reduce_group(&mut self, key: &[Value], values: GroupView<'_>, out: &mut ReduceOutput) {
-        self.reduce(&Row::new(key.to_vec()), &values.to_rows(), out);
-    }
-
-    /// Processes every key group of one reduce task, in order — the entry
-    /// point the engine calls, once per task. The default feeds each group
-    /// to [`Reducer::reduce_group`]; a reducer that works a task at a time
-    /// overrides it, and must emit what that would.
+    /// Processes every key group of one reduce task, in order, where the
+    /// groups lie in the shuffle — the entry point the engine calls, once
+    /// per task. The default copies each group into rows and feeds
+    /// [`Reducer::reduce`], so every row-oriented reducer works unchanged; a
+    /// reducer that reads cells in place overrides it, and must emit what
+    /// that would.
     fn reduce_run(&mut self, groups: KeyGroups<'_>, out: &mut ReduceOutput) {
         for g in 0..groups.len() {
-            self.reduce_group(groups.key(g), groups.group(g), out);
+            let key = Row::new(groups.key(g).to_vec());
+            self.reduce(&key, &groups.group(g).to_rows(), out);
         }
     }
 }
@@ -1014,7 +993,7 @@ pub trait Combiner {
 
     /// Combines one key group where it lies in the map task's sorted run —
     /// the entry point the engine calls; defaults to [`Combiner::combine`]
-    /// over a copy, like [`Reducer::reduce_group`].
+    /// over a copy, like [`Reducer::reduce_run`].
     fn combine_group(&mut self, key: &[Value], values: GroupView<'_>) -> Vec<Row> {
         self.combine(&Row::new(key.to_vec()), &values.to_rows())
     }

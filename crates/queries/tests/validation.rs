@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use ysmart_core::{Strategy, YSmart};
 use ysmart_datagen::{ClicksSpec, TpchSpec};
-use ysmart_exec::{CommonMapper, CommonReducer};
+use ysmart_exec::CommonMapper;
 use ysmart_mapred::{ClusterConfig, DataFormat, MapOutput, Mapper};
 use ysmart_queries::{
     clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads, Workload,
@@ -126,59 +126,17 @@ fn job_counts(w: &Workload) -> BTreeMap<Strategy, usize> {
     out
 }
 
-/// The benchmark's query suite — Q17, Q18, Q21, Q-CSA, Q-AGG as merged
-/// (YSmart) and as one-op-one-job (Hive) jobs — maps every batch on the
-/// column path (`CommonMapper::column_path`): plain key and value columns,
-/// mask kernels for every selection, no pad. A planner change that leaves a
-/// computed key or a kernel-less predicate in one of these jobs fails here,
-/// rather than silently sending its rows back through `map_record`.
+/// The benchmark's query suite — Q17, Q18, Q21, Q-CSA, Q-AGG, and Q3 (the
+/// serve stream's fourth shape), as merged (YSmart) and as one-op-one-job
+/// (Hive) jobs — runs on `colexpr` kernels on both sides
+/// (`JobBlueprint::row_fallbacks`): every selection, key and emitted value
+/// of every mapper, and every join residual, transform, aggregate argument
+/// and `HAVING` of every reducer, has one, so no row of these queries is
+/// evaluated by the row fallback. A planner change that leaves a
+/// kernel-less expression in one of these jobs fails here, not silently in
+/// perfbench.
 #[test]
-fn dss_suite_maps_on_the_column_path() {
-    let mut workloads = tpch_workloads(&TpchSpec {
-        scale: 0.05,
-        seed: 4,
-    });
-    workloads.extend(clicks_workloads(&ClicksSpec {
-        users: 8,
-        clicks_per_user: 12,
-        seed: 4,
-        ..ClicksSpec::default()
-    }));
-    let suite = ["q17", "q18", "q21", "q-csa", "q-agg"];
-    workloads.retain(|w| suite.contains(&w.name));
-    assert_eq!(workloads.len(), suite.len());
-    let config = ClusterConfig {
-        data_format: DataFormat::Columnar,
-        ..ClusterConfig::default()
-    };
-    for w in &workloads {
-        for strategy in [Strategy::YSmart, Strategy::Hive] {
-            let mut engine = YSmart::new(w.catalog.clone(), config.clone());
-            w.load_into(&mut engine).unwrap();
-            let t = engine.translate_tagged(&w.sql, strategy, "cov").unwrap();
-            for bp in t.blueprints {
-                let bp = Arc::new(bp);
-                for idx in 0..bp.inputs.len() {
-                    let mapper = CommonMapper::new(Arc::clone(&bp), idx);
-                    assert!(
-                        mapper.column_path(),
-                        "{} under {strategy}: job {} input {idx} maps row by row\n{:#?}",
-                        w.name,
-                        bp.name,
-                        bp.inputs[idx]
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The reduce side of the same suite, plus Q3 (the serve stream's fourth
-/// shape), evaluates on `colexpr` kernels (`CommonReducer::row_fallbacks`):
-/// every join residual, transform, aggregate argument and `HAVING` of every
-/// job has one, so no row of these queries is reduced by the row fallback.
-#[test]
-fn dss_suite_reduces_on_kernels() {
+fn dss_suite_runs_on_kernels() {
     let mut workloads = tpch_workloads(&TpchSpec {
         scale: 0.05,
         seed: 4,
@@ -192,25 +150,29 @@ fn dss_suite_reduces_on_kernels() {
     let suite = ["q17", "q18", "q21", "q-csa", "q-agg", "q3"];
     workloads.retain(|w| suite.contains(&w.name));
     assert_eq!(workloads.len(), suite.len());
-    let mut reducers = 0;
+    let (mut mappers, mut reducers) = (0, 0);
     for w in &workloads {
         for strategy in [Strategy::YSmart, Strategy::Hive] {
             let mut engine = YSmart::new(w.catalog.clone(), ClusterConfig::default());
             w.load_into(&mut engine).unwrap();
             let t = engine.translate_tagged(&w.sql, strategy, "cov").unwrap();
-            for bp in t.blueprints.into_iter().filter(|bp| !bp.map_only) {
-                let gaps = CommonReducer::new(Arc::new(bp.clone())).row_fallbacks();
+            for bp in &t.blueprints {
+                let gaps = bp.row_fallbacks();
                 assert!(
                     gaps.is_empty(),
-                    "{} under {strategy}: job {} reduces row by row: {gaps:?}",
+                    "{} under {strategy}: job {} evaluates row by row: {gaps:?}",
                     w.name,
                     bp.name
                 );
-                reducers += 1;
+                mappers += bp.inputs.len();
+                reducers += usize::from(!bp.map_only);
             }
         }
     }
-    assert!(reducers >= 40, "only {reducers} reducers probed");
+    assert!(
+        mappers >= 40 && reducers >= 40,
+        "only {mappers} mappers and {reducers} reducers probed"
+    );
 }
 
 /// Everything observable about one mapper run.

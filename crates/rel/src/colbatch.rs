@@ -21,7 +21,7 @@
 //! column chunks, back to back (no padding)
 //! ```
 //!
-//! All integers are little-endian. [`decode_frame`] verifies the header
+//! All integers are little-endian. [`ColumnBatch::decode_frame`] verifies the header
 //! checksum, every chunk checksum, exact frame length, UTF-8 of dictionary
 //! entries, and rejects non-finite floats — the same contract the text
 //! codec's `decode_field` enforces, so corrupted bytes can never smuggle a

@@ -95,11 +95,11 @@ impl fmt::Display for UnOp {
     }
 }
 
-/// Anything an expression can read columns from: an owned [`Row`], a
-/// borrowed slice of values, or two of those side by side. The evaluator is
-/// written against this, so executors evaluate over views of rows they have
-/// not built (a join pair before it is concatenated, a window into a
-/// shuffled value) instead of materialising a `Row` first.
+/// Anything an expression can read columns from: an owned [`Row`] or a
+/// borrowed slice of values. The evaluator is written against this, so an
+/// executor evaluates over cells where the shuffle holds them — a value the
+/// combiner folds, a tagged value's carried columns at dispatch — instead
+/// of materialising a `Row` first.
 pub trait Columns {
     /// The value at column `i`, `None` past the end.
     fn col(&self, i: usize) -> Option<&Value>;
@@ -147,21 +147,6 @@ impl<C: Columns + ?Sized> Columns for &C {
 
     fn width(&self) -> usize {
         (**self).width()
-    }
-}
-
-/// Two column sources side by side: the right one's columns follow the
-/// left one's, as in the concatenated row of a join pair.
-impl<L: Columns, R: Columns> Columns for (L, R) {
-    fn col(&self, i: usize) -> Option<&Value> {
-        match i.checked_sub(self.0.width()) {
-            None => self.0.col(i),
-            Some(j) => self.1.col(j),
-        }
-    }
-
-    fn width(&self) -> usize {
-        self.0.width() + self.1.width()
     }
 }
 
@@ -576,43 +561,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_pair_of_slices_evaluates_like_the_concatenated_row() {
-        let (l, r) = (row![1i64, "x"], row![2.5f64, Value::Null, "x"]);
-        let joined = l.concat(&r);
-        let pair = (l.values(), r.values());
-        assert_eq!(pair.width(), 5);
-        let exprs = [
-            Expr::binary(BinOp::Add, Expr::col(0), Expr::col(2)),
-            Expr::col(1).eq(Expr::col(4)),
-            Expr::col(0).eq(Expr::col(3)), // NULL: unknown
-            Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(2))
-                .and(Expr::col(1).eq(Expr::lit("x"))),
-            Expr::col(4),
-        ];
-        for e in exprs {
-            assert_eq!(
-                e.eval_on(&pair).unwrap().into_owned(),
-                e.eval(&joined).unwrap(),
-                "{e}"
-            );
-            assert_eq!(
-                e.eval_predicate(&pair).unwrap(),
-                e.eval_predicate(&joined).unwrap(),
-                "{e}"
-            );
-        }
-        // Past the end: the same error the built row gives.
-        assert_eq!(
-            Expr::col(5).eval_on(&pair).unwrap_err(),
-            Expr::col(5).eval(&joined).unwrap_err()
-        );
-        assert_eq!(
-            Expr::col(5).eq(Expr::lit(1i64)).eval_predicate(&pair),
-            Err(RelError::ColumnOutOfBounds { index: 5, width: 5 })
-        );
     }
 
     #[test]
