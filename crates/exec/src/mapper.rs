@@ -39,7 +39,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper};
-use ysmart_rel::codec::{decode_line, decode_line_projected};
+use ysmart_rel::codec::decode_line_projected;
 use ysmart_rel::colbatch::{Column, ColumnBatch};
 use ysmart_rel::{Expr, RelError, Row, Value};
 
@@ -55,9 +55,13 @@ pub struct CommonMapper {
     /// Bits of streams not fed by this input — always forbidden.
     foreign_mask: u64,
     /// Per input column: whether any predicate, key expression or carried
-    /// value reads it. `None` when every column is needed. Unneeded fields
-    /// are skipped at decode time (left NULL) — a scan-side projection.
-    needed_cols: Option<Vec<bool>>,
+    /// value reads it. Unneeded fields are skipped at decode time (left
+    /// NULL) — a scan-side projection.
+    needed_cols: Vec<bool>,
+    /// The key and value cells of the pair `map_record` is building, reused
+    /// for every record; [`MapOutput::emit_cells`] leaves them empty.
+    key: Vec<Value>,
+    value: Vec<Value>,
     /// The value after the tag, over the input's columns (tagged mode: its
     /// carried columns; direct and map-only modes: stream 0's projection).
     values: Vec<Expr>,
@@ -83,9 +87,9 @@ impl CommonMapper {
             (1 << blueprint.streams.len()) - 1
         };
         let width = input.schema.len();
-        let mut needed = vec![false; width];
+        let mut needed_cols = vec![false; width];
         let mut mark = |c: usize| {
-            if let Some(slot) = needed.get_mut(c) {
+            if let Some(slot) = needed_cols.get_mut(c) {
                 *slot = true;
             }
         };
@@ -102,11 +106,6 @@ impl CommonMapper {
         for &c in &input.value_cols {
             mark(c);
         }
-        let needed_cols = if needed.iter().all(|&n| n) {
-            None
-        } else {
-            Some(needed)
-        };
         let values = blueprint.map_values(input_idx);
         let value_move = values
             .iter()
@@ -128,6 +127,8 @@ impl CommonMapper {
             input_idx,
             tagged,
             needed_cols,
+            key: Vec::new(),
+            value: Vec::new(),
             values,
             value_move,
             pad,
@@ -137,7 +138,7 @@ impl CommonMapper {
     /// The common-mapper body (§VI-A) over one decoded text line: evaluate
     /// every branch's selection, then emit at most one pair. `Err` is a
     /// planner bug's message for [`MapOutput::record_fatal`].
-    fn map_record(&self, row: Row, out: &mut MapOutput) -> Result<(), String> {
+    fn map_record(&mut self, row: Row, out: &mut MapOutput) -> Result<(), String> {
         let input = &self.blueprint.inputs[self.input_idx];
         let name = &self.blueprint.name;
         // Charge one work unit per branch beyond the first (the shared-scan
@@ -162,36 +163,35 @@ impl CommonMapper {
         if !any {
             return Ok(());
         }
-        // The pair's cells go straight into the output's arena — no `Vec`
-        // per key or value; on `Err` the writer drops and rolls them back.
-        let mut pair = out.begin();
+        // The pair is staged in the reused buffers and emitted only once
+        // every expression evaluated: a failing one leaves nothing behind.
+        let (key, value) = (&mut self.key, &mut self.value);
+        key.clear();
+        value.clear();
         for e in &input.key_exprs {
             let v = e.eval(&row);
-            pair.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
+            key.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
         }
-        let mut pair = pair.value();
         if self.tagged {
-            pair.push(Value::Int(forbidden as i64));
+            value.push(Value::Int(forbidden as i64));
         }
         match &self.value_move {
             Some(cols) => {
                 let mut raw = row.into_values();
-                pair.extend(
-                    cols.iter()
-                        .map(|&c| std::mem::replace(&mut raw[c], Value::Null)),
-                );
+                let moved = cols
+                    .iter()
+                    .map(|&c| std::mem::replace(&mut raw[c], Value::Null));
+                value.extend(moved);
             }
             None => {
                 for e in &self.values {
                     let v = e.eval(&row);
-                    pair.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
+                    value.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
                 }
             }
         }
-        if let Some(pad) = &self.pad {
-            pair.push(pad.clone());
-        }
-        pair.finish();
+        value.extend(self.pad.clone());
+        out.emit_cells(key, value);
         Ok(())
     }
 
@@ -267,11 +267,7 @@ impl Mapper for CommonMapper {
         let Some(payload) = untag_line(line, input.tag_filter) else {
             return;
         };
-        let row = match &self.needed_cols {
-            Some(needed) => decode_line_projected(payload, &input.schema, needed),
-            None => decode_line(payload, &input.schema),
-        };
-        match row {
+        match decode_line_projected(payload, &input.schema, &self.needed_cols) {
             Ok(row) => {
                 if let Err(msg) = self.map_record(row, out) {
                     out.record_fatal(msg);
@@ -518,6 +514,51 @@ mod tests {
         let (col_keys, col_values) = col_out.into_columns();
         assert_eq!(text_keys, col_keys);
         assert_eq!(text_values, col_values);
+    }
+
+    #[test]
+    fn text_and_batch_paths_charge_segments_alike() {
+        // Text lines reach the arenas a pair at a time, batches a column at
+        // a time: every partition's segment is charged the same text bytes
+        // and the same frame either way.
+        let bp = blueprint(
+            vec![
+                MapBranch {
+                    stream: 0,
+                    predicate: Some(Expr::binary(BinOp::Gt, Expr::col(1), Expr::lit(10i64))),
+                },
+                MapBranch {
+                    stream: 1,
+                    predicate: None,
+                },
+            ],
+            2,
+        );
+        let rows: Vec<Row> = (0..24i64)
+            .map(|k| {
+                let v = if k % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(k * 7 % 30)
+                };
+                Row::new(vec![Value::Int(k % 9), v])
+            })
+            .collect();
+        let mut text_out = MapOutput::partitioned(3);
+        let mut m = CommonMapper::new(Arc::clone(&bp), 0);
+        for r in &rows {
+            m.map(&ysmart_rel::codec::encode_line(r), &mut text_out);
+        }
+        let mut col_out = MapOutput::partitioned(3);
+        let mut m = CommonMapper::new(bp, 0);
+        let batch = ysmart_rel::ColumnBatch::from_rows(&rows).unwrap();
+        m.map_batch(&batch, &mut col_out);
+        assert_eq!(text_out.len(), rows.len());
+        for p in 0..3 {
+            let size = text_out.segment_size(p);
+            assert!(size.0 > 0 && size.1.is_some(), "partition {p}: {size:?}");
+            assert_eq!(size, col_out.segment_size(p), "partition {p}");
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Cluster {
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
         Cluster {
-            hdfs: Hdfs::with_nodes(config.nodes.max(1)),
+            hdfs: Hdfs::new(),
             config,
             trace: None,
         }
@@ -99,12 +99,6 @@ impl Cluster {
     /// tracing off (the default) no trace work happens at all.
     pub fn enable_tracing(&mut self) {
         self.trace.get_or_insert_with(Trace::new);
-    }
-
-    /// Whether a trace is being recorded.
-    #[must_use]
-    pub fn tracing(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// The trace recorded so far, for in-place inspection or cursor moves.

@@ -66,17 +66,16 @@ pub(super) struct MapTask<'a> {
 /// carries each key's [`crate::norm`] encoding (indexed like `pairs`) so the
 /// sort, the shuffle merge and key grouping compare key bytes, touching
 /// value cells only on key ties. A map-only task's pseudo-segment has
-/// neither: it is written out in emit order. The map task also records the
-/// segment's sizes — taken as the arena was written, or read while it is
-/// still cache-resident: `text_bytes` in the text framing (key, tab, value,
-/// newline) and, in columnar mode, `frame` as one frame (`None` when there is
-/// none — see `Pairs::frame_stats`).
+/// neither: it is written out in emit order. The arena adds up its bytes in
+/// the text framing (key, tab, value, newline) as its pairs are written; in
+/// columnar mode the map task also records its size as one `frame` (`None`
+/// when there is none — see `Pairs::frame_stats`), taken as the arena was
+/// written or read while it is still cache-resident.
 #[derive(Default)]
 pub(super) struct PartitionRun {
     pairs: Pairs,
     norms: NormArena,
     order: Vec<u32>,
-    text_bytes: u64,
     frame: Option<FrameStats>,
 }
 
@@ -386,7 +385,9 @@ fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
         outputs.sort_unstable();
         for value in outputs {
             combined.norms.push_encoded(seg.norms.key(first));
-            combined.pairs.push(key, value);
+            combined
+                .pairs
+                .append(key.iter().cloned(), value.into_values());
         }
     }
     combined.order = (0..combined.pairs.len() as u32).collect();
@@ -451,15 +452,15 @@ fn run_map_task(
             user_fatal = combiner.take_error();
         }
     }
-    // Arenas `emit_columns` wrote were sized as they were written; the rest
+    // Arenas `emit_columns` wrote were framed as they were written; the rest
     // (written a pair at a time, or by a combiner) are read once here, still
     // in cache.
-    let framed = shuffle_to.is_some() && job.cfg.data_format == DataFormat::Columnar;
-    for (_, seg) in &mut runs {
-        seg.text_bytes = seg.pairs.text_bytes();
-        seg.frame = framed.then(|| seg.pairs.frame_stats()).flatten();
+    if shuffle_to.is_some() && job.cfg.data_format == DataFormat::Columnar {
+        for (_, seg) in &mut runs {
+            seg.frame = seg.pairs.frame_stats();
+        }
     }
-    counts.combined_bytes = runs.iter().map(|(_, seg)| seg.text_bytes).sum();
+    counts.combined_bytes = runs.iter().map(|(_, seg)| seg.pairs.text_bytes()).sum();
     let total_pairs: usize = runs.iter().map(|(_, seg)| seg.pairs.len()).sum();
     counts.bounded = spec.combiner.is_some() && total_pairs <= 4;
     counts.fatal = user_fatal.map(MapRedError::User);
@@ -574,7 +575,9 @@ pub(super) fn shuffle(
                 task,
                 partition,
                 records: seg.pairs.len() as u64,
-                bytes: seg.frame.map_or(seg.text_bytes, |frame| frame.bytes),
+                bytes: seg
+                    .frame
+                    .map_or(seg.pairs.text_bytes(), |frame| frame.bytes),
                 frame_dicts: seg.frame.map(|frame| frame.dict_entries),
                 corrupt_fetches,
                 collisions,

@@ -206,81 +206,17 @@ pub fn untag_batch(batch: &ColumnBatch, want: i64) -> ColumnBatch {
     batch.filter_from(1, &mask)
 }
 
-/// The global file system of the simulated cluster.
-///
-/// Beyond the path → file map, the store keeps a *per-node disk model*:
-/// every file is assigned to one of `nodes` data nodes by a stable hash of
-/// its path, and each node's used-byte counter is updated on every put,
-/// replacement and delete. The counters are load-bearing for capacity-
-/// pressure decisions (the result-reuse cache evicts against them), so they
-/// must stay exactly reconciled with [`Hdfs::total_bytes`] across arbitrary
-/// put/delete/evict cycles — [`Hdfs::accounting_reconciled`] checks the
-/// invariant and the property suite exercises it.
-#[derive(Debug, Clone)]
+/// The global file system of the simulated cluster: a path → file map.
+#[derive(Debug, Clone, Default)]
 pub struct Hdfs {
     files: BTreeMap<String, FileRef>,
-    /// Data-node count of the per-node disk model (≥ 1).
-    nodes: usize,
-    /// Bytes stored per node; `node_used.iter().sum() == total_bytes()`.
-    node_used: Vec<u64>,
-}
-
-impl Default for Hdfs {
-    fn default() -> Self {
-        Hdfs {
-            files: BTreeMap::new(),
-            nodes: 1,
-            node_used: vec![0],
-        }
-    }
 }
 
 impl Hdfs {
-    /// An empty file system with a single-node disk model.
+    /// An empty file system.
     #[must_use]
     pub fn new() -> Self {
         Hdfs::default()
-    }
-
-    /// An empty file system modelling `nodes` data nodes.
-    #[must_use]
-    pub fn with_nodes(nodes: usize) -> Self {
-        let nodes = nodes.max(1);
-        Hdfs {
-            files: BTreeMap::new(),
-            nodes,
-            node_used: vec![0; nodes],
-        }
-    }
-
-    /// Re-shapes the per-node disk model to `nodes` data nodes, re-assigning
-    /// every existing file and rebuilding the used-byte counters.
-    pub fn set_nodes(&mut self, nodes: usize) {
-        self.nodes = nodes.max(1);
-        self.node_used = vec![0; self.nodes];
-        for (path, file) in &self.files {
-            let n = node_index(path, self.nodes);
-            self.node_used[n] += file.bytes();
-        }
-    }
-
-    /// The data node `path` is assigned to.
-    #[must_use]
-    pub fn node_of(&self, path: &str) -> usize {
-        node_index(path, self.nodes)
-    }
-
-    /// Stores `file` at `path`, keeping the per-node accounting exact: a
-    /// replacement releases the old file's bytes before charging the new
-    /// ones. All puts funnel through here; a shared file is charged at
-    /// every path that holds it, as a copy would be.
-    fn store(&mut self, path: &str, file: FileRef) {
-        let n = node_index(path, self.nodes);
-        let new_bytes = file.bytes();
-        if let Some(old) = self.files.insert(path.to_string(), file) {
-            self.node_used[n] -= old.bytes();
-        }
-        self.node_used[n] += new_bytes;
     }
 
     /// Creates or replaces a text file from lines.
@@ -297,7 +233,7 @@ impl Hdfs {
 
     /// Stores a pre-built [`DataFile`], in whichever format it holds.
     pub fn put_data(&mut self, path: &str, file: DataFile) {
-        self.store(path, file.into());
+        self.put_shared(path, file.into());
     }
 
     /// Stores a file some other holder already has — a cached or journaled
@@ -305,7 +241,7 @@ impl Hdfs {
     /// the reuse cache — without copying it: the path shares the handle's
     /// allocation and its checksum memo.
     pub fn put_shared(&mut self, path: &str, file: FileRef) {
-        self.store(path, file);
+        self.files.insert(path.to_string(), file);
     }
 
     /// Reads a file.
@@ -351,13 +287,9 @@ impl Hdfs {
         self.files.contains_key(path)
     }
 
-    /// Removes a file (idempotent), releasing its bytes from the owning
-    /// node's disk-usage accounting.
+    /// Removes a file (idempotent).
     pub fn delete(&mut self, path: &str) {
-        if let Some(old) = self.files.remove(path) {
-            let n = node_index(path, self.nodes);
-            self.node_used[n] -= old.bytes();
-        }
+        self.files.remove(path);
     }
 
     /// All paths, in order.
@@ -365,42 +297,12 @@ impl Hdfs {
         self.files.keys().map(String::as_str)
     }
 
-    /// Total bytes stored.
+    /// Total bytes stored: a shared file is charged at every path that
+    /// holds it, as a copy would be.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.files.values().map(|f| f.bytes()).sum()
     }
-
-    /// Per-node used bytes of the disk model, indexed by node.
-    #[must_use]
-    pub fn node_used_bytes(&self) -> &[u64] {
-        &self.node_used
-    }
-
-    /// The most-loaded node's used bytes — the capacity-pressure signal.
-    #[must_use]
-    pub fn max_node_used_bytes(&self) -> u64 {
-        self.node_used.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Whether the per-node accounting matches the file map exactly: the
-    /// counters sum to [`Hdfs::total_bytes`] and each node's counter equals
-    /// the recomputed sum of its files. Cheap enough for tests, meaningful
-    /// enough that eviction can trust the counters.
-    #[must_use]
-    pub fn accounting_reconciled(&self) -> bool {
-        let mut recomputed = vec![0u64; self.nodes];
-        for (path, file) in &self.files {
-            recomputed[node_index(path, self.nodes)] += file.bytes();
-        }
-        recomputed == self.node_used && self.node_used.iter().sum::<u64>() == self.total_bytes()
-    }
-}
-
-/// Stable node assignment: a path hashes to the same node on every run and
-/// platform (the checksum is XXH64 over the path bytes).
-fn node_index(path: &str, nodes: usize) -> usize {
-    (checksum_bytes(path.as_bytes()) % nodes.max(1) as u64) as usize
 }
 
 /// Hands `sink` the canonical byte encoding of a whole file piece by piece,
@@ -585,6 +487,12 @@ mod tests {
         fs.put("a", vec!["ab".into()]);
         fs.put("b", vec!["c".into()]);
         assert_eq!(fs.total_bytes(), 5);
+        // A replacement drops the old file's bytes; a delete is idempotent.
+        fs.put("a", vec!["much-longer-line".into()]);
+        assert_eq!(fs.total_bytes(), 17 + 2);
+        fs.delete("a");
+        fs.delete("a");
+        assert_eq!(fs.total_bytes(), 2);
     }
 
     fn lines() -> Vec<String> {
@@ -743,51 +651,29 @@ mod tests {
     }
 
     #[test]
-    fn per_node_accounting_survives_put_replace_delete() {
-        let mut fs = Hdfs::with_nodes(4);
-        fs.put("a", vec!["one".into(), "two".into()]);
-        fs.put("b", vec!["xyz".into()]);
-        assert!(fs.accounting_reconciled());
-        // Replacement-put must release the old bytes before charging the
-        // new — the classic drift bug this accounting exists to prevent.
-        fs.put("a", vec!["much-longer-line".into()]);
-        assert!(fs.accounting_reconciled());
-        fs.delete("a");
-        fs.delete("a"); // idempotent delete must not double-release
-        assert!(fs.accounting_reconciled());
-        fs.delete("b");
-        assert_eq!(fs.total_bytes(), 0);
-        assert_eq!(fs.node_used_bytes().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
     fn shared_files_are_charged_per_path_and_never_copied() {
-        let mut fs = Hdfs::with_nodes(4);
+        let mut fs = Hdfs::new();
         fs.put("tmp/a", lines());
         let shared = fs.share("tmp/a").unwrap();
         let sum = shared.checksum();
         // The same handle under more paths: one allocation, its memo with
-        // it, and each path charged to its own node as a copy would be.
+        // it, and each path charged as a copy would be.
         fs.put_shared("reuse/0001", Arc::clone(&shared));
         fs.put_shared("tmp/b", Arc::clone(&shared));
         assert!(Arc::ptr_eq(&fs.share("tmp/b").unwrap(), &shared));
         assert!(std::ptr::eq(fs.get("reuse/0001").unwrap(), &**shared));
         assert_eq!(fs.checksum("tmp/b").unwrap(), sum);
         assert_eq!(fs.total_bytes(), 3 * shared.bytes());
-        assert!(fs.accounting_reconciled());
         // Overwriting one path — by a fresh file, then by the shared one
         // again — and deleting another touch only their own charges.
         fs.put("tmp/b", vec!["short".into()]);
-        assert!(fs.accounting_reconciled());
         fs.put_shared("tmp/b", Arc::clone(&shared));
         fs.delete("tmp/a");
-        assert!(fs.accounting_reconciled());
         assert_eq!(fs.total_bytes(), 2 * shared.bytes());
         // A holder outlives every path; the bytes go with the last handle.
         fs.delete("tmp/b");
         fs.delete("reuse/0001");
         assert_eq!(fs.total_bytes(), 0);
-        assert!(fs.accounting_reconciled());
         assert_eq!((shared.lines.len(), Arc::strong_count(&shared)), (50, 1));
     }
 
@@ -810,24 +696,6 @@ mod tests {
             checksum_bytes(&block_bytes(&lines()))
         );
         assert_eq!(block_checksum(&[]), checksum_bytes(&[]));
-    }
-
-    #[test]
-    fn set_nodes_rebuilds_counters_for_existing_files() {
-        let mut fs = Hdfs::new();
-        for i in 0..16 {
-            fs.put(&format!("f{i}"), vec![format!("row-{i}")]);
-        }
-        fs.set_nodes(5);
-        assert!(fs.accounting_reconciled());
-        assert_eq!(fs.node_used_bytes().len(), 5);
-        assert_eq!(fs.node_used_bytes().iter().sum::<u64>(), fs.total_bytes());
-    }
-
-    #[test]
-    fn node_assignment_is_stable() {
-        let fs = Hdfs::with_nodes(7);
-        assert_eq!(fs.node_of("reuse/abc"), fs.node_of("reuse/abc"));
     }
 
     #[test]

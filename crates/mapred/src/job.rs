@@ -18,10 +18,10 @@
 //! groups at once as [`KeyGroups`]. The row-shaped entry points —
 //! [`MapOutput::emit`], [`Reducer::reduce`], [`Combiner::combine`] — remain
 //! what hand-written jobs implement; the cell-shaped ones default to them
-//! (`reduce_run` to `reduce`, group by group). A mapper holding a
-//! column batch emits it whole through [`MapOutput::emit_columns`], which
-//! writes the same pairs a column at a time and sizes their segments as it
-//! goes.
+//! (`reduce_run` to `reduce`, group by group). A mapper emits a pair
+//! whole through [`MapOutput::emit_cells`], or a column batch whole through
+//! [`MapOutput::emit_columns`], which writes the same pairs a column at a
+//! time; either way each pair's bytes are counted as it is written.
 //!
 //! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
 //! with an optional merged-stream tag. Whether a task's records are stored
@@ -48,19 +48,12 @@ pub(crate) struct Pairs {
     /// Pair `i` spans `cells[bounds[i].0..bounds[i + 1].0]` (the last one to
     /// the end) and its value starts at `bounds[i].1`.
     bounds: Vec<(u32, u32)>,
-    /// The segment's sizes, taken while [`Pairs::append_columns`] wrote its
-    /// cells from typed columns; `None` before the first pair and once any
-    /// pair arrived another way, when they are read off the cells instead.
-    sizes: Option<Sizes>,
-}
-
-/// What a segment is charged for, accumulated as its pairs are written.
-#[derive(Debug)]
-struct Sizes {
-    /// [`Pairs::text_bytes`].
+    /// [`Pairs::text_bytes`], added to by every write.
     text_bytes: u64,
-    /// The frame of the pairs so far; `None` once two writes differed in
-    /// width (no single frame).
+    /// The frame of the pairs, sized while [`Pairs::append_columns`] wrote
+    /// their cells from typed columns; `None` before the first pair, and
+    /// once a pair arrived whole or at another width, when
+    /// [`Pairs::frame_stats`] reads it off the cells instead.
     frame: Option<FrameSizer>,
 }
 
@@ -124,14 +117,26 @@ impl Pairs {
         uniform.then_some(width)
     }
 
-    /// Appends a pair by copying its key and moving its value in — how a
-    /// combiner's output rows re-enter an arena.
-    pub(crate) fn push(&mut self, key: &[Value], value: Row) {
-        let key_start = offset(self.cells.len());
-        self.cells.extend_from_slice(key);
-        self.bounds.push((key_start, offset(self.cells.len())));
-        self.cells.extend(value.into_values());
-        self.sizes = None;
+    /// Appends one pair whole — the writer of every row-shaped pair: a
+    /// mapper's ([`MapOutput::emit_cells`]) and a combiner's output rows.
+    /// The pair's text bytes are added as it goes in, and a first pair fixes
+    /// the width ([`Pairs::reserve_cells`]).
+    pub(crate) fn append(
+        &mut self,
+        key: impl IntoIterator<Item = Value>,
+        value: impl IntoIterator<Item = Value>,
+    ) {
+        let start = self.cells.len();
+        self.cells.extend(key);
+        self.bounds.push((offset(start), offset(self.cells.len())));
+        self.cells.extend(value);
+        let cells = self.cells[start..].iter().map(|v| v.size_bytes() as u64);
+        // The text framing adds a tab and a newline.
+        self.text_bytes += cells.sum::<u64>() + 2;
+        if self.len() == 1 {
+            self.reserve_cells(self.cells.len());
+        }
+        self.frame = None;
     }
 
     /// The first pair fixes the width: room for pairs (see
@@ -159,10 +164,9 @@ impl Pairs {
         if self.is_empty() {
             self.bounds.reserve(rows.len());
             self.reserve_cells(width);
-            self.sizes = Some(Sizes {
-                text_bytes: 0,
-                frame: Some(FrameSizer::new(width)),
-            });
+            self.frame = Some(FrameSizer::new(width));
+        } else if self.frame.as_ref().is_some_and(|f| f.width() != width) {
+            self.frame = None;
         }
         let base = self.cells.len();
         let bound = |j: usize| {
@@ -173,12 +177,7 @@ impl Pairs {
         self.cells.resize(base + rows.len() * width, Value::Null);
         // Key and value bytes; the text framing adds a tab and a newline.
         let mut text_bytes = 2 * rows.len() as u64;
-        if let Some(sizes) = &mut self.sizes {
-            if sizes.frame.as_ref().is_some_and(|f| f.width() != width) {
-                sizes.frame = None;
-            }
-        }
-        let mut frame = self.sizes.as_mut().and_then(|s| s.frame.as_mut());
+        let mut frame = self.frame.as_mut();
         let pairs = &mut self.cells[base..];
         let mut column = |c: usize, col: &Column, frame: Option<&mut FrameSizer>| {
             let mut put = at_stride(pairs, width, c);
@@ -204,20 +203,12 @@ impl Pairs {
                 text_bytes += put(v);
             }
         }
-        if let Some(sizes) = &mut self.sizes {
-            sizes.text_bytes += text_bytes;
-        }
+        self.text_bytes += text_bytes;
     }
 
     /// Bytes of the pairs in the text framing (key, tab, value, newline).
     pub(crate) fn text_bytes(&self) -> u64 {
-        match &self.sizes {
-            Some(sizes) => sizes.text_bytes,
-            None => {
-                let cells = self.cells.iter().map(|v| v.size_bytes() as u64);
-                cells.sum::<u64>() + 2 * self.len() as u64
-            }
-        }
+        self.text_bytes
     }
 
     /// Exact size and dictionary-entry count of the pairs as one frame of
@@ -226,8 +217,8 @@ impl Pairs {
     /// float: there is no such frame. A frame's size does not depend on the
     /// order of its rows, so this holds for the sorted segment too.
     pub(crate) fn frame_stats(&self) -> Option<FrameStats> {
-        match &self.sizes {
-            Some(sizes) => sizes.frame.as_ref()?.finish(),
+        match &self.frame {
+            Some(frame) => frame.finish(),
             None => {
                 let width = self.uniform_width()?;
                 frame_stats(self.len(), width, |r, c| &self.cells[r * width + c])
@@ -481,8 +472,6 @@ impl<'a> KeyGroups<'a> {
 #[derive(Debug)]
 pub struct MapOutput {
     parts: Vec<Pairs>,
-    /// Key cells of the pair being written, until its partition is known.
-    stage: Vec<Value>,
     work: u64,
     bad_records: u64,
     dispatches: Vec<u64>,
@@ -495,76 +484,6 @@ impl Default for MapOutput {
     }
 }
 
-/// Writes the key cells of one pair; see [`MapOutput::begin`].
-#[derive(Debug)]
-pub struct KeyWriter<'a>(&'a mut MapOutput);
-
-impl<'a> KeyWriter<'a> {
-    /// Appends one key cell.
-    pub fn push(&mut self, cell: Value) {
-        self.0.stage.push(cell);
-    }
-
-    /// Ends the key: hashes it to its partition and continues with the
-    /// pair's value cells in that partition's arena.
-    #[must_use]
-    pub fn value(self) -> ValueWriter<'a> {
-        let MapOutput { parts, stage, .. } = self.0;
-        let partition = match parts.len() {
-            1 => 0,
-            n => partition_cells(stage, n),
-        };
-        let part = &mut parts[partition];
-        let key_start = offset(part.cells.len());
-        part.cells.append(stage);
-        ValueWriter {
-            bound: (key_start, offset(part.cells.len())),
-            part,
-            finished: false,
-        }
-    }
-}
-
-/// Writes the value cells of one pair straight into its partition's arena.
-/// Dropped without [`ValueWriter::finish`], the pair's cells are rolled back.
-#[derive(Debug)]
-pub struct ValueWriter<'a> {
-    part: &'a mut Pairs,
-    bound: (u32, u32),
-    finished: bool,
-}
-
-impl ValueWriter<'_> {
-    /// Appends one value cell.
-    pub fn push(&mut self, cell: Value) {
-        self.part.cells.push(cell);
-    }
-
-    /// Appends value cells.
-    pub fn extend(&mut self, cells: impl IntoIterator<Item = Value>) {
-        self.part.cells.extend(cells);
-    }
-
-    /// Commits the pair.
-    pub fn finish(mut self) {
-        let part = &mut *self.part;
-        part.bounds.push(self.bound);
-        if part.bounds.len() == 1 {
-            part.reserve_cells(part.cells.len());
-        }
-        part.sizes = None;
-        self.finished = true;
-    }
-}
-
-impl Drop for ValueWriter<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.part.cells.truncate(self.bound.0 as usize);
-        }
-    }
-}
-
 impl MapOutput {
     /// A buffer routing pairs to `partitions` reduce partitions (at least
     /// one) by [`crate::hash::partition`] of their keys — what the engine
@@ -573,7 +492,6 @@ impl MapOutput {
     pub fn partitioned(partitions: usize) -> Self {
         MapOutput {
             parts: (0..partitions.max(1)).map(|_| Pairs::default()).collect(),
-            stage: Vec::new(),
             work: 0,
             bad_records: 0,
             dispatches: Vec::new(),
@@ -601,23 +519,22 @@ impl MapOutput {
         }
     }
 
-    /// Starts writing one pair cell by cell, with no allocation of its own:
-    /// key cells first, then [`KeyWriter::value`] and the value cells, then
-    /// [`ValueWriter::finish`]. A pair abandoned part-way — an expression
-    /// failed mid-record — leaves nothing behind.
-    pub fn begin(&mut self) -> KeyWriter<'_> {
-        self.stage.clear();
-        KeyWriter(self)
+    /// Emits one key/value pair whole: hashes the key to its partition and
+    /// moves the cells of both buffers into that partition's arena, leaving
+    /// them empty — a mapper that stages every pair in the same two buffers
+    /// allocates nothing per pair.
+    pub fn emit_cells(&mut self, key: &mut Vec<Value>, value: &mut Vec<Value>) {
+        let partition = match self.parts.len() {
+            1 => 0,
+            n => partition_cells(key, n),
+        };
+        self.parts[partition].append(key.drain(..), value.drain(..));
     }
 
-    /// Emits one key/value pair — [`MapOutput::begin`] for mappers that
+    /// Emits one key/value pair — [`MapOutput::emit_cells`] for mappers that
     /// build rows.
     pub fn emit(&mut self, key: Row, value: Row) {
-        let mut pair = self.begin();
-        key.into_values().into_iter().for_each(|c| pair.push(c));
-        let mut pair = pair.value();
-        pair.extend(value.into_values());
-        pair.finish();
+        self.emit_cells(&mut key.into_values(), &mut value.into_values());
     }
 
     /// Emits one pair per row of `rows` of a column batch, a column at a
@@ -765,8 +682,9 @@ impl MapOutput {
     /// What partition `p`'s shuffle segment is charged for: its bytes in the
     /// text framing (key, tab, value, newline) and, when its pairs form one
     /// frame of `key ⧺ value` rows, that frame's size and dictionary count.
-    /// Taken as the pairs were written when [`MapOutput::emit_columns`]
-    /// wrote all of them, read off the cells otherwise.
+    /// The text bytes are added up as the pairs are written; the frame is
+    /// sized as written when [`MapOutput::emit_columns`] wrote all of them,
+    /// read off the cells otherwise.
     ///
     /// # Panics
     ///
@@ -1222,20 +1140,22 @@ mod tests {
     }
 
     #[test]
-    fn pairs_are_routed_at_emit_and_abandoned_pairs_roll_back() {
+    fn pairs_are_routed_at_emit() {
         let mut out = MapOutput::partitioned(3);
         out.reserve(40);
+        let (mut key, mut value) = (Vec::new(), Vec::new());
         for k in 0..40i64 {
-            // Mixed widths: empty keys and values included.
+            // Mixed widths, empty keys included; every other pair staged in
+            // reused buffers, which the emit leaves empty.
             let width = (k % 3) as usize;
-            out.emit(vec![Value::Int(k); width].into(), row![k, "v"]);
-            // A pair given up after its key, and one given up mid-value.
-            out.begin().push(Value::Int(k));
-            let mut key = out.begin();
-            key.push(Value::Int(k));
-            let mut value = key.value();
-            value.push(Value::Null);
-            drop(value);
+            if k % 2 == 0 {
+                out.emit(vec![Value::Int(k); width].into(), row![k, "v"]);
+            } else {
+                key.resize(width, Value::Int(k));
+                value.extend(row![k, "v"].into_values());
+                out.emit_cells(&mut key, &mut value);
+                assert!(key.is_empty() && value.is_empty());
+            }
         }
         assert_eq!(out.len(), 40);
         let parts = out.into_parts();
@@ -1257,10 +1177,14 @@ mod tests {
 
     /// A batch emitted a column at a time lands exactly where emitting its
     /// rows one by one puts them — cells, key/value split, partition, emit
-    /// order within a partition — and its segments are sized as written to
-    /// what reading the cells gives.
+    /// order within a partition — and every arena, written by columns, by
+    /// rows or both, is sized as written to what reading the cells gives.
     #[test]
     fn column_emits_match_row_emits_and_size_as_they_write() {
+        let reread = |part: &Pairs| {
+            let cells = part.cells.iter().map(|v| v.size_bytes() as u64);
+            cells.sum::<u64>() + 2 * part.len() as u64
+        };
         let batch = ColumnBatch::from_rows(&[
             row![1i64, "a", 1.5f64],
             Row::new(vec![Value::Null, Value::Str("b".into()), Value::Null]),
@@ -1288,34 +1212,37 @@ mod tests {
             for p in 0..n {
                 let pairs = |out: &MapOutput| format!("{:?}", out.pairs(p).collect::<Vec<_>>());
                 assert_eq!(pairs(&by_columns), pairs(&by_rows), "{n} partitions, {p}");
-                let sized = by_columns.parts[p].sizes.is_some();
-                assert_eq!(sized, !by_columns.parts[p].is_empty(), "sized as written");
-                assert!(by_rows.parts[p].sizes.is_none());
+                let framed = by_columns.parts[p].frame.is_some();
+                assert_eq!(framed, !by_columns.parts[p].is_empty(), "sized as written");
+                assert!(by_rows.parts[p].frame.is_none());
                 assert_eq!(by_columns.segment_size(p), by_rows.segment_size(p));
+                assert_eq!(by_rows.segment_size(p).0, reread(&by_rows.parts[p]));
             }
         }
-        // A write of another width ends the frame, not the text size; a
-        // pair from the row path ends the sizing.
+        // A write of another width ends the frame, not the text size.
         let mut out = MapOutput::default();
         out.emit_columns(&[0, 1], &cols[..1], None, &cols[1..]);
         out.emit_columns(&[2], &cols[..1], None, &cols[1..2]);
-        let sized = out.segment_size(0);
-        assert_eq!(sized.1, None);
-        let part = &mut out.parts[0];
-        let sizes = part.sizes.take();
-        assert_eq!(sized.0, part.text_bytes());
-        part.sizes = sizes;
-        out.emit(row![1i64], row![2i64]);
-        assert!(out.parts[0].sizes.is_none());
+        assert_eq!(out.segment_size(0), (reread(&out.parts[0]), None));
+        // A pair written whole after a column write ends the frame sized as
+        // written, which is then read off the cells, and adds its bytes.
+        let mut mixed = MapOutput::default();
+        mixed.emit_columns(&rows, &cols[..1], None, &cols[1..]);
+        mixed.emit(row![9i64], row!["z", 1.0f64]);
+        let part = &mixed.parts[0];
+        assert!(part.frame.is_none());
+        let frame = frame_stats(part.len(), 3, |r, c| &part.cells[r * 3 + c]);
+        assert!(frame.is_some());
+        assert_eq!(mixed.segment_size(0), (reread(part), frame));
     }
 
     #[test]
     fn group_views_read_values_in_place() {
         let mut a = Pairs::default();
-        a.push(row![1i64].values(), row!["a0"]);
-        a.push(row![1i64].values(), row!["a1", 2i64]);
+        a.append([Value::Int(1)], row!["a0"].into_values());
+        a.append([Value::Int(1)], row!["a1", 2i64].into_values());
         let mut b = Pairs::default();
-        b.push(row![1i64].values(), Row::default());
+        b.append([Value::Int(1)], []);
         assert_eq!(a.uniform_width(), None);
         assert_eq!(b.uniform_width(), Some(1));
         let rows = [row!["a1", 2i64], Row::default(), row!["a0"]];

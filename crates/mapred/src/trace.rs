@@ -9,14 +9,11 @@
 //! and task index, never wall clock, so a trace is bit-identical across
 //! `exec_threads` settings (pinned by the determinism suite).
 //!
-//! Exports:
-//!
-//! * [`Trace::to_chrome_json`] — the Chrome-trace `trace_events` JSON
-//!   format, loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
-//!   One trace "process" per executed job (pid 0 is the chain scheduler),
-//!   one "thread" per cluster slot; speculative backup copies run on shadow
-//!   lanes above [`SPEC_LANE_BASE`].
-//! * [`Trace::timeline`] — a compact per-phase text summary.
+//! [`Trace::to_chrome_json`] exports the Chrome-trace `trace_events` JSON
+//! format, loadable in `chrome://tracing` or <https://ui.perfetto.dev>: one
+//! trace "process" per executed job (pid 0 is the chain scheduler), one
+//! "thread" per cluster slot; speculative backup copies run on shadow lanes
+//! above [`SPEC_LANE_BASE`].
 //!
 //! The exporter is hand-rolled (the workspace has no JSON dependency);
 //! [`validate_chrome_trace`] is an equally dependency-free parser used by
@@ -322,46 +319,6 @@ impl Trace {
             out.push('}');
         }
         out.push_str("]}");
-        out
-    }
-
-    /// A compact per-process, per-category text summary of the timeline.
-    #[must_use]
-    pub fn timeline(&self) -> String {
-        /// Per-category rollup: count, Σdur, min start, max end.
-        type CatStats = (usize, f64, f64, f64);
-        let mut by_pid: BTreeMap<u32, BTreeMap<&'static str, CatStats>> = BTreeMap::new();
-        for e in &self.events {
-            let slot = by_pid.entry(e.pid).or_default().entry(e.cat).or_insert((
-                0,
-                0.0,
-                f64::INFINITY,
-                0.0,
-            ));
-            slot.0 += 1;
-            slot.1 += e.dur_s;
-            slot.2 = slot.2.min(e.start_s);
-            slot.3 = slot.3.max(e.end_s());
-        }
-        let mut out = String::from("trace timeline (simulated seconds)\n");
-        for (pid, cats) in &by_pid {
-            let label = if *pid == 0 {
-                "chain scheduler"
-            } else {
-                self.processes
-                    .get(*pid as usize - 1)
-                    .map_or("?", String::as_str)
-            };
-            let start = cats.values().fold(f64::INFINITY, |a, c| a.min(c.2));
-            let end = cats.values().fold(0.0f64, |a, c| a.max(c.3));
-            let _ = writeln!(out, "{label}: {start:.2}s .. {end:.2}s");
-            for (cat, (count, dur, s, e)) in cats {
-                let _ = writeln!(
-                    out,
-                    "  {cat:<14} x{count:<4} {s:>9.2}s .. {e:>9.2}s  (sum {dur:.2}s)"
-                );
-            }
-        }
         out
     }
 }
@@ -730,15 +687,6 @@ mod tests {
         let json = merged.to_chrome_json();
         let stats = validate_chrome_trace(&json).unwrap();
         assert_eq!(stats.processes, 4);
-    }
-
-    #[test]
-    fn timeline_summarises_categories() {
-        let text = sample().timeline();
-        assert!(text.contains("chain scheduler"), "{text}");
-        assert!(text.contains("job-a"), "{text}");
-        assert!(text.contains("map"), "{text}");
-        assert!(text.contains("x2"), "two map spans: {text}");
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! configuration.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use ysmart_mapred::hash::partition;
 use ysmart_mapred::{
-    run_chain, run_job, Cluster, ClusterConfig, Combiner, Compression, FailureModel, JobChain,
-    JobSpec, MapOutput, Mapper, NodeFailureModel, ReduceOutput, Reducer, RetryPolicy,
+    run_chain, run_job, Cluster, ClusterConfig, Combiner, Compression, DataFile, FailureModel,
+    Hdfs, JobChain, JobSpec, MapOutput, Mapper, NodeFailureModel, ReduceOutput, Reducer,
+    RetryPolicy,
 };
-use ysmart_rel::{row, Row};
+use ysmart_rel::colbatch::frame_stats;
+use ysmart_rel::{row, Column, ColumnBatch, Row, Value};
 
 struct KvMapper;
 impl Mapper for KvMapper {
@@ -83,7 +86,7 @@ fn run_sum_chain(pairs: &[(i64, i64)], config: ClusterConfig) -> Vec<String> {
 }
 
 fn expected_sums(pairs: &[(i64, i64)]) -> Vec<String> {
-    let mut m = std::collections::BTreeMap::new();
+    let mut m = BTreeMap::new();
     for (k, v) in pairs {
         *m.entry(*k).or_insert(0i64) += v;
     }
@@ -179,34 +182,94 @@ proptest! {
         prop_assert!(run(true) <= run(false));
     }
 
-    /// The per-node disk accounting stays exactly reconciled with
-    /// `total_bytes()` across arbitrary put/replace/delete cycles — the
-    /// invariant cache eviction relies on. Puts reuse a small path space so
-    /// replacement (the historical drift bug) happens constantly.
+    /// `total_bytes` is the sum over the live paths across arbitrary
+    /// put/share/delete cycles: a replacement drops the old file's bytes, a
+    /// delete is idempotent, and a shared file is charged at every path
+    /// that holds it. Puts reuse a small path space so replacement happens
+    /// constantly.
     #[test]
-    fn hdfs_node_accounting_reconciles(
-        nodes in 1usize..8,
-        ops in prop::collection::vec((0u8..3, 0u8..12, 0usize..40), 1..120),
+    fn hdfs_total_bytes_sums_the_live_paths(
+        ops in prop::collection::vec((0u8..4, 0u8..12, 0usize..40), 1..120),
     ) {
-        let mut fs = ysmart_mapred::Hdfs::with_nodes(nodes);
+        let mut fs = Hdfs::new();
+        let mut model = BTreeMap::new();
         for (op, slot, size) in ops {
             let path = format!("p/{slot}");
             match op {
-                0 => fs.put(&path, (0..size).map(|i| format!("line-{i}")).collect()),
-                1 => fs.delete(&path),
-                _ => fs.put_data(
-                    &path,
-                    ysmart_mapred::DataFile {
-                        lines: (0..size).map(|i| format!("r{i}")).collect(),
-                        frames: Vec::new(),
-                    },
-                ),
+                0 => {
+                    let lines: Vec<String> = (0..size).map(|i| format!("line-{i}")).collect();
+                    model.insert(path.clone(), lines.iter().map(|l| l.len() as u64 + 1).sum());
+                    fs.put(&path, lines);
+                }
+                1 => {
+                    model.remove(&path);
+                    fs.delete(&path);
+                }
+                2 => {
+                    model.insert(path.clone(), size as u64);
+                    fs.put_data(&path, DataFile { lines: Vec::new(), frames: vec![vec![0; size]] });
+                }
+                _ => {
+                    let from = format!("p/{}", size % 12);
+                    if let Ok(file) = fs.share(&from) {
+                        model.insert(path.clone(), model[&from]);
+                        fs.put_shared(&path, file);
+                    }
+                }
             }
-            prop_assert!(fs.accounting_reconciled());
-            prop_assert_eq!(
-                fs.node_used_bytes().iter().sum::<u64>(),
-                fs.total_bytes()
-            );
+            prop_assert_eq!(fs.total_bytes(), model.values().sum::<u64>());
+            prop_assert!(fs.paths().eq(model.keys().map(String::as_str)));
+        }
+    }
+
+    /// Whichever writer put a pair in an arena — `emit`, `emit_cells` or
+    /// `emit_columns`, in any mix and order — its segment is charged for
+    /// what reading its pairs back gives: their bytes in the text framing,
+    /// and their size as one frame when they share a width.
+    #[test]
+    fn segment_sizes_are_those_of_the_pairs_written(
+        partitions in 1usize..5,
+        writes in prop::collection::vec((0u8..3, 0usize..6, 0i64..8), 1..40),
+    ) {
+        let rows: Vec<Row> = (0..6i64)
+            .map(|k| {
+                let key = if k == 4 { Value::Null } else { Value::Int(k) };
+                Row::new(vec![key, Value::Str(format!("s{k}")), Value::Float(k as f64 / 4.0)])
+            })
+            .collect();
+        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let cols: Vec<&Column> = batch.columns().iter().collect();
+        let mut out = MapOutput::partitioned(partitions);
+        let (mut key, mut value) = (Vec::new(), Vec::new());
+        for (writer, n, k) in writes {
+            match writer {
+                0 => out.emit(row![k], row![format!("v{k}"), k as f64]),
+                1 => {
+                    // Width 3 like the other writers' pairs, or 2.
+                    key.push(Value::Int(k));
+                    value.push(Value::Str("w".repeat(n)));
+                    if n % 2 == 0 {
+                        value.push(Value::Null);
+                    }
+                    out.emit_cells(&mut key, &mut value);
+                }
+                _ => {
+                    // Tagged rows make pairs of width 4.
+                    let picked: Vec<usize> = (0..n).map(|i| i * k as usize % rows.len()).collect();
+                    let tags: Vec<i64> = picked.iter().map(|&r| r as i64).collect();
+                    let tags = (k % 2 == 1).then_some(&tags[..]);
+                    out.emit_columns(&picked, &cols[..1], tags, &cols[1..]);
+                }
+            }
+        }
+        for p in 0..partitions {
+            let pairs: Vec<Vec<Value>> = out.pairs(p).map(|(k, v)| [k, v].concat()).collect();
+            let cells = pairs.iter().flatten().map(|v| v.size_bytes() as u64);
+            let text = cells.sum::<u64>() + 2 * pairs.len() as u64;
+            let width = pairs.first().map(Vec::len);
+            let width = width.filter(|&w| pairs.iter().all(|pair| pair.len() == w));
+            let frame = width.and_then(|w| frame_stats(pairs.len(), w, |r, c| &pairs[r][c]));
+            prop_assert_eq!(out.segment_size(p), (text, frame), "partition {}", p);
         }
     }
 }
@@ -286,7 +349,6 @@ fn reference_order(inputs: &[Vec<(Row, Row)>], reducers: usize) -> Vec<String> {
 /// distinguishable, and only the merge's task-order tie-break places them.
 fn tie_heavy_records(rng: &mut rand::rngs::StdRng, second: bool, n: usize) -> Vec<(Row, Row)> {
     use rand::Rng;
-    use ysmart_rel::Value;
     let seven = if second {
         Value::Float(7.0)
     } else {

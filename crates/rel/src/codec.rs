@@ -84,28 +84,14 @@ fn push_i64(out: &mut String, v: i64) {
 /// schema width; [`RelError::Decode`] when a field cannot be parsed as its
 /// declared type.
 pub fn decode_line(line: &str, schema: &Schema) -> Result<Row, RelError> {
-    // Stream the split directly — no intermediate Vec<&str> per line.
-    let mut fields = line.split(SEPARATOR);
-    let mut values = Vec::with_capacity(schema.len());
-    let field_count_err = |found: usize| RelError::FieldCount {
-        expected: schema.len(),
-        found,
-    };
-    for field in schema.fields() {
-        let text = fields.next().ok_or_else(|| field_count_err(values.len()))?;
-        values.push(decode_field(text, field.data_type)?);
-    }
-    let extra = fields.count();
-    if extra > 0 {
-        return Err(field_count_err(schema.len() + extra));
-    }
-    Ok(Row::new(values))
+    decode_line_projected(line, schema, &[])
 }
 
 /// Decodes a line like [`decode_line`], but parses only the fields marked
-/// in `needed`; the rest become NULL placeholders so the row keeps its
-/// schema width (and column indices) without paying for values no operator
-/// reads. The field count is still validated against the schema.
+/// in `needed` (a field past its end is needed); the rest become NULL
+/// placeholders so the row keeps its schema width (and column indices)
+/// without paying for values no operator reads. The field count is still
+/// validated against the schema.
 ///
 /// # Errors
 ///
@@ -116,6 +102,7 @@ pub fn decode_line_projected(
     schema: &Schema,
     needed: &[bool],
 ) -> Result<Row, RelError> {
+    // Stream the split directly — no intermediate Vec<&str> per line.
     let mut fields = line.split(SEPARATOR);
     let mut values = Vec::with_capacity(schema.len());
     let field_count_err = |found: usize| RelError::FieldCount {

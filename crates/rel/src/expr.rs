@@ -337,22 +337,10 @@ impl Expr {
     #[must_use]
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
-        self.collect_columns(&mut out);
+        self.for_each_column(&mut |c| out.push(c));
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    fn collect_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Column(i) => out.push(*i),
-            Expr::Literal(_) => {}
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_columns(out);
-                rhs.collect_columns(out);
-            }
-            Expr::Unary { operand, .. } => operand.collect_columns(out),
-        }
     }
 
     /// Replaces every column reference `#i` with `exprs[i]` — composing

@@ -3,10 +3,12 @@
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use ysmart_rel::codec::{decode_line, encode_line};
+use ysmart_rel::codec::{decode_line, decode_line_projected, encode_line};
 use ysmart_rel::colbatch::{frame_stats, Column, FrameSizer, FrameStats};
 use ysmart_rel::sort::{compare, sort_rows};
-use ysmart_rel::{AggFunc, ColumnBatch, DataType, Field, Row, Schema, SortKey, Value};
+use ysmart_rel::{
+    AggFunc, BinOp, ColumnBatch, DataType, Expr, Field, Row, Schema, SortKey, UnOp, Value,
+};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -58,6 +60,31 @@ fn hash_of(v: &Value) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
+}
+
+/// An expression over columns `0..8` built bottom-up from column `first` and
+/// `steps`: each wraps the expression so far in an operator whose other
+/// operand is a fresh column or literal — on the left or the right — or in a
+/// unary operator.
+fn build_expr(first: usize, steps: &[(u8, usize, bool)]) -> Expr {
+    let ops = [BinOp::Add, BinOp::Mul, BinOp::Lt, BinOp::And, BinOp::Or];
+    let mut e = Expr::col(first);
+    for &(op, c, left) in steps {
+        let other = if c % 3 == 0 {
+            Expr::lit(c as i64)
+        } else {
+            Expr::col(c)
+        };
+        e = match ops.get(usize::from(op)) {
+            Some(&op) if left => Expr::binary(op, other, e),
+            Some(&op) => Expr::binary(op, e, other),
+            None => Expr::Unary {
+                op: if left { UnOp::Neg } else { UnOp::IsNull },
+                operand: Box::new(e),
+            },
+        };
+    }
+    e
 }
 
 proptest! {
@@ -139,6 +166,72 @@ proptest! {
         let line = encode_line(&row);
         let back = decode_line(&line, &schema).unwrap();
         prop_assert_eq!(back, row);
+    }
+
+    /// A projected decode is the full decode with the unneeded fields left
+    /// NULL. A field past the end of `needed` is needed, so an empty mask is
+    /// the full decode; a line one field short or long is refused alike.
+    #[test]
+    fn projected_decode_is_the_full_decode_with_unneeded_fields_null(
+        ints in prop::collection::vec(prop::option::of(-1_000_000i64..1_000_000), 1..6),
+        needed in prop::collection::vec(any::<bool>(), 0..8),
+        shape in 0u8..3,
+    ) {
+        let schema = Schema::new(
+            (0..ints.len())
+                .map(|i| Field::new("t", &format!("c{i}"), DataType::Int))
+                .collect(),
+        );
+        let row = Row::new(ints.iter().map(|o| o.map_or(Value::Null, Value::Int)).collect());
+        let mut line = encode_line(&row);
+        match shape {
+            1 => line.push_str("|7"),
+            2 => line.truncate(line.rfind('|').unwrap_or(0)),
+            _ => {}
+        }
+        let full = decode_line(&line, &schema);
+        prop_assert_eq!(&decode_line_projected(&line, &schema, &[]), &full);
+        let projected = decode_line_projected(&line, &schema, &needed);
+        match full {
+            Ok(full) => {
+                let kept = full.values().iter().enumerate().map(|(i, v)| {
+                    if needed.get(i).copied().unwrap_or(true) {
+                        v.clone()
+                    } else {
+                        Value::Null
+                    }
+                });
+                prop_assert_eq!(projected, Ok(Row::new(kept.collect())));
+            }
+            Err(e) => prop_assert_eq!(projected, Err(e)),
+        }
+    }
+
+    /// `referenced_columns` lists, sorted and once each, the columns an
+    /// expression reads: re-mapping the expression's columns maps the list,
+    /// and a row with every other column NULL evaluates alike.
+    #[test]
+    fn referenced_columns_are_what_evaluation_reads(
+        first in 0usize..8,
+        steps in prop::collection::vec((0u8..6, 0usize..8, any::<bool>()), 0..12),
+        cells in prop::collection::vec(-4i64..4, 8..9),
+    ) {
+        let e = build_expr(first, &steps);
+        let refs = e.referenced_columns();
+        prop_assert!(refs.contains(&first), "{refs:?}");
+        prop_assert!(refs.windows(2).all(|w| w[0] < w[1]), "{refs:?}");
+        let mut mirrored: Vec<usize> = refs.iter().map(|&c| 7 - c).collect();
+        mirrored.reverse();
+        prop_assert_eq!(e.remap_columns(&|c| 7 - c).referenced_columns(), mirrored);
+        let row = Row::new(cells.iter().copied().map(Value::Int).collect());
+        let masked = Row::new(
+            cells
+                .iter()
+                .enumerate()
+                .map(|(c, &v)| if refs.contains(&c) { Value::Int(v) } else { Value::Null })
+                .collect(),
+        );
+        prop_assert_eq!(e.eval(&masked), e.eval(&row), "{e:?}");
     }
 
     /// Decoding is total over corrupted input: randomly mutating bytes of a

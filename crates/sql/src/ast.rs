@@ -179,15 +179,6 @@ impl AstExpr {
         }
     }
 
-    /// Qualified column reference.
-    #[must_use]
-    pub fn qcol(qualifier: &str, name: &str) -> AstExpr {
-        AstExpr::Column {
-            qualifier: Some(qualifier.to_string()),
-            name: name.to_string(),
-        }
-    }
-
     /// Whether the expression contains an aggregate call anywhere.
     #[must_use]
     pub fn contains_aggregate(&self) -> bool {

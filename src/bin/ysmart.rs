@@ -68,6 +68,21 @@ fn size_arg(flag: &str, value: Option<String>, zero_ok: bool) -> Result<f64, Str
     }
 }
 
+/// The most workers `--cluster ec2:<n>` accepts. Executing a query keeps
+/// state per node and per slot, so the count is bounded: the paper's largest
+/// EC2 run has 100 workers and the facebook preset 747 nodes.
+const MAX_EC2_WORKERS: usize = 10_000;
+
+/// Parses the worker count of `--cluster ec2:<n>`, in `1..=MAX_EC2_WORKERS`.
+fn ec2_workers(text: &str) -> Result<usize, String> {
+    match text.parse::<usize>() {
+        Ok(n) if (1..=MAX_EC2_WORKERS).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "bad ec2 worker count `{text}` (need 1 to {MAX_EC2_WORKERS})"
+        )),
+    }
+}
+
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         catalog: None,
@@ -114,7 +129,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 } else if s == "facebook" {
                     ClusterConfig::facebook(1)
                 } else if let Some(n) = s.strip_prefix("ec2:") {
-                    ClusterConfig::ec2(n.parse().map_err(|_| "bad ec2 worker count")?)
+                    ClusterConfig::ec2(ec2_workers(n)?)
                 } else {
                     return Err(format!("unknown cluster `{s}`"));
                 };
@@ -323,6 +338,20 @@ mod tests {
             }
         }
         assert!(parse(&["--demo", "--target-gb"]).is_err(), "missing value");
+    }
+
+    #[test]
+    fn ec2_worker_counts_are_bounded() {
+        for bad in ["0", "10001", "100000000000", "-1", "x", ""] {
+            let spec = format!("ec2:{bad}");
+            let err = parse(&["--demo", "--cluster", &spec]).err();
+            let err = err.unwrap_or_else(|| panic!("{spec} must be rejected"));
+            assert!(err.starts_with("bad ec2 worker count"), "{err}");
+        }
+        for good in [1, 100, 10_000] {
+            let args = parse(&["--demo", "--cluster", &format!("ec2:{good}")]).unwrap();
+            assert_eq!(args.cluster.nodes, good);
+        }
     }
 
     #[test]

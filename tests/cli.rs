@@ -1,0 +1,26 @@
+//! The `ysmart` binary as a user runs it: a bad flag is a usage error with
+//! exit status 1, never an abort.
+
+use std::process::Command;
+
+/// A worker count outside `1..=10000` is refused before any cluster state
+/// is built: zero would run a one-slot cluster, and a huge count used to
+/// abort allocating per-node state.
+#[test]
+fn out_of_range_ec2_worker_counts_are_usage_errors() {
+    for n in ["0", "10001", "100000000000"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+            .args(["--demo", "--cluster", &format!("ec2:{n}"), "--explain"])
+            .arg("SELECT uid FROM clicks")
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "ec2:{n}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad ec2 worker count `{n}`")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: ysmart"), "{stderr}");
+        assert!(out.stdout.is_empty(), "ec2:{n} ran");
+    }
+}
