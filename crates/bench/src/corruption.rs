@@ -14,7 +14,7 @@
 //! canonical bytes ever reach the computation. The report has a JSON form.
 //! Pass `--smoke` for a CI-sized sweep.
 
-use ysmart_core::{FaultOptions, Strategy};
+use ysmart_core::Strategy;
 use ysmart_mapred::{ClusterConfig, DataFormat};
 
 use crate::{clicks, fmt_secs, format_name, tpch, Flags, Report, Verified};
@@ -128,8 +128,7 @@ pub(crate) fn run(flags: &Flags, r: &mut Report) {
                 let mut cell = Cell::default();
                 for (wi, v) in workloads.iter().enumerate() {
                     for seed in 0..seeds {
-                        let mut config = cluster(format);
-                        FaultOptions::corrupted(rate, seed ^ (wi as u64) << 8).apply(&mut config);
+                        let config = cluster(format).corrupted(rate, seed ^ (wi as u64) << 8);
                         let out = v
                             .run(strategy, &config, target_gb)
                             .expect("oracle-verified corrupted run");

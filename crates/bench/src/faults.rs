@@ -14,7 +14,7 @@
 //! `--smoke` for a reduced sweep (CI-sized: fewer rates/seeds, smaller
 //! scale) that still verifies every run against the oracle.
 
-use ysmart_core::{FaultOptions, Strategy};
+use ysmart_core::Strategy;
 use ysmart_mapred::{ClusterConfig, RetryPolicy};
 
 use crate::{clicks, fmt_secs, Flags, Report, Verified};
@@ -58,23 +58,20 @@ pub(crate) fn run(flags: &Flags, r: &mut Report) {
             let mut acc = Cell::default();
             for seed in 0..seeds {
                 let mut config = ClusterConfig::ec2(10);
-                let mut faults = if rate > 0.0 {
-                    FaultOptions::injected(rate, seed)
-                } else {
-                    FaultOptions::default()
-                };
-                // The sweep must finish even on unlucky seeds, and a gentle
-                // backoff keeps the figure about re-execution cost rather
-                // than the exponential backoff curve.
-                if faults.retry.is_some() {
-                    faults.retry = Some(RetryPolicy {
-                        max_retries: 24,
-                        backoff_base_s: 10.0,
-                        backoff_factor: 1.5,
-                        ..RetryPolicy::default()
-                    });
+                if rate > 0.0 {
+                    // The sweep must finish even on unlucky seeds, and a
+                    // gentle backoff keeps the figure about re-execution
+                    // cost rather than the exponential backoff curve.
+                    config = ClusterConfig {
+                        retry: Some(RetryPolicy {
+                            max_retries: 24,
+                            backoff_base_s: 10.0,
+                            backoff_factor: 1.5,
+                            ..RetryPolicy::default()
+                        }),
+                        ..config.injected(rate, seed)
+                    };
                 }
-                faults.apply(&mut config);
                 let out = v
                     .run(strategy, &config, target_gb)
                     .expect("verified execution");

@@ -4,10 +4,13 @@
 //! the full pipeline — parse → plan → correlation analysis → job merging →
 //! blueprint compilation → MapReduce execution — and returns decoded result
 //! rows together with per-job metrics (the raw material of every figure in
-//! §VII).
+//! §VII). With tracing on, the engine owns one [`Trace`] and absorbs each
+//! executed chain's lane into it as processes of its own.
 
 use ysmart_mapred::metrics::ChainMetrics;
-use ysmart_mapred::{run_chain, Cluster, ClusterConfig, JobChain};
+use ysmart_mapred::{
+    chain_seed, ChainOutcome, ChainSession, Cluster, ClusterConfig, JobChain, MapRedError, Trace,
+};
 use ysmart_plan::{analyze_with_stats, build_batch_plan, build_plan, Catalog, Plan, Statistics};
 use ysmart_rel::codec::decode_line;
 use ysmart_rel::{Row, Schema};
@@ -57,6 +60,8 @@ pub struct YSmart {
     pub cluster: Cluster,
     stats: Statistics,
     query_seq: usize,
+    /// Every traced chain's lane, absorbed; `None` while tracing is off.
+    trace: Option<Trace>,
 }
 
 impl YSmart {
@@ -68,6 +73,7 @@ impl YSmart {
             cluster: Cluster::new(config),
             stats: Statistics::new(),
             query_seq: 0,
+            trace: None,
         }
     }
 
@@ -77,22 +83,20 @@ impl YSmart {
         &self.catalog
     }
 
-    /// Turns on structured execution tracing: every job executed from here
-    /// on records spans (task attempts, shuffle fetches, verification,
-    /// recovery waits) into a [`ysmart_mapred::Trace`]. Zero cost when off.
+    /// Turns on structured execution tracing: every chain executed from
+    /// here on records spans (task attempts, shuffle fetches, verification,
+    /// recovery waits, scheduling gaps) into a [`Trace`], one set of
+    /// processes per chain, labelled with the chain's result path. Zero
+    /// cost when off.
     pub fn enable_tracing(&mut self) {
-        self.cluster.enable_tracing();
+        self.trace.get_or_insert_with(Trace::new);
     }
 
     /// Takes the accumulated execution trace, if tracing was enabled —
-    /// export it with [`ysmart_mapred::Trace::to_chrome_json`]. Tracing
-    /// stays enabled with a fresh, empty trace.
-    pub fn take_trace(&mut self) -> Option<ysmart_mapred::Trace> {
-        let t = self.cluster.take_trace();
-        if t.is_some() {
-            self.cluster.enable_tracing();
-        }
-        t
+    /// export it with [`Trace::to_chrome_json`]. Tracing stays enabled with
+    /// a fresh, empty trace.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        self.trace.as_mut().map(std::mem::take)
     }
 
     /// Loads rows into HDFS under `data/<name>`. The table must exist in
@@ -310,8 +314,7 @@ impl YSmart {
         for bp in &translation.blueprints {
             chain.push(bp.to_jobspec()?);
         }
-        let outcome =
-            run_chain(&mut self.cluster, &chain).map_err(ysmart_mapred::MapRedError::from)?;
+        let outcome = self.run(&chain)?;
         // A member sharing a tagged multi-output file reads only its own
         // tag's rows.
         let mut queries_out = Vec::with_capacity(translation.outputs.len());
@@ -336,8 +339,7 @@ impl YSmart {
         translation: &Translation,
     ) -> Result<QueryOutcome, CoreError> {
         let chain = self.chain_for(translation)?;
-        let outcome =
-            run_chain(&mut self.cluster, &chain).map_err(ysmart_mapred::MapRedError::from)?;
+        let outcome = self.run(&chain)?;
         // Decode straight off the in-HDFS file — no clone of the output.
         let rows = self.decode_output(translation)?;
         Ok(QueryOutcome {
@@ -346,6 +348,27 @@ impl YSmart {
             jobs: outcome.metrics.jobs.len(),
             metrics: outcome.metrics,
         })
+    }
+
+    /// Runs a chain on the engine's cluster — [`ysmart_mapred::run_chain`],
+    /// with the chain's lane absorbed into the engine's trace (failed
+    /// chains' partial lanes too) when tracing is on.
+    fn run(&mut self, chain: &JobChain) -> Result<ChainOutcome, MapRedError> {
+        let seed = chain_seed(chain);
+        let session = if self.trace.is_some() {
+            ChainSession::with_tracing(seed)
+        } else {
+            ChainSession::new(seed)
+        };
+        let mut result = session.run(&mut self.cluster, chain);
+        let lane = match &mut result {
+            Ok(outcome) => outcome.trace.take(),
+            Err(failure) => failure.trace.take(),
+        };
+        if let (Some(trace), Some(lane), Some(last)) = (&mut self.trace, lane, chain.jobs.last()) {
+            trace.absorb(&last.output, *lane);
+        }
+        Ok(result?)
     }
 }
 
@@ -596,6 +619,40 @@ mod tests {
             .translate_tagged(sql, Strategy::YSmart, "tag-c")
             .unwrap();
         assert!(fp(&t3, &empty).iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn traced_queries_get_processes_of_their_own() {
+        // Two multi-job Hive chains on one engine: each chain's scheduling
+        // gaps sit on its own chain process, and the two queries' job
+        // processes carry distinct labels.
+        let sql = "SELECT c1.uid, count(*) FROM clicks AS c1, clicks AS c2 \
+                   WHERE c1.uid = c2.uid AND c1.cid = 1 AND c2.cid = 2 GROUP BY c1.uid";
+        let mut e = engine();
+        e.enable_tracing();
+        for _ in 0..2 {
+            assert!(e.execute_sql(sql, Strategy::Hive).unwrap().jobs > 1);
+        }
+        let trace = e.take_trace().expect("tracing was on");
+        let labels = trace.process_labels();
+        let gap_pids: std::collections::BTreeSet<u32> = trace
+            .events()
+            .iter()
+            .filter(|ev| ev.cat == "gap")
+            .map(|ev| ev.pid)
+            .collect();
+        assert_eq!(gap_pids.len(), 2, "one gap process per query: {labels:?}");
+        for pid in gap_pids {
+            assert!(pid > 0 && labels[pid as usize - 1].ends_with("/chain"));
+        }
+        let jobs: Vec<&String> = labels.iter().filter(|l| !l.ends_with("/chain")).collect();
+        let distinct: std::collections::BTreeSet<&&String> = jobs.iter().collect();
+        assert!(jobs.len() >= 4, "{labels:?}");
+        assert_eq!(distinct.len(), jobs.len(), "{labels:?}");
+        assert!(
+            e.take_trace().unwrap().is_empty(),
+            "tracing stays on, fresh"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use compile::{compile, compile_batch, BatchTranslation, QueryOutputLoc, Tran
 pub use draft::{build_drafts, Draft};
 pub use engine::{BatchOutcome, QueryOutcome, YSmart};
 pub use error::CoreError;
-pub use options::{FaultOptions, Strategy, TranslateOptions};
+pub use options::{Strategy, TranslateOptions};
 
 use ysmart_plan::{analyze, build_plan, Catalog, Plan};
 

@@ -1,9 +1,4 @@
-//! Translation strategies: YSmart and the systems the paper compares —
-//! plus the fault-injection knobs applied on top of a cluster preset.
-
-use ysmart_mapred::{
-    BlacklistPolicy, ClusterConfig, CorruptionModel, FailureModel, NodeFailureModel, RetryPolicy,
-};
+//! Translation strategies: YSmart and the systems the paper compares.
 
 /// Which rule set and execution style the translator applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,98 +114,9 @@ pub struct TranslateOptions {
     pub value_pad_bytes: usize,
 }
 
-/// Fault-injection and recovery knobs, bundled so experiment harnesses can
-/// sweep them over any [`ClusterConfig`] preset without reaching into the
-/// individual fields.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultOptions {
-    /// Per-task-attempt failure injection.
-    pub task_failures: Option<FailureModel>,
-    /// Whole-node death injection.
-    pub node_failures: Option<NodeFailureModel>,
-    /// Chain-level retry with exponential backoff.
-    pub retry: Option<RetryPolicy>,
-    /// Byte-level corruption injection (blocks, shuffle segments, records).
-    pub corruption: Option<CorruptionModel>,
-    /// Bad-record budget per job: malformed input records skipped before
-    /// the job fails. Meaningless without `corruption.record_rate > 0`.
-    pub skip_bad_records: u64,
-    /// Node blacklisting for repeat offenders.
-    pub blacklist: Option<BlacklistPolicy>,
-}
-
-impl FaultOptions {
-    /// A fault profile for sweeps: node deaths at `probability` plus a
-    /// moderate task-failure rate, recovered by the default retry policy.
-    #[must_use]
-    pub fn injected(probability: f64, seed: u64) -> Self {
-        FaultOptions {
-            task_failures: Some(FailureModel {
-                probability: (probability / 2.0).min(0.3),
-                seed: seed ^ 0xF417,
-            }),
-            node_failures: Some(NodeFailureModel { probability, seed }),
-            retry: Some(RetryPolicy::default()),
-            ..FaultOptions::default()
-        }
-    }
-
-    /// A data-integrity profile: uniform byte corruption at `rate` across
-    /// blocks, shuffle segments and records, with a generous skip budget,
-    /// blacklisting, and the default retry policy to recover attempts that
-    /// lose every replica of a block.
-    #[must_use]
-    pub fn corrupted(rate: f64, seed: u64) -> Self {
-        FaultOptions {
-            corruption: Some(CorruptionModel::uniform(rate, seed)),
-            skip_bad_records: u64::MAX,
-            blacklist: Some(BlacklistPolicy::default()),
-            retry: Some(RetryPolicy::default()),
-            ..FaultOptions::default()
-        }
-    }
-
-    /// Writes the knobs into a cluster configuration (an unset knob clears
-    /// the corresponding field, so applying `FaultOptions::default()`
-    /// disables injection).
-    pub fn apply(&self, cfg: &mut ClusterConfig) {
-        cfg.failures = self.task_failures;
-        cfg.node_failures = self.node_failures;
-        cfg.retry = self.retry;
-        cfg.corruption = self.corruption;
-        cfg.skip_bad_records = self.skip_bad_records;
-        cfg.blacklist = self.blacklist;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fault_options_apply_and_clear() {
-        let mut cfg = ClusterConfig::default();
-        let faults = FaultOptions::injected(0.2, 7);
-        faults.apply(&mut cfg);
-        assert!(cfg.failures.is_some());
-        assert_eq!(cfg.node_failures.unwrap().probability, 0.2);
-        assert!(cfg.retry.is_some());
-        FaultOptions::default().apply(&mut cfg);
-        assert!(cfg.failures.is_none() && cfg.node_failures.is_none() && cfg.retry.is_none());
-    }
-
-    #[test]
-    fn corruption_profile_applies_and_clears() {
-        let mut cfg = ClusterConfig::default();
-        FaultOptions::corrupted(1e-3, 9).apply(&mut cfg);
-        assert_eq!(cfg.corruption.unwrap().block_rate, 1e-3);
-        assert_eq!(cfg.skip_bad_records, u64::MAX);
-        assert!(cfg.blacklist.is_some() && cfg.retry.is_some());
-        assert!(cfg.failures.is_none(), "pure integrity profile");
-        FaultOptions::default().apply(&mut cfg);
-        assert!(cfg.corruption.is_none() && cfg.blacklist.is_none());
-        assert_eq!(cfg.skip_bad_records, 0);
-    }
 
     #[test]
     fn presets_match_paper_systems() {

@@ -8,6 +8,9 @@
 //! each launch, the mechanism that amplified Hive's disadvantage on the
 //! Facebook cluster (§VII-F: "Because Hive executes more jobs than YSmart,
 //! it causes higher scheduling cost").
+//!
+//! A [`ChainSession`] is one chain's whole state, trace lane included; the
+//! [`Cluster`] it steps on is only the file system and the configuration.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +64,9 @@ pub struct ChainOutcome {
     pub metrics: ChainMetrics,
     /// HDFS path holding the final job's output.
     pub final_output: String,
+    /// The chain's trace lane, when its session traced
+    /// ([`ChainSession::with_tracing`]). Boxed like [`ChainFailure::trace`].
+    pub trace: Option<Box<Trace>>,
 }
 
 /// A failed chain: the error plus the *partial* metrics of everything that
@@ -73,10 +79,11 @@ pub struct ChainFailure {
     pub error: MapRedError,
     /// Metrics accumulated up to the failure.
     pub metrics: ChainMetrics,
-    /// The partial execution trace up to the failure, when tracing was on —
-    /// a failed or cancelled chain still produces an inspectable timeline
-    /// (committed jobs, gaps, backoffs, the failed attempts themselves).
-    /// Boxed to keep the error variant small on the happy path.
+    /// The chain's partial trace lane up to the failure, when its session
+    /// traced — a failed or cancelled chain still produces an inspectable
+    /// timeline (committed jobs, gaps, backoffs, the failed attempts
+    /// themselves) of that chain alone. Boxed to keep the error variant
+    /// small on the happy path.
     pub trace: Option<Box<Trace>>,
 }
 
@@ -135,14 +142,7 @@ pub fn retryable(e: &MapRedError) -> bool {
 /// cluster time limit. Failures come wrapped in a [`ChainFailure`] carrying
 /// the partial [`ChainMetrics`] of everything that ran first.
 pub fn run_chain(cluster: &mut Cluster, chain: &JobChain) -> Result<ChainOutcome, ChainFailure> {
-    let mut session = ChainSession::new(chain_seed(chain));
-    loop {
-        match session.step(cluster, chain) {
-            ChainStep::Advanced | ChainStep::Backoff { .. } => {}
-            ChainStep::Finished => return Ok(session.into_outcome()),
-            ChainStep::Failed => return Err(session.into_failure(cluster)),
-        }
-    }
+    ChainSession::new(chain_seed(chain)).run(cluster, chain)
 }
 
 /// The seed [`run_chain`] derives for a chain: a stable hash of the first
@@ -206,14 +206,15 @@ pub enum ChainStep {
 
 /// Re-entrant, stepwise execution state of one chain.
 ///
-/// [`run_chain`] drives a session to completion on a dedicated cluster; the
-/// multi-tenant [`crate::scheduler`] instead keeps many sessions open over
-/// *one* shared cluster, stepping whichever chain's turn it is in simulated
-/// time. Everything that used to be implicit cluster-global state is
-/// per-session here: the recovery checkpoint, the accumulated
-/// [`ChainMetrics`], the scheduling-gap RNG, and (optionally) a private
-/// trace lane that is swapped into the cluster only for the duration of a
-/// step — so interleaved chains never write into each other's timelines.
+/// [`ChainSession::run`] drives a session to completion ([`run_chain`] is
+/// that, on a dedicated cluster); the multi-tenant [`crate::scheduler`]
+/// instead keeps many sessions open over *one* shared cluster, stepping
+/// whichever chain's turn it is in simulated time. Everything a chain
+/// carries across steps is per-session here, not on the cluster: the
+/// recovery checkpoint, the accumulated [`ChainMetrics`], the scheduling-gap
+/// RNG, and (optionally) the chain's trace lane — the engine hands each
+/// attempt's spans back and the session commits them to its own lane, so
+/// interleaved chains never write into each other's timelines.
 ///
 /// The session is `Clone`: a clone is a *snapshot* (checkpoint, metrics,
 /// gap-RNG state, trace lane), and stepping the clone on a cloned cluster
@@ -231,7 +232,7 @@ pub struct ChainSession {
     final_output: String,
     gap_rng: Option<StdRng>,
     gap_rng_ready: bool,
-    /// The session's own trace lane (`None` = use the cluster's, if any).
+    /// The session's trace lane; `None` when it does not trace.
     trace: Option<Trace>,
     /// When set, a retryable failure fails the chain instead of backing
     /// off — the scheduler's per-tenant retry-budget gate.
@@ -269,9 +270,9 @@ impl ChainSession {
         }
     }
 
-    /// A session recording its own trace lane, independent of whether the
-    /// cluster traces. The lane is in chain-local time (admission = 0);
-    /// shift it with [`Trace::shift_s`] to align co-running chains.
+    /// A session recording a trace lane, handed back with its outcome or
+    /// failure. The lane is in chain-local time (admission = 0); shift it
+    /// with [`Trace::shift_s`] to align co-running chains.
     #[must_use]
     pub fn with_tracing(seed: u64) -> Self {
         let mut s = ChainSession::new(seed);
@@ -335,9 +336,24 @@ impl ChainSession {
         self.error = Some(error);
     }
 
-    /// Takes the session's private trace lane, if it records one.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
+    /// Steps the session to its end.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_chain`]: the [`ChainFailure`] of a chain that failed (or was
+    /// abandoned) before it finished.
+    pub fn run(
+        mut self,
+        cluster: &mut Cluster,
+        chain: &JobChain,
+    ) -> Result<ChainOutcome, ChainFailure> {
+        loop {
+            match self.step(cluster, chain) {
+                ChainStep::Advanced | ChainStep::Backoff { .. } => {}
+                ChainStep::Finished => return Ok(self.into_outcome()),
+                ChainStep::Failed => return Err(self.into_failure(cluster)),
+            }
+        }
     }
 
     /// Consumes a finished session ([`ChainStep::Finished`]).
@@ -346,31 +362,25 @@ impl ChainSession {
         ChainOutcome {
             metrics: self.metrics,
             final_output: self.final_output,
+            trace: self.trace.map(Box::new),
         }
     }
 
     /// Consumes a failed session ([`ChainStep::Failed`] or
-    /// [`ChainSession::abandon`]). The failure carries the partial trace:
-    /// the session's own lane when it records one, otherwise a snapshot of
-    /// the cluster's trace (which keeps accumulating for its owner).
+    /// [`ChainSession::abandon`]). The failure carries the session's lane,
+    /// when it traces. The cluster is not read.
     #[must_use]
-    pub fn into_failure(mut self, cluster: &mut Cluster) -> ChainFailure {
-        let trace = self
-            .trace
-            .take()
-            .or_else(|| cluster.trace_mut().cloned())
-            .map(Box::new);
+    pub fn into_failure(self, _cluster: &mut Cluster) -> ChainFailure {
         ChainFailure {
             error: self.error.unwrap_or(MapRedError::EmptyChain),
             metrics: self.metrics,
-            trace,
+            trace: self.trace.map(Box::new),
         }
     }
 
     /// Runs one job attempt: the scheduling gap, the attempt itself, and —
     /// on a retryable failure — the backoff charge. Everything is charged
-    /// to this session's clock and metrics; with a private trace lane, the
-    /// cluster's own trace is untouched.
+    /// to this session's clock, metrics and trace lane.
     pub fn step(&mut self, cluster: &mut Cluster, chain: &JobChain) -> ChainStep {
         if self.error.is_some() {
             return ChainStep::Failed;
@@ -379,20 +389,6 @@ impl ChainSession {
             self.error = Some(MapRedError::EmptyChain);
             return ChainStep::Failed;
         }
-        // A session-owned lane shadows the cluster's trace for the step; a
-        // session without one records into the cluster's trace, if any.
-        let shadow = self.trace.is_some();
-        if shadow {
-            cluster.swap_trace(&mut self.trace);
-        }
-        let result = self.step_inner(cluster, chain);
-        if shadow {
-            cluster.swap_trace(&mut self.trace);
-        }
-        result
-    }
-
-    fn step_inner(&mut self, cluster: &mut Cluster, chain: &JobChain) -> ChainStep {
         let job = &chain.jobs[self.i];
         let mut delay = if self.i == 0 {
             0.0
@@ -411,19 +407,14 @@ impl ChainSession {
         if let (Some(c), Some(rng)) = (cluster.config.contention, self.gap_rng.as_mut()) {
             delay += rng.gen::<f64>() * c.max_scheduling_gap_s;
         }
-        // Tracing: scheduling gaps live on the chain-scheduler lane, and
-        // the cursor tells the engine where on the simulated timeline this
-        // attempt's spans start.
-        if let Some(tr) = cluster.trace_mut() {
-            if delay > 0.0 {
-                tr.chain_span(
-                    "gap",
-                    format!("scheduling gap before {}", job.name),
-                    self.elapsed,
-                    delay,
-                );
-            }
-            tr.set_cursor(self.elapsed + delay);
+        // Scheduling gaps live on the chain-scheduler lane (pid 0).
+        if let Some(tr) = self.trace.as_mut().filter(|_| delay > 0.0) {
+            tr.chain_span(
+                "gap",
+                format!("scheduling gap before {}", job.name),
+                self.elapsed,
+                delay,
+            );
         }
         // Crash recovery fast path: a journaled commit for exactly this
         // (job, attempt) replaces execution — restore the materialized
@@ -450,7 +441,7 @@ impl ChainSession {
                     self.replayed += 1;
                     ("replay", "replayed from journal")
                 };
-                if let Some(tr) = cluster.trace_mut() {
+                if let Some(tr) = self.trace.as_mut() {
                     tr.chain_span(
                         cat,
                         format!("{} {what}", job.name),
@@ -460,7 +451,22 @@ impl ChainSession {
                 }
                 Ok(rj.metrics)
             }
-            None => run_job_attempt(cluster, job, self.attempt),
+            // A successful attempt's spans go to the lane under a process
+            // labelled with the job (a failed attempt's are dropped, and it
+            // is summarised as one `job_failed` span below).
+            None => {
+                let start = self.trace.is_some().then_some(self.elapsed + delay);
+                run_job_attempt(cluster, job, self.attempt, start).map(|(metrics, events)| {
+                    if let Some(tr) = self.trace.as_mut() {
+                        let label = match self.attempt {
+                            0 => job.name.clone(),
+                            a => format!("{} (attempt {})", job.name, a + 1),
+                        };
+                        tr.commit_job(label, events);
+                    }
+                    metrics
+                })
+            }
         };
         match attempt_result {
             Ok(mut m) => {
@@ -480,10 +486,9 @@ impl ChainSession {
                 }
             }
             Err(fail) => {
-                // The attempt's buffered spans were dropped by the engine;
-                // one summary span on the scheduler lane records the
-                // burned time instead.
-                if let Some(tr) = cluster.trace_mut() {
+                // One summary span on the scheduler lane records the
+                // failed attempt's burned time.
+                if let Some(tr) = self.trace.as_mut() {
                     tr.chain_span(
                         "job_failed",
                         format!(
@@ -511,7 +516,7 @@ impl ChainSession {
                     self.attempt,
                     self.seed ^ (self.i as u64).wrapping_mul(0xA076_1D64_78BD_642F),
                 );
-                if let Some(tr) = cluster.trace_mut() {
+                if let Some(tr) = self.trace.as_mut() {
                     tr.chain_span(
                         "backoff",
                         format!(

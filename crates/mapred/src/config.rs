@@ -431,6 +431,37 @@ impl ClusterConfig {
         }
     }
 
+    /// A fault profile for sweeps, on top of `self`: node deaths at
+    /// `probability` plus a moderate task-failure rate, recovered by the
+    /// default retry policy.
+    #[must_use]
+    pub fn injected(self, probability: f64, seed: u64) -> Self {
+        ClusterConfig {
+            failures: Some(FailureModel {
+                probability: (probability / 2.0).min(0.3),
+                seed: seed ^ 0xF417,
+            }),
+            node_failures: Some(NodeFailureModel { probability, seed }),
+            retry: Some(RetryPolicy::default()),
+            ..self
+        }
+    }
+
+    /// A data-integrity profile on top of `self`: uniform byte corruption
+    /// at `rate` across blocks, shuffle segments and records, with an
+    /// unbounded skip budget, blacklisting, and the default retry policy to
+    /// recover attempts that lose every replica of a block.
+    #[must_use]
+    pub fn corrupted(self, rate: f64, seed: u64) -> Self {
+        ClusterConfig {
+            corruption: Some(CorruptionModel::uniform(rate, seed)),
+            skip_bad_records: u64::MAX,
+            blacklist: Some(BlacklistPolicy::default()),
+            retry: Some(RetryPolicy::default()),
+            ..self
+        }
+    }
+
     /// Total map slots across the cluster (after contention slot share).
     #[must_use]
     pub fn total_map_slots(&self) -> usize {
@@ -496,6 +527,24 @@ mod tests {
         let fb = ClusterConfig::facebook(1);
         assert_eq!(fb.nodes, 747);
         assert!(fb.contention.is_some());
+    }
+
+    #[test]
+    fn injected_preset_sets_failures_and_retry() {
+        let cfg = ClusterConfig::default().injected(0.2, 7);
+        assert!(cfg.failures.is_some());
+        assert_eq!(cfg.node_failures.unwrap().probability, 0.2);
+        assert!(cfg.retry.is_some());
+        assert!(cfg.corruption.is_none(), "pure failure profile");
+    }
+
+    #[test]
+    fn corrupted_preset_is_a_pure_integrity_profile() {
+        let cfg = ClusterConfig::default().corrupted(1e-3, 9);
+        assert_eq!(cfg.corruption.unwrap().block_rate, 1e-3);
+        assert_eq!(cfg.skip_bad_records, u64::MAX);
+        assert!(cfg.blacklist.is_some() && cfg.retry.is_some());
+        assert!(cfg.failures.is_none() && cfg.node_failures.is_none());
     }
 
     #[test]

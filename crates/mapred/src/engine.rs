@@ -22,7 +22,9 @@
 //!   all trace spans. It sees no data and is unit-tested on hand-built counts.
 //!
 //! [`run_job_attempt`] runs map-execute → map-cost → shuffle-execute →
-//! shuffle-cost → reduce-execute → reduce-cost → commit. Each phase's cost
+//! shuffle-cost → reduce-execute → reduce-cost → commit, and hands a traced
+//! attempt's spans back beside its metrics — the cluster holds no trace;
+//! the chain session commits them to its own lane. Each phase's cost
 //! is settled before the next phase executes, so an attempt the cost plane
 //! fails (a task out of retries, too many bad records, every node dead,
 //! disks full, time limit) does no further real work and writes nothing;
@@ -63,7 +65,7 @@ use crate::hash::hash_row;
 use crate::hdfs::Hdfs;
 use crate::job::JobSpec;
 use crate::metrics::JobMetrics;
-use crate::trace::Trace;
+use crate::trace::TraceEvent;
 
 /// Re-fetches a reducer grants one shuffle segment before giving up on the
 /// mapper's output and re-executing the mapper (Hadoop's
@@ -79,8 +81,6 @@ pub struct Cluster {
     pub hdfs: Hdfs,
     /// The cost model and topology.
     pub config: ClusterConfig,
-    /// Execution trace, recorded only when enabled ([`Cluster::enable_tracing`]).
-    trace: Option<Trace>,
 }
 
 impl Cluster {
@@ -90,33 +90,7 @@ impl Cluster {
         Cluster {
             hdfs: Hdfs::new(),
             config,
-            trace: None,
         }
-    }
-
-    /// Starts recording an execution trace. Until [`Cluster::take_trace`]
-    /// is called, every job run on this cluster appends its spans; with
-    /// tracing off (the default) no trace work happens at all.
-    pub fn enable_tracing(&mut self) {
-        self.trace.get_or_insert_with(Trace::new);
-    }
-
-    /// The trace recorded so far, for in-place inspection or cursor moves.
-    pub fn trace_mut(&mut self) -> Option<&mut Trace> {
-        self.trace.as_mut()
-    }
-
-    /// Stops tracing and returns the recorded trace, if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    /// Swaps the cluster's trace slot with `slot`. A re-entrant
-    /// [`crate::chain::ChainSession`] owns its own trace lane and installs
-    /// it around each step, so concurrently interleaved chains never write
-    /// into one cluster-global timeline.
-    pub fn swap_trace(&mut self, slot: &mut Option<Trace>) {
-        std::mem::swap(&mut self.trace, slot);
     }
 
     /// Loads a table into HDFS at `data/<name>` as text lines.
@@ -180,8 +154,9 @@ struct JobCtx<'a> {
     /// Stable hash of the job name, mixed into every seed.
     hash: u64,
     attempt: usize,
-    /// The trace cursor (simulated seconds) spans are laid out from;
-    /// `None` when tracing is off, and then no span is built at all.
+    /// The attempt's start on its chain's timeline (simulated seconds),
+    /// which its spans are laid out from; `None` when not tracing, and then
+    /// no span is built at all.
     cursor: Option<f64>,
 }
 
@@ -276,7 +251,9 @@ struct ReduceCounts {
 /// Missing inputs, disk-capacity overflow, time-limit violation, injected
 /// faults that exhaust task retries, or loss of every worker node.
 pub fn run_job(cluster: &mut Cluster, spec: &JobSpec) -> Result<JobMetrics, MapRedError> {
-    run_job_attempt(cluster, spec, 0).map_err(MapRedError::from)
+    run_job_attempt(cluster, spec, 0, None)
+        .map(|(metrics, _)| metrics)
+        .map_err(MapRedError::from)
 }
 
 /// Mixes a job-attempt index into RNG seeds so a retried job sees fresh
@@ -287,28 +264,27 @@ pub(crate) fn attempt_mix(attempt: usize) -> u64 {
 
 /// Executes one attempt of a job. `attempt` varies the injected-fault RNG
 /// draws, so the chain-level retry of a failed job is not doomed to repeat
-/// the exact same deaths.
+/// the exact same deaths. `trace_start` is the attempt's start on its
+/// chain's timeline when the chain is traced: the attempt's spans come back
+/// beside its metrics, laid out from there (none are built without it).
 ///
 /// # Errors
 ///
 /// As [`run_job`], but failures carry the simulated time the attempt burned
-/// before dying ([`AttemptFailure`]).
+/// before dying ([`AttemptFailure`]); a failed attempt's spans are dropped.
 pub fn run_job_attempt(
     cluster: &mut Cluster,
     spec: &JobSpec,
     attempt: usize,
-) -> Result<JobMetrics, AttemptFailure> {
-    let Cluster {
-        hdfs,
-        config,
-        trace,
-    } = cluster;
+    trace_start: Option<f64>,
+) -> Result<(JobMetrics, Vec<TraceEvent>), AttemptFailure> {
+    let Cluster { hdfs, config } = cluster;
     let job = JobCtx {
         cfg: config,
         name: &spec.name,
         hash: hash_row(&ysmart_rel::row![spec.name.as_str()]),
         attempt,
-        cursor: trace.as_ref().map(Trace::cursor_s),
+        cursor: trace_start,
     };
     // At least one reducer: `reduce_tasks(0)` would otherwise partition
     // keys modulo zero.
@@ -356,18 +332,7 @@ pub fn run_job_attempt(
         }
     };
     data::write_output(hdfs, &spec.output, outputs);
-    // A successful attempt's spans go to the cluster trace under a process
-    // labelled with the job (a failed attempt is summarised by the chain as
-    // one `job_failed` span instead).
-    if let Some(tr) = trace {
-        let label = if attempt == 0 {
-            spec.name.clone()
-        } else {
-            format!("{} (attempt {})", spec.name, attempt + 1)
-        };
-        tr.commit_job(label, events);
-    }
-    Ok(metrics)
+    Ok((metrics, events))
 }
 
 #[cfg(test)]

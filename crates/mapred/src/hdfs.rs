@@ -16,7 +16,9 @@
 //! [`Hdfs::put_shared`] stores one under another path. The commit path —
 //! reuse cache, fast-forward restore, replay plan, journal record — moves
 //! handles, never copies, so a job output exists once however many of them
-//! hold it, and is freed when the last one lets go.
+//! hold it, and is freed when the last one lets go. Paths are what jobs
+//! read and write; a holder that is not a job (the reuse cache, the
+//! journal) keeps its handles itself.
 //!
 //! # Block integrity
 //!
@@ -112,9 +114,9 @@ pub(crate) fn line_bytes(line: &str) -> u64 {
 /// the memo of its content checksum with the bytes.
 ///
 /// [`Hdfs`] keeps one [`FileRef`] per path and never copies a file it is
-/// handed: the reuse cache's `reuse/<fp>` entry, the restore of a hit under
-/// a chain's `tmp/` path, the replay plan and the journal record of the
-/// commit all hold the *same* allocation. Identity (`Arc::ptr_eq`) is
+/// handed: the reuse cache's entry, the restore of a hit under a chain's
+/// `tmp/` path, the replay plan and the journal record of the commit all
+/// hold the *same* allocation. Identity (`Arc::ptr_eq`) is
 /// therefore a free proof of byte equality; the converse does not hold, so
 /// anything deciding "same content" falls back to comparing the files.
 #[derive(Debug, Default)]
@@ -658,10 +660,10 @@ mod tests {
         let sum = shared.checksum();
         // The same handle under more paths: one allocation, its memo with
         // it, and each path charged as a copy would be.
-        fs.put_shared("reuse/0001", Arc::clone(&shared));
+        fs.put_shared("tmp/c", Arc::clone(&shared));
         fs.put_shared("tmp/b", Arc::clone(&shared));
         assert!(Arc::ptr_eq(&fs.share("tmp/b").unwrap(), &shared));
-        assert!(std::ptr::eq(fs.get("reuse/0001").unwrap(), &**shared));
+        assert!(std::ptr::eq(fs.get("tmp/c").unwrap(), &**shared));
         assert_eq!(fs.checksum("tmp/b").unwrap(), sum);
         assert_eq!(fs.total_bytes(), 3 * shared.bytes());
         // Overwriting one path — by a fresh file, then by the shared one
@@ -672,7 +674,7 @@ mod tests {
         assert_eq!(fs.total_bytes(), 2 * shared.bytes());
         // A holder outlives every path; the bytes go with the last handle.
         fs.delete("tmp/b");
-        fs.delete("reuse/0001");
+        fs.delete("tmp/c");
         assert_eq!(fs.total_bytes(), 0);
         assert_eq!((shared.lines.len(), Arc::strong_count(&shared)), (50, 1));
     }

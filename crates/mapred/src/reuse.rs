@@ -2,10 +2,11 @@
 //!
 //! *ReStore: Reusing Results of MapReduce Jobs* materializes sub-job
 //! outputs and rewrites later jobs to read them instead of recomputing.
-//! This module is that layer for the simulated cluster: committed job
-//! outputs stay materialized in [`Hdfs`] under fingerprint-addressed
-//! `reuse/<fp>` paths, and the multi-tenant scheduler fast-forwards any
-//! *prefix* of an incoming chain whose job fingerprints hit the cache,
+//! This module is that layer for the simulated cluster: the cache keeps
+//! committed job outputs alive itself, one [`FileRef`] per fingerprint in
+//! its own entries (HDFS holds only what jobs read and write by path), and
+//! the multi-tenant scheduler fast-forwards any *prefix* of an incoming
+//! chain whose job fingerprints hit the cache,
 //! through the same [`crate::chain::ChainSession::set_replay`] machinery
 //! crash recovery uses — so a hit restores the recorded output bytes and
 //! applies the recorded metrics bit-identically to having executed.
@@ -30,7 +31,7 @@
 //!   reports a miss — the chain re-executes, so corruption costs time,
 //!   never answers.
 //!
-//! The cache stores and serves [`FileRef`] handles: `reuse/<fp>` shares the
+//! The cache stores and serves [`FileRef`] handles: an entry shares the
 //! committed output's allocation with the chain path it was committed from,
 //! and a hit hands the same allocation to the consuming chain and, through
 //! it, to the journal — which therefore writes the bytes once per epoch.
@@ -48,13 +49,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{ClusterConfig, CorruptionModel};
 use crate::hash::checksum_bytes;
-use crate::hdfs::{file_bytes, file_bytes_len, file_checksum, FileRef, Hdfs};
+use crate::hdfs::{file_bytes, file_bytes_len, file_checksum, FileRef};
 use crate::metrics::JobMetrics;
 
 /// Configuration of the result-reuse cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReuseConfig {
-    /// Total bytes of cached outputs kept materialized in HDFS. `0`
+    /// Total bytes of cached outputs the cache keeps alive. `0`
     /// disables caching: nothing is ever inserted, every lookup misses —
     /// the byte-identical baseline the CI gate pins.
     pub capacity_bytes: u64,
@@ -107,8 +108,8 @@ impl ReuseStats {
 /// One cached job output.
 #[derive(Debug, Clone)]
 struct Entry {
-    /// Fingerprint-addressed HDFS path holding the materialized output.
-    path: String,
+    /// The materialized output, shared with whoever else holds it.
+    file: FileRef,
     /// Content checksum taken at insert time, verified on every hit.
     checksum: u64,
     /// Size of the materialized file.
@@ -141,12 +142,6 @@ pub struct ReuseCache {
 #[must_use]
 pub fn config_epoch(config: &ClusterConfig) -> u64 {
     checksum_bytes(format!("{config:?}").as_bytes())
-}
-
-/// The fingerprint-addressed HDFS path of a cached output.
-#[must_use]
-pub fn reuse_path(fingerprint: u64) -> String {
-    format!("reuse/{fingerprint:016x}")
 }
 
 impl ReuseCache {
@@ -190,15 +185,11 @@ impl ReuseCache {
     }
 
     /// Scopes the cache to `epoch` (see [`config_epoch`]): on a change,
-    /// every cached file is deleted from `hdfs` and the entries dropped.
-    /// Counters survive — they describe the cache's lifetime, not one
-    /// epoch.
-    pub fn ensure_epoch(&mut self, hdfs: &mut Hdfs, epoch: u64) {
+    /// every entry is dropped. Counters survive — they describe the cache's
+    /// lifetime, not one epoch.
+    pub fn ensure_epoch(&mut self, epoch: u64) {
         if self.epoch == Some(epoch) {
             return;
-        }
-        for entry in self.entries.values() {
-            hdfs.delete(&entry.path);
         }
         self.stats.bytes_cached = 0;
         self.entries.clear();
@@ -213,7 +204,6 @@ impl ReuseCache {
     /// evicted and reported as a miss, so the caller re-executes.
     pub fn lookup(
         &mut self,
-        hdfs: &mut Hdfs,
         fingerprint: u64,
         corruption: Option<&CorruptionModel>,
         now_s: f64,
@@ -222,17 +212,10 @@ impl ReuseCache {
             self.stats.misses += 1;
             return None;
         };
-        let Ok(file) = hdfs.share(&entry.path) else {
-            // The materialized file vanished out from under the entry
-            // (defensive: nothing in-tree deletes reuse/ paths directly).
-            let dead = self.entries.remove(&fingerprint).expect("entry exists");
-            self.stats.bytes_cached -= dead.bytes;
-            self.stats.misses += 1;
-            return None;
-        };
+        let file = &entry.file;
         let flipped_bit = corruption.and_then(|model| {
             const SPLITMIX: u64 = 0x9E37_79B9_7F4A_7C15;
-            let len = file_bytes_len(&file);
+            let len = file_bytes_len(file);
             let seed = model.seed
                 ^ fingerprint.wrapping_mul(SPLITMIX)
                 ^ (entry.seq + 0xCAC4E).wrapping_mul(SPLITMIX);
@@ -244,16 +227,15 @@ impl ReuseCache {
         // memo names the content, it does not vouch for it. Clean bytes are
         // hashed where they lie; a drawn flip needs a copy to land in.
         let at_rest = match flipped_bit {
-            None => file_checksum(&file),
+            None => file_checksum(file),
             Some(bit) => {
-                let mut candidate = file_bytes(&file);
+                let mut candidate = file_bytes(file);
                 candidate[bit / 8] ^= 1 << (bit % 8);
                 checksum_bytes(&candidate)
             }
         };
         if at_rest != entry.checksum {
             let dead = self.entries.remove(&fingerprint).expect("entry exists");
-            hdfs.delete(&dead.path);
             self.stats.bytes_cached -= dead.bytes;
             self.stats.integrity_failures += 1;
             self.stats.misses += 1;
@@ -264,23 +246,15 @@ impl ReuseCache {
         entry.last_hit_s = now_s;
         self.stats.hits += 1;
         self.stats.reused_work_s += entry.metrics.total_s() - entry.metrics.startup_delay_s;
-        Some((file, entry.metrics.clone()))
+        Some((FileRef::clone(&entry.file), entry.metrics.clone()))
     }
 
-    /// Inserts a committed job output at simulated instant `now_s`,
-    /// materializing it in `hdfs` under [`reuse_path`] — the path shares
-    /// `file`'s allocation with whoever else holds it. No-ops when the
-    /// capacity is 0, the fingerprint is already cached (recovery replays
-    /// re-commit the same jobs), or the file cannot fit even after
-    /// evicting every unpinned entry.
-    pub fn insert(
-        &mut self,
-        hdfs: &mut Hdfs,
-        fingerprint: u64,
-        file: FileRef,
-        metrics: JobMetrics,
-        now_s: f64,
-    ) {
+    /// Inserts a committed job output at simulated instant `now_s`; the
+    /// entry shares `file`'s allocation with whoever else holds it.
+    /// No-ops when the capacity is 0, the fingerprint is already cached
+    /// (recovery replays re-commit the same jobs), or the file cannot fit
+    /// even after evicting every unpinned entry.
+    pub fn insert(&mut self, fingerprint: u64, file: FileRef, metrics: JobMetrics, now_s: f64) {
         let capacity = self.capacity_bytes();
         if capacity == 0 || self.entries.contains_key(&fingerprint) {
             return;
@@ -290,18 +264,16 @@ impl ReuseCache {
             return;
         }
         while self.stats.bytes_cached + bytes > capacity {
-            if !self.evict_lru(hdfs) {
+            if !self.evict_lru() {
                 return;
             }
         }
-        let path = reuse_path(fingerprint);
         let checksum = file.checksum();
-        hdfs.put_shared(&path, file);
         self.seq += 1;
         self.entries.insert(
             fingerprint,
             Entry {
-                path,
+                file,
                 checksum,
                 bytes,
                 metrics,
@@ -316,7 +288,7 @@ impl ReuseCache {
 
     /// Evicts the least-recently-hit unpinned entry; `false` when every
     /// entry is pinned (or the cache is empty).
-    fn evict_lru(&mut self, hdfs: &mut Hdfs) -> bool {
+    fn evict_lru(&mut self) -> bool {
         let victim = self
             .entries
             .iter()
@@ -332,7 +304,6 @@ impl ReuseCache {
             return false;
         };
         let dead = self.entries.remove(&fp).expect("victim exists");
-        hdfs.delete(&dead.path);
         self.stats.bytes_cached -= dead.bytes;
         self.stats.evictions += 1;
         true
@@ -378,13 +349,11 @@ mod tests {
 
     #[test]
     fn round_trips_and_counts() {
-        let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-        assert!(cache.lookup(&mut hdfs, 7, None, 0.0).is_none());
-        cache.insert(&mut hdfs, 7, text(&["a|1", "b|2"]), metrics(3.0), 1.0);
+        assert!(cache.lookup(7, None, 0.0).is_none());
+        cache.insert(7, text(&["a|1", "b|2"]), metrics(3.0), 1.0);
         assert!(cache.contains(7));
-        assert!(hdfs.exists(&reuse_path(7)));
-        let (file, m) = cache.lookup(&mut hdfs, 7, None, 2.0).unwrap();
+        let (file, m) = cache.lookup(7, None, 2.0).unwrap();
         assert_eq!(file.lines, vec!["a|1".to_string(), "b|2".to_string()]);
         assert!((m.total_s() - 3.0).abs() < 1e-12);
         let s = cache.stats();
@@ -394,89 +363,80 @@ mod tests {
 
     #[test]
     fn capacity_zero_never_caches() {
-        let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(0));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
+        cache.insert(1, text(&["x"]), metrics(1.0), 0.0);
         assert!(cache.is_empty());
-        assert_eq!(hdfs.total_bytes(), 0);
+        assert_eq!(cache.stats().bytes_cached, 0);
         assert_eq!(cache.stats().insertions, 0);
     }
 
     #[test]
     fn lru_evicts_coldest_first() {
-        let mut hdfs = Hdfs::new();
         // Each file is 2 bytes ("x\n"); capacity fits exactly two.
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(4));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
-        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0), 1.0);
+        cache.insert(1, text(&["x"]), metrics(1.0), 0.0);
+        cache.insert(2, text(&["y"]), metrics(1.0), 1.0);
         // Touch 1 so 2 becomes the LRU victim.
-        cache.lookup(&mut hdfs, 1, None, 2.0).unwrap();
-        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0), 3.0);
+        cache.lookup(1, None, 2.0).unwrap();
+        cache.insert(3, text(&["z"]), metrics(1.0), 3.0);
         assert!(cache.contains(1) && cache.contains(3) && !cache.contains(2));
-        assert!(!hdfs.exists(&reuse_path(2)));
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().bytes_cached, 4);
     }
 
     #[test]
     fn pinned_entry_survives_pressure() {
-        let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(4));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
-        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0), 1.0);
+        cache.insert(1, text(&["x"]), metrics(1.0), 0.0);
+        cache.insert(2, text(&["y"]), metrics(1.0), 1.0);
         // 1 is the colder entry but a reader holds it pinned.
         cache.pin(1);
-        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0), 2.0);
+        cache.insert(3, text(&["z"]), metrics(1.0), 2.0);
         assert!(cache.contains(1), "pinned entry must not be evicted");
         assert!(!cache.contains(2), "pressure falls on the unpinned LRU");
         assert!(cache.contains(3));
         cache.unpin(1);
-        cache.insert(&mut hdfs, 4, text(&["w"]), metrics(1.0), 3.0);
+        cache.insert(4, text(&["w"]), metrics(1.0), 3.0);
         assert!(!cache.contains(1), "unpinned, 1 is again evictable");
     }
 
     #[test]
     fn everything_pinned_skips_insert() {
-        let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(2));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
+        cache.insert(1, text(&["x"]), metrics(1.0), 0.0);
         cache.pin(1);
-        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0), 1.0);
+        cache.insert(2, text(&["y"]), metrics(1.0), 1.0);
         assert!(cache.contains(1) && !cache.contains(2));
         assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
     fn corrupt_entry_is_rejected_and_evicted() {
-        let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-        cache.insert(&mut hdfs, 9, text(&["payload"]), metrics(2.0), 0.0);
+        cache.insert(9, text(&["payload"]), metrics(2.0), 0.0);
         let certain = CorruptionModel::uniform(1.0, 42);
         assert!(
-            cache.lookup(&mut hdfs, 9, Some(&certain), 1.0).is_none(),
+            cache.lookup(9, Some(&certain), 1.0).is_none(),
             "a flipped bit must fail verification"
         );
         assert!(!cache.contains(9));
-        assert!(!hdfs.exists(&reuse_path(9)));
         let s = cache.stats();
         assert_eq!((s.integrity_failures, s.hits, s.misses), (1, 0, 1));
         // Clean model: a fresh insert serves again (new seq, fresh draw).
-        cache.insert(&mut hdfs, 9, text(&["payload"]), metrics(2.0), 2.0);
+        cache.insert(9, text(&["payload"]), metrics(2.0), 2.0);
         let clean = CorruptionModel::uniform(0.0, 42);
-        assert!(cache.lookup(&mut hdfs, 9, Some(&clean), 3.0).is_some());
+        assert!(cache.lookup(9, Some(&clean), 3.0).is_some());
     }
 
     #[test]
-    fn epoch_change_clears_entries_and_hdfs() {
-        let mut hdfs = Hdfs::new();
+    fn epoch_change_clears_entries() {
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-        cache.ensure_epoch(&mut hdfs, 1);
-        cache.insert(&mut hdfs, 5, text(&["a"]), metrics(1.0), 0.0);
-        cache.ensure_epoch(&mut hdfs, 1);
+        cache.ensure_epoch(1);
+        cache.insert(5, text(&["a"]), metrics(1.0), 0.0);
+        cache.ensure_epoch(1);
         assert!(cache.contains(5), "same epoch keeps entries");
-        cache.ensure_epoch(&mut hdfs, 2);
+        cache.ensure_epoch(2);
         assert!(cache.is_empty());
-        assert_eq!(hdfs.total_bytes(), 0);
         assert_eq!(cache.stats().bytes_cached, 0);
     }
 
@@ -491,11 +451,10 @@ mod tests {
 
     #[test]
     fn oversized_file_is_not_cached() {
-        let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(3));
-        cache.insert(&mut hdfs, 1, text(&["too-big"]), metrics(1.0), 0.0);
+        cache.insert(1, text(&["too-big"]), metrics(1.0), 0.0);
         assert!(cache.is_empty());
-        assert_eq!(hdfs.total_bytes(), 0);
+        assert_eq!(cache.stats().bytes_cached, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use crate::chain::{retryable, ChainSession, ChainStep, JobChain, ReplayedJob};
+use crate::chain::{retryable, ChainFailure, ChainSession, ChainStep, JobChain, ReplayedJob};
 use crate::config::ContentionModel;
 use crate::engine::Cluster;
 use crate::error::MapRedError;
@@ -417,7 +417,7 @@ pub fn run_workload_with(
     // change (cost model, data format, corruption seed) invalidates every
     // cached output and its recorded metrics.
     if let Some(cache) = sched.reuse.as_deref_mut() {
-        cache.ensure_epoch(&mut cluster.hdfs, config_epoch(&cluster.config));
+        cache.ensure_epoch(config_epoch(&cluster.config));
     }
 
     // Arrivals sorted by (submit time, request index); the index tie-break
@@ -520,7 +520,25 @@ impl Scheduler<'_> {
         self.config.tenants.iter().position(|t| t.name == name)
     }
 
-    fn journal_done(&mut self, idx: usize, kind: DispositionKind, done_s: f64) {
+    /// Settles request `idx` at `done_s`: journals its terminal
+    /// disposition, shifts the chain's lane (if it traced) to workload time
+    /// and merges a copy into the workload trace, and reports it.
+    fn settle(
+        &mut self,
+        idx: usize,
+        admitted_s: Option<f64>,
+        done_s: f64,
+        jobs_reused: usize,
+        mut disposition: Disposition,
+    ) {
+        let (kind, lane) = match &mut disposition {
+            Disposition::Completed(o) => (DispositionKind::Completed, o.trace.as_deref_mut()),
+            Disposition::DeadlineCancelled(f) => {
+                (DispositionKind::DeadlineCancelled, f.trace.as_deref_mut())
+            }
+            Disposition::Failed(f) => (DispositionKind::Failed, f.trace.as_deref_mut()),
+            Disposition::Shed(_) => (DispositionKind::Shed, None),
+        };
         if let Some(j) = self.journal.as_deref_mut() {
             j.append(&JournalRecord::Done {
                 id: idx as u64,
@@ -528,6 +546,23 @@ impl Scheduler<'_> {
                 done_s,
             });
         }
+        let r = &self.requests[idx];
+        if let (Some(lane), Some(at)) = (lane, admitted_s) {
+            lane.shift_s(at);
+            if let Some(master) = self.master.as_mut() {
+                master.absorb(&r.label, lane.clone());
+            }
+        }
+        self.reports.push(QueryReport {
+            index: idx,
+            tenant: r.tenant.clone(),
+            label: r.label.clone(),
+            submit_s: r.submit_s,
+            admitted_s,
+            done_s,
+            jobs_reused,
+            disposition,
+        });
     }
 
     /// Journals the job the in-flight step of `running[slot]` committed —
@@ -566,7 +601,7 @@ impl Scheduler<'_> {
     /// cache-reused commits alike — idempotent for already-cached
     /// fingerprints, and exactly what makes crash recovery rebuild the
     /// cache deterministically.
-    fn reuse_commit(&mut self, cluster: &mut Cluster, slot: usize, now: f64) {
+    fn reuse_commit(&mut self, cluster: &Cluster, slot: usize, now: f64) {
         let Some(cache) = self.reuse.as_deref_mut() else {
             return;
         };
@@ -587,25 +622,24 @@ impl Scheduler<'_> {
         let mut metrics = run.session.metrics().jobs[done - 1].clone();
         metrics.attempt = 0;
         let file = cluster.hdfs.share(&job.output).unwrap_or_default();
-        cache.insert(&mut cluster.hdfs, fp, file, metrics, now);
+        cache.insert(fp, file, metrics, now);
     }
 
-    /// Releases the cache pins a chain's fast-forward plan held.
-    fn release_pins(&mut self, run: &Running) {
+    /// Retires a chain leaving its slot: releases the cache pins its
+    /// fast-forward plan held and folds its replay/reuse/execution split
+    /// into the stats (cache hits are neither journal replays nor executed
+    /// work). Returns the jobs it reused.
+    fn retire(&mut self, run: &Running) -> usize {
         if let Some(cache) = self.reuse.as_deref_mut() {
             for &fp in &run.pinned {
                 cache.unpin(fp);
             }
         }
-    }
-
-    /// Folds a finished session's replay/reuse/execution split into the
-    /// stats. Cache hits are neither journal replays nor executed work.
-    fn account(&mut self, session: &ChainSession) {
-        let replayed = session.replayed_jobs();
-        let reused = session.reused_jobs();
+        let replayed = run.session.replayed_jobs();
+        let reused = run.session.reused_jobs();
         self.stats.jobs_replayed += replayed;
-        self.stats.jobs_executed += session.metrics().jobs.len() - replayed - reused;
+        self.stats.jobs_executed += run.session.metrics().jobs.len() - replayed - reused;
+        reused
     }
 
     /// The drain instant: close admission and shed every queued-but-
@@ -633,21 +667,11 @@ impl Scheduler<'_> {
     }
 
     fn shed(&mut self, idx: usize, now: f64, error: MapRedError) {
-        let r = &self.requests[idx];
         if let Some(tr) = self.master.as_mut() {
-            tr.chain_instant("shed", format!("{}: {}", r.label, error), now);
+            let label = &self.requests[idx].label;
+            tr.chain_instant("shed", format!("{label}: {error}"), now);
         }
-        self.reports.push(QueryReport {
-            index: idx,
-            tenant: r.tenant.clone(),
-            label: r.label.clone(),
-            submit_s: r.submit_s,
-            admitted_s: None,
-            done_s: now,
-            jobs_reused: 0,
-            disposition: Disposition::Shed(error),
-        });
-        self.journal_done(idx, DispositionKind::Shed, now);
+        self.settle(idx, None, now, 0, Disposition::Shed(error));
     }
 
     /// Handles one arrival: admission checks, enqueue, admission pass.
@@ -746,21 +770,18 @@ impl Scheduler<'_> {
                 deadline_s,
             );
         }
-        self.reports.push(QueryReport {
-            index: idx,
-            tenant: r.tenant.clone(),
-            label: r.label.clone(),
-            submit_s: r.submit_s,
-            admitted_s: None,
-            done_s: deadline_s,
-            jobs_reused: 0,
-            disposition: Disposition::DeadlineCancelled(crate::chain::ChainFailure {
-                error: MapRedError::DeadlineExceeded { deadline_s },
-                metrics: ChainMetrics::default(),
-                trace: None,
-            }),
-        });
-        self.journal_done(idx, DispositionKind::DeadlineCancelled, deadline_s);
+        let failure = ChainFailure {
+            error: MapRedError::DeadlineExceeded { deadline_s },
+            metrics: ChainMetrics::default(),
+            trace: None,
+        };
+        self.settle(
+            idx,
+            None,
+            deadline_s,
+            0,
+            Disposition::DeadlineCancelled(failure),
+        );
     }
 
     fn admit(&mut self, cluster: &mut Cluster, w: Waiting, now: f64) {
@@ -800,9 +821,7 @@ impl Scheduler<'_> {
                 }
                 let Some(fp) = job.fingerprint else { break };
                 let corruption = cluster.config.corruption;
-                let Some((file, mut metrics)) =
-                    cache.lookup(&mut cluster.hdfs, fp, corruption.as_ref(), now)
-                else {
+                let Some((file, mut metrics)) = cache.lookup(fp, corruption.as_ref(), now) else {
                     break;
                 };
                 // The cached metrics carry the *producer's* job name;
@@ -958,72 +977,38 @@ impl Scheduler<'_> {
         self.admission_pass(cluster, now);
     }
 
-    fn finish(&mut self, mut run: Running, now: f64) {
-        self.account(&run.session);
-        self.release_pins(&run);
-        self.journal_done(run.idx, DispositionKind::Completed, now);
-        let jobs_reused = run.session.reused_jobs();
-        let r = &self.requests[run.idx];
-        if let (Some(master), Some(mut lane)) = (self.master.as_mut(), run.session.take_trace()) {
-            lane.shift_s(run.admitted_s);
-            master.absorb(&r.label, lane);
-        }
-        self.reports.push(QueryReport {
-            index: run.idx,
-            tenant: r.tenant.clone(),
-            label: r.label.clone(),
-            submit_s: r.submit_s,
-            admitted_s: Some(run.admitted_s),
-            done_s: now,
+    fn finish(&mut self, run: Running, now: f64) {
+        let jobs_reused = self.retire(&run);
+        let outcome = run.session.into_outcome();
+        self.settle(
+            run.idx,
+            Some(run.admitted_s),
+            now,
             jobs_reused,
-            disposition: Disposition::Completed(run.session.into_outcome()),
-        });
+            Disposition::Completed(outcome),
+        );
     }
 
-    /// Takes the session's private lane, shifts it to workload-absolute
-    /// time, merges a copy into the master trace, and returns it for the
-    /// failure report.
-    fn harvest_lane(&mut self, run: &mut Running) -> Option<Trace> {
-        let mut lane = run.session.take_trace()?;
-        lane.shift_s(run.admitted_s);
-        if let Some(master) = self.master.as_mut() {
-            master.absorb(&self.requests[run.idx].label, lane.clone());
-        }
-        Some(lane)
-    }
-
-    fn fail(&mut self, cluster: &mut Cluster, mut run: Running, now: f64) {
-        self.account(&run.session);
-        self.release_pins(&run);
-        self.journal_done(run.idx, DispositionKind::Failed, now);
-        let jobs_reused = run.session.reused_jobs();
-        let tenant = run.tenant;
-        let budget = self.config.tenants[tenant].retry_budget;
-        let deny = self.budget_left[tenant] == 0 && budget > 0;
-        let lane = self.harvest_lane(&mut run);
+    fn fail(&mut self, cluster: &mut Cluster, run: Running, now: f64) {
+        let jobs_reused = self.retire(&run);
+        let tenant = &self.config.tenants[run.tenant];
+        let deny = self.budget_left[run.tenant] == 0 && tenant.retry_budget > 0;
         let mut failure = run.session.into_failure(cluster);
-        if lane.is_some() {
-            failure.trace = lane.map(Box::new);
-        }
         // A retryable error that was denied its retry is the budget's
         // doing — report it as such.
         if deny && retryable(&failure.error) && cluster.config.retry.is_some() {
             failure.error = MapRedError::RetryBudgetExhausted {
-                tenant: self.config.tenants[tenant].name.clone(),
-                budget,
+                tenant: tenant.name.clone(),
+                budget: tenant.retry_budget,
             };
         }
-        let r = &self.requests[run.idx];
-        self.reports.push(QueryReport {
-            index: run.idx,
-            tenant: r.tenant.clone(),
-            label: r.label.clone(),
-            submit_s: r.submit_s,
-            admitted_s: Some(run.admitted_s),
-            done_s: now,
+        self.settle(
+            run.idx,
+            Some(run.admitted_s),
+            now,
             jobs_reused,
-            disposition: Disposition::Failed(failure),
-        });
+            Disposition::Failed(failure),
+        );
     }
 
     /// Cancels a running chain at its deadline: the slot is released *at
@@ -1031,35 +1016,23 @@ impl Scheduler<'_> {
     /// deadline-truncated share of the in-flight step charged as burned
     /// failed-attempt time.
     fn cancel_running(&mut self, cluster: &mut Cluster, mut run: Running) {
-        self.account(&run.session);
-        self.release_pins(&run);
+        let jobs_reused = self.retire(&run);
         let deadline_s = run.deadline_s.expect("cancelled chain has a deadline");
-        self.journal_done(run.idx, DispositionKind::DeadlineCancelled, deadline_s);
-        let mut metrics = run.snapshot.clone();
-        metrics.failed_attempt_s += deadline_s - run.step_start_s;
-        let lane = self.harvest_lane(&mut run);
-        let label = self.requests[run.idx].label.clone();
-        if let Some(tr) = self.master.as_mut() {
-            tr.chain_instant("cancelled", format!("{label} deadline mid-run"), deadline_s);
-        }
-        let jobs_reused = run.session.reused_jobs();
         run.session
             .abandon(MapRedError::DeadlineExceeded { deadline_s });
         let mut failure = run.session.into_failure(cluster);
-        failure.metrics = metrics;
-        if lane.is_some() {
-            failure.trace = lane.map(Box::new);
-        }
-        let r = &self.requests[run.idx];
-        self.reports.push(QueryReport {
-            index: run.idx,
-            tenant: r.tenant.clone(),
-            label: r.label.clone(),
-            submit_s: r.submit_s,
-            admitted_s: Some(run.admitted_s),
-            done_s: deadline_s,
+        failure.metrics = run.snapshot;
+        failure.metrics.failed_attempt_s += deadline_s - run.step_start_s;
+        self.settle(
+            run.idx,
+            Some(run.admitted_s),
+            deadline_s,
             jobs_reused,
-            disposition: Disposition::DeadlineCancelled(failure),
-        });
+            Disposition::DeadlineCancelled(failure),
+        );
+        if let Some(tr) = self.master.as_mut() {
+            let label = &self.requests[run.idx].label;
+            tr.chain_instant("cancelled", format!("{label} deadline mid-run"), deadline_s);
+        }
     }
 }

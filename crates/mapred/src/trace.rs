@@ -1,13 +1,17 @@
 //! Structured execution tracing: a span timeline of everything the
 //! simulator charged time for.
 //!
-//! When enabled on a [`crate::Cluster`], the engine records one
-//! [`TraceEvent`] per simulated event — each map/reduce task attempt,
-//! shuffle fetch, checksum verification, speculative copy, node-loss
-//! re-execution, backoff wait and inter-job scheduling gap — with its start
-//! and duration in *simulated* seconds. Spans are keyed by simulated time
-//! and task index, never wall clock, so a trace is bit-identical across
-//! `exec_threads` settings (pinned by the determinism suite).
+//! A chain session that traces ([`crate::ChainSession::with_tracing`]) owns
+//! one [`Trace`], its lane, with one [`TraceEvent`] per simulated event —
+//! each map/reduce task attempt, shuffle fetch, checksum verification,
+//! speculative copy, node-loss re-execution, backoff wait and inter-job
+//! scheduling gap — with its start and duration in *simulated* seconds. The
+//! engine returns each successful attempt's spans beside its metrics
+//! ([`crate::run_job_attempt`]) and the session commits them to the lane;
+//! the scheduler and the `YSmart` engine merge lanes with
+//! [`Trace::absorb`]. Spans are keyed by simulated time and task index,
+//! never wall clock, so a trace is bit-identical across `exec_threads`
+//! settings (pinned by the determinism suite).
 //!
 //! [`Trace::to_chrome_json`] exports the Chrome-trace `trace_events` JSON
 //! format, loadable in `chrome://tracing` or <https://ui.perfetto.dev>: one
@@ -115,10 +119,6 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     /// Labels of pids `1..`; pid 0 is always the chain scheduler.
     processes: Vec<String>,
-    /// Simulated time at which the next job attempt starts — set by the
-    /// chain runner before each attempt, read by the engine as the origin
-    /// of that attempt's spans.
-    cursor_s: f64,
 }
 
 impl Trace {
@@ -126,17 +126,6 @@ impl Trace {
     #[must_use]
     pub fn new() -> Self {
         Trace::default()
-    }
-
-    /// Simulated start time of the job attempt being recorded.
-    #[must_use]
-    pub fn cursor_s(&self) -> f64 {
-        self.cursor_s
-    }
-
-    /// Moves the attempt origin (chain elapsed time plus scheduling delay).
-    pub fn set_cursor(&mut self, s: f64) {
-        self.cursor_s = s;
     }
 
     /// Records a chain-scheduler span (pid 0, lane 0): inter-job gaps,
@@ -160,7 +149,6 @@ impl Trace {
         for e in &mut self.events {
             e.start_s += dt_s;
         }
-        self.cursor_s += dt_s;
     }
 
     /// Commits one successful job attempt's buffered events under a new
@@ -204,24 +192,23 @@ impl Trace {
             .fold(0.0, f64::max)
     }
 
-    /// Absorbs another chain's trace as additional processes, prefixing its
-    /// labels with `prefix` (the bench harness merges one trace per
-    /// query/strategy run into a single file). The absorbed chain scheduler
-    /// becomes its own named process so concurrent chains don't interleave
-    /// on pid 0.
+    /// Absorbs another trace as additional processes, prefixing its labels
+    /// with `prefix`. A chain's lane keeps its scheduler spans on pid 0;
+    /// they become a process of their own, `<prefix>/chain`, so concurrent
+    /// chains don't interleave on pid 0. A trace with nothing on pid 0 — an
+    /// engine's, whose chains are processes already — adds its processes
+    /// only, so merged traces nest (the bench harness absorbs one engine
+    /// trace per query/strategy run into a single file).
     pub fn absorb(&mut self, prefix: &str, other: Trace) {
+        if other.events.iter().any(|e| e.pid == 0) {
+            self.processes.push(format!("{prefix}/chain"));
+        }
         let base = self.processes.len() as u32;
-        self.processes.push(format!("{prefix}/chain"));
-        let chain_pid = base + 1;
         for label in other.processes {
             self.processes.push(format!("{prefix}/{label}"));
         }
         for mut e in other.events {
-            e.pid = if e.pid == 0 {
-                chain_pid
-            } else {
-                chain_pid + e.pid
-            };
+            e.pid += base;
             self.events.push(e);
         }
     }
@@ -631,7 +618,6 @@ mod tests {
     fn sample() -> Trace {
         let mut tr = Trace::new();
         tr.chain_span("gap", "scheduling gap".into(), 0.0, 2.0);
-        tr.set_cursor(2.0);
         let events = vec![
             TraceEvent::span(0, "map", "m0".into(), 2.0, 5.0).arg("in_records", ArgValue::U64(100)),
             TraceEvent::span(1, "map", "m1".into(), 2.0, 4.0),
@@ -687,6 +673,13 @@ mod tests {
         let json = merged.to_chrome_json();
         let stats = validate_chrome_trace(&json).unwrap();
         assert_eq!(stats.processes, 4);
+        // A merged trace has nothing on pid 0: absorbing it nests its
+        // processes under the prefix and adds no empty chain process.
+        let mut outer = Trace::new();
+        outer.absorb("run", merged.clone());
+        assert_eq!(outer.process_labels()[0], "run/q17/YSmart/chain");
+        assert_eq!(outer.process_labels().len(), merged.process_labels().len());
+        assert_eq!(outer.to_chrome_json().len(), json.len() + 4 * "run/".len());
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //! is exactly the robustness the engine's bad-record budget models.
 
 use ysmart_mapred::{
+    chain_seed, validate_chrome_trace, ChainMetrics, ChainSession, JobMetrics, Mapper, Trace,
+};
+use ysmart_mapred::{
     run_chain, Cluster, ClusterConfig, CorruptionModel, DataFormat, FailureModel, JobChain,
     JobSpec, MapOutput, NodeFailureModel, ReduceOutput, Reducer, RetryPolicy, StragglerModel,
 };
-use ysmart_mapred::{validate_chrome_trace, ChainMetrics, JobMetrics, Mapper, Trace};
 use ysmart_rel::codec::encode_line;
 use ysmart_rel::colbatch::decode_frames;
 use ysmart_rel::{row, Row};
@@ -279,10 +281,12 @@ fn repeated_runs_are_reproducible() {
 /// chain metrics.
 fn run_traced(threads: Option<usize>, seed: u64, format: DataFormat) -> (Trace, ChainMetrics) {
     let mut cluster = Cluster::new(config(threads, seed, format));
-    cluster.enable_tracing();
     load_input(&mut cluster);
-    let outcome = run_chain(&mut cluster, &two_job_chain()).expect("chain");
-    let trace = cluster.take_trace().expect("tracing was enabled");
+    let chain = two_job_chain();
+    let outcome = ChainSession::with_tracing(chain_seed(&chain))
+        .run(&mut cluster, &chain)
+        .expect("chain");
+    let trace = *outcome.trace.expect("tracing was enabled");
     (trace, outcome.metrics)
 }
 
@@ -375,9 +379,11 @@ fn tracing_does_not_change_results_or_metrics() {
     for format in FORMATS {
         let (plain_lines, plain_frames, plain_metrics) = run(Some(4), 42, format);
         let mut cluster = Cluster::new(config(Some(4), 42, format));
-        cluster.enable_tracing();
         load_input(&mut cluster);
-        let outcome = run_chain(&mut cluster, &two_job_chain()).expect("chain");
+        let chain = two_job_chain();
+        let outcome = ChainSession::with_tracing(chain_seed(&chain))
+            .run(&mut cluster, &chain)
+            .expect("chain");
         let (traced_lines, traced_frames) = stored(&cluster, "out/final");
         assert_eq!(traced_lines, plain_lines, "{format:?}");
         assert_eq!(traced_frames, plain_frames, "{format:?}");

@@ -3,8 +3,9 @@
 //! throughout: injected faults change *simulated time*, never results.
 
 use ysmart_mapred::{
-    run_chain, run_job, Cluster, ClusterConfig, JobChain, JobSpec, MapOutput, MapRedError, Mapper,
-    NodeFailureModel, ReduceOutput, Reducer, RetryPolicy, StragglerModel,
+    chain_seed, run_chain, run_job, ChainSession, Cluster, ClusterConfig, JobChain, JobSpec,
+    MapOutput, MapRedError, Mapper, NodeFailureModel, ReduceOutput, Reducer, RetryPolicy,
+    StragglerModel,
 };
 use ysmart_rel::{row, Row};
 
@@ -449,12 +450,13 @@ fn chain_failure_carries_the_partial_trace() {
     // A chain that dies mid-way still hands back an inspectable timeline:
     // the committed first job's spans plus the failure itself.
     let mut c = Cluster::new(many_task_config());
-    c.enable_tracing();
     load(&mut c);
     let mut chain = JobChain::new();
     chain.push(sum_job("ok", "data/t", "tmp/ok"));
     chain.push(sum_job("doomed", "data/nonexistent", "out/never"));
-    let failure = run_chain(&mut c, &chain).unwrap_err();
+    let failure = ChainSession::with_tracing(chain_seed(&chain))
+        .run(&mut c, &chain)
+        .unwrap_err();
     assert!(matches!(failure.error, MapRedError::NoSuchFile(_)));
     assert_eq!(failure.metrics.jobs.len(), 1, "first job completed");
 

@@ -281,12 +281,13 @@ fn torn_cuts_truncate_to_the_previous_boundary() {
 fn chain_session_suspends_and_resumes_bit_identically_at_every_step() {
     for threads in [Some(1), Some(4), None] {
         let jobs = chain("s", 3);
-        let baseline = run_session_to_end(ChainSession::new(7), fresh_cluster(threads), &jobs);
+        let baseline =
+            run_session_to_end(ChainSession::with_tracing(7), fresh_cluster(threads), &jobs);
         // Count baseline steps by re-running.
         let total_steps = baseline.2;
         assert!(total_steps >= 3, "chain should take several steps");
         for suspend_at in 0..total_steps {
-            let mut session = ChainSession::new(7);
+            let mut session = ChainSession::with_tracing(7);
             let mut cluster = fresh_cluster(threads);
             for _ in 0..suspend_at {
                 let step = session.step(&mut cluster, &jobs);
@@ -315,7 +316,6 @@ fn chain_session_suspends_and_resumes_bit_identically_at_every_step() {
 fn fresh_cluster(threads: Option<usize>) -> Cluster {
     let mut c = Cluster::new(faulty_config(threads, 42));
     load(&mut c);
-    c.enable_tracing();
     c
 }
 
@@ -341,7 +341,7 @@ fn run_session_to_end(
                     .lines
                     .clone();
                 rows.sort();
-                let trace = cluster.take_trace().map(|t| t.to_chrome_json());
+                let trace = outcome.trace.map(|t| t.to_chrome_json());
                 return (
                     format!("ok metrics={:?} rows={}", outcome.metrics, rows.join(",")),
                     trace.unwrap_or_default(),
@@ -350,7 +350,7 @@ fn run_session_to_end(
             }
             ChainStep::Failed => {
                 let failure = session.into_failure(&mut cluster);
-                let trace = cluster.take_trace().map(|t| t.to_chrome_json());
+                let trace = failure.trace.as_ref().map(|t| t.to_chrome_json());
                 return (
                     format!("err {:?} metrics={:?}", failure.error, failure.metrics),
                     trace.unwrap_or_default(),

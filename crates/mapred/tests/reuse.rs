@@ -5,14 +5,13 @@
 //! eviction pressure never changes results, and the whole machinery is
 //! bit-identical across `exec_threads` settings and data formats.
 
-use ysmart_mapred::reuse::reuse_path;
 use ysmart_mapred::scheduler::{
     run_workload, run_workload_with, Disposition, QueryRequest, SchedulerConfig, TenantSpec,
     WorkloadReport, WorkloadRun,
 };
 use ysmart_mapred::{
-    file_checksum, Cluster, ClusterConfig, DataFormat, JobChain, JobSpec, MapOutput, Mapper,
-    ReduceOutput, Reducer, ReuseCache, ReuseConfig,
+    file_checksum, Cluster, ClusterConfig, CorruptionModel, DataFormat, JobChain, JobSpec,
+    MapOutput, Mapper, ReduceOutput, Reducer, ReuseCache, ReuseConfig,
 };
 use ysmart_rel::{row, Row};
 
@@ -222,19 +221,32 @@ fn capacity_zero_cache_is_bit_identical_to_no_cache() {
     assert!(stats.misses > 0, "lookups happened and all missed");
 }
 
+/// A cluster whose corruption model damages cached entries at rest. Under
+/// seed 1 the at-rest draw of logical chain 1's first job (the repeat's
+/// lookup, the only one that finds an entry) flips a bit, while every block
+/// read of the jobs themselves finds a clean replica to fail over to.
+fn tampering() -> Cluster {
+    let mut c = cluster(Some(1), DataFormat::Text);
+    c.config.corruption = Some(CorruptionModel {
+        block_rate: 0.5,
+        segment_rate: 0.0,
+        record_rate: 0.0,
+        seed: 1,
+    });
+    c
+}
+
 #[test]
 fn tampered_cache_entry_falls_back_to_reexecution() {
-    // Batch 1 populates the cache; then the materialized bytes of logical
-    // chain 1's first job are overwritten behind the cache's back. The
-    // repeat in batch 2 must detect the checksum mismatch, evict the
-    // damaged entry and re-execute — same answer, one integrity failure.
-    let mut c = cluster(Some(1), DataFormat::Text);
+    // Batch 1 populates the cache; the repeat in batch 2 finds logical
+    // chain 1's first job damaged at rest by the cluster's corruption model.
+    // It must detect the checksum mismatch, evict the damaged entry and
+    // re-execute — same answer, one integrity failure.
+    let mut c = tampering();
     let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
     let first = run_reusing(&mut c, vec![request("q0", 2, 1, 10, 0.0)], &mut cache);
     let good = outputs(&first, &c);
 
-    c.hdfs
-        .put(&reuse_path(1000), vec!["tampered|garbage".to_string()]);
     let second = run_reusing(&mut c, vec![request("q9", 2, 1, 42, 0.0)], &mut cache);
 
     assert_eq!(

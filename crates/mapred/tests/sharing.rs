@@ -1,12 +1,11 @@
 //! A committed job output is one allocation from HDFS through reuse,
-//! replay and journal: a cache hit's `reuse/<fp>` entry, its restore under
-//! the consuming chain's path and its journal record share one
-//! [`FileRef`], and the journal writes the bytes once.
+//! replay and journal: a cache hit's entry, its restore under the consuming
+//! chain's path and its journal record share one [`FileRef`], and the
+//! journal writes the bytes once.
 
 use std::sync::Arc;
 
 use ysmart_mapred::journal::{recover, Journal, JournalRecord};
-use ysmart_mapred::reuse::reuse_path;
 use ysmart_mapred::scheduler::{
     run_workload_with, QueryRequest, SchedulerConfig, TenantSpec, WorkloadRun,
 };
@@ -97,9 +96,10 @@ fn a_cache_hit_is_one_allocation_from_reuse_entry_to_journal_record() {
     assert_eq!(cache.stats().hits, JOBS as u64);
 
     let share = |path: &str| -> FileRef { cluster.hdfs.share(path).unwrap() };
-    let cached_first = share(&reuse_path(1));
+    let mut entry = |fp: u64| -> FileRef { cache.lookup(fp, None, 2.0).unwrap().0 };
+    let cached_first = entry(1);
     for j in 0..JOBS {
-        let cached = share(&reuse_path(j as u64 + 1));
+        let cached = entry(j as u64 + 1);
         assert!(Arc::ptr_eq(&cached, &share(&format!("tmp/q0-{j}"))));
         assert!(Arc::ptr_eq(&cached, &share(&format!("tmp/q1-{j}"))));
         // Its holders: the reuse entry, the two chains' paths, the
@@ -133,9 +133,6 @@ fn a_cache_hit_is_one_allocation_from_reuse_entry_to_journal_record() {
     for path in ["tmp/q0-1", "tmp/q1-0", "tmp/q1-1"] {
         cluster.hdfs.delete(path);
     }
-    assert!(Arc::ptr_eq(
-        &cluster.hdfs.share(&reuse_path(1)).unwrap(),
-        &cached_first
-    ));
+    assert!(Arc::ptr_eq(&entry(1), &cached_first));
     assert_eq!(**cached_first, **files[0]);
 }

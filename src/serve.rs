@@ -447,11 +447,12 @@ impl Service {
         Ok(())
     }
 
-    /// Deletes the files a served batch's chains wrote. Its responses are
-    /// built, and nothing reads a chain's `tmp/` or result path again:
-    /// reuse entries live under `reuse/<fp>` and the journal holds its own
-    /// handles (both share the bytes where they are still wanted), and a
-    /// restart restores outputs from the journal, not from here.
+    /// Deletes the files a served batch's chains wrote, leaving the loaded
+    /// tables alone in HDFS. Its responses are built, and nothing reads a
+    /// chain's `tmp/` or result path again: the reuse cache and the journal
+    /// hold their own handles (both share the bytes where they are still
+    /// wanted), and a restart restores outputs from the journal, not from
+    /// here.
     fn release_outputs(&mut self, batch: &[Pending]) {
         for bp in batch.iter().flat_map(|p| &p.translation.blueprints) {
             self.engine.cluster.hdfs.delete(&bp.output);

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use ysmart::core::{FaultOptions, Strategy, YSmart};
+use ysmart::core::{Strategy, YSmart};
 use ysmart::mapred::{ClusterConfig, NodeFailureModel, RetryPolicy};
 use ysmart::plan::build_plan;
 use ysmart::queries::workloads::Workload;
@@ -34,13 +34,16 @@ fn oracle_rows(w: &Workload) -> Vec<Row> {
     oracle_execute(&plan, &tables).unwrap().rows
 }
 
-fn run(w: &Workload, strategy: Strategy, faults: &FaultOptions) -> ysmart::core::QueryOutcome {
-    // Small blocks create enough map tasks for the injectors to hit.
-    let mut cfg = ClusterConfig {
+/// The healthy cluster every run starts from: small blocks create enough
+/// map tasks for the injectors to hit.
+fn healthy() -> ClusterConfig {
+    ClusterConfig {
         hdfs_block_mb: 0.0005,
         ..ClusterConfig::default()
-    };
-    faults.apply(&mut cfg);
+    }
+}
+
+fn run(w: &Workload, strategy: Strategy, cfg: ClusterConfig) -> ysmart::core::QueryOutcome {
     let mut engine = YSmart::new(w.catalog.clone(), cfg);
     w.load_into(&mut engine).unwrap();
     engine.execute_sql(&w.sql, strategy).unwrap()
@@ -53,7 +56,7 @@ fn run(w: &Workload, strategy: Strategy, faults: &FaultOptions) -> ysmart::core:
 fn node_failures_never_change_answers() {
     let w = workload();
     let expected = oracle_rows(&w);
-    let clean = run(&w, Strategy::YSmart, &FaultOptions::default());
+    let clean = run(&w, Strategy::YSmart, healthy());
     assert!(rows_approx_equal(&clean.rows, &expected, false));
 
     let mut saw_node_loss = false;
@@ -61,15 +64,17 @@ fn node_failures_never_change_answers() {
     let mut saw_retry = false;
     for probability in [0.15, 0.35, 0.6] {
         for seed in 0..6u64 {
-            let mut faults = FaultOptions::injected(probability, seed);
-            // The sweep must survive even unlucky seeds, so retry hard.
-            faults.retry = Some(RetryPolicy {
-                max_retries: 24,
-                backoff_base_s: 5.0,
-                backoff_factor: 2.0,
-                ..RetryPolicy::default()
-            });
-            let out = run(&w, Strategy::YSmart, &faults);
+            let faults = ClusterConfig {
+                // The sweep must survive even unlucky seeds, so retry hard.
+                retry: Some(RetryPolicy {
+                    max_retries: 24,
+                    backoff_base_s: 5.0,
+                    backoff_factor: 2.0,
+                    ..RetryPolicy::default()
+                }),
+                ..healthy().injected(probability, seed)
+            };
+            let out = run(&w, Strategy::YSmart, faults);
             assert!(
                 rows_approx_equal(&out.rows, &expected, false),
                 "p={probability} seed={seed} changed the answer"
@@ -112,8 +117,7 @@ fn checkpointed_chain_recovery_matches_oracle() {
     let expected = oracle_rows(&w);
     let mut saw_midchain_recovery = false;
     for seed in 0..12u64 {
-        let faults = FaultOptions {
-            task_failures: None,
+        let faults = ClusterConfig {
             node_failures: Some(NodeFailureModel {
                 probability: 0.5,
                 seed,
@@ -124,9 +128,9 @@ fn checkpointed_chain_recovery_matches_oracle() {
                 backoff_factor: 2.0,
                 ..RetryPolicy::default()
             }),
-            ..FaultOptions::default()
+            ..healthy()
         };
-        let out = run(&w, Strategy::Hive, &faults);
+        let out = run(&w, Strategy::Hive, faults);
         assert!(
             rows_approx_equal(&out.rows, &expected, false),
             "seed={seed} changed the answer"
@@ -157,7 +161,7 @@ fn corruption_never_changes_answers() {
     for strategy in [Strategy::YSmart, Strategy::Hive] {
         for rate in [0.0, 0.01, 0.05] {
             for seed in 0..3u64 {
-                let out = run(&w, strategy, &FaultOptions::corrupted(rate, seed));
+                let out = run(&w, strategy, healthy().corrupted(rate, seed));
                 assert!(
                     rows_approx_equal(&out.rows, &expected, false),
                     "{strategy} rate={rate} seed={seed} changed the answer"
@@ -183,7 +187,7 @@ fn corruption_never_changes_answers() {
 #[test]
 fn recovery_fields_zero_end_to_end_without_injection() {
     let w = workload();
-    let out = run(&w, Strategy::YSmart, &FaultOptions::default());
+    let out = run(&w, Strategy::YSmart, healthy());
     assert_eq!(out.metrics.retries, 0);
     assert_eq!(out.metrics.backoff_delay_s, 0.0);
     assert_eq!(out.metrics.failed_attempt_s, 0.0);

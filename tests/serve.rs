@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use ysmart::core::{Strategy, YSmart};
 use ysmart::datagen::{clicks_catalog, ClicksGen, ClicksSpec};
 use ysmart::mapred::journal::{recover, JournalRecord, JOURNAL_MAGIC};
-use ysmart::mapred::ClusterConfig;
+use ysmart::mapred::{validate_chrome_trace, ClusterConfig};
 use ysmart::rel::codec::encode_line;
 use ysmart::serve::{Response, ServeError, ServeOptions, Service};
 
@@ -418,11 +418,15 @@ fn reuse_cache_persists_across_run_batches() {
         "{journal}"
     );
     assert!(!journal.contains("(0 byte(s) not rewritten)"), "{journal}");
-    // A served batch keeps nothing but what the cache holds on to.
+    // A served batch leaves only the loaded tables in HDFS: the cache
+    // holds its entries itself.
     let hdfs = &service.engine_mut().cluster.hdfs;
-    let left: Vec<&str> = hdfs.paths().filter(|p| !p.starts_with("data/")).collect();
-    assert!(!left.is_empty(), "the cache keeps its entries");
-    assert!(left.iter().all(|p| p.starts_with("reuse/")), "{left:?}");
+    let left: Vec<&str> = hdfs.paths().collect();
+    assert_eq!(left, ["data/clicks"]);
+    assert!(
+        service.reuse_stats().bytes_cached > 0,
+        "the cache keeps its entries"
+    );
 }
 
 /// Without a cache, a served batch leaves only the loaded tables behind —
@@ -497,5 +501,62 @@ fn reuse_cache_is_rebuilt_by_crash_recovery() {
         panic!("both sessions answer");
     };
     assert_eq!(a, b, "pre-crash and post-recovery answers agree");
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// `--trace-dir`: a `!run` exports its workload trace and answers with the
+/// file's path; every query's chain lane is a process of its own, labelled
+/// with the query. A restart that replays the batch exports it again.
+#[test]
+fn trace_dir_exports_each_run_and_its_replay() {
+    let dir = temp_path("traces");
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = temp_path("trace.wal");
+    let _ = std::fs::remove_file(&journal);
+    let traced = |journal: PathBuf| {
+        let mut o = options(journal);
+        o.trace_dir = Some(dir.clone());
+        o
+    };
+    let file = dir.join("run-1.trace.json");
+    let handle = Response::Info(format!("trace: {}", file.display()));
+    // The export the handle names: valid Chrome JSON with one chain
+    // process per query label. Returns the span count per category.
+    let exported = |responses: &[Response]| {
+        assert!(responses.contains(&handle), "{responses:?}");
+        let json = std::fs::read_to_string(&file).expect("trace file written");
+        for label in ["default/q0", "default/q1"] {
+            let process = format!("\"args\":{{\"name\":\"{label}/chain\"}}");
+            assert_eq!(json.matches(&process).count(), 1, "{label}: {json}");
+        }
+        validate_chrome_trace(&json)
+            .expect("valid Chrome trace")
+            .span_cats
+    };
+
+    let (mut service, _) = Service::open(demo_engine(), traced(journal.clone())).expect("open");
+    // Two-job queries (aggregate, then sort): each chain has a gap on its
+    // own lane.
+    for sql in [
+        "SELECT cid, count(*) AS n FROM clicks GROUP BY cid ORDER BY n",
+        "SELECT uid, count(*) AS c FROM clicks GROUP BY uid ORDER BY c",
+    ] {
+        service.handle_line(sql);
+    }
+    let live = service.handle_line("!run");
+    assert_eq!(results_of(&live).len(), 2);
+    let spans = exported(&live);
+    assert!(spans.get("map").is_some_and(|&n| n > 0), "{spans:?}");
+    assert!(spans.get("reduce").is_some_and(|&n| n > 0), "{spans:?}");
+    drop(service);
+
+    std::fs::remove_file(&file).expect("remove the live export");
+    let (_, recovery) = Service::open(demo_engine(), traced(journal.clone())).expect("reopen");
+    // Both answers were delivered; the replay fast-forwards their jobs
+    // from the journal and traces that instead.
+    assert!(results_of(&recovery).is_empty());
+    let spans = exported(&recovery);
+    assert!(spans.get("replay").is_some_and(|&n| n > 0), "{spans:?}");
+    let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&journal);
 }
