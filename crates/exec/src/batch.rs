@@ -8,9 +8,8 @@
 //! column or cells still lying where the shuffle left them. Selecting rows —
 //! a filter, a join's pairs, an aggregate's groups — composes row indices
 //! and copies no cell; a kernel reading a column gathers it into a typed
-//! `Column` once ([`Columnar::column`]), and only emitted rows — and rows an
-//! expression without a kernel reads — ever become `Row`s
-//! ([`Columnar::row`]).
+//! `Column` once ([`Columnar::column`]), and only emitted rows ever become
+//! `Row`s ([`Batch::row`]).
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -21,7 +20,7 @@ use std::rc::Rc;
 use ysmart_rel::colbatch::{Column, NULL_ROW};
 use ysmart_rel::{Expr, RelError, Row, SortKey, SortOrder, Value};
 
-use crate::colexpr::{eval_column, predicate_mask, value_column, Columnar};
+use crate::colexpr::{eval_column, eval_mask, Columnar};
 use crate::rowop::RowOp;
 
 /// Row indices into a base or a batch, in order ([`NULL_ROW`]: a NULL).
@@ -111,6 +110,10 @@ impl Columnar for Batch<'_> {
         self.len()
     }
 
+    fn width(&self) -> usize {
+        self.cols.len()
+    }
+
     fn column(&self, i: usize) -> Option<&Column> {
         let col = self.cols.get(i)?;
         Some(match &col.rows {
@@ -119,12 +122,6 @@ impl Columnar for Batch<'_> {
                 .get_or_init(|| Rc::new(Base::Typed(col.base.typed().take(rows))))
                 .typed(),
         })
-    }
-
-    /// Row `r`, built — for emitting, and for an expression without a
-    /// kernel.
-    fn row(&self, r: usize) -> Row {
-        Row::new(self.cols.iter().map(|c| c.value(r)).collect())
     }
 }
 
@@ -144,8 +141,9 @@ impl<'v> Batch<'v> {
         self.segs.last().map_or(0, |&n| n as usize)
     }
 
-    pub(crate) fn width(&self) -> usize {
-        self.cols.len()
+    /// Row `r`, built — for emitting.
+    pub(crate) fn row(&self, r: usize) -> Row {
+        Row::new(self.cols.iter().map(|c| c.value(r)).collect())
     }
 
     /// Number of segments (key groups).
@@ -223,42 +221,40 @@ impl<'v> Batch<'v> {
         *work += self.len() as u64;
         Ok(match op {
             RowOp::Filter(pred) => {
-                let mask = predicate_mask(pred, self)?;
+                let mask = eval_mask(pred, self).check(None)?;
                 self.filter(|r, _| mask[r] == Some(true))
             }
-            RowOp::Project(exprs) => {
-                let col = |e: &Expr| match e {
-                    Expr::Column(i) if *i < self.width() => Ok(match self.gathered[*i].get() {
-                        Some(base) => Col {
-                            base: Rc::clone(base),
-                            rows: None,
-                        },
-                        None => self.cols[*i].clone(),
-                    }),
-                    _ => Ok(Col::typed(value_column(e, self, None)?.into_owned())),
-                };
-                let cols = exprs.iter().map(col).collect::<Result<_, RelError>>()?;
-                Batch::new(self.segs.clone(), cols)
-            }
+            RowOp::Project(exprs) => self.project(exprs)?,
             RowOp::Sort(keys) => self.sort(keys),
             RowOp::Limit(n) => self.filter(|_, i| i < *n),
         })
     }
 
-    /// Each segment stably sorted under `keys`; a key that fails on a row
-    /// sorts that row as NULL, as [`ysmart_rel::sort::compare`] has it.
-    fn sort(&self, keys: &[SortKey]) -> Batch<'v> {
-        let key = |k: &SortKey| match eval_column(&k.expr, self) {
-            Some(Ok(col)) => col,
-            _ => {
-                let vals: Vec<Value> = (0..self.len())
-                    .map(|r| k.expr.eval(&self.row(r)).unwrap_or(Value::Null))
-                    .collect();
-                Cow::Owned(Column::from_cells(vals.len(), |r| &vals[r]))
-            }
+    /// A row per row of this batch, computing `exprs` — a column reference
+    /// is that column, shared.
+    pub(crate) fn project(&self, exprs: &[Expr]) -> Result<Batch<'v>, RelError> {
+        let col = |e: &Expr| match e {
+            Expr::Column(i) if *i < self.width() => Ok(match self.gathered[*i].get() {
+                Some(base) => Col {
+                    base: Rc::clone(base),
+                    rows: None,
+                },
+                None => self.cols[*i].clone(),
+            }),
+            _ => Ok(Col::typed(eval_column(e, self).check(None)?.into_owned())),
         };
-        let keys: Vec<(Cow<'_, Column>, SortOrder)> =
-            keys.iter().map(|k| (key(k), k.order)).collect();
+        let cols = exprs.iter().map(col).collect::<Result<_, RelError>>()?;
+        Ok(Batch::new(self.segs.clone(), cols))
+    }
+
+    /// Each segment stably sorted under `keys`; a key that fails on a row
+    /// sorts that row as NULL (its slot in the key column), as
+    /// [`ysmart_rel::sort::compare`] has it.
+    fn sort(&self, keys: &[SortKey]) -> Batch<'v> {
+        let keys: Vec<(Cow<'_, Column>, SortOrder)> = keys
+            .iter()
+            .map(|k| (eval_column(&k.expr, self).out, k.order))
+            .collect();
         let mut order: Vec<u32> = (0..self.len() as u32).collect();
         for g in 0..self.groups() {
             order[self.seg(g)].sort_by(|&a, &b| {

@@ -23,7 +23,6 @@ use ysmart_mapred::JobSpec;
 use ysmart_plan::JoinKind;
 use ysmart_rel::{AggFunc, Expr, Schema};
 
-use crate::colexpr::has_kernel;
 use crate::combiner::PartialAggCombiner;
 use crate::error::ExecError;
 use crate::mapper::CommonMapper;
@@ -218,96 +217,6 @@ impl JobBlueprint {
         let raw = |c: usize| carried.get(c).copied().unwrap_or(usize::MAX);
         let projection = &self.streams[0].projection;
         projection.iter().map(|e| e.remap_columns(&raw)).collect()
-    }
-
-    /// Every expression of the job without a `colexpr` kernel at the width
-    /// the plan declares for its input — each one the row evaluator
-    /// evaluates, row by row (`colexpr::value_column`). Map side:
-    /// each input's selections, keys and emitted value (in direct mode,
-    /// stream 0's projection over the input); reduce side: each join
-    /// residual, aggregate argument,
-    /// `HAVING` and transform, and a tagged stream's computed projection
-    /// (evaluated at dispatch). Empty when the whole job runs on kernels.
-    #[must_use]
-    pub fn row_fallbacks(&self) -> Vec<String> {
-        let plain = |es: &[Expr]| es.iter().all(|e| matches!(e, Expr::Column(_)));
-        let mut gaps: Vec<String> = (0..self.streams.len())
-            .filter(|&s| self.tagged() && !plain(&self.streams[s].projection))
-            .map(|s| format!("stream {s} projection (computed at dispatch)"))
-            .collect();
-        let mut check = |what: String, e: &Expr, width: usize, predicate: bool| {
-            if !has_kernel(e, width, predicate) {
-                gaps.push(format!("{what} {e}"));
-            }
-        };
-        for (i, input) in self.inputs.iter().enumerate() {
-            let width = input.schema.len();
-            for b in &input.branches {
-                if let Some(p) = &b.predicate {
-                    check(format!("input {i} selection"), p, width, true);
-                }
-            }
-            for e in &input.key_exprs {
-                check(format!("input {i} key"), e, width, false);
-            }
-            for e in &self.map_values(i) {
-                check(format!("input {i} value"), e, width, false);
-            }
-        }
-        let mut widths: Vec<usize> = Vec::with_capacity(self.ops.len());
-        for (o, op) in self.ops.iter().enumerate() {
-            let width_of = |src: RSource| match src {
-                RSource::Stream(s) => self.streams[s].projection.len(),
-                RSource::Op(o) => widths[o],
-            };
-            let input = width_of(op.inputs[0]);
-            let mut width = match &op.kind {
-                OpKind::Pass => input,
-                OpKind::Join { residual, .. } => {
-                    let width = input + width_of(op.inputs[1]);
-                    if let Some(r) = residual {
-                        check(format!("op {o} residual"), r, width, true);
-                    }
-                    width
-                }
-                OpKind::Agg {
-                    group_cols,
-                    aggs,
-                    having,
-                    merge_partials,
-                } => {
-                    for (func, arg) in aggs.iter().filter(|_| !merge_partials) {
-                        if let Some(arg) = arg {
-                            check(format!("op {o} {func} argument"), arg, input, false);
-                        }
-                    }
-                    let width = group_cols.len() + aggs.len();
-                    if let Some(h) = having {
-                        check(format!("op {o} HAVING"), h, width, true);
-                    }
-                    width
-                }
-            };
-            for t in &op.transforms {
-                match t {
-                    RowOp::Filter(p) => check(format!("op {o} filter"), p, width, true),
-                    RowOp::Project(exprs) => {
-                        for e in exprs {
-                            check(format!("op {o} projection"), e, width, false);
-                        }
-                        width = exprs.len();
-                    }
-                    RowOp::Sort(keys) => {
-                        for k in keys {
-                            check(format!("op {o} sort key"), &k.expr, width, false);
-                        }
-                    }
-                    RowOp::Limit(_) => {}
-                }
-            }
-            widths.push(width);
-        }
-        gaps
     }
 
     /// Validates internal consistency.
@@ -624,36 +533,6 @@ mod tests {
             assert!(e.to_string().contains("carries column 5"), "{e}");
             assert!(bp.to_jobspec().is_err());
         }
-    }
-
-    #[test]
-    fn row_fallbacks_name_each_kernel_less_expression() {
-        use ysmart_rel::BinOp;
-        // Arithmetic has a value kernel but no mask kernel; a comparison
-        // over arithmetic has neither.
-        let sum = || Expr::binary(BinOp::Add, Expr::col(0), Expr::col(1));
-        let over_sum = || Expr::binary(BinOp::Gt, sum(), Expr::lit(1i64));
-        let mut bp = minimal();
-        assert!(bp.row_fallbacks().is_empty());
-        bp.inputs[0].key_exprs = vec![sum()];
-        bp.streams[0].projection = vec![Expr::col(1), sum()];
-        assert!(
-            bp.row_fallbacks().is_empty(),
-            "arithmetic values run as kernels"
-        );
-        bp.inputs[0].branches[0].predicate = Some(over_sum());
-        bp.inputs[0].key_exprs.push(over_sum());
-        bp.streams[0].projection.push(over_sum());
-        bp.ops[0].transforms = vec![RowOp::Filter(sum())];
-        assert_eq!(
-            bp.row_fallbacks(),
-            [
-                "input 0 selection ((#0 + #1) > 1)",
-                "input 0 key ((#0 + #1) > 1)",
-                "input 0 value ((#0 + #1) > 1)",
-                "op 0 filter (#0 + #1)",
-            ]
-        );
     }
 
     #[test]

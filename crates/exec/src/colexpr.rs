@@ -1,39 +1,105 @@
-//! Vectorized expression evaluation over column batches — the one kernel
-//! library of both sides of a job: the common mapper's selections and the
-//! common reducer's residuals, transforms, aggregate arguments and `HAVING`.
+//! Vectorized expression evaluation over column batches — the one
+//! evaluator of both sides of a job: the common mapper's selections, keys
+//! and values, and the common reducer's residuals, transforms, aggregate
+//! arguments and `HAVING`.
 //!
 //! [`eval_mask`] evaluates a predicate [`Expr`] against a whole batch at
-//! once, returning one Kleene truth value per row (`Some(true)` /
+//! once, giving one Kleene truth value per row (`Some(true)` /
 //! `Some(false)` / `None` = SQL unknown) — the columnar counterpart of
-//! [`Expr::eval_predicate`] called row by row, with identical semantics:
-//! a row passes the predicate iff its mask slot is `Some(true)`.
-//! [`eval_column`] is the same for a value: one column holding what
-//! [`Expr::eval`] gives on each row.
+//! [`Expr::eval_predicate`] called row by row: a row passes the predicate
+//! iff its mask slot is `Some(true)`. [`eval_column`] is the same for a
+//! value: one column holding what [`Expr::eval`] gives on each row.
 //!
-//! Only the shapes the translated plans actually produce get fast paths:
-//! comparisons of a column against a literal (typed per-column kernels; a
-//! dictionary-encoded string column is compared once per *dictionary
-//! entry*, not once per row) or against another column (Q21's
-//! `l_receiptdate > l_commitdate`), `AND`/`OR`/`NOT` in Kleene logic,
-//! `IS [NOT] NULL` of a column, and — as values — columns, literals and
-//! arithmetic over them (Q17's `0.2 * avg`, Q-CSA's `count(*) - 2`).
-//! Anything else returns `None`, and `predicate_mask` / `value_column`
-//! — what both sides call — fall back to the row evaluator for that
-//! expression alone: correctness never depends on a fast path existing.
-//! Every mask shape is total (comparisons yield unknown, never an error),
-//! so a Kleene connective never evaluates a side the row evaluator would
-//! have skipped into an error: arithmetic, which can fail, has a value
-//! kernel but no mask kernel. An arithmetic kernel fails exactly when the
-//! row evaluator fails on some row.
+//! Every kernel is total over `Expr`. A result carries, beside its mask or
+//! column, the rows on which the row evaluator fails, each with that
+//! evaluator's error ([`Eval`]): arithmetic records its errors row by row,
+//! an out-of-range column fails on every row, and `AND` / `OR` keep a
+//! row's right-side error only where the row evaluator's short circuit
+//! would have evaluated the right side. A failing row's slot holds unknown
+//! (NULL), so it fails nothing further up. Callers decide which rows
+//! matter ([`Eval::check`]): the mapper its kept rows, a sort key none —
+//! a key that fails on a row sorts that row as NULL.
+//!
+//! Comparisons of a column against a literal have typed per-column
+//! kernels (a dictionary-encoded string column is compared once per
+//! *dictionary entry*, not once per row), as do two columns (Q21's
+//! `l_receiptdate > l_commitdate`); a computed operand is evaluated as a
+//! column first. Arithmetic over numeric columns runs in typed loops
+//! (Q17's `0.2 * avg`, Q-CSA's `count(*) - 2`).
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use ysmart_rel::colbatch::{Column, ColumnBatch};
-use ysmart_rel::{BinOp, Expr, RelError, Row, UnOp, Value};
+use ysmart_rel::{BinOp, Expr, RelError, UnOp, Value};
 
 /// One Kleene truth value per batch row.
 pub type Mask = Vec<Option<bool>>;
+
+/// The rows on which an expression fails, ascending, each with the row
+/// evaluator's error. Empty — and unallocated — when no row fails.
+pub type RowErrors = Vec<(usize, RelError)>;
+
+/// A kernel's result over a batch: one slot per row in `out` (unknown /
+/// NULL where the row fails), and the failing rows.
+pub struct Eval<T> {
+    /// The mask or column.
+    pub out: T,
+    /// The rows on which the row evaluator fails, with its errors.
+    pub errors: RowErrors,
+}
+
+impl<T> Eval<T> {
+    fn ok(out: T) -> Self {
+        Eval {
+            out,
+            errors: Vec::new(),
+        }
+    }
+
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Eval<U> {
+        Eval {
+            out: f(self.out),
+            errors: self.errors,
+        }
+    }
+
+    /// The result, unless the expression fails on one of `rows` (ascending;
+    /// `None`: any row).
+    ///
+    /// # Errors
+    ///
+    /// The error of the first failing row among `rows`.
+    pub fn check(self, rows: Option<&[usize]>) -> Result<T, RelError> {
+        let used = |r: &usize| rows.is_none_or(|rows| rows.binary_search(r).is_ok());
+        match self.errors.into_iter().find(|(r, _)| used(r)) {
+            Some((_, e)) => Err(e),
+            None => Ok(self.out),
+        }
+    }
+}
+
+impl Eval<Mask> {
+    /// Unknown at every failing row.
+    fn blanked(mut self) -> Self {
+        for &(r, _) in &self.errors {
+            self.out[r] = None;
+        }
+        self
+    }
+}
+
+/// `a`'s and `b`'s failing rows in row order; a row failing in both keeps
+/// `a`'s error — the side the row evaluator evaluates first.
+fn merge(mut a: RowErrors, b: RowErrors) -> RowErrors {
+    if !b.is_empty() {
+        a.extend(b);
+        // Stable: a row's error from `a` stays ahead of its error from `b`.
+        a.sort_by_key(|(r, _)| *r);
+        a.dedup_by_key(|(r, _)| *r);
+    }
+    a
+}
 
 /// What the kernels read: a batch's row count and its typed columns — a
 /// decoded [`ColumnBatch`] on the map side, a run of key groups' gathered
@@ -42,11 +108,11 @@ pub trait Columnar {
     /// Number of rows.
     fn num_rows(&self) -> usize;
 
+    /// Number of columns.
+    fn width(&self) -> usize;
+
     /// Column `i`; `None` past the batch's width.
     fn column(&self, i: usize) -> Option<&Column>;
-
-    /// Row `r`, built — for an expression without a kernel.
-    fn row(&self, r: usize) -> Row;
 }
 
 impl Columnar for ColumnBatch {
@@ -54,78 +120,12 @@ impl Columnar for ColumnBatch {
         ColumnBatch::num_rows(self)
     }
 
+    fn width(&self) -> usize {
+        self.num_cols()
+    }
+
     fn column(&self, i: usize) -> Option<&Column> {
         self.columns().get(i)
-    }
-
-    fn row(&self, r: usize) -> Row {
-        ColumnBatch::row(self, r)
-    }
-}
-
-/// `expr` as a predicate over every row of `batch`: its mask kernel, or else
-/// the row evaluator row by row.
-///
-/// # Errors
-///
-/// The row evaluator's first error (a mask kernel never fails).
-pub(crate) fn predicate_mask<B: Columnar + ?Sized>(
-    expr: &Expr,
-    batch: &B,
-) -> Result<Mask, RelError> {
-    match eval_mask(expr, batch) {
-        Some(mask) => Ok(mask),
-        None => (0..batch.num_rows())
-            .map(|r| expr.eval_predicate(&batch.row(r)).map(Some))
-            .collect(),
-    }
-}
-
-/// `expr` as a value at rows `rows` of `batch` (`None`: every row): a column
-/// of the batch's length holding what [`Expr::eval`] gives at each of those
-/// rows. It is the kernel's column where the kernel exists and succeeds;
-/// otherwise the row evaluator runs over `rows` alone and the other rows
-/// hold NULL, so an expression that fails only outside `rows` does not
-/// fail.
-///
-/// # Errors
-///
-/// When `expr` fails on one of `rows`: over every row the kernel's error,
-/// else the row evaluator's first.
-pub(crate) fn value_column<'b, B: Columnar + ?Sized>(
-    expr: &Expr,
-    batch: &'b B,
-    rows: Option<&[usize]>,
-) -> Result<Cow<'b, Column>, RelError> {
-    match eval_column(expr, batch) {
-        Some(Ok(col)) => return Ok(col),
-        Some(Err(e)) if rows.is_none() => return Err(e),
-        _ => {}
-    }
-    let n = batch.num_rows();
-    let mut vals = vec![Value::Null; n];
-    let mut eval = |r: usize| -> Result<(), RelError> {
-        vals[r] = expr.eval(&batch.row(r))?;
-        Ok(())
-    };
-    match rows {
-        Some(rows) => rows.iter().try_for_each(|&r| eval(r))?,
-        None => (0..n).try_for_each(eval)?,
-    }
-    Ok(Cow::Owned(Column::from_cells(n, |r| &vals[r])))
-}
-
-/// Whether `expr` has a kernel over batches `width` columns wide — a mask
-/// kernel as a `predicate`, a value kernel otherwise. Kernels depend only on
-/// an expression's shape and the width, so this probes an empty batch.
-#[must_use]
-pub(crate) fn has_kernel(expr: &Expr, width: usize, predicate: bool) -> bool {
-    let probe = ColumnBatch::from_cells(0, width, |_, _| unreachable!("no rows"))
-        .expect("an empty batch encodes");
-    if predicate {
-        eval_mask(expr, &probe).is_some()
-    } else {
-        eval_column(expr, &probe).is_some()
     }
 }
 
@@ -143,23 +143,25 @@ fn ord_matches(op: BinOp, ord: Ordering) -> bool {
     }
 }
 
-fn combine(op: BinOp, l: Mask, r: Mask) -> Mask {
-    l.into_iter()
-        .zip(r)
-        .map(|(a, b)| match op {
-            BinOp::And => match (a, b) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinOp::Or => match (a, b) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => unreachable!("logic op"),
+/// Kleene `AND` / `OR` of two masks, row by row. A row fails where the
+/// left side fails, or where the right side fails and the left side does
+/// not decide the result — where the row evaluator evaluates the right side.
+fn connective(op: BinOp, l: Eval<Mask>, r: Eval<Mask>) -> Eval<Mask> {
+    let decided = Some(op == BinOp::Or);
+    let evaluated = |&(row, _): &(usize, RelError)| l.out[row] != decided;
+    let right: RowErrors = r.errors.into_iter().filter(evaluated).collect();
+    let out = l
+        .out
+        .into_iter()
+        .zip(r.out)
+        .map(|(a, b)| match (a, b) {
+            _ if a == decided || b == decided => decided,
+            (Some(_), Some(_)) => decided.map(|d| !d),
+            _ => None,
         })
-        .collect()
+        .collect();
+    let errors = merge(l.errors, right);
+    Eval { out, errors }.blanked()
 }
 
 /// Comparison of a column against a literal. `flipped` means the literal
@@ -351,133 +353,132 @@ fn cmp_col_col(a: &Column, b: &Column, op: BinOp, rows: usize) -> Mask {
 }
 
 /// Evaluates `expr` as a predicate over every row of `batch` at once.
-///
-/// Returns `None` when the expression has a shape without a vectorized
-/// kernel (arithmetic, out-of-bounds column references) — the caller must
-/// then fall back to the row evaluator.
 #[must_use]
-pub fn eval_mask<B: Columnar + ?Sized>(expr: &Expr, batch: &B) -> Option<Mask> {
+pub fn eval_mask<B: Columnar + ?Sized>(expr: &Expr, batch: &B) -> Eval<Mask> {
     let rows = batch.num_rows();
     match expr {
-        Expr::Literal(v) => Some(vec![v.as_bool(); rows]),
-        Expr::Binary { op, lhs, rhs } => match op {
-            BinOp::And | BinOp::Or => {
-                let l = eval_mask(lhs, batch)?;
-                let r = eval_mask(rhs, batch)?;
-                Some(combine(*op, l, r))
+        Expr::Literal(v) => Eval::ok(vec![v.as_bool(); rows]),
+        Expr::Binary { op, lhs, rhs } if matches!(op, BinOp::And | BinOp::Or) => {
+            connective(*op, eval_mask(lhs, batch), eval_mask(rhs, batch))
+        }
+        Expr::Binary { op, lhs, rhs } if op.is_predicate() => match (&**lhs, &**rhs) {
+            (_, Expr::Literal(v)) => {
+                eval_column(lhs, batch).map(|l| cmp_col_lit(&l, v, *op, false, rows))
             }
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                match (&**lhs, &**rhs) {
-                    (Expr::Column(i), Expr::Literal(v)) => {
-                        Some(cmp_col_lit(batch.column(*i)?, v, *op, false, rows))
-                    }
-                    (Expr::Literal(v), Expr::Column(i)) => {
-                        Some(cmp_col_lit(batch.column(*i)?, v, *op, true, rows))
-                    }
-                    (Expr::Column(i), Expr::Column(j)) => {
-                        Some(cmp_col_col(batch.column(*i)?, batch.column(*j)?, *op, rows))
-                    }
-                    _ => None,
+            (Expr::Literal(v), _) => {
+                eval_column(rhs, batch).map(|r| cmp_col_lit(&r, v, *op, true, rows))
+            }
+            _ => {
+                let (l, r) = (eval_column(lhs, batch), eval_column(rhs, batch));
+                Eval {
+                    out: cmp_col_col(&l.out, &r.out, *op, rows),
+                    errors: merge(l.errors, r.errors),
                 }
             }
-            // Arithmetic doesn't yield a truth value, and can fail; let the
-            // row path handle (and reject) it.
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => None,
         },
-        Expr::Unary { op, operand } => match op {
-            UnOp::Not => {
-                let m = eval_mask(operand, batch)?;
-                Some(m.into_iter().map(|v| v.map(|b| !b)).collect())
-            }
-            UnOp::IsNull | UnOp::IsNotNull => {
-                let Expr::Column(i) = &**operand else {
-                    return None;
-                };
-                let col = batch.column(*i)?;
-                let want = *op == UnOp::IsNull;
-                Some((0..rows).map(|r| Some(col.is_null(r) == want)).collect())
-            }
-            UnOp::Neg => None,
-        },
-        // A bare column as a predicate: only boolean columns make sense,
-        // everything else evaluates to unknown like the row path.
-        Expr::Column(i) => match batch.column(*i)? {
-            Column::Bool { data, nulls } => Some(
-                data.iter()
-                    .zip(nulls)
-                    .map(|(&b, &n)| (!n).then_some(b))
-                    .collect(),
-            ),
-            Column::Var(vals) => Some(vals.iter().map(Value::as_bool).collect()),
-            _ => Some(vec![None; rows]),
-        },
+        Expr::Unary {
+            op: UnOp::Not,
+            operand,
+        } => eval_mask(operand, batch).map(|m| m.into_iter().map(|t| t.map(|b| !b)).collect()),
+        Expr::Unary {
+            op: op @ (UnOp::IsNull | UnOp::IsNotNull),
+            operand,
+        } => {
+            let want = *op == UnOp::IsNull;
+            eval_column(operand, batch)
+                .map(|col| (0..rows).map(|r| Some(col.is_null(r) == want)).collect())
+                .blanked()
+        }
+        // A value as a truth: a boolean's, unknown for anything else.
+        _ => eval_column(expr, batch).map(|col| match &*col {
+            Column::Bool { data, nulls } => data
+                .iter()
+                .zip(nulls)
+                .map(|(&b, &n)| (!n).then_some(b))
+                .collect(),
+            Column::Var(vals) => vals.iter().map(Value::as_bool).collect(),
+            _ => vec![None; rows],
+        }),
     }
 }
 
 /// Evaluates `expr` as a value over every row of `batch` at once: the column
 /// of what [`Expr::eval`] gives on each row — a column reference is that
 /// column, borrowed.
-///
-/// Returns `None` when the expression has a shape without a kernel (see
-/// [`eval_mask`] for predicates) — the caller must then fall back to the row
-/// evaluator — and `Some(Err)` exactly when the row evaluator fails on some
-/// row.
-pub fn eval_column<'b, B: Columnar + ?Sized>(
-    expr: &Expr,
-    batch: &'b B,
-) -> Option<Result<Cow<'b, Column>, RelError>> {
+#[must_use]
+pub fn eval_column<'b, B: Columnar + ?Sized>(expr: &Expr, batch: &'b B) -> Eval<Cow<'b, Column>> {
     let rows = batch.num_rows();
-    Some(Ok(match expr {
-        Expr::Column(i) => Cow::Borrowed(batch.column(*i)?),
-        Expr::Literal(v) => Cow::Owned(Column::from_cells(rows, |_| v)),
+    match expr {
+        Expr::Column(i) => match batch.column(*i) {
+            Some(col) => Eval::ok(Cow::Borrowed(col)),
+            None => {
+                let (index, width) = (*i, batch.width());
+                let error = |r| (r, RelError::ColumnOutOfBounds { index, width });
+                Eval {
+                    out: Cow::Owned(Column::from_cells(rows, |_| &Value::Null)),
+                    errors: (0..rows).map(error).collect(),
+                }
+            }
+        },
+        Expr::Literal(v) => Eval::ok(Cow::Owned(Column::from_cells(rows, |_| v))),
         Expr::Binary { op, lhs, rhs } if !op.is_predicate() => {
-            let (l, r) = (eval_column(lhs, batch)?, eval_column(rhs, batch)?);
-            // The row evaluator fails on the left operand before the right.
-            return Some(
-                l.and_then(|l| r.and_then(|r| arith(*op, &l, &r)))
-                    .map(Cow::Owned),
-            );
+            let (l, r) = (eval_column(lhs, batch), eval_column(rhs, batch));
+            let (out, errors) = arith(*op, &l.out, &r.out);
+            Eval {
+                out: Cow::Owned(out),
+                errors: merge(merge(l.errors, r.errors), errors),
+            }
         }
         Expr::Unary {
             op: UnOp::Neg,
             operand,
         } => {
             // `-x` is `0 - x`, as the row evaluator computes it.
-            let x = eval_column(operand, batch)?;
+            let x = eval_column(operand, batch);
             let zero = Column::from_cells(rows, |_| &Value::Int(0));
-            return Some(x.and_then(|x| arith(BinOp::Sub, &zero, &x)).map(Cow::Owned));
+            let (out, errors) = arith(BinOp::Sub, &zero, &x.out);
+            Eval {
+                out: Cow::Owned(out),
+                errors: merge(x.errors, errors),
+            }
         }
         // A truth value: `Bool`, NULL for unknown.
-        _ => {
-            let mask = eval_mask(expr, batch)?;
+        _ => eval_mask(expr, batch).map(|mask| {
             Cow::Owned(Column::Bool {
                 data: mask.iter().map(|t| *t == Some(true)).collect(),
                 nulls: mask.iter().map(Option::is_none).collect(),
             })
-        }
-    }))
+        }),
+    }
 }
 
 /// `a op b` row by row under `Value`'s arithmetic: NULL propagates before
 /// anything is checked, two `Int`s stay integral (checked, division
-/// truncating), any `Float` widens, division by zero and a non-numeric
-/// operand fail. Numeric columns take typed loops; the rest, and a result
-/// that is not a finite float, go through `Value` cell by cell.
-fn arith(op: BinOp, a: &Column, b: &Column) -> Result<Column, RelError> {
+/// truncating), any `Float` widens; an `Int` overflow, division by zero and
+/// a non-numeric operand fail their row, which holds NULL. Numeric columns
+/// take typed loops; the rest — and columns on which a typed loop meets a
+/// failing row or a result that is not a finite float — go through `Value`
+/// cell by cell.
+fn arith(op: BinOp, a: &Column, b: &Column) -> (Column, RowErrors) {
     let rows = a.len();
     let by_value = || {
-        let apply = |r: usize| {
+        let mut errors = Vec::new();
+        let mut apply = |r: usize| {
             let (x, y) = (a.value(r), b.value(r));
-            match op {
+            let v = match op {
                 BinOp::Add => x.add(&y),
                 BinOp::Sub => x.sub(&y),
                 BinOp::Mul => x.mul(&y),
                 BinOp::Div => x.div(&y),
                 _ => unreachable!("arithmetic op"),
-            }
+            };
+            v.unwrap_or_else(|e| {
+                errors.push((r, e));
+                Value::Null
+            })
         };
-        let vals = (0..rows).map(apply).collect::<Result<Vec<_>, _>>()?;
-        Ok(Column::from_cells(rows, |r| &vals[r]))
+        let vals: Vec<Value> = (0..rows).map(&mut apply).collect();
+        (Column::from_cells(rows, |r| &vals[r]), errors)
     };
     let nulls = || -> Vec<bool> { (0..rows).map(|r| a.is_null(r) || b.is_null(r)).collect() };
     match (a, b) {
@@ -486,18 +487,19 @@ fn arith(op: BinOp, a: &Column, b: &Column) -> Result<Column, RelError> {
                 BinOp::Add => l.checked_add(r),
                 BinOp::Sub => l.checked_sub(r),
                 BinOp::Mul => l.checked_mul(r),
-                BinOp::Div => (r != 0).then(|| l / r),
+                BinOp::Div => l.checked_div(r),
                 _ => unreachable!("arithmetic op"),
             };
             let (nulls, mut data) = (nulls(), vec![0; rows]);
             for r in (0..rows).filter(|&r| !nulls[r]) {
                 match int_op(x[r], y[r]) {
                     Some(v) => data[r] = v,
-                    // Overflow or a zero divisor: the row evaluator's error.
+                    // Overflow or a zero divisor: the row fails, with the
+                    // row evaluator's error.
                     None => return by_value(),
                 }
             }
-            Ok(Column::Int { data, nulls })
+            (Column::Int { data, nulls }, Vec::new())
         }
         (Column::Int { .. } | Column::Float { .. }, Column::Int { .. } | Column::Float { .. }) => {
             let float = |c: &Column, r: usize| match c {
@@ -512,7 +514,7 @@ fn arith(op: BinOp, a: &Column, b: &Column) -> Result<Column, RelError> {
                     BinOp::Add => x + y,
                     BinOp::Sub => x - y,
                     BinOp::Mul => x * y,
-                    BinOp::Div if y == 0.0 => return Err(RelError::DivideByZero),
+                    BinOp::Div if y == 0.0 => return by_value(),
                     BinOp::Div => x / y,
                     _ => unreachable!("arithmetic op"),
                 };
@@ -521,7 +523,7 @@ fn arith(op: BinOp, a: &Column, b: &Column) -> Result<Column, RelError> {
                 }
                 data[r] = v;
             }
-            Ok(Column::Float { data, nulls })
+            (Column::Float { data, nulls }, Vec::new())
         }
         _ => by_value(),
     }
@@ -539,7 +541,9 @@ mod tests {
     /// Every mask slot must equal the row evaluator's verdict.
     fn assert_matches_rows(e: &Expr, rows: &[Row]) {
         let b = batch(rows);
-        let mask = eval_mask(e, &b).expect("mask kernel exists");
+        let mask = eval_mask(e, &b)
+            .check(None)
+            .expect("comparisons never fail");
         for (r, row) in rows.iter().enumerate() {
             let via_row = e.eval_predicate(row).unwrap();
             assert_eq!(
@@ -602,7 +606,7 @@ mod tests {
         let e = Expr::col(0).eq(Expr::lit("F"));
         let b = batch(&rows);
         assert_eq!(
-            eval_mask(&e, &b).unwrap(),
+            eval_mask(&e, &b).out,
             vec![Some(true), Some(false), Some(true)]
         );
         assert_matches_rows(
@@ -632,10 +636,10 @@ mod tests {
         ];
         let e = Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(1i64));
         let b = batch(&rows);
-        assert_eq!(eval_mask(&e, &b).unwrap(), vec![None, Some(true)]);
+        assert_eq!(eval_mask(&e, &b).out, vec![None, Some(true)]);
         // NULL literal: unknown everywhere.
         let e = Expr::col(1).eq(Expr::Literal(Value::Null));
-        assert_eq!(eval_mask(&e, &b).unwrap(), vec![None, None]);
+        assert_eq!(eval_mask(&e, &b).out, vec![None, None]);
     }
 
     #[test]
@@ -667,18 +671,12 @@ mod tests {
             op: UnOp::IsNull,
             operand: Box::new(Expr::col(0)),
         };
-        assert_eq!(
-            eval_mask(&isnull, &b).unwrap(),
-            vec![Some(true), Some(false)]
-        );
+        assert_eq!(eval_mask(&isnull, &b).out, vec![Some(true), Some(false)]);
         let notnull = Expr::Unary {
             op: UnOp::IsNotNull,
             operand: Box::new(Expr::col(0)),
         };
-        assert_eq!(
-            eval_mask(&notnull, &b).unwrap(),
-            vec![Some(false), Some(true)]
-        );
+        assert_eq!(eval_mask(&notnull, &b).out, vec![Some(false), Some(true)]);
     }
 
     /// Value kernels give what `Expr::eval` gives on each row — `Int` vs
@@ -704,6 +702,7 @@ mod tests {
                 Value::Float(2.5),
                 Value::Bool(true),
             ],
+            [Value::Int(i64::MIN), Value::Float(-1.0), Value::Int(-1)],
         ];
         let rows: Vec<Row> = cells.iter().map(|r| Row::new(r.to_vec())).collect();
         let operands = [
@@ -713,6 +712,7 @@ mod tests {
             Expr::lit(3i64),
             Expr::lit(-0.0f64),
             Expr::lit(0i64),
+            Expr::lit(-1i64),
             Expr::Literal(Value::Null),
         ];
         let mut exprs = Vec::new();
@@ -735,7 +735,7 @@ mod tests {
                 for e in &exprs {
                     let by_row: Result<Vec<Value>, RelError> =
                         window.iter().map(|r| e.eval(r)).collect();
-                    let kernel = eval_column(e, &b).expect("a value kernel exists");
+                    let kernel = eval_column(e, &b).check(None);
                     let kernel =
                         kernel.map(|col| (0..col.len()).map(|r| col.value(r)).collect::<Vec<_>>());
                     // `{:?}` tells `Int(1)` from `Float(1.0)` and `-0.0` from `0.0`.
@@ -762,21 +762,36 @@ mod tests {
     fn cross_type_comparison_is_unknown() {
         let rows = vec![row!["a", 1i64]];
         let e = Expr::col(0).eq(Expr::lit(1i64));
-        assert_eq!(eval_mask(&e, &batch(&rows)).unwrap(), vec![None]);
+        assert_eq!(eval_mask(&e, &batch(&rows)).out, vec![None]);
     }
 
     #[test]
-    fn unsupported_shapes_fall_back() {
-        let rows = vec![row![1i64, 2i64]];
+    fn failing_rows_carry_the_row_evaluators_error() {
+        let rows = vec![row![1i64, 0i64], row![2i64, 1i64], row![3i64, 0i64]];
         let b = batch(&rows);
-        // Arithmetic inside a predicate: no kernel.
-        let arith = Expr::binary(
-            BinOp::Gt,
-            Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1i64)),
-            Expr::lit(0i64),
+        let div = Expr::binary(BinOp::Div, Expr::col(0), Expr::col(1));
+        let over = Expr::binary(BinOp::Gt, div.clone(), Expr::lit(0i64));
+        let got = eval_mask(&over, &b);
+        assert_eq!(got.out, vec![None, Some(true), None]);
+        let rows_failing: Vec<usize> = got.errors.iter().map(|(r, _)| *r).collect();
+        assert_eq!(rows_failing, [0, 2]);
+        assert_eq!(got.errors[0].1, RelError::DivideByZero);
+        assert_eq!(
+            eval_column(&div, &b).check(Some(&[1])).unwrap().value(1),
+            Value::Int(2)
         );
-        assert!(eval_mask(&arith, &b).is_none());
-        // Out-of-bounds column: no kernel (row path reports the error).
-        assert!(eval_mask(&Expr::col(9).eq(Expr::lit(1i64)), &b).is_none());
+        // A guard that decides the row first hides the error, as the row
+        // evaluator's short circuit does.
+        let nonzero = Expr::binary(BinOp::NotEq, Expr::col(1), Expr::lit(0i64));
+        let guarded = eval_mask(&nonzero.and(over), &b);
+        assert_eq!(guarded.out, vec![Some(false), Some(true), Some(false)]);
+        assert!(guarded.errors.is_empty());
+        // An out-of-range column fails on every row.
+        let out_of_range = eval_mask(&Expr::col(9).eq(Expr::lit(1i64)), &b);
+        let error = RelError::ColumnOutOfBounds { index: 9, width: 2 };
+        assert_eq!(
+            out_of_range.errors,
+            (0..3).map(|r| (r, error.clone())).collect::<Vec<_>>()
+        );
     }
 }

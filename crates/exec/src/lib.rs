@@ -35,7 +35,6 @@ pub mod rowop;
 pub use blueprint::{
     EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, PartialAgg, ROp, RSource, StreamSpec,
 };
-pub use colexpr::eval_mask;
 pub use combiner::PartialAggCombiner;
 pub use error::ExecError;
 pub use mapper::CommonMapper;

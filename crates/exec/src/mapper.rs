@@ -27,13 +27,12 @@
 //! The body exists once per input form, and both emit the same pairs. A
 //! column batch is mapped whole by `map_columns`: each branch's selection
 //! becomes a mask, the keys, the value and the pad become columns — a plain
-//! column borrowed from the batch, anything else its `colexpr` kernel or,
-//! for that expression alone, the row evaluator
-//! (`colexpr::value_column`) — and one [`MapOutput::emit_columns`]
-//! writes them. Keys and values are evaluated only on rows some branch
-//! keeps; a batch holding a row on which an expression fails emits nothing
-//! (the job fails either way). A text line is decoded into a `Row` and
-//! mapped by `map_record`, one record at a time.
+//! column borrowed from the batch, anything else its `colexpr` kernel —
+//! and one [`MapOutput::emit_columns`] writes them. A selection fails on
+//! any row it fails on, a key or value only on a row some branch keeps
+//! (`colexpr::Eval::check`); a batch holding such a row emits nothing (the
+//! job fails either way). A text line is decoded into a `Row` and mapped
+//! by `map_record`, one record at a time.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -44,7 +43,7 @@ use ysmart_rel::colbatch::{Column, ColumnBatch};
 use ysmart_rel::{Expr, RelError, Row, Value};
 
 use crate::blueprint::JobBlueprint;
-use crate::colexpr::{predicate_mask, value_column, Mask};
+use crate::colexpr::{eval_column, eval_mask, Mask};
 
 /// The CMF mapper for one input of a job.
 #[derive(Debug)]
@@ -207,7 +206,10 @@ impl CommonMapper {
         let failed =
             |what: &'static str| move |e: RelError| format!("{what} failed in {name}: {e}");
         let masks = input.branches.iter().map(|b| {
-            let mask = b.predicate.as_ref().map(|p| predicate_mask(p, batch));
+            let mask = b
+                .predicate
+                .as_ref()
+                .map(|p| eval_mask(p, batch).check(None));
             mask.transpose().map_err(failed("predicate"))
         });
         let masks: Vec<Option<Mask>> = masks.collect::<Result<_, _>>()?;
@@ -235,7 +237,11 @@ impl CommonMapper {
             }
         }
         let columns = |exprs: &[Expr], what| {
-            let col = |e| value_column(e, batch, Some(&rows)).map_err(failed(what));
+            let col = |e| {
+                eval_column(e, batch)
+                    .check(Some(&rows))
+                    .map_err(failed(what))
+            };
             exprs.iter().map(col).collect::<Result<Vec<_>, _>>()
         };
         let keys = columns(&input.key_exprs, "key expr")?;

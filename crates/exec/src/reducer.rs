@@ -32,15 +32,14 @@ use std::sync::Arc;
 
 use ysmart_mapred::{GroupView, KeyGroups, ReduceOutput, Reducer};
 use ysmart_plan::JoinKind;
-use ysmart_rel::colbatch::{Column, NULL_ROW};
+use ysmart_rel::colbatch::NULL_ROW;
 use ysmart_rel::{Expr, RelError, Row, Value};
 
 use crate::aggregate::aggregate;
 use crate::batch::{Batch, Col, Selection};
 use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, RSource};
-use crate::colexpr::{predicate_mask, Columnar};
+use crate::colexpr::{eval_mask, Columnar};
 use crate::error::ExecError;
-use crate::rowop::project;
 
 /// Values per run of key groups evaluated at once: a run takes whole groups
 /// until it holds this many values. Groups are independent, so where a task
@@ -56,17 +55,9 @@ pub struct CommonReducer {
     /// The Pig-style serialisation pad: trailing cells of every value that
     /// no stream reads (never stripped, only left out).
     pad_cols: usize,
-    /// Per tagged stream: its carried columns, when its projection is plain
-    /// column references; `None` when it computes (row by row at dispatch).
-    plain: Vec<Option<Plain>>,
-}
-
-/// A tagged stream whose rows are carried rows read at `cols`.
-#[derive(Debug)]
-struct Plain {
-    cols: Vec<usize>,
-    /// One past the largest of `cols`: what a carried row must reach.
-    need: usize,
+    /// Per stream: one past the largest carried column its projection
+    /// reads — what a tagged value's carried row must reach.
+    need: Vec<usize>,
 }
 
 /// The visibility tag of a tagged value: the streams that must not see it.
@@ -101,26 +92,21 @@ impl CommonReducer {
     /// Creates the reducer for a blueprint.
     #[must_use]
     pub fn new(blueprint: Arc<JobBlueprint>) -> Self {
-        let plain = blueprint
+        let need = blueprint
             .streams
             .iter()
             .map(|spec| {
-                let cols = spec
-                    .projection
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Column(i) => Some(*i),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<usize>>>()?;
-                let need = cols.iter().map(|&c| c + 1).max().unwrap_or(0);
-                Some(Plain { cols, need })
+                let mut need = 0;
+                for e in &spec.projection {
+                    e.for_each_column(&mut |c| need = need.max(c + 1));
+                }
+                need
             })
             .collect();
         CommonReducer {
             tagged: blueprint.tagged(),
             pad_cols: usize::from(blueprint.pad_bytes > 0),
-            plain,
+            need,
             blueprint,
         }
     }
@@ -176,7 +162,8 @@ impl CommonReducer {
     /// Algorithm 1 over a run of groups: one pass over the values, each
     /// dispatched by its (inverted) tag to the streams it may reach, after
     /// the short-circuit pre-pass of its group. Returns each stream's rows,
-    /// a segment per group; dispatch counts and their work units are
+    /// a segment per group — a tagged stream's projection evaluated over its
+    /// carried rows as columns; dispatch counts and their work units are
     /// recorded in bulk.
     fn dispatch<'v>(
         &self,
@@ -189,7 +176,6 @@ impl CommonReducer {
         let n = bp.streams.len();
         let failed = |err: String| format!("stream projection failed in {}: {err}", bp.name);
         let mut cells: Vec<Vec<&'v [Value]>> = vec![Vec::new(); n];
-        let mut computed: Vec<Vec<Row>> = vec![Vec::new(); n];
         let mut segs: Vec<Vec<u32>> = vec![vec![0]; n];
         for g in range {
             let values = groups.group(g);
@@ -203,28 +189,19 @@ impl CommonReducer {
                     let hidden = tag(v);
                     let carried = v.get(1..v.len().saturating_sub(self.pad_cols));
                     let carried = carried.unwrap_or(&[]);
-                    for (s, plain) in self.plain.iter().enumerate() {
+                    for (s, &need) in self.need.iter().enumerate() {
                         if hidden & (1 << s) != 0 {
                             continue; // inverted tag: this stream must not see it
                         }
-                        match plain {
-                            Some(p) if carried.len() >= p.need => cells[s].push(carried),
-                            Some(p) => {
-                                let mut cols = p.cols.iter().copied();
-                                let missing = cols.find(|&c| c >= carried.len());
-                                let missing = missing.unwrap_or(carried.len());
-                                return Err(failed(format!("column {missing} out of range")));
-                            }
-                            None => computed[s].push(
-                                project(&bp.streams[s].projection, carried)
-                                    .map_err(|e| failed(e.to_string()))?,
-                            ),
+                        if carried.len() < need {
+                            return Err(failed(format!("column {} out of range", need - 1)));
                         }
+                        cells[s].push(carried);
                     }
                 }
             }
             for s in 0..n {
-                segs[s].push((cells[s].len() + computed[s].len()) as u32);
+                segs[s].push(cells[s].len() as u32);
             }
         }
         if self.tagged {
@@ -239,28 +216,22 @@ impl CommonReducer {
             out.record_dispatches(0, cells[0].len() as u64);
         }
         let mut streams = Vec::with_capacity(n);
-        let parts = cells.into_iter().zip(computed).zip(segs);
-        for (s, ((cells, computed), segs)) in parts.enumerate() {
+        for (s, (cells, segs)) in cells.into_iter().zip(segs).enumerate() {
             let rows: Rc<[&'v [Value]]> = cells.into();
-            let cols = if !self.tagged {
+            let batch = if self.tagged {
+                let carried = (0..self.need[s]).map(|c| Col::cells(&rows, c)).collect();
+                let projected = Batch::new(segs, carried).project(&bp.streams[s].projection);
+                projected.map_err(|e| failed(e.to_string()))?
+            } else {
                 // A direct job's values are one projection's rows, or one
                 // combiner's partial rows: all one width.
                 let width = rows.first().map_or(0, |r| r.len());
                 if rows.iter().any(|r| r.len() != width) {
                     return Err(format!("values of differing widths in {}", bp.name));
                 }
-                (0..width).map(|c| Col::cells(&rows, c)).collect()
-            } else if let Some(p) = &self.plain[s] {
-                p.cols.iter().map(|&c| Col::cells(&rows, c)).collect()
-            } else {
-                let column = |c: usize| {
-                    Col::typed(Column::from_cells(computed.len(), |r| {
-                        &computed[r].values()[c]
-                    }))
-                };
-                (0..bp.streams[s].projection.len()).map(column).collect()
+                Batch::new(segs, (0..width).map(|c| Col::cells(&rows, c)).collect())
             };
-            streams.push(Rc::new(Batch::new(segs, cols)));
+            streams.push(Rc::new(batch));
         }
         Ok(streams)
     }
@@ -381,7 +352,8 @@ fn join<'v>(
     let mask = match residual {
         None => None,
         Some(p) => {
-            Some(predicate_mask(p, &pairs).map_err(|e| format!("join residual failed: {e}"))?)
+            let mask = eval_mask(p, &pairs).check(None);
+            Some(mask.map_err(|e| format!("join residual failed: {e}"))?)
         }
     };
     let pass = |p: usize| mask.as_ref().is_none_or(|m| m[p] == Some(true));

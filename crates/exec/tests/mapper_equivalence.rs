@@ -6,9 +6,9 @@
 //! carried (`Row::project` of `value_cols`) then, in direct mode, stream 0's
 //! projection evaluated over it, the Pig pad, one `MapOutput::emit` per
 //! pair. `CommonMapper::map_batch` maps a batch whole — each selection a
-//! mask, each key and value a column (a borrowed column, a kernel, or the
-//! row evaluator over the kept rows for that expression alone), one
-//! `MapOutput::emit_columns`. Over generated blueprints and batches the two
+//! mask, each key and value a column (a borrowed column or a `colexpr`
+//! kernel, failing rows carried beside it), one `MapOutput::emit_columns`.
+//! Over generated blueprints and batches the two
 //! must agree on everything a job's result and its simulated time are
 //! derived from: every partition's pairs (cells, key/value split, emit
 //! order), each segment's text bytes and frame size, work, per-stream
@@ -155,8 +155,12 @@ impl Gen {
         }
     }
 
-    /// A predicate with a mask kernel: column against literal or column,
-    /// `IS [NOT] NULL`, literals, bare columns, `AND` / `OR` / `NOT`.
+    /// A predicate: column against literal or column, `IS [NOT] NULL`,
+    /// literals, bare columns, `AND` / `OR` / `NOT` — and the shapes that
+    /// once ran on the row evaluator: a computed comparison operand, a null
+    /// test of a non-column, arithmetic read as a truth value, and division
+    /// guarded by a connective that fails only if the kernel takes an error
+    /// from a side the row evaluator's short circuit skips.
     fn predicate(&mut self, types: &[Ty], depth: usize) -> Expr {
         if depth > 0 && self.chance(0.3) {
             let (l, r) = (
@@ -181,7 +185,8 @@ impl Gen {
             BinOp::Gt,
             BinOp::GtEq,
         ]);
-        match self.below(8) {
+        let numeric: Vec<usize> = (0..types.len()).filter(|&c| types[c].numeric()).collect();
+        match self.below(13) {
             0 => Expr::lit(self.pick(&[Value::Bool(true), Value::Bool(false), Value::Null])),
             1 => Expr::Unary {
                 op: self.pick(&[UnOp::IsNull, UnOp::IsNotNull]),
@@ -190,7 +195,67 @@ impl Gen {
             2 => Expr::binary(cmp, Expr::col(c), Expr::col(self.below(types.len()))),
             3 => Expr::binary(cmp, Expr::lit(self.value(types[c])), Expr::col(c)),
             4 => Expr::col(c),
+            5 => {
+                let computed = self.arith(types);
+                let lit = Expr::lit(self.value(Ty::Num));
+                if self.chance(0.5) {
+                    Expr::binary(cmp, computed, lit)
+                } else {
+                    Expr::binary(cmp, lit, computed)
+                }
+            }
+            6 => {
+                let operand = if self.chance(0.5) {
+                    self.arith(types)
+                } else {
+                    self.predicate(types, depth.saturating_sub(1))
+                };
+                Expr::Unary {
+                    op: self.pick(&[UnOp::IsNull, UnOp::IsNotNull]),
+                    operand: Box::new(operand),
+                }
+            }
+            7 => {
+                let truth = self.arith(types);
+                let other = self.predicate(types, 0);
+                if self.chance(0.5) {
+                    truth.and(other)
+                } else {
+                    other.or(truth)
+                }
+            }
+            8 if !numeric.is_empty() => {
+                // `#d <> 0 AND 7 / #d > 1`, `#d = 0 OR 7 / #d > 1`.
+                let d = Expr::col(self.pick(&numeric));
+                let div = Expr::binary(BinOp::Div, Expr::lit(7i64), d.clone());
+                let div = Expr::binary(BinOp::Gt, div, Expr::lit(1i64));
+                if self.chance(0.5) {
+                    Expr::binary(BinOp::NotEq, d, Expr::lit(0i64)).and(div)
+                } else {
+                    Expr::binary(BinOp::Eq, d, Expr::lit(0i64)).or(div)
+                }
+            }
             _ => Expr::binary(cmp, Expr::col(c), Expr::lit(self.value(types[c]))),
+        }
+    }
+
+    /// Arithmetic over columns of `types` that seldom fails: `+ - *` or
+    /// negation of a numeric operand.
+    fn arith(&mut self, types: &[Ty]) -> Expr {
+        let op = self.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul]);
+        let rhs = if self.chance(0.5) {
+            self.operand(types)
+        } else {
+            Expr::lit(self.pick(&[Value::Int(3), Value::Float(0.5), Value::Null]))
+        };
+        let e = Expr::binary(op, self.operand(types), rhs);
+        if self.chance(0.2) {
+            Expr::Unary {
+                op: UnOp::Neg,
+                operand: Box::new(e),
+            }
+        } else {
+            e
         }
     }
 
@@ -206,10 +271,9 @@ impl Gen {
     }
 
     /// A value over columns of `types`: mostly a plain column, else a
-    /// literal, arithmetic (a kernel), a comparison (a mask kernel, read as
-    /// a `Bool` column), or a comparison or null test over arithmetic (no
-    /// kernel: the row evaluator). `risky` is a divisor column — `7 / #risky`
-    /// fails where it is zero.
+    /// literal, arithmetic, a predicate read as a `Bool` column, or a
+    /// comparison or null test over arithmetic. `risky` is a divisor column
+    /// — `7 / #risky` fails where it is zero.
     fn value_expr(&mut self, types: &[Ty], risky: Option<usize>) -> Expr {
         if types.is_empty() {
             return Expr::lit(self.value(Ty::Int));
@@ -217,36 +281,50 @@ impl Gen {
         if let Some(d) = risky.filter(|_| self.chance(0.3)) {
             return Expr::binary(BinOp::Div, Expr::lit(7i64), Expr::col(d));
         }
-        let arith = |g: &mut Gen| {
-            let op = g.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul]);
-            let rhs = if g.chance(0.5) {
-                g.operand(types)
-            } else {
-                Expr::lit(g.pick(&[Value::Int(3), Value::Float(0.5), Value::Null]))
-            };
-            Expr::binary(op, g.operand(types), rhs)
-        };
         match self.below(11) {
             0 => Expr::lit(self.value(Ty::Int)),
-            1 => arith(self),
+            1 => self.arith(types),
             2 => Expr::Unary {
                 op: UnOp::Neg,
                 operand: Box::new(self.operand(types)),
             },
             3 => self.predicate(types, 1),
-            4 => Expr::binary(BinOp::Gt, arith(self), Expr::lit(1i64)),
+            4 => Expr::binary(BinOp::Gt, self.arith(types), Expr::lit(1i64)),
             5 => Expr::Unary {
                 op: self.pick(&[UnOp::IsNull, UnOp::IsNotNull]),
-                operand: Box::new(arith(self)),
+                operand: Box::new(self.arith(types)),
             },
             _ => Expr::col(self.below(types.len())),
         }
     }
+}
 
-    /// A predicate without a mask kernel: arithmetic under a comparison.
-    fn kernel_less_predicate(&mut self, types: &[Ty]) -> Expr {
-        let sum = Expr::binary(BinOp::Add, self.operand(types), Expr::lit(1i64));
-        Expr::binary(BinOp::Gt, sum, Expr::lit(1i64))
+/// Whether `e` holds a shape that had no kernel before every kernel carried
+/// its failing rows, and ran on the row evaluator: a comparison over a
+/// computed operand, `IS [NOT] NULL` of a non-column, or arithmetic read as
+/// a truth value (`truth`: `e` itself is read as one).
+fn once_kernel_less(e: &Expr, truth: bool) -> bool {
+    let leaf = |e: &Expr| matches!(e, Expr::Column(_) | Expr::Literal(_));
+    match e {
+        Expr::Column(_) | Expr::Literal(_) => false,
+        Expr::Binary {
+            op: BinOp::And | BinOp::Or,
+            lhs,
+            rhs,
+        } => once_kernel_less(lhs, true) || once_kernel_less(rhs, true),
+        Expr::Binary { op, lhs, rhs } if op.is_predicate() => !leaf(lhs) || !leaf(rhs),
+        Expr::Binary { lhs, rhs, .. } => {
+            truth || once_kernel_less(lhs, false) || once_kernel_less(rhs, false)
+        }
+        Expr::Unary {
+            op: UnOp::Not,
+            operand,
+        } => once_kernel_less(operand, true),
+        Expr::Unary {
+            op: UnOp::Neg,
+            operand,
+        } => truth || once_kernel_less(operand, false),
+        Expr::Unary { operand, .. } => !matches!(**operand, Expr::Column(_)),
     }
 }
 
@@ -293,7 +371,7 @@ fn gen_case(g: &mut Gen) -> Case {
         .map(|&stream| {
             let predicate = match g.below(10) {
                 0..=2 => None,
-                3 => Some(g.kernel_less_predicate(&types)),
+                3 => Some(Expr::binary(BinOp::Gt, g.arith(&types), Expr::lit(1i64))),
                 _ => Some(g.predicate(&types, 2)),
             };
             let predicate = match guard {
@@ -434,7 +512,7 @@ fn observed(mut out: MapOutput, partitions: usize) -> Result<Observed, String> {
 }
 
 fn check_equivalence(cases: u64) {
-    let (mut emitted, mut failed, mut dodged, mut fallbacks) = (0, 0, 0, 0);
+    let (mut emitted, mut failed, mut dodged, mut shapes) = (0, 0, 0, 0);
     for seed in 0..cases {
         let mut g = Gen(StdRng::seed_from_u64(0x3A99_0000 + seed));
         let case = gen_case(&mut g);
@@ -468,7 +546,15 @@ fn check_equivalence(cases: u64) {
         }
         if let Ok((parts, ..)) = &by_batch {
             emitted += u64::from(parts.iter().any(|(pairs, _)| pairs != "[]"));
-            fallbacks += u64::from(!case.bp.row_fallbacks().is_empty());
+            let input = &case.bp.inputs[0];
+            let predicates = input.branches.iter().filter_map(|b| b.predicate.as_ref());
+            let values = input.key_exprs.iter().chain(&case.bp.streams[0].projection);
+            shapes += u64::from(
+                predicates
+                    .map(|p| (p, true))
+                    .chain(values.map(|v| (v, false)))
+                    .any(|(e, truth)| once_kernel_less(e, truth)),
+            );
             // A zero divisor on a row no branch keeps: evaluated over every
             // row, the division would have failed the job.
             let zero = |v: Value| v.as_float() == Some(0.0);
@@ -485,9 +571,9 @@ fn check_equivalence(cases: u64) {
     // testing it.
     let share = |n: u64| n * 100 / cases;
     assert!(
-        share(emitted) >= 50 && share(failed) >= 3 && share(dodged) >= 5 && share(fallbacks) >= 20,
+        share(emitted) >= 50 && share(failed) >= 3 && share(dodged) >= 5 && share(shapes) >= 20,
         "of {cases}: {emitted} emitted, {failed} failed, {dodged} dodged a zero divisor, \
-         {fallbacks} with a row fallback"
+         {shapes} with a once kernel-less shape"
     );
 }
 

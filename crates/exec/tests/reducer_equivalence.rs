@@ -381,6 +381,12 @@ impl Gen {
     }
 
     /// A predicate over `types`: true, false and NULL outcomes all occur.
+    /// Among its leaves are the shapes that once ran on the row evaluator:
+    /// a computed comparison operand, a null test of a computed value,
+    /// arithmetic read as a truth value, and a division guarded by a
+    /// connective — `#d <> 0 AND 7 / #d > 1`, `#d = 0 OR 7 / #d > 1` — that
+    /// fails only if the kernel takes an error from a side the row
+    /// evaluator's short circuit skips.
     fn predicate(&mut self, types: &[Ty], depth: usize) -> Expr {
         if depth > 0 && self.chance(0.4) {
             let (l, r) = (
@@ -405,7 +411,7 @@ impl Gen {
             BinOp::Gt,
             BinOp::GtEq,
         ]);
-        match self.below(7) {
+        match self.below(10) {
             0 => Expr::lit(self.pick(&[Value::Bool(true), Value::Bool(false), Value::Null])),
             1 => Expr::Unary {
                 op: self.pick(&[UnOp::IsNull, UnOp::IsNotNull]),
@@ -418,6 +424,30 @@ impl Gen {
                 let (lhs, ty) = self.scalar(types);
                 Expr::binary(cmp, lhs, Expr::lit(self.value(ty)))
             }
+            7 => Expr::Unary {
+                op: self.pick(&[UnOp::IsNull, UnOp::IsNotNull]),
+                operand: Box::new(self.scalar(types).0),
+            },
+            8 => {
+                let (truth, other) = (self.scalar(types).0, self.predicate(types, 0));
+                if self.chance(0.5) {
+                    truth.and(other)
+                } else {
+                    other.or(truth)
+                }
+            }
+            9 => match self.numeric_col(types) {
+                Some(d) => {
+                    let div = Expr::binary(BinOp::Div, Expr::lit(7i64), Expr::col(d));
+                    let div = Expr::binary(BinOp::Gt, div, Expr::lit(1i64));
+                    if self.chance(0.5) {
+                        Expr::binary(BinOp::NotEq, Expr::col(d), Expr::lit(0i64)).and(div)
+                    } else {
+                        Expr::binary(BinOp::Eq, Expr::col(d), Expr::lit(0i64)).or(div)
+                    }
+                }
+                None => Expr::col(c),
+            },
             _ => Expr::binary(cmp, Expr::col(c), Expr::lit(self.value(types[c]))),
         }
     }
@@ -434,10 +464,18 @@ impl Gen {
                     *types = tys;
                     RowOp::Project(exprs)
                 }
+                // A key that fails on a row (`7 / #d` where `#d` is zero)
+                // sorts that row as NULL.
                 4 => RowOp::Sort(
                     (0..1 + self.below(2))
                         .map(|_| SortKey {
-                            expr: Expr::col(self.below(types.len())),
+                            expr: match (self.below(4), self.numeric_col(types)) {
+                                (0, _) => self.scalar(types).0,
+                                (1, Some(d)) => {
+                                    Expr::binary(BinOp::Div, Expr::lit(7i64), Expr::col(d))
+                                }
+                                _ => Expr::col(self.below(types.len())),
+                            },
                             order: self.pick(&[SortOrder::Asc, SortOrder::Desc]),
                         })
                         .collect(),

@@ -32,6 +32,12 @@ fn catalog() -> Catalog {
 }
 
 fn check(sql: &str, t: Vec<Row>, u: Vec<Row>) {
+    check_rows(sql, t, u, None);
+}
+
+/// [`check`], and with `want` the oracle's rows must be those literal rows
+/// too — the only check a planner bug that oracle and engine share fails.
+fn check_rows(sql: &str, t: Vec<Row>, u: Vec<Row>, want: Option<&[Row]>) {
     let catalog = catalog();
     let mut tables = BTreeMap::new();
     tables.insert("t".to_string(), t.clone());
@@ -41,6 +47,12 @@ fn check(sql: &str, t: Vec<Row>, u: Vec<Row>) {
         ysmart_plan::build_plan(&catalog, &q).unwrap()
     };
     let expected = oracle_execute(&plan, &tables).unwrap().rows;
+    if let Some(want) = want {
+        assert!(
+            rows_approx_equal(&expected, want, false),
+            "oracle on `{sql}`: {expected:?}, want {want:?}"
+        );
+    }
     for strategy in Strategy::all() {
         let mut engine = YSmart::new(catalog.clone(), ClusterConfig::default());
         engine.load_table("t", &t).unwrap();
@@ -259,6 +271,62 @@ fn right_outer_join_matches_oracle() {
         t_rows(),
         u_rows(),
     );
+}
+
+/// An outer join's `ON` residual decides which pairs match; a row it
+/// rejects is padded, not dropped — as a `WHERE` above the join would drop
+/// it.
+#[test]
+fn outer_join_on_residuals_pad_what_they_reject() {
+    let null = Value::Null;
+    let (x, y, z) = (Value::from("x"), Value::from("y"), Value::from("z"));
+    let r = |k: &Value, v: &Value, w: &Value| Row::new(vec![k.clone(), v.clone(), w.clone()]);
+    let (one, two, three) = (Value::Int(1), Value::Int(2), Value::Int(3));
+    let left = vec![
+        r(&one, &Value::Int(10), &null),
+        r(&one, &Value::Int(20), &null),
+        r(&two, &Value::Int(30), &y),
+        r(&three, &Value::Int(40), &null),
+    ];
+    let on = "t.k = u.k AND w <> 'x'";
+    let sql = |kind: &str, on: &str| format!("SELECT t.k, v, w FROM t {kind} JOIN u ON {on}");
+    check_rows(&sql("LEFT OUTER", on), t_rows(), u_rows(), Some(&left));
+    let mut full = left;
+    full.extend([r(&null, &null, &x), r(&null, &null, &z)]);
+    check_rows(&sql("FULL OUTER", on), t_rows(), u_rows(), Some(&full));
+    let right = [
+        r(&one, &Value::Int(20), &x),
+        r(&two, &Value::Int(30), &y),
+        r(&null, &null, &z),
+    ];
+    let on = "t.k = u.k AND v > 15";
+    check_rows(&sql("RIGHT OUTER", on), t_rows(), u_rows(), Some(&right));
+}
+
+/// `i64::MIN / -1` overflows: the query fails with the typed error of every
+/// other `Int` overflow, on either data path, not with a panicked task.
+#[test]
+fn integer_division_overflow_is_a_typed_error() {
+    let t = vec![row![i64::MIN, 0i64, 1i64, "a"]];
+    for data_format in [DataFormat::Text, DataFormat::Columnar] {
+        let config = ClusterConfig {
+            data_format,
+            ..ClusterConfig::default()
+        };
+        for strategy in Strategy::all() {
+            let mut engine = YSmart::new(catalog(), config.clone());
+            engine.load_table("t", &t).unwrap();
+            engine.load_table("u", &[]).unwrap();
+            let err = engine
+                .execute_sql("SELECT k / -1 FROM t", strategy)
+                .expect_err("the division overflows");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("type mismatch in /") && !msg.contains("panicked"),
+                "{strategy}, {data_format:?}: {msg}"
+            );
+        }
+    }
 }
 
 #[test]

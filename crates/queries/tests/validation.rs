@@ -126,55 +126,6 @@ fn job_counts(w: &Workload) -> BTreeMap<Strategy, usize> {
     out
 }
 
-/// The benchmark's query suite — Q17, Q18, Q21, Q-CSA, Q-AGG, and Q3 (the
-/// serve stream's fourth shape), as merged (YSmart) and as one-op-one-job
-/// (Hive) jobs — runs on `colexpr` kernels on both sides
-/// (`JobBlueprint::row_fallbacks`): every selection, key and emitted value
-/// of every mapper, and every join residual, transform, aggregate argument
-/// and `HAVING` of every reducer, has one, so no row of these queries is
-/// evaluated by the row fallback. A planner change that leaves a
-/// kernel-less expression in one of these jobs fails here, not silently in
-/// perfbench.
-#[test]
-fn dss_suite_runs_on_kernels() {
-    let mut workloads = tpch_workloads(&TpchSpec {
-        scale: 0.05,
-        seed: 4,
-    });
-    workloads.extend(clicks_workloads(&ClicksSpec {
-        users: 8,
-        clicks_per_user: 12,
-        seed: 4,
-        ..ClicksSpec::default()
-    }));
-    let suite = ["q17", "q18", "q21", "q-csa", "q-agg", "q3"];
-    workloads.retain(|w| suite.contains(&w.name));
-    assert_eq!(workloads.len(), suite.len());
-    let (mut mappers, mut reducers) = (0, 0);
-    for w in &workloads {
-        for strategy in [Strategy::YSmart, Strategy::Hive] {
-            let mut engine = YSmart::new(w.catalog.clone(), ClusterConfig::default());
-            w.load_into(&mut engine).unwrap();
-            let t = engine.translate_tagged(&w.sql, strategy, "cov").unwrap();
-            for bp in &t.blueprints {
-                let gaps = bp.row_fallbacks();
-                assert!(
-                    gaps.is_empty(),
-                    "{} under {strategy}: job {} evaluates row by row: {gaps:?}",
-                    w.name,
-                    bp.name
-                );
-                mappers += bp.inputs.len();
-                reducers += usize::from(!bp.map_only);
-            }
-        }
-    }
-    assert!(
-        mappers >= 40 && reducers >= 40,
-        "only {mappers} mappers and {reducers} reducers probed"
-    );
-}
-
 /// Everything observable about one mapper run.
 fn observed(mut out: MapOutput) -> (Vec<Row>, Vec<Row>, u64, Vec<u64>, u64, Option<String>) {
     let (work, bad) = (out.work(), out.bad_records());

@@ -160,12 +160,16 @@ impl Value {
     }
 
     /// Division. Integer division of two `Int`s stays integral (SQL
-    /// convention); division by zero is an error; NULL propagates.
+    /// convention) and fails on overflow (`i64::MIN / -1`) as the other
+    /// `Int` operations do; division by zero is an error; NULL propagates.
     pub fn div(&self, other: &Value) -> Result<Value, RelError> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
             (Value::Int(_), Value::Int(0)) => Err(RelError::DivideByZero),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a / b)),
+            (Value::Int(a), Value::Int(b)) => a
+                .checked_div(*b)
+                .map(Value::Int)
+                .ok_or_else(|| self.mismatch("/", other)),
             (a, b) => {
                 let (x, y) = self.numeric_pair(a, b, "/")?;
                 if y == 0.0 {
