@@ -26,8 +26,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use ysmart_exec::{
-    EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, PartialAgg, ROp, RSource, RowOp,
-    StreamSpec,
+    EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, RowOp, StreamSpec,
 };
 use ysmart_plan::{CorrelationReport, NodeId, Operator, Plan};
 use ysmart_rel::{BinOp, Expr, Schema};
@@ -129,7 +128,7 @@ impl Translation {
                 EmitSpec::Tagged(srcs) => format!("{} tagged sources", srcs.len()),
             };
             let _ = writeln!(out, "  emit {emit} -> {}", bp.output);
-            if bp.combiner.is_some() {
+            if bp.combiner().is_some() {
                 let _ = writeln!(out, "  with map-side combiner");
             }
         }
@@ -719,29 +718,16 @@ fn compile_draft(
     let reduce_tasks = if needs_single_reducer { Some(1) } else { None };
 
     // ---- combiner (map-side hash aggregation, footnote 2) -------------------
-    let mut combiner = None;
+    // A merging aggregation is what installs the job's combiner.
     let single_stream = stream_count == 1 && inputs.len() == 1 && inputs[0].branches.len() == 1;
     if opts.combiner && opts.value_pad_bytes == 0 && single_stream && ops.len() == 1 {
         if let OpKind::Agg {
-            group_cols, aggs, ..
-        } = &ops[0].kind
+            aggs,
+            merge_partials,
+            ..
+        } = &mut ops[0].kind
         {
-            if !aggs.is_empty() && aggs.iter().all(|(f, _)| f.combinable()) {
-                combiner = Some(PartialAgg {
-                    group_cols: group_cols.clone(),
-                    aggs: aggs.clone(),
-                });
-                let g = group_cols.len();
-                if let OpKind::Agg {
-                    group_cols,
-                    merge_partials,
-                    ..
-                } = &mut ops[0].kind
-                {
-                    *group_cols = (0..g).collect();
-                    *merge_partials = true;
-                }
-            }
+            *merge_partials = !aggs.is_empty() && aggs.iter().all(|(f, _)| f.combinable());
         }
     }
 
@@ -793,7 +779,6 @@ fn compile_draft(
         emit,
         output: out_path.to_string(),
         reduce_tasks,
-        combiner,
         map_only: false,
         short_circuit_streams,
         pad_bytes: opts.value_pad_bytes,
@@ -887,7 +872,6 @@ fn compile_map_only(
         emit: EmitSpec::Single(RSource::Stream(0)),
         output: out_path.to_string(),
         reduce_tasks: None,
-        combiner: None,
         map_only: true,
         short_circuit_streams: vec![],
         pad_bytes: opts.value_pad_bytes,
@@ -957,13 +941,13 @@ mod tests {
             Strategy::Hive,
         );
         assert_eq!(t.job_count(), 1);
-        assert!(t.blueprints[0].combiner.is_some());
+        assert!(t.blueprints[0].combiner().is_some());
         // Pig: no combiner, padded values.
         let t = translate(
             "SELECT cid, count(*) FROM clicks GROUP BY cid",
             Strategy::Pig,
         );
-        assert!(t.blueprints[0].combiner.is_none());
+        assert!(t.blueprints[0].combiner().is_none());
         assert!(t.blueprints[0].pad_bytes > 0);
     }
 
@@ -973,7 +957,7 @@ mod tests {
             "SELECT cid, count(distinct uid) FROM clicks GROUP BY cid",
             Strategy::Hive,
         );
-        assert!(t.blueprints[0].combiner.is_none());
+        assert!(t.blueprints[0].combiner().is_none());
     }
 
     #[test]

@@ -1,16 +1,29 @@
 //! Grouped aggregation over a segmented batch — the common reducer's
-//! `Agg` operator as segmented folds.
+//! `Agg` operator and the map-side combiner, as segmented folds.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use ysmart_rel::colbatch::Column;
-use ysmart_rel::{AggFunc, Expr, RelError, Value};
+use ysmart_rel::{AggFunc, AggState, Expr, RelError, Value};
 
 use crate::batch::{Batch, Col, Selection};
-use crate::blueprint::PartialAgg;
 use crate::colexpr::{eval_column, eval_mask, Columnar};
-use crate::combiner::decode_partial;
+
+/// What an aggregation reads and what it writes: which side of the map-side
+/// combiner it runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Raw rows in, final values out: the reducer of an uncombined job.
+    Complete,
+    /// Raw rows in, each aggregate's partial fields out: the combiner.
+    /// `count`, `sum`, `min` and `max` write their final value, `avg` its
+    /// running sum and count ([`AggState::Avg`]).
+    Partial,
+    /// Partial rows in — the group columns `0..g`, then each aggregate's
+    /// partial fields — final values out: the reducer of a combined job.
+    Merge,
+}
 
 /// A batch's rows in sub-group order: sub-group `k` is rows
 /// `order[starts[k]..starts[k + 1]]` (the last to the end), in arrival
@@ -39,17 +52,23 @@ impl Subgroups {
 /// sub-group, keyed by its first row (the first-seen representation of
 /// `Int(7)` vs `Float(7.0)`). Sub-groups leave in key order, each folded
 /// over its rows in arrival order; a work unit per input row. A group
-/// column past the input's width reads NULL. `Err` is the op's message.
+/// column past the input's width reads NULL; merging partials, the group
+/// columns are the partial layout's first `group_cols.len()`, whatever they
+/// were over the raw rows. `Err` is the op's message.
 pub(crate) fn aggregate<'v>(
     input: &Batch<'v>,
     group_cols: &[usize],
     aggs: &[(AggFunc, Option<Expr>)],
     having: Option<&Expr>,
-    merge_partials: bool,
+    mode: Mode,
     work: &mut u64,
 ) -> Result<Batch<'v>, String> {
     *work += input.len() as u64;
-    let (subs, segs) = subgroups(input, group_cols);
+    let group_cols: Cow<'_, [usize]> = match mode {
+        Mode::Merge => Cow::Owned((0..group_cols.len()).collect()),
+        _ => Cow::Borrowed(group_cols),
+    };
+    let (subs, segs) = subgroups(input, &group_cols);
     let n = subs.len();
     let firsts: Selection = subs.starts.iter().map(|&s| subs.order[s]).collect();
     let null = || Col::typed(Column::from_cells(n, |_| &Value::Null));
@@ -62,10 +81,12 @@ pub(crate) fn aggregate<'v>(
     };
     let mut cols: Vec<Col<'v>> = group_cols.iter().map(|&c| key(c)).collect();
     let mut offset = group_cols.len();
+    let typed = |results: Vec<Value>| Col::typed(Column::from_cells(n, |k| &results[k]));
     for (func, arg) in aggs {
-        let results = if merge_partials {
-            // Partial fields follow the group columns in combiner layout.
-            let width = PartialAgg::partial_width(*func);
+        if mode == Mode::Merge {
+            // Partial fields follow the group columns in combiner layout:
+            // `avg`'s are its sum and count.
+            let width = if *func == AggFunc::Avg { 2 } else { 1 };
             let field = |c: usize| {
                 let width = input.width();
                 input
@@ -74,22 +95,35 @@ pub(crate) fn aggregate<'v>(
             };
             let fields: Result<Vec<&Column>, _> = (offset..offset + width).map(field).collect();
             offset += width;
-            match fields.and_then(|fields| merge(*func, &fields, &subs)) {
-                Ok(results) => results,
-                // With no row there is no partial to decode.
-                Err(_) if n == 0 => Vec::new(),
-                Err(e) => return Err(format!("partial merge failed: {e}")),
-            }
-        } else {
-            let failed = |e: RelError| format!("aggregation failed: {e}");
-            let col = match arg {
-                Some(e) => eval_column(e, input).check(None).map_err(failed)?,
-                // `count(*)` counts rows: each row feeds 1.
-                None => Cow::Owned(Column::from_cells(input.len(), |_| &Value::Int(1))),
-            };
-            fold(*func, &col, &subs).map_err(failed)?
+            cols.push(typed(
+                match fields.and_then(|fields| merge(*func, &fields, &subs)) {
+                    Ok(results) => results,
+                    // With no row there is no partial to merge.
+                    Err(_) if n == 0 => Vec::new(),
+                    Err(e) => return Err(format!("partial merge failed: {e}")),
+                },
+            ));
+            continue;
+        }
+        let failed = |e: RelError| format!("aggregation failed: {e}");
+        let col = match arg {
+            Some(e) => eval_column(e, input).check(None).map_err(failed)?,
+            // `count(*)` counts rows: each row feeds 1.
+            None => Cow::Owned(Column::from_cells(input.len(), |_| &Value::Int(1))),
         };
-        cols.push(Col::typed(Column::from_cells(n, |k| &results[k])));
+        if mode == Mode::Partial && *func == AggFunc::Avg {
+            let parts: Vec<(f64, i64)> = subs
+                .iter()
+                .map(|rows| sum_count(&col, rows))
+                .collect::<Result<_, _>>()
+                .map_err(failed)?;
+            cols.push(typed(
+                parts.iter().map(|&(sum, _)| Value::Float(sum)).collect(),
+            ));
+            cols.push(typed(parts.iter().map(|&(_, n)| Value::Int(n)).collect()));
+        } else {
+            cols.push(typed(fold(*func, &col, &subs).map_err(failed)?));
+        }
     }
     let out = Batch::new(segs, cols);
     let Some(having) = having else {
@@ -154,14 +188,27 @@ fn present<'r>(nulls: &'r [bool], rows: &'r [u32]) -> impl Iterator<Item = usize
     rows.iter().map(|&r| r as usize).filter(|&r| !nulls[r])
 }
 
-/// `avg` of `xs`: their left-to-right sum over their count.
-fn avg(xs: impl Iterator<Item = f64>) -> Value {
-    let (sum, n) = xs.fold((0.0, 0i64), |(sum, n), x| (sum + x, n + 1));
-    if n == 0 {
-        Value::Null
-    } else {
-        Value::Float(sum / n as f64)
-    }
+/// `avg`'s running state over `rows` of `col`, as [`AggState::Avg`] keeps
+/// it: the sum of the present values widened to float, added left to right
+/// from `0.0`, and their count. Typed columns add in typed loops; the rest
+/// through `AggState` itself.
+fn sum_count(col: &Column, rows: &[u32]) -> Result<(f64, i64), RelError> {
+    let add = |(sum, n): (f64, i64), x: f64| (sum + x, n + 1);
+    Ok(match col {
+        Column::Int { data, nulls } => present(nulls, rows)
+            .map(|r| data[r] as f64)
+            .fold((0.0, 0), add),
+        Column::Float { data, nulls } => present(nulls, rows).map(|r| data[r]).fold((0.0, 0), add),
+        _ => {
+            let mut state = AggFunc::Avg.new_state();
+            rows.iter()
+                .try_for_each(|&r| state.update(&col.value(r as usize)))?;
+            let AggState::Avg { sum, count } = state else {
+                unreachable!("an avg accumulator")
+            };
+            (sum, count)
+        }
+    })
 }
 
 /// A sum of `Int`s as `AggState` adds them: checked, an overflow failing
@@ -216,12 +263,12 @@ fn fold(func: AggFunc, col: &Column, subs: &Subgroups) -> Result<Vec<Value>, Rel
                 .reduce(|sum, x| sum + x);
             sum.map_or(Value::Null, Value::Float)
         }),
-        (AggFunc::Avg, Column::Int { data, nulls }) => {
-            each(&|rows| avg(present(nulls, rows).map(|r| data[r] as f64)))
-        }
-        (AggFunc::Avg, Column::Float { data, nulls }) => {
-            each(&|rows| avg(present(nulls, rows).map(|r| data[r])))
-        }
+        (AggFunc::Avg, _) => subs
+            .iter()
+            .map(|rows| {
+                sum_count(col, rows).map(|(sum, count)| AggState::Avg { sum, count }.finish())
+            })
+            .collect::<Result<_, _>>()?,
         (
             AggFunc::Min | AggFunc::Max,
             Column::Int { nulls, .. }
@@ -277,9 +324,10 @@ fn fold(func: AggFunc, col: &Column, subs: &Subgroups) -> Result<Vec<Value>, Rel
 }
 
 /// `func` over each sub-group's combiner partials in `fields` (the
-/// partial's one or two columns), in order: `decode_partial` and
-/// `AggState::merge` of each. A numeric `sum`/`min`/`max` partial merges as
-/// the value it holds folds; `count` and `avg` add up their running totals.
+/// partial's one or two columns), in order: `AggState::merge` of each.
+/// `count` and `avg` add up their running totals; a `sum`, `min` or `max`
+/// partial is the value its raw rows folded to, so merging partials folds
+/// them.
 fn merge(func: AggFunc, fields: &[&Column], subs: &Subgroups) -> Result<Vec<Value>, RelError> {
     let int = |col: &Column, r: &u32| col.value(*r as usize).as_int().unwrap_or(0);
     let float = |col: &Column, r: &u32| col.value(*r as usize).as_float().unwrap_or(0.0);
@@ -289,31 +337,13 @@ fn merge(func: AggFunc, fields: &[&Column], subs: &Subgroups) -> Result<Vec<Valu
             subs.iter().map(count).collect()
         }
         (AggFunc::Avg, sum) => {
-            let avg = |rows: &[u32]| {
-                let total = rows.iter().fold(0.0, |t, r| t + float(sum, r));
-                match rows.iter().map(|r| int(fields[1], r)).sum::<i64>() {
-                    0 => Value::Null,
-                    count => Value::Float(total / count as f64),
-                }
+            let avg = |rows: &[u32]| AggState::Avg {
+                sum: rows.iter().fold(0.0, |t, r| t + float(sum, r)),
+                count: rows.iter().map(|r| int(fields[1], r)).sum(),
             };
-            subs.iter().map(avg).collect()
+            subs.iter().map(|rows| avg(rows).finish()).collect()
         }
-        (
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max,
-            col @ (Column::Int { .. } | Column::Float { .. }),
-        ) => fold(func, col, subs)?,
-        _ => {
-            let mut out = Vec::with_capacity(subs.len());
-            for rows in subs.iter() {
-                let mut state = func.new_state();
-                for &r in rows {
-                    let cells: Vec<Value> = fields.iter().map(|c| c.value(r as usize)).collect();
-                    state.merge(&decode_partial(func, &cells[..], 0)?)?;
-                }
-                out.push(state.finish());
-            }
-            out
-        }
+        (_, col) => fold(func, col, subs)?,
     })
 }
 

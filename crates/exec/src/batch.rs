@@ -137,6 +137,18 @@ impl<'v> Batch<'v> {
         }
     }
 
+    /// A batch of whole values — each value a row, its cells the columns —
+    /// whose segment `g` is values `segs[g]..segs[g + 1]`; `None` when they
+    /// are not all one width.
+    pub(crate) fn of_values(values: Vec<&'v [Value]>, segs: Vec<u32>) -> Option<Self> {
+        let width = values.first().map_or(0, |v| v.len());
+        let rows: Rc<[&'v [Value]]> = values.into();
+        let cols = (0..width).map(|c| Col::cells(&rows, c)).collect();
+        rows.iter()
+            .all(|v| v.len() == width)
+            .then(|| Batch::new(segs, cols))
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.segs.last().map_or(0, |&n| n as usize)
     }

@@ -23,7 +23,7 @@ use ysmart_mapred::JobSpec;
 use ysmart_plan::JoinKind;
 use ysmart_rel::{AggFunc, Expr, Schema};
 
-use crate::combiner::PartialAggCombiner;
+use crate::combiner::AggCombiner;
 use crate::error::ExecError;
 use crate::mapper::CommonMapper;
 use crate::reducer::CommonReducer;
@@ -117,8 +117,13 @@ pub enum OpKind {
         aggs: Vec<(AggFunc, Option<Expr>)>,
         /// `HAVING` over the output row (groups then aggregates).
         having: Option<Expr>,
-        /// When set, source rows are combiner partials
-        /// (`[group…, partial fields…]`) to merge rather than raw rows.
+        /// Whether the job combines map-side: the op then reads combiner
+        /// partials — `[group…, partial fields…]`, the group columns first
+        /// whatever `group_cols` are over the raw rows — and merges them.
+        /// It may be set only on the one op of an untagged, unpadded job,
+        /// with combinable aggregates; the job's combiner is built from
+        /// `group_cols` and `aggs` (Hive's "internal hash-aggregate map",
+        /// paper footnote 2).
         merge_partials: bool,
     },
     /// Pass rows through unchanged (sort/limit jobs, repartition).
@@ -134,29 +139,6 @@ pub struct ROp {
     pub inputs: Vec<RSource>,
     /// Transforms applied to its output rows.
     pub transforms: Vec<RowOp>,
-}
-
-/// Map-side partial aggregation (the combiner of an AGGREGATION job —
-/// Hive's "internal hash-aggregate map", paper footnote 2). Only valid for
-/// single-stream *direct* jobs; the matching reduce op must set
-/// `merge_partials`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialAgg {
-    /// Grouping columns within the direct value row.
-    pub group_cols: Vec<usize>,
-    /// The aggregates (all must be [`AggFunc::combinable`]).
-    pub aggs: Vec<(AggFunc, Option<Expr>)>,
-}
-
-impl PartialAgg {
-    /// Number of columns a partial row carries for one aggregate.
-    #[must_use]
-    pub fn partial_width(func: AggFunc) -> usize {
-        match func {
-            AggFunc::Avg => 2, // sum, count
-            _ => 1,
-        }
-    }
 }
 
 /// A full physical job description.
@@ -177,8 +159,6 @@ pub struct JobBlueprint {
     /// Reduce-task count (`None` = cluster default; sorts and global
     /// aggregations use 1).
     pub reduce_tasks: Option<usize>,
-    /// Map-side combiner (single-stream aggregation jobs only).
-    pub combiner: Option<PartialAgg>,
     /// Map-only job (SELECTION-PROJECTION): the mapper applies stream 0's
     /// projection and the engine writes the rows directly.
     pub map_only: bool,
@@ -217,6 +197,25 @@ impl JobBlueprint {
         let raw = |c: usize| carried.get(c).copied().unwrap_or(usize::MAX);
         let projection = &self.streams[0].projection;
         projection.iter().map(|e| e.remap_columns(&raw)).collect()
+    }
+
+    /// The job's map-side combiner: the one op's own aggregation, when that
+    /// op merges partials (`validate` holds it to the only op).
+    #[must_use]
+    pub fn combiner(&self) -> Option<AggCombiner> {
+        match &self.ops[..] {
+            [ROp {
+                kind:
+                    OpKind::Agg {
+                        group_cols,
+                        aggs,
+                        merge_partials: true,
+                        ..
+                    },
+                ..
+            }] => Some(AggCombiner::new(&self.name, group_cols, aggs)),
+            _ => None,
+        }
     }
 
     /// Validates internal consistency.
@@ -302,15 +301,14 @@ impl JobBlueprint {
                 return bad("map-only jobs emit stream 0".into());
             }
         }
-        if self.combiner.is_some() {
-            if self.tagged() {
-                return bad("combiner requires a single (direct) stream".into());
+        let merging = |op: &ROp| matches!(op.kind, OpKind::Agg { merge_partials: m, .. } if m);
+        if self.ops.iter().any(merging) {
+            let only = self.ops.len() == 1 && self.ops[0].inputs == [RSource::Stream(0)];
+            if !only || self.tagged() || self.pad_bytes > 0 {
+                return bad("a merging op must be the only op of an untagged, unpadded job".into());
             }
-            if self.pad_bytes > 0 {
-                return bad("combiner and value padding are mutually exclusive".into());
-            }
-            if let Some(c) = &self.combiner {
-                if let Some((f, _)) = c.aggs.iter().find(|(f, _)| !f.combinable()) {
+            if let OpKind::Agg { aggs, .. } = &self.ops[0].kind {
+                if let Some((f, _)) = aggs.iter().find(|(f, _)| !f.combinable()) {
                     return bad(format!("aggregate {f} is not combinable"));
                 }
             }
@@ -324,11 +322,11 @@ impl JobBlueprint {
     }
 
     /// Canonical fingerprint of the blueprint's *structure*: every field
-    /// that determines what the job computes — operator DAG, schemas, key
-    /// and value expressions, emit shape, combiner, padding, reduce-task
-    /// count — excluding the job name and the concrete input/output paths,
-    /// which vary per submission tag even when the computation is
-    /// identical. Two blueprints with equal structural fingerprints perform
+    /// that determines what the job computes — operator DAG (and with it the
+    /// combiner), schemas, key and value expressions, emit shape, padding,
+    /// reduce-task count — excluding the job name and the concrete
+    /// input/output paths, which vary per submission tag even when the
+    /// computation is identical. Two blueprints with equal structural fingerprints perform
     /// the same computation over whatever data their inputs hold; combined
     /// with the identity of those inputs (producer fingerprints for
     /// intermediates, content checksums for base tables — see the chain
@@ -368,10 +366,8 @@ impl JobBlueprint {
         if !self.map_only {
             let bp = Arc::clone(&me);
             builder = builder.reducer(move || Box::new(CommonReducer::new(Arc::clone(&bp))));
-            if self.combiner.is_some() {
-                let bp = Arc::clone(&me);
-                builder =
-                    builder.combiner(move || Box::new(PartialAggCombiner::new(Arc::clone(&bp))));
+            if let Some(combiner) = self.combiner() {
+                builder = builder.combiner(move || Box::new(combiner.clone()));
             }
         }
         if let Some(n) = self.reduce_tasks {
@@ -418,7 +414,6 @@ mod tests {
             emit: EmitSpec::Single(RSource::Op(0)),
             output: "out/j".into(),
             reduce_tasks: Some(1),
-            combiner: None,
             map_only: false,
             short_circuit_streams: vec![],
             pad_bytes: 0,
@@ -475,9 +470,50 @@ mod tests {
         assert!(bp.validate().is_err());
     }
 
+    /// `minimal` with its op a merging aggregation: a combined job.
+    fn combined() -> JobBlueprint {
+        let mut bp = minimal();
+        bp.ops[0].kind = OpKind::Agg {
+            group_cols: vec![0],
+            aggs: vec![(AggFunc::Sum, Some(Expr::col(1)))],
+            having: None,
+            merge_partials: true,
+        };
+        bp
+    }
+
+    #[test]
+    fn a_merging_agg_is_the_combined_jobs_only_op() {
+        let bp = combined();
+        bp.validate().unwrap();
+        assert!(bp.to_jobspec().unwrap().combiner.is_some());
+        assert!(minimal().to_jobspec().unwrap().combiner.is_none());
+
+        let mut second = combined();
+        second.ops.push(ROp {
+            kind: OpKind::Pass,
+            inputs: vec![RSource::Op(0)],
+            transforms: vec![],
+        });
+        let mut after_another = combined();
+        after_another.ops.insert(0, minimal().ops.remove(0));
+        after_another.ops[1].inputs = vec![RSource::Op(0)];
+        let mut padded = combined();
+        padded.pad_bytes = 3;
+        for (bp, why) in [
+            (second, "only op"),
+            (after_another, "only op"),
+            (padded, "unpadded"),
+        ] {
+            let e = bp.validate().unwrap_err();
+            assert!(e.to_string().contains(why), "{e}");
+            assert!(bp.to_jobspec().is_err());
+        }
+    }
+
     #[test]
     fn rejects_combiner_on_tagged_job() {
-        let mut bp = minimal();
+        let mut bp = combined();
         bp.inputs[0].branches.push(MapBranch {
             stream: 1,
             predicate: None,
@@ -485,21 +521,18 @@ mod tests {
         bp.streams.push(StreamSpec {
             projection: vec![Expr::col(0)],
         });
-        bp.combiner = Some(PartialAgg {
-            group_cols: vec![],
-            aggs: vec![(AggFunc::Sum, Some(Expr::col(1)))],
-        });
-        assert!(bp.validate().is_err());
+        let e = bp.validate().unwrap_err();
+        assert!(e.to_string().contains("untagged"), "{e}");
     }
 
     #[test]
     fn rejects_non_combinable_combiner() {
-        let mut bp = minimal();
-        bp.combiner = Some(PartialAgg {
-            group_cols: vec![],
-            aggs: vec![(AggFunc::CountDistinct, Some(Expr::col(1)))],
-        });
-        assert!(bp.validate().is_err());
+        let mut bp = combined();
+        if let OpKind::Agg { aggs, .. } = &mut bp.ops[0].kind {
+            aggs.push((AggFunc::CountDistinct, Some(Expr::col(1))));
+        }
+        let e = bp.validate().unwrap_err();
+        assert!(e.to_string().contains("not combinable"), "{e}");
     }
 
     #[test]
@@ -533,12 +566,6 @@ mod tests {
             assert!(e.to_string().contains("carries column 5"), "{e}");
             assert!(bp.to_jobspec().is_err());
         }
-    }
-
-    #[test]
-    fn partial_width_avg_is_two() {
-        assert_eq!(PartialAgg::partial_width(AggFunc::Avg), 2);
-        assert_eq!(PartialAgg::partial_width(AggFunc::Sum), 1);
     }
 
     #[test]

@@ -1,137 +1,97 @@
 //! Map-side partial aggregation (the AGGREGATION job's combiner).
 //!
-//! The combiner groups a map task's output for one key by the extra
-//! grouping columns and replaces the raw rows with *partial rows*:
+//! The combiner groups each key group of a map task's sorted run by the
+//! extra grouping columns and replaces the raw rows with *partial rows*:
 //! `[group values…, partial fields…]`. The reduce-side aggregation op (with
 //! `merge_partials` set) merges partials instead of accumulating raw
 //! values. This is the optimisation the paper credits for Hive matching
 //! hand-coded MapReduce on the simple Q-AGG query (footnote 2).
+//!
+//! It is the reducer's own aggregation: a segment of key groups is gathered
+//! into one batch, cut where the reducer cuts its runs, and folded by
+//! `aggregate` in its raw→partial mode.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
 
-use ysmart_mapred::{Combiner, GroupView};
-use ysmart_rel::{AggFunc, AggState, Columns, Expr, RelError, Row, Value};
+use ysmart_mapred::{Combiner, KeyGroups};
+use ysmart_rel::{AggFunc, Expr, Row};
 
-use crate::blueprint::JobBlueprint;
+use crate::aggregate::{aggregate, Mode};
+use crate::batch::Batch;
+use crate::reducer::chunks;
 
-/// Encodes a finished accumulator as partial-row fields.
-#[must_use]
-pub fn encode_partial(state: &AggState) -> Vec<Value> {
-    match state {
-        AggState::Count(c) => vec![Value::Int(*c)],
-        AggState::Sum(v) => vec![v.clone().unwrap_or(Value::Null)],
-        AggState::Avg { sum, count } => vec![Value::Float(*sum), Value::Int(*count)],
-        AggState::Min(v) | AggState::Max(v) => vec![v.clone().unwrap_or(Value::Null)],
-        AggState::CountDistinct(_) => unreachable!("count(distinct) is not combinable"),
-    }
-}
-
-/// Decodes the partial fields of `func` starting at column `at` of a
-/// partial row back into an accumulator for merging.
-///
-/// # Errors
-///
-/// A partial row too short to hold the fields.
-pub fn decode_partial<C: Columns + ?Sized>(
-    func: AggFunc,
-    row: &C,
-    at: usize,
-) -> Result<AggState, RelError> {
-    let first = row.column(at)?;
-    let non_null = || (!first.is_null()).then(|| first.clone());
-    Ok(match func {
-        AggFunc::Count => AggState::Count(first.as_int().unwrap_or(0)),
-        AggFunc::Sum => AggState::Sum(non_null()),
-        AggFunc::Avg => AggState::Avg {
-            sum: first.as_float().unwrap_or(0.0),
-            count: row.column(at + 1)?.as_int().unwrap_or(0),
-        },
-        AggFunc::Min => AggState::Min(non_null()),
-        AggFunc::Max => AggState::Max(non_null()),
-        AggFunc::CountDistinct => unreachable!("count(distinct) is not combinable"),
-    })
-}
-
-/// Feeds one raw row into the combiner's accumulators. `count(*)`'s missing
-/// argument counts every row.
-pub fn update_states<C: Columns + ?Sized>(
-    states: &mut [AggState],
-    aggs: &[(AggFunc, Option<Expr>)],
-    row: &C,
-) -> Result<(), RelError> {
-    for (state, (_, arg)) in states.iter_mut().zip(aggs) {
-        match arg {
-            Some(e) => state.update(e.eval_on(row)?.as_ref())?,
-            None => state.update(&Value::Int(1))?, // count(*) counts rows
-        }
-    }
-    Ok(())
-}
-
-/// The combiner instance built per map task.
-#[derive(Debug)]
-pub struct PartialAggCombiner {
-    blueprint: Arc<JobBlueprint>,
+/// The combiner of a job whose only op is a merging `Agg`, built per map
+/// task from that op's group columns and aggregates.
+#[derive(Debug, Clone)]
+pub struct AggCombiner {
+    job: String,
+    group_cols: Vec<usize>,
+    aggs: Vec<(AggFunc, Option<Expr>)>,
     /// First evaluation error hit while combining — surfaced through
     /// [`Combiner::take_error`] so the engine fails the job with a typed
     /// error instead of this task panicking.
     error: Option<String>,
 }
 
-impl PartialAggCombiner {
-    /// Creates the combiner for a blueprint (which must carry a
-    /// [`crate::blueprint::PartialAgg`]).
+impl AggCombiner {
+    /// The combiner of job `job` for an aggregation by `group_cols` (over
+    /// the map-output value) computing `aggs`, all
+    /// [`AggFunc::combinable`].
     #[must_use]
-    pub fn new(blueprint: Arc<JobBlueprint>) -> Self {
-        PartialAggCombiner {
-            blueprint,
+    pub fn new(job: &str, group_cols: &[usize], aggs: &[(AggFunc, Option<Expr>)]) -> Self {
+        AggCombiner {
+            job: job.to_string(),
+            group_cols: group_cols.to_vec(),
+            aggs: aggs.to_vec(),
             error: None,
         }
     }
+
+    /// Groups `range` of `groups` folded as one batch into their partial
+    /// rows, a segment per group. `Err` is the failure, without the job.
+    fn partials<'v>(
+        &self,
+        groups: &KeyGroups<'v>,
+        range: Range<usize>,
+    ) -> Result<Batch<'v>, String> {
+        let (mut values, mut segs) = (Vec::new(), vec![0]);
+        for g in range {
+            values.extend(groups.group(g).iter());
+            segs.push(values.len() as u32);
+        }
+        let input = Batch::of_values(values, segs)
+            .ok_or("combiner input has values of differing widths")?;
+        let (group_cols, aggs) = (&self.group_cols, &self.aggs);
+        aggregate(&input, group_cols, aggs, None, Mode::Partial, &mut 0)
+            .map_err(|e| format!("combiner {e}"))
+    }
 }
 
-impl Combiner for PartialAggCombiner {
+impl Combiner for AggCombiner {
+    /// A run of one group.
     fn combine(&mut self, key: &Row, values: &[Row]) -> Vec<Row> {
-        self.combine_group(key.values(), GroupView::rows(values))
+        let key = std::slice::from_ref(key);
+        self.combine_run(KeyGroups::rows(key, values, &[0])).0
     }
 
-    fn combine_group(&mut self, _key: &[Value], values: GroupView<'_>) -> Vec<Row> {
-        let bp = Arc::clone(&self.blueprint);
-        let Some(spec) = bp.combiner.as_ref() else {
-            // A blueprint without a PartialAgg never builds this combiner;
-            // if one does, report it and pass the rows through unchanged —
-            // correctness never depends on combining.
-            self.error
-                .get_or_insert_with(|| format!("combiner blueprint missing in {}", bp.name));
-            return values.to_rows();
-        };
-        let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-        for row in values.iter() {
-            let group: Vec<Value> = spec
-                .group_cols
-                .iter()
-                .map(|&c| row.get(c).cloned().unwrap_or(Value::Null))
-                .collect();
-            let states = groups
-                .entry(group)
-                .or_insert_with(|| spec.aggs.iter().map(|(f, _)| f.new_state()).collect());
-            if let Err(e) = update_states(states, &spec.aggs, row) {
-                self.error
-                    .get_or_insert_with(|| format!("combiner aggregation failed: {e}"));
-                return values.to_rows();
+    fn combine_run(&mut self, groups: KeyGroups<'_>) -> (Vec<Row>, Vec<u32>) {
+        let (mut out, mut starts) = (Vec::new(), Vec::with_capacity(groups.len()));
+        for range in chunks(&groups) {
+            let partials = self.partials(&groups, range.clone());
+            for (seg, g) in range.enumerate() {
+                starts.push(out.len() as u32);
+                match &partials {
+                    Ok(batch) => out.extend(batch.seg(seg).map(|r| batch.row(r))),
+                    // The job fails on the error: its groups pass through.
+                    Err(_) => out.extend(groups.group(g).to_rows()),
+                }
+            }
+            if let Err(e) = partials {
+                let job = &self.job;
+                self.error.get_or_insert_with(|| format!("{e} (job {job})"));
             }
         }
-        groups
-            .into_iter()
-            .map(|(group, states)| {
-                let mut vals = group;
-                for s in &states {
-                    vals.extend(encode_partial(s));
-                }
-                Row::new(vals)
-            })
-            .collect()
+        (out, starts)
     }
 
     fn take_error(&mut self) -> Option<String> {
@@ -142,10 +102,48 @@ impl Combiner for PartialAggCombiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ysmart_rel::row;
+    use ysmart_rel::{row, BinOp, Value};
+
+    fn combine(aggs: &[(AggFunc, Option<Expr>)], values: &[Row]) -> Vec<Row> {
+        let mut combiner = AggCombiner::new("j", &[0], aggs);
+        let out = combiner.combine(&row![1i64], values);
+        assert_eq!(combiner.take_error(), None);
+        out
+    }
+
+    /// `aggregate` in `mode` over `rows` as one key group, grouped by
+    /// column 0.
+    fn aggregate_rows(aggs: &[(AggFunc, Option<Expr>)], rows: &[Row], mode: Mode) -> Vec<Row> {
+        let values = rows.iter().map(Row::values).collect();
+        let input = Batch::of_values(values, vec![0, rows.len() as u32]).expect("one width");
+        let out = aggregate(&input, &[0], aggs, None, mode, &mut 0).expect("aggregates");
+        out.seg(0).map(|r| out.row(r)).collect()
+    }
 
     #[test]
+    fn partials_are_the_reducers_fold_and_avgs_running_state() {
+        let values = [row![1i64, 4i64], row![2i64, 5i64], row![1i64, Value::Null]];
+        let aggs = [
+            (AggFunc::Count, None),
+            (AggFunc::Count, Some(Expr::col(1))),
+            (AggFunc::Sum, Some(Expr::col(1))),
+            (AggFunc::Avg, Some(Expr::col(1))),
+            (AggFunc::Min, Some(Expr::col(1))),
+        ];
+        assert_eq!(
+            combine(&aggs, &values),
+            [
+                row![1i64, 2i64, 1i64, 4i64, 4.0, 1i64, 4i64],
+                row![2i64, 1i64, 1i64, 5i64, 5.0, 1i64, 5i64],
+            ]
+        );
+    }
+
+    /// Two map tasks' partials, merged by the reducer, are the aggregate of
+    /// all their rows.
+    #[test]
     fn partial_round_trip_equals_direct() {
+        let xs: Vec<Row> = (1..=6).map(|x| row![1i64, x]).collect();
         for func in [
             AggFunc::Count,
             AggFunc::Sum,
@@ -153,46 +151,53 @@ mod tests {
             AggFunc::Min,
             AggFunc::Max,
         ] {
-            let xs: Vec<Value> = (1..=6).map(Value::Int).collect();
-            // direct
-            let mut direct = func.new_state();
-            for v in &xs {
-                direct.update(v).unwrap();
-            }
-            // two partials merged through the wire encoding
-            let mut a = func.new_state();
-            let mut b = func.new_state();
-            for v in &xs[..3] {
-                a.update(v).unwrap();
-            }
-            for v in &xs[3..] {
-                b.update(v).unwrap();
-            }
-            let mut merged = decode_partial(func, &encode_partial(&a)[..], 0).unwrap();
-            merged
-                .merge(&decode_partial(func, &encode_partial(&b)[..], 0).unwrap())
-                .unwrap();
-            assert_eq!(merged.finish(), direct.finish(), "{func}");
+            let aggs = [(func, Some(Expr::col(1)))];
+            let partials = [combine(&aggs, &xs[..3]), combine(&aggs, &xs[3..])].concat();
+            assert_eq!(
+                aggregate_rows(&aggs, &partials, Mode::Merge),
+                aggregate_rows(&aggs, &xs, Mode::Complete),
+                "{func}"
+            );
         }
     }
 
+    /// No value: a NULL sum, an avg of nothing — and merged, NULL both.
     #[test]
     fn sum_partial_of_empty_is_null() {
-        let s = AggFunc::Sum.new_state();
-        let p = encode_partial(&s);
-        assert!(p[0].is_null());
-        assert!(decode_partial(AggFunc::Sum, &p[..], 0)
-            .unwrap()
-            .finish()
-            .is_null());
+        let nulls = [row![1i64, Value::Null]];
+        let aggs = [
+            (AggFunc::Sum, Some(Expr::col(1))),
+            (AggFunc::Avg, Some(Expr::col(1))),
+        ];
+        let partials = combine(&aggs, &nulls);
+        assert_eq!(partials, [row![1i64, Value::Null, 0.0, 0i64]]);
+        let merged = aggregate_rows(&aggs, &partials, Mode::Merge);
+        assert_eq!(merged, [row![1i64, Value::Null, Value::Null]]);
     }
 
     #[test]
     fn count_star_counts_rows() {
-        let aggs = vec![(AggFunc::Count, None)];
-        let mut states = vec![AggFunc::Count.new_state()];
-        update_states(&mut states, &aggs, &row![1i64]).unwrap();
-        update_states(&mut states, &aggs, &row![2i64]).unwrap();
-        assert_eq!(states[0].finish(), Value::Int(2));
+        let rows = [row![1i64, Value::Null], row![1i64, 2i64]];
+        assert_eq!(
+            combine(&[(AggFunc::Count, None)], &rows),
+            [row![1i64, 2i64]]
+        );
+    }
+
+    #[test]
+    fn a_failure_names_the_job_and_passes_the_rows_through() {
+        let values = [row![1i64, 0i64]];
+        let aggs = [(
+            AggFunc::Sum,
+            Some(Expr::binary(BinOp::Div, Expr::lit(7i64), Expr::col(1))),
+        )];
+        let mut combiner = AggCombiner::new("J1", &[0], &aggs);
+        assert_eq!(combiner.combine(&row![1i64], &values), values);
+        let error = combiner.take_error().expect("an error");
+        assert!(
+            error.starts_with("combiner aggregation failed: "),
+            "{error}"
+        );
+        assert!(error.ends_with(" (job J1)"), "{error}");
     }
 }

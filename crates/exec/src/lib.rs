@@ -33,9 +33,9 @@ pub mod reducer;
 pub mod rowop;
 
 pub use blueprint::{
-    EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, PartialAgg, ROp, RSource, StreamSpec,
+    EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, StreamSpec,
 };
-pub use combiner::PartialAggCombiner;
+pub use combiner::AggCombiner;
 pub use error::ExecError;
 pub use mapper::CommonMapper;
 pub use reducer::CommonReducer;

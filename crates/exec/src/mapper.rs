@@ -348,7 +348,6 @@ mod tests {
             emit: EmitSpec::Single(RSource::Op(0)),
             output: "out".into(),
             reduce_tasks: Some(1),
-            combiner: None,
             map_only: false,
             short_circuit_streams: vec![],
             pad_bytes: 0,
@@ -469,7 +468,6 @@ mod tests {
             emit: EmitSpec::Single(RSource::Op(0)),
             output: "out".into(),
             reduce_tasks: Some(1),
-            combiner: None,
             map_only: false,
             short_circuit_streams: vec![],
             pad_bytes: 0,

@@ -35,7 +35,7 @@ use ysmart_plan::JoinKind;
 use ysmart_rel::colbatch::NULL_ROW;
 use ysmart_rel::{Expr, RelError, Row, Value};
 
-use crate::aggregate::aggregate;
+use crate::aggregate::{aggregate, Mode};
 use crate::batch::{Batch, Col, Selection};
 use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, RSource};
 use crate::colexpr::{eval_mask, Columnar};
@@ -46,6 +46,21 @@ use crate::error::ExecError;
 /// is cut changes no result; the cut bounds what a run's batches hold and
 /// keeps them cache-resident (256 measured slower, 4 096 no faster).
 const CHUNK_VALUES: usize = 1024;
+
+/// `groups` cut into runs of whole groups, each taking groups until it
+/// holds [`CHUNK_VALUES`] values — how the reducer and the combiner alike
+/// cut what they evaluate at once.
+pub(crate) fn chunks<'g>(groups: &'g KeyGroups<'_>) -> impl Iterator<Item = Range<usize>> + 'g {
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let (start, mut values) = (next, 0);
+        while next < groups.len() && values < CHUNK_VALUES {
+            values += groups.bounds(next).len();
+            next += 1;
+        }
+        (start < next).then_some(start..next)
+    })
+}
 
 /// The CMF reducer for a job.
 #[derive(Debug)]
@@ -217,19 +232,16 @@ impl CommonReducer {
         }
         let mut streams = Vec::with_capacity(n);
         for (s, (cells, segs)) in cells.into_iter().zip(segs).enumerate() {
-            let rows: Rc<[&'v [Value]]> = cells.into();
             let batch = if self.tagged {
+                let rows: Rc<[&'v [Value]]> = cells.into();
                 let carried = (0..self.need[s]).map(|c| Col::cells(&rows, c)).collect();
                 let projected = Batch::new(segs, carried).project(&bp.streams[s].projection);
                 projected.map_err(|e| failed(e.to_string()))?
             } else {
                 // A direct job's values are one projection's rows, or one
                 // combiner's partial rows: all one width.
-                let width = rows.first().map_or(0, |r| r.len());
-                if rows.iter().any(|r| r.len() != width) {
-                    return Err(format!("values of differing widths in {}", bp.name));
-                }
-                Batch::new(segs, (0..width).map(|c| Col::cells(&rows, c)).collect())
+                let batch = Batch::of_values(cells, segs);
+                batch.ok_or_else(|| format!("values of differing widths in {}", bp.name))?
             };
             streams.push(Rc::new(batch));
         }
@@ -280,7 +292,12 @@ impl CommonReducer {
                     merge_partials,
                 } => {
                     let (input, having) = (input(0), having.as_ref());
-                    let agg = aggregate(&input, group_cols, aggs, having, *merge_partials, work);
+                    let mode = if *merge_partials {
+                        Mode::Merge
+                    } else {
+                        Mode::Complete
+                    };
+                    let agg = aggregate(&input, group_cols, aggs, having, mode, work);
                     Rc::new(agg.map_err(Fatal::Op)?)
                 }
                 OpKind::Join { kind, residual, .. } => {
@@ -305,14 +322,8 @@ impl Reducer for CommonReducer {
     }
 
     fn reduce_run(&mut self, groups: KeyGroups<'_>, out: &mut ReduceOutput) {
-        let mut next = 0;
-        while next < groups.len() {
-            let (start, mut values) = (next, 0);
-            while next < groups.len() && values < CHUNK_VALUES {
-                values += groups.bounds(next).len();
-                next += 1;
-            }
-            if let Err(msg) = self.run(&groups, start..next, out) {
+        for range in chunks(&groups) {
+            if let Err(msg) = self.run(&groups, range, out) {
                 out.record_fatal(msg);
                 return;
             }
@@ -428,7 +439,6 @@ mod tests {
             emit,
             output: "out".into(),
             reduce_tasks: Some(1),
-            combiner: None,
             map_only: false,
             short_circuit_streams: vec![],
             pad_bytes: 0,

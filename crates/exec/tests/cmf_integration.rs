@@ -5,8 +5,7 @@
 //! dedicated jobs.
 
 use ysmart_exec::{
-    EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, PartialAgg, ROp, RSource, RowOp,
-    StreamSpec,
+    EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, RowOp, StreamSpec,
 };
 use ysmart_mapred::{run_job, Cluster, ClusterConfig};
 use ysmart_plan::JoinKind;
@@ -91,7 +90,6 @@ fn shared_scan_equals_dedicated_scans() {
         emit: EmitSpec::Tagged(vec![RSource::Op(0), RSource::Op(1)]),
         output: "out/merged".into(),
         reduce_tasks: Some(3),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,
@@ -116,7 +114,6 @@ fn shared_scan_equals_dedicated_scans() {
         emit: EmitSpec::Single(RSource::Op(0)),
         output: out.into(),
         reduce_tasks: Some(3),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,
@@ -185,7 +182,6 @@ fn tag_filter_consumes_one_source() {
         emit: EmitSpec::Single(RSource::Op(0)),
         output: "out/c".into(),
         reduce_tasks: Some(1),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,
@@ -238,7 +234,6 @@ fn post_job_computation_equals_two_jobs() {
         emit: EmitSpec::Single(RSource::Op(1)),
         output: "out/one".into(),
         reduce_tasks: Some(2),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,
@@ -298,7 +293,6 @@ fn post_job_computation_equals_two_jobs() {
         emit: EmitSpec::Single(RSource::Op(0)),
         output: "out/two".into(),
         reduce_tasks: Some(2),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,
@@ -341,7 +335,6 @@ fn short_circuit_output_invariant() {
         emit: EmitSpec::Single(RSource::Op(0)),
         output: out.into(),
         reduce_tasks: Some(2),
-        combiner: None,
         map_only: false,
         short_circuit_streams: short,
         pad_bytes: 0,
@@ -366,28 +359,16 @@ fn short_circuit_output_invariant() {
 fn combiner_with_wider_group_than_key() {
     // Group by (k, a), partition by k only; sum(b).
     let mk = |combine: bool, out: &str| {
-        let reduce_op = if combine {
-            ROp {
-                kind: OpKind::Agg {
-                    group_cols: vec![0, 1],
-                    aggs: vec![(AggFunc::Sum, Some(Expr::col(2)))],
-                    having: None,
-                    merge_partials: true,
-                },
-                inputs: vec![RSource::Stream(0)],
-                transforms: vec![],
-            }
-        } else {
-            ROp {
-                kind: OpKind::Agg {
-                    group_cols: vec![0, 1],
-                    aggs: vec![(AggFunc::Sum, Some(Expr::col(2)))],
-                    having: None,
-                    merge_partials: false,
-                },
-                inputs: vec![RSource::Stream(0)],
-                transforms: vec![],
-            }
+        // Merging partials is what installs the combiner.
+        let reduce_op = ROp {
+            kind: OpKind::Agg {
+                group_cols: vec![0, 1],
+                aggs: vec![(AggFunc::Sum, Some(Expr::col(2)))],
+                having: None,
+                merge_partials: combine,
+            },
+            inputs: vec![RSource::Stream(0)],
+            transforms: vec![],
         };
         JobBlueprint {
             name: "agg".into(),
@@ -400,10 +381,6 @@ fn combiner_with_wider_group_than_key() {
             emit: EmitSpec::Single(RSource::Op(0)),
             output: out.into(),
             reduce_tasks: Some(3),
-            combiner: combine.then(|| PartialAgg {
-                group_cols: vec![0, 1],
-                aggs: vec![(AggFunc::Sum, Some(Expr::col(2)))],
-            }),
             map_only: false,
             short_circuit_streams: vec![],
             pad_bytes: 0,
@@ -439,7 +416,6 @@ fn sort_limit_job() {
         emit: EmitSpec::Single(RSource::Op(0)),
         output: "out/top".into(),
         reduce_tasks: Some(1),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,

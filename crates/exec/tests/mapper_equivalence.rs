@@ -461,7 +461,6 @@ fn gen_case(g: &mut Gen) -> Case {
         }),
         output: "out".into(),
         reduce_tasks: None,
-        combiner: None,
         map_only,
         short_circuit_streams: vec![],
         pad_bytes,

@@ -20,21 +20,67 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ysmart_exec::combiner::{decode_partial, update_states};
 use ysmart_exec::rowop::apply_chain;
 use ysmart_exec::{
-    CommonReducer, EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, PartialAgg, ROp, RSource,
-    RowOp, StreamSpec,
+    CommonReducer, EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, RowOp,
+    StreamSpec,
 };
 use ysmart_mapred::{
     run_job, Cluster, ClusterConfig, KeyGroups, MapRedError, ReduceOutput, Reducer,
 };
 use ysmart_plan::JoinKind;
 use ysmart_rel::{
-    AggFunc, AggState, BinOp, DataType, Expr, Row, Schema, SortKey, SortOrder, UnOp, Value,
+    AggFunc, AggState, BinOp, Columns, DataType, Expr, RelError, Row, Schema, SortKey, SortOrder,
+    UnOp, Value,
 };
 
 // ---- the reference ---------------------------------------------------------
+
+/// Number of columns a partial row carries for one aggregate.
+fn partial_width(func: AggFunc) -> usize {
+    match func {
+        AggFunc::Avg => 2, // sum, count
+        _ => 1,
+    }
+}
+
+/// Decodes the partial fields of `func` starting at column `at` of a
+/// partial row back into an accumulator for merging.
+fn decode_partial<C: Columns + ?Sized>(
+    func: AggFunc,
+    row: &C,
+    at: usize,
+) -> Result<AggState, RelError> {
+    let first = row.column(at)?;
+    let non_null = || (!first.is_null()).then(|| first.clone());
+    Ok(match func {
+        AggFunc::Count => AggState::Count(first.as_int().unwrap_or(0)),
+        AggFunc::Sum => AggState::Sum(non_null()),
+        AggFunc::Avg => AggState::Avg {
+            sum: first.as_float().unwrap_or(0.0),
+            count: row.column(at + 1)?.as_int().unwrap_or(0),
+        },
+        AggFunc::Min => AggState::Min(non_null()),
+        AggFunc::Max => AggState::Max(non_null()),
+        AggFunc::CountDistinct => unreachable!("count(distinct) is not combinable"),
+    })
+}
+
+/// Feeds one raw row into the accumulators. `count(*)`'s missing argument
+/// counts every row.
+fn update_states<C: Columns + ?Sized>(
+    states: &mut [AggState],
+    aggs: &[(AggFunc, Option<Expr>)],
+    row: &C,
+) -> Result<(), RelError> {
+    for (state, (_, arg)) in states.iter_mut().zip(aggs) {
+        match arg {
+            Some(e) => state.update(e.eval_on(row)?.as_ref())?,
+            None => state.update(&Value::Int(1))?, // count(*) counts rows
+        }
+    }
+    Ok(())
+}
 
 enum OpRows {
     Owned(Vec<Row>),
@@ -210,7 +256,7 @@ fn reference_agg(
             for (state, (func, _)) in states.iter_mut().zip(aggs) {
                 let partial = decode_partial(*func, row, offset).map_err(|e| e.to_string())?;
                 state.merge(&partial).map_err(|e| e.to_string())?;
-                offset += PartialAgg::partial_width(*func);
+                offset += partial_width(*func);
             }
         } else {
             update_states(states, aggs, row).map_err(|e| e.to_string())?;
@@ -542,23 +588,29 @@ fn gen_case(g: &mut Gen) -> Case {
         sources.push((RSource::Stream(s), types));
     }
 
+    // A merging aggregation is the only op of an untagged, unpadded job,
+    // reading stream 0.
+    let merging = !tagged && g.chance(0.1);
     let mut ops = Vec::new();
-    for o in 0..1 + g.below(4) {
-        let (input, in_types) = g.pick(&sources);
-        let (kind, inputs, mut types) = match g.below(3) {
+    for o in 0..if merging { 1 } else { 1 + g.below(4) } {
+        let (input, in_types) = if merging {
+            sources[0].clone()
+        } else {
+            g.pick(&sources)
+        };
+        let (kind, inputs, mut types) = match if merging { 1 } else { g.below(3) } {
             0 => (OpKind::Pass, vec![input], in_types),
             1 => {
                 // Combiner partials (`[group…, partial fields…]`) only
                 // decode from numeric fields; count(distinct) never merges.
                 let g_cols = g.below(2).min(in_types.len() - 1);
                 let fields = &in_types[g_cols..];
-                if g.chance(0.3) && fields.iter().all(|t| t.numeric()) {
+                if merging && fields.iter().all(|t| t.numeric()) {
                     // `fields` is never empty, so the first draw fits.
                     let mut aggs = Vec::new();
                     let mut used = 0;
                     while used < fields.len() && (aggs.is_empty() || g.chance(0.5)) {
-                        let fits =
-                            |f: &AggFunc| used + PartialAgg::partial_width(*f) <= fields.len();
+                        let fits = |f: &AggFunc| used + partial_width(*f) <= fields.len();
                         let funcs: Vec<AggFunc> = [
                             AggFunc::Count,
                             AggFunc::Sum,
@@ -570,7 +622,7 @@ fn gen_case(g: &mut Gen) -> Case {
                         .filter(fits)
                         .collect();
                         let f = g.pick(&funcs);
-                        used += PartialAgg::partial_width(f);
+                        used += partial_width(f);
                         aggs.push((f, None));
                     }
                     let out_types = in_types[..g_cols]
@@ -647,6 +699,15 @@ fn gen_case(g: &mut Gen) -> Case {
         // before its last use.
         EmitSpec::Tagged((0..1 + g.below(3)).map(|_| g.pick(&sources).0).collect())
     };
+    let merges = ops.iter().any(|op| {
+        matches!(
+            op.kind,
+            OpKind::Agg {
+                merge_partials: true,
+                ..
+            }
+        )
+    });
     let bp = JobBlueprint {
         name: "eq".into(),
         inputs: vec![InputSpec {
@@ -667,14 +728,13 @@ fn gen_case(g: &mut Gen) -> Case {
         emit,
         output: "out".into(),
         reduce_tasks: Some(1),
-        combiner: None,
         map_only: false,
         short_circuit_streams: if g.chance(0.2) {
             vec![g.below(nstreams)]
         } else {
             vec![]
         },
-        pad_bytes: if g.chance(0.25) { 3 } else { 0 },
+        pad_bytes: if !merges && g.chance(0.25) { 3 } else { 0 },
         key_cardinality: None,
     };
     bp.validate().expect("generated blueprints are consistent");
@@ -828,7 +888,6 @@ fn failing_job(residual: Option<Expr>, transforms: Vec<RowOp>) -> Result<(), Map
         emit: EmitSpec::Single(RSource::Op(0)),
         output: "out/failing".into(),
         reduce_tasks: Some(2),
-        combiner: None,
         map_only: false,
         short_circuit_streams: vec![],
         pad_bytes: 0,

@@ -368,17 +368,20 @@ fn sort_run(pairs: Pairs) -> PartitionRun {
     }
 }
 
-/// Runs the combiner over every key group of one segment, each read in
-/// place through a [`GroupView`]; only the combiner's (usually single)
-/// output rows are materialised, into a fresh arena that replaces the
-/// segment.
+/// Runs the combiner once over every key group of one segment, each read
+/// in place through [`KeyGroups`]; only the combiner's (usually single per
+/// group) output rows are materialised, into a fresh arena that replaces
+/// the segment.
 fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
+    let starts: Vec<u32> = seg.groups().map(|group| group.start as u32).collect();
+    let (mut values, mut ends) =
+        combiner.combine_run(KeyGroups::run(&seg.pairs, &seg.order, &starts));
+    ends.push(values.len() as u32);
     let mut combined = PartitionRun::default();
-    for group in seg.groups() {
-        let first = seg.order[group.start] as usize;
+    for (g, &start) in starts.iter().enumerate() {
+        let first = seg.order[start as usize] as usize;
         let key = seg.pairs.key(first);
-        let mut outputs =
-            combiner.combine_group(key, GroupView::run(&seg.pairs, &seg.order[group]));
+        let outputs = &mut values[ends[g] as usize..ends[g + 1] as usize];
         // Keep the run sorted within the key group, as the shuffle merge
         // requires of its inputs: the group's outputs share one key, so
         // ordering by value orders the (key, value) pairs.
@@ -387,7 +390,7 @@ fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
             combined.norms.push_encoded(seg.norms.key(first));
             combined
                 .pairs
-                .append(key.iter().cloned(), value.into_values());
+                .append(key.iter().cloned(), std::mem::take(value).into_values());
         }
     }
     combined.order = (0..combined.pairs.len() as u32).collect();

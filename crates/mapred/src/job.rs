@@ -13,15 +13,16 @@
 //! routes each pair to its reduce partition as it is emitted and appends its
 //! `key ⧺ value` cells to that partition's flat arena, where they stay until
 //! the reduce task that consumed them is done. Everything downstream
-//! addresses pairs by index, and a [`Combiner`] is handed a key group as a
-//! [`GroupView`] of borrowed cell slices, a [`Reducer`] its whole task's
-//! groups at once as [`KeyGroups`]. The row-shaped entry points —
-//! [`MapOutput::emit`], [`Reducer::reduce`], [`Combiner::combine`] — remain
-//! what hand-written jobs implement; the cell-shaped ones default to them
-//! (`reduce_run` to `reduce`, group by group). A mapper emits a pair
-//! whole through [`MapOutput::emit_cells`], or a column batch whole through
-//! [`MapOutput::emit_columns`], which writes the same pairs a column at a
-//! time; either way each pair's bytes are counted as it is written.
+//! addresses pairs by index: a [`Combiner`] is handed a map-side segment's
+//! key groups at once, a [`Reducer`] its whole task's, each as
+//! [`KeyGroups`] — a [`GroupView`] of borrowed cell slices cut at the group
+//! starts. The row-shaped entry points — [`MapOutput::emit`],
+//! [`Reducer::reduce`], [`Combiner::combine`] — remain what hand-written
+//! jobs implement; the cell-shaped ones default to them (`reduce_run` to
+//! `reduce` and `combine_run` to `combine`, group by group). A mapper emits
+//! a pair whole through [`MapOutput::emit_cells`], or a column batch whole
+//! through [`MapOutput::emit_columns`], which writes the same pairs a column
+//! at a time; either way each pair's bytes are counted as it is written.
 //!
 //! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
 //! with an optional merged-stream tag. Whether a task's records are stored
@@ -347,17 +348,18 @@ impl<'a> GroupView<'a> {
     }
 
     /// The values copied out as rows — the adaptor behind the default
-    /// [`Reducer::reduce_run`] and [`Combiner::combine_group`].
+    /// [`Reducer::reduce_run`] and [`Combiner::combine_run`].
     #[must_use]
     pub fn to_rows(self) -> Vec<Row> {
         self.iter().map(|v| Row::new(v.to_vec())).collect()
     }
 }
 
-/// One reduce task's key groups, in order — what the engine hands
-/// [`Reducer::reduce_run`]. The values of every group lie back to back in
-/// one [`GroupView`]: group `g` is the range [`KeyGroups::bounds`]`(g)` of
-/// it ([`KeyGroups::group`]), shown the key [`KeyGroups::key`]`(g)`.
+/// Key groups in order — what the engine hands [`Reducer::reduce_run`]
+/// (one reduce task's) and [`Combiner::combine_run`] (one map-side
+/// segment's). The values of every group lie back to back in one
+/// [`GroupView`]: group `g` is the range [`KeyGroups::bounds`]`(g)` of it
+/// ([`KeyGroups::group`]), shown the key [`KeyGroups::key`]`(g)`.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyGroups<'a> {
     values: GroupView<'a>,
@@ -402,6 +404,16 @@ impl<'a> KeyGroups<'a> {
     pub(crate) fn merged(runs: &'a [&'a Pairs], at: &'a [(u32, u32)], starts: &'a [u32]) -> Self {
         KeyGroups {
             values: GroupView::merged(runs, at),
+            starts,
+            keys: Keys::Pairs,
+        }
+    }
+
+    /// The groups of a sorted map-side run: pairs `order[..]` of one
+    /// arena, each group starting at one of `starts`.
+    pub(crate) fn run(pairs: &'a Pairs, order: &'a [u32], starts: &'a [u32]) -> Self {
+        KeyGroups {
+            values: GroupView::run(pairs, order),
             starts,
             keys: Keys::Pairs,
         }
@@ -456,7 +468,7 @@ impl<'a> KeyGroups<'a> {
                 let first = self.starts[g] as usize;
                 self.values
                     .pair_key(first)
-                    .expect("merged groups are pairs")
+                    .expect("groups of pairs have pair keys")
             }
         }
     }
@@ -902,18 +914,27 @@ pub trait Reducer {
     }
 }
 
-/// A map-side combiner: pre-aggregates one key group of map output,
+/// A map-side combiner: pre-aggregates the key groups of map output,
 /// returning replacement values. This is the "internal hash-aggregate map"
 /// Hive uses in the map phase (paper footnote 2).
 pub trait Combiner {
     /// Combines the values of one key into (usually fewer) values.
     fn combine(&mut self, key: &Row, values: &[Row]) -> Vec<Row>;
 
-    /// Combines one key group where it lies in the map task's sorted run —
-    /// the entry point the engine calls; defaults to [`Combiner::combine`]
-    /// over a copy, like [`Reducer::reduce_run`].
-    fn combine_group(&mut self, key: &[Value], values: GroupView<'_>) -> Vec<Row> {
-        self.combine(&Row::new(key.to_vec()), &values.to_rows())
+    /// Combines every key group of one segment of the map task's sorted
+    /// run, where the groups lie — the entry point the engine calls, once
+    /// per segment. Returns the replacement values of all groups in group
+    /// order, and per group the index at which its values start among them
+    /// (a group may be left with none). The default copies each group into
+    /// rows and feeds [`Combiner::combine`], like [`Reducer::reduce_run`].
+    fn combine_run(&mut self, groups: KeyGroups<'_>) -> (Vec<Row>, Vec<u32>) {
+        let (mut values, mut starts) = (Vec::new(), Vec::with_capacity(groups.len()));
+        for g in 0..groups.len() {
+            starts.push(values.len() as u32);
+            let key = Row::new(groups.key(g).to_vec());
+            values.extend(self.combine(&key, &groups.group(g).to_rows()));
+        }
+        (values, starts)
     }
 
     /// An unrecoverable error the combiner hit (combiners return values,

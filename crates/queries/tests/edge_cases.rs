@@ -37,6 +37,7 @@ fn check(sql: &str, t: Vec<Row>, u: Vec<Row>) {
 
 /// [`check`], and with `want` the oracle's rows must be those literal rows
 /// too — the only check a planner bug that oracle and engine share fails.
+/// Every strategy runs on both data paths.
 fn check_rows(sql: &str, t: Vec<Row>, u: Vec<Row>, want: Option<&[Row]>) {
     let catalog = catalog();
     let mut tables = BTreeMap::new();
@@ -53,20 +54,32 @@ fn check_rows(sql: &str, t: Vec<Row>, u: Vec<Row>, want: Option<&[Row]>) {
             "oracle on `{sql}`: {expected:?}, want {want:?}"
         );
     }
-    for strategy in Strategy::all() {
-        let mut engine = YSmart::new(catalog.clone(), ClusterConfig::default());
+    for (strategy, config) in Strategy::all()
+        .into_iter()
+        .flat_map(|s| configs().map(|c| (s, c)))
+    {
+        let format = config.data_format;
+        let mut engine = YSmart::new(catalog.clone(), config);
         engine.load_table("t", &t).unwrap();
         engine.load_table("u", &u).unwrap();
         let out = engine
             .execute_sql(sql, strategy)
-            .unwrap_or_else(|e| panic!("{strategy} on `{sql}`: {e}"));
+            .unwrap_or_else(|e| panic!("{strategy}, {format:?} on `{sql}`: {e}"));
         assert!(
             rows_approx_equal(&out.rows, &expected, false),
-            "{strategy} on `{sql}`: {} rows vs oracle {}",
+            "{strategy}, {format:?} on `{sql}`: {} rows vs oracle {}",
             out.rows.len(),
             expected.len()
         );
     }
+}
+
+/// The default cluster on each data path.
+fn configs() -> [ClusterConfig; 2] {
+    [DataFormat::Text, DataFormat::Columnar].map(|data_format| ClusterConfig {
+        data_format,
+        ..ClusterConfig::default()
+    })
 }
 
 fn t_rows() -> Vec<Row> {
@@ -327,6 +340,64 @@ fn integer_division_overflow_is_a_typed_error() {
             );
         }
     }
+}
+
+/// An aggregate that fails on a row — `7 / v` over a zero, a `sum(v)` past
+/// `i64::MAX` — fails the query with a typed error naming the cause and the
+/// job, whether the reducer folds the raw rows (`pig`) or a map-side
+/// combiner folds them first (every other strategy).
+#[test]
+fn aggregation_errors_name_their_job_with_or_without_a_combiner() {
+    let cases = [
+        (
+            "SELECT g, count(7 / v) FROM t GROUP BY g",
+            vec![row![1i64, 0i64, 3i64, "a"], row![2i64, 0i64, 0i64, "b"]],
+            "division by zero",
+        ),
+        (
+            "SELECT g, sum(v) FROM t GROUP BY g",
+            vec![row![1i64, 0i64, i64::MAX, "a"], row![2i64, 0i64, 1i64, "b"]],
+            "type mismatch in +",
+        ),
+    ];
+    for (sql, t, cause) in cases {
+        for (strategy, config) in Strategy::all()
+            .into_iter()
+            .flat_map(|s| configs().map(|c| (s, c)))
+        {
+            let format = config.data_format;
+            let mut engine = YSmart::new(catalog(), config);
+            engine.load_table("t", &t).unwrap();
+            engine.load_table("u", &[]).unwrap();
+            let err = engine
+                .execute_sql(sql, strategy)
+                .expect_err("the aggregate fails");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(cause) && msg.contains("(job J") && !msg.contains("panicked"),
+                "{strategy}, {format:?} on `{sql}`: {msg}"
+            );
+        }
+    }
+}
+
+/// `min`/`max` of a string column leave the combiner as `Str` partials and
+/// merge by folding them; `count` and `avg` beside them skip the NULL row.
+#[test]
+fn string_partials_through_the_combiner() {
+    let t = vec![
+        row![1i64, 0i64, 10i64, "b"],
+        row![1i64, 0i64, Value::Null, Value::Null],
+        row![2i64, 0i64, 30i64, "a"],
+        row![3i64, 1i64, 40i64, "d"],
+        row![3i64, 1i64, 41i64, "c"],
+    ];
+    let want = [
+        row![0i64, "a", "b", 2i64, 20.0],
+        row![1i64, "c", "d", 2i64, 40.5],
+    ];
+    let sql = "SELECT g, min(s), max(s), count(s), avg(v) FROM t GROUP BY g";
+    check_rows(sql, t, u_rows(), Some(&want));
 }
 
 #[test]

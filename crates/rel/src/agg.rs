@@ -1,11 +1,14 @@
 //! Aggregate functions as incremental accumulators.
 //!
-//! The same [`AggState`] objects are used in three places: the reduce phase
-//! of an AGGREGATION job, the map-side hash-aggregation combiner that the
-//! paper credits for Hive's good Q-AGG performance (footnote 2), and the
-//! in-memory oracle executor. `count` and `sum` states can also *merge*
-//! (combiner output → reducer input); `count(distinct)` cannot be combined
-//! and is always finalised in the reducer, as in Hive.
+//! [`AggState`] is the definition of every aggregate's semantics: the
+//! in-memory oracle executor accumulates with it row by row, and the engine
+//! — the reduce phase of an AGGREGATION job and the map-side
+//! hash-aggregation combiner the paper credits for Hive's good Q-AGG
+//! performance (footnote 2), both segmented folds over typed columns in
+//! `ysmart-exec` — keeps its exact semantics, falling back to it on columns
+//! of mixed type. States can also *merge* (a combiner's partial output →
+//! the reducer); `count(distinct)` cannot be combined and is always
+//! finalised in the reducer, as in Hive.
 
 use std::collections::HashSet;
 use std::fmt;

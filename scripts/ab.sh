@@ -4,7 +4,7 @@
 # alternating which side runs first, every run listed, then per end-to-end
 # metric each side's median and quartiles, the change's wins and a verdict.
 #
-#   scripts/ab.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED SECONDS PAIRS
+#   scripts/ab.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED SECONDS PAIRS [ANCHOR_DIR]
 #
 # WORKLOAD is one benchmark workload, a comma list of them, or `all` (the
 # five `BENCHMARK.json` declares) — one block of output per workload, so the
@@ -26,10 +26,17 @@
 # the change's median is worse than the parent's by more than the metric's
 # `bound` in BENCHMARK.json (both read from there, with each metric's
 # direction).
+#
+# With ANCHOR_DIR — an older commit's build, to watch for drift that a chain
+# of parent/change comparisons, each within its bound, never flags — every
+# pair also runs the anchor, the three sides taking turns to run first, and
+# each metric block adds the anchor's median and quartiles, the
+# change/anchor ratio of the medians, and DRIFT when the change's median is
+# worse than the anchor's by more than a tenth of the metric's bound.
 set -euo pipefail
 
-if [ "$#" -ne 6 ]; then
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
+if [ "$#" -ne 6 ] && [ "$#" -ne 7 ]; then
+    sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 workloads=$3 seed=$4 seconds=$5 pairs=$6
@@ -49,8 +56,14 @@ binary() {
     echo "ab.sh: no ysmart-perfbench under $1" >&2
     exit 2
 }
-parent=$(binary "$1")
-change=$(binary "$2")
+declare -A bins
+bins[parent]=$(binary "$1")
+bins[change]=$(binary "$2")
+sides=(parent change)
+if [ "$#" -eq 7 ]; then
+    bins[anchor]=$(binary "$7")
+    sides+=(anchor)
+fi
 
 # "<metric> <better> <bound>;" per end-to-end metric (only those carry a
 # bound), in BENCHMARK.json's order.
@@ -69,16 +82,16 @@ run() {
 }
 
 for workload in ${workloads//,/ }; do
-    echo "# $workload seed $seed, $seconds s, $pairs pairs; parent $parent; change $change"
+    echo "# $workload seed $seed, $seconds s, $pairs pairs;$(for side in "${sides[@]}"; do
+        printf ' %s %s;' "$side" "${bins[$side]}"
+    done)"
+    # Pair p runs the sides in turn from side (p - 1) mod n.
     for pair in $(seq 1 "$pairs"); do
-        if [ $((pair % 2)) -eq 1 ]; then
-            run parent "$parent" "$pair"
-            run change "$change" "$pair"
-        else
-            run change "$change" "$pair"
-            run parent "$parent" "$pair"
-        fi
-    done | awk -v rules="$rules" -v pairs="$pairs" '
+        for k in "${!sides[@]}"; do
+            side=${sides[$(((pair - 1 + k) % ${#sides[@]}))]}
+            run "$side" "${bins[$side]}" "$pair"
+        done
+    done | awk -v rules="$rules" -v pairs="$pairs" -v sides="${sides[*]}" '
         { v[$1, $2, $3] = $4 }
         # Quantile q of n sorted values a[1..n], linear interpolation.
         function quantile(a, n, q,    h, lo) {
@@ -96,6 +109,8 @@ for workload in ${workloads//,/ }; do
             return sprintf("%.4g [%.4g, %.4g]", med[side], q1[side], q3[side])
         }
         END {
+            nsides = split(sides, side, " ")
+            anchored = nsides == 3
             nm = split(rules, rule, ";")
             for (k = 1; k <= nm; k++) {
                 if (split(rule[k], f, " ") < 3) continue
@@ -104,7 +119,10 @@ for workload in ${workloads//,/ }; do
                 wins = ties = 0
                 for (i = 1; i <= pairs; i++) {
                     p = v["parent", i, m]; c = v["change", i, m]
-                    printf "  %2d: %s -> %s%s\n", i, p, c, i % 2 ? "" : "  (change ran first)"
+                    first = side[(i - 1) % nsides + 1]
+                    printf "  %2d: %s -> %s%s%s\n", i, p, c,
+                        anchored ? sprintf("  (anchor %s)", v["anchor", i, m]) : "",
+                        first == "parent" ? "" : "  (" first " ran first)"
                     better = higher ? (c + 0 > p + 0) : (c + 0 < p + 0)
                     if (c + 0 == p + 0) ties++; else if (better) wins++
                 }
@@ -124,6 +142,18 @@ for workload in ${workloads//,/ }; do
                     printf "; REGRESSION: median %.1f %% worse, bound %.1f %%\n", worse * 100, bound * 100
                 else
                     printf "; within the %.1f %% bound\n", bound * 100
+                if (!anchored) continue
+                printf "  anchor median [q1, q3]: %s\n", summary("anchor", m)
+                ratio = med["anchor"] != 0 ? med["change"] / med["anchor"] : 0
+                # Positive when the change is worse than the anchor.
+                drift = higher ? med["anchor"] - med["change"] : med["change"] - med["anchor"]
+                drift = med["anchor"] != 0 ? drift / med["anchor"] : 0
+                printf "  change/anchor: %.4g", ratio
+                if (drift > bound / 10)
+                    printf "; DRIFT: median %.1f %% worse than the anchor, past a tenth of the %.1f %% bound\n",
+                        drift * 100, bound * 100
+                else
+                    printf "; within a tenth of the %.1f %% bound of the anchor\n", bound * 100
             }
         }'
     echo

@@ -13,7 +13,8 @@
 //!   --strategy NAME    hive | pig | ysmart-no-jfc | ysmart (default) |
 //!                      hand-coded
 //!   --cluster SPEC     local (default) | ec2:<workers> | facebook
-//!   --target-gb N      simulate this data volume (default: actual size)
+//!   --target-gb N      simulate this data volume, at most 1e6 (default:
+//!                      actual size)
 //!   --explain          print the job pipeline instead of executing
 //!   --plan             also print the logical plan and correlation report
 //!
@@ -56,17 +57,25 @@ struct Args {
 /// Parses a size flag's value. Sizes scale simulated volumes and cache
 /// capacities, so anything not finite and positive (`nan`, `inf`, `1e400`,
 /// `-1`) is a usage error, not a number to compute with; zero is meaningful
-/// only where `zero_ok` (a 0 MB cache caches nothing).
-fn size_arg(flag: &str, value: Option<String>, zero_ok: bool) -> Result<f64, String> {
+/// only where `zero_ok` (a 0 MB cache caches nothing); a flag whose value
+/// scales further arithmetic has a `max` below `f64::MAX`.
+fn size_arg(flag: &str, value: Option<String>, zero_ok: bool, max: f64) -> Result<f64, String> {
     let text = value.ok_or(format!("{flag} needs a number"))?;
     match text.parse::<f64>() {
-        Ok(v) if v.is_finite() && (v > 0.0 || (zero_ok && v == 0.0)) => Ok(v),
+        // `max` is finite: `inf` and NaN fail the comparison.
+        Ok(v) if v <= max && (v > 0.0 || (zero_ok && v == 0.0)) => Ok(v),
         _ => Err(format!(
-            "bad {flag} value `{text}` (need a finite number {} 0)",
+            "bad {flag} value `{text}` (need a number {} 0 and <= {max:e})",
             if zero_ok { ">=" } else { ">" }
         )),
     }
 }
+
+/// The most data `--target-gb` simulates: a thousand times the paper's
+/// largest (1 TB) data set. The flag scales every simulated byte count, so
+/// it is bounded: a large enough volume overflows that arithmetic, and
+/// every simulated time reads infinite.
+const MAX_TARGET_GB: f64 = 1_000_000.0;
 
 /// The most workers `--cluster ec2:<n>` accepts. Executing a query keeps
 /// state per node and per slot, so the count is bounded: the paper's largest
@@ -107,7 +116,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--journal" => args.journal = Some(it.next().ok_or("--journal needs a file")?),
             "--requests" => args.requests = Some(it.next().ok_or("--requests needs a file")?),
             "--trace-dir" => args.trace_dir = Some(it.next().ok_or("--trace-dir needs a dir")?),
-            "--reuse-mb" => args.reuse_mb = Some(size_arg("--reuse-mb", it.next(), true)?),
+            "--reuse-mb" => {
+                args.reuse_mb = Some(size_arg("--reuse-mb", it.next(), true, f64::MAX)?)
+            }
             "--catalog" => args.catalog = Some(it.next().ok_or("--catalog needs a file")?),
             "--data" => args.data = Some(it.next().ok_or("--data needs a directory")?),
             "--demo" => args.demo = true,
@@ -134,7 +145,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     return Err(format!("unknown cluster `{s}`"));
                 };
             }
-            "--target-gb" => args.target_gb = Some(size_arg("--target-gb", it.next(), false)?),
+            "--target-gb" => {
+                let gb = size_arg("--target-gb", it.next(), false, MAX_TARGET_GB)?;
+                args.target_gb = Some(gb);
+            }
             "--explain" => args.explain = true,
             "--plan" => args.plan = true,
             "--help" | "-h" => return Err(String::new()),
@@ -386,5 +400,17 @@ mod tests {
         let args = parse(&["--demo", "--target-gb", "2.5", "--reuse-mb", "64"]).unwrap();
         assert_eq!((args.target_gb, args.reuse_mb), (Some(2.5), Some(64.0)));
         assert!(parse(&["--demo", "--target-gb", "1e-9"]).is_ok());
+        assert!(parse(&["--demo", "--target-gb", "1000000"]).is_ok());
+        assert!(parse(&["serve", "--demo", "--reuse-mb", "1e300"]).is_ok());
+    }
+
+    #[test]
+    fn target_gb_is_bounded() {
+        for bad in ["1000000.5", "1e7", "1e300"] {
+            let err = parse(&["--demo", "--target-gb", bad]).err();
+            let err = err.unwrap_or_else(|| panic!("--target-gb {bad} must be rejected"));
+            assert!(err.starts_with("bad --target-gb value"), "{err}");
+            assert!(err.ends_with("<= 1e6)"), "{err}");
+        }
     }
 }

@@ -24,3 +24,23 @@ fn out_of_range_ec2_worker_counts_are_usage_errors() {
         assert!(out.stdout.is_empty(), "ec2:{n} ran");
     }
 }
+
+/// A data volume past `MAX_TARGET_GB` is refused: scaled up from the demo
+/// tables, `1e300` GB once overflowed the size multiplier and printed
+/// `simulated infs`.
+#[test]
+fn an_overflowing_target_volume_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["--demo", "--target-gb", "1e300"])
+        .arg("SELECT cid, count(*) FROM clicks GROUP BY cid")
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bad --target-gb value"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "ran: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
