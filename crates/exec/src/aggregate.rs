@@ -4,6 +4,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
+use ysmart_rel::agg::add_finite;
 use ysmart_rel::colbatch::Column;
 use ysmart_rel::{AggFunc, AggState, Expr, RelError, Value};
 
@@ -190,15 +191,17 @@ fn present<'r>(nulls: &'r [bool], rows: &'r [u32]) -> impl Iterator<Item = usize
 
 /// `avg`'s running state over `rows` of `col`, as [`AggState::Avg`] keeps
 /// it: the sum of the present values widened to float, added left to right
-/// from `0.0`, and their count. Typed columns add in typed loops; the rest
-/// through `AggState` itself.
+/// from `0.0` (failing as it does past `f64`'s range), and their count.
+/// Typed columns add in typed loops; the rest through `AggState` itself.
 fn sum_count(col: &Column, rows: &[u32]) -> Result<(f64, i64), RelError> {
-    let add = |(sum, n): (f64, i64), x: f64| (sum + x, n + 1);
+    let add = |(sum, n): (f64, i64), x: f64| Ok((add_finite(sum, x)?, n + 1));
     Ok(match col {
         Column::Int { data, nulls } => present(nulls, rows)
             .map(|r| data[r] as f64)
-            .fold((0.0, 0), add),
-        Column::Float { data, nulls } => present(nulls, rows).map(|r| data[r]).fold((0.0, 0), add),
+            .try_fold((0.0, 0), add)?,
+        Column::Float { data, nulls } => present(nulls, rows)
+            .map(|r| data[r])
+            .try_fold((0.0, 0), add)?,
         _ => {
             let mut state = AggFunc::Avg.new_state();
             rows.iter()
@@ -242,7 +245,8 @@ fn distinct<T: Ord>(subs: &Subgroups, nulls: &[bool], key: impl Fn(usize) -> T) 
 
 /// `func` over each sub-group's rows of `col`, in order: `AggState::update`
 /// of each value. Typed columns fold in typed loops that keep its exact
-/// semantics — a float sum added left to right, an `Int` sum checked, a
+/// semantics — a float sum added left to right (past `f64`'s range an
+/// overflow, as `Value::add` has it), an `Int` sum checked, a
 /// `min`/`max` tie kept by the first, `count(distinct)` by sort and dedupe
 /// (`-0.0` equal to `0.0`) — and `Var` columns fold through `AggState`
 /// itself.
@@ -257,12 +261,14 @@ fn fold(func: AggFunc, col: &Column, subs: &Subgroups) -> Result<Vec<Value>, Rel
             .iter()
             .map(|rows| sum_ints(present(nulls, rows).map(|r| data[r])))
             .collect::<Result<_, _>>()?,
-        (AggFunc::Sum, Column::Float { data, nulls }) => each(&|rows| {
-            let sum = present(nulls, rows)
-                .map(|r| data[r])
-                .reduce(|sum, x| sum + x);
-            sum.map_or(Value::Null, Value::Float)
-        }),
+        (AggFunc::Sum, Column::Float { data, nulls }) => subs
+            .iter()
+            .map(|rows| {
+                let mut xs = present(nulls, rows).map(|r| data[r]);
+                let first = xs.next().map(|x| xs.try_fold(x, add_finite));
+                Ok(first.transpose()?.map_or(Value::Null, Value::Float))
+            })
+            .collect::<Result<_, RelError>>()?,
         (AggFunc::Avg, _) => subs
             .iter()
             .map(|rows| {
@@ -337,11 +343,14 @@ fn merge(func: AggFunc, fields: &[&Column], subs: &Subgroups) -> Result<Vec<Valu
             subs.iter().map(count).collect()
         }
         (AggFunc::Avg, sum) => {
-            let avg = |rows: &[u32]| AggState::Avg {
-                sum: rows.iter().fold(0.0, |t, r| t + float(sum, r)),
-                count: rows.iter().map(|r| int(fields[1], r)).sum(),
+            let avg = |rows: &[u32]| {
+                let sum = rows
+                    .iter()
+                    .try_fold(0.0, |t, r| add_finite(t, float(sum, r)))?;
+                let count = rows.iter().map(|r| int(fields[1], r)).sum();
+                Ok(AggState::Avg { sum, count }.finish())
             };
-            subs.iter().map(|rows| avg(rows).finish()).collect()
+            subs.iter().map(avg).collect::<Result<_, RelError>>()?
         }
         (_, col) => fold(func, col, subs)?,
     })

@@ -5,11 +5,12 @@
 //! over a run of key groups, group `g`'s rows forming *segment* `g`; every
 //! batch of a run has one segment per key group, empty where the group has
 //! no row. A column is a [`Col`]: rows of a *base*, which is either a typed
-//! column or cells still lying where the shuffle left them. Selecting rows —
-//! a filter, a join's pairs, an aggregate's groups — composes row indices
-//! and copies no cell; a kernel reading a column gathers it into a typed
-//! `Column` once ([`Columnar::column`]), and only emitted rows ever become
-//! `Row`s ([`Batch::row`]).
+//! column or a value column of the shuffle's values, still lying in their
+//! arenas. Selecting rows — a filter, a join's pairs, an aggregate's groups
+//! — composes row indices and copies no cell; a kernel reading a column
+//! gathers it into a typed `Column` once ([`Columnar::column`]), straight
+//! from the arenas' typed columns ([`GroupView::gather`]), and only emitted
+//! rows ever become `Row`s ([`Batch::row`]).
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -17,6 +18,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::rc::Rc;
 
+use ysmart_mapred::GroupView;
 use ysmart_rel::colbatch::{Column, NULL_ROW};
 use ysmart_rel::{Expr, RelError, Row, SortKey, SortOrder, Value};
 
@@ -28,12 +30,13 @@ pub(crate) type Selection = Rc<[u32]>;
 
 /// Where a column's cells come from, before any selection of its rows.
 enum Base<'v> {
-    /// Cell `off` of each of `rows` — a stream's rows, in the shuffle's
-    /// arenas — gathered into a typed column the first time a kernel reads
-    /// it.
-    Cells {
-        rows: Rc<[&'v [Value]]>,
-        off: usize,
+    /// Cell `col` of each of the values `positions` of `values` — a
+    /// stream's rows, in the shuffle's arenas — gathered into a typed
+    /// column the first time a kernel reads it.
+    Values {
+        values: GroupView<'v>,
+        positions: Selection,
+        col: usize,
         typed: OnceCell<Column>,
     },
     /// A typed column.
@@ -43,18 +46,26 @@ enum Base<'v> {
 impl Base<'_> {
     fn typed(&self) -> &Column {
         match self {
-            Base::Cells { rows, off, typed } => {
-                typed.get_or_init(|| Column::from_cells(rows.len(), |r| &rows[r][*off]))
-            }
+            Base::Values {
+                values,
+                positions,
+                col,
+                typed,
+            } => typed.get_or_init(|| values.gather(*col, positions)),
             Base::Typed(col) => col,
         }
     }
 
     fn value(&self, i: usize) -> Value {
         match self {
-            Base::Cells { rows, off, typed } => typed
+            Base::Values {
+                values,
+                positions,
+                col,
+                typed,
+            } => typed
                 .get()
-                .map_or_else(|| rows[i][*off].clone(), |col| col.value(i)),
+                .map_or_else(|| values.value(positions[i] as usize, *col), |c| c.value(i)),
             Base::Typed(col) => col.value(i),
         }
     }
@@ -69,16 +80,6 @@ pub(crate) struct Col<'v> {
 }
 
 impl<'v> Col<'v> {
-    /// Cell `off` of each of `rows`.
-    pub(crate) fn cells(rows: &Rc<[&'v [Value]]>, off: usize) -> Self {
-        let rows = Rc::clone(rows);
-        let typed = OnceCell::new();
-        Col {
-            base: Rc::new(Base::Cells { rows, off, typed }),
-            rows: None,
-        }
-    }
-
     /// A typed column.
     pub(crate) fn typed(col: Column) -> Self {
         Col {
@@ -137,16 +138,25 @@ impl<'v> Batch<'v> {
         }
     }
 
-    /// A batch of whole values — each value a row, its cells the columns —
-    /// whose segment `g` is values `segs[g]..segs[g + 1]`; `None` when they
-    /// are not all one width.
-    pub(crate) fn of_values(values: Vec<&'v [Value]>, segs: Vec<u32>) -> Option<Self> {
-        let width = values.first().map_or(0, |v| v.len());
-        let rows: Rc<[&'v [Value]]> = values.into();
-        let cols = (0..width).map(|c| Col::cells(&rows, c)).collect();
-        rows.iter()
-            .all(|v| v.len() == width)
-            .then(|| Batch::new(segs, cols))
+    /// Cells `cols` of the values `positions` of `values` — each value a
+    /// row, each cell a column gathered the first time a kernel reads it —
+    /// whose segment `g` is rows `segs[g]..segs[g + 1]`.
+    pub(crate) fn gather(
+        values: GroupView<'v>,
+        positions: &Selection,
+        cols: Range<usize>,
+        segs: Vec<u32>,
+    ) -> Self {
+        let col = |col| Col {
+            base: Rc::new(Base::Values {
+                values,
+                positions: Rc::clone(positions),
+                col,
+                typed: OnceCell::new(),
+            }),
+            rows: None,
+        };
+        Batch::new(segs, cols.map(col).collect())
     }
 
     pub(crate) fn len(&self) -> usize {

@@ -7,8 +7,9 @@
 //! values. This is the optimisation the paper credits for Hive matching
 //! hand-coded MapReduce on the simple Q-AGG query (footnote 2).
 //!
-//! It is the reducer's own aggregation: a segment of key groups is gathered
-//! into one batch, cut where the reducer cuts its runs, and folded by
+//! It is the reducer's own aggregation: a segment of key groups is read as
+//! one batch — cut where the reducer cuts its runs, each column gathered
+//! typed from the arena as the reducer gathers a stream's — and folded by
 //! `aggregate` in its raw→partial mode.
 
 use std::ops::Range;
@@ -17,8 +18,8 @@ use ysmart_mapred::{Combiner, KeyGroups};
 use ysmart_rel::{AggFunc, Expr, Row};
 
 use crate::aggregate::{aggregate, Mode};
-use crate::batch::Batch;
-use crate::reducer::chunks;
+use crate::batch::{Batch, Selection};
+use crate::reducer::{chunks, common_width};
 
 /// The combiner of a job whose only op is a merging `Agg`, built per map
 /// task from that op's group columns and aggregates.
@@ -54,13 +55,15 @@ impl AggCombiner {
         groups: &KeyGroups<'v>,
         range: Range<usize>,
     ) -> Result<Batch<'v>, String> {
-        let (mut values, mut segs) = (Vec::new(), vec![0]);
-        for g in range {
-            values.extend(groups.group(g).iter());
-            segs.push(values.len() as u32);
-        }
-        let input = Batch::of_values(values, segs)
+        let start = groups.bounds(range.start).start;
+        let mut segs = vec![0];
+        segs.extend(range.map(|g| (groups.bounds(g).end - start) as u32));
+        let end = start + *segs.last().expect("a segment per group") as usize;
+        let positions: Selection = (start as u32..end as u32).collect();
+        let values = groups.values();
+        let width = common_width(values, &positions, 0)
             .ok_or("combiner input has values of differing widths")?;
+        let input = Batch::gather(values, &positions, 0..width, segs);
         let (group_cols, aggs) = (&self.group_cols, &self.aggs);
         aggregate(&input, group_cols, aggs, None, Mode::Partial, &mut 0)
             .map_err(|e| format!("combiner {e}"))
@@ -114,8 +117,10 @@ mod tests {
     /// `aggregate` in `mode` over `rows` as one key group, grouped by
     /// column 0.
     fn aggregate_rows(aggs: &[(AggFunc, Option<Expr>)], rows: &[Row], mode: Mode) -> Vec<Row> {
-        let values = rows.iter().map(Row::values).collect();
-        let input = Batch::of_values(values, vec![0, rows.len() as u32]).expect("one width");
+        let values = ysmart_mapred::GroupView::rows(rows);
+        let positions: Selection = (0..rows.len() as u32).collect();
+        let width = rows.first().map_or(0, Row::len);
+        let input = Batch::gather(values, &positions, 0..width, vec![0, rows.len() as u32]);
         let out = aggregate(&input, &[0], aggs, None, mode, &mut 0).expect("aggregates");
         out.seg(0).map(|r| out.row(r)).collect()
     }

@@ -33,10 +33,10 @@ use std::sync::Arc;
 use ysmart_mapred::{GroupView, KeyGroups, ReduceOutput, Reducer};
 use ysmart_plan::JoinKind;
 use ysmart_rel::colbatch::NULL_ROW;
-use ysmart_rel::{Expr, RelError, Row, Value};
+use ysmart_rel::{Expr, RelError, Row};
 
 use crate::aggregate::{aggregate, Mode};
-use crate::batch::{Batch, Col, Selection};
+use crate::batch::{Batch, Selection};
 use crate::blueprint::{EmitSpec, JobBlueprint, OpKind, RSource};
 use crate::colexpr::{eval_mask, Columnar};
 use crate::error::ExecError;
@@ -75,9 +75,12 @@ pub struct CommonReducer {
     need: Vec<usize>,
 }
 
-/// The visibility tag of a tagged value: the streams that must not see it.
-fn tag(value: &[Value]) -> u64 {
-    value.first().and_then(Value::as_int).unwrap_or(0) as u64
+/// The width values `positions` of `values` share, `pad` trailing cells
+/// left out; `None` when they differ.
+pub(crate) fn common_width(values: GroupView<'_>, positions: &[u32], pad: usize) -> Option<usize> {
+    let width = |&i: &u32| values.width(i as usize).saturating_sub(pad);
+    let first = positions.first().map_or(0, width);
+    positions.iter().all(|i| width(i) == first).then_some(first)
 }
 
 /// Why a run's evaluation aborted.
@@ -190,33 +193,34 @@ impl CommonReducer {
         let bp = &self.blueprint;
         let n = bp.streams.len();
         let failed = |err: String| format!("stream projection failed in {}: {err}", bp.name);
-        let mut cells: Vec<Vec<&'v [Value]>> = vec![Vec::new(); n];
+        let values = groups.values();
+        let mut positions: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut segs: Vec<Vec<u32>> = vec![vec![0]; n];
         for g in range {
-            let values = groups.group(g);
+            let group = groups.bounds(g);
             if !self.tagged {
                 // Direct mode: every value of the group feeds the single
                 // stream, its pad left out.
-                let window = |v: &'v [Value]| &v[..v.len().saturating_sub(self.pad_cols)];
-                cells[0].extend(values.iter().map(window));
-            } else if !self.short_circuits(values, work) {
-                for v in values.iter() {
-                    let hidden = tag(v);
-                    let carried = v.get(1..v.len().saturating_sub(self.pad_cols));
-                    let carried = carried.unwrap_or(&[]);
+                positions[0].extend(group.map(|i| i as u32));
+            } else if !self.short_circuits(values, group.clone(), work) {
+                for i in group {
+                    let hidden = values.tag(i) as u64;
+                    // The cells after the tag, the pad left out.
+                    let carried = values.width(i).saturating_sub(self.pad_cols);
+                    let carried = carried.saturating_sub(1);
                     for (s, &need) in self.need.iter().enumerate() {
                         if hidden & (1 << s) != 0 {
                             continue; // inverted tag: this stream must not see it
                         }
-                        if carried.len() < need {
+                        if carried < need {
                             return Err(failed(format!("column {} out of range", need - 1)));
                         }
-                        cells[s].push(carried);
+                        positions[s].push(i as u32);
                     }
                 }
             }
             for s in 0..n {
-                segs[s].push(cells[s].len() as u32);
+                segs[s].push(positions[s].len() as u32);
             }
         }
         if self.tagged {
@@ -228,20 +232,21 @@ impl CommonReducer {
                 }
             }
         } else {
-            out.record_dispatches(0, cells[0].len() as u64);
+            out.record_dispatches(0, positions[0].len() as u64);
         }
         let mut streams = Vec::with_capacity(n);
-        for (s, (cells, segs)) in cells.into_iter().zip(segs).enumerate() {
+        for (s, (positions, segs)) in positions.into_iter().zip(segs).enumerate() {
+            let positions: Selection = positions.into();
             let batch = if self.tagged {
-                let rows: Rc<[&'v [Value]]> = cells.into();
-                let carried = (0..self.need[s]).map(|c| Col::cells(&rows, c)).collect();
-                let projected = Batch::new(segs, carried).project(&bp.streams[s].projection);
+                let carried = Batch::gather(values, &positions, 1..1 + self.need[s], segs);
+                let projected = carried.project(&bp.streams[s].projection);
                 projected.map_err(|e| failed(e.to_string()))?
             } else {
                 // A direct job's values are one projection's rows, or one
                 // combiner's partial rows: all one width.
-                let batch = Batch::of_values(cells, segs);
-                batch.ok_or_else(|| format!("values of differing widths in {}", bp.name))?
+                let width = common_width(values, &positions, self.pad_cols)
+                    .ok_or_else(|| format!("values of differing widths in {}", bp.name))?;
+                Batch::gather(values, &positions, 0..width, segs)
             };
             streams.push(Rc::new(batch));
         }
@@ -251,16 +256,17 @@ impl CommonReducer {
     /// The hand-coded short-circuit (§VII-C case 4): the paper's hand-written
     /// reducer returns immediately when a required input (e.g. the `orders`
     /// side with status 'F') has no pairs for this key — *before* doing any
-    /// per-value work. A cheap tag-only pre-pass detects that; it costs
-    /// roughly an eighth of a full dispatch per value (an integer check vs.
-    /// projection), charged per group. Whether the group is skipped.
-    fn short_circuits(&self, values: GroupView<'_>, work: &mut u64) -> bool {
+    /// per-value work. A cheap tag-only pre-pass over the group's values
+    /// detects that; it costs roughly an eighth of a full dispatch per value
+    /// (an integer check vs. projection), charged per group. Whether the
+    /// group is skipped.
+    fn short_circuits(&self, values: GroupView<'_>, group: Range<usize>, work: &mut u64) -> bool {
         let required = &self.blueprint.short_circuit_streams;
         if required.is_empty() {
             return false;
         }
-        let present = values.iter().fold(0u64, |present, v| present | !tag(v));
-        *work += values.len() as u64 / 8;
+        *work += group.len() as u64 / 8;
+        let present = group.fold(0u64, |present, i| present | !values.tag(i) as u64);
         required.iter().any(|&s| present & (1 << s) == 0)
     }
 

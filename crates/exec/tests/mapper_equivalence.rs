@@ -502,7 +502,7 @@ fn observed(mut out: MapOutput, partitions: usize) -> Result<Observed, String> {
     }
     let parts = (0..partitions)
         .map(|p| {
-            let pairs: Vec<(&[Value], &[Value])> = out.pairs(p).collect();
+            let pairs: Vec<(Vec<Value>, Vec<Value>)> = out.pairs(p).collect();
             (format!("{pairs:?}"), out.segment_size(p))
         })
         .collect();

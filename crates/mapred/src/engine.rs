@@ -312,7 +312,11 @@ pub fn run_job_attempt(
 
     let (metrics, events, outputs) = match &spec.reducer {
         None => {
-            let (written, output) = data::map_only_output(config, map_runs);
+            let (written, output) =
+                data::map_only_output(&job, map_runs).map_err(|error| AttemptFailure {
+                    error,
+                    wasted_s: account.metrics.map_time_s,
+                })?;
             let (metrics, events) = account.map_only_write(&job, &written)?;
             (metrics, events, vec![output])
         }

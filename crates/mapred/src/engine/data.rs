@@ -5,13 +5,14 @@
 //! See the [module map](super).
 //!
 //! Between map and reduce no pair is ever moved. A map task's output is one
-//! cell arena per reduce partition (`job::Pairs`, filled by the mapper at
-//! emit); the task sorts *indices* into each arena and sizes the segment
-//! while it is cache-resident; the shuffle hands whole segments over; a
-//! reduce task merges them into `(run, pair)` positions and shows its
-//! reducer all its key groups at once, as [`KeyGroups`] over those
-//! positions; and only after its output is packed does it free its
-//! segments, arena by arena.
+//! arena per reduce partition (`job::Pairs`: typed columns, one per cell
+//! position of the pairs, filled by the mapper at emit); the task sorts
+//! *indices* into each arena and sizes the segment while it is
+//! cache-resident; the shuffle hands whole segments over; a reduce task
+//! merges them into `(run, pair)` positions and shows its reducer all its
+//! key groups at once, as [`KeyGroups`] over those positions, whose value
+//! columns the reducer gathers typed; and only after its output is packed
+//! does it free its segments, arena by arena.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
@@ -19,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ysmart_rel::codec::{encode_cells_into, encode_line};
+use ysmart_rel::codec::{encode_cells_into, encode_line, SEPARATOR};
 use ysmart_rel::colbatch::{FrameStats, DEFAULT_FRAME_ROWS};
 use ysmart_rel::{ColumnBatch, Value};
 
@@ -29,8 +30,7 @@ use crate::error::MapRedError;
 use crate::hash::checksum_bytes;
 use crate::hdfs::{block_bytes, line_bytes, read_verified, DataFile, Hdfs};
 use crate::job::{
-    record_line, Combiner, GroupView, JobSpec, KeyGroups, MapOutput, Pairs, ReduceOutput,
-    ReducerFactory,
+    record_line, Combiner, JobSpec, KeyGroups, MapOutput, Pairs, ReduceOutput, ReducerFactory,
 };
 use crate::norm::NormArena;
 
@@ -64,13 +64,13 @@ pub(super) struct MapTask<'a> {
 /// pairs stay where the mapper wrote them (`pairs`, emit order); `order` is
 /// the permutation that reads them sorted by `(key, value)`, and `norms`
 /// carries each key's [`crate::norm`] encoding (indexed like `pairs`) so the
-/// sort, the shuffle merge and key grouping compare key bytes, touching
-/// value cells only on key ties. A map-only task's pseudo-segment has
-/// neither: it is written out in emit order. The arena adds up its bytes in
-/// the text framing (key, tab, value, newline) as its pairs are written; in
-/// columnar mode the map task also records its size as one `frame` (`None`
-/// when there is none — see `Pairs::frame_stats`), taken as the arena was
-/// written or read while it is still cache-resident.
+/// sort, the shuffle merge and key grouping compare key bytes, comparing
+/// value columns, typed, only on key ties. A map-only task's pseudo-segment
+/// has neither: it is written out in emit order. The arena adds up its
+/// bytes in the text framing (key, tab, value, newline) as its pairs are
+/// written; in columnar mode the map task also records its size as one
+/// `frame` (`None` when there is none — see `Pairs::frame_stats`), read off
+/// the arena's typed columns while it is still cache-resident.
 #[derive(Default)]
 pub(super) struct PartitionRun {
     pairs: Pairs,
@@ -341,11 +341,11 @@ fn apply_mapper(
 fn sort_run(pairs: Pairs) -> PartitionRun {
     // Encode each normalized key once into one flat arena; the sort (and
     // every later merge/group comparison) then compares key bytes, falling
-    // back to value cells only on key ties.
-    let norms = NormArena::from_key_cells((0..pairs.len()).map(|i| pairs.key(i)));
+    // back to the typed value columns only on key ties.
+    let norms = pairs.norm_keys();
     // Sort packed `(key prefix, index)` entries: the integer resolves almost
     // every comparison from a flat array — equal prefixes fall back to the
-    // arena slices, full key ties to the value cells, and fully equal pairs
+    // arena slices, full key ties to the value columns, and fully equal pairs
     // to emit order, so the run is the *stable* sort of the task's pairs.
     let mut entries: Vec<(u64, u32)> = (0..pairs.len())
         .map(|i| (norms.prefix8(i), i as u32))
@@ -356,7 +356,7 @@ fn sort_run(pairs: Pairs) -> PartitionRun {
             norms
                 .key(i)
                 .cmp(norms.key(j))
-                .then_with(|| pairs.value(i).cmp(pairs.value(j)))
+                .then_with(|| pairs.cmp_values(i, &pairs, j))
                 .then_with(|| i.cmp(&j))
         })
     });
@@ -378,9 +378,9 @@ fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
         combiner.combine_run(KeyGroups::run(&seg.pairs, &seg.order, &starts));
     ends.push(values.len() as u32);
     let mut combined = PartitionRun::default();
+    let mut key = Vec::new();
     for (g, &start) in starts.iter().enumerate() {
         let first = seg.order[start as usize] as usize;
-        let key = seg.pairs.key(first);
         let outputs = &mut values[ends[g] as usize..ends[g + 1] as usize];
         // Keep the run sorted within the key group, as the shuffle merge
         // requires of its inputs: the group's outputs share one key, so
@@ -388,9 +388,10 @@ fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
         outputs.sort_unstable();
         for value in outputs {
             combined.norms.push_encoded(seg.norms.key(first));
+            seg.pairs.push_key(first, &mut key);
             combined
                 .pairs
-                .append(key.iter().cloned(), std::mem::take(value).into_values());
+                .append(&mut key, &mut std::mem::take(value).into_values());
         }
     }
     combined.order = (0..combined.pairs.len() as u32).collect();
@@ -455,9 +456,8 @@ fn run_map_task(
             user_fatal = combiner.take_error();
         }
     }
-    // Arenas `emit_columns` wrote were framed as they were written; the rest
-    // (written a pair at a time, or by a combiner) are read once here, still
-    // in cache.
+    // Every arena's frame is read off its typed columns once, here, still
+    // in cache — whichever writer filled it.
     if shuffle_to.is_some() && job.cfg.data_format == DataFormat::Columnar {
         for (_, seg) in &mut runs {
             seg.frame = seg.pairs.frame_stats();
@@ -476,8 +476,13 @@ fn run_map_task(
 /// no such frame; the caller falls back to the text framing of
 /// [`segment_canon_bytes`].
 fn segment_frame(seg: &PartitionRun) -> Option<Vec<u8>> {
-    let cell = |r: usize, c: usize| &seg.pairs.pair(seg.order[r] as usize)[c];
-    let batch = ColumnBatch::from_cells(seg.order.len(), seg.pairs.uniform_width()?, cell).ok()?;
+    let width = seg.pairs.uniform_width()?;
+    let rows: Vec<Vec<Value>> = seg
+        .order
+        .iter()
+        .map(|&i| seg.pairs.pair(i as usize))
+        .collect();
+    let batch = ColumnBatch::from_cells(rows.len(), width, |r, c| &rows[r][c]).ok()?;
     Some(batch.encode_frame())
 }
 
@@ -487,9 +492,9 @@ fn segment_frame(seg: &PartitionRun) -> Option<Vec<u8>> {
 fn segment_canon_bytes(seg: &PartitionRun) -> Vec<u8> {
     let mut out = String::new();
     for &i in &seg.order {
-        encode_cells_into(seg.pairs.key(i as usize), &mut out);
+        encode_cells_into(&seg.pairs.key(i as usize), &mut out);
         out.push('\t');
-        encode_cells_into(seg.pairs.value(i as usize), &mut out);
+        encode_cells_into(&seg.pairs.value(i as usize), &mut out);
         out.push('\n');
     }
     out.into_bytes()
@@ -607,9 +612,9 @@ struct Merged {
 /// an order independent of how the input was split and the merge scheduled.
 fn merge_runs(runs: &[PartitionRun]) -> Merged {
     // Tournament merge over a min-heap of run heads: O(log k) comparisons
-    // per pair, each a key *byte* compare falling back to the value cells
-    // only on key ties — the run index breaks full ties toward the earliest
-    // task. Heads borrow key encodings and value cells from the runs; the
+    // per pair, each a key *byte* compare falling back to the typed value
+    // columns only on key ties — the run index breaks full ties toward the
+    // earliest task. Heads borrow key encodings and arenas from the runs; the
     // winner is replaced in place by its run's next pair (one sift, not a
     // pop and a push).
     struct Head<'a> {
@@ -617,7 +622,7 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
         /// comparisons without touching the slices.
         prefix: u64,
         key: &'a [u8],
-        value: &'a [Value],
+        pairs: &'a Pairs,
         run: u32,
         pair: u32,
         /// Where `pair` stands in its run's `order`.
@@ -642,7 +647,10 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
                 .prefix
                 .cmp(&self.prefix)
                 .then_with(|| other.key.cmp(self.key))
-                .then_with(|| other.value.cmp(self.value))
+                .then_with(|| {
+                    let (a, b) = (other.pair as usize, self.pair as usize);
+                    other.pairs.cmp_values(a, self.pairs, b)
+                })
                 .then_with(|| other.run.cmp(&self.run))
         }
     }
@@ -652,7 +660,7 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
         Some(Head {
             prefix: r.norms.prefix8(pair as usize),
             key: r.norms.key(pair as usize),
-            value: r.pairs.value(pair as usize),
+            pairs: &r.pairs,
             run: run as u32,
             pair,
             at,
@@ -685,35 +693,51 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
 /// row)` — and is the one place their stored format is decided. Columnar
 /// mode writes frames of [`DEFAULT_FRAME_ROWS`] records; text mode, or any
 /// record the frame codec cannot take, writes every record as its text
-/// line — byte-identical to a self-formatting task.
+/// line — byte-identical to a self-formatting task. A string holding the
+/// field separator or a line break has no text line (the codec writes them
+/// unescaped): it fails the job as a typed error naming the value, not a
+/// decode error in whichever job reads the line back.
 fn pack_output<'a>(
-    columnar: bool,
+    job: &JobCtx,
     n: usize,
     record: impl Fn(usize) -> (Option<i64>, &'a [Value]),
-) -> (OutputCounts, DataFile) {
+) -> Result<(OutputCounts, DataFile), MapRedError> {
     let mut counts = OutputCounts {
         records: n as u64,
         ..OutputCounts::default()
     };
     let mut output = DataFile::default();
+    let columnar = job.cfg.data_format == DataFormat::Columnar;
     match columnar.then(|| frame_records(n, &record)).flatten() {
         Some((frames, dicts)) => {
             counts.dict_entries = dicts;
             output.frames = frames;
         }
         None => {
-            let line = |i| {
+            fn unstorable(v: &Value) -> Option<&str> {
+                let text = |b| b == SEPARATOR as u8 || b == b'\n';
+                v.as_str().filter(|s| s.bytes().any(text))
+            }
+            output.lines.reserve_exact(n);
+            for i in 0..n {
                 let (tag, row) = record(i);
-                record_line(tag, row)
-            };
-            output.lines = (0..n).map(line).collect();
+                if let Some(s) = row.iter().find_map(unstorable) {
+                    return Err(MapRedError::User(format!(
+                        "value `{}` cannot be stored as text: it holds the field separator \
+                         `{SEPARATOR}` or a line break (job {})",
+                        s.escape_debug(),
+                        job.name
+                    )));
+                }
+                output.lines.push(record_line(tag, row));
+            }
         }
     }
     counts.bytes = output.bytes();
     if output.is_columnar() {
         counts.encoded_bytes = counts.bytes;
     }
-    (counts, output)
+    Ok((counts, output))
 }
 
 /// [`pack_output`]'s frames and their dictionary-entry count, each record
@@ -751,16 +775,14 @@ fn frame_records<'a>(
 /// Collects a map-only job's output: the map tasks' values, in task order
 /// and in emit order within a task, read where the mappers wrote them.
 pub(super) fn map_only_output(
-    cfg: &ClusterConfig,
+    job: &JobCtx,
     map_runs: Vec<MapRuns>,
-) -> (OutputCounts, DataFile) {
-    let tasks: Vec<PartitionRun> = map_runs.into_iter().flatten().map(|(_, seg)| seg).collect();
-    let arenas: Vec<&Pairs> = tasks.iter().map(|seg| &seg.pairs).collect();
-    let pairs = |t: usize| (0..arenas[t].len()).map(move |i| (t as u32, i as u32));
-    let at: Vec<(u32, u32)> = (0..arenas.len()).flat_map(pairs).collect();
-    let values = GroupView::merged(&arenas, &at);
-    let columnar = cfg.data_format == DataFormat::Columnar;
-    pack_output(columnar, values.len(), |i| (None, values.get(i)))
+) -> Result<(OutputCounts, DataFile), MapRedError> {
+    let tasks = map_runs.into_iter().flatten().map(|(_, seg)| seg.pairs);
+    let rows: Vec<Vec<Value>> = tasks
+        .flat_map(|pairs| (0..pairs.len()).map(move |i| pairs.value(i)))
+        .collect();
+    pack_output(job, rows.len(), |i| (None, &rows[i]))
 }
 
 /// Runs every reduce task on its partition's segments.
@@ -769,9 +791,8 @@ pub(super) fn execute_reduces(
     reducer: &ReducerFactory,
     part_runs: Vec<Vec<PartitionRun>>,
 ) -> Result<Vec<(ReduceCounts, DataFile)>, MapRedError> {
-    let columnar = job.cfg.data_format == DataFormat::Columnar;
     par_map(job, "reduce", 2, part_runs, |_, runs| {
-        run_reduce_task(columnar, reducer, runs)
+        run_reduce_task(job, reducer, runs)
     })
 }
 
@@ -781,7 +802,7 @@ pub(super) fn execute_reduces(
 /// segments' arenas are freed only after the task's output is packed, so
 /// the long-lived output is never allocated into holes they left.
 fn run_reduce_task(
-    columnar: bool,
+    job: &JobCtx,
     reducer: &ReducerFactory,
     runs: Vec<PartitionRun>,
 ) -> (ReduceCounts, DataFile) {
@@ -791,11 +812,14 @@ fn run_reduce_task(
     let mut out = ReduceOutput::default();
     reducer.reduce_run(KeyGroups::merged(&arenas, &at, &group_starts), &mut out);
     let work = out.work();
-    let fatal = out.take_fatal().map(MapRedError::User);
+    let mut fatal = out.take_fatal().map(MapRedError::User);
     let dispatches = out.take_dispatches();
     let emits = out.into_emits();
     let record = |i: usize| (emits[i].tag, emits[i].row.values());
-    let (written, output) = pack_output(columnar, emits.len(), record);
+    let (written, output) = pack_output(job, emits.len(), record).unwrap_or_else(|error| {
+        fatal.get_or_insert(error);
+        Default::default()
+    });
     let counts = ReduceCounts {
         in_records: at.len() as u64,
         work,
@@ -839,7 +863,7 @@ mod tests {
     /// are `rel`'s `frame_stats_match_real_encoding` and
     /// `frame_stats_ignore_row_order` properties): a segment is read as
     /// `key ⧺ value` rows wherever each pair splits, the sizer — reading
-    /// emit order, or sizing as `emit_columns` wrote — agrees with the real
+    /// the typed columns whichever writer filled them — agrees with the real
     /// frame — carrying sorted order —, and empty or width-mixed segments
     /// have neither.
     #[test]

@@ -9,148 +9,229 @@
 //! Mappers and reducers are built per task from factories, mirroring how
 //! Hadoop instantiates a fresh object per task attempt.
 //!
-//! A shuffle pair is a span of cells, not a pair of rows: [`MapOutput`]
+//! A shuffle pair is a row of typed columns, not a pair of rows: [`MapOutput`]
 //! routes each pair to its reduce partition as it is emitted and appends its
-//! `key ⧺ value` cells to that partition's flat arena, where they stay until
+//! `key ⧺ value` cells to that partition's arena — one typed
+//! [`Column`] per cell position, the key's columns first, then the value's
+//! (led by the tag when the job tags its values) — where they stay until
 //! the reduce task that consumed them is done. Everything downstream
 //! addresses pairs by index: a [`Combiner`] is handed a map-side segment's
 //! key groups at once, a [`Reducer`] its whole task's, each as
-//! [`KeyGroups`] — a [`GroupView`] of borrowed cell slices cut at the group
-//! starts. The row-shaped entry points — [`MapOutput::emit`],
-//! [`Reducer::reduce`], [`Combiner::combine`] — remain what hand-written
-//! jobs implement; the cell-shaped ones default to them (`reduce_run` to
-//! `reduce` and `combine_run` to `combine`, group by group). A mapper emits
-//! a pair whole through [`MapOutput::emit_cells`], or a column batch whole
-//! through [`MapOutput::emit_columns`], which writes the same pairs a column
-//! at a time; either way each pair's bytes are counted as it is written.
+//! [`KeyGroups`] — a [`GroupView`] over the arenas cut at the group starts,
+//! which reads a value's tag and width in place and gathers a value column
+//! over any set of values into one typed column. The row-shaped entry
+//! points — [`MapOutput::emit`], [`Reducer::reduce`],
+//! [`Combiner::combine`] — remain what hand-written jobs implement; the
+//! group-shaped ones default to them (`reduce_run` to `reduce` and
+//! `combine_run` to `combine`, group by group, the values copied out as
+//! rows). A mapper emits a pair whole through [`MapOutput::emit_cells`],
+//! whose cells are pushed onto the columns one by one, or a column batch
+//! whole through [`MapOutput::emit_columns`], which appends each of the
+//! batch's columns to the arena's in one typed copy; either way each pair's
+//! text bytes are counted as it is written.
 //!
 //! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
 //! with an optional merged-stream tag. Whether a task's records are stored
 //! as columnar frames or as text lines is the engine's decision, made in
 //! one place after the task ran — a reducer never formats its own output.
 
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use ysmart_rel::codec::encode_cells_into;
-use ysmart_rel::colbatch::{frame_stats, Column, FrameSizer, FrameStats};
+use ysmart_rel::colbatch::{CellRef, Column, FrameSizer, FrameStats};
 use ysmart_rel::{ColumnBatch, Row, Value};
 
 use crate::hash::{partition_cells, partition_columns};
+use crate::norm::NormArena;
 
 /// The pairs one map task routed to one reduce partition — a shuffle
-/// *arena*. Every pair's `key ⧺ value` cells lie back to back in one flat
-/// vector, in emit order, with one `(key start, value start)` bound per
-/// pair. A pair is written here once and is never moved or allocated on its
-/// own: sort, merge and reduce address it by index, and the whole arena is
-/// freed at once by the reduce task that consumed it.
+/// *arena*, stored column-major: column `c` holds cell `c` of every pair's
+/// `key ⧺ value`, in emit order, typed as [`Column::push`] types it. A pair
+/// is written here once and is never moved or allocated on its own: sort,
+/// merge and reduce address it by index, and the whole arena is freed at
+/// once by the reduce task that consumed it.
 #[derive(Debug, Default)]
 pub(crate) struct Pairs {
-    cells: Vec<Value>,
-    /// Pair `i` spans `cells[bounds[i].0..bounds[i + 1].0]` (the last one to
-    /// the end) and its value starts at `bounds[i].1`.
-    bounds: Vec<(u32, u32)>,
+    cols: Vec<Column>,
+    len: usize,
+    /// `(key width, width)` of the first pair — of every pair, unless
+    /// `ragged`.
+    shape: (u32, u32),
+    /// Per pair its `(key width, width)`, kept only once the pairs' shapes
+    /// differ (the mixed-width values of some merged or hand-written
+    /// mappers). A pair narrower than the arena reads NULL in the columns
+    /// past its width, which nothing reads.
+    ragged: Option<Vec<(u32, u32)>>,
     /// [`Pairs::text_bytes`], added to by every write.
     text_bytes: u64,
-    /// The frame of the pairs, sized while [`Pairs::append_columns`] wrote
-    /// their cells from typed columns; `None` before the first pair, and
-    /// once a pair arrived whole or at another width, when
-    /// [`Pairs::frame_stats`] reads it off the cells instead.
-    frame: Option<FrameSizer>,
+    /// Pairs there is room for ([`MapOutput::reserve`]): what a column the
+    /// arena grows later makes room for.
+    room: usize,
 }
 
-/// A cell offset as stored in [`Pairs::bounds`].
-fn offset(cells: usize) -> u32 {
-    u32::try_from(cells).expect("a shuffle arena holds fewer than 2^32 cells")
-}
-
-/// Writes cell `c` of consecutive `width`-cell pairs, one pair per call,
-/// returning the cell's text bytes.
-fn at_stride(pairs: &mut [Value], width: usize, c: usize) -> impl FnMut(Value) -> u64 + '_ {
-    let mut slots = pairs.chunks_exact_mut(width).map(move |pair| &mut pair[c]);
-    move |v| {
-        let bytes = v.size_bytes() as u64;
-        *slots.next().expect("one pair per row") = v;
-        bytes
-    }
+/// A width as stored in a pair's shape.
+fn width(cells: usize) -> u32 {
+    u32::try_from(cells).expect("a pair holds fewer than 2^32 cells")
 }
 
 impl Pairs {
     pub(crate) fn len(&self) -> usize {
-        self.bounds.len()
+        self.len
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.len == 0
     }
 
-    fn end(&self, i: usize) -> usize {
-        self.bounds
-            .get(i + 1)
-            .map_or(self.cells.len(), |next| next.0 as usize)
+    /// Pair `i`'s `(key width, width)`.
+    fn shape(&self, i: usize) -> (usize, usize) {
+        let (key, width) = self.ragged.as_ref().map_or(self.shape, |shapes| shapes[i]);
+        (key as usize, width as usize)
     }
 
-    /// The key cells of pair `i`.
-    pub(crate) fn key(&self, i: usize) -> &[Value] {
-        let (key, value) = self.bounds[i];
-        &self.cells[key as usize..value as usize]
+    /// The columns of pair `i`'s value.
+    #[inline]
+    fn value_cols(&self, i: usize) -> &[Column] {
+        let (key, width) = self.shape(i);
+        &self.cols[key..width]
     }
 
-    /// The value cells of pair `i`.
-    pub(crate) fn value(&self, i: usize) -> &[Value] {
-        &self.cells[self.bounds[i].1 as usize..self.end(i)]
+    /// Value cell `c` of pair `i`, read in place.
+    fn cell(&self, i: usize, c: usize) -> CellRef<'_> {
+        self.value_cols(i)[c].cell(i)
     }
 
-    /// Pair `i` read as one `key ⧺ value` row — its shuffle wire form.
-    pub(crate) fn pair(&self, i: usize) -> &[Value] {
-        &self.cells[self.bounds[i].0 as usize..self.end(i)]
+    /// Value column `c` of an arena whose pairs share their shape — an
+    /// empty column when the values are narrower, which no caller reads.
+    fn value_col(&self, c: usize) -> &Column {
+        static NONE: Column = Column::Var(Vec::new());
+        self.cols.get(self.shape.0 as usize + c).unwrap_or(&NONE)
+    }
+
+    /// The key cells of pair `i`, copied out.
+    pub(crate) fn key(&self, i: usize) -> Vec<Value> {
+        let mut key = Vec::new();
+        self.push_key(i, &mut key);
+        key
+    }
+
+    /// Copies the key cells of pair `i` onto `out`.
+    pub(crate) fn push_key(&self, i: usize, out: &mut Vec<Value>) {
+        let key = self.shape(i).0;
+        out.extend(self.cols[..key].iter().map(|col| col.value(i)));
+    }
+
+    /// The value cells of pair `i`, copied out.
+    pub(crate) fn value(&self, i: usize) -> Vec<Value> {
+        self.value_cols(i).iter().map(|col| col.value(i)).collect()
+    }
+
+    /// Pair `i` as one `key ⧺ value` row — its shuffle wire form.
+    pub(crate) fn pair(&self, i: usize) -> Vec<Value> {
+        let width = self.shape(i).1;
+        self.cols[..width].iter().map(|col| col.value(i)).collect()
+    }
+
+    /// The tag of pair `i`: its first value cell when an `Int`, else 0.
+    fn tag(&self, i: usize) -> i64 {
+        match self.value_cols(i).first().map(|col| col.cell(i)) {
+            Some(CellRef::Int(tag)) => tag,
+            _ => 0,
+        }
+    }
+
+    /// The value of pair `i` against that of pair `j` of `other`, as their
+    /// cells compare as `[Value]`s: column by column, then by width.
+    pub(crate) fn cmp_values(&self, i: usize, other: &Pairs, j: usize) -> Ordering {
+        if std::ptr::eq(self, other) && self.ragged.is_none() {
+            // Two pairs of one uniform arena — every tie of the map-side
+            // sort: one column's rows against each other, 7 % faster a sort
+            // than `cmp_at` (EXPERIMENTS.md, "Typed shuffle arenas").
+            let values = &self.cols[self.shape.0 as usize..self.shape.1 as usize];
+            let mut cells = values.iter().map(|col| col.cmp_rows(i, j));
+            return cells.find(|o| o.is_ne()).unwrap_or(Ordering::Equal);
+        }
+        let (a, b) = (self.value_cols(i), other.value_cols(j));
+        for (x, y) in a.iter().zip(b) {
+            let cell = x.cmp_at(i, y, j);
+            if cell.is_ne() {
+                return cell;
+            }
+        }
+        a.len().cmp(&b.len())
+    }
+
+    /// The normalized encodings of every pair's key, in emit order.
+    pub(crate) fn norm_keys(&self) -> NormArena {
+        NormArena::from_columns(&self.cols, self.len, |i| self.shape(i).0)
     }
 
     /// The width every pair shares; `None` when empty or when widths differ.
     pub(crate) fn uniform_width(&self) -> Option<usize> {
+        let width = self.shape.1;
+        let uniform = match &self.ragged {
+            None => true,
+            Some(shapes) => shapes.iter().all(|s| s.1 == width),
+        };
+        (uniform && !self.is_empty()).then_some(width as usize)
+    }
+
+    /// Column `c`, grown from nothing — all NULL for the pairs so far —
+    /// when the arena has no column `c` yet.
+    fn col(&mut self, c: usize) -> &mut Column {
+        while self.cols.len() <= c {
+            let mut col = Column::nulls(self.len);
+            col.reserve(self.room.saturating_sub(self.len));
+            self.cols.push(col);
+        }
+        &mut self.cols[c]
+    }
+
+    /// Records `n` pairs of `key` key cells and `width` cells in all, just
+    /// written to columns `..width`, and pads the columns past them.
+    fn add_pairs(&mut self, n: usize, key: usize, width: usize, text_bytes: u64) {
+        for col in &mut self.cols[width..] {
+            col.push_nulls(n);
+        }
+        let shape = (self::width(key), self::width(width));
         if self.is_empty() {
-            return None;
+            self.shape = shape;
+        } else if self.ragged.is_none() && shape != self.shape {
+            self.ragged = Some(vec![self.shape; self.len]);
         }
-        // The first pair starts at cell 0, so its end is its width.
-        let width = self.end(0);
-        let mut starts = self.bounds.iter().map(|b| b.0 as usize).zip(0..);
-        let uniform = self.cells.len() == self.len() * width
-            && starts.all(|(start, i): (usize, usize)| start == i * width);
-        uniform.then_some(width)
+        if let Some(shapes) = &mut self.ragged {
+            shapes.resize(self.len + n, shape);
+        }
+        self.len += n;
+        // The text framing adds a tab and a newline per pair.
+        self.text_bytes += text_bytes + 2 * n as u64;
     }
 
-    /// Appends one pair whole — the writer of every row-shaped pair: a
-    /// mapper's ([`MapOutput::emit_cells`]) and a combiner's output rows.
-    /// The pair's text bytes are added as it goes in, and a first pair fixes
-    /// the width ([`Pairs::reserve_cells`]).
-    pub(crate) fn append(
-        &mut self,
-        key: impl IntoIterator<Item = Value>,
-        value: impl IntoIterator<Item = Value>,
-    ) {
-        let start = self.cells.len();
-        self.cells.extend(key);
-        self.bounds.push((offset(start), offset(self.cells.len())));
-        self.cells.extend(value);
-        let cells = self.cells[start..].iter().map(|v| v.size_bytes() as u64);
-        // The text framing adds a tab and a newline.
-        self.text_bytes += cells.sum::<u64>() + 2;
-        if self.len() == 1 {
-            self.reserve_cells(self.cells.len());
+    /// Appends one pair whole, a cell at a time — the writer of every
+    /// row-shaped pair: a mapper's ([`MapOutput::emit_cells`]) and a
+    /// combiner's output rows. The cells are moved out of both buffers,
+    /// which are left empty.
+    pub(crate) fn append(&mut self, key: &mut Vec<Value>, value: &mut Vec<Value>) {
+        let (key_width, width) = (key.len(), key.len() + value.len());
+        if let Some(last) = width.checked_sub(1) {
+            self.col(last);
         }
-        self.frame = None;
-    }
-
-    /// The first pair fixes the width: room for pairs (see
-    /// [`MapOutput::reserve`]) is now room for their cells.
-    fn reserve_cells(&mut self, width: usize) {
-        let cells = self.bounds.capacity() * width;
-        self.cells.reserve(cells.saturating_sub(self.cells.len()));
+        let mut text_bytes = 0;
+        let (key_cols, value_cols) = self.cols.split_at_mut(key_width);
+        for (cols, cells) in [(key_cols, key), (value_cols, value)] {
+            for (col, v) in cols.iter_mut().zip(cells.drain(..)) {
+                text_bytes += v.size_bytes() as u64;
+                col.push(v);
+            }
+        }
+        self.add_pairs(1, key_width, width, text_bytes);
     }
 
     /// Appends one pair per row of `rows`, its cells read from typed
     /// columns: `keys`, then the row's tag when there are `tags` (one per
-    /// row), then `values`. The pairs' cells are written a column at a time,
-    /// at stride, and the segment is sized as they go.
+    /// row), then `values` — each column appended to the arena's in one
+    /// typed copy.
     fn append_columns(
         &mut self,
         rows: &[usize],
@@ -161,50 +242,27 @@ impl Pairs {
         if rows.is_empty() {
             return;
         }
-        let width = keys.len() + usize::from(tags.is_some()) + values.len();
-        if self.is_empty() {
-            self.bounds.reserve(rows.len());
-            self.reserve_cells(width);
-            self.frame = Some(FrameSizer::new(width));
-        } else if self.frame.as_ref().is_some_and(|f| f.width() != width) {
-            self.frame = None;
-        }
-        let base = self.cells.len();
-        let bound = |j: usize| {
-            let start = base + j * width;
-            (offset(start), offset(start + keys.len()))
-        };
-        self.bounds.extend((0..rows.len()).map(bound));
-        self.cells.resize(base + rows.len() * width, Value::Null);
-        // Key and value bytes; the text framing adds a tab and a newline.
-        let mut text_bytes = 2 * rows.len() as u64;
-        let mut frame = self.frame.as_mut();
-        let pairs = &mut self.cells[base..];
-        let mut column = |c: usize, col: &Column, frame: Option<&mut FrameSizer>| {
-            let mut put = at_stride(pairs, width, c);
-            col.for_each_cell(rows, |cell| text_bytes += put(cell.to_value()));
-            if let Some(frame) = frame {
-                frame.add_column(c, col, rows);
-            }
-        };
-        for (c, col) in keys.iter().enumerate() {
-            column(c, col, frame.as_deref_mut());
-        }
-        let c = keys.len() + usize::from(tags.is_some());
-        for (c, col) in (c..).zip(values) {
-            column(c, col, frame.as_deref_mut());
+        let tagged = usize::from(tags.is_some());
+        let mut text_bytes = 0;
+        let columns = (0..).zip(keys).chain((keys.len() + tagged..).zip(values));
+        for (c, src) in columns {
+            let col = self.col(c);
+            let start = col.len();
+            col.append(src, rows);
+            text_bytes += col.size_bytes(start..col.len());
         }
         if let Some(tags) = tags {
-            let mut put = at_stride(pairs, width, keys.len());
-            for &tag in tags {
-                let v = Value::Int(tag);
-                if let Some(frame) = frame.as_deref_mut() {
-                    frame.add_cell(keys.len(), &v);
+            text_bytes += 8 * tags.len() as u64;
+            match self.col(keys.len()) {
+                Column::Int { data, nulls } => {
+                    data.extend_from_slice(tags);
+                    nulls.resize(data.len(), false);
                 }
-                text_bytes += put(v);
+                col => tags.iter().for_each(|&tag| col.push(Value::Int(tag))),
             }
         }
-        self.text_bytes += text_bytes;
+        let width = keys.len() + tagged + values.len();
+        self.add_pairs(rows.len(), keys.len(), width, text_bytes);
     }
 
     /// Bytes of the pairs in the text framing (key, tab, value, newline).
@@ -213,18 +271,25 @@ impl Pairs {
     }
 
     /// Exact size and dictionary-entry count of the pairs as one frame of
-    /// `key ⧺ value` rows. `None` for an empty arena, when pair widths differ
-    /// (the mixed-width values of some merged mappers) or on a non-finite
-    /// float: there is no such frame. A frame's size does not depend on the
-    /// order of its rows, so this holds for the sorted segment too.
+    /// `key ⧺ value` rows, read off the typed columns. `None` for an empty
+    /// arena, when pair widths differ (the mixed-width values of some
+    /// merged mappers) or on a non-finite float: there is no such frame. A
+    /// frame's size does not depend on the order of its rows, so this holds
+    /// for the sorted segment too.
     pub(crate) fn frame_stats(&self) -> Option<FrameStats> {
-        match &self.frame {
-            Some(frame) => frame.finish(),
-            None => {
-                let width = self.uniform_width()?;
-                frame_stats(self.len(), width, |r, c| &self.cells[r * width + c])
-            }
+        let mut sizer = FrameSizer::new(self.uniform_width()?);
+        let rows: Vec<usize> = (0..self.len).collect();
+        for (c, col) in self.cols.iter().enumerate() {
+            sizer.add_column(c, col, &rows);
         }
+        sizer.finish()
+    }
+
+    /// Makes room for `additional` more pairs in every column, present and
+    /// to come.
+    fn reserve(&mut self, additional: usize) {
+        self.room = self.room.max(self.len + additional);
+        self.cols.iter_mut().for_each(|col| col.reserve(additional));
     }
 
     /// Gives the unused part of a mostly empty arena — the mapper dropped
@@ -235,18 +300,20 @@ impl Pairs {
     /// by its few per cent of slack leaves holes nothing fits (measured:
     /// `serve_hot` `peak_rss_mb` +12 % after 15 cycles).
     fn trim(&mut self) {
-        if self.cells.len() < self.cells.capacity() / 4 * 3 {
-            self.cells.shrink_to_fit();
-            self.bounds.shrink_to_fit();
+        for col in &mut self.cols {
+            if col.len() < col.capacity() / 4 * 3 {
+                col.shrink_to_fit();
+            }
         }
     }
 }
 
 /// A key group's values as the engine hands them to a [`Reducer`] or
-/// [`Combiner`]: an indexable run of borrowed cell slices. The values lie
-/// wherever the shuffle left them — consecutive `Row`s, or pairs scattered
-/// over the arenas a merge drew them from — and are read in place; nothing
-/// is gathered per group.
+/// [`Combiner`]: an indexable run of values. The values lie wherever the
+/// shuffle left them — consecutive `Row`s, or pairs scattered over the
+/// arenas a merge drew them from — and are read in place: a value's tag and
+/// width one at a time, its cells a column over many values at once
+/// ([`GroupView::gather`]); nothing is copied per value.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupView<'a>(Group<'a>);
 
@@ -297,26 +364,113 @@ impl<'a> GroupView<'a> {
         self.len() == 0
     }
 
-    /// The cells of value `i`.
+    /// The arena and pair behind value `i`; `None` for a view of rows.
+    fn pair(&self, i: usize) -> Option<(&'a Pairs, usize)> {
+        match self.0 {
+            Group::Rows(_) => None,
+            Group::Run { pairs, order } => Some((pairs, order[i] as usize)),
+            Group::Merged { runs, at } => {
+                let (run, pair) = at[i];
+                Some((runs[run as usize], pair as usize))
+            }
+        }
+    }
+
+    /// The number of cells of value `i`.
     ///
     /// # Panics
     ///
     /// When `i` is out of range.
     #[must_use]
-    pub fn get(&self, i: usize) -> &'a [Value] {
-        match self.0 {
-            Group::Rows(rows) => rows[i].values(),
-            Group::Run { pairs, order } => pairs.value(order[i] as usize),
-            Group::Merged { runs, at } => {
-                let (run, pair) = at[i];
-                runs[run as usize].value(pair as usize)
-            }
+    pub fn width(&self, i: usize) -> usize {
+        match (self.0, self.pair(i)) {
+            (Group::Rows(rows), _) => rows[i].len(),
+            (_, Some((pairs, p))) => pairs.value_cols(p).len(),
+            (_, None) => unreachable!("a value of pairs"),
         }
     }
 
-    /// The values in order.
-    pub fn iter(self) -> impl Iterator<Item = &'a [Value]> {
-        (0..self.len()).map(move |i| self.get(i))
+    /// The tag of value `i`: its first cell when an `Int`, else 0 — the
+    /// visibility tag of a merged job's value.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    #[must_use]
+    pub fn tag(&self, i: usize) -> i64 {
+        match (self.0, self.pair(i)) {
+            (Group::Rows(rows), _) => rows[i]
+                .values()
+                .first()
+                .and_then(Value::as_int)
+                .unwrap_or(0),
+            (_, Some((pairs, p))) => pairs.tag(p),
+            (_, None) => unreachable!("a value of pairs"),
+        }
+    }
+
+    /// Cell `c` of value `i`, copied out.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range or value `i` has no cell `c`.
+    #[must_use]
+    pub fn value(&self, i: usize, c: usize) -> Value {
+        match (self.0, self.pair(i)) {
+            (Group::Rows(rows), _) => rows[i].values()[c].clone(),
+            (_, Some((pairs, p))) => pairs.cell(p, c).to_value(),
+            (_, None) => unreachable!("a value of pairs"),
+        }
+    }
+
+    /// Cell `c` of each value of `positions`, in that order, as one typed
+    /// column: [`Column::from_cells`] over those cells, read where they lie
+    /// — by [`Column::gather`] across the arenas' value columns when they
+    /// are uniform, cell by cell otherwise.
+    ///
+    /// # Panics
+    ///
+    /// When a position is out of range or its value has no cell `c`.
+    #[must_use]
+    pub fn gather(&self, c: usize, positions: &[u32]) -> Column {
+        let (n, at) = (positions.len(), |k: usize| positions[k] as usize);
+        match self.0 {
+            Group::Run { pairs, order } if pairs.ragged.is_none() => {
+                let col = pairs.value_col(c);
+                Column::gather(&[col], n, |k| (0, order[at(k)] as usize))
+            }
+            Group::Merged { runs, at: pairs } if runs.iter().all(|r| r.ragged.is_none()) => {
+                let cols: Vec<&Column> = runs.iter().map(|r| r.value_col(c)).collect();
+                Column::gather(&cols, n, |k| {
+                    let (run, pair) = pairs[at(k)];
+                    (run as usize, pair as usize)
+                })
+            }
+            _ => Column::from_cells(n, |k| self.cell(at(k), c)),
+        }
+    }
+
+    /// Cell `c` of value `i`, read in place.
+    fn cell(&self, i: usize, c: usize) -> CellRef<'a> {
+        match (self.0, self.pair(i)) {
+            (Group::Rows(rows), _) => (&rows[i].values()[c]).into(),
+            (_, Some((pairs, p))) => pairs.cell(p, c),
+            (_, None) => unreachable!("a value of pairs"),
+        }
+    }
+
+    /// Value `i`, copied out as a row.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    #[must_use]
+    pub fn row(&self, i: usize) -> Row {
+        match (self.0, self.pair(i)) {
+            (Group::Rows(rows), _) => rows[i].clone(),
+            (_, Some((pairs, p))) => Row::new(pairs.value(p)),
+            (_, None) => unreachable!("a value of pairs"),
+        }
     }
 
     /// Values `range` of the group, as a group of their own.
@@ -334,32 +488,20 @@ impl<'a> GroupView<'a> {
         })
     }
 
-    /// The key cells of the pair behind value `i`; `None` for a view of
-    /// rows, which carry no key.
-    fn pair_key(&self, i: usize) -> Option<&'a [Value]> {
-        match self.0 {
-            Group::Rows(_) => None,
-            Group::Run { pairs, order } => Some(pairs.key(order[i] as usize)),
-            Group::Merged { runs, at } => {
-                let (run, pair) = at[i];
-                Some(runs[run as usize].key(pair as usize))
-            }
-        }
-    }
-
     /// The values copied out as rows — the adaptor behind the default
     /// [`Reducer::reduce_run`] and [`Combiner::combine_run`].
     #[must_use]
     pub fn to_rows(self) -> Vec<Row> {
-        self.iter().map(|v| Row::new(v.to_vec())).collect()
+        (0..self.len()).map(|i| self.row(i)).collect()
     }
 }
 
 /// Key groups in order — what the engine hands [`Reducer::reduce_run`]
 /// (one reduce task's) and [`Combiner::combine_run`] (one map-side
 /// segment's). The values of every group lie back to back in one
-/// [`GroupView`]: group `g` is the range [`KeyGroups::bounds`]`(g)` of it
-/// ([`KeyGroups::group`]), shown the key [`KeyGroups::key`]`(g)`.
+/// [`GroupView`] ([`KeyGroups::values`]): group `g` is the range
+/// [`KeyGroups::bounds`]`(g)` of it ([`KeyGroups::group`]), shown the key
+/// [`KeyGroups::key`]`(g)`.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyGroups<'a> {
     values: GroupView<'a>,
@@ -431,6 +573,13 @@ impl<'a> KeyGroups<'a> {
         self.starts.is_empty()
     }
 
+    /// Every group's values, back to back: what [`KeyGroups::bounds`]
+    /// indexes.
+    #[must_use]
+    pub fn values(&self) -> GroupView<'a> {
+        self.values
+    }
+
     /// Where group `g`'s values lie among all the groups' values.
     ///
     /// # Panics
@@ -455,20 +604,19 @@ impl<'a> KeyGroups<'a> {
         self.values.slice(self.bounds(g))
     }
 
-    /// Group `g`'s key.
+    /// Group `g`'s key, copied out.
     ///
     /// # Panics
     ///
     /// When `g` is out of range.
     #[must_use]
-    pub fn key(&self, g: usize) -> &'a [Value] {
+    pub fn key(&self, g: usize) -> Row {
         match self.keys {
-            Keys::Rows(keys) => keys[g].values(),
+            Keys::Rows(keys) => keys[g].clone(),
             Keys::Pairs => {
                 let first = self.starts[g] as usize;
-                self.values
-                    .pair_key(first)
-                    .expect("groups of pairs have pair keys")
+                let (pairs, p) = self.values.pair(first).expect("groups of pairs");
+                Row::new(pairs.key(p))
             }
         }
     }
@@ -513,8 +661,8 @@ impl MapOutput {
 
     /// Pre-reserves room for `additional` more pairs. The engine calls this
     /// with the task's line count (a mapper emits at most one pair per input
-    /// line), so an arena does not regrow mid-task: once a partition's first
-    /// pair has fixed the width, room for pairs is room for their cells. The
+    /// line), so an arena does not regrow mid-task: every column of a
+    /// partition's arena, present or grown later, makes room for them. The
     /// key hash spreads the pairs over `n` partitions binomially; each gets
     /// its share plus three deviations (a deviation is below the square root
     /// of the share), because an arena that outgrows its share doubles.
@@ -524,23 +672,20 @@ impl MapOutput {
             n => additional / n + 3 * ((additional / n) as f64).sqrt() as usize,
         };
         for part in &mut self.parts {
-            part.bounds.reserve(share);
-            if !part.is_empty() {
-                part.cells.reserve(share * part.end(0));
-            }
+            part.reserve(share);
         }
     }
 
     /// Emits one key/value pair whole: hashes the key to its partition and
-    /// moves the cells of both buffers into that partition's arena, leaving
-    /// them empty — a mapper that stages every pair in the same two buffers
-    /// allocates nothing per pair.
+    /// pushes the cells of both buffers onto that partition's columns,
+    /// leaving the buffers empty — a mapper that stages every pair in the
+    /// same two buffers allocates nothing per pair.
     pub fn emit_cells(&mut self, key: &mut Vec<Value>, value: &mut Vec<Value>) {
         let partition = match self.parts.len() {
             1 => 0,
             n => partition_cells(key, n),
         };
-        self.parts[partition].append(key.drain(..), value.drain(..));
+        self.parts[partition].append(key, value);
     }
 
     /// Emits one key/value pair — [`MapOutput::emit_cells`] for mappers that
@@ -555,9 +700,8 @@ impl MapOutput {
     /// `value_cols` — the pairs [`MapOutput::emit`] of each row in order
     /// would write, to the same partitions and arenas. Every row's partition
     /// is hashed straight from the typed key columns; a stable counting sort
-    /// then groups the rows by partition, and each partition's cells are
-    /// written column by column at stride into its arena, which sizes its
-    /// segment as they go.
+    /// then groups the rows by partition, and each partition's rows of each
+    /// column are appended to its arena's column in one typed copy.
     ///
     /// # Panics
     ///
@@ -681,12 +825,12 @@ impl MapOutput {
     }
 
     /// The pairs routed to partition `p` so far, in emit order, as `(key,
-    /// value)` cells where its arena holds them.
+    /// value)` cells copied out of its arena.
     ///
     /// # Panics
     ///
     /// When `p` is not a partition.
-    pub fn pairs(&self, p: usize) -> impl Iterator<Item = (&[Value], &[Value])> + '_ {
+    pub fn pairs(&self, p: usize) -> impl Iterator<Item = (Vec<Value>, Vec<Value>)> + '_ {
         let part = &self.parts[p];
         (0..part.len()).map(move |i| (part.key(i), part.value(i)))
     }
@@ -695,8 +839,7 @@ impl MapOutput {
     /// text framing (key, tab, value, newline) and, when its pairs form one
     /// frame of `key ⧺ value` rows, that frame's size and dictionary count.
     /// The text bytes are added up as the pairs are written; the frame is
-    /// sized as written when [`MapOutput::emit_columns`] wrote all of them,
-    /// read off the cells otherwise.
+    /// read off the arena's typed columns.
     ///
     /// # Panics
     ///
@@ -720,14 +863,10 @@ impl MapOutput {
     pub fn into_columns(self) -> (Vec<Row>, Vec<Row>) {
         let mut keys = Vec::with_capacity(self.len());
         let mut values = Vec::with_capacity(self.len());
-        for part in self.parts {
-            let widths: Vec<(usize, usize)> = (0..part.len())
-                .map(|i| (part.key(i).len(), part.value(i).len()))
-                .collect();
-            let mut cells = part.cells.into_iter();
-            for (key, value) in widths {
-                keys.push(cells.by_ref().take(key).collect());
-                values.push(cells.by_ref().take(value).collect());
+        for part in &self.parts {
+            for i in 0..part.len() {
+                keys.push(Row::new(part.key(i)));
+                values.push(Row::new(part.value(i)));
             }
         }
         (keys, values)
@@ -908,8 +1047,7 @@ pub trait Reducer {
     /// that would.
     fn reduce_run(&mut self, groups: KeyGroups<'_>, out: &mut ReduceOutput) {
         for g in 0..groups.len() {
-            let key = Row::new(groups.key(g).to_vec());
-            self.reduce(&key, &groups.group(g).to_rows(), out);
+            self.reduce(&groups.key(g), &groups.group(g).to_rows(), out);
         }
     }
 }
@@ -931,8 +1069,7 @@ pub trait Combiner {
         let (mut values, mut starts) = (Vec::new(), Vec::with_capacity(groups.len()));
         for g in 0..groups.len() {
             starts.push(values.len() as u32);
-            let key = Row::new(groups.key(g).to_vec());
-            values.extend(self.combine(&key, &groups.group(g).to_rows()));
+            values.extend(self.combine(&groups.key(g), &groups.group(g).to_rows()));
         }
         (values, starts)
     }
@@ -1122,6 +1259,7 @@ impl JobSpecBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ysmart_rel::colbatch::frame_stats;
     use ysmart_rel::row;
 
     struct NullMapper;
@@ -1183,28 +1321,27 @@ mod tests {
         assert_eq!(parts.iter().map(Pairs::len).sum::<usize>(), 40);
         for (p, part) in parts.iter().enumerate() {
             assert_eq!(part.uniform_width(), None, "widths differ");
-            let mut cells = 0;
             for i in 0..part.len() {
-                assert_eq!(crate::hash::partition_cells(part.key(i), 3), p);
+                assert_eq!(crate::hash::partition_cells(&part.key(i), 3), p);
                 let k = part.value(i)[0].as_int().unwrap();
                 assert_eq!(part.key(i), vec![Value::Int(k); (k % 3) as usize]);
                 assert_eq!(part.value(i), row![k, "v"].values());
                 assert_eq!(part.pair(i), [part.key(i), part.value(i)].concat());
-                cells += part.pair(i).len();
+                assert_eq!(part.tag(i), k);
             }
-            assert_eq!(part.cells.len(), cells, "no orphan cells");
+            assert!(part.cols.iter().all(|col| col.len() == part.len()));
         }
     }
 
     /// A batch emitted a column at a time lands exactly where emitting its
     /// rows one by one puts them — cells, key/value split, partition, emit
-    /// order within a partition — and every arena, written by columns, by
-    /// rows or both, is sized as written to what reading the cells gives.
+    /// order within a partition — with the same segment sizes, read off the
+    /// columns, as the cells they hold give.
     #[test]
-    fn column_emits_match_row_emits_and_size_as_they_write() {
+    fn column_emits_match_row_emits() {
         let reread = |part: &Pairs| {
-            let cells = part.cells.iter().map(|v| v.size_bytes() as u64);
-            cells.sum::<u64>() + 2 * part.len() as u64
+            let cells = (0..part.len()).flat_map(|i| part.pair(i));
+            cells.map(|v| v.size_bytes() as u64).sum::<u64>() + 2 * part.len() as u64
         };
         let batch = ColumnBatch::from_rows(&[
             row![1i64, "a", 1.5f64],
@@ -1233,9 +1370,6 @@ mod tests {
             for p in 0..n {
                 let pairs = |out: &MapOutput| format!("{:?}", out.pairs(p).collect::<Vec<_>>());
                 assert_eq!(pairs(&by_columns), pairs(&by_rows), "{n} partitions, {p}");
-                let framed = by_columns.parts[p].frame.is_some();
-                assert_eq!(framed, !by_columns.parts[p].is_empty(), "sized as written");
-                assert!(by_rows.parts[p].frame.is_none());
                 assert_eq!(by_columns.segment_size(p), by_rows.segment_size(p));
                 assert_eq!(by_rows.segment_size(p).0, reread(&by_rows.parts[p]));
             }
@@ -1245,14 +1379,13 @@ mod tests {
         out.emit_columns(&[0, 1], &cols[..1], None, &cols[1..]);
         out.emit_columns(&[2], &cols[..1], None, &cols[1..2]);
         assert_eq!(out.segment_size(0), (reread(&out.parts[0]), None));
-        // A pair written whole after a column write ends the frame sized as
-        // written, which is then read off the cells, and adds its bytes.
+        // Pairs written whole after a column write join the same columns.
         let mut mixed = MapOutput::default();
         mixed.emit_columns(&rows, &cols[..1], None, &cols[1..]);
         mixed.emit(row![9i64], row!["z", 1.0f64]);
         let part = &mixed.parts[0];
-        assert!(part.frame.is_none());
-        let frame = frame_stats(part.len(), 3, |r, c| &part.cells[r * 3 + c]);
+        let pairs: Vec<Vec<Value>> = (0..part.len()).map(|i| part.pair(i)).collect();
+        let frame = frame_stats(part.len(), 3, |r, c| &pairs[r][c]);
         assert!(frame.is_some());
         assert_eq!(mixed.segment_size(0), (reread(part), frame));
     }
@@ -1260,10 +1393,13 @@ mod tests {
     #[test]
     fn group_views_read_values_in_place() {
         let mut a = Pairs::default();
-        a.append([Value::Int(1)], row!["a0"].into_values());
-        a.append([Value::Int(1)], row!["a1", 2i64].into_values());
+        a.append(&mut vec![Value::Int(1)], &mut row!["a0"].into_values());
+        a.append(
+            &mut vec![Value::Int(1)],
+            &mut row!["a1", 2i64].into_values(),
+        );
         let mut b = Pairs::default();
-        b.append([Value::Int(1)], []);
+        b.append(&mut vec![Value::Int(1)], &mut Vec::new());
         assert_eq!(a.uniform_width(), None);
         assert_eq!(b.uniform_width(), Some(1));
         let rows = [row!["a1", 2i64], Row::default(), row!["a0"]];
@@ -1274,12 +1410,43 @@ mod tests {
         ];
         for view in views {
             assert_eq!(view.len(), 3);
-            assert_eq!(view.get(0), rows[0].values());
+            assert_eq!(view.row(0), rows[0]);
+            assert_eq!(view.width(1), 0);
+            assert_eq!(view.tag(0), 0, "a `Str` is no tag");
+            assert_eq!(view.value(2, 0), Value::Str("a0".into()));
             assert_eq!(view.to_rows(), rows);
+            let col = view.gather(0, &[2, 0]);
+            assert_eq!(
+                col,
+                Column::from_cells(2, |r| &[&rows[2], &rows[0]][r].values()[0])
+            );
         }
         let run = GroupView::run(&a, &[1, 0]);
         assert_eq!(run.to_rows(), [row!["a1", 2i64], row!["a0"]]);
         assert!(GroupView::rows(&[]).is_empty());
+        // Uniform arenas gather typed, across runs, as `from_cells` types.
+        let (mut c, mut d) = (Pairs::default(), Pairs::default());
+        c.append(&mut vec![Value::Int(1)], &mut row![5i64, "x"].into_values());
+        c.append(
+            &mut vec![Value::Int(2)],
+            &mut row![Value::Null, "y"].into_values(),
+        );
+        d.append(&mut vec![Value::Int(1)], &mut row![6i64, "y"].into_values());
+        let arenas = [&c, &d];
+        let view = GroupView::merged(&arenas, &[(1, 0), (0, 1), (0, 0)]);
+        let ints = [Value::Int(6), Value::Null, Value::Int(5)];
+        assert_eq!(
+            view.gather(0, &[0, 1, 2]),
+            Column::from_cells(3, |r| &ints[r])
+        );
+        let strs = [
+            Value::Str("x".into()),
+            Value::Str("y".into()),
+            Value::Str("y".into()),
+        ];
+        let col = view.gather(1, &[2, 1, 0]);
+        assert_eq!(col, Column::from_cells(3, |r| &strs[r]));
+        assert!(matches!(col, Column::Str { ref dict, .. } if dict.len() == 2));
     }
 
     #[test]

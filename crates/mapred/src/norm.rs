@@ -37,21 +37,27 @@
 //! other. The encoding resolves such ties exactly (by the integer), which
 //! keeps the key order total and deterministic.
 
+use ysmart_rel::colbatch::{CellRef, Column};
 use ysmart_rel::{Row, Value};
 
 /// Appends the order-preserving encoding of one value.
 pub fn push_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
+    push_cell(out, v.into());
+}
+
+/// [`push_value`] of a cell wherever it lies.
+fn push_cell(out: &mut Vec<u8>, cell: CellRef<'_>) {
+    match cell {
+        CellRef::Null => out.push(0),
+        CellRef::Bool(b) => {
             out.push(1);
-            out.push(u8::from(*b));
+            out.push(u8::from(b));
         }
-        Value::Int(i) => push_numeric(out, *i as f64, *i),
-        Value::Float(f) => {
+        CellRef::Int(i) => push_numeric(out, i as f64, i),
+        CellRef::Float(f) => {
             // -0.0 == 0.0 under Value's order: normalize so they (and
             // Int(0)) share one encoding.
-            let f = if *f == 0.0 { 0.0 } else { *f };
+            let f = if f == 0.0 { 0.0 } else { f };
             // Integer-valued floats tie-break by that integer, matching
             // the equal Int's encoding; fractional floats collide with no
             // Int on the f64 part, so their tiebreak is never reached.
@@ -62,7 +68,7 @@ pub fn push_value(out: &mut Vec<u8>, v: &Value) {
             };
             push_numeric(out, f, exact);
         }
-        Value::Str(s) => {
+        CellRef::Str(s) => {
             out.push(3);
             let bytes = s.as_bytes();
             if bytes.contains(&0) {
@@ -100,13 +106,7 @@ fn push_numeric(out: &mut Vec<u8>, f: f64, exact: i64) {
 
 /// Appends the encoding of every value in a row.
 pub fn push_row(out: &mut Vec<u8>, row: &Row) {
-    push_cells(out, row.values());
-}
-
-fn push_cells(out: &mut Vec<u8>, cells: &[Value]) {
-    for v in cells {
-        push_value(out, v);
-    }
+    row.values().iter().for_each(|v| push_value(out, v));
 }
 
 /// A run's key encodings packed back-to-back in one buffer — per-key
@@ -180,26 +180,34 @@ impl NormArena {
     /// more memcpy than the encoding itself.
     #[must_use]
     pub fn from_keys(keys: &[Row]) -> NormArena {
-        NormArena::from_key_cells(keys.iter().map(Row::values))
+        NormArena::encode(keys.len(), |i, out| push_row(out, &keys[i]))
     }
 
-    /// [`NormArena::from_keys`] over keys that are spans of cells.
-    pub(crate) fn from_key_cells<'a>(
-        mut keys: impl ExactSizeIterator<Item = &'a [Value]>,
+    /// [`NormArena::from_keys`] over `n` keys lying in typed columns — a
+    /// shuffle arena's: key `i` is cell `i` of each of `cols[..width(i)]`.
+    pub(crate) fn from_columns(
+        cols: &[Column],
+        n: usize,
+        width: impl Fn(usize) -> usize,
     ) -> NormArena {
-        let mut arena = NormArena::with_capacity(keys.len());
-        if let Some(k) = keys.next() {
-            arena.push_key(k);
-            arena.bytes.reserve(arena.bytes.len() * keys.len());
-            keys.for_each(|k| arena.push_key(k));
+        NormArena::encode(n, |i, out| {
+            cols[..width(i)]
+                .iter()
+                .for_each(|col| push_cell(out, col.cell(i)));
+        })
+    }
+
+    /// The arena of the `n` keys `key(i, out)` appends to `out`.
+    fn encode(n: usize, key: impl Fn(usize, &mut Vec<u8>)) -> NormArena {
+        let mut arena = NormArena::with_capacity(n);
+        for i in 0..n {
+            key(i, &mut arena.bytes);
+            arena.ends.push(arena.bytes.len() as u32);
+            if i == 0 {
+                arena.bytes.reserve(arena.bytes.len() * (n - 1));
+            }
         }
         arena
-    }
-
-    /// Encodes and appends one key.
-    fn push_key(&mut self, key: &[Value]) {
-        push_cells(&mut self.bytes, key);
-        self.ends.push(self.bytes.len() as u32);
     }
 
     /// Appends an already-encoded key (copied from another arena).

@@ -335,7 +335,7 @@ fn integer_division_overflow_is_a_typed_error() {
                 .expect_err("the division overflows");
             let msg = err.to_string();
             assert!(
-                msg.contains("type mismatch in /") && !msg.contains("panicked"),
+                msg.contains("overflow in /") && !msg.contains("panicked"),
                 "{strategy}, {data_format:?}: {msg}"
             );
         }
@@ -357,7 +357,7 @@ fn aggregation_errors_name_their_job_with_or_without_a_combiner() {
         (
             "SELECT g, sum(v) FROM t GROUP BY g",
             vec![row![1i64, 0i64, i64::MAX, "a"], row![2i64, 0i64, 1i64, "b"]],
-            "type mismatch in +",
+            "overflow in +",
         ),
     ];
     for (sql, t, cause) in cases {
@@ -377,6 +377,103 @@ fn aggregation_errors_name_their_job_with_or_without_a_combiner() {
                 msg.contains(cause) && msg.contains("(job J") && !msg.contains("panicked"),
                 "{strategy}, {format:?} on `{sql}`: {msg}"
             );
+        }
+    }
+}
+
+/// Float arithmetic past `f64`'s range is a typed overflow error on every
+/// strategy and data path — a product that overflows per row, and a `sum`
+/// or `avg` of per-row-finite products whose total does — never an `inf` a
+/// later job cannot decode, or skips as a malformed record. `t` has no float
+/// column, so the floats come from literals.
+#[test]
+fn float_overflow_is_a_typed_error() {
+    let product = |factors: usize| format!("v{}", " * 1000000000.0".repeat(factors));
+    let t = vec![row![1i64, 0i64, 100i64, "a"], row![2i64, 0i64, 100i64, "b"]];
+    let cases = [
+        format!("SELECT k, {} FROM t", product(36)),
+        format!(
+            "SELECT g, max({}) FROM t GROUP BY g ORDER BY g LIMIT 3",
+            product(36)
+        ),
+        format!("SELECT g, {} - {} FROM t", product(36), product(36)),
+        // 100 · 1e306 = 1e308 per row, 2e308 summed.
+        format!("SELECT g, sum({}) FROM t GROUP BY g", product(34)),
+        format!("SELECT g, avg({}) FROM t GROUP BY g", product(34)),
+    ];
+    for sql in &cases {
+        for (strategy, config) in Strategy::all()
+            .into_iter()
+            .flat_map(|s| configs().map(|c| (s, c)))
+        {
+            let format = config.data_format;
+            let mut engine = YSmart::new(catalog(), config);
+            engine.load_table("t", &t).unwrap();
+            engine.load_table("u", &[]).unwrap();
+            let err = engine
+                .execute_sql(sql, strategy)
+                .expect_err("the arithmetic overflows");
+            let msg = err.to_string();
+            let misread = ["type mismatch", "malformed", "decode", "panicked"];
+            assert!(
+                msg.contains("overflow") && !misread.iter().any(|m| msg.contains(m)),
+                "{strategy}, {format:?} on `{sql}`: {msg}"
+            );
+        }
+    }
+}
+
+/// A string holding the text format's field separator is stored intact by
+/// the columnar data path, and fails the text path with a typed error that
+/// names the value — not with a decode error, or a malformed record, in the
+/// job that reads the line back.
+#[test]
+fn a_string_holding_the_separator() {
+    let t = vec![row![1i64, 0i64, 1i64, "a"], row![2i64, 1i64, 2i64, "b"]];
+    let cases = [
+        "SELECT x.s, count(*) FROM (SELECT k, 'a|b' AS s FROM t) x GROUP BY x.s",
+        "SELECT x.s, x.n FROM (SELECT g, 'a|b' AS s, count(*) AS n FROM t GROUP BY g) x \
+         ORDER BY x.n",
+    ];
+    let catalog = catalog();
+    let mut tables = BTreeMap::new();
+    tables.insert("t".to_string(), t.clone());
+    tables.insert("u".to_string(), Vec::new());
+    for sql in cases {
+        let plan = ysmart_plan::build_plan(&catalog, &ysmart_sql::parse(sql).unwrap()).unwrap();
+        let expected = oracle_execute(&plan, &tables).unwrap().rows;
+        assert!(expected
+            .iter()
+            .all(|r| r.values()[0] == Value::Str("a|b".into())));
+        for (strategy, config) in Strategy::all()
+            .into_iter()
+            .flat_map(|s| configs().map(|c| (s, c)))
+        {
+            let format = config.data_format;
+            let mut engine = YSmart::new(catalog.clone(), config);
+            engine.load_table("t", &t).unwrap();
+            engine.load_table("u", &[]).unwrap();
+            let out = engine.execute_sql(sql, strategy);
+            match format {
+                DataFormat::Columnar => {
+                    let rows = out
+                        .unwrap_or_else(|e| panic!("{strategy} on `{sql}`: {e}"))
+                        .rows;
+                    assert!(
+                        rows_approx_equal(&rows, &expected, false),
+                        "{strategy} on `{sql}`: {rows:?} vs oracle {expected:?}"
+                    );
+                }
+                DataFormat::Text => {
+                    let msg = out.expect_err("no text line holds `a|b`").to_string();
+                    let misread = ["decode", "malformed", "panicked"];
+                    assert!(
+                        msg.contains("`a|b` cannot be stored as text")
+                            && !misread.iter().any(|m| msg.contains(m)),
+                        "{strategy} on `{sql}`: {msg}"
+                    );
+                }
+            }
         }
     }
 }

@@ -120,7 +120,7 @@ impl AggState {
                 *acc = Some(next);
             }
             AggState::Avg { sum, count } => {
-                *sum += v.as_float().ok_or_else(|| type_err("avg", v))?;
+                *sum = add_finite(*sum, v.as_float().ok_or_else(|| type_err("avg", v))?)?;
                 *count += 1;
             }
             AggState::Min(acc) => {
@@ -168,7 +168,7 @@ impl AggState {
                 }
             }
             (AggState::Avg { sum: s1, count: c1 }, AggState::Avg { sum: s2, count: c2 }) => {
-                *s1 += s2;
+                *s1 = add_finite(*s1, *s2)?;
                 *c1 += c2;
             }
             (AggState::Min(a), AggState::Min(b)) => {
@@ -228,6 +228,18 @@ fn numeric(v: &Value) -> Result<Value, RelError> {
         Value::Int(_) | Value::Float(_) => Ok(v.clone()),
         other => Err(type_err("sum", other)),
     }
+}
+
+/// `avg`'s running float sum plus `x`, failing as `Value::add` does when
+/// the sum leaves `f64`'s finite range.
+pub fn add_finite(sum: f64, x: f64) -> Result<f64, RelError> {
+    let total = sum + x;
+    if total.is_finite() {
+        return Ok(total);
+    }
+    Err(Value::Float(sum)
+        .add(&Value::Float(x))
+        .expect_err("a sum past f64's range"))
 }
 
 fn type_err(op: &str, v: &Value) -> RelError {

@@ -34,8 +34,8 @@ pub fn encode_line_into(row: &Row, out: &mut String) {
     encode_cells_into(row.values(), out);
 }
 
-/// [`encode_line_into`] over a record's cells wherever they lie — a shuffle
-/// pair's cells are a span of a flat arena, not a `Row`.
+/// [`encode_line_into`] over a record's cells wherever they lie, not
+/// necessarily in a `Row`.
 pub fn encode_cells_into(cells: &[Value], out: &mut String) {
     use std::fmt::Write as _;
     for (i, v) in cells.iter().enumerate() {

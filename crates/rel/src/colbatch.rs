@@ -29,6 +29,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::error::RelError;
 use crate::row::Row;
@@ -267,6 +268,33 @@ impl CellRef<'_> {
             CellRef::Str(s) => Value::Str(s.to_string()),
         }
     }
+
+    /// The total order of [`Value`]s ([`Value`]'s `Ord`) between cells
+    /// wherever they lie: `Null < Bool < numeric < Str`, with `Int`/`Float`
+    /// interleaved by numeric value — `Int(7)` equals `Float(7.0)` and
+    /// `-0.0` equals `0.0`.
+    #[must_use]
+    #[inline]
+    pub fn total_cmp(self, other: CellRef<'_>) -> Ordering {
+        fn rank(c: CellRef<'_>) -> u8 {
+            match c {
+                CellRef::Null => 0,
+                CellRef::Bool(_) => 1,
+                CellRef::Int(_) | CellRef::Float(_) => 2,
+                CellRef::Str(_) => 3,
+            }
+        }
+        let numeric = |x: f64, y: f64| x.partial_cmp(&y).unwrap_or(Ordering::Equal);
+        match (self, other) {
+            (CellRef::Int(a), CellRef::Int(b)) => a.cmp(&b),
+            (CellRef::Float(a), CellRef::Float(b)) => numeric(a, b),
+            (CellRef::Int(a), CellRef::Float(b)) => numeric(a as f64, b),
+            (CellRef::Float(a), CellRef::Int(b)) => numeric(a, b as f64),
+            (CellRef::Str(a), CellRef::Str(b)) => a.cmp(b),
+            (CellRef::Bool(a), CellRef::Bool(b)) => a.cmp(&b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
 }
 
 impl<'a> From<&'a Value> for CellRef<'a> {
@@ -337,37 +365,71 @@ fn take_typed<T: Copy + Default>(data: &[T], nulls: &[bool], rows: &[u32]) -> (V
         .unzip()
 }
 
+/// A typed column's payload vector, changed in step with its null mask
+/// whatever its element type.
+trait Payload {
+    fn reserve(&mut self, additional: usize);
+    fn shrink_to_fit(&mut self);
+    /// Appends `n` default payloads — those of NULL slots.
+    fn push_defaults(&mut self, n: usize);
+}
+
+impl<T: Copy + Default> Payload for Vec<T> {
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        Vec::shrink_to_fit(self);
+    }
+
+    fn push_defaults(&mut self, n: usize) {
+        self.resize(self.len() + n, T::default());
+    }
+}
+
 impl Column {
-    /// A column of the `nrows` cells `cell(r)`, typed as
-    /// [`ColumnBatch::from_cells`] types each column — except that a
-    /// non-finite float makes it [`Column::Var`] rather than an error: how
-    /// computed values and values gathered off a shuffle become a column.
-    pub fn from_cells<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Column {
-        let of = |r| Ty::of(cell(r).into()).unwrap_or(Ty::Mixed);
+    /// A column of the `nrows` cells `cell(r)` — `&Value`s or cells read in
+    /// place ([`CellRef`]) — typed as [`ColumnBatch::from_cells`] types each
+    /// column, except that a non-finite float makes it [`Column::Var`]
+    /// rather than an error: how computed values, and the values a reducer
+    /// gathers off the shuffle's arenas, become a column.
+    pub fn from_cells<'a, C: Into<CellRef<'a>>>(nrows: usize, cell: impl Fn(usize) -> C) -> Column {
+        let cell = |r: usize| -> CellRef<'a> { cell(r).into() };
+        let of = |r| Ty::of(cell(r)).unwrap_or(Ty::Mixed);
         let ty = (0..nrows).fold(Ty::None, |ty, r| ty.with(of(r)));
         Column::typed(ty, nrows, cell)
     }
 
     /// The column of type `ty` (as [`column_type`] found it) over the cells.
-    fn typed<'a>(ty: Ty, nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Column {
+    fn typed<'a>(ty: Ty, nrows: usize, cell: impl Fn(usize) -> CellRef<'a>) -> Column {
         match ty {
             Ty::None | Ty::Int => {
-                let (data, nulls) = typed_cells(nrows, cell, Value::as_int);
+                let (data, nulls) = typed_cells(nrows, cell, |c| match c {
+                    CellRef::Int(i) => Some(i),
+                    _ => None,
+                });
                 Column::Int { data, nulls }
             }
             Ty::Float => {
-                let (data, nulls) = typed_cells(nrows, cell, Value::as_float);
+                let (data, nulls) = typed_cells(nrows, cell, |c| match c {
+                    CellRef::Float(f) => Some(f),
+                    _ => None,
+                });
                 Column::Float { data, nulls }
             }
             Ty::Bool => {
-                let (data, nulls) = typed_cells(nrows, cell, Value::as_bool);
+                let (data, nulls) = typed_cells(nrows, cell, |c| match c {
+                    CellRef::Bool(b) => Some(b),
+                    _ => None,
+                });
                 Column::Bool { data, nulls }
             }
             Ty::Str => {
                 let mut dict: Vec<String> = Vec::new();
                 let mut lookup: HashMap<&str, u32, FnvBuildHasher> = HashMap::default();
-                let (idx, nulls) = typed_cells(nrows, cell, |v| {
-                    let s = v.as_str()?;
+                let (idx, nulls) = typed_cells(nrows, cell, |c| {
+                    let CellRef::Str(s) = c else { return None };
                     Some(*lookup.entry(s).or_insert_with(|| {
                         dict.push(s.to_string());
                         (dict.len() - 1) as u32
@@ -375,7 +437,7 @@ impl Column {
                 });
                 Column::Str { dict, idx, nulls }
             }
-            Ty::Mixed => Column::Var((0..nrows).map(|r| cell(r).clone()).collect()),
+            Ty::Mixed => Column::Var((0..nrows).map(|r| cell(r).to_value()).collect()),
         }
     }
 
@@ -540,6 +602,360 @@ impl Column {
         }
     }
 
+    /// The cell at `row`, read in place.
+    #[must_use]
+    #[inline]
+    pub fn cell(&self, row: usize) -> CellRef<'_> {
+        fn typed<T: Copy>(data: &[T], nulls: &[bool], row: usize) -> Option<T> {
+            (!nulls[row]).then(|| data[row])
+        }
+        match self {
+            Column::Int { data, nulls } => {
+                typed(data, nulls, row).map_or(CellRef::Null, CellRef::Int)
+            }
+            Column::Float { data, nulls } => {
+                typed(data, nulls, row).map_or(CellRef::Null, CellRef::Float)
+            }
+            Column::Bool { data, nulls } => {
+                typed(data, nulls, row).map_or(CellRef::Null, CellRef::Bool)
+            }
+            Column::Str { dict, idx, nulls } => {
+                typed(idx, nulls, row).map_or(CellRef::Null, |i| CellRef::Str(&dict[i as usize]))
+            }
+            Column::Var(vals) => (&vals[row]).into(),
+        }
+    }
+
+    /// Cell `a` of this column against cell `b` of `other`, exactly as
+    /// their values compare ([`CellRef::total_cmp`]) — how the shuffle
+    /// breaks key ties between pairs of different arenas.
+    #[must_use]
+    #[inline]
+    pub fn cmp_at(&self, a: usize, other: &Column, b: usize) -> Ordering {
+        match (self, other) {
+            (Column::Int { data: x, nulls: nx }, Column::Int { data: y, nulls: ny }) => {
+                match (nx[a], ny[b]) {
+                    (false, false) => x[a].cmp(&y[b]),
+                    (p, q) => q.cmp(&p),
+                }
+            }
+            (Column::Float { data: x, nulls: nx }, Column::Float { data: y, nulls: ny }) => {
+                match (nx[a], ny[b]) {
+                    (false, false) => x[a].partial_cmp(&y[b]).unwrap_or(Ordering::Equal),
+                    (p, q) => q.cmp(&p),
+                }
+            }
+            _ => self.cell(a).total_cmp(other.cell(b)),
+        }
+    }
+
+    /// [`Value::size_bytes`] summed over the cells `rows`.
+    #[must_use]
+    pub fn size_bytes(&self, rows: Range<usize>) -> u64 {
+        let n = rows.len() as u64;
+        match self {
+            Column::Int { nulls, .. } | Column::Float { nulls, .. } => {
+                let null = nulls[rows].iter().filter(|&&null| null).count() as u64;
+                null + 8 * (n - null)
+            }
+            Column::Bool { .. } => n,
+            Column::Str { dict, idx, nulls } => (idx[rows.clone()].iter().zip(&nulls[rows]))
+                .map(|(&i, &null)| {
+                    if null {
+                        1
+                    } else {
+                        dict[i as usize].len() as u64 + 1
+                    }
+                })
+                .sum(),
+            Column::Var(vals) => vals[rows].iter().map(|v| v.size_bytes() as u64).sum(),
+        }
+    }
+
+    /// A column of `n` NULLs, typed as [`Column::from_cells`] types one:
+    /// `Int`, ready to take the first non-NULL type it is given.
+    #[must_use]
+    pub fn nulls(n: usize) -> Column {
+        Column::Int {
+            data: vec![0; n],
+            nulls: vec![true; n],
+        }
+    }
+
+    /// The payload and null mask of a typed column, to change both alike;
+    /// `None` for `Var`.
+    fn parts_mut(&mut self) -> Option<(&mut dyn Payload, &mut Vec<bool>)> {
+        match self {
+            Column::Int { data, nulls } => Some((data, nulls)),
+            Column::Float { data, nulls } => Some((data, nulls)),
+            Column::Bool { data, nulls } => Some((data, nulls)),
+            Column::Str { idx, nulls, .. } => Some((idx, nulls)),
+            Column::Var(_) => None,
+        }
+    }
+
+    /// Makes room for `additional` more cells.
+    pub fn reserve(&mut self, additional: usize) {
+        match self {
+            Column::Var(vals) => vals.reserve(additional),
+            col => {
+                let (data, nulls) = col.parts_mut().expect("typed");
+                data.reserve(additional);
+                nulls.reserve(additional);
+            }
+        }
+    }
+
+    /// Cells the column holds room for.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        match self {
+            Column::Int { nulls, .. }
+            | Column::Float { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Str { nulls, .. } => nulls.capacity(),
+            Column::Var(vals) => vals.capacity(),
+        }
+    }
+
+    /// Gives unused room back to the allocator.
+    pub fn shrink_to_fit(&mut self) {
+        match self {
+            Column::Var(vals) => vals.shrink_to_fit(),
+            col => {
+                let (data, nulls) = col.parts_mut().expect("typed");
+                data.shrink_to_fit();
+                nulls.shrink_to_fit();
+            }
+        }
+    }
+
+    /// Appends `n` NULLs.
+    pub fn push_nulls(&mut self, n: usize) {
+        match self {
+            Column::Var(vals) => vals.resize(vals.len() + n, Value::Null),
+            col => {
+                let (data, nulls) = col.parts_mut().expect("typed");
+                data.push_defaults(n);
+                nulls.resize(nulls.len() + n, true);
+            }
+        }
+    }
+
+    /// Appends one cell, the column's type following [`Column::from_cells`]
+    /// over all its cells: an all-NULL column takes the first non-NULL
+    /// type, and a cell of another type — or a non-finite float — makes the
+    /// column [`Column::Var`], which keeps every cell's exact variant
+    /// (`Int(7)` stays `Int(7)` beside a `Float(7.0)`). A string joins the
+    /// dictionary unless it repeats the last entry, so a dictionary built
+    /// by pushes may list a string more than once; every reader compares
+    /// and sizes strings by their content.
+    #[inline]
+    pub fn push(&mut self, v: Value) {
+        match (self, v) {
+            (Column::Int { data, nulls }, Value::Int(i)) => {
+                data.push(i);
+                nulls.push(false);
+            }
+            (Column::Float { data, nulls }, Value::Float(f)) if f.is_finite() => {
+                data.push(f);
+                nulls.push(false);
+            }
+            (Column::Str { dict, idx, nulls }, Value::Str(s)) => {
+                if dict.last() != Some(&s) {
+                    dict.push(s);
+                }
+                idx.push(dict.len() as u32 - 1);
+                nulls.push(false);
+            }
+            (Column::Var(vals), v) => vals.push(v),
+            (col, v) => col.push_other(v),
+        }
+    }
+
+    /// [`Column::push`] of a NULL, or of a cell the column cannot take as
+    /// it is typed.
+    fn push_other(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (Column::Bool { data, nulls }, Value::Bool(b)) => {
+                data.push(b);
+                nulls.push(false);
+            }
+            (col, Value::Null) => col.push_nulls(1),
+            (col, v) if col.is_empty() => {
+                let ty = Ty::of((&v).into()).unwrap_or(Ty::Mixed);
+                *col = Column::empty(ty, col.capacity());
+                col.push(v);
+            }
+            (_, v) => self.retype(1, |_| CellRef::from(&v)),
+        }
+    }
+
+    /// An empty column of type `ty` with room for `capacity` cells.
+    fn empty(ty: Ty, capacity: usize) -> Column {
+        let nulls = Vec::with_capacity(capacity);
+        match ty {
+            Ty::None | Ty::Int => Column::Int {
+                data: Vec::with_capacity(capacity),
+                nulls,
+            },
+            Ty::Float => Column::Float {
+                data: Vec::with_capacity(capacity),
+                nulls,
+            },
+            Ty::Bool => Column::Bool {
+                data: Vec::with_capacity(capacity),
+                nulls,
+            },
+            Ty::Str => Column::Str {
+                dict: Vec::new(),
+                idx: Vec::with_capacity(capacity),
+                nulls,
+            },
+            Ty::Mixed => Column::Var(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// The column followed by the `n` cells `more(k)`, rebuilt by
+    /// [`Column::from_cells`]: how a column takes a cell its type cannot
+    /// hold — the first non-NULL one of an all-NULL column, or one of
+    /// another type, which makes it `Var`. A column changes type at most
+    /// twice, so the copy is paid at most twice.
+    fn retype<'a>(&mut self, n: usize, more: impl Fn(usize) -> CellRef<'a>) {
+        let (room, len) = (self.capacity(), self.len());
+        let cell = |r: usize| if r < len { self.cell(r) } else { more(r - len) };
+        *self = Column::from_cells(len + n, cell);
+        self.reserve(room.saturating_sub(self.len()));
+    }
+
+    /// Appends the cells of `rows` of `src` — what [`Column::push`] of each
+    /// would, read a column at a time: same-typed columns copy payloads,
+    /// and a string column's entries join this column's dictionary once per
+    /// distinct string per call. Nothing is allocated per cell (except into
+    /// a [`Column::Var`], which owns its strings).
+    pub fn append(&mut self, src: &Column, rows: &[usize]) {
+        fn extend<T: Copy>(
+            (data, nulls): (&mut Vec<T>, &mut Vec<bool>),
+            (from, from_nulls): (&[T], &[bool]),
+            rows: &[usize],
+        ) {
+            data.extend(rows.iter().map(|&r| from[r]));
+            nulls.extend(rows.iter().map(|&r| from_nulls[r]));
+        }
+        match (&mut *self, src) {
+            (Column::Int { data, nulls }, Column::Int { data: d, nulls: n }) => {
+                extend((data, nulls), (d, n), rows);
+            }
+            (Column::Float { data, nulls }, Column::Float { data: d, nulls: n }) => {
+                extend((data, nulls), (d, n), rows);
+            }
+            (Column::Bool { data, nulls }, Column::Bool { data: d, nulls: n }) => {
+                extend((data, nulls), (d, n), rows);
+            }
+            (
+                Column::Str { dict, idx, nulls },
+                Column::Str {
+                    dict: from,
+                    idx: from_idx,
+                    nulls: from_nulls,
+                },
+            ) => {
+                let mut remap = vec![u32::MAX; from.len()];
+                for &r in rows {
+                    nulls.push(from_nulls[r]);
+                    if from_nulls[r] {
+                        idx.push(0);
+                        continue;
+                    }
+                    let i = from_idx[r] as usize;
+                    if remap[i] == u32::MAX {
+                        remap[i] = dict.len() as u32;
+                        dict.push(from[i].clone());
+                    }
+                    idx.push(remap[i]);
+                }
+            }
+            (Column::Var(_), _) | (_, Column::Var(_)) => {
+                rows.iter().for_each(|&r| self.push(src.value(r)));
+            }
+            (_, src) if rows.iter().all(|&r| src.is_null(r)) => self.push_nulls(rows.len()),
+            (col, src) if col.is_empty() => {
+                *col = Column::empty(src.ty(), col.capacity());
+                col.append(src, rows);
+            }
+            (_, src) => self.retype(rows.len(), |k| src.cell(rows[k])),
+        }
+    }
+
+    /// The `n` cells `at(k) = (source, row)` of `sources`: exactly
+    /// [`Column::from_cells`] over them, typed from the source columns
+    /// rather than cell by cell. A typed source's non-NULL cells all have
+    /// its type, so the result's type is read off the sources of its
+    /// non-NULL cells, and `Int`/`Float`/`Bool` payloads are copied where
+    /// they lie, without a [`CellRef`] per cell — how a reducer gathers a
+    /// value column across the shuffle's arenas (about half the time of
+    /// `from_cells` over the same cells). Strings, mixed types and `Var`
+    /// sources are built by `from_cells`' own code.
+    pub fn gather(sources: &[&Column], n: usize, at: impl Fn(usize) -> (usize, usize)) -> Column {
+        let at: Vec<(usize, usize)> = (0..n).map(at).collect();
+        let cell = |k: usize| sources[at[k].0].cell(at[k].1);
+        let mut ty = Ty::None;
+        for &(s, r) in &at {
+            match sources[s] {
+                Column::Var(_) => return Column::from_cells(n, cell),
+                src if !src.is_null(r) => ty = ty.with(src.ty()),
+                _ => {}
+            }
+        }
+        /// Payloads and null mask of the result: a source of its type is
+        /// read in place, any other holds only NULLs here.
+        fn fixed<'c, T: Copy + Default + 'c>(
+            sources: &[&'c Column],
+            at: &[(usize, usize)],
+            slices: impl Fn(&'c Column) -> Option<(&'c [T], &'c [bool])>,
+        ) -> (Vec<T>, Vec<bool>) {
+            let slices: Vec<_> = sources.iter().map(|&c| slices(c)).collect();
+            at.iter()
+                .map(|&(s, r)| slices[s].map_or((T::default(), true), |(d, m)| (d[r], m[r])))
+                .unzip()
+        }
+        match ty {
+            Ty::None | Ty::Int => {
+                let (data, nulls) = fixed(sources, &at, |c| match c {
+                    Column::Int { data, nulls } => Some((data, nulls)),
+                    _ => None,
+                });
+                Column::Int { data, nulls }
+            }
+            Ty::Float => {
+                let (data, nulls) = fixed(sources, &at, |c| match c {
+                    Column::Float { data, nulls } => Some((data, nulls)),
+                    _ => None,
+                });
+                Column::Float { data, nulls }
+            }
+            Ty::Bool => {
+                let (data, nulls) = fixed(sources, &at, |c| match c {
+                    Column::Bool { data, nulls } => Some((data, nulls)),
+                    _ => None,
+                });
+                Column::Bool { data, nulls }
+            }
+            Ty::Str | Ty::Mixed => Column::typed(ty, n, cell),
+        }
+    }
+
+    /// The type of a typed column's cells ([`Ty::Mixed`] for `Var`).
+    fn ty(&self) -> Ty {
+        match self {
+            Column::Int { .. } => Ty::Int,
+            Column::Float { .. } => Ty::Float,
+            Column::Bool { .. } => Ty::Bool,
+            Column::Str { .. } => Ty::Str,
+            Column::Var(_) => Ty::Mixed,
+        }
+    }
+
     fn wire_tag(&self) -> u8 {
         match self {
             Column::Int { .. } => 0,
@@ -617,8 +1033,8 @@ impl Ty {
 }
 
 /// One pass over a column deciding its type.
-fn column_type<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Result<Ty, RelError> {
-    (0..nrows).try_fold(Ty::None, |ty, r| Ok(ty.with(Ty::of(cell(r).into())?)))
+fn column_type<'a>(nrows: usize, cell: impl Fn(usize) -> CellRef<'a>) -> Result<Ty, RelError> {
+    (0..nrows).try_fold(Ty::None, |ty, r| Ok(ty.with(Ty::of(cell(r))?)))
 }
 
 /// Payload vector and null mask of a typed column: `payload` reads a cell
@@ -626,8 +1042,8 @@ fn column_type<'a>(nrows: usize, cell: impl Fn(usize) -> &'a Value) -> Result<Ty
 /// default payload that makes the encoding canonical.
 fn typed_cells<'a, T: Clone + Default>(
     nrows: usize,
-    cell: impl Fn(usize) -> &'a Value,
-    mut payload: impl FnMut(&'a Value) -> Option<T>,
+    cell: impl Fn(usize) -> CellRef<'a>,
+    mut payload: impl FnMut(CellRef<'a>) -> Option<T>,
 ) -> (Vec<T>, Vec<bool>) {
     let mut data = vec![T::default(); nrows];
     let mut nulls = vec![false; nrows];
@@ -686,7 +1102,7 @@ impl ColumnBatch {
     ) -> Result<ColumnBatch, RelError> {
         let mut cols = Vec::with_capacity(width);
         for c in 0..width {
-            let cell = |r| cell(r, c);
+            let cell = |r| CellRef::from(cell(r, c));
             cols.push(Column::typed(column_type(nrows, cell)?, nrows, cell));
         }
         Ok(ColumnBatch { cols, rows: nrows })
@@ -1279,6 +1695,109 @@ mod tests {
             ]),
             row![3i64, "apple", -2.25f64, true],
         ]
+    }
+
+    /// Cells compare across columns — typed, `Var`, of different types —
+    /// exactly as their values do.
+    #[test]
+    fn cells_compare_across_columns_as_values() {
+        let ladder = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(0.5),
+            Value::Int(7),
+            Value::Float(7.0),
+            Value::Float(f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("a".into()),
+        ];
+        let typed: Vec<Column> = ladder
+            .iter()
+            .map(|v| Column::from_cells(1, |_| v))
+            .collect();
+        let var = Column::Var(ladder.to_vec());
+        for (i, x) in ladder.iter().enumerate() {
+            for (j, y) in ladder.iter().enumerate() {
+                let want = x.cmp(y);
+                assert_eq!(CellRef::from(x).total_cmp(y.into()), want, "{x:?} vs {y:?}");
+                assert_eq!(typed[i].cmp_at(0, &typed[j], 0), want, "{x:?} vs {y:?}");
+                assert_eq!(var.cmp_at(i, &typed[j], 0), want, "{x:?} vs {y:?}");
+            }
+        }
+    }
+
+    /// A column written by pushes and appends holds exactly the cells
+    /// given, typed as `from_cells` types them: an all-NULL column takes the
+    /// first type, a conflict or a non-finite float makes it `Var` with
+    /// every variant kept, and strings are remapped into its dictionary.
+    #[test]
+    fn pushes_and_appends_keep_cells_and_type_as_from_cells() {
+        let batch = ColumnBatch::from_rows(&[
+            row![1i64, "x", 1.5f64],
+            Row::new(vec![Value::Null, Value::Null, Value::Null]),
+            row![7i64, "y", 7.0f64],
+        ])
+        .unwrap();
+        let [ints, strs, floats] = batch.columns() else {
+            unreachable!("three columns")
+        };
+        let var = Column::Var(vec![Value::Int(7), Value::Str("x".into())]);
+        type Step<'a> = (&'a Column, &'a [usize]);
+        let cases: [(Vec<Value>, Vec<Step<'_>>); 5] = [
+            // NULLs, then a `Float`; then an append of floats.
+            (
+                vec![Value::Null, Value::Null, Value::Float(2.5)],
+                vec![(floats, &[2, 1, 0])],
+            ),
+            // `Int(7)` beside `Float(7.0)`: `Var`.
+            (vec![Value::Int(7)], vec![(floats, &[2])]),
+            // Strings of two dictionaries, and NULL rows of any type.
+            (
+                vec![Value::Str("y".into())],
+                vec![(strs, &[0, 2, 1]), (ints, &[1]), (strs, &[2])],
+            ),
+            (vec![Value::Float(f64::INFINITY)], vec![(floats, &[0])]),
+            (
+                Vec::new(),
+                vec![(ints, &[1, 1]), (strs, &[0]), (&var, &[1, 0]), (ints, &[2])],
+            ),
+        ];
+        for (pushed, appends) in cases {
+            let mut col = Column::nulls(0);
+            let mut want = Vec::new();
+            for v in pushed {
+                want.push(v.clone());
+                col.push(v);
+            }
+            for (src, rows) in appends {
+                want.extend(rows.iter().map(|&r| src.value(r)));
+                col.append(src, rows);
+            }
+            let got: Vec<Value> = (0..col.len()).map(|r| col.value(r)).collect();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            let typed = Column::from_cells(want.len(), |r| &want[r]);
+            assert_eq!(col.wire_tag(), typed.wire_tag(), "{want:?}");
+            assert_eq!(col.size_bytes(0..col.len()), {
+                want.iter().map(|v| v.size_bytes() as u64).sum::<u64>()
+            });
+            // Read back in any order, across the column and a copy, cells
+            // in place type as the values they hold, and a gather as
+            // `from_cells` over them.
+            let rows: Vec<(usize, usize)> = (0..col.len()).rev().map(|r| (r % 2, r)).collect();
+            let copy = col.clone();
+            let sources = [&col, &copy];
+            let in_place = Column::from_cells(rows.len(), |k| sources[rows[k].0].cell(rows[k].1));
+            let gathered = Column::gather(&sources, rows.len(), |k| rows[k]);
+            let cells: Vec<Value> = rows.iter().map(|&(_, r)| want[r].clone()).collect();
+            let typed = Column::from_cells(cells.len(), |r| &cells[r]);
+            assert_eq!(format!("{in_place:?}"), format!("{typed:?}"));
+            assert_eq!(format!("{gathered:?}"), format!("{typed:?}"));
+        }
     }
 
     #[test]

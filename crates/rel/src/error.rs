@@ -14,6 +14,16 @@ pub enum RelError {
         /// Rendered right-hand operand.
         rhs: String,
     },
+    /// An arithmetic result does not fit its type: an `Int` past `i64`, or
+    /// a `Float` past `f64`'s finite range.
+    Overflow {
+        /// The operator.
+        op: String,
+        /// Rendered left-hand operand.
+        lhs: String,
+        /// Rendered right-hand operand.
+        rhs: String,
+    },
     /// A column index was out of bounds for the row it was applied to.
     ColumnOutOfBounds {
         /// The requested column index.
@@ -52,6 +62,9 @@ impl fmt::Display for RelError {
             RelError::TypeMismatch { op, lhs, rhs } => {
                 write!(f, "type mismatch in {op}: {lhs} vs {rhs}")
             }
+            RelError::Overflow { op, lhs, rhs } => {
+                write!(f, "arithmetic overflow in {op}: {lhs} {op} {rhs}")
+            }
             RelError::ColumnOutOfBounds { index, width } => {
                 write!(
                     f,
@@ -83,6 +96,11 @@ mod tests {
                 op: "+".into(),
                 lhs: "1".into(),
                 rhs: "'a'".into(),
+            },
+            RelError::Overflow {
+                op: "*".into(),
+                lhs: "1e308".into(),
+                rhs: "10.0".into(),
             },
             RelError::ColumnOutOfBounds { index: 3, width: 2 },
             RelError::UnknownColumn("x".into()),

@@ -48,7 +48,8 @@ pub enum Value {
     Bool(bool),
     /// 64-bit integer (also timestamps).
     Int(i64),
-    /// 64-bit float. `NaN` is never constructed by the evaluator.
+    /// 64-bit float. The evaluator never constructs `inf` or `NaN`: an
+    /// arithmetic result that would be one is [`RelError::Overflow`].
     Float(f64),
     /// UTF-8 string.
     Str(String),
@@ -144,7 +145,9 @@ impl Value {
         }
     }
 
-    /// Addition with SQL NULL propagation and numeric widening.
+    /// Addition with SQL NULL propagation and numeric widening. An `Int`
+    /// result past `i64` or a `Float` one past `f64` is
+    /// [`RelError::Overflow`] (so are `-`, `*` and `/`).
     pub fn add(&self, other: &Value) -> Result<Value, RelError> {
         self.arith(other, "+", |a, b| a.checked_add(b), |a, b| a + b)
     }
@@ -161,7 +164,8 @@ impl Value {
 
     /// Division. Integer division of two `Int`s stays integral (SQL
     /// convention) and fails on overflow (`i64::MIN / -1`) as the other
-    /// `Int` operations do; division by zero is an error; NULL propagates.
+    /// operations do, a float quotient past `f64`'s range included;
+    /// division by zero is an error; NULL propagates.
     pub fn div(&self, other: &Value) -> Result<Value, RelError> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
@@ -169,13 +173,13 @@ impl Value {
             (Value::Int(a), Value::Int(b)) => a
                 .checked_div(*b)
                 .map(Value::Int)
-                .ok_or_else(|| self.mismatch("/", other)),
+                .ok_or_else(|| self.overflow("/", other)),
             (a, b) => {
                 let (x, y) = self.numeric_pair(a, b, "/")?;
                 if y == 0.0 {
                     return Err(RelError::DivideByZero);
                 }
-                Ok(Value::Float(x / y))
+                self.finite(x / y, "/", other)
             }
         }
     }
@@ -191,11 +195,21 @@ impl Value {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
             (Value::Int(a), Value::Int(b)) => int_op(*a, *b)
                 .map(Value::Int)
-                .ok_or_else(|| self.mismatch(op, other)),
+                .ok_or_else(|| self.overflow(op, other)),
             (a, b) => {
                 let (x, y) = self.numeric_pair(a, b, op)?;
-                Ok(Value::Float(float_op(x, y)))
+                self.finite(float_op(x, y), op, other)
             }
+        }
+    }
+
+    /// A float result, or the overflow it is when not finite: no `Float`
+    /// the evaluator builds is `inf` or `NaN`.
+    fn finite(&self, f: f64, op: &str, other: &Value) -> Result<Value, RelError> {
+        if f.is_finite() {
+            Ok(Value::Float(f))
+        } else {
+            Err(self.overflow(op, other))
         }
     }
 
@@ -203,6 +217,14 @@ impl Value {
         match (a.as_float(), b.as_float()) {
             (Some(x), Some(y)) => Ok((x, y)),
             _ => Err(self.mismatch(op, b)),
+        }
+    }
+
+    fn overflow(&self, op: &str, other: &Value) -> RelError {
+        RelError::Overflow {
+            op: op.to_string(),
+            lhs: self.to_string(),
+            rhs: other.to_string(),
         }
     }
 
@@ -428,6 +450,31 @@ mod tests {
     fn type_mismatch_in_arithmetic() {
         let e = Value::Str("a".into()).add(&Value::Int(1)).unwrap_err();
         assert!(matches!(e, RelError::TypeMismatch { .. }));
+    }
+
+    /// An `Int` result past `i64` and a `Float` one past `f64` are both an
+    /// overflow naming the operator and operands — never a type mismatch,
+    /// and never an `inf` or `NaN` handed on.
+    #[test]
+    fn arithmetic_overflow_is_typed() {
+        let (max, big) = (Value::Int(i64::MAX), Value::Float(1e308));
+        let cases = [
+            (
+                max.add(&Value::Int(1)),
+                "arithmetic overflow in +: 9223372036854775807 + 1",
+            ),
+            (Value::Int(i64::MIN).div(&Value::Int(-1)), "overflow in /"),
+            (big.mul(&Value::Float(10.0)), "overflow in *"),
+            (big.add(&big), "overflow in +"),
+            (big.sub(&Value::Float(-1e308)), "overflow in -"),
+            (big.div(&Value::Float(0.1)), "overflow in /"),
+        ];
+        for (got, want) in cases {
+            let err = got.expect_err(want);
+            assert!(matches!(err, RelError::Overflow { .. }), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
+        assert_eq!(big.add(&Value::Float(1.0)).unwrap(), big);
     }
 
     #[test]

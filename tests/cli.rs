@@ -44,3 +44,22 @@ fn an_overflowing_target_volume_is_a_usage_error() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+/// A float product past `f64`'s range fails the query with a typed overflow
+/// error and exit status 1, not as ``cannot decode `inf` as FLOAT`` in the
+/// result decoder.
+#[test]
+fn a_float_overflow_names_the_overflow() {
+    let product = format!("ts{}", " * 1000000000.0".repeat(36));
+    let out = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .arg("--demo")
+        .arg(format!(
+            "SELECT cid, sum({product}) FROM clicks GROUP BY cid"
+        ))
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
+    assert!(!stderr.contains("decode"), "{stderr}");
+}
