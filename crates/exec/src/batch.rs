@@ -9,8 +9,9 @@
 //! arenas. Selecting rows — a filter, a join's pairs, an aggregate's groups
 //! — composes row indices and copies no cell; a kernel reading a column
 //! gathers it into a typed `Column` once ([`Columnar::column`]), straight
-//! from the arenas' typed columns ([`GroupView::gather`]), and only emitted
-//! rows ever become `Row`s ([`Batch::row`]).
+//! from the arenas' typed columns ([`GroupView::gather`]). No row is ever
+//! built: an emitted batch leaves as its typed columns
+//! ([`Batch::columns`]), appended to the task's output records.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -20,7 +21,7 @@ use std::rc::Rc;
 
 use ysmart_mapred::GroupView;
 use ysmart_rel::colbatch::{Column, NULL_ROW};
-use ysmart_rel::{Expr, RelError, Row, SortKey, SortOrder, Value};
+use ysmart_rel::{Expr, RelError, SortKey, SortOrder};
 
 use crate::colexpr::{eval_column, eval_mask, Columnar};
 use crate::rowop::RowOp;
@@ -56,17 +57,29 @@ impl Base<'_> {
         }
     }
 
-    fn value(&self, i: usize) -> Value {
+    /// Rows `rows` of the base ([`NULL_ROW`]: NULL) as a typed column: of
+    /// the typed base once it is built, else gathered from the arenas at
+    /// those rows alone — a join's or filter's few surviving rows of a wide
+    /// stream need not type the whole stream.
+    fn take(&self, rows: &[u32]) -> Column {
         match self {
             Base::Values {
                 values,
                 positions,
                 col,
                 typed,
-            } => typed
-                .get()
-                .map_or_else(|| values.value(positions[i] as usize, *col), |c| c.value(i)),
-            Base::Typed(col) => col.value(i),
+            } if typed.get().is_none() => {
+                let at = |r: u32| {
+                    if r == NULL_ROW {
+                        r
+                    } else {
+                        positions[r as usize]
+                    }
+                };
+                let rows: Vec<u32> = rows.iter().map(|&r| at(r)).collect();
+                values.gather(*col, &rows)
+            }
+            base => base.typed().take(rows),
         }
     }
 }
@@ -85,13 +98,6 @@ impl<'v> Col<'v> {
         Col {
             base: Rc::new(Base::Typed(col)),
             rows: None,
-        }
-    }
-
-    fn value(&self, r: usize) -> Value {
-        match self.rows.as_ref().map_or(r as u32, |rows| rows[r]) {
-            NULL_ROW => Value::Null,
-            i => self.base.value(i as usize),
         }
     }
 }
@@ -120,7 +126,7 @@ impl Columnar for Batch<'_> {
         Some(match &col.rows {
             None => col.base.typed(),
             Some(rows) => self.gathered[i]
-                .get_or_init(|| Rc::new(Base::Typed(col.base.typed().take(rows))))
+                .get_or_init(|| Rc::new(Base::Typed(col.base.take(rows))))
                 .typed(),
         })
     }
@@ -163,9 +169,17 @@ impl<'v> Batch<'v> {
         self.segs.last().map_or(0, |&n| n as usize)
     }
 
-    /// Row `r`, built — for emitting.
-    pub(crate) fn row(&self, r: usize) -> Row {
-        Row::new(self.cols.iter().map(|c| c.value(r)).collect())
+    /// Every column, typed: how the batch is emitted.
+    pub(crate) fn columns(&self) -> Vec<&Column> {
+        (0..self.width())
+            .map(|c| self.column(c).expect("a column"))
+            .collect()
+    }
+
+    /// Row `r`, built from the typed columns.
+    #[cfg(test)]
+    pub(crate) fn row(&self, r: usize) -> ysmart_rel::Row {
+        self.columns().iter().map(|col| col.value(r)).collect()
     }
 
     /// Number of segments (key groups).

@@ -10,11 +10,13 @@
 //! It is the reducer's own aggregation: a segment of key groups is read as
 //! one batch — cut where the reducer cuts its runs, each column gathered
 //! typed from the arena as the reducer gathers a stream's — and folded by
-//! `aggregate` in its raw→partial mode.
+//! `aggregate` in its raw→partial mode. The partial rows leave as the
+//! folded batch's typed columns, appended to the combiner's output records
+//! ([`Combined`]) in one typed copy each; no row is built.
 
 use std::ops::Range;
 
-use ysmart_mapred::{Combiner, KeyGroups};
+use ysmart_mapred::{Combined, Combiner, KeyGroups};
 use ysmart_rel::{AggFunc, Expr, Row};
 
 use crate::aggregate::{aggregate, Mode};
@@ -74,27 +76,35 @@ impl Combiner for AggCombiner {
     /// A run of one group.
     fn combine(&mut self, key: &Row, values: &[Row]) -> Vec<Row> {
         let key = std::slice::from_ref(key);
-        self.combine_run(KeyGroups::rows(key, values, &[0])).0
+        self.combine_run(KeyGroups::rows(key, values, &[0]))
+            .into_rows()
+            .0
     }
 
-    fn combine_run(&mut self, groups: KeyGroups<'_>) -> (Vec<Row>, Vec<u32>) {
-        let (mut out, mut starts) = (Vec::new(), Vec::with_capacity(groups.len()));
+    fn combine_run(&mut self, groups: KeyGroups<'_>) -> Combined {
+        let mut out = Combined::default();
         for range in chunks(&groups) {
-            let partials = self.partials(&groups, range.clone());
-            for (seg, g) in range.enumerate() {
-                starts.push(out.len() as u32);
-                match &partials {
-                    Ok(batch) => out.extend(batch.seg(seg).map(|r| batch.row(r))),
-                    // The job fails on the error: its groups pass through.
-                    Err(_) => out.extend(groups.group(g).to_rows()),
+            let first = out.values.len() as u32;
+            match self.partials(&groups, range.clone()) {
+                Ok(batch) => {
+                    let starts = (0..range.len()).map(|seg| first + batch.seg(seg).start as u32);
+                    out.starts.extend(starts);
+                    let rows: Vec<usize> = (0..batch.len()).collect();
+                    out.values.append_columns(&rows, None, &batch.columns());
+                }
+                // The job fails on the error: its groups pass through.
+                Err(e) => {
+                    for g in range {
+                        out.starts.push(out.values.len() as u32);
+                        let rows = groups.group(g).to_rows();
+                        rows.into_iter().for_each(|row| out.values.push(None, row));
+                    }
+                    let job = &self.job;
+                    self.error.get_or_insert_with(|| format!("{e} (job {job})"));
                 }
             }
-            if let Err(e) = partials {
-                let job = &self.job;
-                self.error.get_or_insert_with(|| format!("{e} (job {job})"));
-            }
         }
-        (out, starts)
+        out
     }
 
     fn take_error(&mut self) -> Option<String> {

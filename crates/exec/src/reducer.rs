@@ -145,31 +145,31 @@ impl CommonReducer {
         let outputs = evaluated.map_err(|fatal| fatal.message(&bp.name))?;
 
         // ---- emit only the final source(s) (§VI-B) -------------------------
-        // Typed rows, not pre-rendered lines: the engine renders text or
-        // packs columnar frames depending on the job's data format. Group
-        // by group, source by source — the order of reducing one group at a
-        // time.
-        let (sources, tagged_emit) = match &bp.emit {
-            EmitSpec::Single(src) => (std::slice::from_ref(src), false),
-            EmitSpec::Tagged(srcs) => (srcs.as_slice(), true),
+        // Typed columns, not rows or pre-rendered lines: the engine renders
+        // text or packs columnar frames depending on the job's data format.
+        // Group by group, source by source — the order of reducing one group
+        // at a time: a single source's segments are its rows in order, and
+        // tagged sources interleave a segment at a time.
+        let source = |src: &RSource| match *src {
+            RSource::Stream(s) => &streams[s],
+            RSource::Op(o) => &outputs[o],
         };
-        let emits: Vec<(&Batch<'_>, Option<i64>)> = (0i64..)
-            .zip(sources)
-            .map(|(i, &src)| {
-                let batch = match src {
-                    RSource::Stream(s) => &streams[s],
-                    RSource::Op(o) => &outputs[o],
-                };
-                (&**batch, tagged_emit.then_some(i))
-            })
-            .collect();
-        for g in 0..streams[0].groups() {
-            for &(batch, tag) in &emits {
-                for r in batch.seg(g) {
-                    let row = batch.row(r);
-                    match tag {
-                        Some(tag) => out.emit_tagged_row(tag, row),
-                        None => out.emit_row(row),
+        match &bp.emit {
+            EmitSpec::Single(src) => {
+                let batch = source(src);
+                let rows: Vec<usize> = (0..batch.len()).collect();
+                out.emit_columns(&rows, None, &batch.columns());
+            }
+            EmitSpec::Tagged(srcs) => {
+                let batches: Vec<_> = srcs.iter().map(|src| source(src).columns()).collect();
+                let (mut rows, mut tags) = (Vec::new(), Vec::new());
+                for g in 0..streams[0].groups() {
+                    for (tag, (src, cols)) in (0i64..).zip(srcs.iter().zip(&batches)) {
+                        rows.clear();
+                        rows.extend(source(src).seg(g));
+                        tags.clear();
+                        tags.resize(rows.len(), tag);
+                        out.emit_columns(&rows, Some(&tags), cols);
                     }
                 }
             }
@@ -456,7 +456,7 @@ mod tests {
         let mut r = CommonReducer::new(Arc::clone(bp));
         let mut out = ReduceOutput::default();
         r.reduce(&row![1i64], &values, &mut out);
-        out.into_lines()
+        out.lines()
     }
 
     #[test]
@@ -701,7 +701,7 @@ mod tests {
         assert_eq!(by_run.take_fatal(), None);
         assert_eq!(by_run.work(), by_group.work());
         assert_eq!(by_run.take_dispatches(), by_group.take_dispatches());
-        assert_eq!(by_run.into_lines(), by_group.into_lines());
+        assert_eq!(by_run.lines(), by_group.lines());
     }
 
     #[test]

@@ -234,7 +234,7 @@ fn check_equivalence(cases: u64) {
             )
         };
         let mut combiner = AggCombiner::new("J7", &case.group_cols, &case.aggs);
-        let (rows, starts) = combiner.combine_run(groups);
+        let (rows, starts) = combiner.combine_run(groups).into_rows();
         let error = combiner.take_error();
         let fails = reference.iter().filter(|r| r.is_err()).count();
         assert_eq!(error.is_some(), fails > 0, "{error:?}, {}", context());

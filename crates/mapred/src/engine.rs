@@ -335,7 +335,7 @@ pub fn run_job_attempt(
             (metrics, events, outputs)
         }
     };
-    data::write_output(hdfs, &spec.output, outputs);
+    data::write_output(hdfs, &spec.output, outputs)?;
     Ok((metrics, events))
 }
 
@@ -729,6 +729,51 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// When some reduce tasks of a columnar job pack frames and others
+    /// write text — their records differ in width — the file is text: the
+    /// frames are rendered back to their lines, every record kept, in task
+    /// order.
+    #[test]
+    fn frame_and_text_tasks_write_one_text_file() {
+        let partition = |k: i64| crate::hash::partition(&row![k], 2);
+        struct WidthReducer;
+        impl Reducer for WidthReducer {
+            fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput) {
+                let k = key.get(0).unwrap().clone();
+                out.emit_row(row![k.clone(), "u", values.len() as i64]);
+                // Partition 1's records differ in width, partition 0's not.
+                if crate::hash::partition(key, 2) == 1 {
+                    out.emit_tagged_row(7, row![k]);
+                }
+            }
+        }
+        let mut c = Cluster::new(ClusterConfig {
+            data_format: DataFormat::Columnar,
+            ..ClusterConfig::default()
+        });
+        load_pairs(&mut c);
+        let spec = JobSpec::builder("widths")
+            .input("data/t", || Box::new(KvMapper))
+            .reducer(|| Box::new(WidthReducer))
+            .output("out/w")
+            .reduce_tasks(2)
+            .build();
+        run_job(&mut c, &spec).unwrap();
+        let mut want = Vec::new();
+        for p in 0..2 {
+            for k in (0..10).filter(|&k| partition(k) == p) {
+                want.push(format!("{k}|u|100"));
+                if p == 1 {
+                    want.push(format!("7|{k}"));
+                }
+            }
+        }
+        assert!((0..10).any(|k| partition(k) == 0) && (0..10).any(|k| partition(k) == 1));
+        let file = c.hdfs.get("out/w").unwrap();
+        assert!(file.frames.is_empty(), "one format: text");
+        assert_eq!(file.lines, want);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! key groups at once, as [`KeyGroups`] over those positions, whose value
 //! columns the reducer gathers typed; and only after its output is packed
 //! does it free its segments, arena by arena.
+//!
+//! A task's output stays typed columns until it is framed: the reducer's
+//! records (`job::Records`, an arena of the same kind) and a map-only job's
+//! arenas alike go through one packer, which cuts frames straight from
+//! their columns ([`ColumnBatch::gather`], canonical per frame) or renders
+//! each text line from the typed cells.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
@@ -20,9 +26,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ysmart_rel::codec::{encode_cells_into, encode_line, SEPARATOR};
-use ysmart_rel::colbatch::{FrameStats, DEFAULT_FRAME_ROWS};
-use ysmart_rel::{ColumnBatch, Value};
+use ysmart_rel::codec::{encode_cell_refs_into, SEPARATOR};
+use ysmart_rel::colbatch::{CellRef, Column, FrameStats, DEFAULT_FRAME_ROWS};
+use ysmart_rel::ColumnBatch;
 
 use super::{JobCtx, MapCounts, OutputCounts, ReduceCounts, SegmentCounts, MAX_FETCH_RETRIES};
 use crate::config::{ClusterConfig, CorruptionModel, DataFormat};
@@ -30,7 +36,7 @@ use crate::error::MapRedError;
 use crate::hash::checksum_bytes;
 use crate::hdfs::{block_bytes, line_bytes, read_verified, DataFile, Hdfs};
 use crate::job::{
-    record_line, Combiner, JobSpec, KeyGroups, MapOutput, Pairs, ReduceOutput, ReducerFactory,
+    Combined, Combiner, JobSpec, KeyGroups, MapOutput, Pairs, ReduceOutput, ReducerFactory,
 };
 use crate::norm::NormArena;
 
@@ -369,33 +375,39 @@ fn sort_run(pairs: Pairs) -> PartitionRun {
 }
 
 /// Runs the combiner once over every key group of one segment, each read
-/// in place through [`KeyGroups`]; only the combiner's (usually single per
-/// group) output rows are materialised, into a fresh arena that replaces
-/// the segment.
+/// in place through [`KeyGroups`]; the combiner's typed partial values
+/// replace the segment in a fresh arena, each group's key columns gathered
+/// from the segment's by position and its values sorted — by position, on
+/// their typed columns — as the shuffle merge requires of its inputs.
 fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
     let starts: Vec<u32> = seg.groups().map(|group| group.start as u32).collect();
-    let (mut values, mut ends) =
-        combiner.combine_run(KeyGroups::run(&seg.pairs, &seg.order, &starts));
-    ends.push(values.len() as u32);
-    let mut combined = PartitionRun::default();
-    let mut key = Vec::new();
+    let Combined {
+        values,
+        starts: ends,
+    } = combiner.combine_run(KeyGroups::run(&seg.pairs, &seg.order, &starts));
+    let partials = values.pairs();
+    let mut order: Vec<usize> = (0..partials.len()).collect();
+    let mut keys = Vec::with_capacity(partials.len());
+    let mut norms = NormArena::default();
     for (g, &start) in starts.iter().enumerate() {
         let first = seg.order[start as usize] as usize;
-        let outputs = &mut values[ends[g] as usize..ends[g + 1] as usize];
-        // Keep the run sorted within the key group, as the shuffle merge
-        // requires of its inputs: the group's outputs share one key, so
-        // ordering by value orders the (key, value) pairs.
-        outputs.sort_unstable();
-        for value in outputs {
-            combined.norms.push_encoded(seg.norms.key(first));
-            seg.pairs.push_key(first, &mut key);
-            combined
-                .pairs
-                .append(&mut key, &mut std::mem::take(value).into_values());
-        }
+        let end = ends.get(g + 1).map_or(partials.len(), |&end| end as usize);
+        let outputs = &mut order[ends[g] as usize..end];
+        // The group's outputs share one key, so ordering them by value
+        // orders the (key, value) pairs.
+        outputs.sort_by(|&a, &b| partials.cmp_values(a, partials, b));
+        keys.resize(end, first);
+        outputs
+            .iter()
+            .for_each(|_| norms.push_encoded(seg.norms.key(first)));
     }
-    combined.order = (0..combined.pairs.len() as u32).collect();
-    *seg = combined;
+    let pairs = Pairs::combined(&seg.pairs, &keys, &values, &order);
+    *seg = PartitionRun {
+        order: (0..pairs.len() as u32).collect(),
+        pairs,
+        norms,
+        frame: None,
+    };
 }
 
 /// Runs one map task for real: verified read, mapper, sort into
@@ -471,18 +483,15 @@ fn run_map_task(
 }
 
 /// Columnar wire form of one shuffle segment: a single encoded frame of its
-/// sorted `key ⧺ value` rows — the frame `Pairs::frame_stats` sizes, built
-/// only for a corruption model to flip bits in. `None` exactly when there is
-/// no such frame; the caller falls back to the text framing of
-/// [`segment_canon_bytes`].
+/// sorted `key ⧺ value` rows, cut from the arena's columns — the frame
+/// `Pairs::frame_stats` sizes, built only for a corruption model to flip
+/// bits in. `None` exactly when there is no such frame; the caller falls
+/// back to the text framing of [`segment_canon_bytes`].
 fn segment_frame(seg: &PartitionRun) -> Option<Vec<u8>> {
     let width = seg.pairs.uniform_width()?;
-    let rows: Vec<Vec<Value>> = seg
-        .order
-        .iter()
-        .map(|&i| seg.pairs.pair(i as usize))
-        .collect();
-    let batch = ColumnBatch::from_cells(rows.len(), width, |r, c| &rows[r][c]).ok()?;
+    let cols: Vec<&Column> = seg.pairs.columns().iter().collect();
+    let at = |r: usize, c: usize| (c, seg.order[r] as usize);
+    let batch = ColumnBatch::gather(&cols, seg.order.len(), width, at).ok()?;
     Some(batch.encode_frame())
 }
 
@@ -492,9 +501,11 @@ fn segment_frame(seg: &PartitionRun) -> Option<Vec<u8>> {
 fn segment_canon_bytes(seg: &PartitionRun) -> Vec<u8> {
     let mut out = String::new();
     for &i in &seg.order {
-        encode_cells_into(&seg.pairs.key(i as usize), &mut out);
+        let i = i as usize;
+        let value = seg.pairs.record_cols(i, true);
+        encode_cell_refs_into(seg.pairs.cells(i, 0..value.start), &mut out);
         out.push('\t');
-        encode_cells_into(&seg.pairs.value(i as usize), &mut out);
+        encode_cell_refs_into(seg.pairs.cells(i, value), &mut out);
         out.push('\n');
     }
     out.into_bytes()
@@ -689,39 +700,56 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
     merged
 }
 
-/// Packs one task's `n` output records — `record(i)` is its `(stream tag,
-/// row)` — and is the one place their stored format is decided. Columnar
-/// mode writes frames of [`DEFAULT_FRAME_ROWS`] records; text mode, or any
-/// record the frame codec cannot take, writes every record as its text
-/// line — byte-identical to a self-formatting task. A string holding the
-/// field separator or a line break has no text line (the codec writes them
-/// unescaped): it fails the job as a typed error naming the value, not a
-/// decode error in whichever job reads the line back.
-fn pack_output<'a>(
-    job: &JobCtx,
-    n: usize,
-    record: impl Fn(usize) -> (Option<i64>, &'a [Value]),
-) -> Result<(OutputCounts, DataFile), MapRedError> {
+/// The records a task writes, in order: of each arena, every pair's cells
+/// ([`Pairs::record_cols`]) — a reducer's records whole, a map-only job's
+/// pairs by their values (`true`).
+type Outputs<'a> = [(&'a Pairs, bool)];
+
+/// Every record of `outputs` as `(arena, pair, its columns)`, in order.
+fn records<'a>(
+    outputs: &'a Outputs<'a>,
+) -> impl Iterator<Item = (usize, usize, Range<usize>)> + 'a {
+    let arenas = outputs.iter().enumerate();
+    arenas.flat_map(|(a, &(pairs, value_only))| {
+        (0..pairs.len()).map(move |i| (a, i, pairs.record_cols(i, value_only)))
+    })
+}
+
+/// Packs one task's output records where they lie, and is the one place
+/// their stored format is decided. Columnar mode writes frames of
+/// [`DEFAULT_FRAME_ROWS`] records; text mode, or any record the frame codec
+/// cannot take, writes every record as its text line — byte-identical to a
+/// self-formatting task. A string holding the field separator or a line
+/// break has no text line (the codec writes them unescaped): it fails the
+/// job as a typed error naming the value, not a decode error in whichever
+/// job reads the line back.
+fn pack_output(job: &JobCtx, outputs: &Outputs) -> Result<(OutputCounts, DataFile), MapRedError> {
+    let n = outputs.iter().map(|(pairs, _)| pairs.len()).sum();
     let mut counts = OutputCounts {
         records: n as u64,
         ..OutputCounts::default()
     };
     let mut output = DataFile::default();
     let columnar = job.cfg.data_format == DataFormat::Columnar;
-    match columnar.then(|| frame_records(n, &record)).flatten() {
+    match columnar.then(|| frame_records(outputs)).flatten() {
         Some((frames, dicts)) => {
             counts.dict_entries = dicts;
             output.frames = frames;
         }
         None => {
-            fn unstorable(v: &Value) -> Option<&str> {
-                let text = |b| b == SEPARATOR as u8 || b == b'\n';
-                v.as_str().filter(|s| s.bytes().any(text))
-            }
+            let unstorable = |cell: CellRef<'_>| match cell {
+                CellRef::Str(s) if s.bytes().any(|b| b == SEPARATOR as u8 || b == b'\n') => {
+                    Some(s.to_string())
+                }
+                _ => None,
+            };
             output.lines.reserve_exact(n);
-            for i in 0..n {
-                let (tag, row) = record(i);
-                if let Some(s) = row.iter().find_map(unstorable) {
+            // Each line is rendered into one reused buffer and copied out
+            // at its exact size: no line regrows as it is written.
+            let mut line = String::new();
+            for (a, i, cols) in records(outputs) {
+                let (pairs, value_only) = outputs[a];
+                if let Some(s) = pairs.cells(i, cols).find_map(unstorable) {
                     return Err(MapRedError::User(format!(
                         "value `{}` cannot be stored as text: it holds the field separator \
                          `{SEPARATOR}` or a line break (job {})",
@@ -729,7 +757,9 @@ fn pack_output<'a>(
                         job.name
                     )));
                 }
-                output.lines.push(record_line(tag, row));
+                line.clear();
+                pairs.write_line(i, value_only, &mut line);
+                output.lines.push(line.as_str().to_owned());
             }
         }
     }
@@ -740,49 +770,50 @@ fn pack_output<'a>(
     Ok((counts, output))
 }
 
-/// [`pack_output`]'s frames and their dictionary-entry count, each record
-/// encoded in place with its stream tag folded in as a leading `Int` column
-/// (the text rendering's `tag|` prefix, typed). `None` when a frame's
-/// records differ in width or hold a non-finite float.
-fn frame_records<'a>(
-    n: usize,
-    record: &impl Fn(usize) -> (Option<i64>, &'a [Value]),
-) -> Option<(Vec<Vec<u8>>, u64)> {
-    let mut frames = Vec::with_capacity(n.div_ceil(DEFAULT_FRAME_ROWS));
-    let mut dicts = 0u64;
-    for start in (0..n).step_by(DEFAULT_FRAME_ROWS) {
-        let len = DEFAULT_FRAME_ROWS.min(n - start);
-        let row = |r: usize| record(start + r).1;
-        let tags: Vec<Option<Value>> = (0..len)
-            .map(|r| record(start + r).0.map(Value::Int))
-            .collect();
-        let width = |r: usize| usize::from(tags[r].is_some()) + row(r).len();
-        if (1..len).any(|r| width(r) != width(0)) {
+/// [`pack_output`]'s frames and their dictionary-entry count: the records
+/// cut every [`DEFAULT_FRAME_ROWS`], across arenas, each frame gathered
+/// from the arenas' columns. `None` when a frame's records differ in width
+/// or hold a non-finite float.
+fn frame_records(outputs: &Outputs) -> Option<(Vec<Vec<u8>>, u64)> {
+    // Every arena's columns in one list: a record's cell `c` is column
+    // `first + c` of it, `first` where its columns start in the list.
+    let mut sources: Vec<&Column> = Vec::new();
+    let mut base = Vec::with_capacity(outputs.len());
+    for (pairs, _) in outputs {
+        base.push(sources.len());
+        sources.extend(pairs.columns());
+    }
+    let (mut frames, mut dicts) = (Vec::new(), 0u64);
+    let mut at: Vec<(usize, usize)> = Vec::with_capacity(DEFAULT_FRAME_ROWS);
+    let mut width = 0;
+    let mut records = records(outputs).peekable();
+    while let Some((a, i, cols)) = records.next() {
+        if at.is_empty() {
+            width = cols.len();
+        } else if cols.len() != width {
             return None;
         }
-        let cell = |r: usize, c: usize| match &tags[r] {
-            Some(tag) if c == 0 => tag,
-            Some(_) => &row(r)[c - 1],
-            None => &row(r)[c],
-        };
-        let batch = ColumnBatch::from_cells(len, width(0), cell).ok()?;
-        dicts += batch.dict_entries();
-        frames.push(batch.encode_frame());
+        at.push((base[a] + cols.start, i));
+        if at.len() == DEFAULT_FRAME_ROWS || records.peek().is_none() {
+            let cell = |r: usize, c: usize| (at[r].0 + c, at[r].1);
+            let batch = ColumnBatch::gather(&sources, at.len(), width, cell).ok()?;
+            dicts += batch.dict_entries();
+            frames.push(batch.encode_frame());
+            at.clear();
+        }
     }
     Some((frames, dicts))
 }
 
 /// Collects a map-only job's output: the map tasks' values, in task order
-/// and in emit order within a task, read where the mappers wrote them.
+/// and in emit order within a task, packed where the mappers wrote them.
 pub(super) fn map_only_output(
     job: &JobCtx,
     map_runs: Vec<MapRuns>,
 ) -> Result<(OutputCounts, DataFile), MapRedError> {
-    let tasks = map_runs.into_iter().flatten().map(|(_, seg)| seg.pairs);
-    let rows: Vec<Vec<Value>> = tasks
-        .flat_map(|pairs| (0..pairs.len()).map(move |i| pairs.value(i)))
-        .collect();
-    pack_output(job, rows.len(), |i| (None, &rows[i]))
+    let runs: Vec<PartitionRun> = map_runs.into_iter().flatten().map(|(_, seg)| seg).collect();
+    let outputs: Vec<(&Pairs, bool)> = runs.iter().map(|run| (&run.pairs, true)).collect();
+    pack_output(job, &outputs)
 }
 
 /// Runs every reduce task on its partition's segments.
@@ -814,9 +845,9 @@ fn run_reduce_task(
     let work = out.work();
     let mut fatal = out.take_fatal().map(MapRedError::User);
     let dispatches = out.take_dispatches();
-    let emits = out.into_emits();
-    let record = |i: usize| (emits[i].tag, emits[i].row.values());
-    let (written, output) = pack_output(job, emits.len(), record).unwrap_or_else(|error| {
+    let records = out.into_records();
+    let packed = pack_output(job, &[(records.pairs(), false)]);
+    let (written, output) = packed.unwrap_or_else(|error| {
         fatal.get_or_insert(error);
         Default::default()
     });
@@ -831,33 +862,75 @@ fn run_reduce_task(
 }
 
 /// Writes the job's output file from its tasks' outputs, in task order.
-pub(super) fn write_output(hdfs: &mut Hdfs, path: &str, outputs: Vec<DataFile>) {
+///
+/// # Errors
+///
+/// A frame a task packed that does not decode when the file falls back to
+/// text — an integrity violation, never a silent loss of its rows.
+pub(super) fn write_output(
+    hdfs: &mut Hdfs,
+    path: &str,
+    outputs: Vec<DataFile>,
+) -> Result<(), MapRedError> {
     let any_lines = outputs.iter().any(|o| !o.lines.is_empty());
     let any_frames = outputs.iter().any(|o| !o.frames.is_empty());
     if any_frames && !any_lines {
         let frames = outputs.into_iter().flat_map(|o| o.frames).collect();
         hdfs.put_frames(path, frames);
-        return;
+        return Ok(());
     }
-    // Text output — or the pathological mixed case where only some tasks'
-    // rows were frame-packable: render frames back to their
-    // (byte-identical) text lines so the file stays one format.
+    // Text output — or the mixed case where only some tasks' records were
+    // frame-packable: render frames back to their (byte-identical) text
+    // lines so the file stays one format.
     let mut lines: Vec<String> = Vec::new();
     for output in outputs {
         for frame in output.frames {
-            if let Ok(batch) = ColumnBatch::decode_frame(&frame) {
-                lines.extend((0..batch.num_rows()).map(|i| encode_line(&batch.row(i))));
-            }
+            let batch = ColumnBatch::decode_frame(&frame).map_err(|e| {
+                MapRedError::User(format!("undecodable output frame for {path}: {e}"))
+            })?;
+            lines.extend((0..batch.num_rows()).map(|r| {
+                let mut line = String::new();
+                encode_cell_refs_into(batch.columns().iter().map(|col| col.cell(r)), &mut line);
+                line
+            }));
         }
         lines.extend(output.lines);
     }
     hdfs.put(path, lines);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ysmart_rel::{row, Row};
+
+    /// A frame that does not decode when a job's output falls back to text
+    /// fails the write; its rows are not dropped.
+    #[test]
+    fn an_undecodable_frame_fails_the_text_fallback() {
+        let mut frame = ColumnBatch::from_rows(&[row![1i64, "a"]])
+            .unwrap()
+            .encode_frame();
+        let last = frame.len() - 1;
+        frame[last] ^= 1;
+        let outputs = vec![
+            DataFile {
+                frames: vec![frame],
+                ..DataFile::default()
+            },
+            DataFile {
+                lines: vec!["2|b".into()],
+                ..DataFile::default()
+            },
+        ];
+        let mut hdfs = Hdfs::new();
+        match write_output(&mut hdfs, "out/x", outputs) {
+            Err(MapRedError::User(msg)) => assert!(msg.contains("undecodable"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(hdfs.get("out/x").is_err(), "nothing written");
+    }
 
     /// The segment-level half of the sizing contract (the per-cell halves
     /// are `rel`'s `frame_stats_match_real_encoding` and

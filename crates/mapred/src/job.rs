@@ -30,16 +30,23 @@
 //! batch's columns to the arena's in one typed copy; either way each pair's
 //! text bytes are counted as it is written.
 //!
-//! A reducer emits one shape of record, [`ReduceEmit`]: a typed [`Row`]
-//! with an optional merged-stream tag. Whether a task's records are stored
-//! as columnar frames or as text lines is the engine's decision, made in
-//! one place after the task ran — a reducer never formats its own output.
+//! What a task writes is [`Records`]: typed cells in a key-less arena of
+//! the same kind, one [`Column`] per cell position, a record's optional
+//! merged-stream tag held as its leading `Int` cell. A reducer emits into
+//! its [`ReduceOutput`]'s records and a combiner returns its partial values
+//! as records ([`Combined`]), a column batch at a time in one typed copy per
+//! column ([`ReduceOutput::emit_columns`]) or a row whole, its cells pushed
+//! one by one ([`ReduceOutput::emit_row`], what hand-written reducers call);
+//! no `Row` is built per record on the batch path. Whether a task's records
+//! are stored as columnar frames or as text lines is the engine's decision,
+//! made in one place after the task ran, reading the records where they lie
+//! — a reducer never formats its own output.
 
 use std::cmp::Ordering;
 use std::ops::Range;
 
-use ysmart_rel::codec::encode_cells_into;
-use ysmart_rel::colbatch::{CellRef, Column, FrameSizer, FrameStats};
+use ysmart_rel::codec::{encode_cell_refs_into, SEPARATOR};
+use ysmart_rel::colbatch::{CellRef, Column, FrameSizer, FrameStats, NULL_ROW};
 use ysmart_rel::{ColumnBatch, Row, Value};
 
 use crate::hash::{partition_cells, partition_columns};
@@ -69,6 +76,9 @@ pub(crate) struct Pairs {
     /// arena grows later makes room for.
     room: usize,
 }
+
+/// Columns and the rows of them a run of pairs is written from.
+type Cells<'a> = (&'a [&'a Column], &'a [usize]);
 
 /// A width as stored in a pair's shape.
 fn width(cells: usize) -> u32 {
@@ -111,15 +121,8 @@ impl Pairs {
 
     /// The key cells of pair `i`, copied out.
     pub(crate) fn key(&self, i: usize) -> Vec<Value> {
-        let mut key = Vec::new();
-        self.push_key(i, &mut key);
-        key
-    }
-
-    /// Copies the key cells of pair `i` onto `out`.
-    pub(crate) fn push_key(&self, i: usize, out: &mut Vec<Value>) {
         let key = self.shape(i).0;
-        out.extend(self.cols[..key].iter().map(|col| col.value(i)));
+        self.cols[..key].iter().map(|col| col.value(i)).collect()
     }
 
     /// The value cells of pair `i`, copied out.
@@ -131,6 +134,40 @@ impl Pairs {
     pub(crate) fn pair(&self, i: usize) -> Vec<Value> {
         let width = self.shape(i).1;
         self.cols[..width].iter().map(|col| col.value(i)).collect()
+    }
+
+    /// The columns every pair's cells lie in.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.cols
+    }
+
+    /// The columns of pair `i`'s cells as a task writes them: all of them
+    /// (a task's output record, whose key is its tag), or with `value_only`
+    /// those of its value (a map-only job's output).
+    pub(crate) fn record_cols(&self, i: usize, value_only: bool) -> Range<usize> {
+        let (key, width) = self.shape(i);
+        if value_only {
+            key..width
+        } else {
+            0..width
+        }
+    }
+
+    /// The cells of pair `i` in columns `cols`, read in place.
+    pub(crate) fn cells(&self, i: usize, cols: Range<usize>) -> impl Iterator<Item = CellRef<'_>> {
+        self.cols[cols].iter().map(move |col| col.cell(i))
+    }
+
+    /// Appends the text line of pair `i`'s cells as a task writes them
+    /// ([`Pairs::record_cols`]). A task's tagged record is `tag|` and its
+    /// cells: with none, the separator still follows the tag.
+    pub(crate) fn write_line(&self, i: usize, value_only: bool, out: &mut String) {
+        let cols = self.record_cols(i, value_only);
+        let bare_tag = !value_only && cols.len() == 1 && self.shape(i).0 == 1;
+        encode_cell_refs_into(self.cells(i, cols), out);
+        if bare_tag {
+            out.push(SEPARATOR);
+        }
     }
 
     /// The tag of pair `i`: its first value cell when an `Int`, else 0.
@@ -209,9 +246,9 @@ impl Pairs {
     }
 
     /// Appends one pair whole, a cell at a time — the writer of every
-    /// row-shaped pair: a mapper's ([`MapOutput::emit_cells`]) and a
-    /// combiner's output rows. The cells are moved out of both buffers,
-    /// which are left empty.
+    /// row-shaped pair: a mapper's ([`MapOutput::emit_cells`]) and a row a
+    /// task writes ([`Records::push`]). The cells are moved out of both
+    /// buffers, which are left empty.
     pub(crate) fn append(&mut self, key: &mut Vec<Value>, value: &mut Vec<Value>) {
         let (key_width, width) = (key.len(), key.len() + value.len());
         if let Some(last) = width.checked_sub(1) {
@@ -228,24 +265,29 @@ impl Pairs {
         self.add_pairs(1, key_width, width, text_bytes);
     }
 
-    /// Appends one pair per row of `rows`, its cells read from typed
-    /// columns: `keys`, then the row's tag when there are `tags` (one per
-    /// row), then `values` — each column appended to the arena's in one
-    /// typed copy.
+    /// Appends one pair per row of `values`, its cells read from typed
+    /// columns: the matching row of the `keys` columns, then its tag when
+    /// there are `tags` (one per pair), then its row of the `values`
+    /// columns — each column appended to the arena's in one typed copy. The
+    /// tag belongs to the value (a shuffle pair's) or, with `tag_in_key`,
+    /// is the key (a task's output record's).
     fn append_columns(
         &mut self,
-        rows: &[usize],
-        keys: &[&Column],
+        (keys, key_rows): Cells<'_>,
         tags: Option<&[i64]>,
-        values: &[&Column],
+        tag_in_key: bool,
+        (values, rows): Cells<'_>,
     ) {
         if rows.is_empty() {
             return;
         }
         let tagged = usize::from(tags.is_some());
         let mut text_bytes = 0;
-        let columns = (0..).zip(keys).chain((keys.len() + tagged..).zip(values));
-        for (c, src) in columns {
+        let key_cols = (0..).zip(keys).map(|(c, src)| (c, src, key_rows));
+        let value_cols = (keys.len() + tagged..)
+            .zip(values)
+            .map(|(c, src)| (c, src, rows));
+        for (c, src, rows) in key_cols.chain(value_cols) {
             let col = self.col(c);
             let start = col.len();
             col.append(src, rows);
@@ -261,8 +303,27 @@ impl Pairs {
                 col => tags.iter().for_each(|&tag| col.push(Value::Int(tag))),
             }
         }
+        let key = keys.len() + usize::from(tag_in_key) * tagged;
         let width = keys.len() + tagged + values.len();
-        self.add_pairs(rows.len(), keys.len(), width, text_bytes);
+        self.add_pairs(rows.len(), key, width, text_bytes);
+    }
+
+    /// The arena replacing a combined segment: one pair per `k`, its key
+    /// that of pair `keys[k]` of `from`, its value record `at[k]` of
+    /// `values` — each column in one typed copy when both arenas are
+    /// uniform, as a combined job's are; cell by cell otherwise.
+    pub(crate) fn combined(from: &Pairs, keys: &[usize], values: &Records, at: &[usize]) -> Pairs {
+        let (values, mut out) = (&values.0, Pairs::default());
+        if from.ragged.is_none() && values.ragged.is_none() {
+            let key_cols: Vec<&Column> = from.cols[..from.shape.0 as usize].iter().collect();
+            let value_cols: Vec<&Column> = values.cols[..values.shape.1 as usize].iter().collect();
+            out.append_columns((&key_cols, keys), None, false, (&value_cols, at));
+        } else {
+            for (&p, &r) in keys.iter().zip(at) {
+                out.append(&mut from.key(p), &mut values.pair(r));
+            }
+        }
+        out
     }
 
     /// Bytes of the pairs in the text framing (key, tab, value, newline).
@@ -409,44 +470,46 @@ impl<'a> GroupView<'a> {
         }
     }
 
-    /// Cell `c` of value `i`, copied out.
-    ///
-    /// # Panics
-    ///
-    /// When `i` is out of range or value `i` has no cell `c`.
-    #[must_use]
-    pub fn value(&self, i: usize, c: usize) -> Value {
-        match (self.0, self.pair(i)) {
-            (Group::Rows(rows), _) => rows[i].values()[c].clone(),
-            (_, Some((pairs, p))) => pairs.cell(p, c).to_value(),
-            (_, None) => unreachable!("a value of pairs"),
-        }
-    }
-
-    /// Cell `c` of each value of `positions`, in that order, as one typed
-    /// column: [`Column::from_cells`] over those cells, read where they lie
-    /// — by [`Column::gather`] across the arenas' value columns when they
-    /// are uniform, cell by cell otherwise.
+    /// Cell `c` of each value of `positions`, in that order ([`NULL_ROW`]:
+    /// a NULL), as one typed column: [`Column::from_cells`] over those
+    /// cells, read where they lie — by [`Column::gather`] across the arenas'
+    /// value columns when they are uniform, cell by cell otherwise.
     ///
     /// # Panics
     ///
     /// When a position is out of range or its value has no cell `c`.
     #[must_use]
     pub fn gather(&self, c: usize, positions: &[u32]) -> Column {
-        let (n, at) = (positions.len(), |k: usize| positions[k] as usize);
+        let n = positions.len();
+        // A NULL position reads the one cell of `pad`, a source of its own.
+        let pad = Column::nulls(1);
+        let pads = positions.contains(&NULL_ROW);
         match self.0 {
             Group::Run { pairs, order } if pairs.ragged.is_none() => {
-                let col = pairs.value_col(c);
-                Column::gather(&[col], n, |k| (0, order[at(k)] as usize))
-            }
-            Group::Merged { runs, at: pairs } if runs.iter().all(|r| r.ragged.is_none()) => {
-                let cols: Vec<&Column> = runs.iter().map(|r| r.value_col(c)).collect();
-                Column::gather(&cols, n, |k| {
-                    let (run, pair) = pairs[at(k)];
-                    (run as usize, pair as usize)
+                let cols = [pairs.value_col(c), &pad];
+                let cols = &cols[..1 + usize::from(pads)];
+                Column::gather(cols, n, |k| match positions[k] {
+                    NULL_ROW => (1, 0),
+                    i => (0, order[i as usize] as usize),
                 })
             }
-            _ => Column::from_cells(n, |k| self.cell(at(k), c)),
+            Group::Merged { runs, at } if runs.iter().all(|r| r.ragged.is_none()) => {
+                let mut cols: Vec<&Column> = runs.iter().map(|r| r.value_col(c)).collect();
+                if pads {
+                    cols.push(&pad);
+                }
+                Column::gather(&cols, n, |k| match positions[k] {
+                    NULL_ROW => (runs.len(), 0),
+                    i => {
+                        let (run, pair) = at[i as usize];
+                        (run as usize, pair as usize)
+                    }
+                })
+            }
+            _ => Column::from_cells(n, |k| match positions[k] {
+                NULL_ROW => CellRef::Null,
+                i => self.cell(i as usize, c),
+            }),
         }
     }
 
@@ -719,7 +782,7 @@ impl MapOutput {
             "one tag per row"
         );
         if let [part] = &mut self.parts[..] {
-            part.append_columns(rows, key_cols, tags, value_cols);
+            part.append_columns((key_cols, rows), tags, false, (value_cols, rows));
             return;
         }
         let partitions = partition_columns(key_cols, rows, self.parts.len());
@@ -742,8 +805,8 @@ impl MapOutput {
         }
         for (p, part) in self.parts.iter_mut().enumerate() {
             let run = starts[p]..starts[p + 1];
-            let tags = tags.map(|_| &sorted_tags[run.clone()]);
-            part.append_columns(&sorted_rows[run], key_cols, tags, value_cols);
+            let (tags, rows) = (tags.map(|_| &sorted_tags[run.clone()]), &sorted_rows[run]);
+            part.append_columns((key_cols, rows), tags, false, (value_cols, rows));
         }
     }
 
@@ -873,13 +936,106 @@ impl MapOutput {
     }
 }
 
-/// One record emitted by a reducer: a typed row, optionally tagged with the
-/// merged-output stream it belongs to (the way merged CMR jobs prefix
-/// intermediate lines with `tag|`).
-///
-/// Records stay *typed* end to end: in columnar mode they are packed into
-/// binary frames without a text round-trip; in text mode they render to
-/// exactly the line a self-formatting reducer would have written.
+/// Records of typed cells, as a task writes them: what a reducer emits
+/// into its [`ReduceOutput`] and what a combiner returns ([`Combined`]).
+/// They are kept as a key-less shuffle arena — one typed [`Column`] per cell
+/// position, records of any widths — and written a column batch at a time
+/// ([`Records::append_columns`], one typed copy per column) or a row whole
+/// ([`Records::push`], its cells pushed one by one). A record's optional
+/// merged-stream tag is its leading `Int` cell, held as the pair's key: its
+/// frame's leading column and its text line's `tag|` prefix alike.
+#[derive(Debug, Default)]
+pub struct Records(Pairs);
+
+impl Records {
+    /// Appends one record whole: `row`'s cells, behind `tag` when given.
+    pub fn push(&mut self, tag: Option<i64>, row: Row) {
+        let mut tag: Vec<Value> = tag.map(Value::Int).into_iter().collect();
+        self.0.append(&mut tag, &mut row.into_values());
+    }
+
+    /// Appends one record per row of `rows`: that row of each of `cols`,
+    /// behind its tag when there are `tags` (one per row) — each column
+    /// appended in one typed copy, no cell built.
+    ///
+    /// # Panics
+    ///
+    /// When `tags` and `rows` differ in length, or a row is out of range of
+    /// a column.
+    pub fn append_columns(&mut self, rows: &[usize], tags: Option<&[i64]>, cols: &[&Column]) {
+        assert!(
+            tags.is_none_or(|t| t.len() == rows.len()),
+            "one tag per row"
+        );
+        self.0.append_columns((&[], &[]), tags, true, (cols, rows));
+    }
+
+    /// Number of records.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there is no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Record `i`'s tag, when it has one.
+    fn tag(&self, i: usize) -> Option<i64> {
+        (self.0.shape(i).0 == 1).then(|| self.0.key(i)[0].as_int().expect("an `Int` tag"))
+    }
+
+    /// Record `i`'s cells behind its tag, copied out as a row.
+    fn row(&self, i: usize) -> Row {
+        Row::new(self.0.value(i))
+    }
+
+    /// Every record's text line — `field|field|…`, behind `tag|` when
+    /// tagged — in order: what the task writes in text mode.
+    fn lines(&self) -> Vec<String> {
+        let line = |i| {
+            let mut line = String::new();
+            self.0.write_line(i, false, &mut line);
+            line
+        };
+        (0..self.len()).map(line).collect()
+    }
+
+    /// The arena the records lie in.
+    pub(crate) fn pairs(&self) -> &Pairs {
+        &self.0
+    }
+}
+
+/// What a combiner returns for one segment of a map task's sorted run
+/// ([`Combiner::combine_run`]): the replacement values of all its key
+/// groups, in group order, and per group the index at which its values
+/// start among them (a group may be left with none).
+#[derive(Debug, Default)]
+pub struct Combined {
+    /// The replacement values, untagged.
+    pub values: Records,
+    /// Per group, the index of its first value.
+    pub starts: Vec<u32>,
+}
+
+impl Combined {
+    /// The values copied out as rows, beside the group starts.
+    #[must_use]
+    pub fn into_rows(self) -> (Vec<Row>, Vec<u32>) {
+        let values = &self.values;
+        (
+            (0..values.len()).map(|i| values.row(i)).collect(),
+            self.starts,
+        )
+    }
+}
+
+/// One record of a [`ReduceOutput`], copied out ([`ReduceOutput::into_emits`]):
+/// a typed row, optionally tagged with the merged-output stream it belongs
+/// to (the way merged CMR jobs prefix intermediate lines with `tag|`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReduceEmit {
     /// Merged-output stream tag (`Some` renders as a `tag|` prefix in text
@@ -889,27 +1045,11 @@ pub struct ReduceEmit {
     pub row: Row,
 }
 
-impl ReduceEmit {
-    /// Renders this emission to its text-mode line.
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        record_line(self.tag, self.row.values())
-    }
-}
-
-/// The text-mode line of one output record: `field|field|…`, behind a
-/// `tag|` prefix when tagged.
-pub(crate) fn record_line(tag: Option<i64>, cells: &[Value]) -> String {
-    let mut line = tag.map_or_else(String::new, |t| format!("{t}|"));
-    encode_cells_into(cells, &mut line);
-    line
-}
-
 /// Records emitted by a reducer (its output file content), with work
 /// accounting.
 #[derive(Debug, Default)]
 pub struct ReduceOutput {
-    emits: Vec<ReduceEmit>,
+    records: Records,
     work: u64,
     dispatches: Vec<u64>,
     fatal: Option<String>,
@@ -918,17 +1058,26 @@ pub struct ReduceOutput {
 impl ReduceOutput {
     /// Emits one typed output row.
     pub fn emit_row(&mut self, row: Row) {
-        self.emits.push(ReduceEmit { tag: None, row });
+        self.records.push(None, row);
     }
 
     /// Emits one typed output row tagged with merged-output stream `tag` —
     /// the intermediate format of merged (CMR) jobs, whose text rendering
     /// is `tag|field|field|…`.
     pub fn emit_tagged_row(&mut self, tag: i64, row: Row) {
-        self.emits.push(ReduceEmit {
-            tag: Some(tag),
-            row,
-        });
+        self.records.push(Some(tag), row);
+    }
+
+    /// Emits one output row per row of `rows` of a column batch, a column
+    /// at a time — what [`ReduceOutput::emit_row`] (or, with `tags`, one per
+    /// row, [`ReduceOutput::emit_tagged_row`]) of each row in order would
+    /// write: [`Records::append_columns`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Records::append_columns`].
+    pub fn emit_columns(&mut self, rows: &[usize], tags: Option<&[i64]>, cols: &[&Column]) {
+        self.records.append_columns(rows, tags, cols);
     }
 
     /// Charges extra CPU work units beyond the per-record baseline — how a
@@ -945,22 +1094,23 @@ impl ReduceOutput {
         self.work
     }
 
-    /// The emissions so far, rendered to their text-mode lines.
+    /// The emissions so far, rendered to their text-mode lines —
+    /// byte-identical to what a self-formatting reducer would have written.
     #[must_use]
     pub fn lines(&self) -> Vec<String> {
-        self.emits.iter().map(ReduceEmit::to_line).collect()
+        self.records.lines()
     }
 
     /// Number of records emitted so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.emits.len()
+        self.records.len()
     }
 
     /// Whether nothing has been emitted.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.emits.is_empty()
+        self.records.is_empty()
     }
 
     /// Counts one value dispatched to merged output stream `stream` — how a
@@ -998,18 +1148,21 @@ impl ReduceOutput {
         self.fatal.take()
     }
 
-    /// Consumes the buffer, rendering every emission to its text line —
-    /// byte-identical to what a self-formatting reducer would have written.
-    #[must_use]
-    pub fn into_lines(self) -> Vec<String> {
-        self.emits.iter().map(ReduceEmit::to_line).collect()
-    }
-
-    /// Consumes the buffer into raw emissions, preserving emit order (the
-    /// columnar output path packs them into binary frames).
+    /// The emissions, copied out in emit order — a read-out view for
+    /// tests; the engine packs the records where they lie.
     #[must_use]
     pub fn into_emits(self) -> Vec<ReduceEmit> {
-        self.emits
+        let records = &self.records;
+        let emit = |i| ReduceEmit {
+            tag: records.tag(i),
+            row: records.row(i),
+        };
+        (0..records.len()).map(emit).collect()
+    }
+
+    /// Consumes the buffer into its records.
+    pub(crate) fn into_records(self) -> Records {
+        self.records
     }
 }
 
@@ -1062,16 +1215,19 @@ pub trait Combiner {
     /// Combines every key group of one segment of the map task's sorted
     /// run, where the groups lie — the entry point the engine calls, once
     /// per segment. Returns the replacement values of all groups in group
-    /// order, and per group the index at which its values start among them
-    /// (a group may be left with none). The default copies each group into
-    /// rows and feeds [`Combiner::combine`], like [`Reducer::reduce_run`].
-    fn combine_run(&mut self, groups: KeyGroups<'_>) -> (Vec<Row>, Vec<u32>) {
-        let (mut values, mut starts) = (Vec::new(), Vec::with_capacity(groups.len()));
+    /// order, as typed records, and where each group's start among them
+    /// ([`Combined`]). The default copies each group into rows, feeds
+    /// [`Combiner::combine`], like [`Reducer::reduce_run`], and pushes the
+    /// rows it returns.
+    fn combine_run(&mut self, groups: KeyGroups<'_>) -> Combined {
+        let mut out = Combined::default();
         for g in 0..groups.len() {
-            starts.push(values.len() as u32);
-            values.extend(self.combine(&groups.key(g), &groups.group(g).to_rows()));
+            out.starts.push(out.values.len() as u32);
+            for row in self.combine(&groups.key(g), &groups.group(g).to_rows()) {
+                out.values.push(None, row);
+            }
         }
-        (values, starts)
+        out
     }
 
     /// An unrecoverable error the combiner hit (combiners return values,
@@ -1413,13 +1569,16 @@ mod tests {
             assert_eq!(view.row(0), rows[0]);
             assert_eq!(view.width(1), 0);
             assert_eq!(view.tag(0), 0, "a `Str` is no tag");
-            assert_eq!(view.value(2, 0), Value::Str("a0".into()));
             assert_eq!(view.to_rows(), rows);
             let col = view.gather(0, &[2, 0]);
             assert_eq!(
                 col,
                 Column::from_cells(2, |r| &[&rows[2], &rows[0]][r].values()[0])
             );
+            // A `NULL_ROW` position reads NULL.
+            let cells = [&rows[2].values()[0], &Value::Null, &rows[0].values()[0]];
+            let col = view.gather(0, &[2, NULL_ROW, 0]);
+            assert_eq!(col, Column::from_cells(3, |r| cells[r]));
         }
         let run = GroupView::run(&a, &[1, 0]);
         assert_eq!(run.to_rows(), [row!["a1", 2i64], row!["a0"]]);
@@ -1446,6 +1605,16 @@ mod tests {
         ];
         let col = view.gather(1, &[2, 1, 0]);
         assert_eq!(col, Column::from_cells(3, |r| &strs[r]));
+        let padded = [Value::Null, Value::Int(6), Value::Null];
+        assert_eq!(
+            view.gather(0, &[NULL_ROW, 0, NULL_ROW]),
+            Column::from_cells(3, |r| &padded[r])
+        );
+        let run = GroupView::run(&c, &[1, 0]);
+        assert_eq!(
+            run.gather(0, &[NULL_ROW, 1]),
+            Column::from_cells(2, |r| &[Value::Null, Value::Int(5)][r])
+        );
         assert!(matches!(col, Column::Str { ref dict, .. } if dict.len() == 2));
     }
 
@@ -1463,9 +1632,11 @@ mod tests {
         out.emit_tagged_row(2, row![7i64, "a"]);
         out.emit_row(row![7i64, "a"]);
         assert_eq!(
-            out.into_lines(),
+            out.lines(),
             vec!["7|a".to_string(), "2|7|a".to_string(), "7|a".to_string()]
         );
+        let tags: Vec<Option<i64>> = out.into_emits().iter().map(|e| e.tag).collect();
+        assert_eq!(tags, [None, Some(2), None]);
     }
 
     #[test]

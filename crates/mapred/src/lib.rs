@@ -86,8 +86,8 @@ pub use hdfs::{
     SharedFile,
 };
 pub use job::{
-    Combiner, GroupView, JobInput, JobSpec, KeyGroups, MapOutput, Mapper, MapperFactory,
-    ReduceEmit, ReduceOutput, Reducer, ReducerFactory,
+    Combined, Combiner, GroupView, JobInput, JobSpec, KeyGroups, MapOutput, Mapper, MapperFactory,
+    Records, ReduceEmit, ReduceOutput, Reducer, ReducerFactory,
 };
 pub use journal::{recover, DispositionKind, Journal, JournalRecord, Recovered, JOURNAL_MAGIC};
 pub use metrics::{ChainMetrics, JobMetrics};

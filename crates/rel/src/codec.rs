@@ -5,6 +5,7 @@
 //! the "line (a record) in the raw data file" the common mapper of §VI-A
 //! accepts. NULL is encoded as the empty field.
 
+use crate::colbatch::CellRef;
 use crate::error::RelError;
 use crate::row::Row;
 use crate::schema::Schema;
@@ -37,19 +38,26 @@ pub fn encode_line_into(row: &Row, out: &mut String) {
 /// [`encode_line_into`] over a record's cells wherever they lie, not
 /// necessarily in a `Row`.
 pub fn encode_cells_into(cells: &[Value], out: &mut String) {
+    encode_cell_refs_into(cells.iter().map(CellRef::from), out);
+}
+
+/// The text line writer every record goes through: the cells
+/// `|`-separated, read where they lie — a `Row`'s values or a typed
+/// column's cells ([`CellRef`]).
+pub fn encode_cell_refs_into<'a>(cells: impl IntoIterator<Item = CellRef<'a>>, out: &mut String) {
     use std::fmt::Write as _;
-    for (i, v) in cells.iter().enumerate() {
+    for (i, cell) in cells.into_iter().enumerate() {
         if i > 0 {
             out.push(SEPARATOR);
         }
         // Int/Str/Bool bypass the `Formatter` machinery; Float keeps the
         // `Display` logic so the textual form (and round-trip) is unchanged.
-        match v {
-            Value::Null => {}
-            Value::Str(s) => out.push_str(s),
-            Value::Int(n) => push_i64(out, *n),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            other @ Value::Float(_) => write!(out, "{other}").expect("write to String"),
+        match cell {
+            CellRef::Null => {}
+            CellRef::Str(s) => out.push_str(s),
+            CellRef::Int(n) => push_i64(out, n),
+            CellRef::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+            CellRef::Float(f) => write!(out, "{}", Value::Float(f)).expect("write to String"),
         }
     }
 }

@@ -894,19 +894,46 @@ impl Column {
     /// non-NULL cells, and `Int`/`Float`/`Bool` payloads are copied where
     /// they lie, without a [`CellRef`] per cell — how a reducer gathers a
     /// value column across the shuffle's arenas (about half the time of
-    /// `from_cells` over the same cells). Strings, mixed types and `Var`
-    /// sources are built by `from_cells`' own code.
+    /// `from_cells` over the same cells). Strings and mixed types are built
+    /// by `from_cells`' own code.
     pub fn gather(sources: &[&Column], n: usize, at: impl Fn(usize) -> (usize, usize)) -> Column {
         let at: Vec<(usize, usize)> = (0..n).map(at).collect();
+        Column::gather_at(sources, &at, false).expect("a column takes any cell")
+    }
+
+    /// [`Column::gather`] of the cells `at`; with `frame`, a non-finite
+    /// float is the error [`ColumnBatch::from_cells`] makes of it rather
+    /// than a [`Column::Var`] cell.
+    fn gather_at(
+        sources: &[&Column],
+        at: &[(usize, usize)],
+        frame: bool,
+    ) -> Result<Column, RelError> {
         let cell = |k: usize| sources[at[k].0].cell(at[k].1);
-        let mut ty = Ty::None;
-        for &(s, r) in &at {
-            match sources[s] {
-                Column::Var(_) => return Column::from_cells(n, cell),
-                src if !src.is_null(r) => ty = ty.with(src.ty()),
-                _ => {}
+        if sources.iter().any(|src| matches!(src, Column::Var(_))) {
+            if frame {
+                (0..at.len()).try_for_each(|k| Ty::of(cell(k)).map(drop))?;
             }
+            return Ok(Column::from_cells(at.len(), cell));
         }
+        // Sources all of one fixed-width type are read in one pass: the
+        // result takes their type, or `Int` when no cell is non-NULL.
+        let first = sources.first().map(|src| src.ty());
+        let one_type = first.filter(|&ty| {
+            matches!(ty, Ty::Int | Ty::Float | Ty::Bool) && sources.iter().all(|s| s.ty() == ty)
+        });
+        let ty = match one_type {
+            Some(ty) => ty,
+            None => at.iter().try_fold(Ty::None, |ty, &(s, r)| {
+                Ok::<_, RelError>(ty.with(match sources[s] {
+                    Column::Float { data, nulls } if frame && !nulls[r] => {
+                        Ty::of(CellRef::Float(data[r]))?
+                    }
+                    src if src.is_null(r) => Ty::None,
+                    src => src.ty(),
+                }))
+            })?,
+        };
         /// Payloads and null mask of the result: a source of its type is
         /// read in place, any other holds only NULLs here.
         fn fixed<'c, T: Copy + Default + 'c>(
@@ -919,30 +946,43 @@ impl Column {
                 .map(|&(s, r)| slices[s].map_or((T::default(), true), |(d, m)| (d[r], m[r])))
                 .unzip()
         }
-        match ty {
+        let col = match ty {
             Ty::None | Ty::Int => {
-                let (data, nulls) = fixed(sources, &at, |c| match c {
+                let (data, nulls) = fixed(sources, at, |c| match c {
                     Column::Int { data, nulls } => Some((data, nulls)),
                     _ => None,
                 });
                 Column::Int { data, nulls }
             }
             Ty::Float => {
-                let (data, nulls) = fixed(sources, &at, |c| match c {
+                let (data, nulls) = fixed(sources, at, |c| match c {
                     Column::Float { data, nulls } => Some((data, nulls)),
                     _ => None,
                 });
                 Column::Float { data, nulls }
             }
             Ty::Bool => {
-                let (data, nulls) = fixed(sources, &at, |c| match c {
+                let (data, nulls) = fixed(sources, at, |c| match c {
                     Column::Bool { data, nulls } => Some((data, nulls)),
                     _ => None,
                 });
                 Column::Bool { data, nulls }
             }
-            Ty::Str | Ty::Mixed => Column::typed(ty, n, cell),
-        }
+            Ty::Str | Ty::Mixed => Column::typed(ty, at.len(), cell),
+        };
+        Ok(match col {
+            Column::Float { data, nulls }
+                if frame && (data.iter().zip(&nulls)).any(|(f, &null)| !null && !f.is_finite()) =>
+            {
+                return Err(frame_err("non-finite float in batch"))
+            }
+            Column::Float { nulls, .. } | Column::Bool { nulls, .. }
+                if nulls.iter().all(|&null| null) =>
+            {
+                Column::nulls(at.len())
+            }
+            col => col,
+        })
     }
 
     /// The type of a typed column's cells ([`Ty::Mixed`] for `Var`).
@@ -1104,6 +1144,35 @@ impl ColumnBatch {
         for c in 0..width {
             let cell = |r| CellRef::from(cell(r, c));
             cols.push(Column::typed(column_type(nrows, cell)?, nrows, cell));
+        }
+        Ok(ColumnBatch { cols, rows: nrows })
+    }
+
+    /// Builds a batch of `nrows` × `width` cells read where they lie in
+    /// typed columns: cell `(row, col)` is row `at(row, col).1` of
+    /// `sources[at(row, col).0]`. Exactly [`ColumnBatch::from_cells`] over
+    /// those cells, its frame byte for byte, whatever the sources hold
+    /// beyond them: a column is typed by its cells here ([`Column::gather`]),
+    /// so one all NULL here is `Int` and a `Var` source's cells of one type
+    /// are typed, and a string dictionary lists each string once, in the
+    /// order of first appearance here — how a task's output records and a
+    /// shuffle segment are cut into frames straight from their arenas.
+    ///
+    /// # Errors
+    ///
+    /// As [`ColumnBatch::from_cells`].
+    pub fn gather(
+        sources: &[&Column],
+        nrows: usize,
+        width: usize,
+        at: impl Fn(usize, usize) -> (usize, usize),
+    ) -> Result<ColumnBatch, RelError> {
+        let mut cells = Vec::with_capacity(nrows);
+        let mut cols = Vec::with_capacity(width);
+        for c in 0..width {
+            cells.clear();
+            cells.extend((0..nrows).map(|r| at(r, c)));
+            cols.push(Column::gather_at(sources, &cells, true)?);
         }
         Ok(ColumnBatch { cols, rows: nrows })
     }
@@ -1798,6 +1867,47 @@ mod tests {
             assert_eq!(format!("{in_place:?}"), format!("{typed:?}"));
             assert_eq!(format!("{gathered:?}"), format!("{typed:?}"));
         }
+    }
+
+    /// A frame gathered from typed columns is the frame `from_cells` makes
+    /// of the cells it reads, whatever the sources hold beyond them: a
+    /// `Float` column NULL here is `Int`, a `Var` one of one type here is
+    /// typed, a dictionary lists the strings read, once each, in the order
+    /// read, and a non-finite float is refused.
+    #[test]
+    fn gathered_frames_are_from_cells_of_the_cells_read() {
+        let floats = Column::from_cells(3, |r| &[Value::Null, Value::Null, Value::Float(2.5)][r]);
+        let var = Column::Var(vec![Value::Int(7), Value::Str("x".into()), Value::Int(8)]);
+        let strs = Column::Str {
+            dict: vec!["b".into(), "a".into(), "b".into()],
+            idx: vec![0, 1, 2, 1],
+            nulls: vec![false; 4],
+        };
+        let inf = Column::Var(vec![Value::Float(f64::INFINITY)]);
+        let sources = [&floats, &var, &strs, &inf];
+        let cells = [
+            [Value::Null, Value::Int(8), Value::Str("a".into())],
+            [Value::Null, Value::Int(7), Value::Str("b".into())],
+            [Value::Null, Value::Int(8), Value::Str("b".into())],
+        ];
+        // Row `r` reads the cells `cells[r]`.
+        let at = |r: usize, c: usize| match c {
+            0 => (0, r % 2),
+            1 => (1, [2, 0, 2][r]),
+            _ => (2, [3, 2, 0][r]),
+        };
+        let gathered = ColumnBatch::gather(&sources, 3, 3, at).unwrap();
+        let want = ColumnBatch::from_cells(3, 3, |r, c| &cells[r][c]).unwrap();
+        assert_eq!(gathered.encode_frame(), want.encode_frame());
+        assert!(matches!(gathered.columns()[0], Column::Int { .. }));
+        assert!(matches!(gathered.columns()[1], Column::Int { .. }));
+        assert_eq!(gathered.dict_entries(), 2);
+        assert!(ColumnBatch::gather(&sources, 1, 1, |_, _| (3, 0)).is_err());
+        // Outside a frame, the same float is a `Var` cell.
+        assert!(matches!(
+            Column::gather(&sources, 1, |_| (3, 0)),
+            Column::Var(_)
+        ));
     }
 
     #[test]

@@ -165,6 +165,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             _ => args.sql = Some(a),
         }
     }
+    if !args.demo {
+        if args.catalog.is_none() {
+            return Err("either --demo or --catalog is required".into());
+        }
+        if args.data.is_none() {
+            return Err("--data is required with --catalog".into());
+        }
+        if !args.serve && args.sql.is_none() {
+            return Err("no SQL query given".into());
+        }
+    }
     Ok(args)
 }
 
@@ -181,23 +192,30 @@ fn usage() {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) if msg.is_empty() => {
+            usage();
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if msg.is_empty() {
-                usage();
-                return ExitCode::SUCCESS;
-            }
             eprintln!("ysmart: {msg}");
             usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    // A query that fails to plan or to run is no misuse of the command
+    // line: its error alone, no usage text.
+    match run(args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("ysmart: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args(std::env::args().skip(1))?;
-
+fn run(args: Args) -> Result<(), String> {
     // ---- catalog + data -----------------------------------------------
     let (catalog, tables): (Catalog, Vec<(String, Vec<String>)>) = if args.demo {
         let spec = ClicksSpec::default();
@@ -208,17 +226,11 @@ fn run() -> Result<(), String> {
             vec![("clicks".to_string(), lines)],
         )
     } else {
-        let catalog_file = args
-            .catalog
-            .as_ref()
-            .ok_or("either --demo or --catalog is required")?;
+        let catalog_file = args.catalog.as_ref().expect("checked by `parse_args`");
         let ddl = std::fs::read_to_string(catalog_file)
             .map_err(|e| format!("cannot read {catalog_file}: {e}"))?;
         let catalog = Catalog::parse_ddl(&ddl).map_err(|e| e.to_string())?;
-        let dir = args
-            .data
-            .as_ref()
-            .ok_or("--data is required with --catalog")?;
+        let dir = args.data.as_ref().expect("checked by `parse_args`");
         let mut tables = Vec::new();
         for (name, _) in catalog.iter() {
             let path = format!("{dir}/{name}.tbl");
@@ -243,11 +255,11 @@ fn run() -> Result<(), String> {
         return run_serve(engine, &args);
     }
 
-    let sql = match args.sql {
-        Some(s) => s,
-        None if args.demo => "SELECT cid, count(*) AS clicks FROM clicks GROUP BY cid".to_string(),
-        None => return Err("no SQL query given".into()),
-    };
+    // Without a query, `parse_args` has checked `--demo`.
+    let sql = args
+        .sql
+        .clone()
+        .unwrap_or_else(|| "SELECT cid, count(*) AS clicks FROM clicks GROUP BY cid".to_string());
 
     // ---- plan / correlations -------------------------------------------
     if args.plan {

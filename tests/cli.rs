@@ -1,5 +1,6 @@
 //! The `ysmart` binary as a user runs it: a bad flag is a usage error with
-//! exit status 1, never an abort.
+//! exit status 1, never an abort, and a query that fails is its error
+//! alone, with the same status.
 
 use std::process::Command;
 
@@ -62,4 +63,19 @@ fn a_float_overflow_names_the_overflow() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("overflow"), "{stderr}");
     assert!(!stderr.contains("decode"), "{stderr}");
+}
+
+/// A query that fails at run time is no usage error: its message alone,
+/// exit status 1 — the usage text is for a command line that does not
+/// parse.
+#[test]
+fn a_failing_query_prints_its_error_without_the_usage_text() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["--demo", "SELECT cid, ts / 0 FROM clicks"])
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("division by zero"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
 }
