@@ -217,93 +217,6 @@ pub fn compile(
     })
 }
 
-/// Where one batch member's result lives after a multi-query run.
-#[derive(Debug, Clone)]
-pub struct QueryOutputLoc {
-    /// HDFS path of the file holding (at least) this query's rows.
-    pub path: String,
-    /// When the file is a tagged multi-output, this query's line tag.
-    pub tag: Option<i64>,
-    /// Schema of the query's rows.
-    pub schema: Schema,
-}
-
-/// The result of translating a multi-query batch.
-#[derive(Debug)]
-pub struct BatchTranslation {
-    /// The shared job pipeline.
-    pub blueprints: Vec<JobBlueprint>,
-    /// Per-member output locations, in input order.
-    pub outputs: Vec<QueryOutputLoc>,
-}
-
-/// Compiles a batch plan (built by [`ysmart_plan::build_batch_plan`]) into
-/// one shared job pipeline. Rule 1 applies *across* queries: members that
-/// scan the same table with the same partition key share one job (and one
-/// scan); each member's rows are recovered from the published output of
-/// its root operation.
-///
-/// # Errors
-///
-/// Same failure modes as [`compile`].
-pub fn compile_batch(
-    plan: &Plan,
-    roots: &[NodeId],
-    report: &CorrelationReport,
-    opts: &TranslateOptions,
-    query_tag: &str,
-) -> Result<BatchTranslation, CoreError> {
-    let drafts = build_drafts(plan, report, opts);
-    let parents = plan.parents();
-    let mut published: HashMap<NodeId, Published> = HashMap::new();
-    let mut blueprints = Vec::with_capacity(drafts.len());
-    for (i, draft) in drafts.iter().enumerate() {
-        let out_path = format!("tmp/{query_tag}/job{}", i + 1);
-        let bp = compile_draft(
-            plan,
-            report,
-            opts,
-            draft,
-            i + 1,
-            &parents,
-            &mut published,
-            &out_path,
-        )?;
-        bp.validate().map_err(CoreError::Exec)?;
-        blueprints.push(bp);
-    }
-    let mut outputs = Vec::with_capacity(roots.len());
-    for (qi, &root) in roots.iter().enumerate() {
-        match resolve_chain(plan, root)? {
-            ChainEnd::Shuffle { node, .. } => {
-                let pb = published.get(&node).ok_or_else(|| {
-                    CoreError::Translate(format!("batch member {qi} has no published output"))
-                })?;
-                outputs.push(QueryOutputLoc {
-                    path: pb.path.clone(),
-                    tag: pb.tag,
-                    schema: pb.schema.clone(),
-                });
-            }
-            ChainEnd::Scan { .. } => {
-                // A shuffle-free member runs as its own map-only job.
-                let out_path = format!("out/{query_tag}-m{qi}");
-                let bp = compile_map_only(plan, root, opts, &out_path)?;
-                blueprints.push(bp);
-                outputs.push(QueryOutputLoc {
-                    path: out_path,
-                    tag: None,
-                    schema: plan.node(root).schema.clone(),
-                });
-            }
-        }
-    }
-    Ok(BatchTranslation {
-        blueprints,
-        outputs,
-    })
-}
-
 /// Resolves the chain from a consumer's direct plan child down to its
 /// producer, folding pipe operators.
 fn resolve_chain(plan: &Plan, child: NodeId) -> Result<ChainEnd, CoreError> {
@@ -386,7 +299,7 @@ fn pipes_above(plan: &Plan, parents: &[Option<NodeId>], node: NodeId) -> Vec<Nod
     let mut out = Vec::new();
     let mut cur = parents[node.0];
     while let Some(p) = cur {
-        if plan.node(p).op.needs_shuffle() || matches!(plan.node(p).op, Operator::Batch) {
+        if plan.node(p).op.needs_shuffle() {
             break;
         }
         out.push(p);

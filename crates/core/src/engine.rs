@@ -11,11 +11,11 @@ use ysmart_mapred::metrics::ChainMetrics;
 use ysmart_mapred::{
     chain_seed, ChainOutcome, ChainSession, Cluster, ClusterConfig, JobChain, MapRedError, Trace,
 };
-use ysmart_plan::{analyze_with_stats, build_batch_plan, build_plan, Catalog, Plan, Statistics};
+use ysmart_plan::{analyze_with_stats, build_plan, Catalog, Plan, Statistics};
 use ysmart_rel::codec::decode_line;
 use ysmart_rel::{Row, Schema};
 
-use crate::compile::{compile, compile_batch, BatchTranslation, Translation};
+use crate::compile::{compile, Translation};
 use crate::error::CoreError;
 use crate::options::Strategy;
 
@@ -39,17 +39,6 @@ impl QueryOutcome {
     pub fn total_s(&self) -> f64 {
         self.metrics.total_s()
     }
-}
-
-/// Results of a multi-query batch execution.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// Per-member `(rows, schema)`, in input order.
-    pub queries: Vec<(Vec<Row>, Schema)>,
-    /// Metrics of the shared job chain.
-    pub metrics: ChainMetrics,
-    /// Number of jobs the whole batch used.
-    pub jobs: usize,
 }
 
 /// The translator + simulated cluster, bundled.
@@ -265,7 +254,7 @@ impl YSmart {
     /// records.
     pub fn decode_output(&self, translation: &Translation) -> Result<Vec<Row>, CoreError> {
         let file = self.cluster.hdfs.get(&translation.output_path)?;
-        Ok(file.rows(&translation.output_schema, None)?)
+        Ok(file.rows(&translation.output_schema)?)
     }
 
     /// Translates and executes a query, returning rows and metrics.
@@ -282,51 +271,6 @@ impl YSmart {
     ) -> Result<QueryOutcome, CoreError> {
         let translation = self.translate(sql, strategy)?;
         self.execute_translation(&translation)
-    }
-
-    /// Translates and executes several queries as one *batch*: Rule 1
-    /// applies across queries, so members scanning the same tables with the
-    /// same partition keys share jobs and scans (the multi-query sharing
-    /// the paper's related-work section attributes to MRShare, expressed
-    /// with YSmart's own correlation machinery).
-    ///
-    /// # Errors
-    ///
-    /// Any member's parse/planning failure, or cluster execution failures.
-    pub fn execute_batch(
-        &mut self,
-        sqls: &[&str],
-        strategy: Strategy,
-    ) -> Result<BatchOutcome, CoreError> {
-        self.query_seq += 1;
-        let tag = format!("b{}-{}", self.query_seq, strategy);
-        let queries: Vec<ysmart_sql::Query> = sqls
-            .iter()
-            .map(|s| ysmart_sql::parse(s))
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&ysmart_sql::Query> = queries.iter().collect();
-        let (plan, roots) = build_batch_plan(&self.catalog, &refs)?;
-        let report = analyze_with_stats(&plan, Some(&self.stats));
-        let translation: BatchTranslation =
-            compile_batch(&plan, &roots, &report, &strategy.options(), &tag)?;
-
-        let mut chain = JobChain::new();
-        for bp in &translation.blueprints {
-            chain.push(bp.to_jobspec()?);
-        }
-        let outcome = self.run(&chain)?;
-        // A member sharing a tagged multi-output file reads only its own
-        // tag's rows.
-        let mut queries_out = Vec::with_capacity(translation.outputs.len());
-        for loc in &translation.outputs {
-            let file = self.cluster.hdfs.get(&loc.path)?;
-            queries_out.push((file.rows(&loc.schema, loc.tag)?, loc.schema.clone()));
-        }
-        Ok(BatchOutcome {
-            queries: queries_out,
-            jobs: outcome.metrics.jobs.len(),
-            metrics: outcome.metrics,
-        })
     }
 
     /// Executes an already-compiled translation.
@@ -567,22 +511,6 @@ mod tests {
                 0,
                 "text run must not report encoded bytes: {sql}"
             );
-        }
-    }
-
-    #[test]
-    fn columnar_batch_decodes_tagged_outputs() {
-        let sqls = [
-            "SELECT cid, count(*) FROM clicks GROUP BY cid",
-            "SELECT cid, count(*) FROM clicks WHERE uid = 1 GROUP BY cid",
-        ];
-        let text = engine().execute_batch(&sqls, Strategy::YSmart).unwrap();
-        let col = engine_columnar()
-            .execute_batch(&sqls, Strategy::YSmart)
-            .unwrap();
-        assert_eq!(text.queries.len(), col.queries.len());
-        for (t, c) in text.queries.iter().zip(&col.queries) {
-            assert_eq!(sorted(&t.0), sorted(&c.0));
         }
     }
 

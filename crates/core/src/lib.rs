@@ -28,9 +28,9 @@ pub mod engine;
 pub mod error;
 pub mod options;
 
-pub use compile::{compile, compile_batch, BatchTranslation, QueryOutputLoc, Translation};
+pub use compile::{compile, Translation};
 pub use draft::{build_drafts, Draft};
-pub use engine::{BatchOutcome, QueryOutcome, YSmart};
+pub use engine::{QueryOutcome, YSmart};
 pub use error::CoreError;
 pub use options::{Strategy, TranslateOptions};
 

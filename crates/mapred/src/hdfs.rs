@@ -80,26 +80,18 @@ impl DataFile {
     }
 
     /// Decodes the file's records — the read-back of a job output. Text
-    /// lines are typed by `schema`; frames carry their own types. With
-    /// `tag`, the file is a tagged multi-output file: only that stream's
-    /// records are returned, tag stripped.
+    /// lines are typed by `schema`; frames carry their own types.
     ///
     /// # Errors
     ///
     /// An undecodable line or frame.
-    pub fn rows(&self, schema: &Schema, tag: Option<i64>) -> Result<Vec<Row>, RelError> {
+    pub fn rows(&self, schema: &Schema) -> Result<Vec<Row>, RelError> {
         let mut rows = Vec::with_capacity(self.lines.len());
         for line in &self.lines {
-            if let Some(payload) = untag_line(line, tag) {
-                rows.push(decode_line(payload, schema)?);
-            }
+            rows.push(decode_line(line, schema)?);
         }
         for frame in &self.frames {
-            let batch = ColumnBatch::decode_frame(frame)?;
-            rows.extend(match tag {
-                None => batch.to_rows(),
-                Some(want) => untag_batch(&batch, want).to_rows(),
-            });
+            rows.extend(ColumnBatch::decode_frame(frame)?.to_rows());
         }
         Ok(rows)
     }
@@ -744,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_reads_one_stream_of_a_tagged_file_from_either_rendering() {
+    fn tag_filters_and_read_back_agree_across_renderings() {
         use ysmart_rel::codec::encode_line;
         use ysmart_rel::{row, DataType, Value};
         // A tagged multi-output file: `[tag, k, s]` rows of two streams,
@@ -765,6 +757,22 @@ mod tests {
             lines: Vec::new(),
             frames: ysmart_rel::colbatch::encode_frames(&tagged, 16).unwrap().0,
         };
+        // One stream of either rendering, tag stripped, through the filters
+        // the mapper's `tag_filter` uses.
+        let text_stream = |tag: i64| -> Vec<Row> {
+            text.lines
+                .iter()
+                .filter_map(|l| untag_line(l, Some(tag)))
+                .map(|payload| decode_line(payload, &schema).unwrap())
+                .collect()
+        };
+        let frame_stream = |tag: i64| -> Vec<Row> {
+            columnar
+                .frames
+                .iter()
+                .flat_map(|f| untag_batch(&ColumnBatch::decode_frame(f).unwrap(), tag).to_rows())
+                .collect()
+        };
         for tag in [0, 1] {
             let want: Vec<Row> = tagged
                 .iter()
@@ -772,12 +780,12 @@ mod tests {
                 .map(|r| Row::new(r.values()[1..].to_vec()))
                 .collect();
             assert_eq!(want.len(), 20);
-            assert_eq!(text.rows(&schema, Some(tag)).unwrap(), want);
-            assert_eq!(columnar.rows(&schema, Some(tag)).unwrap(), want);
+            assert_eq!(text_stream(tag), want);
+            assert_eq!(frame_stream(tag), want);
         }
-        assert!(text.rows(&schema, Some(7)).unwrap().is_empty());
-        assert!(columnar.rows(&schema, Some(7)).unwrap().is_empty());
-        // Untagged read-back returns every record whole, in file order.
+        assert!(text_stream(7).is_empty());
+        assert!(frame_stream(7).is_empty());
+        // Read-back returns every record whole, in file order.
         let whole = Schema::of(
             "o",
             &[
@@ -786,17 +794,17 @@ mod tests {
                 ("s", DataType::Str),
             ],
         );
-        assert_eq!(text.rows(&whole, None).unwrap(), tagged);
-        assert_eq!(columnar.rows(&whole, None).unwrap(), tagged);
+        assert_eq!(text.rows(&whole).unwrap(), tagged);
+        assert_eq!(columnar.rows(&whole).unwrap(), tagged);
         // Damage is a typed error on both sides, not a panic.
         let torn = DataFile {
             lines: vec!["0|1|x|\u{1}".into()],
             frames: Vec::new(),
         };
-        assert!(torn.rows(&schema, Some(0)).is_err());
+        assert!(torn.rows(&whole).is_err());
         let mut cut = columnar.clone();
         cut.frames[0].truncate(10);
-        assert!(cut.rows(&schema, Some(0)).is_err());
+        assert!(cut.rows(&whole).is_err());
     }
 
     #[test]

@@ -56,29 +56,6 @@ pub fn build_plan(catalog: &Catalog, query: &Query) -> Result<Plan, PlanError> {
     Ok(arena.finish(rel.node))
 }
 
-/// Builds several independent queries into one plan under a synthetic
-/// [`Operator::Batch`] root, enabling *multi-query* correlation analysis:
-/// Rule 1 then merges jobs across queries that scan the same tables with
-/// the same partition keys. Returns the combined plan and each query's
-/// root node.
-///
-/// # Errors
-///
-/// Any failure building an individual member query.
-pub fn build_batch_plan(
-    catalog: &Catalog,
-    queries: &[&Query],
-) -> Result<(Plan, Vec<NodeId>), PlanError> {
-    assert!(!queries.is_empty(), "empty batch");
-    let mut arena = PlanArena::new();
-    let mut roots = Vec::with_capacity(queries.len());
-    for q in queries {
-        roots.push(build_query(catalog, &mut arena, q)?.node);
-    }
-    let batch = arena.add(Operator::Batch, Schema::default(), roots.clone());
-    Ok((arena.finish(batch), roots))
-}
-
 /// A relation under construction: the arena node plus the schema used for
 /// name resolution (requalified by binding aliases; positionally identical
 /// to the node's own schema).

@@ -26,7 +26,8 @@ impl Catalog {
     /// # Errors
     ///
     /// [`PlanError::Unsupported`] with a description of the syntax problem
-    /// (wrapping the lexer's positioned errors).
+    /// (wrapping the lexer's positioned errors), or naming a table or a
+    /// column defined twice.
     pub fn parse_ddl(ddl: &str) -> Result<Catalog, PlanError> {
         let tokens = Lexer::new(ddl)
             .tokenize()
@@ -35,6 +36,11 @@ impl Catalog {
         let mut catalog = Catalog::new();
         while !p.at_eof() {
             let (name, schema) = p.parse_create_table()?;
+            if catalog.table(&name).is_ok() {
+                return Err(PlanError::Unsupported(format!(
+                    "DDL: table `{name}` defined twice"
+                )));
+            }
             catalog.add_table(&name, schema);
         }
         Ok(catalog)
@@ -107,6 +113,11 @@ impl DdlParser {
         let mut cols: Vec<(String, DataType)> = Vec::new();
         loop {
             let col = self.expect_ident()?;
+            if cols.iter().any(|(c, _)| *c == col) {
+                return Err(PlanError::Unsupported(format!(
+                    "DDL: column `{col}` defined twice in `{name}`"
+                )));
+            }
             let ty_name = self.expect_ident()?;
             let ty = type_of(&ty_name)?;
             // Optional precision like DECIMAL(15, 2).
@@ -185,6 +196,26 @@ mod tests {
     fn syntax_errors_positioned() {
         assert!(Catalog::parse_ddl("CREATE VIEW v (a INT)").is_err());
         assert!(Catalog::parse_ddl("CREATE TABLE t a INT").is_err());
+    }
+
+    #[test]
+    fn a_table_defined_twice_is_named() {
+        let e = Catalog::parse_ddl("CREATE TABLE t (a INT, b INT); CREATE TABLE T (z STRING);")
+            .unwrap_err();
+        assert!(
+            e.to_string().ends_with("DDL: table `t` defined twice"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn a_column_defined_twice_is_named() {
+        let e = Catalog::parse_ddl("CREATE TABLE t (a INT, b INT, A STRING)").unwrap_err();
+        assert!(
+            e.to_string()
+                .ends_with("DDL: column `a` defined twice in `t`"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod node;
 pub mod pk;
 pub mod stats;
 
-pub use builder::{build_batch_plan, build_plan};
+pub use builder::build_plan;
 pub use catalog::Catalog;
 pub use correlation::{analyze, analyze_with_stats, CorrelationReport};
 pub use error::PlanError;

@@ -112,12 +112,6 @@ pub enum Operator {
         /// Maximum number of rows.
         n: u64,
     },
-    /// Synthetic root bundling several independent queries into one plan
-    /// for *multi-query* translation: Rule 1 then shares scans and map
-    /// output across queries (the cross-query generalisation the paper's
-    /// related work attributes to MRShare, expressed with YSmart's own
-    /// correlations). Never produced by the SQL builder for single queries.
-    Batch,
 }
 
 impl Operator {
@@ -147,7 +141,6 @@ impl Operator {
             Operator::Distinct => "Distinct",
             Operator::Sort { .. } => "Sort",
             Operator::Limit { .. } => "Limit",
-            Operator::Batch => "Batch",
         }
     }
 }
@@ -310,7 +303,7 @@ impl Plan {
             Operator::Limit { n } => {
                 let _ = write!(out, " {n}");
             }
-            Operator::Distinct | Operator::Batch => {}
+            Operator::Distinct => {}
         }
         out.push('\n');
         for &c in &node.children {

@@ -225,7 +225,6 @@ impl Provenance {
                         cols: BTreeSet::from([(table.clone(), f.name.clone())]),
                     })
                     .collect(),
-                Operator::Batch => Vec::new(),
                 Operator::Filter { .. }
                 | Operator::Sort { .. }
                 | Operator::Limit { .. }

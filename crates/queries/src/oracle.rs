@@ -232,9 +232,6 @@ impl Ctx<'_> {
                 input.truncate(*n as usize);
                 Ok(input)
             }
-            Operator::Batch => Err(RelError::UnknownColumn(
-                "the oracle evaluates batch members individually".into(),
-            )),
         }
     }
 

@@ -28,6 +28,8 @@
 //! agg_call   := (count|sum|avg|min|max) '(' ('*' | [DISTINCT] expr) ')'
 //! column     := ident ['.' ident]
 //! ```
+//!
+//! Nesting is bounded by [`MAX_DEPTH`], counted as the tree is built.
 
 use crate::ast::{
     AstAggFunc, AstBinOp, AstExpr, FromItem, Join, JoinType, Literal, Query, SelectItem, TableRef,
@@ -36,12 +38,24 @@ use crate::ast::{
 use crate::error::ParseError;
 use crate::lexer::{Lexer, Token, TokenKind};
 
+/// The deepest nesting the parser accepts. A subquery, a parenthesised
+/// expression, a `NOT` and a unary minus each open a level, and every tree
+/// it returns reaches at most this deep, loop-built `a + b + …` chains
+/// included. Past it parsing fails with a [`ParseError`], so every later
+/// recursive walk of the tree is bounded by construction.
+pub const MAX_DEPTH: usize = 256;
+
+/// An expression and the height of its tree, counted as it is built.
+type Tree = (AstExpr, usize);
+
 /// The recursive-descent parser. Usually invoked through [`crate::parse`].
 #[derive(Debug)]
 pub struct Parser {
     src: String,
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels opened above the current token (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -56,6 +70,7 @@ impl Parser {
             src: src.to_string(),
             tokens,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -77,13 +92,17 @@ impl Parser {
     }
 
     fn parse_query(&mut self) -> Result<Query, ParseError> {
+        self.nested(Self::parse_query_body)
+    }
+
+    fn parse_query_body(&mut self) -> Result<Query, ParseError> {
         self.expect_kw("select")?;
         let distinct = self.eat_kw("distinct");
         let select = self.parse_select_list()?;
         self.expect_kw("from")?;
         let from = self.parse_from_list()?;
         let where_clause = if self.eat_kw("where") {
-            Some(self.parse_expr()?)
+            Some(self.parse_expr()?.0)
         } else {
             None
         };
@@ -94,7 +113,7 @@ impl Parser {
             Vec::new()
         };
         let having = if self.eat_kw("having") {
-            Some(self.parse_expr()?)
+            Some(self.parse_expr()?.0)
         } else {
             None
         };
@@ -134,7 +153,7 @@ impl Parser {
                 self.advance();
                 items.push(SelectItem::Wildcard);
             } else {
-                let expr = self.parse_expr()?;
+                let expr = self.parse_expr()?.0;
                 let alias = self.parse_alias()?;
                 items.push(SelectItem::Expr { expr, alias });
             }
@@ -177,7 +196,7 @@ impl Parser {
         while let Some(join_type) = self.parse_join_type()? {
             let table = self.parse_table_ref()?;
             self.expect_kw("on")?;
-            let on = self.parse_expr()?;
+            let on = self.parse_expr()?.0;
             joins.push(Join {
                 join_type,
                 table,
@@ -234,10 +253,10 @@ impl Parser {
     }
 
     fn parse_expr_list(&mut self) -> Result<Vec<AstExpr>, ParseError> {
-        let mut out = vec![self.parse_expr()?];
+        let mut out = vec![self.parse_expr()?.0];
         while self.peek_kind() == &TokenKind::Comma {
             self.advance();
-            out.push(self.parse_expr()?);
+            out.push(self.parse_expr()?.0);
         }
         Ok(out)
     }
@@ -245,7 +264,7 @@ impl Parser {
     fn parse_order_list(&mut self) -> Result<Vec<(AstExpr, bool)>, ParseError> {
         let mut out = Vec::new();
         loop {
-            let e = self.parse_expr()?;
+            let e = self.parse_expr()?.0;
             let asc = if self.eat_kw("desc") {
                 false
             } else {
@@ -261,39 +280,37 @@ impl Parser {
         }
     }
 
-    /// Entry point for expressions (public so tests and tools can parse
-    /// standalone predicates).
-    pub fn parse_expr(&mut self) -> Result<AstExpr, ParseError> {
-        self.parse_or()
+    fn parse_expr(&mut self) -> Result<Tree, ParseError> {
+        self.nested(Self::parse_or)
     }
 
-    fn parse_or(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_or(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.eat_kw("or") {
             let rhs = self.parse_and()?;
-            lhs = bin(AstBinOp::Or, lhs, rhs);
+            lhs = self.bin(AstBinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_and(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.parse_not()?;
         while self.eat_kw("and") {
             let rhs = self.parse_not()?;
-            lhs = bin(AstBinOp::And, lhs, rhs);
+            lhs = self.bin(AstBinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_not(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_not(&mut self) -> Result<Tree, ParseError> {
         if self.eat_kw("not") {
-            let inner = self.parse_not()?;
-            return Ok(AstExpr::Not(Box::new(inner)));
+            let inner = self.nested(Self::parse_not)?;
+            return self.unary(AstExpr::Not, inner);
         }
         self.parse_cmp()
     }
 
-    fn parse_cmp(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_cmp(&mut self) -> Result<Tree, ParseError> {
         let lhs = self.parse_add()?;
         let op = match self.peek_kind() {
             TokenKind::Eq => AstBinOp::Eq,
@@ -306,11 +323,14 @@ impl Parser {
                 self.advance();
                 let negated = self.eat_kw("not");
                 self.expect_kw("null")?;
-                return Ok(if negated {
-                    AstExpr::IsNotNull(Box::new(lhs))
-                } else {
-                    AstExpr::IsNull(Box::new(lhs))
-                });
+                return self.unary(
+                    if negated {
+                        AstExpr::IsNotNull
+                    } else {
+                        AstExpr::IsNull
+                    },
+                    lhs,
+                );
             }
             // `x BETWEEN a AND b` and `x IN (v, …)` desugar during parsing
             // (TPC-H's original Q17/Q19 forms use both); `NOT` prefixes
@@ -343,52 +363,51 @@ impl Parser {
         };
         self.advance();
         let rhs = self.parse_add()?;
-        Ok(bin(op, lhs, rhs))
+        self.bin(op, lhs, rhs)
     }
 
     /// Desugars `lhs BETWEEN lo AND hi` into `lhs >= lo AND lhs <= hi`.
-    fn parse_between_tail(&mut self, lhs: AstExpr, negated: bool) -> Result<AstExpr, ParseError> {
+    fn parse_between_tail(&mut self, lhs: Tree, negated: bool) -> Result<Tree, ParseError> {
         let lo = self.parse_add()?;
         self.expect_kw("and")?;
         let hi = self.parse_add()?;
-        let both = bin(
-            AstBinOp::And,
-            bin(AstBinOp::GtEq, lhs.clone(), lo),
-            bin(AstBinOp::LtEq, lhs, hi),
-        );
-        Ok(if negated {
-            AstExpr::Not(Box::new(both))
-        } else {
-            both
-        })
+        let ge = self.bin(AstBinOp::GtEq, lhs.clone(), lo)?;
+        let le = self.bin(AstBinOp::LtEq, lhs, hi)?;
+        let both = self.bin(AstBinOp::And, ge, le)?;
+        self.negate_if(negated, both)
     }
 
-    /// Desugars `lhs IN (a, b, …)` into `lhs = a OR lhs = b OR …`.
-    fn parse_in_tail(&mut self, lhs: AstExpr, negated: bool) -> Result<AstExpr, ParseError> {
+    /// Desugars `lhs IN (a, b, …)` into `lhs = a OR lhs = b OR …`. The `OR`s
+    /// form a balanced tree with the leaves in list order, so a long list
+    /// stays shallow; `OR` is associative under three-valued logic, so the
+    /// shape does not change a result.
+    fn parse_in_tail(&mut self, lhs: Tree, negated: bool) -> Result<Tree, ParseError> {
         self.expect(TokenKind::LParen)?;
-        let mut out: Option<AstExpr> = None;
+        let mut terms = Vec::new();
         loop {
             let item = self.parse_expr()?;
-            let eq = bin(AstBinOp::Eq, lhs.clone(), item);
-            out = Some(match out {
-                None => eq,
-                Some(acc) => bin(AstBinOp::Or, acc, eq),
-            });
+            terms.push(self.bin(AstBinOp::Eq, lhs.clone(), item)?);
             match self.peek_kind() {
                 TokenKind::Comma => self.advance(),
                 _ => break,
             }
         }
         self.expect(TokenKind::RParen)?;
-        let e = out.expect("IN list has at least one item");
-        Ok(if negated {
-            AstExpr::Not(Box::new(e))
-        } else {
-            e
-        })
+        while terms.len() > 1 {
+            let mut level = terms.into_iter();
+            terms = Vec::new();
+            while let Some(a) = level.next() {
+                terms.push(match level.next() {
+                    Some(b) => self.bin(AstBinOp::Or, a, b)?,
+                    None => a,
+                });
+            }
+        }
+        let any = terms.pop().expect("IN list has at least one item");
+        self.negate_if(negated, any)
     }
 
-    fn parse_add(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_add(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.parse_mul()?;
         loop {
             let op = match self.peek_kind() {
@@ -398,11 +417,11 @@ impl Parser {
             };
             self.advance();
             let rhs = self.parse_mul()?;
-            lhs = bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
-    fn parse_mul(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_mul(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek_kind() {
@@ -412,43 +431,34 @@ impl Parser {
             };
             self.advance();
             let rhs = self.parse_unary()?;
-            lhs = bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
-    fn parse_unary(&mut self) -> Result<AstExpr, ParseError> {
+    fn parse_unary(&mut self) -> Result<Tree, ParseError> {
         if self.peek_kind() == &TokenKind::Minus {
             self.advance();
-            let inner = self.parse_unary()?;
-            return Ok(AstExpr::Neg(Box::new(inner)));
+            let inner = self.nested(Self::parse_unary)?;
+            return self.unary(AstExpr::Neg, inner);
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<AstExpr, ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Int(i) => {
-                self.advance();
-                Ok(AstExpr::Literal(Literal::Int(i)))
-            }
-            TokenKind::Float(x) => {
-                self.advance();
-                Ok(AstExpr::Literal(Literal::Float(x)))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(AstExpr::Literal(Literal::Str(s)))
-            }
+    fn parse_primary(&mut self) -> Result<Tree, ParseError> {
+        let leaf = match self.peek_kind().clone() {
+            TokenKind::Int(i) => AstExpr::Literal(Literal::Int(i)),
+            TokenKind::Float(x) => AstExpr::Literal(Literal::Float(x)),
+            TokenKind::Str(s) => AstExpr::Literal(Literal::Str(s)),
             TokenKind::LParen => {
                 self.advance();
                 let e = self.parse_expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             TokenKind::Ident(name) => {
                 if name == "null" {
                     self.advance();
-                    return Ok(AstExpr::Literal(Literal::Null));
+                    return Ok((AstExpr::Literal(Literal::Null), 0));
                 }
                 // Aggregate call?
                 if let Some(func) = AstAggFunc::from_name(&name) {
@@ -459,48 +469,89 @@ impl Parser {
                     }
                 }
                 self.advance();
-                if self.peek_kind() == &TokenKind::Dot {
+                let (qualifier, name) = if self.peek_kind() == &TokenKind::Dot {
                     self.advance();
-                    let col = self.expect_ident()?;
-                    Ok(AstExpr::Column {
-                        qualifier: Some(name),
-                        name: col,
-                    })
+                    (Some(name), self.expect_ident()?)
                 } else {
-                    Ok(AstExpr::Column {
-                        qualifier: None,
-                        name,
-                    })
-                }
+                    (None, name)
+                };
+                return Ok((AstExpr::Column { qualifier, name }, 0));
             }
-            _ => Err(self.unexpected("an expression")),
-        }
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.advance();
+        Ok((leaf, 0))
     }
 
-    fn parse_agg_tail(&mut self, func: AstAggFunc) -> Result<AstExpr, ParseError> {
+    fn parse_agg_tail(&mut self, func: AstAggFunc) -> Result<Tree, ParseError> {
         if self.peek_kind() == &TokenKind::Star {
             self.advance();
             self.expect(TokenKind::RParen)?;
             if func != AstAggFunc::Count {
                 return Err(self.error_here("only count(*) may take `*`"));
             }
-            return Ok(AstExpr::Agg {
+            let count = AstExpr::Agg {
                 func,
                 distinct: false,
                 arg: None,
-            });
+            };
+            return Ok((count, 0));
         }
         let distinct = self.eat_kw("distinct");
         if distinct && func != AstAggFunc::Count {
             return Err(self.error_here("DISTINCT is only supported with count()"));
         }
-        let arg = self.parse_expr()?;
+        let (arg, height) = self.parse_expr()?;
         self.expect(TokenKind::RParen)?;
-        Ok(AstExpr::Agg {
+        let call = AstExpr::Agg {
             func,
             distinct,
             arg: Some(Box::new(arg)),
-        })
+        };
+        self.node(call, height)
+    }
+
+    // --- nesting budget ----------------------------------------------------
+
+    /// Parses one level deeper, refusing past [`MAX_DEPTH`] before the
+    /// recursion goes any further.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error_here(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// `expr` over children `below` tall, refused when its leaves would
+    /// reach past [`MAX_DEPTH`].
+    fn node(&self, expr: AstExpr, below: usize) -> Result<Tree, ParseError> {
+        if self.depth + below >= MAX_DEPTH {
+            return Err(self.error_here(&format!("expression deeper than {MAX_DEPTH} levels")));
+        }
+        Ok((expr, below + 1))
+    }
+
+    fn bin(&self, op: AstBinOp, (lhs, lh): Tree, (rhs, rh): Tree) -> Result<Tree, ParseError> {
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        self.node(AstExpr::Binary { op, lhs, rhs }, lh.max(rh))
+    }
+
+    fn unary(&self, wrap: fn(Box<AstExpr>) -> AstExpr, (e, h): Tree) -> Result<Tree, ParseError> {
+        self.node(wrap(Box::new(e)), h)
+    }
+
+    fn negate_if(&self, negated: bool, e: Tree) -> Result<Tree, ParseError> {
+        if negated {
+            self.unary(AstExpr::Not, e)
+        } else {
+            Ok(e)
+        }
     }
 
     // --- token helpers -----------------------------------------------------
@@ -571,14 +622,6 @@ impl Parser {
 
     fn error_here(&self, message: &str) -> ParseError {
         ParseError::at(&self.src, self.peek().offset, message)
-    }
-}
-
-fn bin(op: AstBinOp, lhs: AstExpr, rhs: AstExpr) -> AstExpr {
-    AstExpr::Binary {
-        op,
-        lhs: Box::new(lhs),
-        rhs: Box::new(rhs),
     }
 }
 
@@ -879,6 +922,56 @@ mod tests {
         assert_eq!(w.to_string(), "(((a = 1) OR (a = 2)) OR (a = 3))");
         let q = parse("SELECT a FROM t WHERE b NOT IN ('x', 'y')").unwrap();
         assert!(matches!(q.where_clause.unwrap(), AstExpr::Not(_)));
+    }
+
+    #[test]
+    fn long_in_list_is_a_balanced_or_tree() {
+        let q = parse("SELECT a FROM t WHERE a IN (1, 2, 3, 4)").unwrap();
+        assert_eq!(
+            q.where_clause.unwrap().to_string(),
+            "(((a = 1) OR (a = 2)) OR ((a = 3) OR (a = 4)))"
+        );
+        let list: Vec<String> = (0..20_000).map(|i| i.to_string()).collect();
+        let sql = format!("SELECT a FROM t WHERE a NOT IN ({})", list.join(", "));
+        assert!(parse(&sql).is_ok(), "a 20 000-item list is 16 levels deep");
+    }
+
+    /// Runs on a main-thread-sized stack, as the CLI and `serve` parse: a
+    /// debug build spends ≈ 9 KB of stack a level, so reaching the budget
+    /// takes more than a 2 MB test thread has.
+    #[test]
+    fn nesting_past_the_budget_is_a_typed_error() {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(nesting_past_the_budget)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn nesting_past_the_budget() {
+        let shapes: [fn(usize) -> String; 5] = [
+            |n| format!("{}a = 1{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}a = 1", "NOT ".repeat(n)),
+            |n| format!("a = {}1", "- ".repeat(n)),
+            |n| format!("a = 1{}", " + a".repeat(n)),
+            |n| format!("a IN ({}1{})", "a IN (".repeat(n), ")".repeat(n)),
+        ];
+        for shape in shapes {
+            let sql = |n| format!("SELECT a FROM t WHERE {}", shape(n));
+            assert!(parse(&sql(MAX_DEPTH / 2 - 8)).is_ok(), "{}", sql(1));
+            let e = parse(&sql(MAX_DEPTH)).unwrap_err();
+            assert!(e.message.contains("deeper than 256 levels"), "{e}");
+        }
+        let derived = |n| {
+            format!(
+                "SELECT a FROM {}t{}",
+                "(SELECT a FROM ".repeat(n),
+                ") AS s".repeat(n)
+            )
+        };
+        assert!(parse(&derived(MAX_DEPTH - 8)).is_ok());
+        assert!(parse(&derived(MAX_DEPTH)).is_err());
     }
 
     #[test]

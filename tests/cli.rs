@@ -79,3 +79,109 @@ fn a_failing_query_prints_its_error_without_the_usage_text() {
     assert!(stderr.contains("division by zero"), "{stderr}");
     assert!(!stderr.contains("usage:"), "{stderr}");
 }
+
+fn demo_query(sql: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["--demo", sql])
+        .output()
+        .expect("runs")
+}
+
+/// The result rows a demo query printed, sorted: header and summary dropped.
+fn sorted_rows(out: &std::process::Output) -> Vec<String> {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut rows: Vec<String> = stdout
+        .lines()
+        .skip(1)
+        .filter(|l| !l.starts_with("--"))
+        .map(str::to_string)
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// SQL nested past the parser's budget is a typed parse error with exit
+/// status 1; each of these once overflowed the stack and aborted.
+#[test]
+fn sql_nested_past_the_budget_is_a_parse_error() {
+    for sql in [
+        format!(
+            "SELECT cid FROM clicks WHERE {}cid = 1{}",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        ),
+        format!(
+            "SELECT cid FROM clicks WHERE {}cid = 1",
+            "NOT ".repeat(30_000)
+        ),
+    ] {
+        let out = demo_query(&sql);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("parse error"), "{stderr}");
+        assert!(stderr.contains("deeper than 256 levels"), "{stderr}");
+    }
+}
+
+/// `IN` desugars to a balanced `OR` tree, 16 levels deep for 20 000 items
+/// (a list that once aborted as a 20 000-deep chain): it answers what the
+/// equivalent range answers, and so does `NOT IN`.
+#[test]
+fn long_in_lists_answer_like_the_range_they_hold() {
+    for n in [2_000, 20_000] {
+        // uid 0..25 in reverse among values no click has.
+        let list: Vec<String> = (0..25)
+            .rev()
+            .chain(1_000..1_000 + n - 25)
+            .map(|v| v.to_string())
+            .collect();
+        let list = list.join(",");
+        for (member, range) in [("IN", "uid < 25"), ("NOT IN", "uid >= 25")] {
+            let got = demo_query(&format!(
+                "SELECT uid, ts FROM clicks WHERE uid {member} ({list})"
+            ));
+            let want = demo_query(&format!("SELECT uid, ts FROM clicks WHERE {range}"));
+            assert_eq!(got.status.code(), Some(0), "{n} {member}");
+            assert!(!sorted_rows(&want).is_empty());
+            assert_eq!(sorted_rows(&got), sorted_rows(&want), "{n} {member}");
+        }
+    }
+}
+
+/// `ysmart serve` rejects a too-deep line alone and answers the rest of
+/// its batch: a derived table nested 8 000 deep and a 100 000-term `+`
+/// chain each once aborted the service and every tenant's work with it.
+#[test]
+fn serve_rejects_too_deep_lines_and_answers_the_rest() {
+    use std::io::Write;
+    let derived = format!(
+        "SELECT cid FROM {}clicks{}",
+        "(SELECT cid FROM ".repeat(8_000),
+        ") AS s".repeat(8_000)
+    );
+    let chain = format!("SELECT cid{} FROM clicks", " + cid".repeat(100_000));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["serve", "--demo"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("runs");
+    let input = format!(
+        "SELECT cid, count(*) AS n FROM clicks GROUP BY cid\n{derived}\n{chain}\n!run\n!quit\n"
+    );
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(
+        stdout.matches("deeper than 256 levels").count(),
+        2,
+        "{stdout}"
+    );
+    assert!(stdout.contains("ok q0 default/q0: 10 row(s)"), "{stdout}");
+}

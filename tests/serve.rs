@@ -358,6 +358,31 @@ fn malformed_requests_are_rejected_without_panics_or_journal_writes() {
     assert_eq!(results_of(&service.handle_line("!run")).len(), 2);
 }
 
+/// A line nested past the parser's budget is rejected alone, and the other
+/// queries of its batch are answered: a 100 000-term `+` chain, built by a
+/// loop rather than by recursion, once overflowed the stack and aborted
+/// the service with every tenant's in-flight work.
+#[test]
+fn a_too_deep_line_is_rejected_and_its_batch_still_runs() {
+    let (mut service, _) =
+        Service::open(demo_engine(), ServeOptions::new(Strategy::YSmart)).expect("open");
+    let deep = format!("SELECT cid{} FROM clicks", " + cid".repeat(100_000));
+    for line in [SCRIPT[0], &deep, SCRIPT[1]] {
+        let responses = service.handle_line(line);
+        match &responses[..] {
+            [Response::Info(msg)] => assert!(msg.starts_with("accepted"), "{msg}"),
+            [Response::Rejected {
+                id: None, error, ..
+            }] => {
+                assert_eq!(line, deep);
+                assert!(error.contains("deeper than 256 levels"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(results_of(&service.handle_line("!run")).len(), 2);
+}
+
 /// With result reuse configured, a repeated query in a later `!run` batch
 /// fast-forwards from the cache and answers with the same rows the first
 /// execution produced.
