@@ -71,7 +71,6 @@ fn sched_config() -> SchedulerConfig {
             TenantSpec::new("adhoc", 8, 16),
         ],
         trace: false,
-        drain_at_s: None,
     }
 }
 

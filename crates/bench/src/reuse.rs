@@ -86,7 +86,6 @@ fn run_once(
         max_running: MAX_RUNNING,
         tenants: vec![TenantSpec::new("analytics", per, 8)],
         trace: false,
-        drain_at_s: None,
     };
 
     let mut cache = capacity.map(|bytes| ReuseCache::new(ReuseConfig::with_capacity(bytes)));

@@ -164,7 +164,6 @@ pub(crate) fn run(flags: &Flags, r: &mut Report) {
             // Trace the first level only; the merged trace of hundreds of
             // chains exists to be validated, not stored.
             trace: li == 0,
-            drain_at_s: None,
         };
         let outcome = run_workload(&mut engine.cluster, &sched, requests);
         assert_eq!(

@@ -104,9 +104,9 @@ pub enum MapRedError {
         /// Retries the tenant was allowed across all of its chains.
         budget: usize,
     },
-    /// The scheduler is draining for a graceful shutdown: admission is
-    /// closed, in-flight chains run to completion, and new or still-queued
-    /// queries are shed with this typed error (distinct from
+    /// The service is draining for a graceful shutdown (`ysmart serve`'s
+    /// `!drain`): admission is closed, already-admitted queries still run,
+    /// and a new query is rejected with this typed error (distinct from
     /// [`MapRedError::QueueFull`] — the queue may be empty; the *service*
     /// is going away). Resubmit after the restart; nothing ran.
     Draining,

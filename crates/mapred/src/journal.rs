@@ -97,7 +97,7 @@ pub enum DispositionKind {
     Completed,
     /// Cancelled at its deadline (running or still queued).
     DeadlineCancelled,
-    /// Shed at admission or during drain; nothing ran.
+    /// Shed at admission; nothing ran.
     Shed,
     /// Failed while running.
     Failed,

@@ -54,8 +54,9 @@
 //!   deterministically ([`scheduler::WorkloadRun::recovered`]),
 //!   fast-forwarding journaled jobs and re-executing only work past the
 //!   last checkpoint — results and metrics bit-identical to an
-//!   uninterrupted run. A drain mode sheds new and queued work with typed
-//!   [`MapRedError::Draining`] for graceful shutdown.
+//!   uninterrupted run. For graceful shutdown, the service's `!drain`
+//!   rejects new queries with typed [`MapRedError::Draining`] while the
+//!   admitted ones still run.
 
 pub mod chain;
 pub mod config;

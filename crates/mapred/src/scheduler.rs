@@ -32,22 +32,15 @@
 //! produces the identical report — across `exec_threads` settings too,
 //! because each job attempt is itself thread-invariant.
 //!
-//! Two lifecycle features ride on that determinism:
-//!
-//! * **Drain.** [`SchedulerConfig::drain_at_s`] closes admission at a
-//!   workload instant for graceful shutdown: arrivals at or after it are
-//!   shed with typed [`MapRedError::Draining`], every queued-but-unstarted
-//!   query is shed at exactly the drain instant, and in-flight chains run
-//!   to completion.
-//! * **Crash recovery.** [`WorkloadRun::journal`] appends every job
-//!   commit and terminal disposition to a [`Journal`];
-//!   [`WorkloadRun::recovered`] re-runs the *same* request list with the
-//!   journal's records, fast-forwarding journaled commits (restoring their
-//!   materialized outputs) and re-executing only work past the last
-//!   checkpoint. Because the whole simulation is deterministic, the
-//!   recovered run's reports, metrics and results are bit-identical to an
-//!   uninterrupted run — the journal changes what is *executed*, never
-//!   what is *computed*.
+//! Crash recovery rides on that determinism: [`WorkloadRun::journal`]
+//! appends every job commit and terminal disposition to a [`Journal`];
+//! [`WorkloadRun::recovered`] re-runs the *same* request list with the
+//! journal's records, fast-forwarding journaled commits (restoring their
+//! materialized outputs) and re-executing only work past the last
+//! checkpoint. Because the whole simulation is deterministic, the
+//! recovered run's reports, metrics and results are bit-identical to an
+//! uninterrupted run — the journal changes what is *executed*, never what
+//! is *computed*.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -111,13 +104,6 @@ pub struct SchedulerConfig {
     /// queue/admit/shed/cancel events plus every chain's own lanes,
     /// shifted to workload-absolute time.
     pub trace: bool,
-    /// Graceful-drain instant on the workload clock: at and after this
-    /// time admission is closed — new arrivals and every
-    /// queued-but-unstarted query are shed with typed
-    /// [`MapRedError::Draining`] (the queue may be far from full; the
-    /// *service* is going away), while in-flight chains run to completion.
-    /// `None` = never drain.
-    pub drain_at_s: Option<f64>,
 }
 
 /// One query submitted to the scheduler.
@@ -406,7 +392,6 @@ pub fn run_workload_with(
         journal,
         replay,
         reuse,
-        drained: false,
         stats: RecoveryStats {
             already_done: done_ids.len(),
             ..RecoveryStats::default()
@@ -444,21 +429,6 @@ pub fn run_workload_with(
             let t = sched.requests[idx].submit_s;
             (idx, t)
         });
-        // The drain instant beats completions and arrivals on time ties:
-        // a slot freed exactly at the drain admits nothing, and a query
-        // arriving exactly at the drain is shed. (It only needs to fire
-        // while other events remain — draining an idle scheduler is a
-        // no-op.)
-        if let Some(td) = config.drain_at_s.filter(|_| !sched.drained) {
-            let pending = completion.is_some() || arrival.is_some();
-            if pending
-                && completion.is_none_or(|(_, tc)| td <= tc)
-                && arrival.is_none_or(|(_, ta)| td <= ta)
-            {
-                sched.drain_queues(td);
-                continue;
-            }
-        }
         match (completion, arrival) {
             (None, None) => break,
             // Completions beat arrivals on time ties: a slot freed at t is
@@ -510,8 +480,6 @@ struct Scheduler<'a> {
     reuse: Option<&'a mut ReuseCache>,
     /// Per-request fast-forward plans from a recovered journal.
     replay: Vec<Vec<ReplayedJob>>,
-    /// Whether the drain instant has fired.
-    drained: bool,
     stats: RecoveryStats,
 }
 
@@ -642,24 +610,6 @@ impl Scheduler<'_> {
         reused
     }
 
-    /// The drain instant: close admission and shed every queued-but-
-    /// unstarted query with typed [`MapRedError::Draining`], all at
-    /// exactly `now`. Tenant order then FIFO order — deterministic.
-    fn drain_queues(&mut self, now: f64) {
-        self.drained = true;
-        if let Some(tr) = self.master.as_mut() {
-            tr.chain_instant("drain", "admission closed (drain)".to_string(), now);
-        }
-        let queued: Vec<usize> = self
-            .queues
-            .iter_mut()
-            .flat_map(|q| q.drain(..).map(|w| w.idx))
-            .collect();
-        for idx in queued {
-            self.shed(idx, now, MapRedError::Draining);
-        }
-    }
-
     /// Absolute deadline of request `idx` on the workload clock.
     fn abs_deadline(&self, idx: usize) -> Option<f64> {
         let r = &self.requests[idx];
@@ -676,12 +626,6 @@ impl Scheduler<'_> {
 
     /// Handles one arrival: admission checks, enqueue, admission pass.
     fn arrive(&mut self, cluster: &mut Cluster, idx: usize, now: f64) {
-        // Admission is closed while draining — before any other check: the
-        // whole service is going away, not just this tenant's queue.
-        if self.drained || self.config.drain_at_s.is_some_and(|td| now >= td) {
-            self.shed(idx, now, MapRedError::Draining);
-            return;
-        }
         let tenant_name = self.requests[idx].tenant.clone();
         let Some(t) = self.tenant_index(&tenant_name) else {
             self.shed(

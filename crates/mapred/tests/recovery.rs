@@ -118,7 +118,6 @@ fn sched_config() -> SchedulerConfig {
             TenantSpec::new("beta", 4, 16),
         ],
         trace: false,
-        drain_at_s: None,
     }
 }
 

@@ -89,7 +89,6 @@ fn serial() -> SchedulerConfig {
         max_running: 1,
         tenants: vec![TenantSpec::new("t", 16, 8)],
         trace: false,
-        drain_at_s: None,
     }
 }
 

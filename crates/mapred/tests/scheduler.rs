@@ -94,7 +94,6 @@ fn two_tenants(max_running: usize) -> SchedulerConfig {
             TenantSpec::new("beta", 4, 16),
         ],
         trace: false,
-        drain_at_s: None,
     }
 }
 
@@ -305,7 +304,6 @@ fn full_queues_shed_with_typed_errors_and_nothing_hangs() {
         max_running: 1,
         tenants: vec![TenantSpec::new("alpha", 1, 8)],
         trace: false,
-        drain_at_s: None,
     };
     let requests = vec![
         request("alpha", "r0", 2, 1, 0.0),
@@ -372,7 +370,6 @@ fn retry_budget_exhaustion_fails_fast_with_partial_metrics() {
             max_running: 1,
             tenants: vec![TenantSpec::new("alpha", 4, budget)],
             trace: false,
-            drain_at_s: None,
         };
         run_workload(
             &mut cluster,
@@ -426,7 +423,6 @@ fn weighted_fair_share_favours_the_heavier_tenant() {
             TenantSpec::new("light", 4, 8),
         ],
         trace: false,
-        drain_at_s: None,
     };
     let requests = vec![
         request("heavy", "h", 2, 1, 0.0),
@@ -456,7 +452,6 @@ fn scheduler_trace_records_queue_admit_shed_and_cancel_lanes() {
         max_running: 1,
         tenants: vec![TenantSpec::new("alpha", 1, 8)],
         trace: true,
-        drain_at_s: None,
     };
     let mut cancelled = request("alpha", "doomed", 3, 2, 1.0);
     cancelled.deadline_s = Some(5.0);
@@ -512,99 +507,9 @@ fn session_api_steps_match_run_chain() {
 }
 
 #[test]
-fn drain_sheds_queued_queries_with_typed_draining() {
-    // One slot, three queries at t=0: q0 admits, q1/q2 queue. Draining
-    // mid-q0 must shed the queued queries with the typed `Draining` error
-    // (the queue is nowhere near full — `QueueFull` would be a lie) at
-    // exactly the drain instant, while the in-flight chain runs to
-    // completion untouched.
-    let mut solo_cluster = Cluster::new(ClusterConfig {
-        size_multiplier: 50_000.0,
-        ..ClusterConfig::default()
-    });
-    load(&mut solo_cluster);
-    let solo = run_chain(&mut solo_cluster, &chain("q0", 2)).expect("solo chain");
-    let drain_at = solo.metrics.total_s() * 0.5;
-
-    let mut cluster = Cluster::new(ClusterConfig {
-        size_multiplier: 50_000.0,
-        ..ClusterConfig::default()
-    });
-    load(&mut cluster);
-    let mut config = two_tenants(1);
-    config.drain_at_s = Some(drain_at);
-    let report = run_workload(
-        &mut cluster,
-        &config,
-        vec![
-            request("alpha", "q0", 2, 1, 0.0),
-            request("alpha", "q1", 1, 2, 0.0),
-            request("beta", "q2", 1, 3, 0.0),
-        ],
-    );
-    let [a, b, c] = &report.reports[..] else {
-        panic!("three reports expected");
-    };
-
-    // In-flight work drains to completion, bit-identical to a solo run.
-    let Disposition::Completed(out) = &a.disposition else {
-        panic!("in-flight chain must complete, got {:?}", a.disposition);
-    };
-    assert_eq!(out.metrics, solo.metrics);
-
-    // Queued-but-unstarted queries get the deterministic drain disposition.
-    for (r, name) in [(b, "q1"), (c, "q2")] {
-        assert!(
-            matches!(&r.disposition, Disposition::Shed(MapRedError::Draining)),
-            "{name}: expected Draining shed, got {:?}",
-            r.disposition
-        );
-        assert!(r.admitted_s.is_none(), "{name} must never have run");
-        assert!(
-            (r.done_s - drain_at).abs() < 1e-9,
-            "{name} must be shed at the drain instant, got {}",
-            r.done_s
-        );
-    }
-}
-
-#[test]
-fn arrivals_at_or_after_the_drain_instant_are_shed() {
-    // Admission closes at the drain instant: a query arriving later is
-    // shed with `Draining` immediately at its own submit time — before
-    // any queue-capacity or tenant check.
-    let mut cluster = Cluster::new(ClusterConfig::default());
-    load(&mut cluster);
-    let mut config = two_tenants(2);
-    config.drain_at_s = Some(5.0);
-    let report = run_workload(
-        &mut cluster,
-        &config,
-        vec![
-            request("alpha", "early", 1, 1, 0.0),
-            request("beta", "late", 1, 2, 9.0),
-        ],
-    );
-    let [early, late] = &report.reports[..] else {
-        panic!("two reports expected");
-    };
-    assert!(
-        matches!(early.disposition, Disposition::Completed(_)),
-        "pre-drain arrival must run, got {:?}",
-        early.disposition
-    );
-    assert!(
-        matches!(late.disposition, Disposition::Shed(MapRedError::Draining)),
-        "post-drain arrival must be shed, got {:?}",
-        late.disposition
-    );
-    assert!((late.done_s - 9.0).abs() < 1e-9, "shed at its submit time");
-}
-
-#[test]
 fn draining_is_distinct_from_queue_full() {
-    // The two shed reasons must stay distinguishable: a full queue without
-    // drain sheds `QueueFull`; drain sheds `Draining`.
+    // The two shed reasons must stay distinguishable: a full queue sheds
+    // `QueueFull`; only the service's `!drain` rejects with `Draining`.
     let mut cluster = Cluster::new(ClusterConfig {
         size_multiplier: 50_000.0,
         ..ClusterConfig::default()
@@ -632,58 +537,6 @@ fn draining_is_distinct_from_queue_full() {
             .reports
             .iter()
             .any(|r| matches!(&r.disposition, Disposition::Shed(MapRedError::Draining))),
-        "no drain was requested"
-    );
-}
-
-#[test]
-fn drain_wins_over_queue_full_at_the_same_instant() {
-    // Pins the tiebreak when both shed reasons apply at once: a query that
-    // arrives exactly at `drain_at_s`, aimed at a queue that is already
-    // full at that same instant, must be shed `Draining` — the drain check
-    // runs before any capacity check, so the report never flips to
-    // `QueueFull` under reordering of same-instant events. Exercised for
-    // both tenants so weights play no part in the answer.
-    let mut cluster = Cluster::new(ClusterConfig {
-        size_multiplier: 50_000.0,
-        ..ClusterConfig::default()
-    });
-    load(&mut cluster);
-    let mut config = two_tenants(1);
-    config.tenants[0].queue_capacity = 1;
-    config.tenants[1].queue_capacity = 1;
-    config.drain_at_s = Some(5.0);
-    let report = run_workload(
-        &mut cluster,
-        &config,
-        vec![
-            // t=0: fills the slot (long chain, still running at t=5).
-            request("alpha", "running", 3, 1, 0.0),
-            // t=0: fill both tenants' queues to capacity.
-            request("alpha", "queued-a", 1, 2, 0.0),
-            request("beta", "queued-b", 1, 3, 0.0),
-            // t=5 — the drain instant — into full queues.
-            request("alpha", "at-drain-a", 1, 4, 5.0),
-            request("beta", "at-drain-b", 1, 5, 5.0),
-        ],
-    );
-    for r in &report.reports[3..] {
-        assert!(
-            matches!(&r.disposition, Disposition::Shed(MapRedError::Draining)),
-            "{}: arrival at the drain instant must shed Draining even with \
-             a full queue, got {:?}",
-            r.label,
-            r.disposition
-        );
-        assert!((r.done_s - 5.0).abs() < 1e-9, "shed at the drain instant");
-    }
-    // The queued work admitted before the drain is itself shed Draining at
-    // the drain instant (not QueueFull), and nothing reports QueueFull.
-    assert!(
-        !report.reports.iter().any(|r| matches!(
-            &r.disposition,
-            Disposition::Shed(MapRedError::QueueFull { .. })
-        )),
-        "no QueueFull may surface once draining"
+        "the scheduler never sheds Draining"
     );
 }

@@ -79,7 +79,6 @@ fn a_cache_hit_is_one_allocation_from_reuse_entry_to_journal_record() {
         max_running: 1,
         tenants: vec![TenantSpec::new("t", 16, 8)],
         trace: false,
-        drain_at_s: None,
     };
     let mut journal = Journal::in_memory();
     let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));

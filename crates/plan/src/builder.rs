@@ -104,16 +104,23 @@ fn build_query(catalog: &Catalog, arena: &mut PlanArena, query: &Query) -> Resul
         }
     }
 
-    // Push single-relation conjuncts into their relation.
+    // Push single-relation conjuncts into their relation; a base table's
+    // are merged into its scan once, as one balanced conjunction.
     let mut pending: Vec<AstExpr> = Vec::new();
+    let mut scan_preds: Vec<Vec<Expr>> = items.iter().map(|_| Vec::new()).collect();
     for conj in where_conjuncts {
         let refs = binding_refs(&conj, &items)?;
         match items
             .iter()
             .position(|r| !refs.is_empty() && refs.iter().all(|b| r.bindings.contains(b)))
         {
-            Some(i) => push_filter(arena, &mut items[i], &conj)?,
+            Some(i) => push_filter(arena, &mut items[i], &conj, &mut scan_preds[i])?,
             None => pending.push(conj),
+        }
+    }
+    for (rel, preds) in items.iter().zip(scan_preds) {
+        if let Some(pred) = Expr::conjunction(preds) {
+            arena.merge_scan_predicate(rel.node, pred);
         }
     }
 
@@ -354,16 +361,18 @@ fn equi_between(conj: &AstExpr, left: &Rel, right: &Rel) -> Option<(usize, usize
     None
 }
 
-/// Pushes a single-relation predicate into the relation: merged into the
-/// scan predicate for base tables, a `Filter` node otherwise.
-fn push_filter(arena: &mut PlanArena, rel: &mut Rel, conj: &AstExpr) -> Result<(), PlanError> {
+/// Pushes a single-relation predicate into the relation: collected into
+/// `scan_preds` for a base table, whose scan predicate the caller merges
+/// them into; a `Filter` node otherwise.
+fn push_filter(
+    arena: &mut PlanArena,
+    rel: &mut Rel,
+    conj: &AstExpr,
+    scan_preds: &mut Vec<Expr>,
+) -> Result<(), PlanError> {
     let resolved = resolve_scalar(conj, &rel.schema)?;
-    let is_scan = matches!(arena.node(rel.node).op, Operator::Scan { .. });
-    if is_scan {
-        // Rebuild the scan node in place is not possible in the arena; add a
-        // filter-free idiom instead: mutate via a fresh node would orphan the
-        // old one, so scans expose predicate merging through `PlanArena`.
-        arena.merge_scan_predicate(rel.node, resolved);
+    if matches!(arena.node(rel.node).op, Operator::Scan { .. }) {
+        scan_preds.push(resolved);
     } else {
         let schema = rel.schema.clone();
         let node = arena.add(
@@ -997,6 +1006,71 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(count_ops(&p, "Filter"), 0);
+    }
+
+    /// `(a AND b) AND (c AND ...)` over `n` terms `cid >= 0`,
+    /// `cid >= 1`, ..., parenthesised as a balanced tree.
+    fn balanced_where(lo: usize, hi: usize) -> String {
+        if hi - lo == 1 {
+            return format!("cid >= {lo}");
+        }
+        let mid = lo + (hi - lo) / 2;
+        format!(
+            "({} AND {})",
+            balanced_where(lo, mid),
+            balanced_where(mid, hi)
+        )
+    }
+
+    /// A balanced `WHERE` stays balanced in the scan predicate: ⌈log₂ n⌉
+    /// `AND` levels over the terms in their order. A left-deep fold was n
+    /// tall, and 100 000 terms overflowed the stack of the walks over it.
+    #[test]
+    fn pushed_conjuncts_merge_into_a_balanced_scan_predicate() {
+        fn height(e: &Expr) -> usize {
+            match e {
+                Expr::Binary {
+                    op: BinOp::And,
+                    lhs,
+                    rhs,
+                } => 1 + height(lhs).max(height(rhs)),
+                _ => 1,
+            }
+        }
+        fn leaves(e: &Expr, out: &mut Vec<String>) {
+            match e {
+                Expr::Binary {
+                    op: BinOp::And,
+                    lhs,
+                    rhs,
+                } => {
+                    leaves(lhs, out);
+                    leaves(rhs, out);
+                }
+                other => out.push(other.to_string()),
+            }
+        }
+        for n in [1, 2, 3, 4, 5, 8, 1_000, 5_000] {
+            let p = plan_of(&format!(
+                "SELECT uid FROM clicks WHERE {}",
+                balanced_where(0, n)
+            ));
+            let pred = p
+                .ids()
+                .find_map(|id| match &p.node(id).op {
+                    Operator::Scan { predicate, .. } => predicate.clone(),
+                    _ => None,
+                })
+                .expect("predicate pushed down");
+            let tall = n.next_power_of_two().trailing_zeros() as usize + 1;
+            assert_eq!(height(&pred), tall, "{n} terms");
+            let mut got = Vec::new();
+            leaves(&pred, &mut got);
+            let want: Vec<String> = (0..n)
+                .map(|i| Expr::binary(BinOp::GtEq, Expr::col(2), Expr::lit(i as i64)).to_string())
+                .collect();
+            assert_eq!(got, want, "{n} terms");
+        }
     }
 
     #[test]

@@ -217,14 +217,24 @@ impl Expr {
     }
 
     /// Folds a list of predicates into a conjunction; `None` for empty input.
+    /// Neighbours are ANDed pairwise, level by level, so the tree is
+    /// balanced — ⌈log₂ n⌉ levels for n predicates, leaves in order — and
+    /// a long `WHERE` never builds a tree deep enough to overflow the
+    /// stack of whatever walks it. Up to three predicates this is the
+    /// left-deep fold.
     #[must_use]
     pub fn conjunction(mut preds: Vec<Expr>) -> Option<Expr> {
-        let first = if preds.is_empty() {
-            return None;
-        } else {
-            preds.remove(0)
-        };
-        Some(preds.into_iter().fold(first, Expr::and))
+        while preds.len() > 1 {
+            let mut level = preds.into_iter();
+            preds = Vec::with_capacity(level.len().div_ceil(2));
+            while let Some(a) = level.next() {
+                preds.push(match level.next() {
+                    Some(b) => a.and(b),
+                    None => a,
+                });
+            }
+        }
+        preds.pop()
     }
 
     /// Evaluates the expression against a row.

@@ -35,12 +35,15 @@
 //! the `!run` that executed them (the service is synchronous, so no
 //! admission can interleave with a run). On open, each batch is re-created
 //! — the journaled SQL is re-translated under its original deterministic
-//! tag (`svc-q<id>`), so every HDFS path is identical — and replayed with
-//! [`WorkloadRun::recovered`]. A trailing batch with no run records was
-//! admitted but never started; it is restored to the pending queue, not
-//! executed. Because translation, scheduling and execution are all
-//! deterministic, a recovered service's results, dispositions and metrics
-//! are bit-identical to an uninterrupted run's.
+//! tag (`svc-q<id>`), so every HDFS path is identical — and re-run with
+//! its journaled run records as [`WorkloadRun::recovered`]. A trailing
+//! batch with no run records was admitted but never started; it is
+//! restored to the pending queue, not executed. Live and recovered batches
+//! share one admission (`Service::admit`) and one runner
+//! (`Service::run_batch`); a recovered batch differs only in the run
+//! records it hands the scheduler. Because translation, scheduling and
+//! execution are all deterministic, a recovered service's results,
+//! dispositions and metrics are bit-identical to an uninterrupted run's.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -48,7 +51,7 @@ use std::io::{BufRead, Write};
 use std::mem;
 use std::path::PathBuf;
 
-use ysmart_core::{Strategy, Translation, YSmart};
+use ysmart_core::{CoreError, Strategy, Translation, YSmart};
 use ysmart_mapred::journal::{Journal, JournalRecord};
 use ysmart_mapred::reuse::{ReuseCache, ReuseConfig};
 use ysmart_mapred::scheduler::{
@@ -103,7 +106,6 @@ pub fn default_scheduler() -> SchedulerConfig {
         max_running: 2,
         tenants: vec![TenantSpec::new("default", 64, 8)],
         trace: false,
-        drain_at_s: None,
     }
 }
 
@@ -239,6 +241,17 @@ struct Pending {
     translation: Translation,
 }
 
+impl Pending {
+    /// This query's rejection with `error`.
+    fn rejected(&self, error: String) -> Response {
+        Response::Rejected {
+            id: Some(self.id),
+            label: self.label.clone(),
+            error,
+        }
+    }
+}
+
 /// The query service: engine + scheduler + durable workload journal.
 #[derive(Debug)]
 pub struct Service {
@@ -314,11 +327,6 @@ impl Service {
         }
         svc.replay(recovered.records, &mut responses)?;
         svc.journal.flush()?;
-        for r in &responses {
-            if let Response::Result { .. } = r {
-                svc.answered += 1;
-            }
-        }
         Ok((svc, responses))
     }
 
@@ -351,18 +359,8 @@ impl Service {
                 (_, None) => {}
             }
         }
-        let total = batches.len();
-        for (bi, (admitted, runrecs)) in batches.into_iter().enumerate() {
+        for (admitted, runrecs) in batches {
             let mut batch = Vec::with_capacity(admitted.len());
-            // Queries already answered before the crash (terminal Done in
-            // the journal): replayed for state, suppressed from output.
-            let done_ids: BTreeSet<u64> = runrecs
-                .iter()
-                .filter_map(|r| match r {
-                    JournalRecord::Done { id, .. } => Some(*id),
-                    _ => None,
-                })
-                .collect();
             for rec in admitted {
                 let JournalRecord::Admitted {
                     id,
@@ -379,38 +377,21 @@ impl Service {
                     continue;
                 };
                 self.next_id = self.next_id.max(id + 1);
-                let tag = format!("svc-q{id}");
-                let translation = self
-                    .engine
-                    .translate_tagged(&payload, self.options.strategy, &tag)
+                // Re-journaled into the fresh epoch, so a second crash
+                // recovers from the same structure.
+                let pending = self
+                    .admit(id, tenant, label, seed, submit_s, &payload)
                     .map_err(|e| {
                         ServeError::Journal(MapRedError::JournalCorrupt {
                             offset: 0,
                             reason: format!("journaled query q{id} no longer translates: {e}"),
                         })
                     })?;
-                // Re-journal the admission into the fresh epoch so a second
-                // crash recovers from the same structure.
-                self.journal.append(&JournalRecord::Admitted {
-                    id,
-                    tenant: tenant.clone(),
-                    label: label.clone(),
-                    seed,
-                    deadline_s: None,
-                    submit_s,
-                    payload: payload.clone(),
-                });
-                batch.push(Pending {
-                    id,
-                    tenant,
-                    label,
-                    seed,
-                    submit_s,
-                    translation,
-                });
+                batch.push(pending);
             }
-            if runrecs.is_empty() && bi + 1 == total {
-                // Admitted but never started: back onto the pending queue.
+            // Only the last batch can lack run records: admitted but never
+            // started, so back onto the pending queue.
+            if runrecs.is_empty() {
                 out.push(Response::Info(format!(
                     "recovered {} pending quer{} (admitted, not yet run)",
                     batch.len(),
@@ -419,32 +400,59 @@ impl Service {
                 self.pending = batch;
                 continue;
             }
-            let requests = self.build_requests(&batch, out);
-            let config = self.run_config();
-            let run = WorkloadRun {
-                journal: Some(&mut self.journal),
-                recovered: &runrecs,
-                reuse: Some(&mut self.cache),
-            };
-            let (report, stats) =
-                run_workload_with(&mut self.engine.cluster, &config, requests, run);
+            self.run_batch(&batch, &runrecs, out);
+        }
+        Ok(())
+    }
+
+    /// Runs one admitted batch through the journaled scheduler and answers
+    /// it. `recovered` holds the batch's journaled run records when crash
+    /// recovery re-runs it, and is empty for a live `!run`: journaled
+    /// commits fast-forward, and a query whose `Done` it holds was answered
+    /// before the crash, so its response is suppressed. The caller owns the
+    /// journal flush.
+    fn run_batch(
+        &mut self,
+        batch: &[Pending],
+        recovered: &[JournalRecord],
+        out: &mut Vec<Response>,
+    ) {
+        let (kept, requests) = self.build_requests(batch, out);
+        let config = self.run_config();
+        let run = WorkloadRun {
+            journal: Some(&mut self.journal),
+            recovered,
+            reuse: Some(&mut self.cache),
+        };
+        let (report, stats) = run_workload_with(&mut self.engine.cluster, &config, requests, run);
+        self.runs += 1;
+        let is_recovery = !recovered.is_empty();
+        if is_recovery {
+            self.recovered_runs += 1;
             self.recovery.jobs_replayed += stats.jobs_replayed;
             self.recovery.jobs_executed += stats.jobs_executed;
             self.recovery.already_done += stats.already_done;
-            self.runs += 1;
-            self.recovered_runs += 1;
-            for rep in &report.reports {
-                let p = &batch[rep.index];
-                if done_ids.contains(&(rep.index as u64)) {
-                    self.suppressed += 1;
-                    continue;
-                }
-                out.push(self.report_response(p, rep, true));
-            }
-            self.export_trace(report.trace, out);
-            self.release_outputs(&batch);
         }
-        Ok(())
+        let done_ids: BTreeSet<u64> = recovered
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Done { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        for rep in &report.reports {
+            if done_ids.contains(&(rep.index as u64)) {
+                self.suppressed += 1;
+                continue;
+            }
+            let resp = self.report_response(kept[rep.index], rep, is_recovery);
+            if let Response::Result { .. } = resp {
+                self.answered += 1;
+            }
+            out.push(resp);
+        }
+        self.export_trace(report.trace, out);
+        self.release_outputs(batch);
     }
 
     /// Deletes the files a served batch's chains wrote, leaving the loaded
@@ -467,69 +475,64 @@ impl Service {
         c
     }
 
-    /// Builds scheduler requests for a batch. A chain that fails to
-    /// materialize (deterministically — the same failure recurs on
-    /// recovery) is rejected here and excluded from the batch in a way
-    /// that keeps request indices dense and stable.
-    fn build_requests(&self, batch: &[Pending], out: &mut Vec<Response>) -> Vec<QueryRequest> {
+    /// Builds scheduler requests for a batch, each beside the query it
+    /// runs. A chain that fails to materialize (deterministically — the
+    /// same failure recurs on recovery) is rejected here and excluded from
+    /// the batch in a way that keeps request indices dense and stable.
+    fn build_requests<'b>(
+        &self,
+        batch: &'b [Pending],
+        out: &mut Vec<Response>,
+    ) -> (Vec<&'b Pending>, Vec<QueryRequest>) {
+        let mut kept = Vec::with_capacity(batch.len());
         let mut requests = Vec::with_capacity(batch.len());
         for p in batch {
             match self.engine.chain_for(&p.translation) {
-                Ok(chain) => requests.push(QueryRequest {
-                    tenant: p.tenant.clone(),
-                    label: p.label.clone(),
-                    chain,
-                    seed: p.seed,
-                    deadline_s: None,
-                    submit_s: p.submit_s,
-                }),
-                Err(e) => out.push(Response::Rejected {
-                    id: Some(p.id),
-                    label: p.label.clone(),
-                    error: e.to_string(),
-                }),
+                Ok(chain) => {
+                    kept.push(p);
+                    requests.push(QueryRequest {
+                        tenant: p.tenant.clone(),
+                        label: p.label.clone(),
+                        chain,
+                        seed: p.seed,
+                        deadline_s: None,
+                        submit_s: p.submit_s,
+                    });
+                }
+                Err(e) => out.push(p.rejected(e.to_string())),
             }
         }
-        requests
+        (kept, requests)
     }
 
     /// Converts one scheduler report into a protocol response.
     fn report_response(&self, p: &Pending, rep: &QueryReport, recovered: bool) -> Response {
-        match &rep.disposition {
+        let error = match &rep.disposition {
             Disposition::Completed(outcome) => match self.engine.decode_output(&p.translation) {
-                Ok(rows) => Response::Result {
-                    id: p.id,
-                    label: p.label.clone(),
-                    header: p
-                        .translation
-                        .output_schema
-                        .fields()
-                        .iter()
-                        .map(|f| f.name.clone())
-                        .collect::<Vec<_>>()
-                        .join("|"),
-                    rows: rows.iter().map(encode_line).collect(),
-                    elapsed_s: outcome.metrics.total_s(),
-                    jobs: outcome.metrics.jobs.len(),
-                    recovered,
-                },
-                Err(e) => Response::Rejected {
-                    id: Some(p.id),
-                    label: p.label.clone(),
-                    error: e.to_string(),
-                },
+                Ok(rows) => {
+                    return Response::Result {
+                        id: p.id,
+                        label: p.label.clone(),
+                        header: p
+                            .translation
+                            .output_schema
+                            .fields()
+                            .iter()
+                            .map(|f| f.name.clone())
+                            .collect::<Vec<_>>()
+                            .join("|"),
+                        rows: rows.iter().map(encode_line).collect(),
+                        elapsed_s: outcome.metrics.total_s(),
+                        jobs: outcome.metrics.jobs.len(),
+                        recovered,
+                    }
+                }
+                Err(e) => e.to_string(),
             },
-            Disposition::Shed(e) => Response::Rejected {
-                id: Some(p.id),
-                label: p.label.clone(),
-                error: e.to_string(),
-            },
-            Disposition::DeadlineCancelled(f) | Disposition::Failed(f) => Response::Rejected {
-                id: Some(p.id),
-                label: p.label.clone(),
-                error: f.error.to_string(),
-            },
-        }
+            Disposition::Shed(e) => e.to_string(),
+            Disposition::DeadlineCancelled(f) | Disposition::Failed(f) => f.error.to_string(),
+        };
+        p.rejected(error)
     }
 
     /// Writes the run's trace to the trace directory (when configured) and
@@ -603,18 +606,14 @@ impl Service {
 
     /// Admits one query: translate, journal (durably), queue.
     fn submit(&mut self, line: &str) -> Response {
-        if self.state != ServiceState::Ready {
-            return Response::Rejected {
-                id: None,
-                label: "admission".into(),
-                error: MapRedError::Draining.to_string(),
-            };
-        }
         let reject = |error: String| Response::Rejected {
             id: None,
             label: "admission".into(),
             error,
         };
+        if self.state != ServiceState::Ready {
+            return reject(MapRedError::Draining.to_string());
+        }
         let (tenant, sql) = match line.strip_prefix('@') {
             Some(rest) => match rest.split_once(char::is_whitespace) {
                 Some((t, q)) if !t.is_empty() && !q.trim().is_empty() => (t.to_string(), q.trim()),
@@ -651,27 +650,49 @@ impl Service {
             ));
         }
         let id = self.next_id;
-        let tag = format!("svc-q{id}");
-        let translation = match self
-            .engine
-            .translate_tagged(sql, self.options.strategy, &tag)
-        {
-            Ok(t) => t,
+        let label = format!("{tenant}/q{id}");
+        let submit_s = self.pending.len() as f64;
+        let pending = match self.admit(id, tenant, label, request_seed(id), submit_s, sql) {
+            Ok(p) => p,
             // Failed translations consume no id and are never journaled, so
             // a recovered process (which replays only journaled admissions)
             // assigns the same ids this one did.
             Err(e) => {
                 return Response::Rejected {
                     id: None,
-                    label: tag,
+                    label: format!("svc-q{id}"),
                     error: e.to_string(),
                 }
             }
         };
         self.next_id += 1;
-        let label = format!("{tenant}/q{id}");
-        let seed = request_seed(id);
-        let submit_s = self.pending.len() as f64;
+        let mut ack = format!(
+            "accepted q{id} ({}), {} pending",
+            pending.label,
+            self.pending.len() + 1
+        );
+        if let Err(e) = self.journal.flush() {
+            ack.push_str(&format!("; warning: journal flush failed: {e}"));
+        }
+        self.pending.push(pending);
+        Response::Info(ack)
+    }
+
+    /// Admits query `id`: translates `sql` under its deterministic tag
+    /// (`svc-q<id>`), then appends its `Admitted` record, so a query that
+    /// does not translate writes nothing.
+    fn admit(
+        &mut self,
+        id: u64,
+        tenant: String,
+        label: String,
+        seed: u64,
+        submit_s: f64,
+        sql: &str,
+    ) -> Result<Pending, CoreError> {
+        let translation =
+            self.engine
+                .translate_tagged(sql, self.options.strategy, &format!("svc-q{id}"))?;
         self.journal.append(&JournalRecord::Admitted {
             id,
             tenant: tenant.clone(),
@@ -681,22 +702,14 @@ impl Service {
             submit_s,
             payload: sql.to_string(),
         });
-        let mut ack = format!(
-            "accepted q{id} ({label}), {} pending",
-            self.pending.len() + 1
-        );
-        if let Err(e) = self.journal.flush() {
-            ack.push_str(&format!("; warning: journal flush failed: {e}"));
-        }
-        self.pending.push(Pending {
+        Ok(Pending {
             id,
             tenant,
             label,
             seed,
             submit_s,
             translation,
-        });
-        Response::Info(ack)
+        })
     }
 
     /// Runs the pending batch through the journaled scheduler.
@@ -706,29 +719,12 @@ impl Service {
         }
         let batch = mem::take(&mut self.pending);
         let mut out = Vec::new();
-        let requests = self.build_requests(&batch, &mut out);
-        let config = self.run_config();
-        let run = WorkloadRun {
-            journal: Some(&mut self.journal),
-            reuse: Some(&mut self.cache),
-            ..WorkloadRun::default()
-        };
-        let (report, _stats) = run_workload_with(&mut self.engine.cluster, &config, requests, run);
-        self.runs += 1;
+        self.run_batch(&batch, &[], &mut out);
         if let Err(e) = self.journal.flush() {
             out.push(Response::Info(format!(
                 "warning: journal flush failed: {e}"
             )));
         }
-        for rep in &report.reports {
-            let resp = self.report_response(&batch[rep.index], rep, false);
-            if let Response::Result { .. } = resp {
-                self.answered += 1;
-            }
-            out.push(resp);
-        }
-        self.export_trace(report.trace, &mut out);
-        self.release_outputs(&batch);
         out
     }
 

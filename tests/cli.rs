@@ -185,3 +185,78 @@ fn serve_rejects_too_deep_lines_and_answers_the_rest() {
     );
     assert!(stdout.contains("ok q0 default/q0: 10 row(s)"), "{stdout}");
 }
+
+/// `(a AND b) AND (c AND ...)` over `n` copies of `cid >= 0`.
+fn balanced_conjunction(n: usize) -> String {
+    if n == 1 {
+        return "cid >= 0".to_string();
+    }
+    format!(
+        "({} AND {})",
+        balanced_conjunction(n / 2),
+        balanced_conjunction(n - n / 2)
+    )
+}
+
+/// Feeds one query and `!run` to `ysmart serve --demo` on stdin (a line
+/// this long does not fit in one argument) and returns its result rows,
+/// sorted.
+fn served_rows(sql: &str) -> Vec<String> {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["serve", "--demo"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("runs");
+    let input = format!("{sql}\n!run\n!quit\n");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let mut lines = stdout.lines().skip_while(|l| !l.starts_with("ok q0 "));
+    assert!(lines.next().is_some(), "no answer: {stdout}");
+    let mut rows: Vec<String> = lines
+        .skip(1)
+        .take_while(|l| !l.starts_with("stopped:"))
+        .map(str::to_string)
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// A `WHERE` of 40 000 terms ANDed as a balanced tree parses shallow, and
+/// the planner keeps it shallow: `ysmart serve` answers it like the one
+/// term. Past ≈ 30 000 terms in a debug build, this once overflowed the
+/// stack at admission and aborted the service.
+#[test]
+fn serve_answers_a_long_balanced_where_like_its_one_term() {
+    let want = served_rows("SELECT cid FROM clicks WHERE cid >= 0");
+    assert!(!want.is_empty());
+    let got = served_rows(&format!(
+        "SELECT cid FROM clicks WHERE {}",
+        balanced_conjunction(40_000)
+    ));
+    assert!(got == want, "{} row(s), want {}", got.len(), want.len());
+}
+
+/// The same `WHERE` over a derived table, where each conjunct is a
+/// `Filter` of its own that translation folds into one predicate: this
+/// was admitted, then aborted the service at `!run`.
+#[test]
+fn serve_answers_a_long_balanced_where_over_a_derived_table() {
+    let want = served_rows("SELECT cid FROM clicks WHERE cid >= 0");
+    let got = served_rows(&format!(
+        "SELECT cid FROM (SELECT cid FROM clicks) AS s WHERE {}",
+        balanced_conjunction(40_000)
+    ));
+    assert!(!want.is_empty());
+    assert!(got == want, "{} row(s), want {}", got.len(), want.len());
+}

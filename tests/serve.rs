@@ -101,14 +101,16 @@ fn uninterrupted_session(journal: &PathBuf) -> (Vec<Response>, Vec<u8>) {
 }
 
 /// Segments a recovered record stream the way the service does (runs of
-/// `Admitted` records, then their run's records) and returns, per global
-/// query id, whether the journal already holds its terminal disposition —
-/// i.e. whether the crashed process had already answered it.
-fn journal_ids(records: &[JournalRecord]) -> (BTreeSet<u64>, BTreeSet<u64>) {
+/// `Admitted` records, then their run's records) and returns every
+/// admitted global query id, the ids whose terminal disposition the
+/// journal already holds — i.e. that the crashed process had already
+/// answered — and the number of batches with run records.
+fn journal_ids(records: &[JournalRecord]) -> (BTreeSet<u64>, BTreeSet<u64>, usize) {
     let mut all = BTreeSet::new();
     let mut answered = BTreeSet::new();
     let mut batch: Vec<u64> = Vec::new();
     let mut in_run = false;
+    let mut runs = 0;
     for rec in records {
         match rec {
             JournalRecord::Admitted { id, .. } => {
@@ -119,14 +121,28 @@ fn journal_ids(records: &[JournalRecord]) -> (BTreeSet<u64>, BTreeSet<u64>) {
                 batch.push(*id);
                 all.insert(*id);
             }
-            JournalRecord::Done { id, .. } => {
+            JournalRecord::Done { .. } | JournalRecord::JobDone { .. } => {
+                runs += usize::from(!in_run);
                 in_run = true;
-                answered.insert(batch[*id as usize]);
+                if let JournalRecord::Done { id, .. } = rec {
+                    answered.insert(batch[*id as usize]);
+                }
             }
-            JournalRecord::JobDone { .. } => in_run = true,
         }
     }
-    (all, answered)
+    (all, answered, runs)
+}
+
+/// The `!status` line holding the service's run and answer counters.
+fn runs_line(service: &mut Service) -> String {
+    service
+        .handle_line("!status")
+        .into_iter()
+        .find_map(|r| match r {
+            Response::Info(line) if line.starts_with("runs: ") => Some(line),
+            _ => None,
+        })
+        .expect("!status reports runs")
 }
 
 fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
@@ -161,13 +177,26 @@ fn killing_the_service_at_any_journal_point_loses_and_corrupts_nothing() {
     for cut in cuts {
         let cut_journal = temp_path(&format!("chaos-cut-{cut}.wal"));
         std::fs::write(&cut_journal, &bytes[..cut]).expect("write prefix");
-        let (all_ids, answered_before) = {
+        let (all_ids, answered_before, journaled_runs) = {
             let recovered = recover(&bytes[..cut]).expect("boundary or torn prefix");
             journal_ids(&recovered.records)
         };
 
         let (mut service, recovery) =
             Service::open(demo_engine(), options(cut_journal.clone())).expect("reopen");
+        // Every batch with run records was re-run by recovery, every answer
+        // delivered before the kill was suppressed, and every other answer
+        // it produced was counted.
+        assert_eq!(
+            runs_line(&mut service),
+            format!(
+                "runs: {journaled_runs} ({journaled_runs} recovered), answered: {}, \
+                 suppressed duplicates: {}",
+                results_of(&recovery).len(),
+                answered_before.len(),
+            ),
+            "kill at byte {cut}: recovery counters"
+        );
         let mut responses = recovery;
         // The operator finishes the interrupted session: run whatever was
         // restored to the pending queue, then quit.
