@@ -97,7 +97,7 @@ fn build_query(catalog: &Catalog, arena: &mut PlanArena, query: &Query) -> Resul
         .map(|w| w.conjuncts().into_iter().cloned().collect())
         .unwrap_or_default();
     for c in &where_conjuncts {
-        if c.contains_aggregate() {
+        if has_aggregate(c) {
             return Err(PlanError::Unsupported(
                 "aggregate function in WHERE clause".into(),
             ));
@@ -163,12 +163,9 @@ fn build_query(catalog: &Catalog, arena: &mut PlanArena, query: &Query) -> Resul
 
     // ---- SELECT / GROUP BY / HAVING -------------------------------------
     let select_items = expand_wildcards(&query.select, &current.schema);
-    let has_aggs = select_items.iter().any(|(e, _)| e.contains_aggregate())
+    let has_aggs = select_items.iter().any(|(e, _)| has_aggregate(e))
         || !query.group_by.is_empty()
-        || query
-            .having
-            .as_ref()
-            .is_some_and(AstExpr::contains_aggregate);
+        || query.having.as_ref().is_some_and(has_aggregate);
 
     let mut rel = if has_aggs {
         build_aggregate(arena, current, &select_items, query)?
@@ -194,7 +191,7 @@ fn build_query(catalog: &Catalog, arena: &mut PlanArena, query: &Query) -> Resul
     if !query.order_by.is_empty() {
         let mut keys = Vec::new();
         for (ast, asc) in &query.order_by {
-            let expr = resolve_scalar(ast, &rel.schema)?;
+            let expr = scalar(ast, &rel.schema)?;
             keys.push(SortKey {
                 expr,
                 order: if *asc {
@@ -274,8 +271,11 @@ fn build_table_ref(
 fn binding_refs(expr: &AstExpr, items: &[Rel]) -> Result<BTreeSet<String>, PlanError> {
     let mut out = BTreeSet::new();
     let mut err = None;
-    walk_columns(expr, &mut |qualifier, name| {
-        match qualifier {
+    expr.visit(&mut |e| {
+        let AstExpr::Column { qualifier, name } = e else {
+            return true;
+        };
+        match qualifier.as_deref() {
             Some(q) => {
                 if items
                     .iter()
@@ -302,6 +302,7 @@ fn binding_refs(expr: &AstExpr, items: &[Rel]) -> Result<BTreeSet<String>, PlanE
                 }
             }
         }
+        true
     });
     match err {
         Some(e) => Err(e),
@@ -314,25 +315,6 @@ fn binding_refs(expr: &AstExpr, items: &[Rel]) -> Result<BTreeSet<String>, PlanE
 fn binding_refs_ok(expr: &AstExpr, left: &Rel, right: &Rel) -> Option<BTreeSet<String>> {
     let both = [left.clone(), right.clone()];
     binding_refs(expr, &both).ok()
-}
-
-fn walk_columns(expr: &AstExpr, f: &mut impl FnMut(Option<&str>, &str)) {
-    match expr {
-        AstExpr::Column { qualifier, name } => f(qualifier.as_deref(), name),
-        AstExpr::Literal(_) => {}
-        AstExpr::Binary { lhs, rhs, .. } => {
-            walk_columns(lhs, f);
-            walk_columns(rhs, f);
-        }
-        AstExpr::Not(e) | AstExpr::Neg(e) | AstExpr::IsNull(e) | AstExpr::IsNotNull(e) => {
-            walk_columns(e, f)
-        }
-        AstExpr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                walk_columns(a, f);
-            }
-        }
-    }
 }
 
 /// Checks whether `conj` is `l.col = r.col` across the two relations;
@@ -370,7 +352,7 @@ fn push_filter(
     conj: &AstExpr,
     scan_preds: &mut Vec<Expr>,
 ) -> Result<(), PlanError> {
-    let resolved = resolve_scalar(conj, &rel.schema)?;
+    let resolved = scalar(conj, &rel.schema)?;
     if matches!(arena.node(rel.node).op, Operator::Scan { .. }) {
         scan_preds.push(resolved);
     } else {
@@ -400,14 +382,14 @@ fn build_join(
     let mut residual: Vec<Expr> = Vec::new();
     let combined = left.schema.concat(&right.schema);
     for conj in conjuncts {
-        if conj.contains_aggregate() {
+        if has_aggregate(conj) {
             return Err(PlanError::Unsupported("aggregate in join condition".into()));
         }
         if let Some((l, r)) = equi_between(conj, &left, &right) {
             left_keys.push(l);
             right_keys.push(r);
         } else {
-            residual.push(resolve_scalar(conj, &combined)?);
+            residual.push(scalar(conj, &combined)?);
         }
     }
     if left_keys.is_empty() {
@@ -462,27 +444,54 @@ fn expand_wildcards(items: &[SelectItem], schema: &Schema) -> Vec<(AstExpr, Opti
     out
 }
 
-/// Resolves a scalar (non-aggregate) AST expression against a schema.
-fn resolve_scalar(ast: &AstExpr, schema: &Schema) -> Result<Expr, PlanError> {
-    match ast {
-        AstExpr::Column { qualifier, name } => {
-            let i = schema.resolve(qualifier.as_deref(), name)?;
-            Ok(Expr::Column(i))
+/// Lowers an AST expression to an [`Expr`]. `leaf` sees every node first,
+/// parents before operands: `Some` stands for the whole node, `None` lowers
+/// the node's operator over its lowered operands. Columns and aggregate
+/// calls have no operator to lower, so `leaf` decides them.
+fn lower(
+    ast: &AstExpr,
+    leaf: &mut impl FnMut(&AstExpr) -> Result<Option<Expr>, PlanError>,
+) -> Result<Expr, PlanError> {
+    if let Some(e) = leaf(ast)? {
+        return Ok(e);
+    }
+    Ok(match ast {
+        AstExpr::Literal(l) => Expr::Literal(literal_value(l)),
+        AstExpr::Binary { op, lhs, rhs } => {
+            Expr::binary(binop(*op), lower(lhs, leaf)?, lower(rhs, leaf)?)
         }
-        AstExpr::Literal(l) => Ok(Expr::Literal(literal_value(l))),
-        AstExpr::Binary { op, lhs, rhs } => Ok(Expr::binary(
-            binop(*op),
-            resolve_scalar(lhs, schema)?,
-            resolve_scalar(rhs, schema)?,
-        )),
-        AstExpr::Not(e) => Ok(unary(UnOp::Not, resolve_scalar(e, schema)?)),
-        AstExpr::Neg(e) => Ok(unary(UnOp::Neg, resolve_scalar(e, schema)?)),
-        AstExpr::IsNull(e) => Ok(unary(UnOp::IsNull, resolve_scalar(e, schema)?)),
-        AstExpr::IsNotNull(e) => Ok(unary(UnOp::IsNotNull, resolve_scalar(e, schema)?)),
+        AstExpr::Not(e) => unary(UnOp::Not, lower(e, leaf)?),
+        AstExpr::Neg(e) => unary(UnOp::Neg, lower(e, leaf)?),
+        AstExpr::IsNull(e) => unary(UnOp::IsNull, lower(e, leaf)?),
+        AstExpr::IsNotNull(e) => unary(UnOp::IsNotNull, lower(e, leaf)?),
+        AstExpr::Column { .. } | AstExpr::Agg { .. } => {
+            unreachable!("`leaf` decides columns and aggregate calls")
+        }
+    })
+}
+
+/// Lowers a scalar (aggregate-free) expression, resolving its columns in
+/// `schema`.
+fn scalar(ast: &AstExpr, schema: &Schema) -> Result<Expr, PlanError> {
+    lower(ast, &mut |e| match e {
+        AstExpr::Column { qualifier, name } => Ok(Some(Expr::Column(
+            schema.resolve(qualifier.as_deref(), name)?,
+        ))),
         AstExpr::Agg { .. } => Err(PlanError::Unsupported(
             "aggregate function in scalar context".into(),
         )),
-    }
+        _ => Ok(None),
+    })
+}
+
+/// Whether `ast` calls an aggregate function anywhere.
+fn has_aggregate(ast: &AstExpr) -> bool {
+    let mut found = false;
+    ast.visit(&mut |e| {
+        found |= matches!(e, AstExpr::Agg { .. });
+        !found
+    });
+    found
 }
 
 fn unary(op: UnOp, operand: Expr) -> Expr {
@@ -572,7 +581,7 @@ fn build_projection(
     let mut exprs = Vec::new();
     let mut fields = Vec::new();
     for (idx, (ast, alias)) in select.iter().enumerate() {
-        let e = resolve_scalar(ast, &input.schema)?;
+        let e = scalar(ast, &input.schema)?;
         fields.push(output_field(ast, alias, &input.schema, idx, &e));
         exprs.push(e);
     }
@@ -614,10 +623,10 @@ fn build_aggregate(
     let mut group_asts: Vec<AstExpr> = Vec::new();
     for g in &query.group_by {
         let ast = dealias(g, select);
-        if ast.contains_aggregate() {
+        if has_aggregate(&ast) {
             return Err(PlanError::Unsupported("aggregate in GROUP BY".into()));
         }
-        group_exprs.push(resolve_scalar(&ast, &input.schema)?);
+        group_exprs.push(scalar(&ast, &input.schema)?);
         group_asts.push(ast);
     }
 
@@ -666,15 +675,23 @@ fn build_aggregate(
         (input, cols)
     };
 
-    // Collect aggregate calls from SELECT and HAVING, deduplicated.
-    let mut aggs: Vec<(AggFunc, Option<Expr>)> = Vec::new();
-    let mut collect =
-        |ast: &AstExpr| -> Result<(), PlanError> { collect_aggs(ast, &child.schema, &mut aggs) };
-    for (ast, _) in select {
-        collect(ast)?;
+    // The aggregate calls of SELECT, then HAVING, each identity once.
+    let mut calls = Vec::new();
+    for ast in select.iter().map(|(ast, _)| ast).chain(&query.having) {
+        ast.visit(&mut |e| match agg_key(e, &child.schema) {
+            Some(key) => {
+                calls.push(key);
+                false
+            }
+            None => true,
+        });
     }
-    if let Some(h) = &query.having {
-        collect(h)?;
+    let mut aggs: Vec<AggKey> = Vec::new();
+    for key in calls {
+        let key = key?;
+        if !aggs.contains(&key) {
+            aggs.push(key);
+        }
     }
 
     // Aggregate output schema: group columns, then aggregate results.
@@ -697,24 +714,9 @@ fn build_aggregate(
             .iter()
             .enumerate()
             .find_map(|(k, (ast, alias))| {
-                let AstExpr::Agg {
-                    func: f,
-                    distinct,
-                    arg: a,
-                } = ast
-                else {
-                    return None;
-                };
-                let same = agg_func(*f, *distinct) == *func
-                    && a.as_ref()
-                        .map(|x| resolve_scalar(x, &child.schema))
-                        .transpose()
-                        .ok()?
-                        == *arg;
-                if !same {
-                    return None;
-                }
-                Some(alias.clone().unwrap_or_else(|| format!("col{k}")))
+                let (f, a) = agg_key(ast, &child.schema)?.ok()?;
+                (f == *func && a == *arg)
+                    .then(|| alias.clone().unwrap_or_else(|| format!("col{k}")))
             })
             .unwrap_or_else(|| format!("agg{i}"));
         fields.push(Field::unqualified(&name, ty));
@@ -722,10 +724,20 @@ fn build_aggregate(
     let agg_schema = Schema::new(fields);
 
     // HAVING over the aggregate output.
+    let grouped = Grouped {
+        child: &child.schema,
+        groups: group_asts
+            .iter()
+            .map(|g| scalar(g, &child.schema).ok())
+            .collect(),
+        group_cols: &group_cols,
+        aggs: &aggs,
+        select,
+    };
     let having = query
         .having
         .as_ref()
-        .map(|h| rewrite_post_agg(h, &child.schema, &group_asts, &group_cols, &aggs, select))
+        .map(|h| grouped.lower(h))
         .transpose()?;
 
     let agg_node = arena.add(
@@ -753,7 +765,7 @@ fn build_aggregate(
     let mut exprs = Vec::new();
     let mut out_fields = Vec::new();
     for (idx, (ast, alias)) in select.iter().enumerate() {
-        let e = rewrite_post_agg(ast, &child.schema, &group_asts, &group_cols, &aggs, select)?;
+        let e = grouped.lower(ast)?;
         out_fields.push(output_field(ast, alias, &agg_schema, idx, &e));
         exprs.push(e);
     }
@@ -791,7 +803,7 @@ fn dealias(g: &AstExpr, select: &[(AstExpr, Option<String>)]) -> AstExpr {
     } = g
     {
         for (expr, alias) in select {
-            if alias.as_deref() == Some(name.as_str()) && !expr.contains_aggregate() {
+            if alias.as_deref() == Some(name.as_str()) && !has_aggregate(expr) {
                 return expr.clone();
             }
         }
@@ -799,120 +811,93 @@ fn dealias(g: &AstExpr, select: &[(AstExpr, Option<String>)]) -> AstExpr {
     g.clone()
 }
 
-/// Collects aggregate calls (deduplicated by resolved argument).
-fn collect_aggs(
-    ast: &AstExpr,
-    child: &Schema,
-    out: &mut Vec<(AggFunc, Option<Expr>)>,
-) -> Result<(), PlanError> {
-    match ast {
-        AstExpr::Agg {
-            func,
-            distinct,
-            arg,
-        } => {
-            let rf = agg_func(*func, *distinct);
-            let ra = arg.as_ref().map(|a| resolve_scalar(a, child)).transpose()?;
-            if !out.iter().any(|(f, a)| *f == rf && *a == ra) {
-                out.push((rf, ra));
-            }
-            Ok(())
-        }
-        AstExpr::Binary { lhs, rhs, .. } => {
-            collect_aggs(lhs, child, out)?;
-            collect_aggs(rhs, child, out)
-        }
-        AstExpr::Not(e) | AstExpr::Neg(e) | AstExpr::IsNull(e) | AstExpr::IsNotNull(e) => {
-            collect_aggs(e, child, out)
-        }
-        AstExpr::Column { .. } | AstExpr::Literal(_) => Ok(()),
-    }
-}
+/// An aggregate call's identity: its function and resolved argument.
+/// Calls with one identity share one aggregate output column.
+type AggKey = (AggFunc, Option<Expr>);
 
-fn agg_func(f: AstAggFunc, distinct: bool) -> AggFunc {
-    match (f, distinct) {
+/// The identity of `ast` when it is an aggregate call, its argument
+/// resolved in `child`; `None` for any other node.
+fn agg_key(ast: &AstExpr, child: &Schema) -> Option<Result<AggKey, PlanError>> {
+    let AstExpr::Agg {
+        func,
+        distinct,
+        arg,
+    } = ast
+    else {
+        return None;
+    };
+    let func = match (func, distinct) {
         (AstAggFunc::Count, true) => AggFunc::CountDistinct,
         (AstAggFunc::Count, false) => AggFunc::Count,
         (AstAggFunc::Sum, _) => AggFunc::Sum,
         (AstAggFunc::Avg, _) => AggFunc::Avg,
         (AstAggFunc::Min, _) => AggFunc::Min,
         (AstAggFunc::Max, _) => AggFunc::Max,
-    }
+    };
+    let arg = arg.as_deref().map(|a| scalar(a, child)).transpose();
+    Some(arg.map(|arg| (func, arg)))
 }
 
-/// Rewrites a post-aggregation expression (select item or HAVING) onto the
-/// aggregate output schema: group items map to their output position,
-/// aggregate calls map to theirs, anything else must be built from those.
-fn rewrite_post_agg(
-    ast: &AstExpr,
-    child: &Schema,
-    group_asts: &[AstExpr],
-    group_cols: &[usize],
-    aggs: &[(AggFunc, Option<Expr>)],
-    select: &[(AstExpr, Option<String>)],
-) -> Result<Expr, PlanError> {
-    // A whole-expression match against a GROUP BY item?
-    if let Ok(resolved) = resolve_scalar(ast, child) {
-        for (pos, g) in group_asts.iter().enumerate() {
-            if resolve_scalar(g, child).as_ref() == Ok(&resolved) {
-                return Ok(Expr::Column(pos));
-            }
-        }
-        // A bare column that happens to be one of the group columns by index.
-        if let Expr::Column(c) = resolved {
-            if let Some(pos) = group_cols.iter().position(|&gc| gc == c) {
-                return Ok(Expr::Column(pos));
-            }
-        }
+/// What a post-aggregation expression (a select item or `HAVING`) lowers
+/// onto: the aggregate's output, group items first, then its calls.
+struct Grouped<'a> {
+    /// The aggregate's input.
+    child: &'a Schema,
+    /// Each `GROUP BY` item resolved in `child`, `None` where it does not
+    /// resolve.
+    groups: Vec<Option<Expr>>,
+    group_cols: &'a [usize],
+    aggs: &'a [AggKey],
+    select: &'a [(AstExpr, Option<String>)],
+}
+
+impl Grouped<'_> {
+    /// Group items map to their output position and aggregate calls to
+    /// theirs; anything else must be built from those.
+    fn lower(&self, ast: &AstExpr) -> Result<Expr, PlanError> {
+        lower(ast, &mut |e| self.leaf(e))
     }
-    match ast {
-        AstExpr::Agg {
-            func,
-            distinct,
-            arg,
-        } => {
-            let rf = agg_func(*func, *distinct);
-            let ra = arg.as_ref().map(|a| resolve_scalar(a, child)).transpose()?;
-            let pos = aggs
+
+    fn leaf(&self, ast: &AstExpr) -> Result<Option<Expr>, PlanError> {
+        // A whole-expression match against a GROUP BY item?
+        if let Ok(resolved) = scalar(ast, self.child) {
+            if let Some(pos) = self
+                .groups
                 .iter()
-                .position(|(f, a)| *f == rf && *a == ra)
-                .expect("aggregate was collected");
-            Ok(Expr::Column(group_cols.len() + pos))
-        }
-        AstExpr::Binary { op, lhs, rhs } => Ok(Expr::binary(
-            binop(*op),
-            rewrite_post_agg(lhs, child, group_asts, group_cols, aggs, select)?,
-            rewrite_post_agg(rhs, child, group_asts, group_cols, aggs, select)?,
-        )),
-        AstExpr::Not(e) => Ok(unary(
-            UnOp::Not,
-            rewrite_post_agg(e, child, group_asts, group_cols, aggs, select)?,
-        )),
-        AstExpr::Neg(e) => Ok(unary(
-            UnOp::Neg,
-            rewrite_post_agg(e, child, group_asts, group_cols, aggs, select)?,
-        )),
-        AstExpr::IsNull(e) => Ok(unary(
-            UnOp::IsNull,
-            rewrite_post_agg(e, child, group_asts, group_cols, aggs, select)?,
-        )),
-        AstExpr::IsNotNull(e) => Ok(unary(
-            UnOp::IsNotNull,
-            rewrite_post_agg(e, child, group_asts, group_cols, aggs, select)?,
-        )),
-        AstExpr::Literal(l) => Ok(Expr::Literal(literal_value(l))),
-        AstExpr::Column { qualifier, name } => {
-            // Select-alias reference (HAVING n > 1 with `count(*) AS n`).
-            // Self-referential aliases (`a AS a`) must not recurse.
-            if qualifier.is_none() {
-                for (expr, alias) in select {
-                    if alias.as_deref() == Some(name.as_str()) && expr != ast {
-                        return rewrite_post_agg(expr, child, group_asts, group_cols, aggs, select);
-                    }
+                .position(|g| g.as_ref() == Some(&resolved))
+            {
+                return Ok(Some(Expr::Column(pos)));
+            }
+            // A bare column that happens to be one of the group columns by
+            // index.
+            if let Expr::Column(c) = resolved {
+                if let Some(pos) = self.group_cols.iter().position(|&gc| gc == c) {
+                    return Ok(Some(Expr::Column(pos)));
                 }
             }
-            Err(PlanError::NotGrouped(name.clone()))
         }
+        if let Some(key) = agg_key(ast, self.child) {
+            let key = key?;
+            let pos = self
+                .aggs
+                .iter()
+                .position(|k| *k == key)
+                .expect("aggregate was collected");
+            return Ok(Some(Expr::Column(self.group_cols.len() + pos)));
+        }
+        let AstExpr::Column { qualifier, name } = ast else {
+            return Ok(None);
+        };
+        // Select-alias reference (HAVING n > 1 with `count(*) AS n`).
+        // Self-referential aliases (`a AS a`) must not recurse.
+        if qualifier.is_none() {
+            for (expr, alias) in self.select {
+                if alias.as_deref() == Some(name.as_str()) && expr != ast {
+                    return self.lower(expr).map(Some);
+                }
+            }
+        }
+        Err(PlanError::NotGrouped(name.clone()))
     }
 }
 

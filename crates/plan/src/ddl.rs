@@ -1,5 +1,7 @@
 //! Minimal DDL: `CREATE TABLE` statements for building a [`Catalog`] from
 //! text — what the stand-alone translator binary reads as its schema file.
+//! The statements parse through the query parser ([`ysmart_sql::parse_ddl`]);
+//! this module maps their type names and refuses a name defined twice.
 //!
 //! ```text
 //! CREATE TABLE lineitem (
@@ -13,9 +15,10 @@
 //! `TIMESTAMP` → `Int`; `FLOAT`/`DOUBLE`/`DECIMAL`/`REAL` → `Float`;
 //! `STRING`/`VARCHAR`/`CHAR`/`TEXT` → `Str`; `BOOL`/`BOOLEAN` → `Bool`.
 
+use std::collections::BTreeSet;
+
 use ysmart_rel::{DataType, Schema};
-use ysmart_sql::lexer::{Lexer, Token, TokenKind};
-use ysmart_sql::ParseError;
+use ysmart_sql::CreateTable;
 
 use crate::catalog::Catalog;
 use crate::error::PlanError;
@@ -25,127 +28,30 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`PlanError::Unsupported`] with a description of the syntax problem
-    /// (wrapping the lexer's positioned errors), or naming a table or a
-    /// column defined twice.
+    /// [`PlanError::Parse`] for a syntax error, with its line and column;
+    /// [`PlanError::Unsupported`] for an unknown type name, or naming a
+    /// table or a column defined twice.
     pub fn parse_ddl(ddl: &str) -> Result<Catalog, PlanError> {
-        let tokens = Lexer::new(ddl)
-            .tokenize()
-            .map_err(|e: ParseError| PlanError::Unsupported(format!("DDL: {e}")))?;
-        let mut p = DdlParser { tokens, pos: 0 };
         let mut catalog = Catalog::new();
-        while !p.at_eof() {
-            let (name, schema) = p.parse_create_table()?;
+        for CreateTable { name, columns } in ysmart_sql::parse_ddl(ddl)? {
+            let mut seen = BTreeSet::new();
+            let mut fields = Vec::with_capacity(columns.len());
+            for (column, type_name) in &columns {
+                if !seen.insert(column) {
+                    return Err(PlanError::Unsupported(format!(
+                        "DDL: column `{column}` defined twice in `{name}`"
+                    )));
+                }
+                fields.push((column.as_str(), type_of(type_name)?));
+            }
             if catalog.table(&name).is_ok() {
                 return Err(PlanError::Unsupported(format!(
                     "DDL: table `{name}` defined twice"
                 )));
             }
-            catalog.add_table(&name, schema);
+            catalog.add_table(&name, Schema::of(&name, &fields));
         }
         Ok(catalog)
-    }
-}
-
-struct DdlParser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl DdlParser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
-    }
-
-    fn at_eof(&self) -> bool {
-        matches!(self.peek(), TokenKind::Eof)
-    }
-
-    fn advance(&mut self) {
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<(), PlanError> {
-        match self.peek() {
-            TokenKind::Ident(s) if s == kw => {
-                self.advance();
-                Ok(())
-            }
-            other => Err(PlanError::Unsupported(format!(
-                "DDL: expected `{}`, found {other}",
-                kw.to_uppercase()
-            ))),
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String, PlanError> {
-        match self.peek() {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(s)
-            }
-            other => Err(PlanError::Unsupported(format!(
-                "DDL: expected an identifier, found {other}"
-            ))),
-        }
-    }
-
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), PlanError> {
-        if self.peek() == kind {
-            self.advance();
-            Ok(())
-        } else {
-            Err(PlanError::Unsupported(format!(
-                "DDL: expected `{kind}`, found {}",
-                self.peek()
-            )))
-        }
-    }
-
-    fn parse_create_table(&mut self) -> Result<(String, Schema), PlanError> {
-        self.expect_kw("create")?;
-        self.expect_kw("table")?;
-        let name = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
-        let mut cols: Vec<(String, DataType)> = Vec::new();
-        loop {
-            let col = self.expect_ident()?;
-            if cols.iter().any(|(c, _)| *c == col) {
-                return Err(PlanError::Unsupported(format!(
-                    "DDL: column `{col}` defined twice in `{name}`"
-                )));
-            }
-            let ty_name = self.expect_ident()?;
-            let ty = type_of(&ty_name)?;
-            // Optional precision like DECIMAL(15, 2).
-            if self.peek() == &TokenKind::LParen {
-                while self.peek() != &TokenKind::RParen && !self.at_eof() {
-                    self.advance();
-                }
-                self.expect(&TokenKind::RParen)?;
-            }
-            cols.push((col, ty));
-            match self.peek() {
-                TokenKind::Comma => self.advance(),
-                TokenKind::RParen => {
-                    self.advance();
-                    break;
-                }
-                other => {
-                    return Err(PlanError::Unsupported(format!(
-                        "DDL: expected `,` or `)`, found {other}"
-                    )))
-                }
-            }
-        }
-        if self.peek() == &TokenKind::Semicolon {
-            self.advance();
-        }
-        let refs: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        Ok((name.clone(), Schema::of(&name, &refs)))
     }
 }
 
@@ -194,8 +100,35 @@ mod tests {
 
     #[test]
     fn syntax_errors_positioned() {
-        assert!(Catalog::parse_ddl("CREATE VIEW v (a INT)").is_err());
-        assert!(Catalog::parse_ddl("CREATE TABLE t a INT").is_err());
+        for (ddl, line, column, message) in [
+            (
+                "CREATE VIEW v (a INT)",
+                1,
+                8,
+                "expected keyword `TABLE`, found `view`",
+            ),
+            ("CREATE TABLE t a INT", 1, 16, "expected `(`, found `a`"),
+            (
+                "CREATE TABLE t (a INT);\nCREATE TABLE u (b INT;",
+                2,
+                22,
+                "expected `,` or `)`, found ;",
+            ),
+            (
+                "CREATE TABLE t (\n  a DECIMAL(15, 2\n",
+                3,
+                1,
+                "expected `)`, found <eof>",
+            ),
+        ] {
+            let Err(PlanError::Parse(e)) = Catalog::parse_ddl(ddl) else {
+                panic!("{ddl:?} is no syntax error");
+            };
+            assert_eq!(
+                (e.line, e.column, e.message.as_str()),
+                (line, column, message)
+            );
+        }
     }
 
     #[test]

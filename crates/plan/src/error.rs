@@ -3,10 +3,13 @@
 use std::fmt;
 
 use ysmart_rel::RelError;
+use ysmart_sql::ParseError;
 
 /// Errors raised while building a plan from an AST.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
+    /// SQL text (a `CREATE TABLE` statement) that does not parse.
+    Parse(ParseError),
     /// A `FROM` table is not in the catalog.
     UnknownTable(String),
     /// A column reference could not be resolved in the current scope.
@@ -26,6 +29,7 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PlanError::Parse(e) => write!(f, "{e}"),
             PlanError::UnknownTable(t) => write!(f, "unknown table `{t}`"),
             PlanError::UnknownColumn(c) => write!(f, "unknown column `{c}`"),
             PlanError::AmbiguousColumn(c) => write!(f, "ambiguous column `{c}`"),
@@ -45,9 +49,16 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            PlanError::Parse(e) => Some(e),
             PlanError::Rel(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<ParseError> for PlanError {
+    fn from(e: ParseError) -> Self {
+        PlanError::Parse(e)
     }
 }
 

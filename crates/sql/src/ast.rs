@@ -179,18 +179,23 @@ impl AstExpr {
         }
     }
 
-    /// Whether the expression contains an aggregate call anywhere.
-    #[must_use]
-    pub fn contains_aggregate(&self) -> bool {
+    /// Calls `f` on this expression, then on its operands left to right
+    /// (an aggregate call's argument included), descending below a node
+    /// only when `f` returns `true` for it.
+    pub fn visit(&self, f: &mut impl FnMut(&AstExpr) -> bool) {
+        if !f(self) {
+            return;
+        }
         match self {
-            AstExpr::Agg { .. } => true,
-            AstExpr::Column { .. } | AstExpr::Literal(_) => false,
             AstExpr::Binary { lhs, rhs, .. } => {
-                lhs.contains_aggregate() || rhs.contains_aggregate()
+                lhs.visit(f);
+                rhs.visit(f);
             }
             AstExpr::Not(e) | AstExpr::Neg(e) | AstExpr::IsNull(e) | AstExpr::IsNotNull(e) => {
-                e.contains_aggregate()
+                e.visit(f);
             }
+            AstExpr::Agg { arg: Some(a), .. } => a.visit(f),
+            AstExpr::Agg { arg: None, .. } | AstExpr::Column { .. } | AstExpr::Literal(_) => {}
         }
     }
 
@@ -441,6 +446,18 @@ impl fmt::Display for Query {
     }
 }
 
+/// A `CREATE TABLE` statement: the table's name and each column's name
+/// and type name, in order. A type's precision suffix, like the `(15, 2)`
+/// of `DECIMAL(15, 2)`, is dropped; mapping type names onto runtime types
+/// is the planner's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CreateTable {
+    /// The table name.
+    pub name: String,
+    /// `(column name, type name)` pairs.
+    pub columns: Vec<(String, String)>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,18 +479,35 @@ mod tests {
     }
 
     #[test]
-    fn contains_aggregate_walks_tree() {
+    fn visit_walks_pre_order_and_prunes() {
+        let sum = AstExpr::Agg {
+            func: AstAggFunc::Sum,
+            distinct: false,
+            arg: Some(Box::new(AstExpr::col("a"))),
+        };
         let e = AstExpr::Binary {
             op: AstBinOp::Sub,
-            lhs: Box::new(AstExpr::Agg {
-                func: AstAggFunc::Count,
-                distinct: false,
-                arg: None,
-            }),
+            lhs: Box::new(AstExpr::Not(Box::new(sum))),
             rhs: Box::new(AstExpr::Literal(Literal::Int(2))),
         };
-        assert!(e.contains_aggregate());
-        assert!(!AstExpr::col("x").contains_aggregate());
+        let mut all = Vec::new();
+        e.visit(&mut |n| {
+            all.push(n.to_string());
+            true
+        });
+        assert_eq!(
+            all,
+            ["((NOT sum(a)) - 2)", "(NOT sum(a))", "sum(a)", "a", "2"]
+        );
+        let mut above_aggs = Vec::new();
+        e.visit(&mut |n| {
+            above_aggs.push(n.to_string());
+            !matches!(n, AstExpr::Agg { .. })
+        });
+        assert_eq!(
+            above_aggs,
+            ["((NOT sum(a)) - 2)", "(NOT sum(a))", "sum(a)", "2"]
+        );
     }
 
     #[test]

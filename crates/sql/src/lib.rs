@@ -23,21 +23,38 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{
-    AstExpr, FromItem, Join, JoinType, Literal, Query, SelectItem, TableRef, TableSource,
+    AstExpr, CreateTable, FromItem, Join, JoinType, Literal, Query, SelectItem, TableRef,
+    TableSource,
 };
 pub use error::ParseError;
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::Parser;
 
+/// Parses `CREATE TABLE` statements, as a schema file holds them.
+///
+/// ```
+/// let tables = ysmart_sql::parse_ddl("CREATE TABLE t (k INT, v DECIMAL(15, 2));").unwrap();
+/// assert_eq!(tables[0].columns[1], ("v".to_string(), "decimal".to_string()));
+/// ```
+///
+/// # Errors
+///
+/// Returns [`ParseError`] with the position of the offending token.
+pub fn parse_ddl(ddl: &str) -> Result<Vec<CreateTable>, ParseError> {
+    Parser::new(ddl)?.parse_ddl_eof()
+}
+
 /// Parses a single SQL query.
 ///
 /// The parser is recursive descent, so the stack it needs grows with the
-/// query's nesting, which [`parser::MAX_DEPTH`] bounds. Parsing 255 nested
-/// parentheses or derived tables takes 2.1–2.6 MB of stack in a debug
-/// build (255 nested `IN` lists: 1.7–2.1 MB) and 0.4–0.5 MB in a release
-/// build. A debug caller that may be handed input nested near the limit
-/// should parse on a thread with more than the 2 MB a spawned or test
-/// thread gets by default; a main thread's 8 MB is enough.
+/// query's nesting, which [`parser::MAX_DEPTH`] bounds. At the deepest
+/// input accepted, a debug build needs 0.9 MB of stack for 253 nested
+/// parentheses, 0.45 MB for a chain of 253 `NOT`s or unary minuses, 1.7 MB
+/// for 253 nested `IN` lists and 2.2 MB for 254 nested derived tables; a
+/// release build needs at most 0.4 MB for any of them. A debug caller that
+/// may be handed derived tables nested near the limit should parse on a
+/// thread with more than the 2 MB a spawned or test thread gets by
+/// default; a main thread's 8 MB is enough.
 ///
 /// # Errors
 ///

@@ -229,7 +229,7 @@ fn run(args: Args) -> Result<(), String> {
         let catalog_file = args.catalog.as_ref().expect("checked by `parse_args`");
         let ddl = std::fs::read_to_string(catalog_file)
             .map_err(|e| format!("cannot read {catalog_file}: {e}"))?;
-        let catalog = Catalog::parse_ddl(&ddl).map_err(|e| e.to_string())?;
+        let catalog = Catalog::parse_ddl(&ddl).map_err(|e| format!("{catalog_file}: {e}"))?;
         let dir = args.data.as_ref().expect("checked by `parse_args`");
         let mut tables = Vec::new();
         for (name, _) in catalog.iter() {

@@ -271,6 +271,18 @@ pub struct Service {
     cache: ReuseCache,
 }
 
+/// The most characters of a request line an admission error repeats back:
+/// a tenant name or a malformed line is echoed to this length, then `…`.
+const ECHO_CHARS: usize = 64;
+
+/// `text` cut to [`ECHO_CHARS`] characters, marked with `…` when cut.
+fn clipped(text: &str) -> String {
+    match text.char_indices().nth(ECHO_CHARS) {
+        Some((end, _)) => format!("{}…", &text[..end]),
+        None => text.to_string(),
+    }
+}
+
 /// Per-request scheduling seed, derived from the service-wide id so a
 /// restart recomputes the identical value (it is also journaled).
 #[must_use]
@@ -619,7 +631,8 @@ impl Service {
                 Some((t, q)) if !t.is_empty() && !q.trim().is_empty() => (t.to_string(), q.trim()),
                 _ => {
                     return reject(format!(
-                        "malformed @tenant prefix in {line:?}: expected \"@tenant SELECT ...\""
+                        "malformed @tenant prefix in {:?}: expected \"@tenant SELECT ...\"",
+                        clipped(line)
                     ))
                 }
             },
@@ -639,7 +652,8 @@ impl Service {
             .any(|t| t.name == tenant)
         {
             return reject(format!(
-                "unknown tenant {tenant:?}; configured: {}",
+                "unknown tenant {:?}; configured: {}",
+                clipped(&tenant),
                 self.options
                     .scheduler
                     .tenants

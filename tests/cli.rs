@@ -260,3 +260,151 @@ fn serve_answers_a_long_balanced_where_over_a_derived_table() {
     assert!(!want.is_empty());
     assert!(got == want, "{} row(s), want {}", got.len(), want.len());
 }
+
+/// A fresh directory holding `schema.sql` and `data/<table>.tbl` files.
+struct Fixture(std::path::PathBuf);
+
+impl Fixture {
+    fn new(name: &str, ddl: &str, tables: &[(&str, &str)]) -> Fixture {
+        let dir = std::env::temp_dir().join(format!("ysmart-cli-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("data")).unwrap();
+        std::fs::write(dir.join("schema.sql"), ddl).unwrap();
+        for (table, rows) in tables {
+            std::fs::write(dir.join("data").join(format!("{table}.tbl")), rows).unwrap();
+        }
+        Fixture(dir)
+    }
+
+    fn query(&self, sql: &str) -> std::process::Output {
+        Command::new(env!("CARGO_BIN_EXE_ysmart"))
+            .arg("--catalog")
+            .arg(self.0.join("schema.sql"))
+            .arg("--data")
+            .arg(self.0.join("data"))
+            .arg(sql)
+            .output()
+            .expect("runs")
+    }
+}
+
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A `--data` row with a field too many, a field too few, or a value its
+/// column's type cannot hold fails the query with the count of skipped
+/// records, against the CLI's bad-record budget of 0.
+#[test]
+fn malformed_data_rows_fail_the_query_with_their_count() {
+    for (case, rows) in [
+        ("extra", "1|x\n2|y|extra\n"),
+        ("missing", "1|x\n3\n"),
+        ("notanint", "1|x\nnotanint|z\n"),
+    ] {
+        let fx = Fixture::new(case, "CREATE TABLE t (a INT, b STRING);", &[("t", rows)]);
+        let out = fx.query("SELECT a, b FROM t");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+        assert!(
+            stderr.contains("skipped 1 malformed records, budget 0"),
+            "{case}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{case} answered");
+    }
+}
+
+/// A schema file that stops inside `DECIMAL(` is a syntax error reported
+/// against the file, with the line and column where it was found.
+#[test]
+fn an_unterminated_catalog_is_a_positioned_syntax_error() {
+    let fx = Fixture::new(
+        "unterminated",
+        "CREATE TABLE t (\n  a INT,\n  b DECIMAL(15,\n",
+        &[("t", "1|2.5\n")],
+    );
+    let out = fx.query("SELECT a FROM t");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let schema = fx.0.join("schema.sql");
+    assert_eq!(
+        stderr,
+        format!(
+            "ysmart: {}: parse error at line 4, column 1: expected `)`, found <eof>\n",
+            schema.display()
+        )
+    );
+}
+
+/// A table of 200 000 columns parses and answers: nothing in the schema
+/// path recurses per column or compares every column with every other.
+#[test]
+fn a_200_000_column_table_parses_and_answers() {
+    let n = 200_000;
+    let columns: Vec<String> = (0..n).map(|i| format!("c{i} INT")).collect();
+    let row: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+    let fx = Fixture::new(
+        "wide",
+        &format!("CREATE TABLE w ({});", columns.join(", ")),
+        &[("w", &format!("{}\n", row.join("|")))],
+    );
+    let out = fx.query("SELECT c0, c199999 FROM w");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with("c0|c199999\n0|199999\n"), "{stdout}");
+}
+
+/// Malformed `@tenant` lines and an unknown tenant's megabyte name are each
+/// refused at admission, echoed no longer than a short prefix, and the rest
+/// of the stream is answered.
+#[test]
+fn serve_refuses_malformed_tenant_lines_and_answers_the_rest() {
+    use std::io::Write;
+    let long = "x".repeat(1_000_000);
+    let input = format!(
+        "@\n@ SELECT cid FROM clicks\n@default\n@{long} SELECT cid FROM clicks\n@{long}\n\
+         SELECT cid, count(*) AS n FROM clicks GROUP BY cid\n!run\n!quit\n"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["serve", "--demo"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("runs");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0));
+    let refused: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("err admission: "))
+        .collect();
+    assert_eq!(refused.len(), 5, "{refused:?}");
+    for (line, what) in refused.iter().zip([
+        "malformed @tenant prefix in \"@\"",
+        "malformed @tenant prefix in \"@ SELECT cid FROM clicks\"",
+        "malformed @tenant prefix in \"@default\"",
+        "unknown tenant \"xxxx",
+        "malformed @tenant prefix in \"@xxxx",
+    ]) {
+        assert!(line.contains(what), "{line:.200}");
+        assert!(line.len() < 200, "{} bytes echoed: {line:.200}", line.len());
+    }
+    assert!(refused[3].contains(&format!("\"{}…\"", "x".repeat(64))));
+    assert!(
+        stdout.contains("ok q0 default/q0: 10 row(s)"),
+        "{stdout:.2000}"
+    );
+}
