@@ -19,28 +19,28 @@
 //! record is skipped, mirroring Hadoop's skipping mode; the engine enforces
 //! the `ClusterConfig::skip_bad_records` budget.
 //!
-//! Each record visible to a branch is also counted via
-//! [`MapOutput::record_dispatch`] (a batch counts in bulk,
-//! [`MapOutput::record_dispatches`]), giving merged (CMF) jobs per-stream
+//! The records visible to a branch are also counted, a batch's in bulk via
+//! [`MapOutput::record_dispatches`], giving merged (CMF) jobs per-stream
 //! fan-out visibility in `JobMetrics::map_dispatches`.
 //!
-//! The body exists once per input form, and both emit the same pairs. A
-//! column batch is mapped whole by `map_columns`: each branch's selection
-//! becomes a mask, the keys, the value and the pad become columns — a plain
-//! column borrowed from the batch, anything else its `colexpr` kernel —
-//! and one [`MapOutput::emit_columns`] writes them. A selection fails on
-//! any row it fails on, a key or value only on a row some branch keeps
-//! (`colexpr::Eval::check`); a batch holding such a row emits nothing (the
-//! job fails either way). A text line is decoded into a `Row` and mapped
-//! by `map_record`, one record at a time.
+//! The body exists once, over a column batch: `map_columns` turns each
+//! branch's selection into a mask, the keys, the value and the pad into
+//! columns — a plain column borrowed from the batch, anything else its
+//! `colexpr` kernel — and one [`MapOutput::emit_columns`] writes them. A
+//! selection fails on any row it fails on, a key or value only on a row
+//! some branch keeps (`colexpr::Eval::check`); a batch holding such a row
+//! emits nothing (the job fails either way). A frame is mapped as the batch
+//! it decodes to. Text lines are decoded at the door: `map_lines` cuts them
+//! into chunks of [`DEFAULT_FRAME_ROWS`], decodes each line of a chunk into
+//! a row, and maps the chunk's rows as one batch.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper};
 use ysmart_rel::codec::decode_line_projected;
-use ysmart_rel::colbatch::{Column, ColumnBatch};
-use ysmart_rel::{Expr, RelError, Row, Value};
+use ysmart_rel::colbatch::{Column, ColumnBatch, DEFAULT_FRAME_ROWS};
+use ysmart_rel::{Expr, RelError, Value};
 
 use crate::blueprint::JobBlueprint;
 use crate::colexpr::{eval_column, eval_mask, Mask};
@@ -57,17 +57,9 @@ pub struct CommonMapper {
     /// value reads it. Unneeded fields are skipped at decode time (left
     /// NULL) — a scan-side projection.
     needed_cols: Vec<bool>,
-    /// The key and value cells of the pair `map_record` is building, reused
-    /// for every record; [`MapOutput::emit_cells`] leaves them empty.
-    key: Vec<Value>,
-    value: Vec<Value>,
     /// The value after the tag, over the input's columns (tagged mode: its
     /// carried columns; direct and map-only modes: stream 0's projection).
     values: Vec<Expr>,
-    /// `values` as column indices when they are plain, in-bounds and
-    /// duplicate-free. A decoded line is dead once the value is built, so
-    /// its columns are then *moved* out of it instead of cloned.
-    value_move: Option<Vec<usize>>,
     /// The Pig-style serialisation pad ending every value, if configured (a
     /// map-only job's value is the final row and is never padded).
     pad: Option<Value>,
@@ -85,8 +77,7 @@ impl CommonMapper {
         } else {
             (1 << blueprint.streams.len()) - 1
         };
-        let width = input.schema.len();
-        let mut needed_cols = vec![false; width];
+        let mut needed_cols = vec![false; input.schema.len()];
         let mut mark = |c: usize| {
             if let Some(slot) = needed_cols.get_mut(c) {
                 *slot = true;
@@ -106,18 +97,6 @@ impl CommonMapper {
             mark(c);
         }
         let values = blueprint.map_values(input_idx);
-        let value_move = values
-            .iter()
-            .map(|e| match e {
-                Expr::Column(c) if *c < width => Some(*c),
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>()
-            .filter(|cols| {
-                let mut sorted = cols.clone();
-                sorted.sort_unstable();
-                sorted.windows(2).all(|w| w[0] != w[1])
-            });
         let pad = (blueprint.pad_bytes > 0 && !blueprint.map_only)
             .then(|| Value::Str("x".repeat(blueprint.pad_bytes)));
         CommonMapper {
@@ -126,80 +105,18 @@ impl CommonMapper {
             input_idx,
             tagged,
             needed_cols,
-            key: Vec::new(),
-            value: Vec::new(),
             values,
-            value_move,
             pad,
         }
     }
 
-    /// The common-mapper body (§VI-A) over one decoded text line: evaluate
-    /// every branch's selection, then emit at most one pair. `Err` is a
-    /// planner bug's message for [`MapOutput::record_fatal`].
-    fn map_record(&mut self, row: Row, out: &mut MapOutput) -> Result<(), String> {
-        let input = &self.blueprint.inputs[self.input_idx];
-        let name = &self.blueprint.name;
-        // Charge one work unit per branch beyond the first (the shared-scan
-        // overhead).
-        out.add_work(input.branches.len() as u64 - 1);
-        let mut forbidden = self.foreign_mask;
-        let mut any = false;
-        for b in &input.branches {
-            let visible = match &b.predicate {
-                None => true,
-                Some(p) => p
-                    .eval_predicate(&row)
-                    .map_err(|e| format!("predicate failed in {name}: {e}"))?,
-            };
-            if visible {
-                any = true;
-                out.record_dispatch(b.stream);
-            } else {
-                forbidden |= 1 << b.stream;
-            }
-        }
-        if !any {
-            return Ok(());
-        }
-        // The pair is staged in the reused buffers and emitted only once
-        // every expression evaluated: a failing one leaves nothing behind.
-        let (key, value) = (&mut self.key, &mut self.value);
-        key.clear();
-        value.clear();
-        for e in &input.key_exprs {
-            let v = e.eval(&row);
-            key.push(v.map_err(|e| format!("key expr failed in {name}: {e}"))?);
-        }
-        if self.tagged {
-            value.push(Value::Int(forbidden as i64));
-        }
-        match &self.value_move {
-            Some(cols) => {
-                let mut raw = row.into_values();
-                let moved = cols
-                    .iter()
-                    .map(|&c| std::mem::replace(&mut raw[c], Value::Null));
-                value.extend(moved);
-            }
-            None => {
-                for e in &self.values {
-                    let v = e.eval(&row);
-                    value.push(v.map_err(|e| format!("projection failed in {name}: {e}"))?);
-                }
-            }
-        }
-        value.extend(self.pad.clone());
-        out.emit_cells(key, value);
-        Ok(())
-    }
-
-    /// The same body a batch at a time: each selection a mask, then every
-    /// row's visibility, tag, work and dispatch counts in one pass over the
-    /// masks, then the key, value and pad columns of the rows some branch
-    /// keeps, written by one [`MapOutput::emit_columns`]. Counts and pairs
-    /// are recorded only once nothing can fail, so a failing batch leaves
-    /// nothing behind.
+    /// The common-mapper body (§VI-A) over a batch: each selection a mask,
+    /// then every row's visibility, tag, work and dispatch counts in one
+    /// pass over the masks, then the key, value and pad columns of the rows
+    /// some branch keeps, written by one [`MapOutput::emit_columns`].
+    /// Counts and pairs are recorded only once nothing can fail, so a
+    /// failing batch leaves nothing behind. `Err` is a planner bug's
+    /// message for [`MapOutput::record_fatal`].
     fn map_columns(&self, batch: &ColumnBatch, out: &mut MapOutput) -> Result<(), String> {
         let input = &self.blueprint.inputs[self.input_idx];
         let name = &self.blueprint.name;
@@ -267,22 +184,39 @@ impl CommonMapper {
 
 impl Mapper for CommonMapper {
     fn map(&mut self, line: &str, out: &mut MapOutput) {
+        self.map_lines(&[line], out);
+    }
+
+    fn map_lines(&mut self, lines: &[&str], out: &mut MapOutput) {
         let input = &self.blueprint.inputs[self.input_idx];
-        // Tagged multi-output files mix records of several merged ops; keep
-        // only this consumer's tag and decode the rest of the line.
-        let Some(payload) = untag_line(line, input.tag_filter) else {
-            return;
-        };
-        match decode_line_projected(payload, &input.schema, &self.needed_cols) {
-            Ok(row) => {
-                if let Err(msg) = self.map_record(row, out) {
-                    out.record_fatal(msg);
+        let mut rows = Vec::with_capacity(lines.len().min(DEFAULT_FRAME_ROWS));
+        for chunk in lines.chunks(DEFAULT_FRAME_ROWS) {
+            rows.clear();
+            for line in chunk {
+                // Tagged multi-output files mix records of several merged
+                // ops; keep only this consumer's tag and decode the rest of
+                // the line.
+                let Some(payload) = untag_line(line, input.tag_filter) else {
+                    continue;
+                };
+                match decode_line_projected(payload, &input.schema, &self.needed_cols) {
+                    Ok(row) => rows.push(row),
+                    // A record that won't decode is corrupt input, not a
+                    // planner bug: count it and move on (the engine
+                    // enforces the skip-budget and fails the job past it).
+                    Err(_) => out.record_bad(),
                 }
             }
-            // A record that won't decode is corrupt input, not a planner
-            // bug: count it and move on (the engine enforces the
-            // skip-budget and fails the job past it).
-            Err(_) => out.record_bad(),
+            if rows.is_empty() {
+                continue;
+            }
+            let name = &self.blueprint.name;
+            let mapped = ColumnBatch::from_rows(&rows)
+                .map_err(|e| format!("decoded lines form no batch in {name}: {e}"))
+                .and_then(|batch| self.map_columns(&batch, out));
+            if let Err(msg) = mapped {
+                out.record_fatal(msg);
+            }
         }
     }
 
@@ -318,7 +252,7 @@ impl Mapper for CommonMapper {
 mod tests {
     use super::*;
     use crate::blueprint::{EmitSpec, InputSpec, MapBranch, OpKind, ROp, RSource, StreamSpec};
-    use ysmart_rel::{BinOp, DataType, Expr, Schema};
+    use ysmart_rel::{BinOp, DataType, Expr, Row, Schema};
 
     fn schema() -> Schema {
         Schema::of("t", &[("k", DataType::Int), ("v", DataType::Int)])
@@ -522,9 +456,9 @@ mod tests {
 
     #[test]
     fn text_and_batch_paths_charge_segments_alike() {
-        // Text lines reach the arenas a pair at a time, batches a column at
-        // a time: every partition's segment is charged the same text bytes
-        // and the same frame either way.
+        // Text lines mapped one at a time reach the arenas as one-row
+        // batches, a batch as one: every partition's segment is charged the
+        // same text bytes and the same frame either way.
         let bp = blueprint(
             vec![
                 MapBranch {
@@ -673,8 +607,8 @@ mod tests {
     #[test]
     fn failing_expression_rolls_the_pair_back() {
         // `k / v` fails on `v = 0`: as the second key expression it fails
-        // with a key cell already staged, as the second projection with the
-        // key and a value cell already in the arena. Either way the pair
+        // after the first key column evaluated, as the second projection
+        // after the key and the first value column did. Either way the pair
         // leaves nothing behind — the pairs around it read back intact —
         // and the first error is the one reported.
         let div = || Expr::binary(BinOp::Div, Expr::col(0), Expr::col(1));

@@ -1,19 +1,26 @@
 //! Equivalence of the common mapper's batch body with a row-at-a-time
-//! reference.
+//! reference, fed column batches and text lines.
 //!
-//! [`reference_map`] is the common mapper one record at a time: every
+//! [`reference_rows`] is the common mapper one record at a time: every
 //! branch's selection by `eval_predicate`, the key by `eval`, the value
 //! carried (`Row::project` of `value_cols`) then, in direct mode, stream 0's
 //! projection evaluated over it, the Pig pad, one `MapOutput::emit` per
 //! pair. `CommonMapper::map_batch` maps a batch whole — each selection a
 //! mask, each key and value a column (a borrowed column or a `colexpr`
 //! kernel, failing rows carried beside it), one `MapOutput::emit_columns`.
-//! Over generated blueprints and batches the two
-//! must agree on everything a job's result and its simulated time are
-//! derived from: every partition's pairs (cells, key/value split, emit
-//! order), each segment's text bytes and frame size, work, per-stream
-//! dispatch counts, bad-record counts — and whether the job fails. A batch
-//! holding a row on which an expression fails emits nothing either way.
+//! `CommonMapper::map_lines` decodes a task's text lines a chunk of
+//! `DEFAULT_FRAME_ROWS` at a time and maps each chunk as one batch; its
+//! reference decodes every line whole (`decode_line`) and maps the rows one
+//! by one. Each generated batch is also rendered to lines: `tag|` prefixes
+//! and foreign tags when the input filters by tag, undecodable lines
+//! interleaved (a torn copy, a line of too many fields), and now and then a
+//! batch longer than a chunk, so that a chunk boundary falls inside it.
+//! Over generated blueprints and batches each body and its reference must
+//! agree on everything a job's result and its simulated time are derived
+//! from: every partition's pairs (cells, key/value split, emit order), each
+//! segment's text bytes and frame size, work, per-stream dispatch counts,
+//! bad-record counts — and whether the job fails. An input holding a row on
+//! which an expression fails fails the job either way.
 //!
 //! `cargo test` runs a few hundred cases; CI runs the `#[ignore]`d soak in
 //! release mode (`--include-ignored`).
@@ -25,8 +32,9 @@ use rand::{Rng, SeedableRng};
 use ysmart_exec::{
     CommonMapper, EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, StreamSpec,
 };
-use ysmart_mapred::{untag_batch, MapOutput, Mapper};
-use ysmart_rel::colbatch::FrameStats;
+use ysmart_mapred::{untag_batch, untag_line, MapOutput, Mapper};
+use ysmart_rel::codec::{decode_line, encode_line};
+use ysmart_rel::colbatch::{FrameStats, DEFAULT_FRAME_ROWS};
 use ysmart_rel::{BinOp, ColumnBatch, DataType, Expr, Row, Schema, UnOp, Value};
 
 // ---- the reference ---------------------------------------------------------
@@ -78,23 +86,15 @@ fn reference_row(bp: &JobBlueprint, input: &InputSpec, row: &Row) -> Result<RowP
     Ok((seen, Some((key, Row::new(value)))))
 }
 
-/// The row-at-a-time common mapper over one batch of input `input`.
-fn reference_map(bp: &JobBlueprint, input: usize, batch: &ColumnBatch, out: &mut MapOutput) {
-    let spec = &bp.inputs[input];
-    let batch = match spec.tag_filter {
-        None => batch.clone(),
-        Some(want) => untag_batch(batch, want),
-    };
-    let n = batch.num_rows();
-    if batch.num_cols() != spec.schema.len() {
-        (0..n).for_each(|_| out.record_bad());
-        return;
-    }
-    let pairs = (0..n).map(|r| reference_row(bp, spec, &batch.row(r)));
+/// The row-at-a-time common mapper over rows of input 0: each row's pair,
+/// or, when any row fails, nothing but the failure.
+fn reference_rows(bp: &JobBlueprint, rows: &[Row], out: &mut MapOutput) {
+    let spec = &bp.inputs[0];
+    let pairs = rows.iter().map(|row| reference_row(bp, spec, row));
     match pairs.collect::<Result<Vec<_>, _>>() {
         Err(msg) => out.record_fatal(msg),
         Ok(pairs) => {
-            out.add_work(n as u64 * (spec.branches.len() as u64 - 1));
+            out.add_work(rows.len() as u64 * (spec.branches.len() as u64 - 1));
             for (seen, pair) in pairs {
                 seen.into_iter().for_each(|s| out.record_dispatch(s));
                 if let Some((key, value)) = pair {
@@ -103,6 +103,37 @@ fn reference_map(bp: &JobBlueprint, input: usize, batch: &ColumnBatch, out: &mut
             }
         }
     }
+}
+
+/// The reference over one batch of input 0: a row of the wrong width is a
+/// bad record.
+fn reference_map(bp: &JobBlueprint, batch: &ColumnBatch, out: &mut MapOutput) {
+    let spec = &bp.inputs[0];
+    let batch = match spec.tag_filter {
+        None => batch.clone(),
+        Some(want) => untag_batch(batch, want),
+    };
+    if batch.num_cols() != spec.schema.len() {
+        (0..batch.num_rows()).for_each(|_| out.record_bad());
+        return;
+    }
+    reference_rows(bp, &batch.to_rows(), out);
+}
+
+/// The reference over text lines of input 0: a line of another tag is
+/// skipped, a line that does not decode whole is a bad record.
+fn reference_lines(bp: &JobBlueprint, lines: &[String], out: &mut MapOutput) {
+    let spec = &bp.inputs[0];
+    let mut rows = Vec::new();
+    for line in lines {
+        if let Some(payload) = untag_line(line, spec.tag_filter) {
+            match decode_line(payload, &spec.schema) {
+                Ok(row) => rows.push(row),
+                Err(_) => out.record_bad(),
+            }
+        }
+    }
+    reference_rows(bp, &rows, out);
 }
 
 // ---- the generator ---------------------------------------------------------
@@ -123,6 +154,17 @@ enum Ty {
 impl Ty {
     fn numeric(self) -> bool {
         matches!(self, Ty::Int | Ty::Float | Ty::Num)
+    }
+
+    /// The schema type a text line is decoded as (`Num`'s `Int` cells
+    /// decode as `Float`).
+    fn data_type(self) -> DataType {
+        match self {
+            Ty::Int => DataType::Int,
+            Ty::Float | Ty::Num => DataType::Float,
+            Ty::Str => DataType::Str,
+            Ty::Bool => DataType::Bool,
+        }
     }
 }
 
@@ -405,15 +447,18 @@ fn gen_case(g: &mut Gen) -> Case {
     let divides = |e: &Expr| matches!(e, Expr::Binary { op: BinOp::Div, .. });
     let guard = guard.filter(|_| key_exprs.iter().chain(&projection).any(divides));
     let pad_bytes = if g.chance(0.15) { 3 } else { 0 };
-    let schema = |name: &str, n: usize| {
-        let cols: Vec<String> = (0..n).map(|c| format!("c{c}")).collect();
-        let fields: Vec<(&str, DataType)> =
-            cols.iter().map(|c| (c.as_str(), DataType::Int)).collect();
+    let schema = |name: &str, types: &[Ty]| {
+        let cols: Vec<String> = (0..types.len()).map(|c| format!("c{c}")).collect();
+        let fields: Vec<(&str, DataType)> = cols
+            .iter()
+            .zip(types)
+            .map(|(c, ty)| (c.as_str(), ty.data_type()))
+            .collect();
         Schema::of(name, &fields)
     };
     let mut inputs = vec![InputSpec {
         path: "data/x".into(),
-        schema: schema("x", width),
+        schema: schema("x", &types),
         key_exprs,
         value_cols,
         branches,
@@ -423,7 +468,7 @@ fn gen_case(g: &mut Gen) -> Case {
     if !foreign.is_empty() {
         inputs.push(InputSpec {
             path: "data/y".into(),
-            schema: schema("y", 1),
+            schema: schema("y", &[Ty::Int]),
             key_exprs: vec![Expr::col(0)],
             value_cols: vec![0],
             branches: foreign
@@ -471,12 +516,18 @@ fn gen_case(g: &mut Gen) -> Case {
 }
 
 /// One batch of input 0: 0–40 rows of its column types behind a leading tag
-/// column when the input filters by tag, and now and then a batch of the
-/// wrong width (bad records).
+/// column when the input filters by tag — now and then more rows than a
+/// text chunk holds — and now and then a batch of the wrong width (bad
+/// records).
 fn gen_batch(g: &mut Gen, case: &Case) -> ColumnBatch {
     let tag_filter = case.bp.inputs[0].tag_filter;
     let wrong_width = g.chance(0.05);
-    let rows: Vec<Row> = (0..g.below(41))
+    let n = if g.chance(0.03) {
+        DEFAULT_FRAME_ROWS + g.below(DEFAULT_FRAME_ROWS / 4)
+    } else {
+        g.below(41)
+    };
+    let rows: Vec<Row> = (0..n)
         .map(|_| {
             let tag = tag_filter.map(|want| Value::Int(if g.chance(0.7) { want } else { 9 }));
             let mut cells: Vec<Value> = tag.into_iter().collect();
@@ -488,6 +539,30 @@ fn gen_batch(g: &mut Gen, case: &Case) -> ColumnBatch {
         })
         .collect();
     ColumnBatch::from_rows(&rows).expect("finite cells of one width")
+}
+
+/// The batches of a case as one text task's lines: each row rendered (its
+/// tag column the `tag|` prefix), and after one row in ten an undecodable
+/// line — its torn copy, as the engine injects it, or one of more fields
+/// than any row has, behind the wanted tag when the input filters by tag.
+fn render_lines(g: &mut Gen, case: &Case, batches: &[ColumnBatch]) -> Vec<String> {
+    let prefix = case.bp.inputs[0]
+        .tag_filter
+        .map_or(String::new(), |want| format!("{want}|"));
+    let mut lines = Vec::new();
+    for row in batches.iter().flat_map(ColumnBatch::to_rows) {
+        let line = encode_line(&row);
+        let bad = g.chance(0.1).then(|| {
+            if g.chance(0.5) {
+                format!("{line}|\u{1}")
+            } else {
+                format!("{prefix}{}", ["x"; 8].join("|"))
+            }
+        });
+        lines.push(line);
+        lines.extend(bad);
+    }
+    lines
 }
 
 /// Everything the contract covers, rendered so that `Int(7)` and
@@ -510,8 +585,16 @@ fn observed(mut out: MapOutput, partitions: usize) -> Result<Observed, String> {
     Ok((parts, out.work(), dispatches, out.bad_records()))
 }
 
+/// The failure classes the common mapper reports.
+fn assert_planner_failure(fatal: &str) {
+    let class = ["predicate", "key expr", "projection"];
+    let class = class.map(|c| format!("{c} failed in eq: "));
+    assert!(class.iter().any(|c| fatal.starts_with(c)), "{fatal}");
+}
+
 fn check_equivalence(cases: u64) {
     let (mut emitted, mut failed, mut dodged, mut shapes) = (0, 0, 0, 0);
+    let (mut text_emitted, mut text_bad, mut chunked) = (0, 0, 0);
     for seed in 0..cases {
         let mut g = Gen(StdRng::seed_from_u64(0x3A99_0000 + seed));
         let case = gen_case(&mut g);
@@ -532,16 +615,36 @@ fn check_equivalence(cases: u64) {
         };
         let mut mapper = CommonMapper::new(Arc::new(case.bp.clone()), 0);
         let by_batch = run(&mut |b, out| mapper.map_batch(b, out));
-        let by_row = run(&mut |b, out| reference_map(&case.bp, 0, b, out));
+        let by_row = run(&mut |b, out| reference_map(&case.bp, b, out));
         let context = || format!("seed {seed}, {partitions} partitions\n{:#?}", case.bp);
         match (&by_batch, &by_row) {
             (Err(fatal), Err(_)) => {
-                let class = ["predicate", "key expr", "projection"];
-                let class = class.map(|c| format!("{c} failed in eq: "));
-                assert!(class.iter().any(|c| fatal.starts_with(c)), "{fatal}");
+                assert_planner_failure(fatal);
                 failed += 1;
             }
             _ => assert_eq!(by_batch, by_row, "{}\n{batches:?}", context()),
+        }
+        // The same batches as one text task's lines, mapped in one call.
+        let lines = render_lines(&mut g, &case, &batches);
+        let run_lines = |map: &mut dyn FnMut(&mut MapOutput)| {
+            let mut out = MapOutput::partitioned(partitions);
+            if reserve {
+                out.reserve(lines.len());
+            }
+            map(&mut out);
+            observed(out, partitions)
+        };
+        let fed: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let by_lines = run_lines(&mut |out| mapper.map_lines(&fed, out));
+        let by_line = run_lines(&mut |out| reference_lines(&case.bp, &lines, out));
+        match (&by_lines, &by_line) {
+            (Err(fatal), Err(_)) => assert_planner_failure(fatal),
+            _ => assert_eq!(by_lines, by_line, "text: {}\n{lines:?}", context()),
+        }
+        chunked += u64::from(lines.len() > DEFAULT_FRAME_ROWS);
+        if let Ok((parts, _, _, bad)) = &by_lines {
+            text_emitted += u64::from(parts.iter().any(|(pairs, _)| pairs != "[]"));
+            text_bad += u64::from(*bad > 0);
         }
         if let Ok((parts, ..)) = &by_batch {
             emitted += u64::from(parts.iter().any(|(pairs, _)| pairs != "[]"));
@@ -573,6 +676,11 @@ fn check_equivalence(cases: u64) {
         share(emitted) >= 50 && share(failed) >= 3 && share(dodged) >= 5 && share(shapes) >= 20,
         "of {cases}: {emitted} emitted, {failed} failed, {dodged} dodged a zero divisor, \
          {shapes} with a once kernel-less shape"
+    );
+    assert!(
+        share(text_emitted) >= 50 && share(text_bad) >= 30 && share(chunked) >= 3,
+        "of {cases} as text: {text_emitted} emitted, {text_bad} counted bad lines, \
+         {chunked} crossed a chunk boundary"
     );
 }
 

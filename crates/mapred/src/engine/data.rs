@@ -306,12 +306,17 @@ fn apply_mapper(
             // One pair per line at most — reserve once, never regrow
             // mid-task.
             out.reserve(lines.len());
-            for line in lines {
-                mapper.map(line, &mut out);
-                if torn() {
-                    mapper.map(&format!("{line}|\u{1}"), &mut out);
-                }
-            }
+            // Each torn copy is mapped right after its real line.
+            let torn: Vec<Option<String>> = lines
+                .iter()
+                .map(|line| torn().then(|| format!("{line}|\u{1}")))
+                .collect();
+            let fed: Vec<&str> = lines
+                .iter()
+                .zip(&torn)
+                .flat_map(|(line, copy)| std::iter::once(line.as_str()).chain(copy.as_deref()))
+                .collect();
+            mapper.map_lines(&fed, &mut out);
             (out, lines.len() as u64)
         }
         TaskInput::Frames { frames, .. } => {

@@ -24,11 +24,11 @@
 //! [`Combiner::combine`] — remain what hand-written jobs implement; the
 //! group-shaped ones default to them (`reduce_run` to `reduce` and
 //! `combine_run` to `combine`, group by group, the values copied out as
-//! rows). A mapper emits a pair whole through [`MapOutput::emit_cells`],
-//! whose cells are pushed onto the columns one by one, or a column batch
-//! whole through [`MapOutput::emit_columns`], which appends each of the
-//! batch's columns to the arena's in one typed copy; either way each pair's
-//! text bytes are counted as it is written.
+//! rows). A mapper emits a pair whole through [`MapOutput::emit`], whose
+//! cells are pushed onto the columns one by one, or a column batch whole
+//! through [`MapOutput::emit_columns`], which appends each of the batch's
+//! columns to the arena's in one typed copy; either way each pair's text
+//! bytes are counted as it is written.
 //!
 //! What a task writes is [`Records`]: typed cells in a key-less arena of
 //! the same kind, one [`Column`] per cell position, a record's optional
@@ -246,9 +246,9 @@ impl Pairs {
     }
 
     /// Appends one pair whole, a cell at a time — the writer of every
-    /// row-shaped pair: a mapper's ([`MapOutput::emit_cells`]) and a row a
-    /// task writes ([`Records::push`]). The cells are moved out of both
-    /// buffers, which are left empty.
+    /// row-shaped pair: a mapper's ([`MapOutput::emit`]) and a row a task
+    /// writes ([`Records::push`]). The cells are moved out of both buffers,
+    /// which are left empty.
     pub(crate) fn append(&mut self, key: &mut Vec<Value>, value: &mut Vec<Value>) {
         let (key_width, width) = (key.len(), key.len() + value.len());
         if let Some(last) = width.checked_sub(1) {
@@ -740,21 +740,14 @@ impl MapOutput {
     }
 
     /// Emits one key/value pair whole: hashes the key to its partition and
-    /// pushes the cells of both buffers onto that partition's columns,
-    /// leaving the buffers empty — a mapper that stages every pair in the
-    /// same two buffers allocates nothing per pair.
-    pub fn emit_cells(&mut self, key: &mut Vec<Value>, value: &mut Vec<Value>) {
+    /// pushes the cells of both rows onto that partition's columns.
+    pub fn emit(&mut self, key: Row, value: Row) {
+        let (mut key, mut value) = (key.into_values(), value.into_values());
         let partition = match self.parts.len() {
             1 => 0,
-            n => partition_cells(key, n),
+            n => partition_cells(&key, n),
         };
-        self.parts[partition].append(key, value);
-    }
-
-    /// Emits one key/value pair — [`MapOutput::emit_cells`] for mappers that
-    /// build rows.
-    pub fn emit(&mut self, key: Row, value: Row) {
-        self.emit_cells(&mut key.into_values(), &mut value.into_values());
+        self.parts[partition].append(&mut key, &mut value);
     }
 
     /// Emits one pair per row of `rows` of a column batch, a column at a
@@ -1172,6 +1165,17 @@ pub trait Mapper {
     /// Processes one record. Emitting nothing drops the record (selection).
     fn map(&mut self, line: &str, out: &mut MapOutput);
 
+    /// Processes a text task's lines, in order — the entry point the
+    /// engine calls, once per task. The default feeds each line to
+    /// [`Mapper::map`]; a mapper that maps lines a batch at a time
+    /// overrides it, and must emit what that would wherever the job does
+    /// not fail.
+    fn map_lines(&mut self, lines: &[&str], out: &mut MapOutput) {
+        for line in lines {
+            self.map(line, out);
+        }
+    }
+
     /// Processes one columnar batch. The default renders each row back to
     /// its text line and feeds [`Mapper::map`], so every line-oriented
     /// mapper works unchanged under
@@ -1458,19 +1462,10 @@ mod tests {
     fn pairs_are_routed_at_emit() {
         let mut out = MapOutput::partitioned(3);
         out.reserve(40);
-        let (mut key, mut value) = (Vec::new(), Vec::new());
         for k in 0..40i64 {
-            // Mixed widths, empty keys included; every other pair staged in
-            // reused buffers, which the emit leaves empty.
+            // Mixed widths, empty keys included.
             let width = (k % 3) as usize;
-            if k % 2 == 0 {
-                out.emit(vec![Value::Int(k); width].into(), row![k, "v"]);
-            } else {
-                key.resize(width, Value::Int(k));
-                value.extend(row![k, "v"].into_values());
-                out.emit_cells(&mut key, &mut value);
-                assert!(key.is_empty() && value.is_empty());
-            }
+            out.emit(vec![Value::Int(k); width].into(), row![k, "v"]);
         }
         assert_eq!(out.len(), 40);
         let parts = out.into_parts();

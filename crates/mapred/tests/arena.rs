@@ -3,8 +3,8 @@
 //! cells give, and hands a reducer its pairs in the stable `(key, value)`
 //! order of `Value`'s total order.
 //!
-//! A case draws a sequence of writes — [`MapOutput::emit`],
-//! [`MapOutput::emit_cells`] and [`MapOutput::emit_columns`] in any mix —
+//! A case draws a sequence of writes — [`MapOutput::emit`] and
+//! [`MapOutput::emit_columns`] in any mix —
 //! over columns mixing `Int`, `Float`, `Str`, `Bool` and NULL: columns that
 //! are NULL until a later write gives them a `Float` or a `Str`, `Int(7)`
 //! beside `Float(7.0)`, `-0.0` beside `0.0`, pairs of differing widths, and
@@ -39,7 +39,6 @@ use ysmart_rel::{row, Column, Row, Value};
 #[derive(Debug, Clone)]
 enum Write {
     Emit(Row, Row),
-    Cells(Vec<Value>, Vec<Value>),
     /// Rows `rows` of `cols`: the first `keys` columns are the key, the
     /// rest the value, behind the row's tag when there are `tags`.
     Columns {
@@ -54,7 +53,6 @@ impl Write {
     fn apply(&self, out: &mut MapOutput) {
         match self {
             Write::Emit(key, value) => out.emit(key.clone(), value.clone()),
-            Write::Cells(key, value) => out.emit_cells(&mut key.clone(), &mut value.clone()),
             Write::Columns {
                 cols,
                 keys,
@@ -71,7 +69,6 @@ impl Write {
     fn pairs(&self) -> Vec<(Vec<Value>, Vec<Value>)> {
         match self {
             Write::Emit(key, value) => vec![(key.values().to_vec(), value.values().to_vec())],
-            Write::Cells(key, value) => vec![(key.clone(), value.clone())],
             Write::Columns {
                 cols,
                 keys,
@@ -211,11 +208,7 @@ impl Gen {
                         let tag = tagged.then(|| tag(self));
                         let rest = self.cells(&kinds[3..3 + values], w, true);
                         let value: Vec<Value> = tag.into_iter().chain(rest).collect();
-                        if self.chance(0.5) {
-                            Write::Emit(Row::new(key), Row::new(value))
-                        } else {
-                            Write::Cells(key, value)
-                        }
+                        Write::Emit(Row::new(key), Row::new(value))
                     }
                     _ => {
                         let nrows = 1 + self.below(6);

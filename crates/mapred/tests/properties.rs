@@ -222,8 +222,8 @@ proptest! {
         }
     }
 
-    /// Whichever writer put a pair in an arena — `emit`, `emit_cells` or
-    /// `emit_columns`, in any mix and order — its segment is charged for
+    /// Whichever writer put a pair in an arena — `emit` or `emit_columns`,
+    /// in any mix and order — its segment is charged for
     /// what reading its pairs back gives: their bytes in the text framing,
     /// and their size as one frame when they share a width.
     #[test]
@@ -240,18 +240,17 @@ proptest! {
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let cols: Vec<&Column> = batch.columns().iter().collect();
         let mut out = MapOutput::partitioned(partitions);
-        let (mut key, mut value) = (Vec::new(), Vec::new());
         for (writer, n, k) in writes {
             match writer {
                 0 => out.emit(row![k], row![format!("v{k}"), k as f64]),
                 1 => {
                     // Width 3 like the other writers' pairs, or 2.
-                    key.push(Value::Int(k));
-                    value.push(Value::Str("w".repeat(n)));
-                    if n % 2 == 0 {
-                        value.push(Value::Null);
-                    }
-                    out.emit_cells(&mut key, &mut value);
+                    let value = if n % 2 == 0 {
+                        row!["w".repeat(n), Value::Null]
+                    } else {
+                        row!["w".repeat(n)]
+                    };
+                    out.emit(row![k], value);
                 }
                 _ => {
                     // Tagged rows make pairs of width 4.

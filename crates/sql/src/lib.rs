@@ -50,11 +50,9 @@ pub fn parse_ddl(ddl: &str) -> Result<Vec<CreateTable>, ParseError> {
 /// query's nesting, which [`parser::MAX_DEPTH`] bounds. At the deepest
 /// input accepted, a debug build needs 0.9 MB of stack for 253 nested
 /// parentheses, 0.45 MB for a chain of 253 `NOT`s or unary minuses, 1.7 MB
-/// for 253 nested `IN` lists and 2.2 MB for 254 nested derived tables; a
-/// release build needs at most 0.4 MB for any of them. A debug caller that
-/// may be handed derived tables nested near the limit should parse on a
-/// thread with more than the 2 MB a spawned or test thread gets by
-/// default; a main thread's 8 MB is enough.
+/// for 253 nested `IN` lists and 0.8 MB for 254 nested derived tables; a
+/// release build needs at most 0.4 MB for any of them. Every shape fits the
+/// 2 MB a spawned or test thread gets by default.
 ///
 /// # Errors
 ///

@@ -37,8 +37,9 @@
 //! Strength 4 does not chain: `a = b = c` is an error. A prefix reads its
 //! operand at its own strength, so `NOT` is a prefix only where an operand
 //! of strength 3 or looser may start (`NOT a = b` negates the comparison;
-//! in `a + NOT b`, `not` is a column name). `BETWEEN`'s bounds are strength
-//! 5 expressions.
+//! `a + NOT b` is an error). `BETWEEN`'s bounds are strength 5 expressions.
+//! A clause keyword is never a column name: where an operand must start,
+//! it is an error.
 //!
 //! Nesting is bounded by [`MAX_DEPTH`], counted as the tree is built.
 
@@ -104,7 +105,7 @@ impl Parser {
     ///
     /// Any syntax error, or trailing tokens after the query.
     pub fn parse_query_eof(mut self) -> Result<Query, ParseError> {
-        let q = self.parse_query()?;
+        let q = *self.parse_query()?;
         if self.peek_kind() == &TokenKind::Semicolon {
             self.advance();
         }
@@ -156,16 +157,37 @@ impl Parser {
         Ok(tables)
     }
 
-    fn parse_query(&mut self) -> Result<Query, ParseError> {
+    /// Boxed: what each level of nested derived tables passes up is one
+    /// pointer.
+    fn parse_query(&mut self) -> Result<Box<Query>, ParseError> {
         self.nested(Self::parse_query_body)
     }
 
-    fn parse_query_body(&mut self) -> Result<Query, ParseError> {
+    /// Only `FROM` nests a query (a derived table is one), so the clauses
+    /// before and after it are parsed apart: their locals are not on the
+    /// stack while a derived table nests.
+    fn parse_query_body(&mut self) -> Result<Box<Query>, ParseError> {
+        let (distinct, select) = self.parse_select_clause()?;
+        let from = self.parse_from_list()?;
+        self.parse_query_tail(distinct, select, from)
+    }
+
+    /// `SELECT [DISTINCT] select_list FROM`.
+    fn parse_select_clause(&mut self) -> Result<(bool, Vec<SelectItem>), ParseError> {
         self.expect_kw("select")?;
         let distinct = self.eat_kw("distinct");
         let select = self.parse_select_list()?;
         self.expect_kw("from")?;
-        let from = self.parse_from_list()?;
+        Ok((distinct, select))
+    }
+
+    /// The clauses after the `FROM` list.
+    fn parse_query_tail(
+        &mut self,
+        distinct: bool,
+        select: Vec<SelectItem>,
+        from: Vec<FromItem>,
+    ) -> Result<Box<Query>, ParseError> {
         let where_clause = if self.eat_kw("where") {
             Some(self.parse_expr()?.0)
         } else {
@@ -199,7 +221,7 @@ impl Parser {
         } else {
             None
         };
-        Ok(Query {
+        Ok(Box::new(Query {
             select,
             distinct,
             from,
@@ -208,7 +230,7 @@ impl Parser {
             having,
             order_by,
             limit,
-        })
+        }))
     }
 
     fn parse_select_list(&mut self) -> Result<Vec<SelectItem>, ParseError> {
@@ -257,6 +279,11 @@ impl Parser {
 
     fn parse_from_item(&mut self) -> Result<FromItem, ParseError> {
         let base = self.parse_table_ref()?;
+        self.parse_joins(base)
+    }
+
+    /// The join clauses after `base`.
+    fn parse_joins(&mut self, base: TableRef) -> Result<FromItem, ParseError> {
         let mut joins = Vec::new();
         while let Some(join_type) = self.parse_join_type()? {
             let table = self.parse_table_ref()?;
@@ -296,25 +323,24 @@ impl Parser {
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef, ParseError> {
-        if self.peek_kind() == &TokenKind::LParen {
+        let source = if self.peek_kind() == &TokenKind::LParen {
             self.advance();
             let q = self.parse_query()?;
             self.expect(TokenKind::RParen)?;
-            let alias = self.parse_alias()?;
-            let Some(alias) = alias else {
-                return Err(self.error_here("a subquery in FROM requires an alias"));
-            };
-            return Ok(TableRef {
-                source: TableSource::Subquery(Box::new(q)),
-                alias: Some(alias),
-            });
-        }
-        let name = self.expect_ident()?;
+            TableSource::Subquery(q)
+        } else {
+            TableSource::Table(self.expect_ident()?)
+        };
+        self.parse_table_alias(source)
+    }
+
+    /// The alias after a table reference, which a subquery requires.
+    fn parse_table_alias(&mut self, source: TableSource) -> Result<TableRef, ParseError> {
         let alias = self.parse_alias()?;
-        Ok(TableRef {
-            source: TableSource::Table(name),
-            alias,
-        })
+        if alias.is_none() && matches!(source, TableSource::Subquery(_)) {
+            return Err(self.error_here("a subquery in FROM requires an alias"));
+        }
+        Ok(TableRef { source, alias })
     }
 
     fn parse_expr_list(&mut self) -> Result<Vec<AstExpr>, ParseError> {
@@ -509,6 +535,9 @@ impl Parser {
                     self.advance();
                     return Ok((AstExpr::Literal(Literal::Null), 0));
                 }
+                if is_clause_keyword(&name) {
+                    return Err(self.unexpected("an expression"));
+                }
                 // Aggregate call?
                 if let Some(func) = AstAggFunc::from_name(&name) {
                     if self.peek_kind_at(1) == Some(&TokenKind::LParen) {
@@ -674,8 +703,9 @@ impl Parser {
     }
 }
 
-/// Keywords that terminate an implicit alias position. A bare identifier in
-/// alias position is an alias unless it is one of these.
+/// Reserved words of a query: never a name, an operand or an implicit
+/// alias. A bare identifier in alias position is an alias unless it is one
+/// of these.
 fn is_clause_keyword(word: &str) -> bool {
     matches!(
         word,
@@ -1006,27 +1036,19 @@ mod tests {
         }
     }
 
-    /// Runs on a main-thread-sized stack, as the CLI and `serve` parse:
-    /// derived tables nested to the budget take 2.2 MB of stack in a debug
-    /// build, more than a 2 MB test thread has.
+    /// On the 2 MB test thread: derived tables nested to the budget take
+    /// 0.8 MB of stack in a debug build.
     #[test]
     fn derived_tables_nested_past_the_budget_are_typed_errors() {
-        std::thread::Builder::new()
-            .stack_size(8 << 20)
-            .spawn(|| {
-                let derived = |n| {
-                    format!(
-                        "SELECT a FROM {}t{}",
-                        "(SELECT a FROM ".repeat(n),
-                        ") AS s".repeat(n)
-                    )
-                };
-                assert!(parse(&derived(MAX_DEPTH - 8)).is_ok());
-                assert!(parse(&derived(MAX_DEPTH)).is_err());
-            })
-            .unwrap()
-            .join()
-            .unwrap();
+        let derived = |n| {
+            format!(
+                "SELECT a FROM {}t{}",
+                "(SELECT a FROM ".repeat(n),
+                ") AS s".repeat(n)
+            )
+        };
+        assert!(parse(&derived(MAX_DEPTH - 8)).is_ok());
+        assert!(parse(&derived(MAX_DEPTH)).is_err());
     }
 
     #[test]
@@ -1047,6 +1069,17 @@ mod tests {
     fn nested_parens_in_predicates() {
         let q = parse("SELECT a FROM t WHERE ((a = 1) AND ((b = 2) OR (c = 3)))").unwrap();
         assert!(q.where_clause.is_some());
+    }
+
+    #[test]
+    fn clause_keywords_are_not_column_names() {
+        for word in ["select", "from", "where", "and", "in", "desc", "union"] {
+            let e = parse(&format!("SELECT {word} FROM t")).unwrap_err();
+            let want = format!("expected an expression, found `{word}`");
+            assert_eq!((e.message, e.column), (want, 8));
+        }
+        let e = parse("SELECT a FROM t WHERE a = 1 AND or").unwrap_err();
+        assert_eq!(e.message, "expected an expression, found `or`");
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn not_and_minus_in_each_operand_position() {
         };
         check(&format!("NOT a {op} b"), Some(want));
         // After an operator that binds tighter than NOT, `NOT` is no
-        // prefix: it reads as a column named `not`, leaving `b` over.
+        // prefix, and no column name either: an error.
         let want = (p < NOT).then(|| bin("a", op, "(NOT b)"));
         check(&format!("a {op} NOT b"), want);
         check(&format!("-a {op} b"), Some(bin("(-a)", op, "b")));
@@ -100,14 +100,20 @@ fn not_and_minus_in_each_operand_position() {
     }
 }
 
+/// After an operator that binds tighter than `NOT`, `NOT` can neither start
+/// a prefix nor be a column: the parse fails at it, in the select list and
+/// in `WHERE` alike.
 #[test]
 fn a_not_after_a_tight_operator_parses_as_at_the_start() {
-    let q = parse("SELECT a + NOT b FROM t").unwrap();
-    assert_eq!(q.to_string(), "SELECT (a + not) AS b FROM t");
+    let e = parse("SELECT a + NOT b FROM t").unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "parse error at line 1, column 12: expected an expression, found `not`"
+    );
     let e = parse("SELECT x FROM t WHERE a + NOT b").unwrap_err();
     assert_eq!(
         e.to_string(),
-        "parse error at line 1, column 31: expected end of input, found `b`"
+        "parse error at line 1, column 27: expected an expression, found `not`"
     );
 }
 
