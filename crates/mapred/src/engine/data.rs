@@ -68,10 +68,10 @@ pub(super) struct MapTask<'a> {
 
 /// One map task's pairs for one reduce partition — a shuffle segment. The
 /// pairs stay where the mapper wrote them (`pairs`, emit order); `order` is
-/// the permutation that reads them sorted by `(key, value)`, and `norms`
+/// the permutation that reads them stably sorted by key, and `norms`
 /// carries each key's [`crate::norm`] encoding (indexed like `pairs`) so the
-/// sort, the shuffle merge and key grouping compare key bytes, comparing
-/// value columns, typed, only on key ties. A map-only task's pseudo-segment
+/// sort, the shuffle merge and key grouping compare key bytes alone; no
+/// value is ever compared. A map-only task's pseudo-segment
 /// has neither: it is written out in emit order. The arena adds up its
 /// bytes in the text framing (key, tab, value, newline) as its pairs are
 /// written; in columnar mode the map task also records its size as one
@@ -345,32 +345,29 @@ fn apply_mapper(
     }
 }
 
-/// Sorts one partition's pairs by `(key, value)` — Hadoop's sort-based
-/// shuffle. The mapper already routed every pair to its partition, so this
-/// permutes *indices* of one arena: no pair moves, and the shuffle later
-/// hands the whole segment to its reduce task.
+/// Sorts one partition's pairs by key, stably — Hadoop's sort-based
+/// shuffle, which orders map output by key alone: a key's pairs keep the
+/// order the mapper emitted them in. The mapper already routed every pair
+/// to its partition, so this permutes *indices* of one arena: no pair
+/// moves, and the shuffle later hands the whole segment to its reduce task.
 fn sort_run(pairs: Pairs) -> PartitionRun {
     // Encode each normalized key once into one flat arena; the sort (and
-    // every later merge/group comparison) then compares key bytes, falling
-    // back to the typed value columns only on key ties.
+    // every later merge/group comparison) then compares key bytes.
     let norms = pairs.norm_keys();
-    // Sort packed `(key prefix, index)` entries: the integer resolves almost
-    // every comparison from a flat array — equal prefixes fall back to the
-    // arena slices, full key ties to the value columns, and fully equal pairs
-    // to emit order, so the run is the *stable* sort of the task's pairs.
+    // Sort packed `(key prefix, index)` entries as plain integers: equal
+    // prefixes come out in emit order, which is the stable order wherever
+    // their keys are equal too. Only a stretch of equal prefixes whose keys
+    // differ is sorted again, by `(key bytes, index)`.
     let mut entries: Vec<(u64, u32)> = (0..pairs.len())
         .map(|i| (norms.prefix8(i), i as u32))
         .collect();
-    entries.sort_unstable_by(|a, b| {
-        a.0.cmp(&b.0).then_with(|| {
-            let (i, j) = (a.1 as usize, b.1 as usize);
-            norms
-                .key(i)
-                .cmp(norms.key(j))
-                .then_with(|| pairs.cmp_values(i, &pairs, j))
-                .then_with(|| i.cmp(&j))
-        })
-    });
+    entries.sort_unstable();
+    let key = |e: &(u64, u32)| norms.key(e.1 as usize);
+    for stretch in entries.chunk_by_mut(|a, b| a.0 == b.0) {
+        if stretch.iter().any(|e| key(e) != key(&stretch[0])) {
+            stretch.sort_unstable_by(|a, b| key(a).cmp(key(b)).then(a.1.cmp(&b.1)));
+        }
+    }
     PartitionRun {
         order: entries.into_iter().map(|(_, i)| i).collect(),
         pairs,
@@ -381,32 +378,24 @@ fn sort_run(pairs: Pairs) -> PartitionRun {
 
 /// Runs the combiner once over every key group of one segment, each read
 /// in place through [`KeyGroups`]; the combiner's typed partial values
-/// replace the segment in a fresh arena, each group's key columns gathered
-/// from the segment's by position and its values sorted — by position, on
-/// their typed columns — as the shuffle merge requires of its inputs.
+/// replace the segment in a fresh arena, in the order the combiner wrote
+/// them, each group's key columns gathered from the segment's by position.
 fn combine_segment(combiner: &mut dyn Combiner, seg: &mut PartitionRun) {
     let starts: Vec<u32> = seg.groups().map(|group| group.start as u32).collect();
     let Combined {
         values,
         starts: ends,
     } = combiner.combine_run(KeyGroups::run(&seg.pairs, &seg.order, &starts));
-    let partials = values.pairs();
-    let mut order: Vec<usize> = (0..partials.len()).collect();
-    let mut keys = Vec::with_capacity(partials.len());
+    let n = values.pairs().len();
+    let mut keys = Vec::with_capacity(n);
     let mut norms = NormArena::default();
     for (g, &start) in starts.iter().enumerate() {
         let first = seg.order[start as usize] as usize;
-        let end = ends.get(g + 1).map_or(partials.len(), |&end| end as usize);
-        let outputs = &mut order[ends[g] as usize..end];
-        // The group's outputs share one key, so ordering them by value
-        // orders the (key, value) pairs.
-        outputs.sort_by(|&a, &b| partials.cmp_values(a, partials, b));
+        let end = ends.get(g + 1).map_or(n, |&end| end as usize);
+        (keys.len()..end).for_each(|_| norms.push_encoded(seg.norms.key(first)));
         keys.resize(end, first);
-        outputs
-            .iter()
-            .for_each(|_| norms.push_encoded(seg.norms.key(first)));
     }
-    let pairs = Pairs::combined(&seg.pairs, &keys, &values, &order);
+    let pairs = Pairs::combined(&seg.pairs, &keys, &values);
     *seg = PartitionRun {
         order: (0..pairs.len() as u32).collect(),
         pairs,
@@ -622,23 +611,23 @@ struct Merged {
 }
 
 /// K-way merge of per-task sorted runs into one sorted sequence of pair
-/// positions. Equal `(key, value)` pairs are taken from the lowest run
-/// (task) index first — exactly the order a global stable sort of the
-/// tasks' concatenated output produces — so key groups reach the reducer in
-/// an order independent of how the input was split and the merge scheduled.
+/// positions. Pairs of equal keys are taken from the lowest run (task)
+/// index first, and within a run in its order — exactly the order a global
+/// stable sort by key of the tasks' concatenated output produces — so key
+/// groups, and each group's values, reach the reducer in an order
+/// independent of how the input was split and the merge scheduled.
 fn merge_runs(runs: &[PartitionRun]) -> Merged {
     // Tournament merge over a min-heap of run heads: O(log k) comparisons
-    // per pair, each a key *byte* compare falling back to the typed value
-    // columns only on key ties — the run index breaks full ties toward the
-    // earliest task. Heads borrow key encodings and arenas from the runs; the
-    // winner is replaced in place by its run's next pair (one sift, not a
-    // pop and a push).
+    // per pair, each a key *byte* compare — the run index breaks key ties
+    // toward the earliest task, and a run holds one head at a time, so its
+    // own pairs leave in their order. Heads borrow key encodings from the
+    // runs; the winner is replaced in place by its run's next pair (one
+    // sift, not a pop and a push).
     struct Head<'a> {
         /// First eight key bytes as an integer — resolves most
         /// comparisons without touching the slices.
         prefix: u64,
         key: &'a [u8],
-        pairs: &'a Pairs,
         run: u32,
         pair: u32,
         /// Where `pair` stands in its run's `order`.
@@ -663,10 +652,6 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
                 .prefix
                 .cmp(&self.prefix)
                 .then_with(|| other.key.cmp(self.key))
-                .then_with(|| {
-                    let (a, b) = (other.pair as usize, self.pair as usize);
-                    other.pairs.cmp_values(a, self.pairs, b)
-                })
                 .then_with(|| other.run.cmp(&self.run))
         }
     }
@@ -676,7 +661,6 @@ fn merge_runs(runs: &[PartitionRun]) -> Merged {
         Some(Head {
             prefix: r.norms.prefix8(pair as usize),
             key: r.norms.key(pair as usize),
-            pairs: &r.pairs,
             run: run as u32,
             pair,
             at,

@@ -42,7 +42,6 @@
 //! made in one place after the task ran, reading the records where they lie
 //! — a reducer never formats its own output.
 
-use std::cmp::Ordering;
 use std::ops::Range;
 
 use ysmart_rel::codec::{encode_cell_refs_into, SEPARATOR};
@@ -178,27 +177,6 @@ impl Pairs {
         }
     }
 
-    /// The value of pair `i` against that of pair `j` of `other`, as their
-    /// cells compare as `[Value]`s: column by column, then by width.
-    pub(crate) fn cmp_values(&self, i: usize, other: &Pairs, j: usize) -> Ordering {
-        if std::ptr::eq(self, other) && self.ragged.is_none() {
-            // Two pairs of one uniform arena — every tie of the map-side
-            // sort: one column's rows against each other, 7 % faster a sort
-            // than `cmp_at` (EXPERIMENTS.md, "Typed shuffle arenas").
-            let values = &self.cols[self.shape.0 as usize..self.shape.1 as usize];
-            let mut cells = values.iter().map(|col| col.cmp_rows(i, j));
-            return cells.find(|o| o.is_ne()).unwrap_or(Ordering::Equal);
-        }
-        let (a, b) = (self.value_cols(i), other.value_cols(j));
-        for (x, y) in a.iter().zip(b) {
-            let cell = x.cmp_at(i, y, j);
-            if cell.is_ne() {
-                return cell;
-            }
-        }
-        a.len().cmp(&b.len())
-    }
-
     /// The normalized encodings of every pair's key, in emit order.
     pub(crate) fn norm_keys(&self) -> NormArena {
         NormArena::from_columns(&self.cols, self.len, |i| self.shape(i).0)
@@ -309,17 +287,18 @@ impl Pairs {
     }
 
     /// The arena replacing a combined segment: one pair per `k`, its key
-    /// that of pair `keys[k]` of `from`, its value record `at[k]` of
-    /// `values` — each column in one typed copy when both arenas are
-    /// uniform, as a combined job's are; cell by cell otherwise.
-    pub(crate) fn combined(from: &Pairs, keys: &[usize], values: &Records, at: &[usize]) -> Pairs {
+    /// that of pair `keys[k]` of `from`, its value record `k` of `values` —
+    /// each column in one typed copy when both arenas are uniform, as a
+    /// combined job's are; cell by cell otherwise.
+    pub(crate) fn combined(from: &Pairs, keys: &[usize], values: &Records) -> Pairs {
         let (values, mut out) = (&values.0, Pairs::default());
         if from.ragged.is_none() && values.ragged.is_none() {
             let key_cols: Vec<&Column> = from.cols[..from.shape.0 as usize].iter().collect();
             let value_cols: Vec<&Column> = values.cols[..values.shape.1 as usize].iter().collect();
-            out.append_columns((&key_cols, keys), None, false, (&value_cols, at));
+            let rows: Vec<usize> = (0..keys.len()).collect();
+            out.append_columns((&key_cols, keys), None, false, (&value_cols, &rows));
         } else {
-            for (&p, &r) in keys.iter().zip(at) {
+            for (r, &p) in keys.iter().enumerate() {
                 out.append(&mut from.key(p), &mut values.pair(r));
             }
         }
@@ -1193,7 +1172,9 @@ pub trait Mapper {
 
 /// A reduce function: receives one key and all values for it.
 pub trait Reducer {
-    /// Processes one key group.
+    /// Processes one key group. Its values come in the shuffle's order,
+    /// never sorted by value: by map task, and within a task as it emitted
+    /// them (or as its combiner wrote them).
     fn reduce(&mut self, key: &Row, values: &[Row], out: &mut ReduceOutput);
 
     /// Processes every key group of one reduce task, in order, where the

@@ -19,8 +19,9 @@
 //!
 //! The execution semantics mirror Hadoop's:
 //!
-//! * map output is partitioned by a stable hash of the key, sorted within
-//!   each partition, optionally run through a [`Combiner`], and spilled to
+//! * map output is partitioned by a stable hash of the key, sorted by key
+//!   alone within each partition (a key's values keep the order they were
+//!   emitted in), optionally run through a [`Combiner`], and spilled to
 //!   (simulated) local disks — the materialisation policy whose cost the
 //!   paper's merging rules exist to avoid;
 //! * reducers fetch their partition from every map task over the network,

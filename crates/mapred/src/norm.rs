@@ -1,17 +1,14 @@
 //! Order-preserving byte encoding of shuffle keys ("normalized keys").
 //!
 //! The map-side sort, the shuffle's k-way merge and the reducer's key
-//! grouping all order pairs by `(key, value)` under [`Value`]'s total
-//! order. Comparing keys directly walks two cell slices with an enum
-//! dispatch per element — the single hottest comparison in the engine.
-//! This module encodes each **key** once into a byte string whose `memcmp`
-//! order equals the key order, so the dominant comparison — keys are
-//! almost always distinct — is a plain slice compare (Hadoop does the same
-//! with `WritableComparator` raw-byte comparisons), and key-group
-//! boundaries are byte-equality scans. Only pairs whose keys tie fall back
-//! to comparing value cells. Values are deliberately *not* encoded: they
-//! are several times wider than keys, and measuring showed encoding them
-//! costs more than the byte compares save.
+//! grouping all order pairs by key alone under [`Value`]'s total order, as
+//! Hadoop's shuffle does; a key's values keep their arrival order and are
+//! never compared. Comparing keys directly walks two cell slices with an
+//! enum dispatch per element — the single hottest comparison in the
+//! engine. This module encodes each **key** once into a byte string whose
+//! `memcmp` order equals the key order, so every comparison is a plain
+//! slice compare (Hadoop does the same with `WritableComparator` raw-byte
+//! comparisons), and key-group boundaries are byte-equality scans.
 //!
 //! Per value: a rank tag byte (`Null < Bool < numeric < Str`, exactly
 //! [`Value::cmp`]'s rank) followed by an order-preserving payload:

@@ -1,7 +1,8 @@
 //! A seeded property of the shuffle arena: whatever mix of writers filled
 //! it, an arena reads back the cells written, is charged the sizes those
-//! cells give, and hands a reducer its pairs in the stable `(key, value)`
-//! order of `Value`'s total order.
+//! cells give, and hands a reducer its pairs in the stable order by key
+//! under `Value`'s total order: a key's values in the order they were
+//! written.
 //!
 //! A case draws a sequence of writes — [`MapOutput::emit`] and
 //! [`MapOutput::emit_columns`] in any mix —
@@ -15,8 +16,8 @@
 //!   [`MapOutput::segment_size`] is the text size and frame of those cells;
 //! * **order** — replayed by the map tasks of a [`run_job`] under several
 //!   task splits and reducer counts, an echo reducer sees exactly the stable
-//!   `(key, value)` sort of all pairs (NaN, which has no place in a total
-//!   order, left out).
+//!   sort by key of all pairs (NaN, which has no place in a total order,
+//!   left out).
 //!
 //! `cargo test -p ysmart-mapred --test arena` runs 400 cases; the ignored
 //! soak runs 50 000 (`-- --include-ignored`, in release). A failing case
@@ -292,11 +293,11 @@ impl Reducer for Echo {
 }
 
 /// The echo job's output under the definition: every pair in write order,
-/// stably sorted by `(key, value)`, grouped by key, each group shown the key
-/// of its first pair, partition by partition.
+/// stably sorted by key, grouped by key, each group shown the key of its
+/// first pair, partition by partition.
 fn reference_order(writes: &[Write], reducers: usize) -> Vec<String> {
     let mut all: Vec<(Vec<Value>, Vec<Value>)> = writes.iter().flat_map(Write::pairs).collect();
-    all.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    all.sort_by(|a, b| a.0.cmp(&b.0));
     let groups: Vec<&[(Vec<Value>, Vec<Value>)]> = all.chunk_by(|a, b| a.0 == b.0).collect();
     let mut lines = Vec::new();
     for p in 0..reducers {

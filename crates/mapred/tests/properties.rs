@@ -276,12 +276,12 @@ proptest! {
 // ---- the order a reducer sees ----------------------------------------------
 //
 // Pins, against a kept reference, exactly which key and which values in which
-// order reach `reduce` — independent of how the input is split into map
-// tasks, how many reducers or threads run, whether a combiner sits in
-// between, and of the data format. The reference is the definition: every
-// input's records concatenated in file order, stably sorted by
-// `(key, value)` under `Value`'s order, grouped by key; a group is shown the
-// key of its first pair.
+// order reach `reduce` — independent of how many reducers or threads run and
+// of the data format. The reference is the definition: every map task's pairs
+// (after its combiner, if any) concatenated in task order, which is file
+// order, stably sorted by key under `Value`'s order, grouped by key; a group
+// is shown the key of its first pair. Without a combiner the split does not
+// matter either: that is every input's records concatenated in file order.
 
 /// A mapper over record indices: line `i` emits `records[i]`, so a pair's
 /// representation (`Int(7)` vs `Float(7.0)`) survives either input format.
@@ -312,18 +312,61 @@ impl Reducer for EchoReducer {
     }
 }
 
-/// Hands a group back reversed: the engine must restore `(key, value)` order
-/// before the shuffle merge, so the reducer sees no difference.
-struct ReversingCombiner;
-impl Combiner for ReversingCombiner {
-    fn combine(&mut self, _key: &Row, values: &[Row]) -> Vec<Row> {
-        values.iter().rev().cloned().collect()
+/// The combiner of one configuration: none, one that hands each group back
+/// reversed — which the engine keeps, so the reference must know each map
+/// task's records — or one that rewrites each value in place, whatever the
+/// split.
+#[derive(Clone, Copy, Debug)]
+enum Combine {
+    None,
+    Reverse,
+    Rewrite,
+}
+
+impl Combine {
+    /// The value `Rewrite` makes of `value`: it, then a marker cell.
+    fn rewritten(value: &Row) -> Row {
+        let mut cells = value.values().to_vec();
+        cells.push(Value::Str("combined".into()));
+        Row::new(cells)
+    }
+
+    /// One map task's pairs, in emit order, as this combiner leaves them:
+    /// its stable sort by key, each key group combined in place under the
+    /// key of its first pair.
+    fn apply(mut self, task: &[(Row, Row)]) -> Vec<(Row, Row)> {
+        let mut sorted = task.to_vec();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        let groups = sorted.chunk_by(|a, b| a.0.cmp(&b.0).is_eq());
+        groups
+            .flat_map(|group| {
+                let key = &group[0].0;
+                let values: Vec<Row> = group.iter().map(|(_, v)| v.clone()).collect();
+                let combined = self.combine(key, &values).into_iter();
+                combined.map(|v| (key.clone(), v)).collect::<Vec<_>>()
+            })
+            .collect()
     }
 }
 
-fn reference_order(inputs: &[Vec<(Row, Row)>], reducers: usize) -> Vec<String> {
-    let mut all: Vec<&(Row, Row)> = inputs.iter().flatten().collect();
-    all.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+impl Combiner for Combine {
+    fn combine(&mut self, _key: &Row, values: &[Row]) -> Vec<Row> {
+        match self {
+            Combine::None => values.to_vec(),
+            Combine::Reverse => values.iter().rev().cloned().collect(),
+            Combine::Rewrite => values.iter().map(Combine::rewritten).collect(),
+        }
+    }
+}
+
+/// The echo job's output lines: `tasks` — each map task's pairs in emit
+/// order, task by task — combined, concatenated, stably sorted by key,
+/// grouped by key, each group shown the key of its first pair, partition by
+/// partition.
+fn reference_order(tasks: &[&[(Row, Row)]], combine: Combine, reducers: usize) -> Vec<String> {
+    let combined: Vec<(Row, Row)> = tasks.iter().flat_map(|t| combine.apply(t)).collect();
+    let mut all: Vec<&(Row, Row)> = combined.iter().collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
     let groups: Vec<&[&(Row, Row)]> = all.chunk_by(|a, b| a.0.cmp(&b.0).is_eq()).collect();
     let mut lines = Vec::new();
     for p in 0..reducers {
@@ -372,18 +415,32 @@ fn tie_heavy_records(rng: &mut rand::rngs::StdRng, second: bool, n: usize) -> Ve
     (0..n).map(|_| (cells(2), cells(3))).collect()
 }
 
+/// Records whose keys all start with `Int(7)` and end in one of three
+/// cells: their encodings share the 8-byte prefix the map-side sort
+/// compares first, so in one task they form a stretch longer than a short
+/// sort's insertion pass, which only the key bytes and emit order order.
+fn shared_prefix_records(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<(Row, Row)> {
+    let ends = [Value::Null, Value::Int(-1), Value::Str("a".into())];
+    let records = tie_heavy_records(rng, false, n).into_iter().enumerate();
+    records
+        .map(|(i, (_, value))| (row![7i64, ends[i % 3].clone()], value))
+        .collect()
+}
+
+/// Rows per columnar input frame: the smallest unit a map task reads.
+const FRAME_ROWS: usize = 3;
+
 /// Runs the echo job over `inputs` under one configuration and returns the
-/// output file's records as text lines.
+/// output file's records as text lines, and how many map tasks it ran.
 fn run_echo(
     inputs: &[Vec<(Row, Row)>],
     config: ClusterConfig,
     reducers: usize,
-    combiner: bool,
-) -> Vec<String> {
+    combine: Combine,
+) -> (Vec<String>, usize) {
     use ysmart_mapred::DataFormat;
     use ysmart_rel::colbatch::{decode_frames, encode_frames};
     let columnar = config.data_format == DataFormat::Columnar;
-    let one_task_per_record = config.hdfs_block_mb < 1e-6;
     let mut c = Cluster::new(config);
     let mut job = JobSpec::builder("echo")
         .reducer(|| Box::new(EchoReducer))
@@ -394,7 +451,8 @@ fn run_echo(
         let ids = 0..records.len() as i64;
         if columnar {
             let rows: Vec<Row> = ids.map(|i| row![i]).collect();
-            c.hdfs.put_frames(&path, encode_frames(&rows, 3).unwrap().0);
+            c.hdfs
+                .put_frames(&path, encode_frames(&rows, FRAME_ROWS).unwrap().0);
         } else {
             c.hdfs.put(&path, ids.map(|i| i.to_string()).collect());
         }
@@ -403,20 +461,18 @@ fn run_echo(
             Box::new(IndexMapper(std::sync::Arc::clone(&records)))
         });
     }
-    if combiner {
-        job = job.combiner(|| Box::new(ReversingCombiner));
+    if !matches!(combine, Combine::None) {
+        job = job.combiner(move || Box::new(combine));
     }
     let metrics = run_job(&mut c, &job.build()).unwrap();
-    if one_task_per_record {
-        assert!(metrics.map_tasks >= 40, "one task per line / frame");
-    }
     let file = c.hdfs.get("out/echo").unwrap();
-    if file.is_columnar() {
+    let lines = if file.is_columnar() {
         let rows = decode_frames(&file.frames).unwrap();
         rows.iter().map(ysmart_rel::codec::encode_line).collect()
     } else {
         file.lines.clone()
-    }
+    };
+    (lines, metrics.map_tasks)
 }
 
 #[test]
@@ -425,29 +481,52 @@ fn reducer_sees_reference_order_under_every_split() {
     use ysmart_mapred::DataFormat;
     for seed in 0..4u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let inputs = [
-            tie_heavy_records(&mut rng, false, 70),
-            tie_heavy_records(&mut rng, true, 50),
-        ];
+        let mut first = tie_heavy_records(&mut rng, false, 70);
+        first.extend(shared_prefix_records(&mut rng, 60));
+        let inputs = [first, tie_heavy_records(&mut rng, true, 50)];
         // One map task per input, a handful, one per line / frame.
         for block_mb in [64.0, 4e-5, 1e-9] {
-            for reducers in 1..=5usize {
-                let expected = reference_order(&inputs, reducers);
-                for threads in [1, 4] {
-                    for combiner in [false, true] {
-                        for format in [DataFormat::Text, DataFormat::Columnar] {
+            for format in [DataFormat::Text, DataFormat::Columnar] {
+                let whole: Vec<&[(Row, Row)]> = inputs.iter().map(Vec::as_slice).collect();
+                // The map tasks where the split is known: whole inputs, or
+                // the smallest unit of the format.
+                let tasks = match block_mb {
+                    64.0 => Some(whole.clone()),
+                    1e-9 => {
+                        let unit = match format {
+                            DataFormat::Text => 1,
+                            DataFormat::Columnar => FRAME_ROWS,
+                        };
+                        Some(inputs.iter().flat_map(|i| i.chunks(unit)).collect())
+                    }
+                    _ => None,
+                };
+                let combines = match tasks {
+                    Some(_) => vec![Combine::None, Combine::Reverse, Combine::Rewrite],
+                    None => vec![Combine::None, Combine::Rewrite],
+                };
+                // Where no combiner depends on the split, the inputs stand
+                // for its tasks.
+                let reference_tasks = tasks.as_deref().unwrap_or(&whole);
+                for combine in combines {
+                    for reducers in 1..=5usize {
+                        let expected = reference_order(reference_tasks, combine, reducers);
+                        for threads in [1, 4] {
                             let config = ClusterConfig {
                                 hdfs_block_mb: block_mb,
                                 exec_threads: Some(threads),
                                 data_format: format,
                                 ..ClusterConfig::default()
                             };
-                            assert_eq!(
-                                run_echo(&inputs, config, reducers, combiner),
-                                expected,
+                            let what = format!(
                                 "seed {seed}, block {block_mb} MB, {reducers} reducers, \
-                                 {threads} threads, combiner {combiner}, {format:?}"
+                                 {threads} threads, {combine:?}, {format:?}"
                             );
+                            let (got, map_tasks) = run_echo(&inputs, config, reducers, combine);
+                            if let Some(tasks) = &tasks {
+                                assert_eq!(map_tasks, tasks.len(), "{what}");
+                            }
+                            assert_eq!(got, expected, "{what}");
                         }
                     }
                 }

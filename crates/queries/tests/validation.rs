@@ -75,6 +75,67 @@ fn multiple_seeds_and_scales() {
     }
 }
 
+/// Metamorphic: no answer reads the order of a key group's values. The
+/// shuffle hands each key's values over in input order, so permuting every
+/// base table's rows (a seeded Fisher–Yates shuffle) permutes each group's
+/// arrival order; every workload, under every strategy and both data
+/// formats, must still answer what the oracle does and what the unpermuted
+/// run does.
+#[test]
+fn answers_do_not_depend_on_input_row_order() {
+    use rand::{Rng, SeedableRng};
+    let mut workloads = tpch_workloads(&TpchSpec {
+        scale: 0.08,
+        seed: 11,
+    });
+    workloads.extend(clicks_workloads(&ClicksSpec {
+        users: 25,
+        clicks_per_user: 30,
+        seed: 5,
+        ..ClicksSpec::default()
+    }));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    for w in &workloads {
+        let plan = {
+            let q = ysmart_sql::parse(&w.sql).unwrap();
+            ysmart_plan::build_plan(&w.catalog, &q).unwrap()
+        };
+        let tables = w.tables.iter().map(|(n, r)| ((*n).to_string(), r.clone()));
+        let expected = oracle_execute(&plan, &tables.collect()).unwrap().rows;
+        let mut permuted = w.clone();
+        for (_, rows) in &mut permuted.tables {
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        for strategy in Strategy::all() {
+            for data_format in [DataFormat::Text, DataFormat::Columnar] {
+                let run = |w: &Workload| {
+                    let config = ClusterConfig {
+                        data_format,
+                        ..ClusterConfig::default()
+                    };
+                    let mut engine = YSmart::new(w.catalog.clone(), config);
+                    w.load_into(&mut engine).unwrap();
+                    let out = engine.execute_sql(&w.sql, strategy);
+                    out.unwrap_or_else(|e| panic!("{} under {strategy}: {e}", w.name))
+                        .rows
+                };
+                let (plain, shuffled) = (run(w), run(&permuted));
+                let what = format!("{} under {strategy}, {data_format:?}", w.name);
+                assert!(
+                    rows_approx_equal(&shuffled, &expected, w.ordered),
+                    "{what}: the permuted input's answer differs from the oracle's"
+                );
+                assert!(
+                    rows_approx_equal(&shuffled, &plain, w.ordered),
+                    "{what}: the permuted input's answer differs from the unpermuted run's"
+                );
+            }
+        }
+    }
+}
+
 /// The paper's headline job counts (§VII-A), asserted end-to-end.
 #[test]
 fn job_counts_match_paper() {

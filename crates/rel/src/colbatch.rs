@@ -268,33 +268,6 @@ impl CellRef<'_> {
             CellRef::Str(s) => Value::Str(s.to_string()),
         }
     }
-
-    /// The total order of [`Value`]s ([`Value`]'s `Ord`) between cells
-    /// wherever they lie: `Null < Bool < numeric < Str`, with `Int`/`Float`
-    /// interleaved by numeric value — `Int(7)` equals `Float(7.0)` and
-    /// `-0.0` equals `0.0`.
-    #[must_use]
-    #[inline]
-    pub fn total_cmp(self, other: CellRef<'_>) -> Ordering {
-        fn rank(c: CellRef<'_>) -> u8 {
-            match c {
-                CellRef::Null => 0,
-                CellRef::Bool(_) => 1,
-                CellRef::Int(_) | CellRef::Float(_) => 2,
-                CellRef::Str(_) => 3,
-            }
-        }
-        let numeric = |x: f64, y: f64| x.partial_cmp(&y).unwrap_or(Ordering::Equal);
-        match (self, other) {
-            (CellRef::Int(a), CellRef::Int(b)) => a.cmp(&b),
-            (CellRef::Float(a), CellRef::Float(b)) => numeric(a, b),
-            (CellRef::Int(a), CellRef::Float(b)) => numeric(a as f64, b),
-            (CellRef::Float(a), CellRef::Int(b)) => numeric(a, b as f64),
-            (CellRef::Str(a), CellRef::Str(b)) => a.cmp(b),
-            (CellRef::Bool(a), CellRef::Bool(b)) => a.cmp(&b),
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
-    }
 }
 
 impl<'a> From<&'a Value> for CellRef<'a> {
@@ -623,29 +596,6 @@ impl Column {
                 typed(idx, nulls, row).map_or(CellRef::Null, |i| CellRef::Str(&dict[i as usize]))
             }
             Column::Var(vals) => (&vals[row]).into(),
-        }
-    }
-
-    /// Cell `a` of this column against cell `b` of `other`, exactly as
-    /// their values compare ([`CellRef::total_cmp`]) — how the shuffle
-    /// breaks key ties between pairs of different arenas.
-    #[must_use]
-    #[inline]
-    pub fn cmp_at(&self, a: usize, other: &Column, b: usize) -> Ordering {
-        match (self, other) {
-            (Column::Int { data: x, nulls: nx }, Column::Int { data: y, nulls: ny }) => {
-                match (nx[a], ny[b]) {
-                    (false, false) => x[a].cmp(&y[b]),
-                    (p, q) => q.cmp(&p),
-                }
-            }
-            (Column::Float { data: x, nulls: nx }, Column::Float { data: y, nulls: ny }) => {
-                match (nx[a], ny[b]) {
-                    (false, false) => x[a].partial_cmp(&y[b]).unwrap_or(Ordering::Equal),
-                    (p, q) => q.cmp(&p),
-                }
-            }
-            _ => self.cell(a).total_cmp(other.cell(b)),
         }
     }
 
@@ -1766,10 +1716,10 @@ mod tests {
         ]
     }
 
-    /// Cells compare across columns — typed, `Var`, of different types —
-    /// exactly as their values do.
+    /// Rows compare within a column — typed or `Var` — exactly as their
+    /// values do.
     #[test]
-    fn cells_compare_across_columns_as_values() {
+    fn rows_compare_within_a_column_as_values() {
         let ladder = [
             Value::Null,
             Value::Bool(false),
@@ -1785,17 +1735,17 @@ mod tests {
             Value::Str(String::new()),
             Value::Str("a".into()),
         ];
-        let typed: Vec<Column> = ladder
-            .iter()
-            .map(|v| Column::from_cells(1, |_| v))
-            .collect();
         let var = Column::Var(ladder.to_vec());
         for (i, x) in ladder.iter().enumerate() {
             for (j, y) in ladder.iter().enumerate() {
                 let want = x.cmp(y);
-                assert_eq!(CellRef::from(x).total_cmp(y.into()), want, "{x:?} vs {y:?}");
-                assert_eq!(typed[i].cmp_at(0, &typed[j], 0), want, "{x:?} vs {y:?}");
-                assert_eq!(var.cmp_at(i, &typed[j], 0), want, "{x:?} vs {y:?}");
+                assert_eq!(var.cmp_rows(i, j), want, "{x:?} vs {y:?}");
+                // Two cells of one type (or NULL) make a typed column.
+                let pair = [x, y];
+                let typed = Column::from_cells(2, |r| pair[r]);
+                if !matches!(typed, Column::Var(_)) {
+                    assert_eq!(typed.cmp_rows(0, 1), want, "{x:?} vs {y:?}");
+                }
             }
         }
     }
