@@ -18,8 +18,8 @@
 //! across `exec_threads` 1, 4 and auto.
 //!
 //! The report has a JSON form. Pass `--smoke` for the CI-sized run; it
-//! asserts the same gates (hit rate positive, capacity-0 ≡ no-cache) on a
-//! smaller stream.
+//! asserts the same gates (hit rate positive, capacity-0 ≡ no-cache, the
+//! middle capacity evicts) on a smaller stream.
 
 use ysmart_core::Strategy;
 use ysmart_mapred::scheduler::{run_workload_with, WorkloadRun};
@@ -32,8 +32,10 @@ use crate::{mix, Flags, Mix, Report, Verified};
 
 /// Cache capacities swept, in bytes of materialized output. 0 is the
 /// disabled baseline the CI identity gate pins; the middle level is small
-/// enough to churn; the last fits the whole working set.
-const CAPACITIES: [u64; 3] = [0, 4 * 1024, 64 * 1024 * 1024];
+/// enough to churn (gate 3 holds it to evicting): under the smoke stream's
+/// working set of 336 bytes and a quarter of the full stream's 1 221; the
+/// last fits the whole working set.
+const CAPACITIES: [u64; 3] = [0, 320, 64 * 1024 * 1024];
 const QUERIES: usize = 30;
 const SMOKE_QUERIES: usize = 12;
 const MAX_RUNNING: usize = 2;
@@ -210,7 +212,17 @@ pub(crate) fn run(flags: &Flags, r: &mut Report) {
         "hits must account avoided simulated work"
     );
 
-    // Gate 3: thread-count bit-identity of the largest-capacity run.
+    // Gate 3: the middle level churns — it evicts, so the figure shows LRU
+    // eviction at work, not a second copy of the big cache.
+    let middle = runs[1].stats.expect("cache in force");
+    assert!(
+        middle.evictions > 0,
+        "capacity {} must evict (it ends holding {} bytes)",
+        CAPACITIES[1],
+        middle.bytes_cached
+    );
+
+    // Gate 4: thread-count bit-identity of the largest-capacity run.
     let cap = *CAPACITIES.last().expect("capacities");
     for threads in [Some(4), None] {
         let rerun = run_once(&data, &shapes, per, threads, Some(cap));

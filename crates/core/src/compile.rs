@@ -2,13 +2,19 @@
 //!
 //! Conventions:
 //!
-//! * **Interface rows.** The rows flowing between operators are exactly the
-//!   plan schemas: an operator's input rows are its plan children's output
-//!   rows. Pipe operators (`Filter`/`Project`/`Limit`) between a producer
-//!   and its consumer are folded into the *producer*: into the scan-side
-//!   predicate/projection when the producer is a base-table scan, into the
-//!   producer op's output transforms otherwise. A job therefore publishes
-//!   rows in the schema its consumer's plan child has.
+//! * **Interface rows.** The rows flowing between operators carry only the
+//!   columns some consumer reads: [`compile`] first runs
+//!   [`ysmart_plan::prune()`], and the rows are then exactly the pruned plan's
+//!   schemas — an operator's input rows are its plan children's output rows.
+//!   A scan's map side parses and ships only its kept columns; a join
+//!   outputs only the columns it carries (`OpKind::Join::columns`); a
+//!   `Filter` or `Sort` drops the columns only it reads with a column
+//!   selection, which a projection right after absorbs. Pipe operators
+//!   (`Filter`/`Project`/`Limit`) between a producer and its consumer are
+//!   folded into the *producer*: into the scan-side predicate/projection
+//!   when the producer is a base-table scan, into the producer op's output
+//!   transforms otherwise. A job therefore publishes rows in the schema its
+//!   consumer's plan child has.
 //! * **Shuffle keys.** Each input's key expressions evaluate the consuming
 //!   operator's partition key on that input's rows: join-side keys for
 //!   joins, the chosen PK subset of the grouping columns for aggregations,
@@ -28,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 use ysmart_exec::{
     EmitSpec, InputSpec, JobBlueprint, MapBranch, OpKind, ROp, RSource, RowOp, StreamSpec,
 };
-use ysmart_plan::{CorrelationReport, NodeId, Operator, Plan};
+use ysmart_plan::{prune, CorrelationReport, NodeId, Operator, Plan};
 use ysmart_rel::{BinOp, Expr, Schema};
 
 use crate::draft::{build_drafts, Draft};
@@ -54,9 +60,9 @@ impl Translation {
     }
 
     /// Renders the job pipeline as an `EXPLAIN`-style text description:
-    /// per job its inputs (with selections and shared-scan branches), the
-    /// reduce-side operator DAG (merged reducers and post-job
-    /// computations), and what it publishes.
+    /// per job its inputs (with the columns each carries, selections and
+    /// shared-scan branches), the reduce-side operator DAG (merged reducers
+    /// and post-job computations), and what it publishes.
     #[must_use]
     pub fn explain(&self) -> String {
         use std::fmt::Write as _;
@@ -76,6 +82,12 @@ impl Translation {
                     tag,
                     keys.join(", ")
                 );
+                let carried: Vec<&str> = input
+                    .value_cols
+                    .iter()
+                    .map(|&c| &*input.schema.field(c).name)
+                    .collect();
+                let _ = writeln!(out, "    carries {}: {}", input.path, carried.join(", "));
                 for b in &input.branches {
                     match &b.predicate {
                         Some(p) => {
@@ -100,7 +112,20 @@ impl Translation {
                     })
                     .collect();
                 let kind = match &op.kind {
-                    OpKind::Join { kind, .. } => format!("{kind}"),
+                    OpKind::Join {
+                        kind,
+                        left_width,
+                        right_width,
+                        columns,
+                        ..
+                    } => {
+                        let width = left_width + right_width;
+                        if columns.len() < width {
+                            format!("{kind} (carries {} of {width} cols)", columns.len())
+                        } else {
+                            format!("{kind}")
+                        }
+                    }
                     OpKind::Agg {
                         group_cols, aggs, ..
                     } => format!("AGGREGATE by {group_cols:?} ({} aggs)", aggs.len()),
@@ -160,13 +185,26 @@ enum ChainEnd {
     },
 }
 
-/// Compiles a plan + correlation report into a job pipeline.
+/// Compiles a plan + correlation report into a job pipeline. The plan is
+/// pruned first ([`ysmart_plan::prune()`]), so every row carries only the
+/// columns some consumer reads; pruning moves no partition key, so `report`
+/// may be that of the plan before or after it.
 ///
 /// # Errors
 ///
 /// Unsupported shapes (e.g. `LIMIT` on a parallel-reduce job) and internal
 /// blueprint validation failures.
 pub fn compile(
+    plan: &Plan,
+    report: &CorrelationReport,
+    opts: &TranslateOptions,
+    query_tag: &str,
+) -> Result<Translation, CoreError> {
+    lower(&prune(plan), report, opts, query_tag)
+}
+
+/// Compiles `plan` as it is, pruned or not.
+fn lower(
     plan: &Plan,
     report: &CorrelationReport,
     opts: &TranslateOptions,
@@ -239,7 +277,7 @@ fn resolve_chain(plan: &Plan, child: NodeId) -> Result<ChainEnd, CoreError> {
         // Fold pipes into RowOps, bottom-up.
         let mut transforms = Vec::new();
         for &p in pipes_top_down.iter().rev() {
-            transforms.push(pipe_to_rowop(plan, p)?);
+            pipe_rowops(plan, p, &mut transforms)?;
         }
         return Ok(ChainEnd::Shuffle {
             node: cur,
@@ -247,15 +285,20 @@ fn resolve_chain(plan: &Plan, child: NodeId) -> Result<ChainEnd, CoreError> {
         });
     }
     // Scan chain: compose predicate + interface projection over the base.
-    let Operator::Scan { predicate, .. } = &node.op else {
+    let Operator::Scan {
+        predicate, columns, ..
+    } = &node.op
+    else {
         unreachable!("chain ends at scan or shuffle");
     };
-    let base_width = node.schema.len();
-    let mut interface: Vec<Expr> = (0..base_width).map(Expr::Column).collect();
+    let mut interface: Vec<Expr> = columns.iter().map(|&c| Expr::Column(c)).collect();
     let mut preds: Vec<Expr> = predicate.clone().into_iter().collect();
     for &p in pipes_top_down.iter().rev() {
         match &plan.node(p).op {
-            Operator::Filter { predicate } => preds.push(predicate.substitute(&interface)),
+            Operator::Filter { predicate, columns } => {
+                preds.push(predicate.substitute(&interface));
+                interface = columns.iter().map(|&c| interface[c].clone()).collect();
+            }
             Operator::Project { exprs } => {
                 interface = exprs.iter().map(|e| e.substitute(&interface)).collect();
             }
@@ -279,18 +322,46 @@ fn resolve_chain(plan: &Plan, child: NodeId) -> Result<ChainEnd, CoreError> {
     })
 }
 
-fn pipe_to_rowop(plan: &Plan, pipe: NodeId) -> Result<RowOp, CoreError> {
-    Ok(match &plan.node(pipe).op {
-        Operator::Filter { predicate } => RowOp::Filter(predicate.clone()),
-        Operator::Project { exprs } => RowOp::Project(exprs.clone()),
-        Operator::Limit { n } => RowOp::Limit(*n as usize),
+/// Appends the row transforms of a pipe node to `out`.
+fn pipe_rowops(plan: &Plan, pipe: NodeId, out: &mut Vec<RowOp>) -> Result<(), CoreError> {
+    let node = plan.node(pipe);
+    match &node.op {
+        Operator::Filter { predicate, columns } => {
+            out.push(RowOp::Filter(predicate.clone()));
+            let width = plan.node(node.children[0]).schema.len();
+            out.extend(narrowing(columns, width));
+        }
+        Operator::Project { exprs } => push_transform(out, RowOp::Project(exprs.clone())),
+        Operator::Limit { n } => out.push(RowOp::Limit(*n as usize)),
         other => {
             return Err(CoreError::Translate(format!(
                 "unexpected pipe operator {}",
                 other.name()
             )))
         }
-    })
+    }
+    Ok(())
+}
+
+/// Appends `op` to a transform chain. A projection right after a column
+/// selection (a `Filter` or `Sort` narrowing its row) is folded into it, so
+/// the rows are passed over once, not twice.
+fn push_transform(chain: &mut Vec<RowOp>, op: RowOp) {
+    if let (RowOp::Project(exprs), Some(RowOp::Project(prev))) = (&op, chain.last_mut()) {
+        if prev.iter().all(|e| matches!(e, Expr::Column(_))) {
+            let composed = exprs.iter().map(|e| e.substitute(prev)).collect();
+            *prev = composed;
+            return;
+        }
+    }
+    chain.push(op);
+}
+
+/// The projection that narrows a computed row of `width` columns to the
+/// `columns` its node carries; `None` when it carries all of them.
+fn narrowing(columns: &[usize], width: usize) -> Option<RowOp> {
+    let all = columns.len() == width && columns.iter().enumerate().all(|(i, &c)| i == c);
+    (!all).then(|| RowOp::Project(columns.iter().map(|&c| Expr::Column(c)).collect()))
 }
 
 /// The pipe nodes above `node` up to (excluding) the next shuffle node,
@@ -367,6 +438,7 @@ fn build_op(plan: &Plan, node: NodeId, inputs: Vec<RSource>) -> ROp {
             left_keys,
             right_keys,
             residual,
+            columns,
         } => {
             let left_width = plan.node(plan.node(node).children[0]).schema.len();
             let right_width = plan.node(plan.node(node).children[1]).schema.len();
@@ -383,6 +455,7 @@ fn build_op(plan: &Plan, node: NodeId, inputs: Vec<RSource>) -> ROp {
                     residual: Expr::conjunction(conjuncts),
                     left_width,
                     right_width,
+                    columns: columns.clone(),
                 },
                 inputs,
                 transforms: vec![],
@@ -415,11 +488,16 @@ fn build_op(plan: &Plan, node: NodeId, inputs: Vec<RSource>) -> ROp {
                 transforms: vec![],
             }
         }
-        Operator::Sort { keys } => ROp {
-            kind: OpKind::Pass,
-            inputs,
-            transforms: vec![RowOp::Sort(keys.clone())],
-        },
+        Operator::Sort { keys, columns } => {
+            let width = plan.node(plan.node(node).children[0]).schema.len();
+            ROp {
+                kind: OpKind::Pass,
+                inputs,
+                transforms: std::iter::once(RowOp::Sort(keys.clone()))
+                    .chain(narrowing(columns, width))
+                    .collect(),
+            }
+        }
         other => unreachable!("not a shuffle op: {}", other.name()),
     }
 }
@@ -466,7 +544,9 @@ fn compile_draft(
                     // In-job source: append the pipe transforms to the
                     // producer's op.
                     let idx = op_index[&producer];
-                    ops[idx].transforms.extend(transforms);
+                    for t in transforms {
+                        push_transform(&mut ops[idx].transforms, t);
+                    }
                     sources.push(RSource::Op(idx));
                 }
                 ChainEnd::Shuffle { node: producer, .. } => {
@@ -501,10 +581,10 @@ fn compile_draft(
                     predicate,
                     interface,
                 } => {
-                    let Operator::Scan { table, .. } = &plan.node(scan).op else {
+                    let Operator::Scan { table, base, .. } = &plan.node(scan).op else {
                         unreachable!()
                     };
-                    let schema = plan.node(scan).schema.clone();
+                    let schema = Schema::clone(base);
                     let key_exprs: Vec<Expr> =
                         key_cols.iter().map(|&k| interface[k].clone()).collect();
                     let stream = stream_count;
@@ -587,8 +667,7 @@ fn compile_draft(
     for &root in &roots {
         let idx = op_index[&root];
         for &pipe in &pipes_above(plan, parents, root) {
-            let rowop = pipe_to_rowop(plan, pipe)?;
-            ops[idx].transforms.push(rowop);
+            pipe_rowops(plan, pipe, &mut ops[idx].transforms)?;
         }
     }
     let emit = if roots.len() == 1 {
@@ -749,10 +828,10 @@ fn compile_map_only(
             "map-only compilation requires a scan chain".into(),
         ));
     };
-    let Operator::Scan { table, .. } = &plan.node(scan).op else {
+    let Operator::Scan { table, base, .. } = &plan.node(scan).op else {
         unreachable!()
     };
-    let schema = plan.node(scan).schema.clone();
+    let schema = Schema::clone(base);
     let used: BTreeSet<usize> = interface
         .iter()
         .flat_map(Expr::referenced_columns)
@@ -995,6 +1074,24 @@ mod tests {
             j2.inputs.iter().any(|i| i.tag_filter.is_some()),
             "{:?}",
             j2.inputs
+        );
+    }
+
+    #[test]
+    fn explain_lists_each_inputs_carried_columns() {
+        let t = translate(
+            "SELECT sum(l_extendedprice) FROM lineitem, part \
+             WHERE p_partkey = l_partkey AND p_size > 3",
+            Strategy::Hive,
+        );
+        let explain = t.explain();
+        assert!(
+            explain.contains("carries data/lineitem: l_partkey, l_extendedprice\n"),
+            "{explain}"
+        );
+        assert!(
+            explain.contains("carries data/part: p_partkey\n"),
+            "{explain}"
         );
     }
 }

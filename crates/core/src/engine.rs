@@ -109,7 +109,7 @@ impl YSmart {
         }
         // Table statistics feed the cost-informed PK tie-break and the
         // reduce-task cardinality caps.
-        let columns: Vec<String> = schema.fields().iter().map(|f| f.name.clone()).collect();
+        let columns: Vec<String> = schema.fields().iter().map(|f| f.name.to_string()).collect();
         self.stats
             .add_table(name, Statistics::scan_table(&columns, rows));
         self.cluster.load_table_rows(name, rows);
@@ -125,7 +125,8 @@ impl YSmart {
             let rows: Option<Vec<ysmart_rel::Row>> =
                 lines.iter().map(|l| decode_line(l, schema).ok()).collect();
             if let Some(rows) = rows {
-                let columns: Vec<String> = schema.fields().iter().map(|f| f.name.clone()).collect();
+                let columns: Vec<String> =
+                    schema.fields().iter().map(|f| f.name.to_string()).collect();
                 self.stats
                     .add_table(name, Statistics::scan_table(&columns, &rows));
             }

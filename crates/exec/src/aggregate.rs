@@ -6,24 +6,63 @@ use std::cmp::Ordering;
 
 use ysmart_rel::agg::add_finite;
 use ysmart_rel::colbatch::Column;
-use ysmart_rel::{AggFunc, AggState, Expr, RelError, Value};
+use ysmart_rel::{AggFunc, AggState, Expr, RelError, UnOp, Value};
 
 use crate::batch::{Batch, Col, Selection};
 use crate::colexpr::{eval_column, eval_mask, Columnar};
 
 /// What an aggregation reads and what it writes: which side of the map-side
 /// combiner it runs on.
+///
+/// A *partial row* is the group columns `0..g`, then each aggregate's
+/// partial fields: `count` its count, `sum`, `min` and `max` the value its
+/// rows fold to, `avg` its running sum and count ([`AggState::Avg`]). The
+/// mapper of a merging job writes one per raw row ([`partial_row`]), whose
+/// counts are `Bool` presence flags; the combiner folds them into partial
+/// rows whose counts are `Int`s. A count field reads either, so the reducer
+/// merges map output whether or not a combiner ran, as Hadoop allows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
     /// Raw rows in, final values out: the reducer of an uncombined job.
     Complete,
-    /// Raw rows in, each aggregate's partial fields out: the combiner.
-    /// `count`, `sum`, `min` and `max` write their final value, `avg` its
-    /// running sum and count ([`AggState::Avg`]).
-    Partial,
-    /// Partial rows in — the group columns `0..g`, then each aggregate's
-    /// partial fields — final values out: the reducer of a combined job.
+    /// Partial rows in, partial rows out: the combiner.
+    Combine,
+    /// Partial rows in, final values out: the reducer of a merging job.
     Merge,
+}
+
+/// One raw row's partial row, as expressions over the row `row` (one
+/// expression per column): the group columns — past the row NULL, as
+/// [`aggregate`] reads them — then per aggregate its partial fields:
+/// `count(*)` a 1, `count(x)` whether `x` is present, `sum`, `min` and
+/// `max` their argument, `avg` its argument and whether it is present. An
+/// argument column past the row stays out of range, and fails.
+pub(crate) fn partial_row(
+    group_cols: &[usize],
+    aggs: &[(AggFunc, Option<Expr>)],
+    row: &[Expr],
+) -> Vec<Expr> {
+    let width = row.len();
+    let past = [Expr::Column(usize::MAX)];
+    let padded = [row, &past].concat();
+    let over_row = |e: &Expr| e.remap_columns(&|c| c.min(width)).substitute(&padded);
+    let present = |e: Expr| Expr::Unary {
+        op: UnOp::IsNotNull,
+        operand: Box::new(e),
+    };
+    let mut out: Vec<Expr> = group_cols
+        .iter()
+        .map(|&g| row.get(g).cloned().unwrap_or(Expr::Literal(Value::Null)))
+        .collect();
+    for (func, arg) in aggs {
+        match (func, arg.as_ref().map(over_row)) {
+            (_, None) => out.push(Expr::lit(1i64)),
+            (AggFunc::Count, Some(x)) => out.push(present(x)),
+            (AggFunc::Avg, Some(x)) => out.extend([x.clone(), present(x)]),
+            (_, Some(x)) => out.push(x),
+        }
+    }
+    out
 }
 
 /// A batch's rows in sub-group order: sub-group `k` is rows
@@ -53,7 +92,7 @@ impl Subgroups {
 /// sub-group, keyed by its first row (the first-seen representation of
 /// `Int(7)` vs `Float(7.0)`). Sub-groups leave in key order, each folded
 /// over its rows in arrival order; a work unit per input row. A group
-/// column past the input's width reads NULL; merging partials, the group
+/// column past the input's width reads NULL; over partial rows, the group
 /// columns are the partial layout's first `group_cols.len()`, whatever they
 /// were over the raw rows. `Err` is the op's message.
 pub(crate) fn aggregate<'v>(
@@ -66,8 +105,8 @@ pub(crate) fn aggregate<'v>(
 ) -> Result<Batch<'v>, String> {
     *work += input.len() as u64;
     let group_cols: Cow<'_, [usize]> = match mode {
-        Mode::Merge => Cow::Owned((0..group_cols.len()).collect()),
-        _ => Cow::Borrowed(group_cols),
+        Mode::Complete => Cow::Borrowed(group_cols),
+        Mode::Combine | Mode::Merge => Cow::Owned((0..group_cols.len()).collect()),
     };
     let (subs, segs) = subgroups(input, &group_cols);
     let n = subs.len();
@@ -84,9 +123,9 @@ pub(crate) fn aggregate<'v>(
     let mut offset = group_cols.len();
     let typed = |results: Vec<Value>| Col::typed(Column::from_cells(n, |k| &results[k]));
     for (func, arg) in aggs {
-        if mode == Mode::Merge {
-            // Partial fields follow the group columns in combiner layout:
-            // `avg`'s are its sum and count.
+        if mode != Mode::Complete {
+            // Partial fields follow the group columns: `avg`'s are its sum
+            // and count.
             let width = if *func == AggFunc::Avg { 2 } else { 1 };
             let field = |c: usize| {
                 let width = input.width();
@@ -96,14 +135,16 @@ pub(crate) fn aggregate<'v>(
             };
             let fields: Result<Vec<&Column>, _> = (offset..offset + width).map(field).collect();
             offset += width;
-            cols.push(typed(
-                match fields.and_then(|fields| merge(*func, &fields, &subs)) {
-                    Ok(results) => results,
-                    // With no row there is no partial to merge.
-                    Err(_) if n == 0 => Vec::new(),
-                    Err(e) => return Err(format!("partial merge failed: {e}")),
-                },
-            ));
+            let finish = mode == Mode::Merge;
+            match fields.and_then(|fields| merge(*func, &fields, &subs, finish)) {
+                Ok(results) => cols.extend(results.into_iter().map(typed)),
+                // With no row there is no partial to merge.
+                Err(_) if n == 0 => {
+                    let out_width = if finish { 1 } else { width };
+                    cols.extend((0..out_width).map(|_| typed(Vec::new())));
+                }
+                Err(e) => return Err(format!("partial merge failed: {e}")),
+            }
             continue;
         }
         let failed = |e: RelError| format!("aggregation failed: {e}");
@@ -112,19 +153,7 @@ pub(crate) fn aggregate<'v>(
             // `count(*)` counts rows: each row feeds 1.
             None => Cow::Owned(Column::from_cells(input.len(), |_| &Value::Int(1))),
         };
-        if mode == Mode::Partial && *func == AggFunc::Avg {
-            let parts: Vec<(f64, i64)> = subs
-                .iter()
-                .map(|rows| sum_count(&col, rows))
-                .collect::<Result<_, _>>()
-                .map_err(failed)?;
-            cols.push(typed(
-                parts.iter().map(|&(sum, _)| Value::Float(sum)).collect(),
-            ));
-            cols.push(typed(parts.iter().map(|&(_, n)| Value::Int(n)).collect()));
-        } else {
-            cols.push(typed(fold(*func, &col, &subs).map_err(failed)?));
-        }
+        cols.push(typed(fold(*func, &col, &subs).map_err(failed)?));
     }
     let out = Batch::new(segs, cols);
     let Some(having) = having else {
@@ -329,31 +358,55 @@ fn fold(func: AggFunc, col: &Column, subs: &Subgroups) -> Result<Vec<Value>, Rel
     })
 }
 
-/// `func` over each sub-group's combiner partials in `fields` (the
-/// partial's one or two columns), in order: `AggState::merge` of each.
-/// `count` and `avg` add up their running totals; a `sum`, `min` or `max`
-/// partial is the value its raw rows folded to, so merging partials folds
-/// them.
-fn merge(func: AggFunc, fields: &[&Column], subs: &Subgroups) -> Result<Vec<Value>, RelError> {
-    let int = |col: &Column, r: &u32| col.value(*r as usize).as_int().unwrap_or(0);
-    let float = |col: &Column, r: &u32| col.value(*r as usize).as_float().unwrap_or(0.0);
-    Ok(match (func, fields[0]) {
-        (AggFunc::Count, col) => {
-            let count = |rows: &[u32]| Value::Int(rows.iter().map(|r| int(col, r)).sum());
-            subs.iter().map(count).collect()
+/// `func` over each sub-group's partials in `fields` (the partial's one or
+/// two columns), in order: one partial's fields, or with `finish` the final
+/// value — `AggState::merge` of each partial. `count` and `avg` add up
+/// their running totals; a `sum`, `min` or `max` partial is the value its
+/// raw rows folded to, so merging partials folds them.
+fn merge(
+    func: AggFunc,
+    fields: &[&Column],
+    subs: &Subgroups,
+    finish: bool,
+) -> Result<Vec<Vec<Value>>, RelError> {
+    Ok(match func {
+        AggFunc::Count => {
+            let count = |rows: &[u32]| Value::Int(count_sum(fields[0], rows));
+            vec![subs.iter().map(count).collect()]
         }
-        (AggFunc::Avg, sum) => {
-            let avg = |rows: &[u32]| {
-                let sum = rows
-                    .iter()
-                    .try_fold(0.0, |t, r| add_finite(t, float(sum, r)))?;
-                let count = rows.iter().map(|r| int(fields[1], r)).sum();
-                Ok(AggState::Avg { sum, count }.finish())
-            };
-            subs.iter().map(avg).collect::<Result<_, RelError>>()?
+        AggFunc::Avg => {
+            let parts: Vec<(f64, i64)> = subs
+                .iter()
+                .map(|rows| Ok((sum_count(fields[0], rows)?.0, count_sum(fields[1], rows))))
+                .collect::<Result<_, RelError>>()?;
+            if finish {
+                let avg = |&(sum, count): &(f64, i64)| AggState::Avg { sum, count }.finish();
+                vec![parts.iter().map(avg).collect()]
+            } else {
+                vec![
+                    parts.iter().map(|&(sum, _)| Value::Float(sum)).collect(),
+                    parts.iter().map(|&(_, n)| Value::Int(n)).collect(),
+                ]
+            }
         }
-        (_, col) => fold(func, col, subs)?,
+        _ => vec![fold(func, fields[0], subs)?],
     })
+}
+
+/// The sum of `rows` of a partial's count field: `Int` counts, or `Bool`
+/// presence flags (a true counts 1); a NULL or anything else counts 0.
+fn count_sum(col: &Column, rows: &[u32]) -> i64 {
+    match col {
+        Column::Int { data, nulls } => present(nulls, rows).map(|r| data[r]).sum(),
+        Column::Bool { data, nulls } => present(nulls, rows).filter(|&r| data[r]).count() as i64,
+        _ => rows
+            .iter()
+            .map(|&r| match col.value(r as usize) {
+                Value::Bool(b) => i64::from(b),
+                v => v.as_int().unwrap_or(0),
+            })
+            .sum(),
+    }
 }
 
 #[cfg(test)]

@@ -270,17 +270,34 @@ impl<'v> Batch<'v> {
     /// is that column, shared.
     pub(crate) fn project(&self, exprs: &[Expr]) -> Result<Batch<'v>, RelError> {
         let col = |e: &Expr| match e {
-            Expr::Column(i) if *i < self.width() => Ok(match self.gathered[*i].get() {
-                Some(base) => Col {
-                    base: Rc::clone(base),
-                    rows: None,
-                },
-                None => self.cols[*i].clone(),
-            }),
+            Expr::Column(i) if *i < self.width() => Ok(self.shared(*i)),
             _ => Ok(Col::typed(eval_column(e, self).check(None)?.into_owned())),
         };
         let cols = exprs.iter().map(col).collect::<Result<_, RelError>>()?;
         Ok(Batch::new(self.segs.clone(), cols))
+    }
+
+    /// The batch's columns `columns`, in that order, shared; one past its
+    /// width reads NULL, as `Row::project` has it: a source with no row in
+    /// the run can be gathered with no columns, so a join with no pair can
+    /// be narrower than the op's `left_width + right_width`.
+    pub(crate) fn keep(&self, columns: &[usize]) -> Batch<'v> {
+        let col = |&i: &usize| match i < self.width() {
+            true => self.shared(i),
+            false => Col::typed(Column::nulls(self.len())),
+        };
+        Batch::new(self.segs.clone(), columns.iter().map(col).collect())
+    }
+
+    /// Column `i`, shared: its gathered values once they exist.
+    fn shared(&self, i: usize) -> Col<'v> {
+        match self.gathered[i].get() {
+            Some(base) => Col {
+                base: Rc::clone(base),
+                rows: None,
+            },
+            None => self.cols[i].clone(),
+        }
     }
 
     /// Each segment stably sorted under `keys`; a key that fails on a row

@@ -23,6 +23,7 @@ use ysmart_mapred::JobSpec;
 use ysmart_plan::JoinKind;
 use ysmart_rel::{AggFunc, Expr, Schema};
 
+use crate::aggregate::partial_row;
 use crate::combiner::AggCombiner;
 use crate::error::ExecError;
 use crate::mapper::CommonMapper;
@@ -106,6 +107,9 @@ pub enum OpKind {
         left_width: usize,
         /// Width of right-source rows.
         right_width: usize,
+        /// The columns of the concatenated row the join outputs, in order:
+        /// a key or residual column no later operator reads stops here.
+        columns: Vec<usize>,
     },
     /// Grouping aggregation within the key (the group may extend the
     /// partition key — e.g. Q-CSA's AGG1 groups by `(uid, ts1)` but
@@ -117,9 +121,10 @@ pub enum OpKind {
         aggs: Vec<(AggFunc, Option<Expr>)>,
         /// `HAVING` over the output row (groups then aggregates).
         having: Option<Expr>,
-        /// Whether the job combines map-side: the op then reads combiner
-        /// partials — `[group…, partial fields…]`, the group columns first
-        /// whatever `group_cols` are over the raw rows — and merges them.
+        /// Whether the job combines map-side: its mapper then writes each
+        /// row as a partial row — `[group…, partial fields…]`, the group
+        /// columns first whatever `group_cols` are over the raw rows — its
+        /// combiner folds them, and the op merges them.
         /// It may be set only on the one op of an untagged, unpadded job,
         /// with combinable aggregates; the job's combiner is built from
         /// `group_cols` and `aggs` (Hive's "internal hash-aggregate map",
@@ -140,6 +145,10 @@ pub struct ROp {
     /// Transforms applied to its output rows.
     pub transforms: Vec<RowOp>,
 }
+
+/// An aggregate call: its function and its argument (`None` for
+/// `count(*)`).
+pub(crate) type AggCall = (AggFunc, Option<Expr>);
 
 /// A full physical job description.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +197,8 @@ impl JobBlueprint {
     /// columns `value_cols`; in direct and map-only modes stream 0's
     /// projection, which runs map-side, composed through `value_cols` (a
     /// column past them stays out of range, and fails as over the carried
-    /// row).
+    /// row). A merging job's mapper writes each projected row's partial
+    /// row, so its reducer merges map output whether a combiner ran or not.
     pub(crate) fn map_values(&self, input: usize) -> Vec<Expr> {
         let carried = &self.inputs[input].value_cols;
         if self.tagged() {
@@ -196,13 +206,16 @@ impl JobBlueprint {
         }
         let raw = |c: usize| carried.get(c).copied().unwrap_or(usize::MAX);
         let projection = &self.streams[0].projection;
-        projection.iter().map(|e| e.remap_columns(&raw)).collect()
+        let row: Vec<Expr> = projection.iter().map(|e| e.remap_columns(&raw)).collect();
+        match self.merging_agg() {
+            Some((group_cols, aggs)) => partial_row(group_cols, aggs, &row),
+            None => row,
+        }
     }
 
-    /// The job's map-side combiner: the one op's own aggregation, when that
-    /// op merges partials (`validate` holds it to the only op).
-    #[must_use]
-    pub fn combiner(&self) -> Option<AggCombiner> {
+    /// The group columns and aggregates of the job's one op, when that op
+    /// merges partials (`validate` holds it to the only op).
+    pub(crate) fn merging_agg(&self) -> Option<(&[usize], &[AggCall])> {
         match &self.ops[..] {
             [ROp {
                 kind:
@@ -213,9 +226,17 @@ impl JobBlueprint {
                         ..
                     },
                 ..
-            }] => Some(AggCombiner::new(&self.name, group_cols, aggs)),
+            }] => Some((group_cols, aggs)),
             _ => None,
         }
+    }
+
+    /// The job's map-side combiner: the one op's own aggregation, when that
+    /// op merges partials.
+    #[must_use]
+    pub fn combiner(&self) -> Option<AggCombiner> {
+        let (group_cols, aggs) = self.merging_agg()?;
+        Some(AggCombiner::new(&self.name, group_cols, aggs))
     }
 
     /// Validates internal consistency.
@@ -255,8 +276,19 @@ impl JobBlueprint {
             return bad("more than 64 streams (tag is a 64-bit mask)".into());
         }
         for (i, op) in self.ops.iter().enumerate() {
-            let arity = match op.kind {
-                OpKind::Join { .. } => 2,
+            let arity = match &op.kind {
+                OpKind::Join {
+                    left_width,
+                    right_width,
+                    columns,
+                    ..
+                } => {
+                    let width = left_width + right_width;
+                    if let Some(c) = columns.iter().find(|&&c| c >= width) {
+                        return bad(format!("op {i} outputs column {c} of {width}"));
+                    }
+                    2
+                }
                 OpKind::Agg { .. } | OpKind::Pass => 1,
             };
             if op.inputs.len() != arity {
@@ -466,6 +498,7 @@ mod tests {
             residual: None,
             left_width: 2,
             right_width: 2,
+            columns: vec![0, 1, 2, 3],
         };
         assert!(bp.validate().is_err());
     }

@@ -1,16 +1,17 @@
 //! Map-side partial aggregation (the AGGREGATION job's combiner).
 //!
-//! The combiner groups each key group of a map task's sorted run by the
-//! extra grouping columns and replaces the raw rows with *partial rows*:
-//! `[group values…, partial fields…]`. The reduce-side aggregation op (with
-//! `merge_partials` set) merges partials instead of accumulating raw
-//! values. This is the optimisation the paper credits for Hive matching
+//! A merging job's mapper writes each raw row as a *partial row*: `[group
+//! values…, partial fields…]`. The combiner groups each key group of a map
+//! task's sorted run by the extra grouping columns and folds its partial
+//! rows into one per group. The reduce-side aggregation op (with
+//! `merge_partials` set) merges partials, so it reads the same layout
+//! whether or not a combiner ran. This is the optimisation the paper credits for Hive matching
 //! hand-coded MapReduce on the simple Q-AGG query (footnote 2).
 //!
 //! It is the reducer's own aggregation: a segment of key groups is read as
 //! one batch — cut where the reducer cuts its runs, each column gathered
 //! typed from the arena as the reducer gathers a stream's — and folded by
-//! `aggregate` in its raw→partial mode. The partial rows leave as the
+//! `aggregate` in its partial→partial mode. The partial rows leave as the
 //! folded batch's typed columns, appended to the combiner's output records
 //! ([`Combined`]) in one typed copy each; no row is built.
 
@@ -67,7 +68,7 @@ impl AggCombiner {
             .ok_or("combiner input has values of differing widths")?;
         let input = Batch::gather(values, &positions, 0..width, segs);
         let (group_cols, aggs) = (&self.group_cols, &self.aggs);
-        aggregate(&input, group_cols, aggs, None, Mode::Partial, &mut 0)
+        aggregate(&input, group_cols, aggs, None, Mode::Combine, &mut 0)
             .map_err(|e| format!("combiner {e}"))
     }
 }
@@ -115,11 +116,25 @@ impl Combiner for AggCombiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ysmart_rel::{row, BinOp, Value};
+    use crate::aggregate::partial_row;
+    use ysmart_rel::{row, Value};
 
-    fn combine(aggs: &[(AggFunc, Option<Expr>)], values: &[Row]) -> Vec<Row> {
+    /// Each raw row's partial row, as a merging job's mapper writes it,
+    /// grouped by column 0.
+    fn partials_of(aggs: &[(AggFunc, Option<Expr>)], raw: &[Row]) -> Vec<Row> {
+        let over = |row: &Row| {
+            let cols: Vec<Expr> = (0..row.len()).map(Expr::col).collect();
+            let partial = partial_row(&[0], aggs, &cols);
+            let cells = partial.iter().map(|e| e.eval(row).expect("evaluates"));
+            Row::new(cells.collect())
+        };
+        raw.iter().map(over).collect()
+    }
+
+    /// The combiner over the partial rows of `raw`, one key group.
+    fn combine(aggs: &[(AggFunc, Option<Expr>)], raw: &[Row]) -> Vec<Row> {
         let mut combiner = AggCombiner::new("j", &[0], aggs);
-        let out = combiner.combine(&row![1i64], values);
+        let out = combiner.combine(&row![1i64], &partials_of(aggs, raw));
         assert_eq!(combiner.take_error(), None);
         out
     }
@@ -199,18 +214,31 @@ mod tests {
         );
     }
 
+    /// Uncombined map output merges to the same answer as combined.
+    #[test]
+    fn the_reducer_merges_uncombined_partials() {
+        let xs: Vec<Row> = (1..=4).map(|x| row![1i64, x]).collect();
+        let aggs = [
+            (AggFunc::Count, None),
+            (AggFunc::Count, Some(Expr::col(1))),
+            (AggFunc::Avg, Some(Expr::col(1))),
+            (AggFunc::Max, Some(Expr::col(1))),
+        ];
+        assert_eq!(
+            aggregate_rows(&aggs, &partials_of(&aggs, &xs), Mode::Merge),
+            aggregate_rows(&aggs, &xs, Mode::Complete),
+        );
+    }
+
     #[test]
     fn a_failure_names_the_job_and_passes_the_rows_through() {
-        let values = [row![1i64, 0i64]];
-        let aggs = [(
-            AggFunc::Sum,
-            Some(Expr::binary(BinOp::Div, Expr::lit(7i64), Expr::col(1))),
-        )];
+        let aggs = [(AggFunc::Sum, Some(Expr::col(1)))];
+        let values = partials_of(&aggs, &[row![1i64, "x"]]);
         let mut combiner = AggCombiner::new("J1", &[0], &aggs);
         assert_eq!(combiner.combine(&row![1i64], &values), values);
         let error = combiner.take_error().expect("an error");
         assert!(
-            error.starts_with("combiner aggregation failed: "),
+            error.starts_with("combiner partial merge failed: "),
             "{error}"
         );
         assert!(error.ends_with(" (job J1)"), "{error}");

@@ -58,7 +58,8 @@ pub struct CommonMapper {
     /// NULL) — a scan-side projection.
     needed_cols: Vec<bool>,
     /// The value after the tag, over the input's columns (tagged mode: its
-    /// carried columns; direct and map-only modes: stream 0's projection).
+    /// carried columns; direct and map-only modes: stream 0's projection,
+    /// a merging job's as partial rows).
     values: Vec<Expr>,
     /// The Pig-style serialisation pad ending every value, if configured (a
     /// map-only job's value is the final row and is never padded).
@@ -153,16 +154,20 @@ impl CommonMapper {
                 }
             }
         }
-        let columns = |exprs: &[Expr], what| {
-            let col = |e| {
-                eval_column(e, batch)
-                    .check(Some(&rows))
-                    .map_err(failed(what))
-            };
+        let columns = |exprs: &[Expr], failed: &dyn Fn(RelError) -> String| {
+            let col = |e| eval_column(e, batch).check(Some(&rows)).map_err(failed);
             exprs.iter().map(col).collect::<Result<Vec<_>, _>>()
         };
-        let keys = columns(&input.key_exprs, "key expr")?;
-        let mut values = columns(&self.values, "projection")?;
+        let keys = columns(&input.key_exprs, &failed("key expr"))?;
+        // A merging job's values are partial rows: a failure is its
+        // aggregation's, worded as the reducer words it.
+        let mut values = if self.blueprint.merging_agg().is_some() {
+            columns(&self.values, &|e| {
+                format!("aggregation failed: {e} (job {name})")
+            })?
+        } else {
+            columns(&self.values, &failed("projection"))?
+        };
         if let Some(pad) = &self.pad {
             values.push(Cow::Owned(Column::from_cells(n, |_| pad)));
         }
@@ -252,7 +257,7 @@ impl Mapper for CommonMapper {
 mod tests {
     use super::*;
     use crate::blueprint::{EmitSpec, InputSpec, MapBranch, OpKind, ROp, RSource, StreamSpec};
-    use ysmart_rel::{BinOp, DataType, Expr, Row, Schema};
+    use ysmart_rel::{AggFunc, BinOp, DataType, Expr, Row, Schema};
 
     fn schema() -> Schema {
         Schema::of("t", &[("k", DataType::Int), ("v", DataType::Int)])
@@ -305,6 +310,49 @@ mod tests {
         let (keys, values) = out.into_columns();
         assert_eq!(keys[0], ysmart_rel::row![7i64]);
         assert_eq!(values[0], ysmart_rel::row![7i64, 42i64]);
+    }
+
+    /// A merging job's mapper writes each row's partial row: the group
+    /// column, `count(*)` a 1, `count(v)` and `avg(v)`'s presence flags;
+    /// an argument failing on a row fails as the aggregation.
+    #[test]
+    fn merging_mode_emits_partial_rows() {
+        let merging = |arg: Expr| {
+            let branch = MapBranch {
+                stream: 0,
+                predicate: None,
+            };
+            let mut bp = (*blueprint(vec![branch], 1)).clone();
+            bp.ops[0].kind = OpKind::Agg {
+                group_cols: vec![0],
+                aggs: vec![
+                    (AggFunc::Count, None),
+                    (AggFunc::Count, Some(arg.clone())),
+                    (AggFunc::Avg, Some(arg)),
+                ],
+                having: None,
+                merge_partials: true,
+            };
+            CommonMapper::new(Arc::new(bp), 0)
+        };
+        let mut m = merging(Expr::col(1));
+        let mut out = MapOutput::default();
+        m.map_lines(&["7|42", "7|"], &mut out);
+        let (_, values) = out.into_columns();
+        let null = ysmart_rel::Value::Null;
+        assert_eq!(
+            values,
+            [
+                ysmart_rel::row![7i64, 1i64, true, 42i64, true],
+                ysmart_rel::row![7i64, 1i64, false, null, false],
+            ]
+        );
+        let mut m = merging(Expr::binary(BinOp::Div, Expr::lit(1i64), Expr::col(1)));
+        let mut out = MapOutput::default();
+        m.map("7|0", &mut out);
+        let fatal = out.take_fatal().expect("reported");
+        assert!(fatal.starts_with("aggregation failed: "), "{fatal}");
+        assert!(fatal.ends_with(" (job j)"), "{fatal}");
     }
 
     #[test]

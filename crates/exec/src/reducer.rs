@@ -306,9 +306,14 @@ impl CommonReducer {
                     let agg = aggregate(&input, group_cols, aggs, having, mode, work);
                     Rc::new(agg.map_err(Fatal::Op)?)
                 }
-                OpKind::Join { kind, residual, .. } => {
+                OpKind::Join {
+                    kind,
+                    residual,
+                    columns,
+                    ..
+                } => {
                     let joined = join(&input(0), &input(1), *kind, residual.as_ref(), work);
-                    Rc::new(joined.map_err(Fatal::Op)?)
+                    Rc::new(joined.map_err(Fatal::Op)?.keep(columns))
                 }
             };
             for t in &op.transforms {
@@ -530,6 +535,7 @@ mod tests {
                     residual,
                     left_width: 2,
                     right_width: 2,
+                    columns: (0..4).collect(),
                 },
                 inputs: vec![RSource::Stream(0), RSource::Stream(1)],
                 transforms: vec![],
@@ -601,6 +607,7 @@ mod tests {
                         residual: None,
                         left_width: 2,
                         right_width: 2,
+                        columns: (0..4).collect(),
                     },
                     inputs: vec![RSource::Stream(0), RSource::Stream(1)],
                     transforms: vec![],

@@ -216,6 +216,7 @@ fn post_job_computation_equals_two_jobs() {
                     residual: None,
                     left_width: 3,
                     right_width: 3,
+                    columns: (0..6).collect(),
                 },
                 inputs: vec![RSource::Stream(0), RSource::Stream(1)],
                 transforms: vec![],
@@ -328,6 +329,7 @@ fn short_circuit_output_invariant() {
                 residual: None,
                 left_width: 3,
                 right_width: 3,
+                columns: (0..6).collect(),
             },
             inputs: vec![RSource::Stream(0), RSource::Stream(1)],
             transforms: vec![],

@@ -195,6 +195,7 @@ fn reference_reduce(bp: &JobBlueprint, values: &[Row], out: &mut ReduceOutput) {
                 residual,
                 left_width,
                 right_width,
+                columns,
             } => reference_join(
                 source_rows(&streams, &outputs, op.inputs[0]),
                 source_rows(&streams, &outputs, op.inputs[1]),
@@ -203,7 +204,8 @@ fn reference_reduce(bp: &JobBlueprint, values: &[Row], out: &mut ReduceOutput) {
                 *left_width,
                 *right_width,
                 &mut work,
-            ),
+            )
+            .map(|rows| rows.iter().map(|r| r.project(columns)).collect()),
         };
         let transformed = evaluated.and_then(|rows| {
             apply_chain(&op.transforms, rows, &mut work).map_err(|e| e.to_string())
@@ -660,6 +662,13 @@ fn gen_case(g: &mut Gen) -> Case {
             _ => {
                 let (right, right_types) = g.pick(&sources);
                 let types: Vec<Ty> = in_types.iter().chain(&right_types).copied().collect();
+                // Half the joins output every column, the rest a subset.
+                let mut columns: Vec<usize> = (0..types.len())
+                    .filter(|_| g.chance(0.5) || g.chance(0.5))
+                    .collect();
+                if columns.is_empty() || g.chance(0.5) {
+                    columns = (0..types.len()).collect();
+                }
                 let kind = OpKind::Join {
                     kind: g.pick(&[
                         JoinKind::Inner,
@@ -670,7 +679,9 @@ fn gen_case(g: &mut Gen) -> Case {
                     residual: g.chance(0.7).then(|| g.predicate(&types, 2)),
                     left_width: in_types.len(),
                     right_width: right_types.len(),
+                    columns: columns.clone(),
                 };
+                let types = columns.iter().map(|&c| types[c]).collect();
                 (kind, vec![input, right], types)
             }
         };
@@ -881,6 +892,7 @@ fn failing_job(residual: Option<Expr>, transforms: Vec<RowOp>) -> Result<(), Map
                 residual,
                 left_width: 3,
                 right_width: 3,
+                columns: (0..6).collect(),
             },
             inputs: vec![RSource::Stream(0), RSource::Stream(1)],
             transforms,

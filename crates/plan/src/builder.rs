@@ -202,7 +202,12 @@ fn build_query(catalog: &Catalog, arena: &mut PlanArena, query: &Query) -> Resul
             });
         }
         let schema = rel.schema.clone();
-        let node = arena.add(Operator::Sort { keys }, schema.clone(), vec![rel.node]);
+        let columns = (0..schema.len()).collect();
+        let node = arena.add(
+            Operator::Sort { keys, columns },
+            schema.clone(),
+            vec![rel.node],
+        );
         rel = Rel {
             node,
             schema,
@@ -235,15 +240,7 @@ fn build_table_ref(
             let base = catalog.table(name)?.clone();
             let binding = tref.alias.clone().unwrap_or_else(|| name.clone());
             let schema = base.requalified(&binding);
-            let node = arena.add(
-                Operator::Scan {
-                    table: name.clone(),
-                    binding: binding.clone(),
-                    predicate: None,
-                },
-                schema.clone(),
-                vec![],
-            );
+            let node = arena.scan(name, &binding, schema.clone());
             Ok(Rel {
                 node,
                 schema,
@@ -360,6 +357,7 @@ fn push_filter(
         let node = arena.add(
             Operator::Filter {
                 predicate: resolved,
+                columns: (0..schema.len()).collect(),
             },
             arena.node(rel.node).schema.clone(),
             vec![rel.node],
@@ -405,6 +403,7 @@ fn build_join(
             left_keys,
             right_keys,
             residual: Expr::conjunction(residual),
+            columns: (0..combined.len()).collect(),
         },
         combined.clone(),
         vec![left.node, right.node],
@@ -430,9 +429,9 @@ fn expand_wildcards(items: &[SelectItem], schema: &Schema) -> Vec<(AstExpr, Opti
                             qualifier: if f.qualifier.is_empty() {
                                 None
                             } else {
-                                Some(f.qualifier.clone())
+                                Some(f.qualifier.to_string())
                             },
-                            name: f.name.clone(),
+                            name: f.name.to_string(),
                         },
                         None,
                     ));
@@ -1136,12 +1135,7 @@ mod tests {
         }
         // Output field names: uid, ts1, ts2.
         let root = p.node(p.root());
-        let names: Vec<&str> = root
-            .schema
-            .fields()
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
+        let names: Vec<&str> = root.schema.fields().iter().map(|f| &*f.name).collect();
         assert_eq!(names, vec!["uid", "ts1", "ts2"]);
     }
 
@@ -1163,7 +1157,7 @@ mod tests {
         let p = plan_of("SELECT sum(l_extendedprice) / 7.0 AS avg_yearly FROM lineitem");
         assert_eq!(count_ops(&p, "Project"), 1);
         let root = p.node(p.root());
-        assert_eq!(root.schema.field(0).name, "avg_yearly");
+        assert_eq!(&*root.schema.field(0).name, "avg_yearly");
         assert_eq!(root.schema.field(0).data_type, DataType::Float);
     }
 

@@ -18,6 +18,9 @@
 //!   BY` may choose any non-empty subset as its partition key; YSmart picks
 //!   the candidate that connects the maximal number of correlated nodes
 //!   (§IV-A), implemented in [`correlation`].
+//! * **Dead-column pruning**: [`prune()`] narrows every node to the columns
+//!   some ancestor reads, moving no partition key; the translator compiles
+//!   the pruned plan.
 //!
 //! The plan is an arena ([`Plan`]) of [`NodeData`] so that nodes have stable
 //! [`NodeId`]s — the correlation report and the job generator in
@@ -30,6 +33,7 @@ pub mod ddl;
 pub mod error;
 pub mod node;
 pub mod pk;
+pub mod prune;
 pub mod stats;
 
 pub use builder::build_plan;
@@ -38,6 +42,7 @@ pub use correlation::{analyze, analyze_with_stats, CorrelationReport};
 pub use error::PlanError;
 pub use node::{AggCall, JoinKind, NodeData, NodeId, Operator, Plan};
 pub use pk::{InputRel, PartitionKey, PkColumn};
+pub use prune::prune;
 pub use stats::{Statistics, TableStats};
 
 /// Convenience result alias.

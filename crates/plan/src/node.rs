@@ -5,8 +5,14 @@
 //! sorts, plus lightweight `Filter`/`Project`/`Limit` operators that never
 //! get their own MapReduce job — the translator folds them into the job of
 //! the nearest shuffle-requiring ancestor or descendant.
+//!
+//! `Scan`, `Filter`, `Join` and `Sort` each hold `columns`: the columns of
+//! the row they compute (the base row, the child row, the two children's
+//! rows concatenated) that they output. The builder carries every column;
+//! [`crate::prune()`] narrows them to the columns some ancestor reads.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ysmart_rel::{AggFunc, Expr, Schema, SortKey};
 
@@ -58,19 +64,27 @@ pub struct AggCall {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operator {
     /// Scan of a base table with optional pushed-down selection. The node's
-    /// schema is the base schema requalified by `binding`.
+    /// schema is `base` projected onto `columns`.
     Scan {
         /// Base-table name in the catalog.
         table: String,
         /// The alias this instance is bound to (`c1`, `c2` for self-joins).
         binding: String,
+        /// The base schema requalified by `binding`: the row the table's
+        /// files hold and `predicate` reads. Shared: pruning copies the
+        /// node, not the table's schema.
+        base: Arc<Schema>,
         /// Pushed-down selection over the base schema.
         predicate: Option<Expr>,
+        /// The base columns the scan carries, in output order.
+        columns: Vec<usize>,
     },
     /// Row filter over the child (predicates on intermediate results).
     Filter {
         /// Predicate over the child schema.
         predicate: Expr,
+        /// The child columns the filter carries, in output order.
+        columns: Vec<usize>,
     },
     /// Projection / scalar computation over the child. The output names are
     /// carried by the node schema.
@@ -90,6 +104,9 @@ pub enum Operator {
         /// Non-equi residual predicate over the concatenated schema,
         /// evaluated by the join job itself (§V-A).
         residual: Option<Expr>,
+        /// The columns of the concatenated schema the join carries, in
+        /// output order.
+        columns: Vec<usize>,
     },
     /// Grouping aggregation (or plain aggregation when `group_by` is empty).
     Aggregate {
@@ -106,6 +123,8 @@ pub enum Operator {
     Sort {
         /// Sort keys over the child schema.
         keys: Vec<SortKey>,
+        /// The child columns the sort carries, in output order.
+        columns: Vec<usize>,
     },
     /// Row-count limit (applied after any sort).
     Limit {
@@ -196,7 +215,7 @@ impl Plan {
     }
 
     /// All node ids in arena order.
-    pub fn ids(&self) -> impl Iterator<Item = NodeId> {
+    pub fn ids(&self) -> impl DoubleEndedIterator<Item = NodeId> {
         (0..self.nodes.len()).map(NodeId)
     }
 
@@ -268,6 +287,7 @@ impl Plan {
                 table,
                 binding,
                 predicate,
+                ..
             } => {
                 let _ = write!(out, " {table}");
                 if binding != table {
@@ -282,6 +302,7 @@ impl Plan {
                 left_keys,
                 right_keys,
                 residual,
+                ..
             } => {
                 let _ = write!(out, " [{kind}] on {left_keys:?}={right_keys:?}");
                 if let Some(r) = residual {
@@ -291,13 +312,13 @@ impl Plan {
             Operator::Aggregate { group_by, aggs, .. } => {
                 let _ = write!(out, " by {group_by:?} aggs={}", aggs.len());
             }
-            Operator::Filter { predicate } => {
+            Operator::Filter { predicate, .. } => {
                 let _ = write!(out, " {predicate}");
             }
             Operator::Project { exprs } => {
                 let _ = write!(out, " {} cols", exprs.len());
             }
-            Operator::Sort { keys } => {
+            Operator::Sort { keys, .. } => {
                 let _ = write!(out, " {} keys", keys.len());
             }
             Operator::Limit { n } => {
@@ -336,6 +357,23 @@ impl PlanArena {
         id
     }
 
+    /// Adds a scan of `table` bound to `binding` that carries every column
+    /// of `base`, returning its id.
+    pub fn scan(&mut self, table: &str, binding: &str, base: Schema) -> NodeId {
+        let columns = (0..base.len()).collect();
+        self.add(
+            Operator::Scan {
+                table: table.into(),
+                binding: binding.into(),
+                base: Arc::new(base.clone()),
+                predicate: None,
+                columns,
+            },
+            base,
+            vec![],
+        )
+    }
+
     /// Borrows a node already added.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &NodeData {
@@ -366,15 +404,7 @@ mod tests {
     use ysmart_rel::DataType;
 
     fn scan(arena: &mut PlanArena, table: &str) -> NodeId {
-        arena.add(
-            Operator::Scan {
-                table: table.into(),
-                binding: table.into(),
-                predicate: None,
-            },
-            Schema::of(table, &[("k", DataType::Int)]),
-            vec![],
-        )
+        arena.scan(table, table, Schema::of(table, &[("k", DataType::Int)]))
     }
 
     #[test]
@@ -388,6 +418,7 @@ mod tests {
                 left_keys: vec![0],
                 right_keys: vec![0],
                 residual: None,
+                columns: vec![0, 1],
             },
             Schema::of("t", &[("k", DataType::Int)])
                 .concat(&Schema::of("u", &[("k", DataType::Int)])),
@@ -404,6 +435,7 @@ mod tests {
         let f = a.add(
             Operator::Filter {
                 predicate: Expr::lit(true),
+                columns: vec![0],
             },
             Schema::of("t", &[("k", DataType::Int)]),
             vec![s],
@@ -425,6 +457,7 @@ mod tests {
                 left_keys: vec![0],
                 right_keys: vec![0],
                 residual: None,
+                columns: vec![],
             },
             Schema::default(),
             vec![c1, c2],
@@ -438,7 +471,8 @@ mod tests {
         assert!(Operator::Distinct.needs_shuffle());
         assert!(!Operator::Limit { n: 1 }.needs_shuffle());
         assert!(!Operator::Filter {
-            predicate: Expr::lit(true)
+            predicate: Expr::lit(true),
+            columns: vec![],
         }
         .needs_shuffle());
     }

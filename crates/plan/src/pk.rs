@@ -214,21 +214,25 @@ impl Provenance {
                 node.children.iter().all(|c| c.0 < id.0),
                 "arena must be topologically ordered"
             );
+            // Slots name base columns, so pruning moves no provenance.
             let prov = match &node.op {
-                Operator::Scan { table, .. } => node
-                    .schema
-                    .fields()
+                Operator::Scan {
+                    table,
+                    base,
+                    columns,
+                    ..
+                } => columns
                     .iter()
-                    .enumerate()
-                    .map(|(i, f)| PkColumn {
-                        slots: BTreeSet::from([(id, i)]),
-                        cols: BTreeSet::from([(table.clone(), f.name.clone())]),
+                    .map(|&c| PkColumn {
+                        slots: BTreeSet::from([(id, c)]),
+                        cols: BTreeSet::from([(table.clone(), base.field(c).name.to_string())]),
                     })
                     .collect(),
-                Operator::Filter { .. }
-                | Operator::Sort { .. }
-                | Operator::Limit { .. }
-                | Operator::Distinct => per_node[node.children[0].0].clone(),
+                Operator::Filter { columns, .. } | Operator::Sort { columns, .. } => {
+                    let child = &per_node[node.children[0].0];
+                    columns.iter().map(|&c| child[c].clone()).collect()
+                }
+                Operator::Limit { .. } | Operator::Distinct => per_node[node.children[0].0].clone(),
                 Operator::Project { exprs } => {
                     let child = &per_node[node.children[0].0];
                     exprs
@@ -242,6 +246,7 @@ impl Provenance {
                 Operator::Join {
                     left_keys,
                     right_keys,
+                    columns,
                     ..
                 } => {
                     let left = per_node[node.children[0].0].clone();
@@ -258,7 +263,7 @@ impl Provenance {
                         out[l] = merged.clone();
                         out[left_len + r] = merged;
                     }
-                    out
+                    columns.iter().map(|&c| out[c].clone()).collect()
                 }
                 Operator::Aggregate { group_by, aggs, .. } => {
                     let child = &per_node[node.children[0].0];
@@ -351,7 +356,7 @@ pub fn agg_pk_candidates(
 #[must_use]
 pub fn sort_pk(plan: &Plan, prov: &Provenance, id: NodeId) -> PartitionKey {
     let node = plan.node(id);
-    let Operator::Sort { keys } = &node.op else {
+    let Operator::Sort { keys, .. } = &node.op else {
         return PartitionKey::default();
     };
     let child = node.children[0];
@@ -373,15 +378,7 @@ mod tests {
 
     fn scan(a: &mut PlanArena, table: &str, cols: &[&str]) -> NodeId {
         let fields: Vec<(&str, DataType)> = cols.iter().map(|c| (*c, DataType::Int)).collect();
-        a.add(
-            Operator::Scan {
-                table: table.into(),
-                binding: table.into(),
-                predicate: None,
-            },
-            Schema::of(table, &fields),
-            vec![],
-        )
+        a.scan(table, table, Schema::of(table, &fields))
     }
 
     /// lineitem(l_partkey, l_quantity) ⋈ part(p_partkey) on key — footnote-3
@@ -397,6 +394,7 @@ mod tests {
                 left_keys: vec![0],
                 right_keys: vec![0],
                 residual: None,
+                columns: vec![0, 1, 2],
             },
             a.node(li).schema.concat(&a.node(pt).schema),
             vec![li, pt],
@@ -429,6 +427,7 @@ mod tests {
                 left_keys: vec![0],
                 right_keys: vec![0],
                 residual: None,
+                columns: vec![0, 1, 2, 3],
             },
             a.node(c1).schema.concat(&a.node(c2).schema),
             vec![c1, c2],
@@ -532,6 +531,7 @@ mod tests {
         let f = a.add(
             Operator::Filter {
                 predicate: Expr::lit(true),
+                columns: vec![0, 1],
             },
             a.node(s).schema.clone(),
             vec![s],

@@ -122,6 +122,16 @@ pub fn oracle_execute(
     })
 }
 
+/// `row` narrowed to the `columns` a node carries, moved as it is when
+/// they are all of it.
+fn carry(row: Row, columns: &[usize]) -> Row {
+    if columns.len() == row.len() && columns.iter().enumerate().all(|(i, &c)| i == c) {
+        row
+    } else {
+        row.project(columns)
+    }
+}
+
 struct Ctx<'a> {
     plan: &'a Plan,
     tables: &'a BTreeMap<String, Vec<Row>>,
@@ -134,7 +144,10 @@ impl Ctx<'_> {
         let node = self.plan.node(id);
         match &node.op {
             Operator::Scan {
-                table, predicate, ..
+                table,
+                predicate,
+                columns,
+                ..
             } => {
                 let rows = self
                     .tables
@@ -149,18 +162,18 @@ impl Ctx<'_> {
                         Some(p) => p.eval_predicate(r)?,
                     };
                     if keep {
-                        out.push(r.clone());
+                        out.push(carry(r.clone(), columns));
                     }
                 }
                 Ok(out)
             }
-            Operator::Filter { predicate } => {
+            Operator::Filter { predicate, columns } => {
                 let input = self.eval(node.children[0])?;
                 let mut out = Vec::with_capacity(input.len());
                 for r in input {
                     self.row_ops += 1;
                     if predicate.eval_predicate(&r)? {
-                        out.push(r);
+                        out.push(carry(r, columns));
                     }
                 }
                 Ok(out)
@@ -183,6 +196,7 @@ impl Ctx<'_> {
                 left_keys,
                 right_keys,
                 residual,
+                columns,
             } => {
                 // Widths come from the plan schemas, not the (possibly
                 // empty) row collections — outer joins pad with them.
@@ -190,7 +204,7 @@ impl Ctx<'_> {
                 let right_width = self.plan.node(node.children[1]).schema.len();
                 let left = self.eval(node.children[0])?;
                 let right = self.eval(node.children[1])?;
-                self.hash_join(
+                let joined = self.hash_join(
                     &left,
                     &right,
                     *kind,
@@ -199,7 +213,8 @@ impl Ctx<'_> {
                     residual.as_ref(),
                     left_width,
                     right_width,
-                )
+                )?;
+                Ok(joined.into_iter().map(|r| carry(r, columns)).collect())
             }
             Operator::Aggregate {
                 group_by,
@@ -221,11 +236,11 @@ impl Ctx<'_> {
                 }
                 Ok(out)
             }
-            Operator::Sort { keys } => {
+            Operator::Sort { keys, columns } => {
                 let mut input = self.eval(node.children[0])?;
                 self.row_ops += (input.len() as f64 * (input.len().max(2) as f64).log2()) as u64;
                 sort_rows(keys, &mut input);
-                Ok(input)
+                Ok(input.into_iter().map(|r| carry(r, columns)).collect())
             }
             Operator::Limit { n } => {
                 let mut input = self.eval(node.children[0])?;

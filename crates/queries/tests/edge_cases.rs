@@ -4,9 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use ysmart_core::{Strategy, YSmart};
+use ysmart_core::{build_drafts, Strategy, YSmart};
 use ysmart_mapred::{ClusterConfig, DataFormat};
-use ysmart_plan::Catalog;
+use ysmart_plan::{analyze, Catalog};
 use ysmart_queries::{oracle_execute, rows_approx_equal};
 use ysmart_rel::{row, DataType, Row, Schema, Value};
 
@@ -48,6 +48,19 @@ fn check_rows(sql: &str, t: Vec<Row>, u: Vec<Row>, want: Option<&[Row]>) {
         ysmart_plan::build_plan(&catalog, &q).unwrap()
     };
     let expected = oracle_execute(&plan, &tables).unwrap().rows;
+    // The engine runs the pruned plan: pruning moves no correlation, no job
+    // and no column of the answer.
+    let pruned = ysmart_plan::prune(&plan);
+    let (report, pruned_report) = (analyze(&plan), analyze(&pruned));
+    assert_eq!(
+        format!("{pruned_report:?}"),
+        format!("{report:?}"),
+        "`{sql}`"
+    );
+    assert_eq!(
+        pruned.node(pruned.root()).schema,
+        plan.node(plan.root()).schema
+    );
     if let Some(want) = want {
         assert!(
             rows_approx_equal(&expected, want, false),
@@ -65,6 +78,13 @@ fn check_rows(sql: &str, t: Vec<Row>, u: Vec<Row>, want: Option<&[Row]>) {
         let out = engine
             .execute_sql(sql, strategy)
             .unwrap_or_else(|e| panic!("{strategy}, {format:?} on `{sql}`: {e}"));
+        let drafts = build_drafts(&plan, &report, &strategy.options());
+        assert_eq!(
+            build_drafts(&pruned, &pruned_report, &strategy.options()),
+            drafts,
+            "{strategy} on `{sql}`"
+        );
+        assert_eq!(out.jobs, drafts.len().max(1), "{strategy} on `{sql}`");
         assert!(
             rows_approx_equal(&out.rows, &expected, false),
             "{strategy}, {format:?} on `{sql}`: {} rows vs oracle {}",

@@ -6,10 +6,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ysmart_core::{Strategy, YSmart};
+use ysmart_core::{build_drafts, compile, Strategy, YSmart};
 use ysmart_datagen::{ClicksSpec, TpchSpec};
 use ysmart_exec::CommonMapper;
 use ysmart_mapred::{ClusterConfig, DataFormat, MapOutput, Mapper};
+use ysmart_plan::{analyze, build_plan, prune};
 use ysmart_queries::{
     clicks_workloads, oracle_execute, rows_approx_equal, tpch_workloads, Workload,
 };
@@ -137,6 +138,60 @@ fn answers_do_not_depend_on_input_row_order() {
 }
 
 /// The paper's headline job counts (§VII-A), asserted end-to-end.
+/// `plan::prune` changes what rows carry and nothing else. Over every
+/// canned query the pruned plan has the unpruned plan's correlation report
+/// and root schema, and under every strategy the same job drafts; compiling
+/// the pruned plan gives the very blueprints compiling the unpruned one does
+/// (the pass is idempotent); and most base-table inputs carry fewer columns
+/// than their table has. That the answers stay the oracle's over the
+/// unpruned plan is the other tests here and `edge_cases`.
+#[test]
+fn pruning_moves_no_job_reducer_or_correlation() {
+    let mut workloads = tpch_workloads(&TpchSpec {
+        scale: 0.01,
+        seed: 1,
+    });
+    workloads.extend(clicks_workloads(&ClicksSpec::default()));
+    let (mut inputs, mut narrowed) = (0, 0);
+    for w in &workloads {
+        let plan = build_plan(&w.catalog, &ysmart_sql::parse(&w.sql).unwrap()).unwrap();
+        let pruned = prune(&plan);
+        let (report, pruned_report) = (analyze(&plan), analyze(&pruned));
+        let name = w.name;
+        assert_eq!(
+            format!("{pruned_report:?}"),
+            format!("{report:?}"),
+            "{name}"
+        );
+        assert_eq!(
+            pruned.node(pruned.root()).schema,
+            plan.node(plan.root()).schema,
+            "{name}"
+        );
+        for strategy in Strategy::all() {
+            let opts = strategy.options();
+            assert_eq!(
+                build_drafts(&pruned, &pruned_report, &opts),
+                build_drafts(&plan, &report, &opts),
+                "{name} under {strategy}"
+            );
+            let t = compile(&plan, &report, &opts, "q").unwrap();
+            let again = compile(&pruned, &pruned_report, &opts, "q").unwrap();
+            assert_eq!(again.blueprints, t.blueprints, "{name} under {strategy}");
+            for input in t.blueprints.iter().flat_map(|bp| &bp.inputs) {
+                if input.path.starts_with("data/") {
+                    inputs += 1;
+                    narrowed += usize::from(input.value_cols.len() < input.schema.len());
+                }
+            }
+        }
+    }
+    assert!(
+        narrowed * 2 > inputs,
+        "{narrowed} of {inputs} base-table inputs narrowed"
+    );
+}
+
 #[test]
 fn job_counts_match_paper() {
     let tpch = tpch_workloads(&TpchSpec {

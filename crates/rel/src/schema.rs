@@ -6,18 +6,21 @@
 //! name or the bare column name when it is unambiguous.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::RelError;
 use crate::value::DataType;
 
-/// One named, typed column of a schema.
+/// One named, typed column of a schema. Its names are shared, so copying a
+/// schema — which planning and pruning do for every node — copies no
+/// string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Qualifier — usually the relation alias the column came from. Empty
     /// for computed columns without a source relation.
-    pub qualifier: String,
+    pub qualifier: Arc<str>,
     /// The bare column name.
-    pub name: String,
+    pub name: Arc<str>,
     /// The column type.
     pub data_type: DataType,
 }
@@ -27,8 +30,8 @@ impl Field {
     #[must_use]
     pub fn new(qualifier: &str, name: &str, data_type: DataType) -> Self {
         Field {
-            qualifier: qualifier.to_string(),
-            name: name.to_string(),
+            qualifier: qualifier.into(),
+            name: name.into(),
             data_type,
         }
     }
@@ -43,7 +46,7 @@ impl Field {
     #[must_use]
     pub fn qualified_name(&self) -> String {
         if self.qualifier.is_empty() {
-            self.name.clone()
+            self.name.to_string()
         } else {
             format!("{}.{}", self.qualifier, self.name)
         }
@@ -53,8 +56,8 @@ impl Field {
     #[must_use]
     pub fn matches(&self, qualifier: Option<&str>, name: &str) -> bool {
         match qualifier {
-            Some(q) => self.qualifier == q && self.name == name,
-            None => self.name == name,
+            Some(q) => *self.qualifier == *q && *self.name == *name,
+            None => *self.name == *name,
         }
     }
 }
@@ -236,7 +239,7 @@ mod tests {
     #[test]
     fn requalify_for_subquery_alias() {
         let s = sample().requalified("inner");
-        assert_eq!(s.field(0).qualifier, "inner");
+        assert_eq!(&*s.field(0).qualifier, "inner");
         assert_eq!(s.resolve(Some("inner"), "a").unwrap(), 0);
     }
 
@@ -250,8 +253,8 @@ mod tests {
     #[test]
     fn project_subset() {
         let s = sample().project(&[2, 0]);
-        assert_eq!(s.field(0).name, "c");
-        assert_eq!(s.field(1).name, "a");
+        assert_eq!(&*s.field(0).name, "c");
+        assert_eq!(&*s.field(1).name, "a");
     }
 
     #[test]

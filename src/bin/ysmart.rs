@@ -292,7 +292,7 @@ fn run(args: Args) -> Result<(), String> {
         .schema
         .fields()
         .iter()
-        .map(|f| f.name.clone())
+        .map(|f| f.name.to_string())
         .collect();
     println!("{}", header.join("|"));
     for row in &outcome.rows {

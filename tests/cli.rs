@@ -316,6 +316,66 @@ fn malformed_data_rows_fail_the_query_with_their_count() {
     }
 }
 
+/// A field is parsed only when the query reads its column, so a value its
+/// type cannot hold fails the query only there. `c` is carried by no job of
+/// the first query: it answers. The second sums `c`: it fails as above.
+#[test]
+fn a_malformed_field_fails_only_a_query_that_reads_its_column() {
+    let fx = Fixture::new(
+        "lazy",
+        "CREATE TABLE t (a INT, b STRING, c INT);\nCREATE TABLE u (a INT, b INT);",
+        &[
+            ("t", "1|x|5\n2|y|notanint\n1|z|7\n"),
+            ("u", "notanint|1\n2|3\n"),
+        ],
+    );
+    let out = fx.query("SELECT a, count(*) AS n FROM t GROUP BY a ORDER BY a");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1|2\n2|1\n"), "{stdout}");
+
+    let out = fx.query("SELECT a, sum(c) AS s FROM t GROUP BY a");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("skipped 1 malformed records, budget 0"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "answered");
+
+    // A query that reads no column still carries a table's first one, so
+    // its field is parsed: `count(*)` answers over `t` and fails over `u`.
+    let out = fx.query("SELECT count(*) AS n FROM t");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let out = fx.query("SELECT count(*) AS n FROM u");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("skipped 1 malformed records, budget 0"),
+        "{stderr}"
+    );
+}
+
+/// `--explain` names the columns each job input carries.
+#[test]
+fn explain_lists_the_columns_each_input_carries() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ysmart"))
+        .args(["--demo", "--explain"])
+        .arg("SELECT cid, count(*) FROM clicks WHERE ts > 3 GROUP BY cid")
+        .output()
+        .expect("runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    // `ts` is read by the scan's predicate alone, `uid` and `page_id` by
+    // nothing.
+    assert!(
+        stdout.contains("    carries data/clicks: cid\n"),
+        "{stdout}"
+    );
+}
+
 /// A schema file that stops inside `DECIMAL(` is a syntax error reported
 /// against the file, with the line and column where it was found.
 #[test]
